@@ -9,7 +9,7 @@ Public surface:
 * :mod:`analysis` — the closed-form 4TD bounds of Section 3.3.
 """
 
-from . import analysis, faults
+from . import analysis
 from .daemon import DaemonSample, DtpDaemon, PcieModel, moving_average
 from .device import DtpDevice
 from .external import UtcBroadcast, UtcMaster, UtcSlave
@@ -77,7 +77,6 @@ __all__ = [
     "counter_low",
     "decode",
     "encode",
-    "faults",
     "moving_average",
     "parity_counter_field",
     "payload_with_parity",

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, List
 
-from ..clocks.oscillator import IEEE_8023_PPM_LIMIT
+from ..clocks.oscillator import IEEE_8023_PPM_LIMIT, ConstantSkew, SkewModel
 from ..phy.specs import PHY_10G, PhySpec
 from ..sim import units
 
@@ -108,3 +109,29 @@ class OwdErrorAnalysis:
         faster than the fastest oscillator (Section 3.3).
         """
         return self.measured_max_minus_d <= 0
+
+
+def runaway_skews(
+    node_names: List[str],
+    runaway_node: str,
+    runaway_ppm: float = 500.0,
+    normal_ppm: float = 0.0,
+) -> Dict[str, SkewModel]:
+    """Skew map with one oscillator violating the IEEE +/-100 ppm envelope.
+
+    Section 5.4: such a device drags the whole network's counter rate up
+    (everyone follows the fastest clock) and triggers many jumps at its
+    peers — the condition the jump-rate fault detector looks for.
+    """
+    skews: Dict[str, SkewModel] = {
+        name: ConstantSkew(normal_ppm) for name in node_names
+    }
+    skews[runaway_node] = ConstantSkew(runaway_ppm)
+    return skews
+
+
+def expected_partition_divergence_ticks(
+    partition_fs: int, ppm_gap: float, period_fs: int = units.TICK_10G_FS
+) -> float:
+    """Counter divergence two subnets accumulate while partitioned."""
+    return partition_fs / period_fs * ppm_gap * 1e-6

@@ -27,11 +27,14 @@ from ..ethernet.traffic import DelayedTraffic, TrafficModel
 from ..phy.ber import BitErrorInjector
 from ..phy.specs import PHY_10G, PhySpec
 from ..sim import units
-from ..sim.engine import Simulator
+from ..sim.engine import MacroTickSimulator, Simulator
 from ..sim.randomness import RandomStreams
 from ..network.topology import Topology
 from .device import DtpDevice
 from .port import DtpPort, DtpPortConfig
+
+#: In-process backend name -> the engine class its network runs on.
+BACKEND_ENGINES = {"scalar": Simulator, "batched": MacroTickSimulator}
 
 #: Factory signature: (edge index, "a->b" direction label) -> TrafficModel.
 TrafficFactory = Callable[[int, str], TrafficModel]
@@ -67,7 +70,7 @@ class DtpNetwork:
         tainted_nodes: Optional[frozenset] = None,
         linkhealth=None,
     ) -> None:
-        if backend not in ("scalar", "batched"):
+        if backend not in BACKEND_ENGINES:
             raise ValueError(f"unknown backend {backend!r}")
         self.sim = sim
         self.topology = topology
@@ -164,8 +167,8 @@ class DtpNetwork:
             for port in self.ports.values():
                 port._fastpath = self.fastpath
 
-        #: Single link-state authority: faults, legacy shims and the
-        #: recovery FSM all change link state through this gate.
+        #: Single link-state authority: faults and the recovery FSM all
+        #: change link state through this gate.
         from ..linkhealth.gate import LinkGate
 
         self.gate = LinkGate(self)

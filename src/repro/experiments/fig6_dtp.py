@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..dtp.network import DtpNetwork
+from ..dtp.network import BACKEND_ENGINES, DtpNetwork
 from ..dtp.port import DtpPortConfig
 from ..ethernet.frames import beacon_interval_ticks_for
 from ..network.topology import paper_testbed
 from ..sim import units
-from ..sim.engine import MacroTickSimulator, Simulator
+from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
 from .harness import ExperimentResult, TimeSeries, histogram
 from .workloads import frame_for, saturated_traffic
@@ -117,7 +117,7 @@ def run_fig6_dtp(
             "only; fig6a's traffic/log drivers need one live process "
             "(see docs/SHARDING.md)"
         )
-    sim = MacroTickSimulator() if backend == "batched" else Simulator()
+    sim = BACKEND_ENGINES.get(backend, Simulator)()
     streams = RandomStreams(config.seed)
     topology = paper_testbed()
     port_config = DtpPortConfig(beacon_interval_ticks=beacon_interval)

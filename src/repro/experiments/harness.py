@@ -150,31 +150,25 @@ def write_telemetry_artifacts(
     content is derived from sim time and seeds, so two same-seed runs write
     byte-identical files.
     """
-    import os
+    # Imported on use: faultlab imports this package's parallel runner.
+    from ..faultlab.campaign import write_telemetry
 
-    from ..ioutil import atomic_write_text
-    from ..telemetry import write_metrics_json, write_trace_jsonl
-
-    written: List[str] = []
     if telemetry is None:
-        return written
-    if trace_dir is not None and telemetry.tracer is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-        path = os.path.join(trace_dir, f"{name}.trace.jsonl")
-        write_trace_jsonl(path, telemetry.tracer)
-        written.append(
-            f"wrote {path} ({len(telemetry.tracer)} records,"
+        return []
+    written = write_telemetry(name, telemetry, trace_dir, metrics_dir)
+    lines: List[str] = []
+    if "trace.jsonl" in written:
+        lines.append(
+            f"wrote {written['trace.jsonl']} ({len(telemetry.tracer)} records,"
             f" {telemetry.tracer.dropped} dropped)"
         )
-    if metrics_dir is not None:
-        os.makedirs(metrics_dir, exist_ok=True)
-        path = os.path.join(metrics_dir, f"{name}.metrics.json")
-        write_metrics_json(path, telemetry)
-        written.append(f"wrote {path} (digest {telemetry.metrics_digest()[:12]})")
-        path = os.path.join(metrics_dir, f"{name}.prom")
-        atomic_write_text(path, telemetry.render_prometheus())
-        written.append(f"wrote {path}")
-    return written
+    if "metrics.json" in written:
+        lines.append(
+            f"wrote {written['metrics.json']}"
+            f" (digest {telemetry.metrics_digest()[:12]})"
+        )
+        lines.append(f"wrote {written['prom']}")
+    return lines
 
 
 def format_ns(fs: float) -> str:

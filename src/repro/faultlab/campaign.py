@@ -31,17 +31,18 @@ import hashlib
 import json
 import os
 import time
-from typing import Callable, Dict, Iterable, List, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import metrics
 from ..ioutil import atomic_write_text
 from ..clocks.oscillator import ConstantSkew
-from ..dtp.network import DtpNetwork
+from ..dtp.network import BACKEND_ENGINES, DtpNetwork
 from ..dtp.port import DtpPortConfig
 from ..experiments.parallel import ExperimentTask, derive_seed, run_named_tasks
 from ..network import topology as topo
 from ..observe.snapshots import ObserveProbe, make_tap
-from ..sim.engine import MacroTickSimulator, Simulator
+from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
 from ..telemetry import Telemetry, dump_flight, write_metrics_json, write_trace_jsonl
 from .faults import FAULT_KINDS, FaultContext, FaultModel
@@ -133,136 +134,67 @@ def _artifact(directory: str, scenario: str, suffix: str) -> str:
     return os.path.join(directory, f"{scenario}.{suffix}")
 
 
-def _attach_insight(flight_dir: str, name: str, suffix: str, dump) -> None:
-    """Write the insight post-mortem summary next to a flight artifact.
+@dataclass(frozen=True)
+class RunOptions:
+    """The picklable options of a scenario run.
 
-    Imported lazily (insight pulls in the experiment harness) and derived
-    only from the dump itself, so the summary is as deterministic as the
-    flight artifact.
+    Each field is one row of the "Run options" table in
+    ``docs/FAULTLAB.md`` (a test locks the two together).  The public
+    entry points collect their keywords into one instance via :meth:`of`;
+    everything below them passes that instance on whole.
     """
-    from ..insight import flight_summary_markdown
 
-    atomic_write_text(
-        _artifact(flight_dir, name, suffix), flight_summary_markdown(dump)
-    )
+    trace_dir: Optional[str] = None
+    metrics_dir: Optional[str] = None
+    flight_dir: Optional[str] = None
+    profile_dispatch: bool = False
+    backend: str = "scalar"
+    shards: Optional[int] = None
+    shard_transport: str = "process"
+    snapshot_dir: Optional[str] = None
+    observe: bool = False
+    health_dir: Optional[str] = None
+
+    @classmethod
+    def of(cls, **keywords: object) -> "RunOptions":
+        """Collect an entry point's ``**options``; unknown names are errors."""
+        valid = [f.name for f in fields(cls)]
+        unknown = sorted(set(keywords) - set(valid))
+        if unknown:
+            raise CampaignError(f"unknown run option(s) {unknown}; valid: {valid}")
+        return cls(**keywords)
+
+    @property
+    def wants_telemetry(self) -> bool:
+        """Any artifact directory (or profiling) turns a default Telemetry on."""
+        return bool(
+            self.trace_dir or self.metrics_dir or self.flight_dir
+            or self.snapshot_dir or self.profile_dispatch
+        )
 
 
-def run_scenario(
-    spec: Dict[str, object],
-    seed: int = 0,
-    sim_factory: Callable[[], object] = Simulator,
-    telemetry: Optional[Telemetry] = None,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    flight_dir: Optional[str] = None,
-    profile_dispatch: bool = False,
-    backend: str = "scalar",
-    observers: Optional[List[Callable[..., object]]] = None,
-    shards: Optional[int] = None,
-    shard_transport: str = "process",
-    snapshot_dir: Optional[str] = None,
-    observe: bool = False,
-    health_dir: Optional[str] = None,
-) -> Dict[str, object]:
-    """Run one scenario and return its (canonically JSON-able) metrics.
+@dataclass(frozen=True)
+class Prepared:
+    """A validated spec plus what is built from it before any engine exists."""
 
-    ``sim_factory`` exists for the reference-vs-optimized equivalence
-    tests, which substitute the verbatim seed engine.
+    spec: Dict[str, object]
+    name: str
+    duration_fs: int
+    topology: topo.Topology
+    #: Built, not armed — arming is once-only, so is a ``Prepared``.
+    faults: Tuple[FaultModel, ...]
 
-    ``backend="batched"`` routes healthy DTP port directions through the
-    :mod:`repro.fastpath` coordinator.  The metrics dict (and hence
-    :func:`metrics_digest`) is byte-identical either way — the result
-    deliberately records nothing about the backend; faults that mutate
-    port internals mid-run declare their nodes via
-    :meth:`~repro.faultlab.faults.FaultModel.tainted_nodes`, which pins
-    those directions to the scalar path.
 
-    Telemetry is opt-in: with everything at its default the run takes the
-    exact pre-telemetry code paths.  Passing any artifact directory turns a
-    default :class:`~repro.telemetry.Telemetry` on; artifacts are written
-    as ``<scenario>.trace.jsonl`` / ``<scenario>.metrics.json`` +
-    ``<scenario>.prom`` / ``<scenario>.flight.jsonl``.  The flight artifact
-    is written whenever the invariant checker recorded or raised a
-    violation (on a raise the artifact is written before re-raising).
-
-    ``observers`` are callables attached after :meth:`DtpNetwork.start`
-    with keyword arguments ``(sim, network, streams, checker, telemetry,
-    duration_fs)``.  They may schedule their own events and draw from
-    *new* name-keyed random streams, which — by the
-    :class:`~repro.sim.randomness.RandomStreams` contract — leaves every
-    existing stream, and therefore the scenario's behavior and metrics,
-    byte-identical to an observer-free run (the racelab's fairness
-    guarantee; pinned by the discipline equivalence tests).  Observers
-    require the scalar backend: the batched fast path replays the scalar
-    engine's event-sequence allocation, which observer events would skew.
-
-    ``observe=True`` (implied by ``snapshot_dir``) rides the checker's
-    existing sampler grid with a :class:`repro.observe.ObserveProbe` and
-    adds a deterministic ``result["observe"]`` section; ``snapshot_dir``
-    additionally streams ``<scenario>.snapshots.jsonl`` incrementally
-    while the run executes.  Both are byte-identical across the scalar,
-    batched and sharded backends.  ``health_dir`` enables the (explicitly
-    nondeterministic) coordinator health channel on the sharded backend;
-    the in-process backends have no coordinator, so it is a no-op here.
-    """
+def prepare(spec: Dict[str, object]) -> Prepared:
+    """Validate a scenario spec and build its topology and faults."""
     unknown = set(spec) - _SPEC_KEYS
     if unknown:
         raise CampaignError(f"unknown scenario keys: {sorted(unknown)}")
     if "topology" not in spec or "duration_fs" not in spec:
         raise CampaignError("scenario needs 'topology' and 'duration_fs'")
-    name = str(spec.get("name", "scenario"))
     duration_fs = int(spec["duration_fs"])
     if duration_fs <= 0:
         raise CampaignError("duration_fs must be positive")
-
-    if backend == "sharded":
-        # Conservative parallel backend: partitions the topology across
-        # worker shards and replays telemetry/checker events in serial
-        # order.  Results and artifacts are byte-identical to scalar
-        # (see docs/SHARDING.md); features that need one live process
-        # (observers, profiling, custom engines) are rejected there.
-        from ..shard import run_sharded_scenario
-
-        return run_sharded_scenario(
-            spec,
-            seed=seed,
-            sim_factory=sim_factory,
-            telemetry=telemetry,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            flight_dir=flight_dir,
-            profile_dispatch=profile_dispatch,
-            observers=observers,
-            shards=shards,
-            transport=shard_transport,
-            snapshot_dir=snapshot_dir,
-            observe=observe,
-            health_dir=health_dir,
-        )
-
-    if telemetry is None and (
-        trace_dir or metrics_dir or flight_dir or snapshot_dir or profile_dispatch
-    ):
-        telemetry = Telemetry(profile_dispatch=profile_dispatch)
-
-    if backend not in ("scalar", "batched"):
-        raise CampaignError(f"unknown backend {backend!r}")
-    if observers and backend != "scalar":
-        raise CampaignError("observers require the scalar backend")
-    if backend == "batched" and sim_factory is Simulator:
-        sim_factory = MacroTickSimulator
-    sim = sim_factory()
-    if telemetry is not None:
-        telemetry.attach_sim(sim)
-    streams = RandomStreams(root_seed=seed)
-    topology = build_topology(spec["topology"])
-    config = DtpPortConfig(**spec.get("config", {}))
-    skew_ppm = spec.get("skew_ppm")
-    skews = (
-        {node: ConstantSkew(float(ppm)) for node, ppm in skew_ppm.items()}
-        if skew_ppm
-        else None
-    )
     # Faults are built (not armed) before the network so their taint sets
     # are known at promotion time; arming still happens afterwards, in
     # spec order, and draws from name-keyed streams either way.
@@ -274,121 +206,116 @@ def run_scenario(
             raise CampaignError(f"duplicate fault name {fault.name!r}")
         seen_names.add(fault.name)
         faults.append(fault)
-    tainted = frozenset().union(*(f.tainted_nodes() for f in faults)) if faults else frozenset()
+    name = str(spec.get("name", "scenario"))
+    return Prepared(
+        spec, name, duration_fs, build_topology(spec["topology"]), tuple(faults)
+    )
+
+
+def assemble(
+    prepared: Prepared, seed: int, sim, telemetry: Optional[Telemetry], backend: str
+) -> Tuple[RandomStreams, DtpNetwork]:
+    """Build one scenario's random streams and DTP network on ``sim``.
+
+    The serial run, every shard worker and the shard coordinator all come
+    through here, so the stream draws, the port-interning order into the
+    tracer and the root event allocations are one sequence, not three
+    kept in step by hand.
+    """
+    spec = prepared.spec
+    streams = RandomStreams(root_seed=seed)
+    skew_ppm = spec.get("skew_ppm")
+    skews = (
+        {node: ConstantSkew(float(ppm)) for node, ppm in skew_ppm.items()}
+        if skew_ppm
+        else None
+    )
+    tainted = frozenset().union(*(f.tainted_nodes() for f in prepared.faults))
     network = DtpNetwork(
-        sim, topology, streams, config=config, skews=skews, telemetry=telemetry,
-        backend=backend, tainted_nodes=tainted,
+        sim, prepared.topology, streams, config=DtpPortConfig(**spec.get("config", {})),
+        skews=skews, telemetry=telemetry, backend=backend, tainted_nodes=tainted,
         linkhealth=spec.get("linkhealth"),
     )
-    checker = InvariantChecker(network, **spec.get("checker", {}))
-    if network.linkhealth is not None:
-        # Quarantine-release handshake: rejoining links are excluded from
-        # the checker's sync subgraph until the FSM releases them.
-        network.linkhealth.bind_checker(checker)
+    return streams, network
 
-    context = FaultContext(network=network, streams=streams, checker=checker)
-    for fault in faults:
-        fault.arm(context)
 
-    network.start()
-
-    for observer in observers or ():
-        observer(
-            sim=sim,
-            network=network,
-            streams=streams,
-            checker=checker,
-            telemetry=telemetry,
-            duration_fs=duration_fs,
+def make_probe(
+    prepared: Prepared, seed: int, options: RunOptions, sample_interval_fs: int
+) -> Optional[ObserveProbe]:
+    """The observe probe (and snapshot tap) the sampler grid feeds, if any."""
+    if options.snapshot_dir is not None:
+        tap = make_tap(
+            options.snapshot_dir, prepared.name, seed, prepared.duration_fs,
+            sample_interval_fs,
         )
+        return ObserveProbe(tap=tap)
+    return ObserveProbe(tap=None) if options.observe else None
 
-    sample_interval_fs = int(
-        spec.get("sample_interval_fs", checker.interval_fs * 4)
+
+def _write_flight(
+    flight_dir: str, name: str, kind: str, telemetry: Telemetry, seed: int,
+    now_fs: int, context: Dict[str, object],
+) -> None:
+    """Write ``<name>.<kind>flight.jsonl`` and its insight summary.
+
+    Insight is imported lazily (it pulls in the experiment harness) and
+    derived only from the dump itself, so the summary is as deterministic
+    as the flight artifact.
+    """
+    from ..insight import flight_summary_markdown
+
+    dump = dump_flight(
+        _artifact(flight_dir, name, f"{kind}flight.jsonl"),
+        telemetry, name, seed, now_fs, context=context,
     )
-    sample_times: List[int] = []
-    sample_values: List[int] = []
-    probe: Optional[ObserveProbe] = None
-    if observe or snapshot_dir is not None:
-        tap = (
-            make_tap(snapshot_dir, spec, seed, sample_interval_fs)
-            if snapshot_dir is not None
-            else None
-        )
-        probe = ObserveProbe(tap=tap)
+    atomic_write_text(
+        _artifact(flight_dir, name, f"{kind}insight.md"),
+        flight_summary_markdown(dump),
+    )
 
-    def _sample() -> None:
-        worst = checker.worst_checkable_offset()
-        if worst is not None:
-            sample_times.append(sim.now)
-            sample_values.append(worst)
-        if probe is not None:
-            probe.sample(
-                sim.now,
-                worst,
-                checker,
-                trace_recorded=(
-                    telemetry.tracer.recorded
-                    if telemetry is not None and telemetry.tracer is not None
-                    else 0
-                ),
-            )
-        sim.schedule(sample_interval_fs, _sample)
 
-    sim.schedule_at(sim.now, _sample)
-    profiling = telemetry is not None and telemetry.profile is not None
-    wall_start = time.perf_counter_ns() if profiling else None
-    try:
-        sim.run_until(duration_fs)
-    except InvariantViolation as exc:
-        if telemetry is not None and flight_dir is not None:
-            dump = dump_flight(
-                _artifact(flight_dir, name, "flight.jsonl"),
-                telemetry,
-                name,
-                seed,
-                sim.now,
-                context=dict(
-                    exc.context, violation=exc.violation.as_dict()
-                ),
-            )
-            _attach_insight(flight_dir, name, "insight.md", dump)
-        if probe is not None and probe.tap is not None:
-            # Leave the stream crash-consistent at the last sampled instant.
-            probe.tap.flush()
-        raise
-    if wall_start is not None:
-        telemetry.record_wallclock(
-            f"scenario:{name}", time.perf_counter_ns() - wall_start
-        )
+def write_telemetry(
+    name: str, telemetry: Telemetry, trace_dir: Optional[str], metrics_dir: Optional[str]
+) -> Dict[str, str]:
+    """Write ``<name>.trace.jsonl`` / ``.metrics.json`` / ``.prom``.
 
+    Returns ``{suffix: path}`` for the files written.  All content is
+    derived from sim time and seeds, so two same-seed runs write
+    byte-identical files.
+    """
+    written: Dict[str, str] = {}
+    if trace_dir is not None and telemetry.tracer is not None:
+        written["trace.jsonl"] = _artifact(trace_dir, name, "trace.jsonl")
+        write_trace_jsonl(written["trace.jsonl"], telemetry.tracer)
+    if metrics_dir is not None:
+        written["metrics.json"] = _artifact(metrics_dir, name, "metrics.json")
+        write_metrics_json(written["metrics.json"], telemetry)
+        written["prom"] = _artifact(metrics_dir, name, "prom")
+        atomic_write_text(written["prom"], telemetry.render_prometheus())
+    return written
+
+
+def finish(
+    prepared: Prepared, seed: int, options: RunOptions, telemetry: Optional[Telemetry],
+    checker: InvariantChecker, sample_values: List[int], fault_summaries: Dict[str, dict],
+    all_synchronized: bool, linkhealth: Optional[dict], probe: Optional[ObserveProbe],
+) -> Dict[str, object]:
+    """Write a completed run's artifacts and build its result dict.
+
+    The inline driver passes its live checker and network state; the
+    shard coordinator passes its replay checker and the merged shard
+    finals.  Either way this is the only code that decides what a result
+    contains and which files a run leaves behind.
+    """
+    name = prepared.name
     if telemetry is not None:
-        if flight_dir is not None and checker.total_violations:
-            dump = dump_flight(
-                _artifact(flight_dir, name, "flight.jsonl"),
-                telemetry,
-                name,
-                seed,
-                sim.now,
-                context=dict(
-                    checker.snapshot_context(),
-                    violation=checker.violations[0].as_dict()
-                    if checker.violations
-                    else {},
-                ),
+        if options.flight_dir is not None and checker.total_violations:
+            first = checker.violations[0].as_dict() if checker.violations else {}
+            _write_flight(
+                options.flight_dir, name, "", telemetry, seed, prepared.duration_fs,
+                dict(checker.snapshot_context(), violation=first),
             )
-            _attach_insight(flight_dir, name, "insight.md", dump)
-        if trace_dir is not None and telemetry.tracer is not None:
-            write_trace_jsonl(
-                _artifact(trace_dir, name, "trace.jsonl"), telemetry.tracer
-            )
-        if metrics_dir is not None:
-            write_metrics_json(
-                _artifact(metrics_dir, name, "metrics.json"), telemetry
-            )
-            atomic_write_text(
-                _artifact(metrics_dir, name, "prom"),
-                telemetry.render_prometheus(),
-            )
+        write_telemetry(name, telemetry, options.trace_dir, options.metrics_dir)
 
     recovery = {
         reason: {
@@ -412,9 +339,9 @@ def run_scenario(
     result.update({
         "scenario": name,
         "seed": seed,
-        "duration_fs": duration_fs,
-        "nodes": len(topology.nodes),
-        "edges": len(topology.edges),
+        "duration_fs": prepared.duration_fs,
+        "nodes": len(prepared.topology.nodes),
+        "edges": len(prepared.topology.edges),
         "checks_run": checker.checks_run,
         "pairs_checked": checker.pairs_checked,
         "violations": dict(sorted(checker.counts.items())),
@@ -425,25 +352,168 @@ def run_scenario(
         "samples": len(sample_values),
         "recovery": recovery,
         "reconnect_recoveries": len(checker.reconnect_recoveries),
-        "faults": {
-            fault.name: {"kind": fault.kind, **fault.summary()}
-            for fault in faults
-        },
-        "all_synchronized": 1 if network.all_synchronized() else 0,
+        "faults": fault_summaries,
+        "all_synchronized": 1 if all_synchronized else 0,
         "first_violations": [
             violation.as_dict() for violation in checker.violations[:5]
         ],
     })
-    if network.linkhealth is not None:
+    if linkhealth is not None:
         # Only present on supervised runs so unsupervised results (and
         # their digests) stay byte-identical to the pre-linkhealth code.
-        result["linkhealth"] = network.linkhealth.summary()
+        result["linkhealth"] = linkhealth
     if probe is not None:
         # Only present on observed runs so observe-off results (and their
-        # digests) stay byte-identical to the pre-observe code.
+        # digests) stay byte-identical to the pre-observe code.  The
+        # snapshot stream's final record is written once the result is
+        # complete.
         result["observe"] = probe.summary()
         probe.finalize(result)
     return result
+
+
+def _drive_inline(
+    prepared: Prepared,
+    seed: int,
+    options: RunOptions,
+    sim_factory: Callable[[], object],
+    telemetry: Optional[Telemetry],
+    observers: Optional[List[Callable[..., object]]],
+) -> Dict[str, object]:
+    """The ``scalar`` / ``batched`` driver: one engine, one live checker."""
+    if telemetry is None and options.wants_telemetry:
+        telemetry = Telemetry(profile_dispatch=options.profile_dispatch)
+    engine = BACKEND_ENGINES[options.backend]
+    if observers and engine is not Simulator:
+        raise CampaignError("observers require the scalar backend")
+    sim = (engine if sim_factory is Simulator else sim_factory)()
+    if telemetry is not None:
+        telemetry.attach_sim(sim)
+    streams, network = assemble(prepared, seed, sim, telemetry, options.backend)
+    spec, name, duration_fs = prepared.spec, prepared.name, prepared.duration_fs
+    checker = InvariantChecker(network, **spec.get("checker", {}))
+    if network.linkhealth is not None:
+        # Quarantine-release handshake: rejoining links are excluded from
+        # the checker's sync subgraph until the FSM releases them.
+        network.linkhealth.bind_checker(checker)
+
+    context = FaultContext(network=network, streams=streams, checker=checker)
+    for fault in prepared.faults:
+        fault.arm(context)
+
+    network.start()
+
+    for observer in observers or ():
+        observer(
+            sim=sim, network=network, streams=streams, checker=checker,
+            telemetry=telemetry, duration_fs=duration_fs,
+        )
+
+    sample_interval_fs = int(
+        spec.get("sample_interval_fs", checker.interval_fs * 4)
+    )
+    sample_values: List[int] = []
+    probe = make_probe(prepared, seed, options, sample_interval_fs)
+    tracer = telemetry.tracer if telemetry is not None else None
+
+    def _sample() -> None:
+        worst = checker.worst_checkable_offset()
+        if worst is not None:
+            sample_values.append(worst)
+        if probe is not None:
+            probe.sample(
+                sim.now, worst, checker,
+                trace_recorded=tracer.recorded if tracer is not None else 0,
+            )
+        sim.schedule(sample_interval_fs, _sample)
+
+    sim.schedule_at(sim.now, _sample)
+    profiling = telemetry is not None and telemetry.profile is not None
+    wall_start = time.perf_counter_ns() if profiling else None
+    try:
+        sim.run_until(duration_fs)
+    except InvariantViolation as exc:
+        if telemetry is not None and options.flight_dir is not None:
+            _write_flight(
+                options.flight_dir, name, "", telemetry, seed, sim.now,
+                dict(exc.context, violation=exc.violation.as_dict()),
+            )
+        if probe is not None and probe.tap is not None:
+            # Leave the stream crash-consistent at the last sampled instant.
+            probe.tap.flush()
+        raise
+    if wall_start is not None:
+        telemetry.record_wallclock(
+            f"scenario:{name}", time.perf_counter_ns() - wall_start
+        )
+
+    summaries = {f.name: {"kind": f.kind, **f.summary()} for f in prepared.faults}
+    linkhealth = network.linkhealth.summary() if network.linkhealth is not None else None
+    return finish(
+        prepared, seed, options, telemetry, checker, sample_values, summaries,
+        network.all_synchronized(), linkhealth, probe,
+    )
+
+
+def _drive_sharded(*run: object) -> Dict[str, object]:
+    """The ``sharded`` driver: the conservative window protocol.
+
+    Partitions the topology across worker shards and replays telemetry
+    and checker events in serial order; results and artifacts are
+    byte-identical to scalar (see docs/SHARDING.md).  Features that need
+    one live process (observers, profiling, custom engines) are rejected
+    there.  Imported on first use: :mod:`repro.shard` builds on this
+    module.
+    """
+    from ..shard.runner import drive_sharded
+
+    return drive_sharded(*run)
+
+
+#: Backend name -> driver ``(prepared, seed, options, sim_factory,
+#: telemetry, observers) -> result``.  A new backend registers here (an
+#: in-process one by its engine class, in ``BACKEND_ENGINES``).
+DRIVERS = {**dict.fromkeys(BACKEND_ENGINES, _drive_inline), "sharded": _drive_sharded}
+
+
+def run_scenario(
+    spec: Dict[str, object],
+    seed: int = 0,
+    sim_factory: Callable[[], object] = Simulator,
+    telemetry: Optional[Telemetry] = None,
+    observers: Optional[List[Callable[..., object]]] = None,
+    **options: object,
+) -> Dict[str, object]:
+    """Run one scenario and return its (canonically JSON-able) metrics.
+
+    ``**options`` are the :class:`RunOptions` fields (the "Run options"
+    table in ``docs/FAULTLAB.md``).  The metrics dict (and hence
+    :func:`metrics_digest`) is byte-identical on every backend — the
+    result deliberately records nothing about how it was computed.
+
+    ``sim_factory`` exists for the reference-vs-optimized equivalence
+    tests, which substitute the verbatim seed engine.
+
+    Telemetry is opt-in: with everything at its default the run takes the
+    exact pre-telemetry code paths.  Passing any artifact directory turns a
+    default :class:`~repro.telemetry.Telemetry` on.  The flight artifact
+    is written whenever the invariant checker recorded or raised a
+    violation (on a raise the artifact is written before re-raising).
+
+    ``observers`` are callables attached after :meth:`DtpNetwork.start`
+    with keyword arguments ``(sim, network, streams, checker, telemetry,
+    duration_fs)``.  They may schedule their own events and draw from
+    *new* name-keyed random streams, which — by the
+    :class:`~repro.sim.randomness.RandomStreams` contract — leaves every
+    existing stream, and therefore the scenario's behavior and metrics,
+    byte-identical to an observer-free run (the racelab's fairness
+    guarantee; pinned by the discipline equivalence tests).  Observers
+    require the scalar backend: the batched fast path replays the scalar
+    engine's event-sequence allocation, which observer events would skew.
+    """
+    return _scenario_task(
+        spec, seed, RunOptions.of(**options), sim_factory, telemetry, observers
+    )
 
 
 def metrics_digest(obj: object) -> str:
@@ -455,79 +525,31 @@ def metrics_digest(obj: object) -> str:
 def _scenario_task(
     spec: Dict[str, object],
     seed: int,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    flight_dir: Optional[str] = None,
-    profile_dispatch: bool = False,
-    backend: str = "scalar",
-    shards: Optional[int] = None,
-    shard_transport: str = "process",
-    snapshot_dir: Optional[str] = None,
-    observe: bool = False,
-    health_dir: Optional[str] = None,
+    options: RunOptions,
+    sim_factory: Callable[[], object] = Simulator,
+    telemetry: Optional[Telemetry] = None,
+    observers: Optional[List[Callable[..., object]]] = None,
 ) -> Dict[str, object]:
     """Module-level (hence picklable) worker for the parallel runner."""
-    if backend == "sharded" and shard_transport == "process":
-        import multiprocessing
-
-        # Pool workers are daemonic and cannot spawn shard hosts; the
-        # inline transport is byte-identical, so fall back silently.
-        if multiprocessing.current_process().daemon:
-            shard_transport = "inline"
-    return run_scenario(
-        spec,
-        seed=seed,
-        trace_dir=trace_dir,
-        metrics_dir=metrics_dir,
-        flight_dir=flight_dir,
-        profile_dispatch=profile_dispatch,
-        backend=backend,
-        shards=shards,
-        shard_transport=shard_transport,
-        snapshot_dir=snapshot_dir,
-        observe=observe,
-        health_dir=health_dir,
-    )
+    driver = DRIVERS.get(options.backend)
+    if driver is None:
+        raise CampaignError(
+            f"unknown backend {options.backend!r}; known: {sorted(DRIVERS)}"
+        )
+    return driver(prepare(spec), seed, options, sim_factory, telemetry, observers)
 
 
 def _campaign_tasks(
-    specs: Iterable[Dict[str, object]],
-    base_seed: int,
-    trace_dir: Optional[str],
-    metrics_dir: Optional[str],
-    flight_dir: Optional[str],
-    profile_dispatch: bool = False,
-    backend: str = "scalar",
-    shards: Optional[int] = None,
-    shard_transport: str = "process",
-    snapshot_dir: Optional[str] = None,
-    observe: bool = False,
-    health_dir: Optional[str] = None,
+    specs: Iterable[Dict[str, object]], base_seed: int, options: RunOptions
 ) -> List[ExperimentTask]:
     tasks = []
     for spec in specs:
         if "name" not in spec:
             raise CampaignError("campaign scenarios need a 'name'")
         name = str(spec["name"])
+        seed = derive_seed(base_seed, name)
         tasks.append(
-            ExperimentTask(
-                name,
-                _scenario_task,
-                (spec, derive_seed(base_seed, name)),
-                {
-                    "trace_dir": trace_dir,
-                    "metrics_dir": metrics_dir,
-                    "flight_dir": flight_dir,
-                    "profile_dispatch": profile_dispatch,
-                    "backend": backend,
-                    "shards": shards,
-                    "shard_transport": shard_transport,
-                    "snapshot_dir": snapshot_dir,
-                    "observe": observe,
-                    "health_dir": health_dir,
-                },
-                seed=derive_seed(base_seed, name),
-            )
+            ExperimentTask(name, _scenario_task, (spec, seed, options), seed=seed)
         )
     return tasks
 
@@ -536,16 +558,7 @@ def run_campaign(
     specs: Iterable[Dict[str, object]],
     base_seed: int = 0,
     jobs: Optional[int] = 1,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    flight_dir: Optional[str] = None,
-    profile_dispatch: bool = False,
-    backend: str = "scalar",
-    shards: Optional[int] = None,
-    shard_transport: str = "process",
-    snapshot_dir: Optional[str] = None,
-    observe: bool = False,
-    health_dir: Optional[str] = None,
+    **options: object,
 ) -> Dict[str, Dict[str, object]]:
     """Run many scenarios, each seeded from ``(base_seed, scenario name)``.
 
@@ -554,13 +567,12 @@ def run_campaign(
     results — and any telemetry artifacts written to the ``*_dir``
     directories — are byte-identical to the serial path.  For campaigns
     that must survive worker crashes, hangs, or a SIGKILL of the whole
-    run, use :func:`run_resilient_campaign`.  ``backend`` selects the
-    scalar oracle or the batched fast path; results are byte-identical.
+    run, use :func:`run_resilient_campaign`.  ``**options`` are the
+    :class:`RunOptions` fields (``docs/FAULTLAB.md``, "Run options"),
+    applied to every scenario; results are byte-identical on the
+    scalar, batched and sharded backends.
     """
-    tasks = _campaign_tasks(
-        specs, base_seed, trace_dir, metrics_dir, flight_dir, profile_dispatch,
-        backend, shards, shard_transport, snapshot_dir, observe, health_dir,
-    )
+    tasks = _campaign_tasks(specs, base_seed, RunOptions.of(**options))
     return run_named_tasks(tasks, jobs=jobs)
 
 
@@ -568,18 +580,9 @@ def run_resilient_campaign(
     specs: Iterable[Dict[str, object]],
     base_seed: int = 0,
     jobs: Optional[int] = 1,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    flight_dir: Optional[str] = None,
     journal_path: Optional[str] = None,
     policy=None,
-    profile_dispatch: bool = False,
-    backend: str = "scalar",
-    shards: Optional[int] = None,
-    shard_transport: str = "process",
-    snapshot_dir: Optional[str] = None,
-    observe: bool = False,
-    health_dir: Optional[str] = None,
+    **options: object,
 ):
     """Run a campaign under the :mod:`repro.resilience` supervisor.
 
@@ -598,10 +601,8 @@ def run_resilient_campaign(
     """
     from ..resilience import CheckpointJournal, SupervisorPolicy, run_supervised
 
-    tasks = _campaign_tasks(
-        specs, base_seed, trace_dir, metrics_dir, flight_dir, profile_dispatch,
-        backend, shards, shard_transport, snapshot_dir, observe, health_dir,
-    )
+    run_options = RunOptions.of(**options)
+    tasks = _campaign_tasks(specs, base_seed, run_options)
     if policy is None:
         policy = SupervisorPolicy(base_seed=base_seed)
     # The meta deliberately omits the scenario list: every journal entry
@@ -614,7 +615,7 @@ def run_resilient_campaign(
             meta={"campaign": "faultlab", "base_seed": base_seed},
         )
     health = None
-    if health_dir is not None:
+    if run_options.health_dir is not None:
         from ..observe.health import HealthRecorder
 
         health = HealthRecorder(source="resilient-campaign")
@@ -622,25 +623,19 @@ def run_resilient_campaign(
         tasks, jobs=jobs, policy=policy, journal=journal, health=health
     )
     if health is not None:
-        os.makedirs(health_dir, exist_ok=True)
-        health.write(os.path.join(health_dir, "campaign.health.jsonl"))
+        health.write(_artifact(run_options.health_dir, "campaign", "health.jsonl"))
     report = run.report()
-    if flight_dir is not None and run.quarantined:
+    if run_options.flight_dir is not None and run.quarantined:
         failures = [failure.as_dict() for failure in run.failures]
         for name in run.quarantined:
-            telemetry = Telemetry(trace=False)
-            dump = dump_flight(
-                _artifact(flight_dir, name, "failure.flight.jsonl"),
-                telemetry,
-                name,
-                derive_seed(base_seed, name),
-                0,
-                context={
-                    "reason": "supervisor-quarantine",
-                    "failures": [f for f in failures if f["task"] == name],
-                },
+            context = {
+                "reason": "supervisor-quarantine",
+                "failures": [f for f in failures if f["task"] == name],
+            }
+            _write_flight(
+                run_options.flight_dir, name, "failure.", Telemetry(trace=False),
+                derive_seed(base_seed, name), 0, context,
             )
-            _attach_insight(flight_dir, name, "failure.insight.md", dump)
     return run.named_results(), report
 
 

@@ -34,6 +34,7 @@ from typing import List, Optional
 
 from ..ioutil import atomic_write_text
 from .campaign import (
+    DRIVERS,
     CampaignError,
     render_campaign,
     run_campaign,
@@ -65,7 +66,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--quick", action="store_true", help="shorter runs for smoke testing"
     )
     parser.add_argument(
-        "--backend", choices=("scalar", "batched", "sharded"), default="scalar",
+        "--backend", choices=tuple(DRIVERS), default="scalar",
         help="simulation backend; 'batched' routes healthy DTP port "
         "directions through the repro.fastpath coordinator, 'sharded' "
         "partitions the topology across parallel worker shards "
@@ -180,6 +181,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(str(exc))
 
     jobs = None if args.jobs == 0 else args.jobs
+    options = dict(
+        trace_dir=args.trace,
+        metrics_dir=args.metrics_out,
+        flight_dir=args.dump_trace,
+        profile_dispatch=args.profile,
+        backend=args.backend,
+        shards=args.shards,
+        shard_transport=args.shard_transport,
+        snapshot_dir=args.snapshots,
+        observe=args.slo is not None,
+        health_dir=args.health,
+    )
     supervised = any(
         value is not None
         for value in (
@@ -199,35 +212,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             specs,
             base_seed=args.seed,
             jobs=jobs,
-            trace_dir=args.trace,
-            metrics_dir=args.metrics_out,
-            flight_dir=args.dump_trace,
             journal_path=args.journal,
             policy=policy,
-            profile_dispatch=args.profile,
-            backend=args.backend,
-            shards=args.shards,
-            shard_transport=args.shard_transport,
-            snapshot_dir=args.snapshots,
-            observe=args.slo is not None,
-            health_dir=args.health,
+            **options,
         )
     else:
-        results = run_campaign(
-            specs,
-            base_seed=args.seed,
-            jobs=jobs,
-            trace_dir=args.trace,
-            metrics_dir=args.metrics_out,
-            flight_dir=args.dump_trace,
-            profile_dispatch=args.profile,
-            backend=args.backend,
-            shards=args.shards,
-            shard_transport=args.shard_transport,
-            snapshot_dir=args.snapshots,
-            observe=args.slo is not None,
-            health_dir=args.health,
-        )
+        results = run_campaign(specs, base_seed=args.seed, jobs=jobs, **options)
     # stdout carries only the (digest-stable) campaign results; failure
     # reporting goes to stderr so supervised and plain runs of the same
     # surviving scenario set stay byte-identical on stdout.

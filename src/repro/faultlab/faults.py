@@ -4,9 +4,7 @@ Every fault is a :class:`FaultModel`: constructed from plain scalar
 parameters (so campaign specs can be JSON), then armed once against a
 :class:`FaultContext`.  Arming draws **all** of the fault's randomness from
 a stream named after the fault (``faultlab/<name>``), so adding, removing,
-or reordering faults never perturbs another fault's schedule — the
-determinism bug the old ``dtp.faults.FlappingLink`` had is structurally
-impossible here.
+or reordering faults never perturbs another fault's schedule.
 
 Faults cooperate with the invariant checker: a fault that takes a node
 legitimately out of spec quarantines it for the duration and releases it on
@@ -695,11 +693,7 @@ class TwoFacedNode(FaultModel):
 
 
 class SteppedSkew(SkewModel):
-    """Skew that follows ``before`` until ``step_fs``, then a new constant.
-
-    The public home of the wrapper ``dtp.faults.oscillator_step`` used to
-    define inline.
-    """
+    """Skew that follows ``before`` until ``step_fs``, then a new constant."""
 
     def __init__(self, before: SkewModel, step_fs: int, after_ppm: float):
         self.before = before

@@ -1,14 +1,13 @@
 """The single authority over link up/down state (``DtpNetwork.gate``).
 
-Before this gate existed, ``repro.faultlab`` fault models and the legacy
-``repro.dtp.faults`` shims each called ``network.down_link``/``up_link``
-directly, and the recovery FSM would have made a third independent
-writer — three parties that could disagree about whether a cable is
-plugged in.  Now every link-state change flows through one claim-based
-gate:
+Before this gate existed, every ``repro.faultlab`` fault model called
+``network.down_link``/``up_link`` directly, and the recovery FSM would
+have made one more independent writer — parties that could disagree
+about whether a cable is plugged in.  Now every link-state change flows
+through one claim-based gate:
 
 * every fault model shares the ``"admin"`` claim, reproducing the
-  legacy semantics exactly (a ``release_up`` always re-raises the link,
+  pre-gate semantics exactly (a ``release_up`` always re-raises the link,
   even for overlapping faults or an up-without-prior-down, as long as
   no *other* party holds it down);
 * an active :class:`~repro.linkhealth.fsm.LinkSupervisor` holds its own
@@ -27,8 +26,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
-#: The claim every fault model (and legacy shim) shares.  All legacy
-#: callers using one token keeps the historical "up always wins" rule.
+#: The claim every fault model shares.  All of them using one token
+#: keeps the historical "up always wins" rule.
 ADMIN_CLAIM = "admin"
 
 

@@ -210,17 +210,16 @@ def snapshot_path(snapshot_dir: str, scenario: str) -> str:
 
 
 def make_tap(
-    snapshot_dir: str, spec: Dict[str, object], seed: int, sample_interval_fs: int
+    snapshot_dir: str, name: str, seed: int, duration_fs: int, sample_interval_fs: int
 ) -> SnapshotTap:
     """A tap for one scenario run, with the standard header fields."""
     os.makedirs(snapshot_dir, exist_ok=True)
-    name = str(spec["name"])
     return SnapshotTap(
         snapshot_path(snapshot_dir, name),
         {
             "scenario": name,
             "seed": seed,
-            "duration_fs": int(spec["duration_fs"]),
+            "duration_fs": duration_fs,
             "sample_interval_fs": sample_interval_fs,
         },
     )

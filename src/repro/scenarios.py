@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 from .clocks.oscillator import ConstantSkew
-from .dtp.network import DtpNetwork
+from .dtp.network import BACKEND_ENGINES, DtpNetwork
 from .dtp.port import DtpPortConfig
 from .ethernet.frames import JUMBO_FRAME, MTU_FRAME
 from .ethernet.traffic import SaturatedTraffic
 from .network.topology import Topology, chain, clos, fat_tree, paper_testbed, star
 from .sim import units
-from .sim.engine import MacroTickSimulator, Simulator
+from .sim.engine import Simulator
 from .sim.randomness import RandomStreams
 
 
@@ -176,6 +176,6 @@ def build(name: str, seed: int = 0, backend: str = "scalar") -> Scenario:
             "'repro faultlab --backend sharded' (e.g. the clos-fabric / "
             "fat-tree-k8 fabric scenarios, see docs/SHARDING.md)"
         )
-    sim = MacroTickSimulator() if backend == "batched" else Simulator()
+    sim = BACKEND_ENGINES.get(backend, Simulator)()
     streams = RandomStreams(seed)
     return factory(sim, streams, backend)

@@ -30,23 +30,17 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..clocks.oscillator import ConstantSkew
 from ..dtp.network import DtpNetwork
-from ..dtp.port import DtpPortConfig
 from ..faultlab.campaign import (
     CampaignError,
-    _artifact,
-    _attach_insight,
-    build_fault,
-    build_topology,
+    Prepared,
+    RunOptions,
+    assemble,
+    finish,
+    make_probe,
 )
 from ..faultlab.invariants import InvariantChecker
-from .. import metrics
-from ..ioutil import atomic_write_text
-from ..observe.snapshots import ObserveProbe, make_tap
 from ..sim.engine import Simulator
-from ..sim.randomness import RandomStreams
-from ..telemetry import dump_flight, write_metrics_json, write_trace_jsonl
 from ..telemetry.registry import CounterFamily
 from .partition import ShardPlan
 
@@ -146,20 +140,16 @@ def _grid_key(
 
 
 def run_sharded(
-    spec: Dict[str, object],
+    prepared: Prepared,
     seed: int,
+    options: RunOptions,
     plan: ShardPlan,
     transport,
     telemetry=None,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    flight_dir: Optional[str] = None,
     stats_out: Optional[dict] = None,
-    snapshot_dir: Optional[str] = None,
-    observe: bool = False,
     health=None,
 ) -> Dict[str, object]:
-    """Run one (pre-validated) scenario across ``plan.shards`` workers.
+    """Run one prepared scenario across ``plan.shards`` workers.
 
     Returns the exact :func:`~repro.faultlab.campaign.run_scenario` result
     dict; writes the same artifacts to the same paths.  ``stats_out``, if
@@ -172,43 +162,15 @@ def run_sharded(
     :class:`~repro.observe.HealthRecorder`, receives window-protocol
     progress — like ``stats_out``, deliberately outside the result.
     """
-    name = str(spec.get("name", "scenario"))
-    duration_fs = int(spec["duration_fs"])
+    spec = prepared.spec
+    duration_fs = prepared.duration_fs
     shards = plan.shards
     wall_start = time.perf_counter_ns()
 
-    # Replicate scenario construction (same stream draws, same port
-    # interning order into the coordinator tracer as the serial run).
-    dummy_sim = Simulator()
-    streams = RandomStreams(root_seed=seed)
-    topology = build_topology(spec["topology"])
-    config = DtpPortConfig(**spec.get("config", {}))
-    skew_ppm = spec.get("skew_ppm")
-    skews = (
-        {node: ConstantSkew(float(ppm)) for node, ppm in skew_ppm.items()}
-        if skew_ppm
-        else None
-    )
-    faults = [
-        build_fault(fault_spec, index)
-        for index, fault_spec in enumerate(spec.get("faults", []))
-    ]
-    tainted = (
-        frozenset().union(*(f.tainted_nodes() for f in faults))
-        if faults
-        else frozenset()
-    )
-    network = DtpNetwork(
-        dummy_sim,
-        topology,
-        streams,
-        config=config,
-        skews=skews,
-        telemetry=telemetry,
-        backend="scalar",
-        tainted_nodes=tainted,
-        linkhealth=spec.get("linkhealth"),
-    )
+    # The serial run's own construction, on an engine that never runs:
+    # same stream draws, same port interning order into the coordinator
+    # tracer.  ``prepared`` is the object the plan was cut from.
+    _streams, network = assemble(prepared, seed, Simulator(), telemetry, "scalar")
     view = _ReplayNetwork(network)
     checker = InvariantChecker(view, **spec.get("checker", {}))
     tracer = telemetry.tracer if telemetry is not None else None
@@ -235,14 +197,7 @@ def run_sharded(
             )
     checker_start = max(int(start_fs), 0)
 
-    probe: Optional[ObserveProbe] = None
-    if observe or snapshot_dir is not None:
-        tap = (
-            make_tap(snapshot_dir, spec, seed, sample_interval_fs)
-            if snapshot_dir is not None
-            else None
-        )
-        probe = ObserveProbe(tap=tap)
+    probe = make_probe(prepared, seed, options, sample_interval_fs)
 
     grant_cap = duration_fs + 1
     pending: List[List[tuple]] = [[] for _ in range(shards)]
@@ -426,76 +381,7 @@ def run_sharded(
     all_synchronized = all(final["all_synchronized"] for final in finals)
     events_dispatched = sum(final["events_dispatched"] for final in finals)
 
-    if telemetry is not None:
-        if flight_dir is not None and checker.total_violations:
-            dump = dump_flight(
-                _artifact(flight_dir, name, "flight.jsonl"),
-                telemetry,
-                name,
-                seed,
-                duration_fs,
-                context=dict(
-                    checker.snapshot_context(),
-                    violation=checker.violations[0].as_dict()
-                    if checker.violations
-                    else {},
-                ),
-            )
-            _attach_insight(flight_dir, name, "insight.md", dump)
-        if trace_dir is not None and telemetry.tracer is not None:
-            write_trace_jsonl(
-                _artifact(trace_dir, name, "trace.jsonl"), telemetry.tracer
-            )
-        if metrics_dir is not None:
-            write_metrics_json(
-                _artifact(metrics_dir, name, "metrics.json"), telemetry
-            )
-            atomic_write_text(
-                _artifact(metrics_dir, name, "prom"),
-                telemetry.render_prometheus(),
-            )
-
-    recovery = {
-        reason: {
-            "count": len(durations),
-            "max_fs": max(durations),
-            "mean_fs": sum(durations) // len(durations),
-        }
-        for reason, durations in sorted(checker.recovery_fs.items())
-    }
-    result: Dict[str, object] = {}
-    if telemetry is not None:
-        result["telemetry"] = {
-            "metrics_digest": telemetry.metrics_digest(),
-            "trace_digest": telemetry.trace_digest(),
-            "trace_recorded": (
-                telemetry.tracer.recorded if telemetry.tracer is not None else 0
-            ),
-        }
-    result.update({
-        "scenario": name,
-        "seed": seed,
-        "duration_fs": duration_fs,
-        "nodes": len(topology.nodes),
-        "edges": len(topology.edges),
-        "checks_run": checker.checks_run,
-        "pairs_checked": checker.pairs_checked,
-        "violations": dict(sorted(checker.counts.items())),
-        "violations_total": checker.total_violations,
-        "ticks_above_bound": checker.ticks_above_bound,
-        "time_above_bound_fs": checker.ticks_above_bound * checker.interval_fs,
-        "max_offset_excursion": int(metrics.max_abs_excursion(sample_values)),
-        "samples": len(sample_values),
-        "recovery": recovery,
-        "reconnect_recoveries": len(checker.reconnect_recoveries),
-        "faults": {
-            fault.name: fault_summaries[fault.name] for fault in faults
-        },
-        "all_synchronized": 1 if all_synchronized else 0,
-        "first_violations": [
-            violation.as_dict() for violation in checker.violations[:5]
-        ],
-    })
+    linkhealth = None
     if network.linkhealth is not None:
         # The replicated manager holds every link at its dormant default;
         # overlay what the owning shards actually observed, keeping the
@@ -510,12 +396,12 @@ def run_sharded(
             links[supervisor.link] = reported.get(
                 supervisor.link, supervisor.summary()
             )
-        result["linkhealth"] = {"links": links}
-    if probe is not None:
-        # Mirrors run_scenario: only present on observed runs, and written
-        # to the snapshot stream's final record after the merge completes.
-        result["observe"] = probe.summary()
-        probe.finalize(result)
+        linkhealth = {"links": links}
+    ordered = {fault.name: fault_summaries[fault.name] for fault in prepared.faults}
+    result = finish(
+        prepared, seed, options, telemetry, checker, sample_values, ordered,
+        all_synchronized, linkhealth, probe,
+    )
     if stats_out is not None:
         stats_out.update(
             events=events_dispatched,

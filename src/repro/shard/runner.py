@@ -1,24 +1,25 @@
-"""``run_scenario``-compatible entry point for the sharded backend.
+"""The sharded backend's driver and its ``run_scenario``-compatible entry point.
 
-:func:`run_sharded_scenario` validates the spec exactly as
-:func:`~repro.faultlab.campaign.run_scenario` does, rejects the features
-the sharded backend cannot honor (dispatch profiling, observers, custom
-engines, ``raise_on_violation`` — all of which need one live process to
-mean anything), partitions the topology, and drives the coordinator over
-the chosen transport.  The result dict and every telemetry artifact are
+:func:`drive_sharded` takes the same
+:func:`~repro.faultlab.campaign.prepare` output as the serial driver,
+rejects the features the sharded backend cannot honor (dispatch
+profiling, observers, custom engines, ``raise_on_violation`` — all of
+which need one live process to mean anything), partitions the topology,
+and drives the coordinator over the chosen transport.  The result dict and every telemetry artifact are
 byte-identical to the serial run.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 from typing import Callable, Dict, List, Optional
 
 from ..faultlab.campaign import (
     CampaignError,
-    _SPEC_KEYS,
-    build_fault,
-    build_topology,
+    Prepared,
+    RunOptions,
+    _artifact,
+    prepare,
 )
 from ..phy.specs import PHY_10G
 from ..resilience import default_jobs
@@ -34,16 +35,9 @@ def default_margin_fs() -> int:
     return MARGIN_PERIODS * PHY_10G.period_fs
 
 
-def _build_faults(spec: Dict[str, object]) -> list:
-    faults = []
-    seen_names = set()
-    for index, fault_spec in enumerate(spec.get("faults", [])):
-        fault = build_fault(fault_spec, index)
-        if fault.name in seen_names:
-            raise CampaignError(f"duplicate fault name {fault.name!r}")
-        seen_names.add(fault.name)
-        faults.append(fault)
-    return faults
+def _auto_shards(prepared: Prepared) -> int:
+    atoms = _atoms(prepared.topology, prepared.faults)
+    return max(1, min(default_jobs(), len(atoms)))
 
 
 def resolve_shards(
@@ -58,75 +52,57 @@ def resolve_shards(
     as-is; :func:`~repro.shard.partition.build_plan` rejects it with a
     clear error if it exceeds the partition count.
     """
-    if shards is not None:
-        return shards
-    topology = build_topology(spec["topology"])
-    atoms = _atoms(topology, _build_faults(spec))
-    return max(1, min(default_jobs(), len(atoms)))
+    return shards if shards is not None else _auto_shards(prepare(spec))
 
 
-def run_sharded_scenario(
-    spec: Dict[str, object],
-    seed: int = 0,
+def drive_sharded(
+    prepared: Prepared,
+    seed: int,
+    options: RunOptions,
     sim_factory: Callable[[], object] = Simulator,
     telemetry: Optional[Telemetry] = None,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    flight_dir: Optional[str] = None,
-    profile_dispatch: bool = False,
     observers: Optional[List[Callable[..., object]]] = None,
-    shards: Optional[int] = None,
-    transport: str = "process",
     stats_out: Optional[dict] = None,
-    snapshot_dir: Optional[str] = None,
-    observe: bool = False,
-    health_dir: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Run one scenario under ``--backend sharded``.
+    """The ``sharded`` entry of :data:`repro.faultlab.campaign.DRIVERS`.
 
-    Accepts :func:`~repro.faultlab.campaign.run_scenario`'s signature so
-    the campaign layer can delegate verbatim, plus ``shards`` (``None``:
-    resolve via :func:`resolve_shards`), ``transport`` (``"process"`` or
-    ``"inline"``), and ``stats_out`` (a dict that receives events/rounds/
-    wall-time statistics without touching the byte-stable result).
-    ``snapshot_dir`` / ``observe`` mirror the serial path byte-for-byte;
-    ``health_dir`` additionally writes the coordinator's
-    (nondeterministic) ``<scenario>.health.jsonl`` window-protocol log.
+    Rejects what needs one live process, partitions the prepared
+    topology, and drives the coordinator over the chosen transport.
+    ``stats_out`` (a dict) receives events/rounds/wall-time statistics
+    without touching the byte-stable result.
     """
-    unknown = set(spec) - _SPEC_KEYS
-    if unknown:
-        raise CampaignError(f"unknown scenario keys: {sorted(unknown)}")
-    if "topology" not in spec or "duration_fs" not in spec:
-        raise CampaignError("scenario needs 'topology' and 'duration_fs'")
-    if int(spec["duration_fs"]) <= 0:
-        raise CampaignError("duration_fs must be positive")
     if observers:
         raise CampaignError("observers require the scalar backend")
     if sim_factory is not Simulator:
         raise CampaignError(
             "custom sim_factory requires a single-process backend"
         )
-    if profile_dispatch or (telemetry is not None and telemetry.profile is not None):
+    if options.profile_dispatch or (
+        telemetry is not None and telemetry.profile is not None
+    ):
         raise CampaignError(
             "profile_dispatch is per-engine and cannot compose across "
             "shards; use --backend scalar to profile"
         )
-    if dict(spec.get("checker", {})).get("raise_on_violation"):
+    if dict(prepared.spec.get("checker", {})).get("raise_on_violation"):
         raise CampaignError(
             "checker.raise_on_violation needs the live single-process "
             "checker; the sharded backend replays checks after the fact"
         )
 
-    if telemetry is None and (trace_dir or metrics_dir or flight_dir or snapshot_dir):
+    if telemetry is None and options.wants_telemetry:
         telemetry = Telemetry()
 
-    topology = build_topology(spec["topology"])
-    faults = _build_faults(spec)
-    shard_count = (
-        resolve_shards(spec, shards) if shards is None else shards
+    shards = options.shards if options.shards is not None else _auto_shards(prepared)
+    plan = build_plan(
+        prepared.topology, prepared.faults, shards, default_margin_fs()
     )
-    plan = build_plan(topology, faults, shard_count, default_margin_fs())
 
+    transport = options.shard_transport
+    if transport == "process" and multiprocessing.current_process().daemon:
+        # Pool workers are daemonic and cannot spawn shard hosts; the
+        # inline transport is byte-identical, so fall back silently.
+        transport = "inline"
     factory = TRANSPORTS.get(transport)
     if factory is None:
         raise CampaignError(
@@ -134,30 +110,43 @@ def run_sharded_scenario(
             f"{sorted(TRANSPORTS)}"
         )
     health = None
-    if health_dir is not None:
+    if options.health_dir is not None:
         from ..observe.health import HealthRecorder
 
-        health = HealthRecorder(source=f"shard-coordinator/{spec['name']}")
+        health = HealthRecorder(source=f"shard-coordinator/{prepared.name}")
     channel = factory()
     try:
         return run_sharded(
-            spec,
-            seed,
-            plan,
-            channel,
-            telemetry=telemetry,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            flight_dir=flight_dir,
-            stats_out=stats_out,
-            snapshot_dir=snapshot_dir,
-            observe=observe,
-            health=health,
+            prepared, seed, options, plan, channel, telemetry, stats_out, health
         )
     finally:
         channel.close()
         if health is not None:
-            os.makedirs(health_dir, exist_ok=True)
             health.write(
-                os.path.join(health_dir, f"{spec['name']}.health.jsonl")
+                _artifact(options.health_dir, prepared.name, "health.jsonl")
             )
+
+
+def run_sharded_scenario(
+    spec: Dict[str, object],
+    seed: int = 0,
+    sim_factory: Callable[[], object] = Simulator,
+    telemetry: Optional[Telemetry] = None,
+    observers: Optional[List[Callable[..., object]]] = None,
+    transport: str = "process",
+    stats_out: Optional[dict] = None,
+    **options: object,
+) -> Dict[str, object]:
+    """Run one scenario under ``--backend sharded``.
+
+    :func:`~repro.faultlab.campaign.run_scenario` with the backend fixed,
+    ``transport`` as the short name of ``shard_transport``, and
+    ``stats_out`` as in :func:`drive_sharded`.  ``**options`` are the
+    other :class:`~repro.faultlab.campaign.RunOptions` fields.
+    """
+    run_options = RunOptions.of(
+        backend="sharded", shard_transport=transport, **options
+    )
+    return drive_sharded(
+        prepare(spec), seed, run_options, sim_factory, telemetry, observers, stats_out
+    )

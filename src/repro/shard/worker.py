@@ -31,13 +31,11 @@ merged state, in exact serial event order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..clocks.oscillator import ConstantSkew
 from ..dtp.network import DtpNetwork
-from ..dtp.port import DtpPortConfig
-from ..faultlab.campaign import build_fault, build_topology
-from ..sim.randomness import RandomStreams
+from ..faultlab.campaign import assemble, prepare
+from ..faultlab.faults import FaultContext
 from ..telemetry import Telemetry
 from ..telemetry.registry import CounterFamily
 from .engine import BoundaryOutbox, ShardSimulator, noop_link_up
@@ -166,9 +164,7 @@ class ShardWorker:
         telemetry_on: bool,
         trace_on: bool,
     ) -> None:
-        self.spec = spec
         self.shard_id = shard_id
-        self.plan = plan
         owned = plan.owned_nodes[shard_id]
         self._owned = frozenset(owned)
 
@@ -188,38 +184,10 @@ class ShardWorker:
                 telemetry.tracer = self.recorder
 
         engine.begin_root()
-        streams = RandomStreams(root_seed=seed)
-        topology = build_topology(spec["topology"])
-        config = DtpPortConfig(**spec.get("config", {}))
-        skew_ppm = spec.get("skew_ppm")
-        skews = (
-            {node: ConstantSkew(float(ppm)) for node, ppm in skew_ppm.items()}
-            if skew_ppm
-            else None
-        )
-        faults = [
-            build_fault(fault_spec, index)
-            for index, fault_spec in enumerate(spec.get("faults", []))
-        ]
-        tainted = (
-            frozenset().union(*(f.tainted_nodes() for f in faults))
-            if faults
-            else frozenset()
-        )
-        network = DtpNetwork(
-            engine,
-            topology,
-            streams,
-            config=config,
-            skews=skews,
-            telemetry=telemetry,
-            backend="scalar",
-            tainted_nodes=tainted,
-            linkhealth=spec.get("linkhealth"),
-        )
+        prepared = prepare(spec)
+        topology, faults = prepared.topology, prepared.faults
+        streams, network = assemble(prepared, seed, engine, telemetry, "scalar")
         self.network = network
-        self.topology = topology
-        self.faults = faults
         #: Owned nodes in topology order — the coordinator merges
         #: per-shard bundles keyed this way.
         self._owned_order = [n for n in topology.nodes if n in self._owned]
@@ -231,7 +199,9 @@ class ShardWorker:
         checker_kwargs = dict(spec.get("checker", {}))
         interval_fs = checker_kwargs.get("interval_fs")
         if interval_fs is None:
-            interval_fs = config.beacon_interval_ticks * network.spec.period_fs
+            interval_fs = (
+                network.config.beacon_interval_ticks * network.spec.period_fs
+            )
         self.interval_fs = int(interval_fs)
         start_fs = int(checker_kwargs.get("start_fs", 0))
         self.stub_checker = _StubChecker(engine, self.interval_fs, start_fs)
@@ -257,8 +227,6 @@ class ShardWorker:
         for channel in plan.channels_from(shard_id):
             ghost = network.ports[channel.dest_key]
             ghost._arrive = BoundaryOutbox(channel.dest_shard, channel.dest_key)
-
-        from ..faultlab.faults import FaultContext
 
         pinned_ctx = FaultContext(
             network=network, streams=streams, checker=self.stub_checker

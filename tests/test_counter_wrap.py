@@ -71,7 +71,7 @@ def test_max_merge_crosses_wrap_during_partition_heal(sim, streams):
     lagging side to the *post-wrap* value and pull it forward across the
     boundary — not backwards to the congruent pre-wrap value.
     """
-    from repro.dtp.faults import schedule_partition
+    from repro.faultlab.faults import FaultContext, Partition
 
     net = DtpNetwork(
         sim, chain(2), streams,
@@ -81,9 +81,9 @@ def test_max_merge_crosses_wrap_during_partition_heal(sim, streams):
     for device in net.devices.values():
         device.gc.set_counter(0, start)
     net.start()
-    schedule_partition(
-        net, "n0", "n1", down_at_fs=50 * units.US, up_at_fs=150 * units.US
-    )
+    Partition(
+        "n0", "n1", down_at_fs=50 * units.US, up_at_fs=150 * units.US
+    ).arm(FaultContext(network=net, streams=net.streams))
 
     def jump_across_wrap():
         # Emulate a long divergence on n0's side: it has already wrapped

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.clocks.oscillator import ConstantSkew
-from repro.dtp.faults import (
+from repro.dtp.analysis import (
     expected_partition_divergence_ticks,
     runaway_skews,
-    schedule_partition,
 )
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
+from repro.faultlab.faults import FaultContext, Partition
 from repro.network.topology import chain
 from repro.sim import units
 
@@ -23,7 +23,9 @@ def test_runaway_skews_map():
 def test_partition_scheduling_validates_order(sim, streams):
     net = DtpNetwork(sim, chain(2), streams)
     with pytest.raises(ValueError):
-        schedule_partition(net, "n0", "n1", down_at_fs=10, up_at_fs=5)
+        Partition("n0", "n1", down_at_fs=10, up_at_fs=5).arm(
+            FaultContext(network=net, streams=net.streams)
+        )
 
 
 def test_expected_divergence_math():

@@ -2,8 +2,8 @@
 
 
 from repro.clocks.oscillator import ConstantSkew
-from repro.dtp.faults import schedule_partition
 from repro.dtp.network import DtpNetwork
+from repro.faultlab.faults import FaultContext, Partition
 from repro.network.topology import chain, paper_testbed, star, two_level_tree
 from repro.sim import units
 
@@ -98,7 +98,9 @@ class TestNetworkDynamics:
             },
         )
         net.start()
-        schedule_partition(net, "n1", "n2", down_at_fs=2 * units.MS, up_at_fs=6 * units.MS)
+        Partition("n1", "n2", down_at_fs=2 * units.MS, up_at_fs=6 * units.MS).arm(
+            FaultContext(network=net, streams=net.streams)
+        )
         # While partitioned, n2 (slow side) drifts behind.
         sim.run_until(6 * units.MS)
         drifted = abs(net.pair_offset("n1", "n2"))
@@ -122,7 +124,9 @@ class TestNetworkDynamics:
     def test_global_counter_monotonic_through_dynamics(self, sim, streams):
         net = DtpNetwork(sim, chain(3), streams)
         net.start()
-        schedule_partition(net, "n0", "n1", down_at_fs=units.MS, up_at_fs=2 * units.MS)
+        Partition("n0", "n1", down_at_fs=units.MS, up_at_fs=2 * units.MS).arm(
+            FaultContext(network=net, streams=net.streams)
+        )
         previous = -1
         t = 0
         while t < 4 * units.MS:

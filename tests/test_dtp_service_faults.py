@@ -3,10 +3,10 @@
 import pytest
 
 from repro.clocks.oscillator import ConstantSkew
-from repro.dtp.faults import FlappingLink, oscillator_step
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.dtp.service import DtpClockService
+from repro.faultlab.faults import FaultContext, LinkFlap, OscillatorStep
 from repro.network.topology import chain, paper_testbed
 from repro.sim import units
 
@@ -77,13 +77,13 @@ class TestFlappingLink:
         net = DtpNetwork(sim, chain(2), streams)
         net.start()
         sim.run_until(units.MS)
-        FlappingLink(
-            net, "n0", "n1",
+        LinkFlap(
+            "n0", "n1",
             down_every_fs=2 * units.MS,
             down_for_fs=200 * units.US,
             start_fs=2 * units.MS,
             flaps=4,
-        )
+        ).arm(FaultContext(network=net, streams=net.streams))
         sim.run_until(12 * units.MS)
         assert net.all_synchronized()
         worst = 0
@@ -98,20 +98,20 @@ class TestFlappingLink:
         net = DtpNetwork(sim, chain(2), streams)
         net.start()
         sim.run_until(units.MS)
-        flapper = FlappingLink(
-            net, "n0", "n1",
+        flapper = LinkFlap(
+            "n0", "n1",
             down_every_fs=units.MS,
             down_for_fs=100 * units.US,
             start_fs=2 * units.MS,
             flaps=3,
         )
+        flapper.arm(FaultContext(network=net, streams=net.streams))
         sim.run_until(10 * units.MS)
         assert flapper.flap_count == 3
 
-    def test_invalid_timing_rejected(self, sim, streams):
-        net = DtpNetwork(sim, chain(2), streams)
+    def test_invalid_timing_rejected(self):
         with pytest.raises(ValueError):
-            FlappingLink(net, "n0", "n1", down_every_fs=100, down_for_fs=100)
+            LinkFlap("n0", "n1", down_every_fs=100, down_for_fs=100)
 
 
 class TestOscillatorStep:
@@ -121,7 +121,9 @@ class TestOscillatorStep:
             skews={"n0": ConstantSkew(0.0), "n1": ConstantSkew(0.0)},
         )
         net.start()
-        oscillator_step(net, "n1", at_fs=2 * units.MS, new_ppm=80.0)
+        OscillatorStep("n1", at_fs=2 * units.MS, new_ppm=80.0).arm(
+            FaultContext(network=net, streams=net.streams)
+        )
         sim.run_until(10 * units.MS)
         osc = net.devices["n1"].oscillator
         assert osc.period_at(9 * units.MS) < osc.period_at(0)
@@ -132,7 +134,9 @@ class TestOscillatorStep:
             skews={"n0": ConstantSkew(0.0), "n1": ConstantSkew(-50.0)},
         )
         net.start()
-        oscillator_step(net, "n1", at_fs=3 * units.MS, new_ppm=95.0)
+        OscillatorStep("n1", at_fs=3 * units.MS, new_ppm=95.0).arm(
+            FaultContext(network=net, streams=net.streams)
+        )
         sim.run_until(4 * units.MS)
         worst = 0
         t = sim.now

@@ -194,7 +194,7 @@ def test_linkhealth_scenarios_are_clean(name):
 
 
 # ----------------------------------------------------------------------
-# Cross-backend byte-identity (linkhealth-smoke's in-tree twin)
+# Cross-backend byte-identity (the CI backend-identity job's in-tree twin)
 # ----------------------------------------------------------------------
 class TestBackendIdentity:
     def run_backends(self, name, tmp_path, seed=1):

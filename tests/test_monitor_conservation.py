@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.oscillator import ConstantSkew
-from repro.dtp.faults import make_two_faced
 from repro.dtp.monitor import BoundMonitor
 from repro.dtp.network import DtpNetwork
+from repro.faultlab.faults import FaultContext, TwoFacedNode
 from repro.network.packet import PacketNetwork
 from repro.network.topology import chain, paper_testbed, star
 from repro.sim import units
@@ -37,7 +37,9 @@ class TestBoundMonitor:
             sim, chain(3), streams,
             skews={n: ConstantSkew(0.0) for n in ("n0", "n1", "n2")},
         )
-        make_two_faced(net, "n1", "n2", lie_ticks=1000)
+        TwoFacedNode("n1", "n2", lie_ticks=1000).arm(
+            FaultContext(network=net, streams=net.streams)
+        )
         net.start()
         sim.run_until(units.MS)
         alarms = []

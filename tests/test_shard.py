@@ -125,6 +125,29 @@ class TestByteIdentity:
         assert serial["seed"] == 7
 
 
+def test_unnamed_spec_runs_sharded_with_health_and_snapshots(tmp_path):
+    """A spec without a name is "scenario" on every path — including the
+    sharded coordinator's health source and file, and the snapshot stream
+    on any backend (both were: KeyError 'name')."""
+    spec = {"topology": {"kind": "chain", "hosts": 4}, "duration_fs": 200_000_000_000}
+    health, snaps, serial_snaps = (tmp_path / d for d in ("health", "snaps", "serial"))
+    sharded = run_scenario(
+        dict(spec),
+        backend="sharded",
+        shards=2,
+        shard_transport="inline",
+        health_dir=str(health),
+        snapshot_dir=str(snaps),
+    )
+    assert [p.name for p in health.iterdir()] == ["scenario.health.jsonl"]
+    header = (health / "scenario.health.jsonl").read_text().splitlines()[0]
+    assert "shard-coordinator/scenario" in header
+    assert sharded["scenario"] == "scenario"
+    assert sharded == run_scenario(dict(spec), snapshot_dir=str(serial_snaps))
+    assert tree(snaps) == tree(serial_snaps)
+    assert list(tree(snaps)) == ["scenario.snapshots.jsonl"]
+
+
 # ----------------------------------------------------------------------
 # Partitioner
 # ----------------------------------------------------------------------
@@ -208,6 +231,38 @@ class TestFeatureGates:
     def test_too_many_shards_rejected_with_clear_error(self):
         with pytest.raises(CampaignError, match="rerun with a smaller"):
             run_sharded_scenario(self.spec(), shards=64)
+
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            (
+                {
+                    "faults": [
+                        {"kind": "partition", "name": "cut", "a": "n0",
+                         "b": "n1", "down_at_fs": 1, "up_at_fs": 2},
+                        {"kind": "partition", "name": "cut", "a": "n1",
+                         "b": "n2", "down_at_fs": 1, "up_at_fs": 2},
+                    ]
+                },
+                "duplicate fault name 'cut'",
+            ),
+            ({"duration_fs": 0}, "duration_fs must be positive"),
+            ({"sharding": 2}, "unknown scenario keys: ['sharding']"),
+        ],
+        ids=["duplicate-fault-name", "bad-duration", "unknown-key"],
+    )
+    def test_bad_specs_rejected_identically_on_every_backend(
+        self, breakage, message
+    ):
+        spec = dict(self.spec(), **breakage)
+        errors = []
+        for backend in ("scalar", "batched", "sharded"):
+            with pytest.raises(CampaignError) as excinfo:
+                run_scenario(
+                    dict(spec), backend=backend, shards=2, shard_transport="inline"
+                )
+            errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors == [(CampaignError, message)] * 3
 
     def test_live_handle_builder_rejects_sharded(self):
         from repro.scenarios import build

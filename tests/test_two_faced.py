@@ -15,8 +15,8 @@ does not claim to be.
 """
 
 from repro.clocks.oscillator import ConstantSkew
-from repro.dtp.faults import make_two_faced
 from repro.dtp.network import DtpNetwork
+from repro.faultlab.faults import FaultContext, TwoFacedNode
 from repro.network.topology import chain
 from repro.sim import units
 from repro.sim.randomness import RandomStreams
@@ -28,7 +28,9 @@ def build(sim, lie_ticks):
         skews={name: ConstantSkew(0.0) for name in ("n0", "n1", "n2")},
     )
     if lie_ticks:
-        make_two_faced(net, "n1", "n2", lie_ticks)
+        TwoFacedNode("n1", "n2", lie_ticks).arm(
+            FaultContext(network=net, streams=net.streams)
+        )
     net.start()
     return net
 
