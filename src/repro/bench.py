@@ -565,7 +565,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         atomic_write_text(str(out), json.dumps(bench, indent=2) + "\n")
         print(f"wrote {out}", file=sys.stderr)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

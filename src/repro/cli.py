@@ -1,62 +1,128 @@
-"""The ``repro`` umbrella command.
+"""The ``repro`` command — the one entry point.
 
-``repro faultlab ...`` dispatches to the fault-campaign CLI
-(:mod:`repro.faultlab.cli`), ``repro trace ...`` to the telemetry CLI
-(:mod:`repro.telemetry.cli`), ``repro resilience ...`` to the
-checkpoint-journal / failure-report inspector
-(:mod:`repro.resilience.cli`), ``repro insight ...`` to the trace
-analytics CLI (:mod:`repro.insight.cli`), ``repro racelab ...`` to the
-discipline race lab (:mod:`repro.discipline.cli`), ``repro status`` /
-``repro watch`` / ``repro slo`` to the live-observability mission
-control (:mod:`repro.observe.cli`), ``repro bench`` to the core
-performance benchmarks (:mod:`repro.bench`, rewriting ``BENCH_core.json``);
-anything else goes to the experiment driver (:mod:`repro.experiments.cli`),
-so ``repro fig6a --quick`` keeps working exactly like
-``dtp-repro fig6a --quick``.
+``repro <command> ...`` looks ``<command>`` up in :data:`COMMANDS` and
+hands the remaining arguments to that module's ``main``; any other first
+word is an experiment name and goes to the experiment chooser
+(:mod:`repro.experiments.cli`), so ``repro fig6a --quick`` regenerates
+Fig. 6a.  Targets are imported on use: starting ``repro`` costs the same
+however many commands the table lists.  An uninstalled checkout runs the
+same thing as ``python -m repro <command> ...``.
+
+The flag groups several commands share are defined here once
+(:func:`add_run_flags`, :func:`add_telemetry_flags`); the supervision
+group lives beside the supervisor in :mod:`repro.resilience.cli`.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
 from typing import List, Optional
 
+#: ``name -> ("module:function", one-line summary)``.  ``repro --help`` and
+#: README's "Command map" (locked by tests/test_cli.py) are this table.
+COMMANDS = {
+    "faultlab": (
+        "repro.faultlab.cli:main",
+        "run deterministic fault-injection campaigns",
+    ),
+    "racelab": (
+        "repro.discipline.cli:main",
+        "race clock disciplines over identical fault streams",
+    ),
+    "trace": (
+        "repro.telemetry.cli:main",
+        "record, summarize and export deterministic traces",
+    ),
+    "insight": (
+        "repro.insight.cli:main",
+        "explain, timeline and report over trace artifacts",
+    ),
+    "resilience": (
+        "repro.resilience.cli:main",
+        "inspect checkpoint journals and failure reports",
+    ),
+    "status": (
+        "repro.observe.cli:status_main",
+        "one screen of run state from a run directory",
+    ),
+    "watch": (
+        "repro.observe.cli:watch_main",
+        "refresh the status screen until the run finishes",
+    ),
+    "slo": (
+        "repro.observe.cli:slo_main",
+        "evaluate precision SLOs over snapshot streams or results",
+    ),
+    "bench": (
+        "repro.bench:main",
+        "run the core benchmarks and rewrite BENCH_core.json",
+    ),
+}
+
+#: Where every first word that is not a command goes.
+EXPERIMENTS = "repro.experiments.cli:main"
+
+
+def usage() -> str:
+    lines = ["usage: repro <command> [options]", "", "commands:"]
+    lines.extend(
+        f"  {name:<14}{summary}" for name, (_, summary) in COMMANDS.items()
+    )
+    lines.extend(
+        [
+            "  <experiment>  regenerate a table or figure of the paper:",
+            "                fig6a..fig6f, fig7, table1, table2, all, ...",
+            "",
+            "'repro <command> --help' shows a command's options;"
+            " 'repro all --help' lists the experiments.",
+        ]
+    )
+    return "\n".join(lines)
+
+
+def add_run_flags(parser, seed: bool = True, jobs: bool = True) -> None:
+    """``--seed`` / ``--quick`` / ``-j``: what to run, how long, how wide."""
+    if seed:
+        parser.add_argument(
+            "--seed", type=int, default=0, help="base seed (default 0)"
+        )
+    parser.add_argument(
+        "--quick", action="store_true", help="shorter runs for smoke testing"
+    )
+    if jobs:
+        parser.add_argument(
+            "-j", "--jobs", type=int, default=1, metavar="N",
+            help="worker processes (0 = one per CPU; results are identical "
+            "to a serial run)",
+        )
+
+
+def add_telemetry_flags(parser, stem: str = "<name>") -> None:
+    """``--trace`` / ``--metrics-out``: telemetry artifacts at ``<DIR>/<stem>.*``."""
+    parser.add_argument(
+        "--trace", metavar="DIR", default=None,
+        help=f"record a deterministic event trace per run and write "
+        f"<DIR>/{stem}.trace.jsonl",
+    )
+    parser.add_argument(
+        "--metrics-out", metavar="DIR", default=None,
+        help=f"write <DIR>/{stem}.metrics.json and <DIR>/{stem}.prom "
+        "(Prometheus text exposition) per run",
+    )
+
 
 def main(argv: Optional[List[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if argv and argv[0] == "faultlab":
-        from .faultlab.cli import main as faultlab_main
-
-        return faultlab_main(argv[1:])
-    if argv and argv[0] == "trace":
-        from .telemetry.cli import main as trace_main
-
-        return trace_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        from .resilience.cli import main as resilience_main
-
-        return resilience_main(argv[1:])
-    if argv and argv[0] == "insight":
-        from .insight.cli import main as insight_main
-
-        return insight_main(argv[1:])
-    if argv and argv[0] == "racelab":
-        from .discipline.cli import main as racelab_main
-
-        return racelab_main(argv[1:])
-    if argv and argv[0] in ("status", "watch", "slo"):
-        from .observe.cli import main as observe_main
-
-        return observe_main(argv)
-    if argv and argv[0] == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
-    from .experiments.cli import main as experiments_main
-
-    return experiments_main(argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if not argv:
+        print(usage(), file=sys.stderr)
+        return 2
+    if argv[0] in ("-h", "--help"):
+        print(usage())
+        return 0
+    if argv[0] in COMMANDS:
+        target, rest = COMMANDS[argv[0]][0], argv[1:]
+    else:
+        target, rest = EXPERIMENTS, argv
+    module, _, function = target.partition(":")
+    return getattr(importlib.import_module(module), function)(rest)

@@ -20,11 +20,11 @@ are independent of how many competitors race.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
 from typing import List, Optional
 
+from ..cli import add_run_flags, add_telemetry_flags
 from ..faultlab.campaign import CampaignError
+from ..ioutil import canonical_json
 from .base import DISCIPLINE_KINDS, DisciplineError, _ensure_registered
 from .racelab import (
     DEFAULT_DISCIPLINES,
@@ -53,17 +53,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated discipline kinds to race "
         f"(default: {','.join(DEFAULT_DISCIPLINES)})",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="campaign base seed (default 0)"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="shorter runs for smoke testing"
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (0 = one per CPU; results are identical "
-        "to a serial run)",
-    )
+    add_run_flags(parser)
     parser.add_argument(
         "--json", action="store_true",
         help="print the raw race results as canonical JSON instead of "
@@ -74,16 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="write <DIR>/<scenario>.race.json per scenario plus "
         "<DIR>/race-report.md",
     )
-    parser.add_argument(
-        "--trace", metavar="DIR", default=None,
-        help="record a trace per race entry and write "
-        "<DIR>/<discipline>/<scenario>.trace.jsonl",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="DIR", default=None,
-        help="write <DIR>/<discipline>/<scenario>.metrics.json and "
-        ".prom (Prometheus text exposition) per race entry",
-    )
+    add_telemetry_flags(parser, stem="<discipline>/<scenario>")
     parser.add_argument(
         "--list", action="store_true",
         help="list race scenarios and discipline kinds, then exit",
@@ -118,12 +99,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DisciplineError as exc:
         parser.error(str(exc))
     if args.json:
-        print(json.dumps(races, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(races))
     else:
         for line in render_race_report(races):
             print(line)
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

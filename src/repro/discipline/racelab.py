@@ -34,7 +34,6 @@ discipline is built to subtract.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional
@@ -45,7 +44,7 @@ from ..clocks.tsc import TscCounter
 from ..experiments.parallel import ExperimentTask, derive_seed, run_named_tasks
 from ..faultlab.campaign import CampaignError, metrics_digest, run_scenario
 from ..faultlab.scenarios import BUILTIN_SCENARIOS, FABRIC_SCENARIOS
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, canonical_json
 from ..network.queues import ByteFifo
 from ..sim import units
 from .base import (
@@ -528,7 +527,7 @@ def run_race_campaign(
         for name, data in races.items():
             atomic_write_text(
                 os.path.join(out_dir, f"{name}.race.json"),
-                json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n",
+                canonical_json(data) + "\n",
             )
         atomic_write_text(
             os.path.join(out_dir, "race-report.md"),

@@ -2,10 +2,10 @@
 
 Usage::
 
-    dtp-repro fig6a                 # DTP under MTU load
-    dtp-repro fig6f --quick         # PTP heavy load, shortened run
-    dtp-repro fig6 --jobs 0 --quick # all six Fig. 6 panels, one CPU each
-    dtp-repro all --quick -j 4      # everything, four worker processes
+    repro fig6a                 # DTP under MTU load
+    repro fig6f --quick         # PTP heavy load, shortened run
+    repro fig6 --jobs 0 --quick # all six Fig. 6 panels, one CPU each
+    repro all --quick -j 4      # everything, four worker processes
 
 Each command prints the experiment's series statistics and summary — the
 same rows/series the paper reports (shape, not absolute testbed numbers).
@@ -17,9 +17,16 @@ deterministic order a serial run produces.
 from __future__ import annotations
 
 import argparse
-import sys
-from typing import List
+from dataclasses import dataclass
+from typing import List, Optional
 
+from ..cli import add_run_flags, add_telemetry_flags
+from ..resilience import CheckpointJournal, run_supervised
+from ..resilience.cli import (
+    add_supervision_flags,
+    report_failures,
+    supervisor_policy,
+)
 from ..sim import units
 from . import ablations, bounds, convergence, extensions, fig6_dtp, fig6_ptp
 from . import fig7_daemon, hybrid_sync, stability, sweeps, table1, table2
@@ -29,44 +36,49 @@ from .fig6_ptp import Fig6PtpConfig
 from .fig7_daemon import Fig7Config
 from .parallel import ExperimentTask, run_tasks
 
-#: Set by main() from --plot; series-producing commands render ASCII
-#: scatter plots of the same shapes the paper's figures show.
-PLOT = False
+@dataclass(frozen=True)
+class ExperimentOptions:
+    """What a command needs to know beyond its name; travels in task args.
 
-#: Set by main() from --csv DIR; series are also dumped as CSV for
-#: external plotting tools.
-CSV_DIR = None
+    ``plot`` renders ASCII scatter plots of the shapes the paper's figures
+    show, ``csv_dir`` also dumps each series as CSV, and ``trace_dir`` /
+    ``metrics_dir`` make telemetry-capable experiments run with a
+    Telemetry object and export its artifacts.
+    """
 
-#: Set by main() from --trace DIR / --metrics-out DIR; telemetry-capable
-#: experiments run with a Telemetry object and export artifacts.
-TRACE_DIR = None
-METRICS_DIR = None
+    quick: bool = False
+    plot: bool = False
+    csv_dir: Optional[str] = None
+    trace_dir: Optional[str] = None
+    metrics_dir: Optional[str] = None
 
 
-def _maybe_plot(result) -> List[str]:
+def _series_outputs(result, options: ExperimentOptions) -> List[str]:
     outputs = []
-    if CSV_DIR is not None:
-        outputs.extend(export_csv(result, CSV_DIR))
-    if PLOT:
+    if options.csv_dir is not None:
+        outputs.extend(export_csv(result, options.csv_dir))
+    if options.plot:
         outputs.extend(
             render_series(series) for series in result.series if series.values
         )
     return outputs
 
 
-def _telemetry_for_run():
+def _telemetry_for_run(options: ExperimentOptions):
     """A Telemetry object when --trace/--metrics-out is active, else None."""
-    if TRACE_DIR is None and METRICS_DIR is None:
+    if options.trace_dir is None and options.metrics_dir is None:
         return None
     from ..telemetry import Telemetry
 
     return Telemetry()
 
 
-def _export_telemetry(name: str, telemetry) -> List[str]:
+def _export_telemetry(name: str, telemetry, options: ExperimentOptions) -> List[str]:
     from .harness import write_telemetry_artifacts
 
-    return write_telemetry_artifacts(name, telemetry, TRACE_DIR, METRICS_DIR)
+    return write_telemetry_artifacts(
+        name, telemetry, options.trace_dir, options.metrics_dir
+    )
 
 
 def export_csv(result, directory: str) -> List[str]:
@@ -97,148 +109,153 @@ def export_csv(result, directory: str) -> List[str]:
     return written
 
 
-def _run_fig6a(quick: bool) -> List[str]:
+def _run_fig6a(options: ExperimentOptions) -> List[str]:
     config = Fig6DtpConfig(
-        frame_name="mtu", duration_fs=(6 if quick else 20) * units.MS
+        frame_name="mtu", duration_fs=(6 if options.quick else 20) * units.MS
     )
-    telemetry = _telemetry_for_run()
+    telemetry = _telemetry_for_run(options)
     result = fig6_dtp.run_fig6_dtp(config, telemetry=telemetry)
     return (
         [result.render()]
-        + _maybe_plot(result)
-        + _export_telemetry(result.name, telemetry)
+        + _series_outputs(result, options)
+        + _export_telemetry(result.name, telemetry, options)
     )
 
 
-def _run_fig6b(quick: bool) -> List[str]:
+def _run_fig6b(options: ExperimentOptions) -> List[str]:
     config = Fig6DtpConfig(
-        frame_name="jumbo", duration_fs=(6 if quick else 20) * units.MS
+        frame_name="jumbo", duration_fs=(6 if options.quick else 20) * units.MS
     )
-    telemetry = _telemetry_for_run()
+    telemetry = _telemetry_for_run(options)
     result = fig6_dtp.run_fig6_dtp(config, telemetry=telemetry)
     return (
         [result.render()]
-        + _maybe_plot(result)
-        + _export_telemetry(result.name, telemetry)
+        + _series_outputs(result, options)
+        + _export_telemetry(result.name, telemetry, options)
     )
 
 
-def _run_fig6c(quick: bool) -> List[str]:
+def _run_fig6c(options: ExperimentOptions) -> List[str]:
     config = Fig6DtpConfig(
-        frame_name="jumbo", duration_fs=(10 if quick else 40) * units.MS
+        frame_name="jumbo", duration_fs=(10 if options.quick else 40) * units.MS
     )
-    telemetry = _telemetry_for_run()
+    telemetry = _telemetry_for_run(options)
     result, pdfs = fig6_dtp.run_fig6c(config, telemetry=telemetry)
     lines = [result.render(), "--- offset PDFs (ticks -> probability) ---"]
     for label, pdf in sorted(pdfs.items()):
         cells = ", ".join(f"{int(k):+d}: {v:.3f}" for k, v in pdf.items())
         lines.append(f"  {label:10s} {cells}")
-    return lines + _export_telemetry(result.name, telemetry)
+    return lines + _export_telemetry(result.name, telemetry, options)
 
 
-def _run_fig6_ptp(load: str, quick: bool) -> List[str]:
+def _run_fig6_ptp(load: str, options: ExperimentOptions) -> List[str]:
     config = Fig6PtpConfig(
-        load=load, duration_fs=(180 if quick else 600) * units.SEC
+        load=load, duration_fs=(180 if options.quick else 600) * units.SEC
     )
     result = fig6_ptp.run_fig6_ptp(config)
-    return [result.render()] + _maybe_plot(result)
+    return [result.render()] + _series_outputs(result, options)
 
 
-def _run_fig7(quick: bool) -> List[str]:
-    config = Fig7Config(duration_fs=(100 if quick else 400) * units.MS)
+def _run_fig7(options: ExperimentOptions) -> List[str]:
+    config = Fig7Config(duration_fs=(100 if options.quick else 400) * units.MS)
     raw, smoothed = fig7_daemon.run_fig7(config)
-    return [raw.render(), smoothed.render()] + _maybe_plot(raw) + _maybe_plot(smoothed)
+    return (
+        [raw.render(), smoothed.render()]
+        + _series_outputs(raw, options)
+        + _series_outputs(smoothed, options)
+    )
 
 
-def _run_table1(quick: bool) -> List[str]:
+def _run_table1(options: ExperimentOptions) -> List[str]:
     result = table1.run_table1(
-        packet_protocol_duration_fs=(60 if quick else 180) * units.SEC,
-        dtp_duration_fs=(2 if quick else 4) * units.MS,
+        packet_protocol_duration_fs=(60 if options.quick else 180) * units.SEC,
+        dtp_duration_fs=(2 if options.quick else 4) * units.MS,
     )
     lines = [result.render(), "--- Table 1 ---"]
     lines.extend(result.summary["rows"])
     return lines
 
 
-def _run_table2(quick: bool) -> List[str]:
-    result = table2.run_table2(duration_fs=(1 if quick else 2) * units.MS)
+def _run_table2(options: ExperimentOptions) -> List[str]:
+    result = table2.run_table2(duration_fs=(1 if options.quick else 2) * units.MS)
     lines = [result.render(), "--- Table 2 ---"]
     lines.extend(result.summary["rows"])
     return lines
 
 
-def _run_bounds(quick: bool) -> List[str]:
-    hop_config = bounds.BoundsConfig(duration_fs=(3 if quick else 6) * units.MS)
+def _run_bounds(options: ExperimentOptions) -> List[str]:
+    hop_config = bounds.BoundsConfig(duration_fs=(3 if options.quick else 6) * units.MS)
     outputs = [bounds.run_hop_scaling(hop_config).render()]
     outputs.append(
-        bounds.run_fat_tree(duration_fs=(2 if quick else 4) * units.MS).render()
+        bounds.run_fat_tree(duration_fs=(2 if options.quick else 4) * units.MS).render()
     )
     return outputs
 
 
-def _run_convergence(quick: bool) -> List[str]:
+def _run_convergence(options: ExperimentOptions) -> List[str]:
     outputs = [convergence.run_dtp_convergence().render()]
     outputs.append(
         convergence.run_ptp_convergence(
-            duration_fs=(300 if quick else 900) * units.SEC
+            duration_fs=(300 if options.quick else 900) * units.SEC
         ).render()
     )
     return outputs
 
 
-def _run_ablations(quick: bool) -> List[str]:
+def _run_ablations(options: ExperimentOptions) -> List[str]:
     return [result.render() for result in ablations.run_all_ablations()]
 
 
-def _run_extensions(quick: bool) -> List[str]:
+def _run_extensions(options: ExperimentOptions) -> List[str]:
     outputs = [extensions.run_synce_ablation().render()]
     outputs.append(extensions.run_spanning_tree_comparison().render())
     outputs.append(
         extensions.run_boundary_cascade(
-            depths=[1, 2, 3] if quick else [1, 2, 3, 4],
-            duration_fs=(200 if quick else 400) * units.SEC,
+            depths=[1, 2, 3] if options.quick else [1, 2, 3, 4],
+            duration_fs=(200 if options.quick else 400) * units.SEC,
         ).render()
     )
     return outputs
 
 
-def _run_stability(quick: bool) -> List[str]:
+def _run_stability(options: ExperimentOptions) -> List[str]:
     result = stability.run_stability_comparison(
-        dtp_duration_fs=(4 if quick else 8) * units.MS,
-        ptp_duration_fs=(150 if quick else 400) * units.SEC,
+        dtp_duration_fs=(4 if options.quick else 8) * units.MS,
+        ptp_duration_fs=(150 if options.quick else 400) * units.SEC,
     )
     return [result.render()]
 
 
-def _run_hybrid(quick: bool) -> List[str]:
+def _run_hybrid(options: ExperimentOptions) -> List[str]:
     result = hybrid_sync.run_hybrid_comparison(
-        ptp_duration_fs=(120 if quick else 200) * units.SEC,
-        hybrid_duration_fs=(60 if quick else 100) * units.MS,
+        ptp_duration_fs=(120 if options.quick else 200) * units.SEC,
+        hybrid_duration_fs=(60 if options.quick else 100) * units.MS,
     )
     return [result.render()]
 
 
-def _run_report(quick: bool) -> List[str]:
+def _run_report(options: ExperimentOptions) -> List[str]:
     from .report import generate_report
 
-    return [generate_report(quick=quick)]
+    return [generate_report(quick=options.quick)]
 
 
-def _run_faultlab(quick: bool) -> List[str]:
+def _run_faultlab(options: ExperimentOptions) -> List[str]:
     # Imported lazily: faultlab pulls in dtp.network, which must not happen
     # while repro.dtp's own package import is still in flight.
     from ..faultlab import builtin_specs, render_campaign, run_campaign
 
     results = run_campaign(
-        builtin_specs(quick=quick),
+        builtin_specs(quick=options.quick),
         base_seed=0,
-        trace_dir=TRACE_DIR,
-        metrics_dir=METRICS_DIR,
+        trace_dir=options.trace_dir,
+        metrics_dir=options.metrics_dir,
     )
     return render_campaign(results)
 
 
-def _run_sweeps(quick: bool) -> List[str]:
+def _run_sweeps(options: ExperimentOptions) -> List[str]:
+    quick = options.quick
     outputs = [
         sweeps.sweep_beacon_vs_skew(duration_fs=(3 if quick else 4) * units.MS).render()
     ]
@@ -253,9 +270,9 @@ COMMANDS = {
     "fig6a": _run_fig6a,
     "fig6b": _run_fig6b,
     "fig6c": _run_fig6c,
-    "fig6d": lambda quick: _run_fig6_ptp("idle", quick),
-    "fig6e": lambda quick: _run_fig6_ptp("medium", quick),
-    "fig6f": lambda quick: _run_fig6_ptp("heavy", quick),
+    "fig6d": lambda options: _run_fig6_ptp("idle", options),
+    "fig6e": lambda options: _run_fig6_ptp("medium", options),
+    "fig6f": lambda options: _run_fig6_ptp("heavy", options),
     "fig7": _run_fig7,
     "table1": _run_table1,
     "table2": _run_table2,
@@ -279,39 +296,21 @@ GROUPS = {
 }
 
 
-def _run_command_worker(
-    name: str,
-    quick: bool,
-    plot: bool,
-    csv_dir,
-    trace_dir=None,
-    metrics_dir=None,
-) -> List[str]:
+def _run_command_worker(name: str, options: ExperimentOptions) -> List[str]:
     """Top-level (picklable) entry point for worker processes."""
-    global PLOT, CSV_DIR, TRACE_DIR, METRICS_DIR
-    PLOT = plot
-    CSV_DIR = csv_dir
-    TRACE_DIR = trace_dir
-    METRICS_DIR = metrics_dir
-    return COMMANDS[name](quick)
+    return COMMANDS[name](options)
 
 
-def main(argv: List[str] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "insight":
-        # `dtp-repro insight ...` delegates to the trace-analytics CLI
-        # (its own subcommands don't fit the experiment chooser below).
-        from ..insight.cli import main as insight_main
+def _print_blocks(results) -> None:
+    for blocks in results:
+        for block in blocks or []:  # None: the experiment was quarantined
+            print(block)
+            print()
 
-        return insight_main(list(argv[1:]))
-    if argv and argv[0] == "racelab":
-        # Same delegation for the discipline race lab.
-        from ..discipline.cli import main as racelab_main
 
-        return racelab_main(list(argv[1:]))
+def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="dtp-repro",
+        prog="repro",
         description="Regenerate the tables and figures of the DTP paper.",
     )
     parser.add_argument(
@@ -319,9 +318,7 @@ def main(argv: List[str] = None) -> int:
         choices=sorted(COMMANDS) + sorted(GROUPS),
         help="which table/figure to regenerate",
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="shorter runs for smoke testing"
-    )
+    add_run_flags(parser, seed=False)
     parser.add_argument(
         "--plot", action="store_true",
         help="render ASCII scatter plots of the measured series",
@@ -330,122 +327,33 @@ def main(argv: List[str] = None) -> int:
         "--csv", metavar="DIR", default=None,
         help="also dump measured series as CSV files into DIR",
     )
-    parser.add_argument(
-        "--trace", metavar="DIR", default=None,
-        help="record deterministic event traces for telemetry-capable "
-        "experiments and write <DIR>/<name>.trace.jsonl",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="DIR", default=None,
-        help="write metrics snapshots (<name>.metrics.json) and Prometheus "
-        "expositions (<name>.prom) into DIR",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for group commands (0 = one per CPU; "
-        "results are identical to a serial run)",
-    )
-    parser.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="checkpoint completed experiments to this JSONL journal and "
-        "resume from it on re-run (implies supervised execution; "
-        "see docs/RESILIENCE.md)",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-experiment wall-clock watchdog (implies supervised "
-        "execution)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per experiment before quarantine (default 3; "
-        "implies supervised execution)",
-    )
-    parser.add_argument(
-        "--failure-report", metavar="PATH", default=None,
-        help="write a machine-readable failure report as JSON (implies "
-        "supervised execution)",
-    )
+    add_telemetry_flags(parser)
+    add_supervision_flags(parser, "experiment")
     args = parser.parse_args(argv)
-    global PLOT, CSV_DIR, TRACE_DIR, METRICS_DIR
-    PLOT = args.plot
-    CSV_DIR = args.csv
-    TRACE_DIR = args.trace
-    METRICS_DIR = args.metrics_out
 
-    names = GROUPS.get(args.experiment, [args.experiment])
+    options = ExperimentOptions(
+        quick=args.quick,
+        plot=args.plot,
+        csv_dir=args.csv,
+        trace_dir=args.trace,
+        metrics_dir=args.metrics_out,
+    )
     jobs = None if args.jobs == 0 else args.jobs
     tasks = [
-        ExperimentTask(
-            name=name,
-            fn=_run_command_worker,
-            args=(
-                name,
-                args.quick,
-                args.plot,
-                args.csv,
-                args.trace,
-                args.metrics_out,
-            ),
-        )
-        for name in names
+        ExperimentTask(name=name, fn=_run_command_worker, args=(name, options))
+        for name in GROUPS.get(args.experiment, [args.experiment])
     ]
-    supervised = any(
-        value is not None
-        for value in (
-            args.journal, args.task_timeout, args.retries, args.failure_report
-        )
-    )
-    if not supervised:
-        outputs = run_tasks(tasks, jobs=jobs)
-        for blocks in outputs:
-            for block in blocks:
-                print(block)
-                print()
+    policy = supervisor_policy(args)
+    if policy is None:
+        _print_blocks(run_tasks(tasks, jobs=jobs))
         return 0
 
-    import json
-
-    from ..ioutil import atomic_write_text
-    from ..resilience import CheckpointJournal, SupervisorPolicy, run_supervised
-
-    policy = SupervisorPolicy(
-        timeout_s=args.task_timeout,
-        max_attempts=args.retries if args.retries is not None else 3,
-    )
     journal = None
     if args.journal is not None:
         journal = CheckpointJournal(
             args.journal,
-            meta={"campaign": "dtp-repro", "experiment": args.experiment},
+            meta={"campaign": "repro", "experiment": args.experiment},
         )
     run = run_supervised(tasks, jobs=jobs, policy=policy, journal=journal)
-    for blocks in run.results:
-        for block in blocks or []:
-            print(block)
-            print()
-    report = run.report()
-    if args.failure_report is not None:
-        atomic_write_text(
-            args.failure_report,
-            json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
-        )
-        print(f"wrote {args.failure_report}", file=sys.stderr)
-    if report["failed"]:
-        print(
-            f"{report['failed']} experiment(s) quarantined"
-            f" ({report['completed']}/{report['tasks']} completed):",
-            file=sys.stderr,
-        )
-        for failure in report["failures"]:
-            print(
-                f"  {failure['task']} attempt={failure['attempt']}"
-                f" {failure['kind']}: {failure['detail']}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    _print_blocks(run.results)
+    return report_failures(run.report(), "experiment", args.failure_report)

@@ -81,15 +81,3 @@ def run_fig6_ptp(config: Fig6PtpConfig) -> ExperimentResult:
         result.summary["p99_offset_us"] = ordered[int(len(ordered) * 0.99)] / units.US
     result.summary["bounded"] = False  # PTP offers no bound — the point of Table 1
     return result
-
-
-def run_all_loads(
-    duration_fs: int = 600 * units.SEC, seed: int = 2
-) -> List[ExperimentResult]:
-    """Convenience: 6d, 6e and 6f back to back."""
-    results = []
-    for load in ("idle", "medium", "heavy"):
-        results.append(
-            run_fig6_ptp(Fig6PtpConfig(load=load, duration_fs=duration_fs, seed=seed))
-        )
-    return results

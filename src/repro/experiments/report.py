@@ -1,6 +1,6 @@
 """Automated reproduction report: run everything, emit markdown.
 
-``dtp-repro report`` regenerates a condensed EXPERIMENTS.md-style summary
+``repro report`` regenerates a condensed EXPERIMENTS.md-style summary
 from live runs — the artifact-evaluation one-shot.
 """
 

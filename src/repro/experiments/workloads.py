@@ -10,13 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..ethernet.frames import JUMBO_FRAME, MTU_FRAME, FrameSpec
-from ..ethernet.traffic import (
-    IdleLink,
-    PartialLoadTraffic,
-    SaturatedTraffic,
-    TrafficModel,
-)
-from ..sim.randomness import RandomStreams
+from ..ethernet.traffic import SaturatedTraffic, TrafficModel
 
 FRAMES = {"mtu": MTU_FRAME, "jumbo": JUMBO_FRAME}
 
@@ -26,15 +20,6 @@ def frame_for(name: str) -> FrameSpec:
         return FRAMES[name]
     except KeyError:
         raise KeyError(f"unknown frame {name!r}; use 'mtu' or 'jumbo'") from None
-
-
-def idle_traffic() -> Callable[[int, str], TrafficModel]:
-    """No Ethernet frames: DTP beacons can use every block."""
-
-    def factory(index: int, direction: str) -> TrafficModel:
-        return IdleLink()
-
-    return factory
 
 
 def saturated_traffic(frame_name: str) -> Callable[[int, str], TrafficModel]:
@@ -48,18 +33,5 @@ def saturated_traffic(frame_name: str) -> Callable[[int, str], TrafficModel]:
     def factory(index: int, direction: str) -> TrafficModel:
         phase = (index * 37 + (0 if direction == "a->b" else 101)) % frame.slot_blocks
         return SaturatedTraffic(frame, phase=phase)
-
-    return factory
-
-
-def partial_traffic(
-    frame_name: str, load: float, streams: RandomStreams
-) -> Callable[[int, str], TrafficModel]:
-    """Random frames at a target utilization ('medium load')."""
-    frame = frame_for(frame_name)
-
-    def factory(index: int, direction: str) -> TrafficModel:
-        rng = streams.stream(f"traffic/{index}/{direction}")
-        return PartialLoadTraffic(frame, load, rng)
 
     return factory

@@ -1,9 +1,10 @@
 """Batched beacon-interval fast path for steady-state DTP.
 
 See :mod:`repro.fastpath.coordinator` for the execution model and the
-bit-identical equivalence argument, :mod:`repro.fastpath.eligibility` for
-the promotion rules, and :mod:`repro.fastpath.kernels` for the vectorized
-numpy helpers used to precompute and cross-check tick grids.
+bit-identical equivalence argument and :mod:`repro.fastpath.eligibility`
+for the promotion rules.  :mod:`repro.fastpath.kernels` is not part of the
+fast path: it is a numpy cross-check of the oscillator's tick → edge-time
+map that the equivalence tests run against the scalar oracle.
 """
 
 from .coordinator import FastpathCoordinator

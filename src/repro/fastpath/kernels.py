@@ -1,25 +1,14 @@
-"""Vectorized int64 kernels over oscillator tick grids.
+"""Vectorized cross-check of the oscillator's tick → edge-time map.
 
-Steady-state DTP is affine almost everywhere: within one oscillator
-segment (piecewise-constant period, ~1 ms of simulated time, thousands of
-beacon intervals) every quantity the protocol computes — beacon TX
-instants, counter values, candidates, max-merges — is an integer affine
-function of the tick index.  These kernels exploit that to compute whole
-grids of values in a handful of numpy operations per *segment* instead of
-one Python call per *tick*.
+Not the fast path: the batched coordinator (:mod:`repro.fastpath.coordinator`)
+is pure Python.  Within one oscillator segment (piecewise-constant
+period, ~1 ms of simulated time) an edge time is an integer affine
+function of the tick index, so :func:`edge_times` fills whole tick grids
+with one numpy operation per *segment*, and :func:`crosscheck_edge_times`
+compares that grid against the scalar ``Oscillator.time_of_tick`` oracle
+tick by tick — the equivalence tests assert the two never disagree.
 
-They serve two roles:
-
-* **verification** — the equivalence tests recompute the event-by-event
-  fast path's per-chain arithmetic (`repro.fastpath.coordinator`) over
-  entire windows at once and cross-check both against the scalar oracle;
-* **analytics** — offline grid computation for benchmarks and insight
-  tooling (e.g. expected jump sequences from a counter trace) at numpy
-  speed.
-
-All times are femtoseconds, all counters unbounded-width (the grids use
-``object`` dtype only when values overflow int64; DTP counters in the
-simulated horizons here fit comfortably).
+All times are int64 femtoseconds.
 """
 
 from __future__ import annotations
@@ -29,45 +18,6 @@ from typing import List, Tuple
 import numpy as np
 
 from ..clocks.oscillator import Oscillator
-
-#: Per-direction steady-state snapshot used by grid computations.
-DIRECTION_DTYPE = np.dtype(
-    [
-        ("tick", np.int64),  # sender tick count at snapshot time
-        ("last_slot", np.int64),  # sender TX slot arbiter state
-        ("gc_offset", np.int64),  # sender device gc offset
-        ("increment", np.int64),  # counter increment per tick
-        ("d", np.int64),  # receiver's measured OWD (counter units)
-        ("wire_delay", np.int64),  # fs of wire propagation
-        ("interval", np.int64),  # beacon interval in ticks
-    ]
-)
-
-
-def direction_grid(directions) -> np.ndarray:
-    """Snapshot batched directions into a ``DIRECTION_DTYPE`` array.
-
-    ``directions`` is an iterable of ``_Direction`` objects (see
-    :mod:`repro.fastpath.coordinator`); the snapshot reads current
-    simulation time from each sender's engine.
-    """
-    rows = []
-    for ds in directions:
-        p = ds.sender
-        q = ds.receiver
-        gc = p.device.gc
-        rows.append(
-            (
-                p.osc.ticks_at(p.sim._now),
-                p._last_tx_slot,
-                gc.offset,
-                gc.increment,
-                q.d if q.d is not None else -1,
-                p.wire_delay_fs,
-                p.config.beacon_interval_ticks,
-            )
-        )
-    return np.array(rows, dtype=DIRECTION_DTYPE)
 
 
 def edge_times(osc: Oscillator, ticks: np.ndarray) -> np.ndarray:
@@ -102,36 +52,6 @@ def edge_times(osc: Oscillator, ticks: np.ndarray) -> np.ndarray:
         )
         i = j
     return out
-
-
-def beacon_slots(start_slot: int, count: int, interval: int) -> np.ndarray:
-    """TX slot indices for ``count`` idle-link beacon intervals."""
-    return start_slot + interval * np.arange(count, dtype=np.int64)
-
-
-def counters_at_ticks(
-    ticks: np.ndarray, increment: int, offset: int
-) -> np.ndarray:
-    """``TickClock.counter_at`` as a grid: ``increment * ticks + offset``."""
-    return np.asarray(ticks, dtype=np.int64) * np.int64(increment) + np.int64(
-        offset
-    )
-
-
-def candidates(remote_counters: np.ndarray, d: int) -> np.ndarray:
-    """T4 candidates from a grid of received counters: ``remote + d``."""
-    return np.asarray(remote_counters, dtype=np.int64) + np.int64(d)
-
-
-def max_merge(initial: int, candidate_grid: np.ndarray) -> np.ndarray:
-    """Grid of ``lc`` values after folding each successive candidate.
-
-    ``out[k] = max(initial, candidates[0..k])`` — the offline image of
-    repeated ``adjust_to_max`` against a *quiescent* local clock (no
-    interleaved local ticks), used for jump-sequence analytics.
-    """
-    grid = np.asarray(candidate_grid, dtype=np.int64)
-    return np.maximum(np.maximum.accumulate(grid), np.int64(initial))
 
 
 def crosscheck_edge_times(

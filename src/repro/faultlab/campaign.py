@@ -28,14 +28,13 @@ position), so reordering scenarios never changes any result.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import metrics
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, canonical_json
 from ..clocks.oscillator import ConstantSkew
 from ..dtp.network import BACKEND_ENGINES, DtpNetwork
 from ..dtp.port import DtpPortConfig
@@ -518,8 +517,7 @@ def run_scenario(
 
 def metrics_digest(obj: object) -> str:
     """sha256 over the canonical JSON encoding of a metrics object."""
-    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def _scenario_task(

@@ -28,11 +28,16 @@ byte-identical to an unsupervised run of the surviving set.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from ..ioutil import atomic_write_text
+from ..cli import add_run_flags, add_telemetry_flags
+from ..ioutil import canonical_json
+from ..resilience.cli import (
+    add_supervision_flags,
+    report_failures,
+    supervisor_policy,
+)
 from .campaign import (
     DRIVERS,
     CampaignError,
@@ -59,12 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="SCENARIO",
         help="built-in scenarios to run (default: all; see --list)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="campaign base seed (default 0)"
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="shorter runs for smoke testing"
-    )
+    add_run_flags(parser)
     parser.add_argument(
         "--backend", choices=tuple(DRIVERS), default="scalar",
         help="simulation backend; 'batched' routes healthy DTP port "
@@ -85,26 +85,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "byte-identical output)",
     )
     parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (0 = one per CPU; results are identical "
-        "to a serial run)",
-    )
-    parser.add_argument(
         "--json", action="store_true",
         help="print the raw metrics as canonical JSON instead of the report",
     )
     parser.add_argument(
         "--list", action="store_true", help="list built-in scenarios and exit"
     )
-    parser.add_argument(
-        "--trace", metavar="DIR", default=None,
-        help="record a trace per scenario and write <DIR>/<name>.trace.jsonl",
-    )
-    parser.add_argument(
-        "--metrics-out", metavar="DIR", default=None,
-        help="write <DIR>/<name>.metrics.json and <DIR>/<name>.prom "
-        "(Prometheus text exposition) per scenario",
-    )
+    add_telemetry_flags(parser)
     parser.add_argument(
         "--dump-trace", metavar="DIR", default=None,
         help="write a flight-recorder artifact <DIR>/<name>.flight.jsonl "
@@ -134,27 +121,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "<DIR>/<name>.health.jsonl from sharded coordinators and "
         "<DIR>/campaign.health.jsonl from the resilience supervisor",
     )
-    parser.add_argument(
-        "--journal", metavar="PATH", default=None,
-        help="checkpoint completed scenarios to this JSONL journal; "
-        "re-running with the same journal resumes, skipping them "
-        "(implies supervised execution)",
-    )
-    parser.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-scenario wall-clock watchdog; a hung scenario's worker "
-        "is killed and the scenario retried (implies supervised execution)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per scenario before quarantine (default 3; "
-        "implies supervised execution)",
-    )
-    parser.add_argument(
-        "--failure-report", metavar="PATH", default=None,
-        help="write the machine-readable failure report as JSON "
-        "(implies supervised execution)",
-    )
+    add_supervision_flags(parser, "scenario")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -193,21 +160,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         observe=args.slo is not None,
         health_dir=args.health,
     )
-    supervised = any(
-        value is not None
-        for value in (
-            args.journal, args.task_timeout, args.retries, args.failure_report
-        )
-    )
+    policy = supervisor_policy(args, base_seed=args.seed)
     report = None
-    if supervised:
-        from ..resilience import SupervisorPolicy
-
-        policy = SupervisorPolicy(
-            timeout_s=args.task_timeout,
-            max_attempts=args.retries if args.retries is not None else 3,
-            base_seed=args.seed,
-        )
+    if policy is not None:
         results, report = run_resilient_campaign(
             specs,
             base_seed=args.seed,
@@ -222,31 +177,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     # reporting goes to stderr so supervised and plain runs of the same
     # surviving scenario set stay byte-identical on stdout.
     if args.json:
-        print(json.dumps(results, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(results))
     else:
         for line in render_campaign(results):
             print(line)
-    if report is not None:
-        if args.failure_report is not None:
-            atomic_write_text(
-                args.failure_report,
-                json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n",
-            )
-            print(f"wrote {args.failure_report}", file=sys.stderr)
-        if report["failed"]:
-            print(
-                f"{report['failed']} scenario(s) quarantined"
-                f" ({report['completed']}/{report['tasks']} completed,"
-                f" {report['respawns']} pool respawns):",
-                file=sys.stderr,
-            )
-            for failure in report["failures"]:
-                print(
-                    f"  {failure['task']} attempt={failure['attempt']}"
-                    f" {failure['kind']}: {failure['detail']}",
-                    file=sys.stderr,
-                )
-            return 1
+    if report is not None and report_failures(
+        report, "scenario", args.failure_report
+    ):
+        return 1
     if slo is not None:
         from ..observe.cli import evaluate_results, render_verdicts, write_verdicts
 
@@ -262,7 +200,3 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"  {line}", file=sys.stderr)
             return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -214,7 +214,3 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

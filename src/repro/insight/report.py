@@ -15,11 +15,11 @@ artifacts — ``<scenario>.trace.jsonl``, ``<scenario>.metrics.json`` /
 
 Everything in the default report derives from sim time and seeds, so two
 same-seed campaign directories render **byte-identical reports** — serial
-or ``--jobs N`` — which CI's insight-smoke job diffs.  Wall-clock data
-(digest-excluded by the PR-3 rules) only appears with ``wallclock=True``,
-which is deliberately never used by the determinism jobs.  The report
-never embeds the directory path itself, so artifact trees written to
-different locations still compare equal.
+or ``--jobs N`` — which ``tests/test_insight_report.py`` compares.
+Wall-clock data (digest-excluded by the PR-3 rules) only appears with
+``wallclock=True``, which is deliberately never used by the determinism
+tests.  The report never embeds the directory path itself, so artifact
+trees written to different locations still compare equal.
 """
 
 from __future__ import annotations

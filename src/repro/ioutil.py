@@ -12,10 +12,20 @@ directory.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
 from typing import IO, Iterator
+
+
+def canonical_json(obj: object) -> str:
+    """The one canonical JSON encoding: sorted keys, no whitespace.
+
+    Every digest and every byte-compared artifact is built from this
+    string, so two equal objects always serialize to the same bytes.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _mkstemp_for(path: str) -> tuple:

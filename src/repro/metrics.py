@@ -146,27 +146,6 @@ def max_abs_excursion(values: Sequence[float]) -> float:
     return worst
 
 
-def time_above_threshold(
-    times_fs: Sequence[int],
-    values: Sequence[float],
-    threshold: float,
-) -> int:
-    """Total simulated time (fs) a sampled series spent above ``threshold``.
-
-    Sample-and-hold: each sample's value is taken to persist until the next
-    sample, so the result is the sum of the inter-sample intervals whose
-    *leading* sample exceeds the threshold.  The final sample contributes
-    nothing (its holding interval is unknown).
-    """
-    if len(times_fs) != len(values):
-        raise MetricsError("times_fs and values must have equal length")
-    total = 0
-    for i in range(len(values) - 1):
-        if values[i] > threshold:
-            total += times_fs[i + 1] - times_fs[i]
-    return total
-
-
 def summarize_stability(
     offsets_fs: Sequence[float], interval_fs: int
 ) -> Dict[str, float]:

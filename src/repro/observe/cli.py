@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, canonical_json
 from .health import HEALTH_SUFFIX, read_health
 from .slo import (
     SLOError,
@@ -173,7 +173,7 @@ def write_verdicts(
     for name, verdict in verdicts.items():
         atomic_write_text(
             os.path.join(out_dir, f"{name}{VERDICT_SUFFIX}"),
-            json.dumps(verdict, sort_keys=True, separators=(",", ":")) + "\n",
+            canonical_json(verdict) + "\n",
         )
     atomic_write_text(
         os.path.join(out_dir, SCORECARD_NAME),
@@ -226,7 +226,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro observe",
+        prog="repro",
         description="live run observability: status, watch, SLO verdicts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,5 +293,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 130
 
 
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+# The three ``repro`` commands share the parser above, which picks the
+# subcommand from its first argument; the dispatch table hands each entry
+# point only what followed the command name.
+def status_main(argv: List[str]) -> int:
+    return main(["status", *argv])
+
+
+def watch_main(argv: List[str]) -> int:
+    return main(["watch", *argv])
+
+
+def slo_main(argv: List[str]) -> int:
+    return main(["slo", *argv])

@@ -22,7 +22,7 @@ import json
 import time
 from typing import Dict, List, Optional
 
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, canonical_json
 from ..telemetry.events import (
     EV_SHARD_GRANT,
     EV_SHARD_SERVICE,
@@ -157,7 +157,7 @@ class HealthRecorder:
     def write(self, path: str) -> None:
         """Atomic JSONL dump: header, subject table, events, metrics."""
         lines = [
-            json.dumps(
+            canonical_json(
                 {
                     "record": "health-header",
                     "version": 1,
@@ -165,19 +165,15 @@ class HealthRecorder:
                     "source": self.source,
                     "events": self.tracer.recorded,
                     "dropped": self.tracer.dropped,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
+                }
             ),
-            json.dumps(
-                {"record": "subjects", "subjects": self.tracer.subjects},
-                sort_keys=True,
-                separators=(",", ":"),
+            canonical_json(
+                {"record": "subjects", "subjects": self.tracer.subjects}
             ),
         ]
         for t, kind, subject, a, b in self.tracer.records:
             lines.append(
-                json.dumps(
+                canonical_json(
                     {
                         "record": "event",
                         "t": t,
@@ -186,16 +182,12 @@ class HealthRecorder:
                         "subject": subject,
                         "a": a,
                         "b": b,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
+                    }
                 )
             )
         lines.append(
-            json.dumps(
-                {"record": "metrics", "metrics": self.registry.snapshot()},
-                sort_keys=True,
-                separators=(",", ":"),
+            canonical_json(
+                {"record": "metrics", "metrics": self.registry.snapshot()}
             )
         )
         atomic_write_text(path, "\n".join(lines) + "\n")

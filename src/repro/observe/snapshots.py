@@ -28,17 +28,13 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, canonical_json
 from .histograms import OffsetHistogram
 
 #: Flush the stream every N snapshot records (plus once at finalize).
 DEFAULT_FLUSH_EVERY = 16
 
 SNAPSHOT_SUFFIX = ".snapshots.jsonl"
-
-
-def _dumps(obj: Dict[str, object]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class SnapshotTap:
@@ -53,19 +49,19 @@ class SnapshotTap:
         self.path = path
         self.flush_every = max(1, int(flush_every))
         self._lines: List[str] = [
-            _dumps({"record": "snapshot-header", "version": 1, **header})
+            canonical_json({"record": "snapshot-header", "version": 1, **header})
         ]
         self._pending = 1
         self.flushes = 0
 
     def emit(self, fields: Dict[str, object]) -> None:
-        self._lines.append(_dumps({"record": "snapshot", **fields}))
+        self._lines.append(canonical_json({"record": "snapshot", **fields}))
         self._pending += 1
         if self._pending >= self.flush_every:
             self.flush()
 
     def finalize(self, fields: Dict[str, object]) -> None:
-        self._lines.append(_dumps({"record": "final", **fields}))
+        self._lines.append(canonical_json({"record": "final", **fields}))
         self.flush()
 
     def flush(self) -> None:

@@ -5,6 +5,12 @@ Usage::
     repro resilience journal out/campaign.journal.jsonl
     repro resilience journal out/campaign.journal.jsonl --json
     repro resilience report out/failures.json
+
+Also home of the supervision flag group (``--journal`` /
+``--task-timeout`` / ``--retries`` / ``--failure-report``) that
+``repro faultlab`` and the experiment chooser share: the flags, the
+:class:`SupervisorPolicy` they select, and the stderr quarantine report
+are defined here once.
 """
 
 from __future__ import annotations
@@ -12,13 +18,79 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from ..ioutil import atomic_write_text, canonical_json
 from .journal import CheckpointJournal, JournalError
+from .supervisor import SupervisorPolicy
 
 
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def add_supervision_flags(parser: argparse.ArgumentParser, noun: str) -> None:
+    """The four flags that route a run of ``noun``s through the supervisor."""
+    parser.add_argument(
+        "--journal", metavar="PATH", default=None,
+        help=f"checkpoint completed {noun}s to this JSONL journal; "
+        "re-running with the same journal resumes, skipping them "
+        "(implies supervised execution; see docs/RESILIENCE.md)",
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help=f"per-{noun} wall-clock watchdog; a hung {noun}'s worker is "
+        f"killed and the {noun} retried (implies supervised execution)",
+    )
+    parser.add_argument(
+        "--retries", type=int, default=None, metavar="N",
+        help=f"attempts per {noun} before quarantine (default 3; "
+        "implies supervised execution)",
+    )
+    parser.add_argument(
+        "--failure-report", metavar="PATH", default=None,
+        help="write the machine-readable failure report as JSON "
+        "(implies supervised execution)",
+    )
+
+
+def supervisor_policy(
+    args: argparse.Namespace, base_seed: int = 0
+) -> Optional[SupervisorPolicy]:
+    """The policy the supervision flags select; None when none was given."""
+    flags = (args.journal, args.task_timeout, args.retries, args.failure_report)
+    if all(value is None for value in flags):
+        return None
+    return SupervisorPolicy(
+        timeout_s=args.task_timeout,
+        max_attempts=args.retries if args.retries is not None else 3,
+        base_seed=base_seed,
+    )
+
+
+def report_failures(
+    report: Dict[str, object], noun: str, path: Optional[str] = None
+) -> int:
+    """Write the failure report to ``path`` and list quarantines on stderr.
+
+    Returns the exit status: 1 when any ``noun`` was quarantined.  Only
+    stderr is touched, so supervised and plain runs of the same surviving
+    set stay byte-identical on stdout.
+    """
+    if path is not None:
+        atomic_write_text(path, canonical_json(report) + "\n")
+        print(f"wrote {path}", file=sys.stderr)
+    if not report["failed"]:
+        return 0
+    print(
+        f"{report['failed']} {noun}(s) quarantined"
+        f" ({report['completed']}/{report['tasks']} completed,"
+        f" {report['respawns']} pool respawns):",
+        file=sys.stderr,
+    )
+    for failure in report["failures"]:
+        print(
+            f"  {failure['task']} attempt={failure['attempt']}"
+            f" {failure['kind']}: {failure['detail']}",
+            file=sys.stderr,
+        )
+    return 1
 
 
 def _show_journal(path: str, as_json: bool) -> int:
@@ -28,10 +100,10 @@ def _show_journal(path: str, as_json: bool) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if as_json:
-        print(_canonical({"meta": journal.meta, "entries": journal.entries}))
+        print(canonical_json({"meta": journal.meta, "entries": journal.entries}))
         return 0
     print(f"journal: {path}")
-    print(f"meta:    {_canonical(journal.meta)}")
+    print(f"meta:    {canonical_json(journal.meta)}")
     print(f"entries: {len(journal)}")
     for entry in journal.entries:
         print(
@@ -90,7 +162,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _show_report(args.path)
     except BrokenPipeError:  # e.g. `repro resilience journal ... | head`
         return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -31,7 +31,7 @@ import os
 from typing import Dict, List, Optional
 
 from ..experiments.parallel import ExperimentTask
-from ..ioutil import atomic_write_text
+from ..ioutil import atomic_write_text, canonical_json
 
 JOURNAL_HEADER = "resilience-journal"
 JOURNAL_RESULT = "task-result"
@@ -40,10 +40,6 @@ JOURNAL_VERSION = 1
 
 class JournalError(ValueError):
     """The journal is unreadable or belongs to a different campaign."""
-
-
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def args_digest(task: ExperimentTask) -> str:
@@ -141,8 +137,8 @@ class CheckpointJournal:
             "version": JOURNAL_VERSION,
             "meta": self.meta,
         }
-        lines = [_canonical(header)]
-        lines.extend(_canonical(entry) for entry in self._entries)
+        lines = [canonical_json(header)]
+        lines.extend(canonical_json(entry) for entry in self._entries)
         atomic_write_text(self.path, "\n".join(lines) + "\n")
 
     # ------------------------------------------------------------------
@@ -173,7 +169,7 @@ class CheckpointJournal:
             "result": result,
         }
         try:
-            _canonical(entry)
+            canonical_json(entry)
         except (TypeError, ValueError) as exc:
             raise JournalError(
                 f"task {name!r}: result is not JSON-serializable ({exc});"

@@ -14,9 +14,9 @@ Entry point: a :class:`Telemetry` object bundles the three subsystems —
 
 * :class:`~repro.telemetry.trace.TraceRecorder` — bounded ring of typed
   integer event records (see :mod:`repro.telemetry.events`),
-* :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges and
-  integer-bucket histograms with Prometheus text exposition and a
-  canonical-JSON snapshot whose sha256 is seed-stable,
+* :class:`~repro.telemetry.registry.MetricsRegistry` — counters and gauges
+  with Prometheus text exposition and a canonical-JSON snapshot whose
+  sha256 is seed-stable,
 * the flight recorder (:mod:`repro.telemetry.flight`) — dumps the last N
   trace records plus full counter state when an invariant trips.
 

@@ -8,9 +8,9 @@ Usage::
     repro trace summarize out/two-faced.trace.jsonl
     repro trace export out/two-faced.trace.jsonl -o trace.chrome.json
 
-``record`` prints the trace and metrics digests; running the same command
-twice produces byte-identical artifacts (the determinism contract the CI
-smoke job diffs).
+``record`` writes ``<scenario>.trace.jsonl``, ``.metrics.json`` and
+``.prom`` and prints the trace and metrics digests; running the same
+command twice produces byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -20,20 +20,16 @@ import os
 import sys
 from typing import List, Optional
 
+from ..cli import add_run_flags
 from . import Telemetry, write_chrome_trace
-from .export import (
-    file_sha256,
-    read_trace_jsonl,
-    summarize_records,
-    write_metrics_json,
-    write_trace_jsonl,
-)
+from .export import file_sha256, read_trace_jsonl, summarize_records
 
 #: Experiment scenarios ``record`` knows beyond the faultlab catalogue.
 _EXPERIMENT_SCENARIOS = ("fig6a",)
 
 
 def _record(args: argparse.Namespace) -> int:
+    from ..faultlab.campaign import write_telemetry
     from ..faultlab.scenarios import BUILTIN_SCENARIOS
 
     scenario = args.scenario
@@ -45,7 +41,6 @@ def _record(args: argparse.Namespace) -> int:
         )
         return 2
 
-    os.makedirs(args.out, exist_ok=True)
     telemetry = Telemetry()
     if scenario == "fig6a":
         from ..experiments.fig6_dtp import Fig6DtpConfig, run_fig6_dtp
@@ -65,19 +60,16 @@ def _record(args: argparse.Namespace) -> int:
         (spec,) = builtin_specs([scenario], quick=args.quick)
         run_scenario(spec, seed=args.seed, telemetry=telemetry)
 
-    trace_path = os.path.join(args.out, f"{scenario}.trace.jsonl")
-    write_trace_jsonl(trace_path, telemetry.tracer)
-    metrics_path = os.path.join(args.out, f"{scenario}.metrics.json")
-    write_metrics_json(metrics_path, telemetry)
-    print(f"wrote {trace_path}")
-    print(f"wrote {metrics_path}")
+    written = write_telemetry(scenario, telemetry, args.out, args.out)
+    print(f"wrote {written['trace.jsonl']}")
+    print(f"wrote {written['metrics.json']}")
     if args.chrome:
         chrome_path = os.path.join(args.out, f"{scenario}.chrome.json")
         write_chrome_trace(
             chrome_path, telemetry.tracer.records, telemetry.tracer.subjects
         )
         print(f"wrote {chrome_path} (load it at https://ui.perfetto.dev)")
-    print(f"trace sha256:   {file_sha256(trace_path)}")
+    print(f"trace sha256:   {file_sha256(written['trace.jsonl'])}")
     print(f"metrics digest: {telemetry.metrics_digest()}")
     return 0
 
@@ -114,10 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scenario",
         help="a faultlab scenario name (see 'repro faultlab --list') or 'fig6a'",
     )
-    record.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    record.add_argument(
-        "--quick", action="store_true", help="shorter run for smoke testing"
-    )
+    add_run_flags(record, jobs=False)
     record.add_argument(
         "-o", "--out", default=".", metavar="DIR", help="artifact directory"
     )
@@ -144,7 +133,3 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     return args.fn(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -20,7 +20,7 @@ import hashlib
 import json
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from ..ioutil import atomic_open, atomic_write_text
+from ..ioutil import atomic_open, atomic_write_text, canonical_json
 from .events import KIND_NAMES, kind_name
 from .trace import TraceRecord, TraceRecorder
 
@@ -30,16 +30,12 @@ TRACE_HEADER = "trace-header"
 _FS_PER_US = 1_000_000_000
 
 
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
 def trace_lines(tracer: TraceRecorder) -> Iterator[str]:
     """The canonical JSONL lines of a recorder (header first)."""
-    yield _canonical(
+    yield canonical_json(
         {
             "record": TRACE_HEADER,
             "version": 1,
@@ -51,7 +47,7 @@ def trace_lines(tracer: TraceRecorder) -> Iterator[str]:
         }
     )
     for time_fs, kind, subject, a, b in tracer.records:
-        yield _canonical({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
+        yield canonical_json({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
 
 
 def write_trace_jsonl(path: str, tracer: TraceRecorder) -> None:
@@ -150,8 +146,7 @@ def write_chrome_trace(
         "traceEvents": chrome_trace_events(records, subjects),
     }
     with atomic_open(path) as handle:
-        json.dump(document, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
+        handle.write(canonical_json(document) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +161,7 @@ def write_metrics_json(path: str, telemetry) -> None:
     """
     snapshot = telemetry.metrics_snapshot()
     document = {"digest": telemetry.metrics_digest(), "metrics": snapshot["metrics"]}
-    atomic_write_text(path, _canonical(document) + "\n")
+    atomic_write_text(path, canonical_json(document) + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from ..ioutil import atomic_write_bytes
+from ..ioutil import atomic_write_bytes, canonical_json
 from .trace import TraceRecord
 
 FLIGHT_HEADER = "flight-header"
@@ -30,10 +30,6 @@ FLIGHT_CONTEXT = "flight-context"
 
 #: Default number of trailing trace records carried in an artifact.
 DEFAULT_FLIGHT_TAIL = 4096
-
-
-def _canonical(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class FlightDump:
@@ -57,16 +53,16 @@ class FlightDump:
 
     def lines(self) -> List[str]:
         """The canonical JSONL lines of this dump, header first."""
-        out = [_canonical(dict(self.header, record=FLIGHT_HEADER))]
+        out = [canonical_json(dict(self.header, record=FLIGHT_HEADER))]
         out.append(
-            _canonical({"record": FLIGHT_TRACE, "subjects": self.subjects})
+            canonical_json({"record": FLIGHT_TRACE, "subjects": self.subjects})
         )
         for time_fs, kind, subject, a, b in self.records:
             out.append(
-                _canonical({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
+                canonical_json({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
             )
-        out.append(_canonical({"metrics": self.metrics, "record": FLIGHT_METRICS}))
-        out.append(_canonical({"context": self.context, "record": FLIGHT_CONTEXT}))
+        out.append(canonical_json({"metrics": self.metrics, "record": FLIGHT_METRICS}))
+        out.append(canonical_json({"context": self.context, "record": FLIGHT_CONTEXT}))
         return out
 
     def dump_bytes(self) -> bytes:

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and integer-bucket histograms.
+"""Metrics registry: counters and gauges.
 
 A :class:`MetricsRegistry` holds named metric *families*; a family with
 label names fans out into one child per label-value combination (the
@@ -10,7 +10,7 @@ construction time.
 Two export surfaces:
 
 * :meth:`MetricsRegistry.render_prometheus` — Prometheus text exposition
-  (``# HELP`` / ``# TYPE`` / sample lines, cumulative histogram buckets);
+  (``# HELP`` / ``# TYPE`` / sample lines);
 * :meth:`MetricsRegistry.snapshot` — a canonical JSON-able dict whose
   sha256 (:meth:`digest`) is byte-stable for a given seed.
 
@@ -25,10 +25,10 @@ snapshot's separate ``"wallclock"`` section but never enter the digest.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
-from bisect import bisect_left
 from typing import Dict, Iterator, List, Sequence, Tuple
+
+from ..ioutil import canonical_json
 
 
 class RegistryError(ValueError):
@@ -70,28 +70,6 @@ class Gauge:
 
     def dec(self, amount: int = 1) -> None:
         self.value -= amount
-
-
-#: Default histogram buckets: powers of two in "counter units" — the
-#: natural scale for offsets/deltas measured in ticks.
-DEFAULT_BUCKETS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-
-
-class Histogram:
-    """Integer-bucket histogram (upper-bound inclusive, like Prometheus)."""
-
-    __slots__ = ("uppers", "bucket_counts", "count", "sum")
-
-    def __init__(self, uppers: Sequence[int]) -> None:
-        self.uppers = tuple(uppers)
-        self.bucket_counts = [0] * (len(self.uppers) + 1)  # + overflow
-        self.count = 0
-        self.sum = 0
-
-    def observe(self, value: int) -> None:
-        self.bucket_counts[bisect_left(self.uppers, value)] += 1
-        self.count += 1
-        self.sum += value
 
 
 # ----------------------------------------------------------------------
@@ -166,23 +144,6 @@ class GaugeFamily(MetricFamily):
         return Gauge()
 
 
-class HistogramFamily(MetricFamily):
-    kind = "histogram"
-
-    def __init__(self, name, help, labelnames, include_in_digest, buckets):
-        super().__init__(name, help, labelnames, include_in_digest)
-        uppers = tuple(int(u) for u in buckets)
-        if not uppers or list(uppers) != sorted(set(uppers)):
-            raise RegistryError(
-                f"{name}: buckets must be a non-empty strictly increasing "
-                f"sequence of ints, got {buckets!r}"
-            )
-        self.buckets = uppers
-
-    def _make_child(self) -> Histogram:
-        return Histogram(self.buckets)
-
-
 # ----------------------------------------------------------------------
 # The registry
 # ----------------------------------------------------------------------
@@ -223,16 +184,6 @@ class MetricsRegistry:
     ) -> GaugeFamily:
         return self._register(GaugeFamily, name, help, labelnames, include_in_digest)
 
-    def histogram(
-        self, name: str, help: str = "", labelnames: Sequence[str] = (),
-        buckets: Sequence[int] = DEFAULT_BUCKETS,
-        include_in_digest: bool = True,
-    ) -> HistogramFamily:
-        return self._register(
-            HistogramFamily, name, help, labelnames, include_in_digest,
-            buckets=buckets,
-        )
-
     def get(self, name: str) -> MetricFamily:
         """The registered family (KeyError if absent)."""
         return self._families[name]
@@ -241,20 +192,6 @@ class MetricsRegistry:
         return [self._families[name] for name in sorted(self._families)]
 
     # -- snapshot / digest ----------------------------------------------
-    @staticmethod
-    def _sample_value(family: MetricFamily, child) -> object:
-        if family.kind == "histogram":
-            return {
-                "buckets": {
-                    str(upper): count
-                    for upper, count in zip(family.buckets, child.bucket_counts)
-                },
-                "overflow": child.bucket_counts[-1],
-                "count": child.count,
-                "sum": child.sum,
-            }
-        return child.value
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Deterministic snapshot: ``{"metrics": ..., "wallclock": ...}``.
 
@@ -268,7 +205,7 @@ class MetricsRegistry:
                 "kind": family.kind,
                 "labels": list(family.labelnames),
                 "samples": {
-                    family.label_string(key) or "_": self._sample_value(family, child)
+                    family.label_string(key) or "_": child.value
                     for key, child in family.samples()
                 },
             }
@@ -276,9 +213,7 @@ class MetricsRegistry:
 
     def digest(self) -> str:
         """sha256 over the canonical JSON of the digest-included section."""
-        canonical = json.dumps(
-            self.snapshot()["metrics"], sort_keys=True, separators=(",", ":")
-        )
+        canonical = canonical_json(self.snapshot()["metrics"])
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     # -- Prometheus exposition ------------------------------------------
@@ -290,22 +225,9 @@ class MetricsRegistry:
                 lines.append(f"# HELP {family.name} {family.help}")
             lines.append(f"# TYPE {family.name} {family.kind}")
             for key, child in family.samples():
-                label_str = family.label_string(key)
-                if family.kind == "histogram":
-                    cumulative = 0
-                    base = label_str[1:-1] if label_str else ""
-                    for upper, count in zip(family.buckets, child.bucket_counts):
-                        cumulative += count
-                        le = f'{base},le="{upper}"' if base else f'le="{upper}"'
-                        lines.append(
-                            f"{family.name}_bucket{{{le}}} {cumulative}"
-                        )
-                    le = f'{base},le="+Inf"' if base else 'le="+Inf"'
-                    lines.append(f"{family.name}_bucket{{{le}}} {child.count}")
-                    lines.append(f"{family.name}_sum{label_str} {child.sum}")
-                    lines.append(f"{family.name}_count{label_str} {child.count}")
-                else:
-                    lines.append(f"{family.name}{label_str} {child.value}")
+                lines.append(
+                    f"{family.name}{family.label_string(key)} {child.value}"
+                )
         return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import os
 
+from repro.cli import main as repro_main
 from repro.faultlab import builtin_specs, run_campaign
 from repro.insight import (
     generate_insight_report,
@@ -41,7 +42,7 @@ def test_failure_flight_suffix_not_misfiled(tmp_path):
     assert scanned == {"x": {"failure_flight": str(tmp_path / "x.failure.flight.jsonl")}}
 
 
-def test_report_sections(tmp_path):
+def test_report_sections(tmp_path, capsys):
     _run_campaign(tmp_path)
     report = generate_insight_report(str(tmp_path))
     assert report.startswith("# repro.insight run report")
@@ -55,6 +56,15 @@ def test_report_sections(tmp_path):
     # The report must not embed the directory path: CI diffs reports
     # generated from differently-named artifact trees.
     assert str(tmp_path) not in report
+    # The same analyses through the command line.
+    assert repro_main(["insight", "report", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == report
+    flight = str(tmp_path / "two-faced.flight.jsonl")
+    assert repro_main(["insight", "explain", flight]) == 0
+    assert "causal beacon chain" in capsys.readouterr().out
+    trace = str(tmp_path / "baseline.trace.jsonl")
+    assert repro_main(["insight", "timeline", trace]) == 0
+    assert capsys.readouterr().out
 
 
 def test_report_byte_identical_serial_vs_jobs(tmp_path):

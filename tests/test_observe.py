@@ -36,6 +36,7 @@ from repro.observe.cli import (
     evaluate_results,
     evaluate_rundir,
     main as observe_main,
+    write_verdicts,
 )
 
 
@@ -127,6 +128,12 @@ class TestSLOEngine:
         live = evaluate_rundir(str(tmp_path), slo)
         posthoc = evaluate_results(results, slo)
         assert canon(live) == canon(posthoc)
+        write_verdicts(str(tmp_path / "live"), live)
+        write_verdicts(str(tmp_path / "posthoc"), posthoc)
+        for name in ("slo_scorecard.md", "baseline.slo.json", "two-faced.slo.json"):
+            assert (tmp_path / "live" / name).read_bytes() == (
+                tmp_path / "posthoc" / name
+            ).read_bytes()
 
     def test_two_faced_breaches_default_and_baseline_passes(self):
         slo = load_slo("default")

@@ -200,7 +200,9 @@ class TestCli:
         report_a = (tmp_path / "a" / "race-report.md").read_text()
         report_b = (tmp_path / "b" / "race-report.md").read_text()
         assert report_a == report_b
+        assert "winner:" in report_a
         race_json = (tmp_path / "a" / "oscillator-glitch.race.json").read_text()
+        assert race_json == (tmp_path / "b" / "oscillator-glitch.race.json").read_text()
         assert json.loads(race_json)["entries"]["skewless"]
 
     def test_cli_list(self, capsys):

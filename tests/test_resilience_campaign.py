@@ -196,7 +196,7 @@ class TestKillResume:
         def run_cli(extra, stdout_path):
             with open(stdout_path, "wb") as handle:
                 return subprocess.run(
-                    [sys.executable, "-m", "repro.faultlab", "--quick",
+                    [sys.executable, "-m", "repro", "faultlab", "--quick",
                      "--seed", "0", "--json", *scenarios, *extra],
                     stdout=handle, stderr=subprocess.DEVNULL, env=env,
                 )
@@ -208,7 +208,7 @@ class TestKillResume:
         kr_out = str(tmp_path / "kr_out")
         kr_journal = str(tmp_path / "kr.jsonl")
         victim = subprocess.Popen(
-            [sys.executable, "-m", "repro.faultlab", "--quick",
+            [sys.executable, "-m", "repro", "faultlab", "--quick",
              "--seed", "0", "--json", *scenarios,
              "--journal", kr_journal, "--metrics-out", kr_out],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
@@ -231,3 +231,5 @@ class TestKillResume:
                 os.path.join(ref_out, name)
             ) == file_sha256(os.path.join(kr_out, name)), name
         assert sorted(os.listdir(ref_out)) == sorted(os.listdir(kr_out))
+        with open(kr_journal, "r", encoding="utf-8") as handle:
+            assert handle.read().count('"record":"task-result"') == len(scenarios)

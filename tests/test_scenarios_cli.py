@@ -58,7 +58,8 @@ class TestCli:
     def test_dispatch_runs_selected_command(self, monkeypatch, capsys):
         called = []
         monkeypatch.setitem(
-            cli.COMMANDS, "fig6a", lambda quick: called.append(quick) or ["ran"]
+            cli.COMMANDS, "fig6a",
+            lambda options: called.append(options.quick) or ["ran"],
         )
         assert cli.main(["fig6a", "--quick"]) == 0
         assert called == [True]
@@ -68,7 +69,7 @@ class TestCli:
         ran = []
         for name in list(cli.COMMANDS):
             monkeypatch.setitem(
-                cli.COMMANDS, name, (lambda n: lambda quick: ran.append(n) or [])(name)
+                cli.COMMANDS, name, (lambda n: lambda options: ran.append(n) or [])(name)
             )
         assert cli.main(["all"]) == 0
         expected = sorted(name for name in cli.COMMANDS if name != "report")
@@ -81,14 +82,6 @@ class TestCli:
     def test_hybrid_and_sweeps_registered(self):
         assert "hybrid" in cli.COMMANDS
         assert "sweeps" in cli.COMMANDS
-
-    def test_plot_flag_sets_module_state(self, monkeypatch):
-        monkeypatch.setitem(cli.COMMANDS, "fig6a", lambda quick: [])
-        monkeypatch.setattr(cli, "PLOT", False)
-        cli.main(["fig6a", "--plot"])
-        assert cli.PLOT is True
-        cli.main(["fig6a"])
-        assert cli.PLOT is False
 
     def test_csv_export_writes_files(self, tmp_path):
         from repro.experiments.harness import ExperimentResult, TimeSeries

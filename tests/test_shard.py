@@ -68,26 +68,29 @@ class TestByteIdentity:
         assert canon(serial) == canon(sharded)
 
     def test_telemetry_digests_identical(self, tmp_path):
-        spec = builtin_specs(["partition-heal"], quick=True)[0]
-        dirs = {}
-        for mode in ("serial", "sharded"):
-            base = tmp_path / mode
-            kwargs = dict(
-                seed=0,
-                trace_dir=str(base / "trace"),
-                metrics_dir=str(base / "metrics"),
-                flight_dir=str(base / "flight"),
-            )
-            if mode == "sharded":
-                kwargs.update(
-                    backend="sharded", shards=2, shard_transport="inline"
+        # Results plus the full trace / metrics / prometheus / flight tree,
+        # scalar vs each other backend, on the fault-carrying builtins.
+        for name in ("link-flap", "partition-heal", "two-faced"):
+            spec = builtin_specs([name], quick=True)[0]
+            dirs = {}
+            for backend in ("scalar", "batched", "sharded"):
+                base = tmp_path / name / backend
+                kwargs = dict(
+                    seed=0,
+                    trace_dir=str(base / "trace"),
+                    metrics_dir=str(base / "metrics"),
+                    flight_dir=str(base / "flight"),
+                    backend=backend,
                 )
-            dirs[mode] = (run_scenario(dict(spec), **kwargs), base)
-        serial_result, serial_base = dirs["serial"]
-        sharded_result, sharded_base = dirs["sharded"]
-        assert canon(serial_result) == canon(sharded_result)
-        assert "telemetry" in serial_result  # digests actually compared
-        assert tree(serial_base) == tree(sharded_base)
+                if backend == "sharded":
+                    kwargs.update(shards=2, shard_transport="inline")
+                dirs[backend] = (run_scenario(dict(spec), **kwargs), base)
+            scalar_result, scalar_base = dirs["scalar"]
+            assert "telemetry" in scalar_result  # digests actually compared
+            for backend in ("batched", "sharded"):
+                result, base = dirs[backend]
+                assert canon(result) == canon(scalar_result), (name, backend)
+                assert tree(base) == tree(scalar_base), (name, backend)
 
     def test_one_shard_is_identical_too(self):
         spec = builtin_specs(["baseline"], quick=True)[0]

@@ -163,6 +163,7 @@ class TestTraceCli:
         for artifact in (
             "two-faced.trace.jsonl",
             "two-faced.metrics.json",
+            "two-faced.prom",
             "two-faced.chrome.json",
         ):
             assert file_sha256(str(out_a / artifact)) == file_sha256(

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
     ExpositionError,
     MetricsRegistry,
     RegistryError,
@@ -23,9 +22,6 @@ def build_registry() -> MetricsRegistry:
     gauge = registry.gauge("quarantined_nodes", "nodes").labels()
     gauge.set(3)
     gauge.dec()
-    hist = registry.histogram("owd_ticks", "owd", labelnames=("port",))
-    for value in (1, 3, 3, 900, 5000):
-        hist.labels(port="a->b").observe(value)
     return registry
 
 
@@ -59,19 +55,6 @@ class TestFamilies:
         with pytest.raises(RegistryError):
             MetricsRegistry().counter("bad name", "nope")
 
-    def test_histogram_buckets_cumulative(self):
-        registry = build_registry()
-        hist = registry.get("owd_ticks").labels(port="a->b")
-        assert hist.count == 5
-        assert hist.sum == 1 + 3 + 3 + 900 + 5000
-        # 5000 exceeds the largest default bucket: overflow slot.
-        assert hist.bucket_counts[-1] == 1
-        assert len(hist.uppers) == len(DEFAULT_BUCKETS)
-
-    def test_histogram_bad_buckets_raise(self):
-        with pytest.raises(RegistryError):
-            MetricsRegistry().histogram("h", "h", buckets=(4, 2, 1))
-
 
 class TestExposition:
     def test_render_parses_with_checker(self):
@@ -79,19 +62,6 @@ class TestExposition:
         samples = parse_exposition(text)
         assert samples['dtp_messages_sent_total{port="a->b",type="BEACON"}'] == 7.0
         assert samples["quarantined_nodes"] == 2.0
-        # Cumulative histogram: +Inf bucket equals the count.
-        assert samples['owd_ticks_bucket{port="a->b",le="+Inf"}'] == 5.0
-        assert samples['owd_ticks_count{port="a->b"}'] == 5.0
-
-    def test_histogram_buckets_are_cumulative_in_exposition(self):
-        samples = parse_exposition(build_registry().render_prometheus())
-        uppers = [str(u) for u in DEFAULT_BUCKETS]
-        values = [
-            samples[f'owd_ticks_bucket{{port="a->b",le="{u}"}}'] for u in uppers
-        ]
-        assert values == sorted(values)
-        assert values[0] == 1.0  # one observation <= 1
-        assert values[2] == 3.0  # 1, 3, 3 <= 4
 
     def test_checker_rejects_garbage(self):
         with pytest.raises(ExpositionError):
