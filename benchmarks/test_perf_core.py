@@ -15,8 +15,9 @@ and enforces the regression guards:
 * the telemetry overhead guard: with telemetry *disabled* the engine
   micro-bench must stay within 3% of the previously recorded
   ``BENCH_core.json`` events/sec (the hooks are ``None`` checks and must
-  cost nothing), and the traced-over-untraced Fig. 6a wall-time ratio is
-  recorded under the ``"telemetry"`` key;
+  cost nothing), and the traced (record hooks + trace digest) over
+  untraced Fig. 6a wall-time ratio must stay within 1.6x, recorded under
+  the ``"telemetry"`` key;
 * the insight analysis guard: indexing + timeline reconstruction +
   per-link bound decomposition of the traced Fig. 6a run must cost under
   20% of that run's own wall time, recorded under the ``"insight"`` key;
@@ -85,6 +86,18 @@ def test_perf_core_speedup_and_bench_json():
             f"{engine_eps_new:.0f} < 0.75 * {previous_eps} events/s"
         )
     assert bench["telemetry"]["bit_identical_to_untraced"]
+    # Tracing budget: record hooks plus the one-pass trace digest on the
+    # saturated Fig. 6a run (its worst case: a full 65,536-record ring
+    # against a ~0.3 s run).  Interleaved min-of-N like the 1.05 guards
+    # below, but the two terms are larger and noisier: five recordings on
+    # a burstable 2-CPU host read 1.07-1.42 (hooks ~1.15-1.2, digest
+    # ~0.15), and ~2.0 when the digest was a json.dumps per record, which
+    # is what this catches.  docs/OBSERVABILITY.md, "What tracing costs".
+    traced_ratio = bench["telemetry"]["traced_over_untraced"]
+    assert traced_ratio <= 1.6, (
+        f"traced Fig. 6a (hooks + digest) costs {traced_ratio:.2f}x the "
+        "untraced run (budget: 1.6x)"
+    )
     # Analysis must stay cheap relative to the run that produced the trace.
     # The ratio is host-dependent (the analysis is numpy-bound, the traced
     # run interpreter-bound, and they scale differently across machines):

@@ -36,7 +36,6 @@ from .export import (  # noqa: F401
     read_trace_jsonl,
     summarize_records,
     trace_digest,
-    trace_lines,
     write_chrome_trace,
     write_metrics_json,
     write_trace_jsonl,
@@ -159,7 +158,6 @@ __all__ = [
     "write_trace_jsonl",
     "write_metrics_json",
     "read_trace_jsonl",
-    "trace_lines",
     "trace_digest",
     "summarize_records",
     "file_sha256",

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, Iterator, List, Tuple
+from itertools import chain, islice
+from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ioutil import atomic_open, atomic_write_text, canonical_json
 from .events import KIND_NAMES, kind_name
@@ -33,9 +34,43 @@ _FS_PER_US = 1_000_000_000
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def trace_lines(tracer: TraceRecorder) -> Iterator[str]:
-    """The canonical JSONL lines of a recorder (header first)."""
-    yield canonical_json(
+#: Records encoded at a time: the exporter's peak memory is one block.
+_RECORD_BLOCK = 4096
+
+#: Byte-equal to ``canonical_json`` of a record dict whose five values are
+#: ints or int subclasses (``IntEnum``) — and only for those.
+_RECORD_TEMPLATE = '{"a":%d,"b":%d,"k":%d,"s":%d,"t":%d}'
+
+
+def encode_records(records: Sequence[TraceRecord]) -> str:
+    """The canonical JSON lines of ``records``, ``"\\n"``-joined.
+
+    The one record encoder (trace file, its digest, flight dump).  ``%d``
+    would coerce a ``bool``/``float`` and reject ``None``/``str``, so a
+    batch holding one goes through ``canonical_json`` record by record.
+    """
+    kinds = set(map(type, chain.from_iterable(records)))
+    if all(issubclass(tp, int) and tp is not bool for tp in kinds):
+        return "\n".join(
+            [_RECORD_TEMPLATE % (a, b, k, s, t) for t, k, s, a, b in records]
+        )
+    return "\n".join(
+        canonical_json({"a": a, "b": b, "k": k, "s": s, "t": t})
+        for t, k, s, a, b in records
+    )
+
+
+def _digest_key(tracer: TraceRecorder) -> Tuple[int, int]:
+    # Records and subjects are append-only, so the two counts pin the
+    # content (a wrapped ring keeps its length, not its ``recorded``).
+    return tracer.recorded, len(tracer.subjects)
+
+
+def _stream_trace(tracer: TraceRecorder, handle: Optional[IO[bytes]]) -> str:
+    """Encode the trace once, teeing header and blocks to sha256 and ``handle``."""
+    h = hashlib.sha256()
+    records = iter(tracer.records)
+    text = canonical_json(
         {
             "record": TRACE_HEADER,
             "version": 1,
@@ -46,24 +81,32 @@ def trace_lines(tracer: TraceRecorder) -> Iterator[str]:
             "subjects": tracer.subjects,
         }
     )
-    for time_fs, kind, subject, a, b in tracer.records:
-        yield canonical_json({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
+    while text:  # an exhausted ring encodes to ""
+        chunk = (text + "\n").encode("utf-8")
+        h.update(chunk)
+        if handle is not None:
+            handle.write(chunk)
+        text = encode_records(list(islice(records, _RECORD_BLOCK)))
+    digest = h.hexdigest()
+    tracer.digest_memo = (_digest_key(tracer), digest)
+    return digest
 
 
 def write_trace_jsonl(path: str, tracer: TraceRecorder) -> None:
     """Write the recorder to ``path`` as canonical JSONL (atomically)."""
-    with atomic_open(path) as handle:
-        for line in trace_lines(tracer):
-            handle.write(line + "\n")
+    with atomic_open(path, binary=True) as handle:
+        _stream_trace(tracer, handle)
 
 
 def trace_digest(tracer: TraceRecorder) -> str:
-    """sha256 over the exact JSONL bytes :func:`write_trace_jsonl` writes."""
-    h = hashlib.sha256()
-    for line in trace_lines(tracer):
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+    """sha256 over the exact JSONL bytes :func:`write_trace_jsonl` writes.
+
+    A lookup when the recorder is unchanged since it was last encoded.
+    """
+    memo = tracer.digest_memo
+    if memo is not None and memo[0] == _digest_key(tracer):
+        return memo[1]
+    return _stream_trace(tracer, None)
 
 
 def read_trace_jsonl(

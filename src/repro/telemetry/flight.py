@@ -21,6 +21,7 @@ import json
 from typing import Dict, List, Optional
 
 from ..ioutil import atomic_write_bytes, canonical_json
+from .export import encode_records
 from .trace import TraceRecord
 
 FLIGHT_HEADER = "flight-header"
@@ -51,23 +52,17 @@ class FlightDump:
         self.metrics = metrics
         self.context = context
 
-    def lines(self) -> List[str]:
-        """The canonical JSONL lines of this dump, header first."""
-        out = [canonical_json(dict(self.header, record=FLIGHT_HEADER))]
-        out.append(
-            canonical_json({"record": FLIGHT_TRACE, "subjects": self.subjects})
-        )
-        for time_fs, kind, subject, a, b in self.records:
-            out.append(
-                canonical_json({"a": a, "b": b, "k": kind, "s": subject, "t": time_fs})
-            )
-        out.append(canonical_json({"metrics": self.metrics, "record": FLIGHT_METRICS}))
-        out.append(canonical_json({"context": self.context, "record": FLIGHT_CONTEXT}))
-        return out
-
     def dump_bytes(self) -> bytes:
         """The exact artifact bytes (round-trip target for tests)."""
-        return ("\n".join(self.lines()) + "\n").encode("utf-8")
+        parts = [
+            canonical_json(dict(self.header, record=FLIGHT_HEADER)),
+            canonical_json({"record": FLIGHT_TRACE, "subjects": self.subjects}),
+        ]
+        if self.records:
+            parts.append(encode_records(self.records))
+        parts.append(canonical_json({"metrics": self.metrics, "record": FLIGHT_METRICS}))
+        parts.append(canonical_json({"context": self.context, "record": FLIGHT_CONTEXT}))
+        return ("\n".join(parts) + "\n").encode("utf-8")
 
 
 def build_flight(

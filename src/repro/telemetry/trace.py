@@ -26,14 +26,18 @@ from typing import Deque, Dict, List, Optional, Tuple
 #: network without letting a long run grow memory without bound.
 DEFAULT_TRACE_CAPACITY = 65_536
 
-#: One trace record: (time_fs, kind, subject, a, b), all ints.
+#: One trace record: (time_fs, kind, subject, a, b).  Every field is an
+#: ``int`` or an ``int`` subclass (``dtp.port`` puts a ``MessageType``
+#: ``IntEnum`` in ``a``); both serialize as the bare number.  ``bool``,
+#: ``float``, ``None`` and ``str`` are outside the contract: the exporter
+#: still writes them as JSON, but off its fast path.
 TraceRecord = Tuple[int, int, int, int, int]
 
 
 class TraceRecorder:
     """Bounded, integer-only event recorder."""
 
-    __slots__ = ("capacity", "records", "recorded", "_names", "_ids")
+    __slots__ = ("capacity", "records", "recorded", "_names", "_ids", "digest_memo")
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity <= 0:
@@ -44,6 +48,9 @@ class TraceRecorder:
         self.recorded = 0
         self._names: List[str] = []
         self._ids: Dict[str, int] = {}
+        #: ``((recorded, subject count), sha256)`` of the last export, kept
+        #: by :mod:`repro.telemetry.export`; stale once either count moves.
+        self.digest_memo: Optional[Tuple[Tuple[int, int], str]] = None
 
     # ------------------------------------------------------------------
     # Subject interning
@@ -87,6 +94,8 @@ class TraceRecorder:
     def clear(self) -> None:
         self.records.clear()
         self.recorded = 0
+        # The counts restart, so they no longer identify the old content.
+        self.digest_memo = None
 
     def __len__(self) -> int:
         return len(self.records)
