@@ -29,7 +29,12 @@ and enforces the regression guards:
   the unsupervised wall clock, recorded under the ``"linkhealth"`` key;
 * the observe-tap guard: streaming snapshot taps on the traced Fig. 6a
   run must stay bit-identical and within 5% of the plain traced wall
-  clock, recorded under the ``"observe"`` key.
+  clock, recorded under the ``"observe"`` key;
+* the checker guard: on the fat-tree k=8 fabric a tick of the invariant
+  checker, which screens each bucket of pairs with its component's counter
+  spread, must agree with and stay >= 50x cheaper than the brute-force
+  tick of ``tests/checker_reference.py`` run right after it, recorded under
+  the ``"checker"`` key.
 
 The resulting ``BENCH_core.json`` (repo root) records the numbers so the
 perf trajectory is tracked across PRs::
@@ -175,6 +180,18 @@ def test_perf_core_speedup_and_bench_json():
     assert tapped_ratio <= 1.05, (
         f"snapshot taps cost {tapped_ratio:.1%} of the traced "
         "Fig. 6a run (budget: 5%)"
+    )
+    # Checker guard.  collect() already asserted that the brute-force tick
+    # counts the same pairs and violations over the whole run.  A settled
+    # tick reads 0.9-1.4 ms (what is left is O(nodes + edges): counters,
+    # port scan, per-node checks) against 140-160 ms of brute force, 120-140x
+    # on three recordings; the per-tick pair walk this replaced read
+    # ~12.5 ms, ~12x.
+    checker = bench["checker"]
+    assert checker["pairs_checked"] == 19 * 56_280
+    brute_ratio = checker["brute_force_over_screened"]
+    assert brute_ratio >= 50, (
+        f"settled checker tick only {brute_ratio:.0f}x cheaper than brute force"
     )
 
 

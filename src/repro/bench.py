@@ -28,6 +28,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -35,7 +36,7 @@ from typing import List, Optional, Tuple
 
 from .dtp.network import DtpNetwork
 from .experiments.fig6_dtp import Fig6DtpConfig, run_fig6_dtp
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, canonical_json
 from .network.topology import chain
 from .sim import units
 from .sim.engine import MacroTickSimulator, Simulator
@@ -61,6 +62,16 @@ FIG6A_CONFIG = dict(frame_name="mtu", duration_fs=2 * units.MS, seed=1)
 #: events/sec uses the same numerator for both.
 FASTPATH_CHAIN_HOSTS = 8
 FASTPATH_CHAIN_DURATION_FS = 20 * units.MS
+
+#: Checker workload: the repo benchmark's fabric -- fat-tree k=8 (336 nodes,
+#: 56,280 checkable pairs) at the paper's Fig. 6b beacon interval, 200 us.
+CHECKER_SPEC = {
+    "name": "bench-checker",
+    "topology": {"kind": "fat-tree", "k": 8, "hosts_per_edge": 8},
+    "duration_fs": 200 * units.US,
+    "config": {"beacon_interval_ticks": 1200},
+    "faults": [],
+}
 
 
 def _noop() -> None:  # sentinel heap filler, never runs
@@ -140,6 +151,85 @@ def fastpath_chain_run(backend: str) -> Tuple[int, float, int]:
     wall = time.perf_counter() - start
     promoted = net.fastpath.promotions if backend == "batched" else 0
     return sim._seq, wall, promoted
+
+
+def checker_run(brute_force=None) -> dict:
+    """One ``CHECKER_SPEC`` run with the checker's tick and the sampler's
+    ``worst_checkable_offset`` timed from outside: an observer rebinds both
+    on the instance.  ``brute_force(checker) -> (reference, tick)`` adds a
+    from-scratch tick right after every checker tick, timed separately.
+    """
+    from .faultlab.campaign import run_scenario
+
+    run = {"checker_s": 0.0, "ticks": [], "brute_ticks": []}
+
+    def observer(checker, **_):
+        tick, worst = checker._tick, checker.worst_checkable_offset
+        run["reference"], brute_tick = (
+            brute_force(checker) if brute_force else (None, None)
+        )
+
+        def timed_tick() -> None:
+            pairs_before = checker.pairs_checked
+            start = time.perf_counter()
+            tick()
+            wall = brute_wall = time.perf_counter() - start
+            run["checker_s"] += wall
+            if brute_tick is not None:
+                start = time.perf_counter()
+                brute_tick()
+                brute_wall = time.perf_counter() - start
+            if checker.pairs_checked > pairs_before:  # past bring-up and grace
+                run["ticks"].append(wall)
+                run["brute_ticks"].append(brute_wall)
+
+        def timed_worst():
+            start = time.perf_counter()
+            value = worst()
+            run["checker_s"] += time.perf_counter() - start
+            return value
+
+        checker._tick, checker.worst_checkable_offset = timed_tick, timed_worst
+
+    gc.collect()
+    start = time.perf_counter()
+    run["result"] = run_scenario(dict(CHECKER_SPEC), seed=1, observers=[observer])
+    run["wall"] = time.perf_counter() - start
+    return run
+
+
+def collect_checker(repeats: int, seed_core=None) -> dict:
+    """The ``checker`` section: what the invariant checker costs on the
+    fabric and, in a checkout (``seed_core`` given: the brute-force
+    reference ships in ``tests/`` next to it), how much less than
+    re-deriving every pair on every tick."""
+    checker_run()  # warm
+    best = min((checker_run() for _ in range(repeats)), key=lambda r: r["wall"])
+    result = best["result"]
+    section = {
+        "nodes": result["nodes"],
+        "checks_run": result["checks_run"],
+        "pairs_checked": result["pairs_checked"],
+        "wall_s": round(best["wall"], 3),
+        "settled_tick_ms": round(statistics.median(best["ticks"]) * 1e3, 3),
+        "checker_share_of_wall": round(best["checker_s"] / best["wall"], 3),
+        "result_digest": hashlib.sha256(canonical_json(result).encode()).hexdigest(),
+    }
+    reference_path = seed_core and (
+        Path(seed_core.__file__).parents[1] / "tests" / "checker_reference.py"
+    )
+    if reference_path and reference_path.is_file():
+        run = checker_run(load_seed_core(reference_path).brute_force_tick)
+        reference = run["reference"]
+        assert run["result"] == result, "timing the checker changed its output"
+        assert reference.pairs_checked == result["pairs_checked"]
+        assert reference.counts == result["violations"], "checker disagrees with brute force"
+        brute_ms = statistics.median(run["brute_ticks"]) * 1e3
+        section["brute_force_tick_ms"] = round(brute_ms, 3)
+        section["brute_force_over_screened"] = round(
+            brute_ms / (statistics.median(run["ticks"]) * 1e3), 1
+        )
+    return section
 
 
 def collect(repeats: int = TIMING_REPEATS, seed_core=None) -> dict:
@@ -443,6 +533,7 @@ def collect(repeats: int = TIMING_REPEATS, seed_core=None) -> dict:
         "linkhealth": linkhealth,
         "observe": observe,
         "shard": shard,
+        "checker": collect_checker(repeats, seed_core),
     }
 
 
@@ -508,8 +599,9 @@ def find_seed_core(start: Optional[Path] = None) -> Optional[Path]:
 
 
 def load_seed_core(path: Path):
-    """Import the seed-core module from an explicit file path."""
-    spec = importlib.util.spec_from_file_location("_seed_core", path)
+    """Import a repository-only module (the seed core, the checker's
+    brute-force reference) from an explicit file path."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -51,6 +51,12 @@ INVARIANT_WRAP = "wrap-codec"
 #: takes a handful of beacon flights (Section 3.2, network dynamics).
 DEFAULT_GRACE_FS = 50 * units.US
 
+#: ``reconstruct_counter`` picks the unique value congruent to ``low`` within
+#: [reference - 2^(bits-1), reference + 2^(bits-1)), so while |gc_a - gc_b|
+#: sits strictly inside that half-window the cross-node round trip provably
+#: recovers gc_a -- only offsets near the wrap boundary need the codec call.
+_WRAP_HALF = 1 << (dtpmsg.COUNTER_LOW_BITS - 1)
+
 
 @dataclass
 class Violation:
@@ -139,14 +145,23 @@ class InvariantChecker:
         self.ticks_above_bound = 0
         #: Fault reason -> list of recovery durations (release -> in-bound).
         self.recovery_fs: Dict[str, List[int]] = {}
-        #: Convergence log: every pair (re)connection and how long it took
-        #: to come within bound.
-        self.reconnect_recoveries: List[Dict[str, object]] = []
+        #: Convergence log: one ``(a, b, connected_fs, recovered_after_fs)``
+        #: tuple per pair (re)connection that came within bound.
+        self.reconnect_recoveries: List[Tuple[str, str, int, int]] = []
 
         self._nodes = list(network.devices)
         self._node_order = {name: i for i, name in enumerate(self._nodes)}
+        ports = network.ports
+        self._edge_ports = [
+            (ports[(edge.a, edge.b)], ports[(edge.b, edge.a)])
+            for edge in network.topology.edges
+        ]
         self._last_counter: Dict[str, int] = {}
         self._connected_since: Dict[Tuple[str, str], int] = {}
+        #: ``(earliest, latest)`` connect time in ``_connected_since`` (None
+        #: while empty), kept by the sweep: answers "every pair past grace"
+        #: and "every pair inside grace" without a walk.
+        self._connect_span: Optional[Tuple[int, int]] = None
         self._awaiting_recovery: Dict[Tuple[str, str], int] = {}
         self._quarantined: Dict[str, str] = {}
         #: Edges (sorted endpoint pairs) excluded from the synchronized
@@ -154,20 +169,25 @@ class InvariantChecker:
         #: node quarantine, an edge quarantine leaves both endpoint nodes
         #: checkable over whatever other paths connect them.
         self._edge_quarantined: Dict[Tuple[str, str], str] = {}
-        # Per-connectivity-epoch caches: distances and the checkable pair
-        # list only change when the synchronized edge set, the
-        # quarantined/healing sets, or pair-connection epochs change.  On
-        # fabric topologies rebuilding them every tick is the dominant
-        # cost of the whole simulation, so ticks reuse them until the
-        # signature moves (behavior stays bit-identical — the caches hold
-        # exactly what the per-tick recomputation would have produced).
-        self._cache_sig: Optional[tuple] = None
-        self._cache_distances: Optional[Dict[str, Dict[str, int]]] = None
-        self._cache_pairs: Optional[List[tuple]] = None
-        #: Bumped whenever ``_connected_since`` membership changes (its
-        #: values are immutable while a pair stays connected).
-        self._conn_epoch = 0
-        self._last_conn_sig: Optional[tuple] = None
+        # Per-epoch caches, holding exactly what a per-tick recomputation
+        # would produce.  Distances follow the connectivity signature
+        # (synchronized edges, quarantined nodes and edges); the pair
+        # structures also follow the healing set and the increments.
+        self._conn_sig: Optional[tuple] = None
+        self._pairs_sig: Optional[tuple] = None
+        self._cache_distances: Dict[str, Dict[str, int]] = {}
+        #: Checkable pairs as ``(a, b, bound)`` in i<j node order; the
+        #: hop-1 ones again in ``_cache_links``.
+        self._cache_pairs: List[Tuple[str, str, int]] = []
+        self._cache_links: List[Tuple[str, str, int]] = []
+        #: The same pairs filed as ``(component, hops, bound, pairs)``, so a
+        #: tick can clear a whole bucket by comparing its bound with the
+        #: counter spread of ``_cache_members[component]``.
+        self._cache_buckets: List[Tuple[int, int, int, list]] = []
+        self._cache_members: List[List[str]] = []
+        #: Connectivity signature of the last sweep: while it equals
+        #: ``_conn_sig`` every cached pair is in ``_connected_since``.
+        self._swept_sig: Optional[tuple] = None
         #: node -> (fault reason, healing since, peers that must be back
         #: in bound before the node counts as recovered).
         self._healing: Dict[str, Tuple[str, int, FrozenSet[str]]] = {}
@@ -300,19 +320,17 @@ class InvariantChecker:
         """Adjacency over links whose both ports are SYNCHRONIZED, skipping
         quarantined endpoints (their links carry deliberately bad data)."""
         adjacency: Dict[str, List[str]] = {name: [] for name in self._nodes}
-        ports = self.network.ports
         quarantined_edges = self._edge_quarantined
-        for edge in self.network.topology.edges:
+        for edge, (port_a, port_b) in zip(
+            self.network.topology.edges, self._edge_ports
+        ):
             if edge.a in self._quarantined or edge.b in self._quarantined:
                 continue
             if quarantined_edges and (
                 (edge.a, edge.b) if edge.a < edge.b else (edge.b, edge.a)
             ) in quarantined_edges:
                 continue
-            if (
-                ports[(edge.a, edge.b)].synchronized
-                and ports[(edge.b, edge.a)].synchronized
-            ):
+            if port_a.synchronized and port_b.synchronized:
                 adjacency[edge.a].append(edge.b)
                 adjacency[edge.b].append(edge.a)
         return adjacency
@@ -339,56 +357,83 @@ class InvariantChecker:
             name: self._distances_from(name, adjacency) for name in self._nodes
         }
 
-    def _cache_key(self) -> tuple:
-        """Everything the distance/pair caches depend on, O(edges)."""
-        ports = self.network.ports
+    def _cache_key(self) -> Tuple[tuple, tuple]:
+        """``(connectivity, pair-set)`` signatures, O(nodes + edges)."""
         devices = self.network.devices
         sync_edges = tuple(
             idx
-            for idx, edge in enumerate(self.network.topology.edges)
-            if ports[(edge.a, edge.b)].synchronized
-            and ports[(edge.b, edge.a)].synchronized
+            for idx, (port_a, port_b) in enumerate(self._edge_ports)
+            if port_a.synchronized and port_b.synchronized
         )
-        return (
-            sync_edges,
-            frozenset(self._quarantined),
-            frozenset(self._edge_quarantined),
+        held = frozenset(self._edge_quarantined)
+        return (sync_edges, frozenset(self._quarantined), held), (
             frozenset(self._healing),
-            self._conn_epoch,
             tuple(devices[name].counter_increment for name in self._nodes),
         )
 
-    def _epoch_state(self) -> Tuple[Dict[str, Dict[str, int]], List[tuple]]:
-        """Cached ``(distances, pair list)`` for the current epoch.
+    def _epoch_state(self) -> Dict[str, Dict[str, int]]:
+        """Bring the per-epoch caches up to date; returns the distances.
 
-        The pair list holds ``(a, b, bound, since)`` in the exact i<j
-        node order the per-tick recomputation would enumerate; ``since``
-        is ``None`` for pairs not yet in ``_connected_since`` (the
-        original code reads those as "connected just now").
+        A connectivity change costs one all-pairs BFS and one pair build;
+        a healing-set change only the pair build.
         """
-        key = self._cache_key()
-        if key != self._cache_sig:
+        conn_sig, pairs_sig = self._cache_key()
+        if conn_sig != self._conn_sig:
             self._cache_distances = self._all_distances()
-            pairs: List[tuple] = []
-            nodes = self._nodes
-            skip = self._quarantined.keys() | self._healing.keys()
-            since_map = self._connected_since
-            for i, a in enumerate(nodes):
-                if a in skip:
+            self._conn_sig = conn_sig
+            self._pairs_sig = None
+        if pairs_sig != self._pairs_sig:
+            self._build_pairs()
+            self._pairs_sig = pairs_sig
+        return self._cache_distances
+
+    def _build_pairs(self) -> None:
+        """File every checkable pair (neither node quarantined or healing,
+        same component) in the i<j list and in its bucket."""
+        distances = self._cache_distances
+        devices = self.network.devices
+        order = self._node_order
+        skip = self._quarantined.keys() | self._healing.keys()
+        per_hop, slack = self.bound_ticks_per_hop, self.slack_ticks
+        pairs: List[Tuple[str, str, int]] = []
+        buckets: Dict[Tuple[int, int, int], tuple] = {}
+        members: List[List[str]] = []
+        later: Dict[str, Tuple[int, List[str]]] = {}
+        for a in self._nodes:
+            if a in skip:
+                continue
+            dist_a = distances[a]
+            if a not in later:
+                # First checkable node of its component: its BFS names the
+                # members, and every one of them sorts after it.
+                group = sorted(
+                    (n for n in dist_a if n not in skip), key=order.__getitem__
+                )
+                if len(group) < 2:
                     continue
-                dist_a = self._cache_distances[a]
-                for b in nodes[i + 1 :]:
-                    if b in skip:
-                        continue
-                    hops = dist_a.get(b)
-                    if hops is None:
-                        continue
-                    pairs.append(
-                        (a, b, self._pair_bound(a, b, hops), since_map.get((a, b)))
-                    )
-            self._cache_pairs = pairs
-            self._cache_sig = key
-        return self._cache_distances, self._cache_pairs
+                members.append(group)
+                for pos, node in enumerate(group):
+                    later[node] = (len(members) - 1, group[pos + 1 :])
+            component, peers = later[a]
+            inc_a = devices[a].counter_increment
+            for b in peers:
+                hops = dist_a[b]
+                inc_b = devices[b].counter_increment
+                key = (component, hops, inc_a if inc_a >= inc_b else inc_b)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bound = (per_hop * hops + slack) * key[2]
+                    bucket = buckets[key] = (component, hops, bound, [])
+                pair = (a, b, bucket[2])
+                pairs.append(pair)
+                bucket[3].append(pair)
+        self._cache_pairs = pairs
+        self._cache_buckets = list(buckets.values())
+        self._cache_members = members
+        self._cache_links = sorted(
+            (pair for b in self._cache_buckets if b[1] == 1 for pair in b[3]),
+            key=lambda pair: (order[pair[0]], order[pair[1]]),
+        )
 
     def _pair_bound(self, a: str, b: str, hops: int) -> int:
         increment = max(
@@ -396,6 +441,45 @@ class InvariantChecker:
             self.network.devices[b].counter_increment,
         )
         return (self.bound_ticks_per_hop * hops + self.slack_ticks) * increment
+
+    def _all_past_grace(self, now: int) -> bool:
+        """Every cached pair has been connected for ``grace_fs``, in O(1)."""
+        if self.grace_fs <= 0:
+            return True
+        span = self._connect_span
+        return (
+            span is not None
+            and self._swept_sig == self._conn_sig
+            and now - span[1] >= self.grace_fs
+        )
+
+    def _past_grace(self, pairs: List[tuple], now: int) -> List[tuple]:
+        """Those of the cached ``pairs`` that are past grace (a pair the
+        sweep has not seen yet counts as connected just now)."""
+        if self._all_past_grace(now):
+            return pairs
+        grace = self.grace_fs
+        span = self._connect_span
+        if span is None or now - span[0] < grace:
+            return []
+        since_map = self._connected_since
+        return [
+            pair
+            for pair in pairs
+            if now - since_map.get((pair[0], pair[1]), now) >= grace
+        ]
+
+    def _counters(self, now: int) -> Dict[str, int]:
+        devices = self.network.devices
+        return {name: devices[name].global_counter(now) for name in self._nodes}
+
+    def _spreads(self, counters: Dict[str, int]) -> List[int]:
+        """``max(gc) - min(gc)`` over each component's checkable nodes."""
+        spreads = []
+        for group in self._cache_members:
+            values = [counters[name] for name in group]
+            spreads.append(max(values) - min(values))
+        return spreads
 
     def checkable_pairs(
         self, enforce_grace: bool = True
@@ -407,29 +491,22 @@ class InvariantChecker:
         ``enforce_grace``) the pair has been connected at least
         ``grace_fs``.
         """
-        _, pairs = self._epoch_state()
-        now = self.network.sim.now
-        grace = self.grace_fs
-        out: List[Tuple[str, str, int]] = []
-        for a, b, bound, since in pairs:
-            if enforce_grace and now - (now if since is None else since) < grace:
-                continue
-            out.append((a, b, bound))
-        return out
+        self._epoch_state()
+        pairs = self._cache_pairs
+        if enforce_grace:
+            pairs = self._past_grace(pairs, self.network.sim.now)
+        return list(pairs)
 
     def worst_checkable_offset(self) -> Optional[int]:
         """Largest |offset| among currently checkable pairs (None if none)."""
+        self._epoch_state()
         now = self.network.sim.now
-        devices = self.network.devices
-        counters = {
-            name: devices[name].global_counter(now) for name in self._nodes
-        }
-        worst = None
-        for a, b, _bound in self.checkable_pairs():
-            offset = abs(counters[a] - counters[b])
-            if worst is None or offset > worst:
-                worst = offset
-        return worst
+        counters = self._counters(now)
+        if self._all_past_grace(now):
+            # Every two checkable nodes of a component are a checkable pair.
+            return max(self._spreads(counters), default=None)
+        due = self._past_grace(self._cache_pairs, now)
+        return max((abs(counters[a] - counters[b]) for a, b, _ in due), default=None)
 
     def link_offsets(
         self, enforce_grace: bool = True
@@ -444,21 +521,13 @@ class InvariantChecker:
         deterministic i<j node order, so serial and sharded-replay
         checkers produce identical link streams.
         """
-        distances, pairs = self._epoch_state()
+        self._epoch_state()
         now = self.network.sim.now
-        grace = self.grace_fs
-        devices = self.network.devices
-        out: List[Tuple[str, str, int, int]] = []
-        for a, b, bound, since in pairs:
-            if distances[a].get(b) != 1:
-                continue
-            if enforce_grace and now - (now if since is None else since) < grace:
-                continue
-            offset = abs(
-                devices[a].global_counter(now) - devices[b].global_counter(now)
-            )
-            out.append((a, b, offset, bound))
-        return out
+        links = self._cache_links
+        if enforce_grace:
+            links = self._past_grace(links, now)
+        counters = self._counters(now)
+        return [(a, b, abs(counters[a] - counters[b]), bound) for a, b, bound in links]
 
     # ------------------------------------------------------------------
     # The check tick
@@ -469,23 +538,13 @@ class InvariantChecker:
         self.checks_run += 1
         pairs_before = self.pairs_checked
         violations_before = self.total_violations
-        devices = self.network.devices
-        counters = {
-            name: devices[name].global_counter(now) for name in self._nodes
-        }
-        distances, pairs = self._epoch_state()
-        # The connected-pair set is a function of (sync edges, quarantined
-        # nodes, quarantined edges) alone; when that signature has not moved
-        # since the previous tick, _update_connectivity_epochs can skip its
-        # all-pairs sweep.
-        conn_sig = (
-            self._cache_sig[0], self._cache_sig[1], self._cache_sig[2]
-        )
+        counters = self._counters(now)
+        distances = self._epoch_state()
 
         self._check_monotonic(now, counters)
         self._check_wrap_codec(now, counters)
-        self._check_pair_bounds(now, counters, pairs)
-        self._update_connectivity_epochs(now, counters, distances, conn_sig)
+        self._check_pair_bounds(now, counters)
+        self._update_connectivity_epochs(now, counters, distances)
         self._check_recoveries(now, counters, distances)
 
         if self._m_checks is not None:
@@ -534,24 +593,54 @@ class InvariantChecker:
                     {"low": low, "gc": gc, "kind": "self-roundtrip"},
                 )
 
-    def _check_pair_bounds(
-        self, now: int, counters: Dict[str, int], pairs: List[tuple]
+    def _check_pair_bounds(self, now: int, counters: Dict[str, int]) -> None:
+        found: List[tuple] = []
+        if self._all_past_grace(now):
+            # The 4TD bound composes per hop, so inside one component a
+            # counter spread that is already within a bucket's bound (and
+            # below the wrap half-window) proves every pair of the bucket
+            # in bound; only the buckets the spread exceeds are walked.
+            spreads = self._spreads(counters)
+            streaks = self._above_streak
+            if streaks:
+                # What the walk would do for a streak pair of a cleared
+                # bucket: checkable and back in bound ends the streak.
+                skip = self._quarantined.keys() | self._healing.keys()
+                for a, b in list(streaks):
+                    hops = self._cache_distances[a].get(b)
+                    if hops is not None and skip.isdisjoint((a, b)) and abs(
+                        counters[a] - counters[b]
+                    ) <= self._pair_bound(a, b, hops):
+                        del streaks[(a, b)]
+            walked = 0
+            for component, _hops, bound, pairs in self._cache_buckets:
+                if spreads[component] <= bound and spreads[component] < _WRAP_HALF:
+                    self.pairs_checked += len(pairs)
+                else:
+                    self._walk(counters, pairs, found)
+                    walked += 1
+            if walked > 1:
+                order = self._node_order
+                found.sort(key=lambda item: (order[item[0]], order[item[1]]))
+        else:
+            self._walk(
+                counters, self._past_grace(self._cache_pairs, now), found
+            )
+        for a, b, invariant, detail in found:
+            self._record(now, invariant, f"{a}-{b}", detail)
+        if any(item[2] is INVARIANT_PAIR_BOUND for item in found):
+            self.ticks_above_bound += 1
+
+    def _walk(
+        self, counters: Dict[str, int], pairs: List[tuple], found: List[tuple]
     ) -> None:
-        any_above = False
-        grace = self.grace_fs
+        """Check ``pairs`` (all past grace) one by one; what must be
+        recorded is appended to ``found`` as ``(a, b, invariant, detail)``."""
         allowance = self.transient_allowance_intervals
         streaks = self._above_streak
-        # reconstruct_counter picks the unique value congruent to ``low``
-        # within [reference - 2^(bits-1), reference + 2^(bits-1)), so when
-        # |gc_a - gc_b| sits strictly inside that half-window the cross-node
-        # round trip provably recovers gc_a — only offsets near the wrap
-        # boundary need the real codec call.
-        half = 1 << (dtpmsg.COUNTER_LOW_BITS - 1)
-        for a, b, bound, since in pairs:
-            if now - (now if since is None else since) < grace:
-                continue
+        self.pairs_checked += len(pairs)
+        for a, b, bound in pairs:
             offset = counters[a] - counters[b]
-            self.pairs_checked += 1
             if offset > bound or offset < -bound:
                 streak = streaks.get((a, b), 0) + 1
                 streaks[(a, b)] = streak
@@ -561,109 +650,67 @@ class InvariantChecker:
                     # as it clears within the allowance.
                     self.transients_forgiven += 1
                     continue
-                any_above = True
-                self._record(
-                    now,
-                    INVARIANT_PAIR_BOUND,
-                    f"{a}-{b}",
-                    {"offset": offset, "bound": bound},
+                found.append(
+                    (a, b, INVARIANT_PAIR_BOUND, {"offset": offset, "bound": bound})
                 )
             else:
                 if streaks:
                     streaks.pop((a, b), None)
-                if -half < offset < half:
+                if -_WRAP_HALF < offset < _WRAP_HALF:
                     continue
                 # Wrap correctness *across* nodes: reconstructing a's low
                 # half against b's counter must recover a's exact counter
                 # whenever the pair is within bound (Section 4.4).
                 low_a = dtpmsg.counter_low(counters[a])
                 if dtpmsg.reconstruct_counter(low_a, counters[b]) != counters[a]:
-                    self._record(
-                        now,
-                        INVARIANT_WRAP,
-                        f"{a}-{b}",
-                        {
-                            "low": low_a,
-                            "gc_a": counters[a],
-                            "gc_b": counters[b],
-                            "kind": "cross-node",
-                        },
+                    found.append(
+                        (
+                            a,
+                            b,
+                            INVARIANT_WRAP,
+                            {
+                                "low": low_a,
+                                "gc_a": counters[a],
+                                "gc_b": counters[b],
+                                "kind": "cross-node",
+                            },
+                        )
                     )
-        if any_above:
-            self.ticks_above_bound += 1
 
     def _update_connectivity_epochs(
         self,
         now: int,
         counters: Dict[str, int],
         distances: Dict[str, Dict[str, int]],
-        conn_sig: Optional[tuple] = None,
     ) -> None:
-        if conn_sig is not None and conn_sig == self._last_conn_sig:
-            # Same synchronized edges and quarantine set as last tick, so
-            # the connected-pair set is unchanged: no epoch starts or ends,
-            # and only pairs still awaiting recovery need their in-bound
-            # check.  Sorting by node order reproduces the append order the
-            # full double loop would have produced.
-            if self._awaiting_recovery:
-                order = self._node_order
-                for pair in sorted(
-                    self._awaiting_recovery,
-                    key=lambda p: (order[p[0]], order[p[1]]),
-                ):
-                    a, b = pair
-                    if abs(counters[a] - counters[b]) <= self._pair_bound(
-                        a, b, distances[a][b]
-                    ):
-                        self.reconnect_recoveries.append(
-                            {
-                                "pair": f"{a}-{b}",
-                                "connected_fs": self._awaiting_recovery[pair],
-                                "recovered_after_fs": now
-                                - self._awaiting_recovery[pair],
-                            }
-                        )
-                        del self._awaiting_recovery[pair]
-            return
-        connected_now = set()
-        membership_changed = False
-        for i, a in enumerate(self._nodes):
-            if a in self._quarantined:
-                continue
-            dist_a = distances[a]
-            for b in self._nodes[i + 1 :]:
-                if b in self._quarantined:
-                    continue
-                hops = dist_a.get(b)
-                if hops is None:
-                    continue
-                pair = (a, b)
-                connected_now.add(pair)
-                if pair not in self._connected_since:
-                    self._connected_since[pair] = now
-                    self._awaiting_recovery[pair] = now
-                    membership_changed = True
-                if pair in self._awaiting_recovery:
-                    if abs(counters[a] - counters[b]) <= self._pair_bound(
-                        a, b, hops
-                    ):
-                        self.reconnect_recoveries.append(
-                            {
-                                "pair": f"{a}-{b}",
-                                "connected_fs": self._awaiting_recovery[pair],
-                                "recovered_after_fs": now
-                                - self._awaiting_recovery[pair],
-                            }
-                        )
-                        del self._awaiting_recovery[pair]
-        for pair in list(self._connected_since):
-            if pair not in connected_now:
-                del self._connected_since[pair]
-                self._awaiting_recovery.pop(pair, None)
-                membership_changed = True
-        if membership_changed:
-            self._conn_epoch += 1
-        self._last_conn_sig = conn_sig
+        awaiting = self._awaiting_recovery
+        if self._swept_sig != self._conn_sig:
+            # The connected-pair set is a function of the connectivity
+            # signature alone, so epochs start and end only when it moves.
+            since_map = self._connected_since
+            for pair in [p for p in since_map if p[1] not in distances[p[0]]]:
+                del since_map[pair]
+                awaiting.pop(pair, None)
+            nodes = self._nodes
+            for i, a in enumerate(nodes):
+                dist_a = distances[a]
+                if len(dist_a) < 2:
+                    continue  # isolated, as every quarantined node is
+                for b in nodes[i + 1 :]:
+                    if b in dist_a:
+                        pair = (a, b)  # one key object for both maps
+                        if pair not in since_map:
+                            since_map[pair] = awaiting[pair] = now
+            values = since_map.values()
+            self._connect_span = (min(values), max(values)) if values else None
+            self._swept_sig = self._conn_sig
+        for pair, since in list(awaiting.items()):
+            a, b = pair
+            if abs(counters[a] - counters[b]) <= self._pair_bound(
+                a, b, distances[a][b]
+            ):
+                del awaiting[pair]
+                self.reconnect_recoveries.append((a, b, since, now - since))
 
     def _check_recoveries(
         self,
@@ -733,10 +780,7 @@ class InvariantChecker:
         """Full event context for post-mortem debugging."""
         return {
             "time_fs": now,
-            "counters": {
-                name: self.network.devices[name].global_counter(now)
-                for name in self._nodes
-            },
+            "counters": self._counters(now),
             "port_states": {
                 f"{a}->{b}": port.state.value
                 for (a, b), port in self.network.ports.items()

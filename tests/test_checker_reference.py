@@ -1,0 +1,259 @@
+"""InvariantChecker against a brute-force oracle that shares none of its caches.
+
+``tests/checker_reference.py`` re-derives everything on every tick — a fresh
+BFS per node, a full i<j pair walk, no epochs, no buckets, no spread screen —
+so any shortcut the checker takes (component spread vs bucket bound, the O(1)
+grace decisions, cached distances) has to reproduce it exactly, tick by tick.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from repro.faultlab.invariants import (
+    DEFAULT_GRACE_FS,
+    InvariantChecker,
+    InvariantViolation,
+)
+from repro.sim import units
+from tests.checker_reference import Reference, ReferenceRaise
+
+INTERVAL_FS = 20 * units.US
+
+
+class _Sim:
+    now = 0
+
+    def schedule(self, *_args):
+        return None
+
+    schedule_at = cancel = schedule
+
+
+class _Device:
+    def __init__(self, increment):
+        self.counter_increment = increment
+        self.value = 0
+
+    def global_counter(self, _now):
+        return self.value
+
+
+class _Net:
+    """The slice of DtpNetwork the checker reads, with settable state."""
+
+    telemetry = None
+
+    def __init__(self, increments, edges):
+        self.sim = _Sim()
+        self.devices = {f"n{i}": _Device(inc) for i, inc in enumerate(increments)}
+        self.topology = SimpleNamespace(
+            edges=[SimpleNamespace(a=f"n{a}", b=f"n{b}") for a, b in edges]
+        )
+        self.ports = {}
+        for edge in self.topology.edges:
+            for key in ((edge.a, edge.b), (edge.b, edge.a)):
+                self.ports[key] = SimpleNamespace(
+                    synchronized=False, state=SimpleNamespace(value="s")
+                )
+
+    def set_link(self, index, up):
+        edge = self.topology.edges[index]
+        self.ports[(edge.a, edge.b)].synchronized = up
+        self.ports[(edge.b, edge.a)].synchronized = up
+
+    def up_edges(self):
+        return [
+            (e.a, e.b)
+            for e in self.topology.edges
+            if self.ports[(e.a, e.b)].synchronized
+        ]
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(2, 7))
+    all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=10, unique=True))
+    increments = draw(st.lists(st.sampled_from([1, 1, 2, 20]), min_size=n, max_size=n))
+    # Two groups of nodes, each internally tight, possibly far apart: a
+    # global-spread shortcut would be wrong, and 2^52 apart under a 2^53
+    # slack is in bound yet outside the wrap half-window.
+    group = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    gap = draw(st.sampled_from([0, 0, 40, 10**6, 1 << 52]))
+    base = draw(st.sampled_from([1000, (1 << 52) - 30, (1 << 53) - 30]))
+    node = st.integers(0, n - 1)
+    edge = st.integers(0, len(edges) - 1)
+    link = st.tuples(st.just("link"), edge, st.booleans())
+    op = st.one_of(
+        link,
+        link,
+        st.tuples(st.just("quarantine"), node),
+        st.tuples(st.just("release"), node, st.lists(node, max_size=2)),
+        st.tuples(st.just("hold"), edge),
+        st.tuples(st.just("unhold"), edge),
+        st.tuples(st.just("reset"), node),
+    )
+    # Mostly within the hop-1 bound of 4, so buckets clear, with excursions.
+    jitter = st.sampled_from([0, 1, 2, 3, 4, 4, 5, 7, 14])
+    ticks = draw(st.lists(
+        st.tuples(
+            st.lists(op, max_size=2),
+            st.lists(jitter, min_size=n, max_size=n),
+            st.booleans(),
+        ),
+        min_size=6, max_size=16,
+    ))
+    mostly = st.sampled_from([True, True, True, False])
+    return {
+        "edges": edges, "increments": increments, "group": group, "gap": gap,
+        "base": base, "ticks": ticks,
+        "links_up": draw(st.lists(mostly, min_size=len(edges), max_size=len(edges))),
+        "grace": draw(st.sampled_from([0, INTERVAL_FS, DEFAULT_GRACE_FS])),
+        "allowance": draw(st.sampled_from([0, 1, 2])),
+        "slack": draw(st.sampled_from([0, 0, 0, 1 << 53])),
+        "raising": not draw(mostly),
+    }
+
+
+def _apply(op, net, checker, ref):
+    names = list(net.devices)
+    if op[0] == "link":
+        net.set_link(op[1], op[2])
+    elif op[0] == "quarantine":
+        checker.quarantine([names[op[1]]], "fault")
+        ref.quarantined.add(names[op[1]])
+    elif op[0] == "release":
+        wait_for = [names[i] for i in op[2]]
+        checker.release([names[op[1]]], "fault", wait_for=wait_for)
+        ref.quarantined.discard(names[op[1]])
+        ref.healing[names[op[1]]] = ("fault", net.sim.now, frozenset(wait_for))
+    elif op[0] in ("hold", "unhold"):
+        e = net.topology.edges[op[1]]
+        (checker.quarantine_edge if op[0] == "hold" else checker.release_edge)(e.a, e.b, "rejoin")
+        (ref.held_edges.add if op[0] == "hold" else ref.held_edges.discard)(frozenset((e.a, e.b)))
+    else:
+        checker.notify_counter_reset(names[op[1]])
+        ref.last.pop(names[op[1]], None)
+
+
+def _assert_same(checker, ref, net, gc):
+    now, up = net.sim.now, net.up_edges()
+    assert [
+        (v.time_fs, v.invariant, v.subject, v.detail) for v in checker.violations
+    ] == ref.violations
+    assert checker.counts == ref.counts
+    assert checker.pairs_checked == ref.pairs_checked
+    assert checker.ticks_above_bound == ref.ticks_above
+    assert checker.transients_forgiven == ref.forgiven
+    assert checker._above_streak == ref.streak
+    assert checker.recovery_fs == ref.recovery
+    assert len(checker.reconnect_recoveries) == ref.reconnects
+    assert checker.worst_checkable_offset() == ref.worst(now, gc, up)
+    for enforce in (True, False):
+        assert checker.checkable_pairs(enforce) == ref.pairs(now, up, enforce)
+        assert checker.link_offsets(enforce) == [
+            (a, b, abs(gc[a] - gc[b]), bound)
+            for a, b, bound in ref.pairs(now, up, enforce, hops_only=1)
+        ]
+
+
+def run_schedule(plan):
+    net = _Net(plan["increments"], plan["edges"])
+    for index, up in enumerate(plan["links_up"]):
+        net.set_link(index, up)
+    checker = InvariantChecker(
+        net, interval_fs=INTERVAL_FS, slack_ticks=plan["slack"],
+        grace_fs=plan["grace"], raise_on_violation=plan["raising"],
+        transient_allowance_intervals=plan["allowance"],
+    )
+    ref = Reference(
+        net, checker.bound_ticks_per_hop, plan["slack"], plan["grace"],
+        plan["allowance"], plan["raising"],
+    )
+    names = list(net.devices)
+    for t, (ops, jitter, sample_first) in enumerate(plan["ticks"]):
+        net.sim.now = t * INTERVAL_FS
+        for op in ops:
+            _apply(op, net, checker, ref)
+        gc = {}
+        for i, name in enumerate(names):
+            gc[name] = plan["base"] + plan["group"][i] * plan["gap"] + 12 * t + jitter[i]
+            net.devices[name].value = gc[name]
+        if sample_first:
+            # The sampler can fire before the tick that sweeps new pairs in.
+            assert checker.worst_checkable_offset() == ref.worst(
+                net.sim.now, gc, net.up_edges()
+            )
+        raised = expected = None
+        try:
+            checker._tick()
+        except InvariantViolation as exc:
+            raised = exc
+        try:
+            ref.step(net.sim.now, gc, net.up_edges())
+        except ReferenceRaise as exc:
+            expected = exc
+        assert (raised is None) == (expected is None)
+        if raised is not None:
+            v = raised.violation
+            assert (v.time_fs, v.invariant, v.subject, v.detail) == expected.args[0]
+            assert raised.context["counters"] == expected.args[1]
+            assert set(raised.context["quarantined"]) == expected.args[2]
+            assert sorted(raised.context["healing"]) == expected.args[3]
+            return
+        _assert_same(checker, ref, net, gc)
+
+
+@seed(15)
+@settings(deadline=None)
+@given(schedules())
+def test_checker_matches_brute_force_reference(plan):
+    run_schedule(plan)
+
+
+def _plan(**overrides):
+    plan = {
+        "edges": [(0, 1), (1, 2), (3, 4)], "increments": [1] * 5,
+        "group": [0, 0, 0, 1, 1], "gap": 10**6, "base": 1000,
+        "links_up": [True, True, True], "grace": 0, "allowance": 0, "slack": 0,
+        "raising": False, "ticks": [([], [0, 1, 2, 0, 1], False)] * 4,
+    }
+    plan.update(overrides)
+    return plan
+
+
+def test_two_tight_components_far_apart_are_clean():
+    """A global max-min spread would flag this; per-component must not."""
+    plan = _plan()
+    run_schedule(plan)
+    net = _Net(plan["increments"], plan["edges"])
+    for index in range(3):
+        net.set_link(index, True)
+    checker = InvariantChecker(net, interval_fs=INTERVAL_FS, grace_fs=0)
+    for name, value in zip(net.devices, (1000, 1001, 1002, 10**6, 10**6 + 1)):
+        net.devices[name].value = value
+    checker._tick()
+    assert checker.pairs_checked == 4  # 3 pairs in one component, 1 in the other
+    assert checker.total_violations == 0
+    assert checker.worst_checkable_offset() == 2
+
+
+@pytest.mark.parametrize("raising", [False, True])
+def test_cross_node_wrap_branch_is_reached(raising):
+    """In bound (2^53 slack) yet 2^52 apart: the codec check must fire."""
+    run_schedule(_plan(
+        edges=[(0, 1)], increments=[1, 1], group=[0, 1], gap=1 << 52,
+        base=(1 << 52) - 30, links_up=[True], slack=1 << 53, raising=raising,
+        ticks=[([], [0, 1], False)] * 3,
+    ))
+    net = _Net([1, 1], [(0, 1)])
+    net.set_link(0, True)
+    checker = InvariantChecker(
+        net, interval_fs=INTERVAL_FS, grace_fs=0, slack_ticks=1 << 53
+    )
+    net.devices["n0"].value = 1 << 52
+    checker._tick()
+    assert checker.counts == {"wrap-codec": 1}
