@@ -1,24 +1,21 @@
-"""Core performance benchmarks, runnable as ``repro bench``.
+"""Same-process benchmark guards, runnable as ``repro bench``.
 
-One implementation of every timed measurement behind ``BENCH_core.json``:
-the engine micro-benchmark, the end-to-end Fig. 6a wall clock (scalar and
-batched backends, seed core when available), telemetry and insight
-overhead, and the :mod:`repro.fastpath` steady-state workload.  The pytest
-benchmark (``benchmarks/test_perf_core.py``) calls :func:`collect` and
-asserts the regression guards; ``repro bench`` calls the same
-:func:`collect` and rewrites ``BENCH_core.json`` atomically, so the
-recorded numbers never depend on which entry point produced them.
+What is here, and why it is not in ``e2e_bench``: the repo benchmark behind
+``BENCHMARK.json`` owns every absolute number (calibrated ``norm_wall``,
+``setup_s``, ``peak_rss_mb`` and the per-layer ledger: engine events/s,
+``shard.*``, ``insight.analyze_s``, the checker's dispatch share), each from
+a fresh process per commit.  What that cannot say is how two
+*implementations* compare on one host in one minute, and whether they
+produce the same bytes.  That is all this module records, one
+:data:`SECTIONS` function per ``BENCH_core.json`` key.  Every ratio comes
+from :func:`interleaved`; every other value is a count, a digest or a flag
+that repeats exactly.  No key holds a raw wall-clock reading: those moved by
+a third between recordings of unchanged code.  The layer pass also probes
+with :func:`engine_workload`, :func:`result_digest`, :func:`fastpath_chain_run`.
 
-Every timed section runs ``repeats`` times and reports the minimum — the
-standard way to strip scheduler/GC noise from a wall-clock benchmark: the
-fastest observed run is the closest to the code's true cost.
-
-The seed-core comparison (``events_per_sec_seed``, ``wall_s_seed``,
-``speedup_vs_seed``) needs ``benchmarks/_seed_core.py``, which ships in
-the repository but not in the installed package.  ``collect`` takes the
-loaded module as an argument; the CLI auto-discovers it by walking up
-from the working directory and simply omits the seed keys when it is not
-found (e.g. when running from an installed wheel).
+The seed core and the brute-force checker ship in the repository, not in
+the wheel: :func:`collect` takes the loaded seed module, and the CLI omits
+the comparisons that need it when it is not at or above the working directory.
 """
 
 from __future__ import annotations
@@ -30,6 +27,7 @@ import importlib.util
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -38,9 +36,11 @@ from .dtp.network import DtpNetwork
 from .experiments.fig6_dtp import Fig6DtpConfig, run_fig6_dtp
 from .ioutil import atomic_write_text, canonical_json
 from .network.topology import chain
+from .observe.snapshots import ObserveProbe, SnapshotTap
 from .sim import units
 from .sim.engine import MacroTickSimulator, Simulator
 from .sim.randomness import RandomStreams
+from .telemetry import Telemetry
 
 #: Synthetic engine workload: timer chains that reschedule (cancel + new
 #: event) every firing — the beacon-timeout pattern that stresses lazy
@@ -51,7 +51,7 @@ ENGINE_CHAINS = 64
 ENGINE_EVENTS = 200_000
 ENGINE_HEAP_PREFILL = 20_000
 
-TIMING_REPEATS = 3
+TIMING_REPEATS = 9
 
 FIG6A_CONFIG = dict(frame_name="mtu", duration_fs=2 * units.MS, seed=1)
 
@@ -59,18 +59,16 @@ FIG6A_CONFIG = dict(frame_name="mtu", duration_fs=2 * units.MS, seed=1)
 #: the join/measure warmup is a rounding error and nearly every beacon
 #: interval runs batched.  Both backends consume event sequence numbers
 #: identically (the coordinator mirrors the scalar allocation points), so
-#: events/sec uses the same numerator for both.
+#: the event count is the output the two runs must agree on.
 FASTPATH_CHAIN_HOSTS = 8
 FASTPATH_CHAIN_DURATION_FS = 20 * units.MS
 
 #: Checker workload: the repo benchmark's fabric -- fat-tree k=8 (336 nodes,
 #: 56,280 checkable pairs) at the paper's Fig. 6b beacon interval, 200 us.
 CHECKER_SPEC = {
-    "name": "bench-checker",
+    "name": "bench-checker", "duration_fs": 200 * units.US, "faults": [],
     "topology": {"kind": "fat-tree", "k": 8, "hosts_per_edge": 8},
-    "duration_fs": 200 * units.US,
     "config": {"beacon_interval_ticks": 1200},
-    "faults": [],
 }
 
 
@@ -115,11 +113,7 @@ def result_digest(result) -> str:
         h.update(series.label.encode())
         h.update(json.dumps(series.times_fs).encode())
         h.update(json.dumps(series.values).encode())
-    h.update(
-        json.dumps(
-            {k: str(v) for k, v in sorted(result.summary.items())}
-        ).encode()
-    )
+    h.update(json.dumps({k: str(v) for k, v in sorted(result.summary.items())}).encode())
     return h.hexdigest()
 
 
@@ -140,10 +134,7 @@ def run_fig6a(
 def fastpath_chain_run(backend: str) -> Tuple[int, float, int]:
     """Timed idle-chain run; returns (events, wall seconds, promotions)."""
     sim = MacroTickSimulator() if backend == "batched" else Simulator()
-    streams = RandomStreams(root_seed=3)
-    net = DtpNetwork(
-        sim, chain(FASTPATH_CHAIN_HOSTS), streams, backend=backend
-    )
+    net = DtpNetwork(sim, chain(FASTPATH_CHAIN_HOSTS), RandomStreams(root_seed=3), backend=backend)
     gc.collect()
     start = time.perf_counter()
     net.start()
@@ -154,27 +145,23 @@ def fastpath_chain_run(backend: str) -> Tuple[int, float, int]:
 
 
 def checker_run(brute_force=None) -> dict:
-    """One ``CHECKER_SPEC`` run with the checker's tick and the sampler's
-    ``worst_checkable_offset`` timed from outside: an observer rebinds both
-    on the instance.  ``brute_force(checker) -> (reference, tick)`` adds a
-    from-scratch tick right after every checker tick, timed separately.
-    """
+    """One ``CHECKER_SPEC`` run with every settled checker tick timed from
+    outside: an observer rebinds ``_tick`` on the instance.
+    ``brute_force(checker) -> (reference, tick)`` adds a from-scratch tick
+    right after every checker tick, timed separately."""
     from .faultlab.campaign import run_scenario
 
-    run = {"checker_s": 0.0, "ticks": [], "brute_ticks": []}
+    run = {"ticks": [], "brute_ticks": []}
 
     def observer(checker, **_):
-        tick, worst = checker._tick, checker.worst_checkable_offset
-        run["reference"], brute_tick = (
-            brute_force(checker) if brute_force else (None, None)
-        )
+        tick = checker._tick
+        run["reference"], brute_tick = brute_force(checker) if brute_force else (None, None)
 
         def timed_tick() -> None:
             pairs_before = checker.pairs_checked
             start = time.perf_counter()
             tick()
             wall = brute_wall = time.perf_counter() - start
-            run["checker_s"] += wall
             if brute_tick is not None:
                 start = time.perf_counter()
                 brute_tick()
@@ -183,36 +170,148 @@ def checker_run(brute_force=None) -> dict:
                 run["ticks"].append(wall)
                 run["brute_ticks"].append(brute_wall)
 
-        def timed_worst():
-            start = time.perf_counter()
-            value = worst()
-            run["checker_s"] += time.perf_counter() - start
-            return value
+        checker._tick = timed_tick
 
-        checker._tick, checker.worst_checkable_offset = timed_tick, timed_worst
-
-    gc.collect()
-    start = time.perf_counter()
     run["result"] = run_scenario(dict(CHECKER_SPEC), seed=1, observers=[observer])
-    run["wall"] = time.perf_counter() - start
     return run
 
 
-def collect_checker(repeats: int, seed_core=None) -> dict:
-    """The ``checker`` section: what the invariant checker costs on the
-    fabric and, in a checkout (``seed_core`` given: the brute-force
-    reference ships in ``tests/`` next to it), how much less than
-    re-deriving every pair on every tick."""
-    checker_run()  # warm
-    best = min((checker_run() for _ in range(repeats)), key=lambda r: r["wall"])
-    result = best["result"]
+def fig6a_dispatched(**options) -> int:
+    """Events one Fig. 6a run dispatches (the engine's dispatch profile): a
+    cost that repeats exactly, where a 5% wall-clock budget cannot be resolved."""
+    telemetry = Telemetry(trace=False, profile_dispatch=True)
+    run_fig6a(telemetry=telemetry, **options)
+    return telemetry.profile.total()
+
+
+def interleaved(base, variant, repeats: int, what: str):
+    """Time ``variant`` against ``base``; each returns ``(output, wall, ...)``.
+
+    Warms both once, then times ``repeats`` adjacent pairs, swapping which
+    side goes first so drift in the host's speed falls on both.  The ratio
+    is the median of the per-pair ``variant wall / base wall``: a burst of
+    host noise spoils one pair instead of picking one side's minimum.
+    Returns ``(ratio, last base run, last variant run)``; raises AssertionError
+    if the outputs ever differ — a comparison that changed the experiment must
+    never record a number as if it hadn't."""
+    base()
+    variant()
+    ratios = []
+    for pair in range(repeats):
+        if pair % 2:
+            variant_run, base_run = variant(), base()
+        else:
+            base_run, variant_run = base(), variant()
+        if variant_run[0] != base_run[0]:
+            raise AssertionError(f"{what} changed the output it is compared on")
+        ratios.append(variant_run[1] / base_run[1])
+    return statistics.median(ratios), base_run, variant_run
+
+
+def _engine(repeats: int, seed_core) -> dict:
+    """Heap loop vs the seed engine; the Python callback dilutes the win."""
+    if seed_core is None:
+        return {"workload_events": engine_workload(Simulator)[0]}
+    speedup, (events, _), _ = interleaved(
+        lambda: engine_workload(Simulator),
+        lambda: engine_workload(seed_core.SeedSimulator), repeats, "the optimized engine",
+    )
+    return {"workload_events": events, "speedup_vs_seed": round(speedup, 2)}
+
+
+def _fig6a(repeats: int, seed_core) -> dict:
+    """End-to-end Fig. 6a vs the seed core: not one sample may change."""
+    if seed_core is None:
+        return {"output_digest": run_fig6a()[0]}
+
+    def seed_run():
+        with seed_core.seed_implementation():
+            return run_fig6a()
+
+    speedup, (digest, _), _ = interleaved(run_fig6a, seed_run, repeats, "the optimized core")
+    return {"output_digest": digest, "speedup_vs_seed": round(speedup, 2),
+            "bit_identical_to_seed": True}
+
+
+def _telemetry(repeats: int, seed_core) -> dict:
+    """Traced over plain: the record hooks plus the one-pass ``trace_digest``."""
+
+    def traced():
+        telemetry = Telemetry()
+        digest, wall = run_fig6a(telemetry=telemetry)
+        start = time.perf_counter()
+        telemetry.trace_digest()
+        return digest, wall + time.perf_counter() - start, telemetry.tracer.recorded
+
+    ratio, _, (_, _, recorded) = interleaved(run_fig6a, traced, repeats, "tracing")
+    return {"traced_over_untraced": round(ratio, 2), "trace_recorded": recorded,
+            "bit_identical_to_untraced": True}
+
+
+def _fastpath(repeats: int, seed_core) -> dict:
+    """Batched vs the scalar oracle on its best case (the idle chain: nearly
+    every beacon interval batches) and its honest end-to-end case (saturated
+    Fig. 6a: traffic keeps the merged heap busy)."""
+    chain_speedup, (events, _, promoted), _ = interleaved(
+        lambda: fastpath_chain_run("batched"), lambda: fastpath_chain_run("scalar"),
+        repeats, "the batched backend (idle chain)",
+    )
+    fig6a_speedup, _, _ = interleaved(
+        lambda: run_fig6a(backend="batched"), run_fig6a,
+        repeats, "the batched backend (Fig. 6a)",
+    )
+    return {
+        "chain_events": events,
+        "chain_directions_promoted": promoted,
+        "chain_speedup_vs_scalar": round(chain_speedup, 2),
+        "fig6a_speedup_vs_scalar": round(fig6a_speedup, 2),
+        "fig6a_bit_identical_to_scalar": True,
+    }
+
+
+def _linkhealth(repeats: int, seed_core) -> dict:
+    """``repro.linkhealth`` on fault-free Fig. 6a arms one watchdog per link
+    and never fires a transition: the supervision floor, in wall-clock and in
+    the events the watchdogs add (the 5% budget is held on the latter)."""
+    ratio, _, _ = interleaved(
+        run_fig6a, lambda: run_fig6a(linkhealth=True), repeats, "idle link supervision"
+    )
+    return {"supervised_over_unsupervised": round(ratio, 3),
+            "events_unsupervised": fig6a_dispatched(),
+            "events_supervised": fig6a_dispatched(linkhealth=True),
+            "bit_identical_to_unsupervised": True}
+
+
+def _observe(repeats: int, seed_core) -> dict:
+    """Snapshot taps ride the traced run (the probe and its flush batching
+    only make sense with telemetry on), so the base is traced, not plain."""
+    header = {"scenario": "fig6a", "seed": FIG6A_CONFIG["seed"],
+              "duration_fs": FIG6A_CONFIG["duration_fs"], "sample_interval_fs": 100 * units.US}
+    with tempfile.TemporaryDirectory(prefix="bench-observe-") as directory:
+
+        def tapped():
+            tap = SnapshotTap(str(Path(directory) / "fig6a.snapshots.jsonl"), header)
+            probe = ObserveProbe(tap=tap)
+            digest, wall = run_fig6a(telemetry=Telemetry(), observe=probe)
+            tap.flush()
+            return digest, wall, probe.samples, tap.flushes
+
+        ratio, _, (_, _, samples, flushes) = interleaved(
+            lambda: run_fig6a(telemetry=Telemetry()), tapped, repeats, "the observe tap"
+        )
+    return {"tapped_over_traced": round(ratio, 3), "snapshots_emitted": samples,
+            "tap_flushes": flushes, "bit_identical_to_untapped": True}
+
+
+def _checker(repeats: int, seed_core) -> dict:
+    """The checker on the fabric and, in a checkout (the brute-force reference
+    ships in ``tests/`` beside the seed core), how much cheaper its settled tick
+    is.  The two ticks alternate inside one run: ``repeats`` has nothing to add."""
+    result = checker_run()["result"]
     section = {
         "nodes": result["nodes"],
         "checks_run": result["checks_run"],
         "pairs_checked": result["pairs_checked"],
-        "wall_s": round(best["wall"], 3),
-        "settled_tick_ms": round(statistics.median(best["ticks"]) * 1e3, 3),
-        "checker_share_of_wall": round(best["checker_s"] / best["wall"], 3),
         "result_digest": hashlib.sha256(canonical_json(result).encode()).hexdigest(),
     }
     reference_path = seed_core and (
@@ -221,373 +320,35 @@ def collect_checker(repeats: int, seed_core=None) -> dict:
     if reference_path and reference_path.is_file():
         run = checker_run(load_seed_core(reference_path).brute_force_tick)
         reference = run["reference"]
-        assert run["result"] == result, "timing the checker changed its output"
-        assert reference.pairs_checked == result["pairs_checked"]
-        assert reference.counts == result["violations"], "checker disagrees with brute force"
-        brute_ms = statistics.median(run["brute_ticks"]) * 1e3
-        section["brute_force_tick_ms"] = round(brute_ms, 3)
+        if run["result"] != result or (reference.pairs_checked, reference.counts) != (
+            result["pairs_checked"], result["violations"]
+        ):
+            raise AssertionError("checker disagrees with brute force, or timing changed it")
         section["brute_force_over_screened"] = round(
-            brute_ms / (statistics.median(run["ticks"]) * 1e3), 1
+            statistics.median(run["brute_ticks"]) / statistics.median(run["ticks"]), 1
         )
     return section
 
 
+SECTIONS = {
+    "engine": _engine,
+    "fig6a": _fig6a,
+    "telemetry": _telemetry,
+    "fastpath": _fastpath,
+    "linkhealth": _linkhealth,
+    "observe": _observe,
+    "checker": _checker,
+}
+
+
 def collect(repeats: int = TIMING_REPEATS, seed_core=None) -> dict:
-    """Measure everything and return the ``BENCH_core.json`` dict.
+    """Measure every section and return the ``BENCH_core.json`` dict.
 
-    ``seed_core`` is the loaded ``benchmarks/_seed_core.py`` module (or
-    None to skip the seed comparisons).  Raises AssertionError if any
-    bit-identical invariant fails — a benchmark that changed the
-    experiment output must never record numbers as if it hadn't.
-    """
-    # --- engine microbenchmark -------------------------------------------
-    engine_new_wall = engine_seed_wall = float("inf")
-    events_new = events_seed = 0
-    for _ in range(repeats):
-        events_new, wall = engine_workload(Simulator)
-        engine_new_wall = min(engine_new_wall, wall)
-        if seed_core is not None:
-            events_seed, wall = engine_workload(seed_core.SeedSimulator)
-            engine_seed_wall = min(engine_seed_wall, wall)
-    engine_eps_new = events_new / engine_new_wall
-    engine = {
-        "workload_events": events_new,
-        "events_per_sec": round(engine_eps_new),
-    }
-    if seed_core is not None:
-        assert events_new == events_seed
-        engine_eps_seed = events_seed / engine_seed_wall
-        engine["events_per_sec_seed"] = round(engine_eps_seed)
-        engine["speedup_vs_seed"] = round(engine_eps_new / engine_eps_seed, 2)
-
-    # --- end-to-end Fig. 6a ----------------------------------------------
-    # Warm once per implementation (imports, allocator, branch caches),
-    # then alternate timed runs and keep the per-implementation minimum.
-    run_fig6a()
-    if seed_core is not None:
-        with seed_core.seed_implementation():
-            run_fig6a()
-    fig6a_new_wall = fig6a_seed_wall = float("inf")
-    digest_new = digest_seed = ""
-    for _ in range(repeats):
-        digest_new, wall = run_fig6a()
-        fig6a_new_wall = min(fig6a_new_wall, wall)
-        if seed_core is not None:
-            with seed_core.seed_implementation():
-                digest_seed, wall = run_fig6a()
-            fig6a_seed_wall = min(fig6a_seed_wall, wall)
-    fig6a = {
-        "simulated_ms": FIG6A_CONFIG["duration_fs"] / units.MS,
-        "wall_s": round(fig6a_new_wall, 3),
-        "output_digest": digest_new,
-    }
-    if seed_core is not None:
-        # The optimization must not change a single sample or summary value.
-        assert digest_new == digest_seed, (
-            "optimized core changed experiment output"
-        )
-        fig6a["wall_s_seed"] = round(fig6a_seed_wall, 3)
-        fig6a["speedup_vs_seed"] = round(fig6a_seed_wall / fig6a_new_wall, 2)
-        fig6a["bit_identical_to_seed"] = digest_new == digest_seed
-
-    # --- telemetry overhead ----------------------------------------------
-    # What a traced result costs over a plain one: the record hooks during
-    # the run plus the one-pass ``trace_digest`` every telemetry result
-    # carries.  Interleaved re-measured baseline, same method (and reason)
-    # as the linkhealth section below.
-    from .telemetry import Telemetry
-
-    fig6a_base_wall = fig6a_traced_wall = trace_digest_wall = float("inf")
-    run_fig6a(telemetry=Telemetry())  # warm the traced path
-    telemetry = None
-    for _ in range(repeats):
-        _, wall = run_fig6a()
-        fig6a_base_wall = min(fig6a_base_wall, wall)
-        telemetry = Telemetry()
-        digest_traced, wall = run_fig6a(telemetry=telemetry)
-        fig6a_traced_wall = min(fig6a_traced_wall, wall)
-        start = time.perf_counter()
-        telemetry.trace_digest()
-        trace_digest_wall = min(trace_digest_wall, time.perf_counter() - start)
-    # Tracing must observe, never perturb: identical experiment output.
-    assert digest_traced == digest_new, "tracing changed experiment output"
-    bench_telemetry = {
-        "fig6a_wall_s_traced": round(fig6a_traced_wall, 3),
-        "trace_digest_s": round(trace_digest_wall, 3),
-        "traced_over_untraced": round(
-            (fig6a_traced_wall + trace_digest_wall) / fig6a_base_wall, 2
-        ),
-        "trace_recorded": telemetry.tracer.recorded,
-        "bit_identical_to_untraced": digest_traced == digest_new,
-    }
-
-    # --- insight analysis overhead ---------------------------------------
-    # Offline trace analytics must stay cheap relative to producing the
-    # trace: full index + timeline reconstruction + per-link bound
-    # decomposition of the traced Fig. 6a run under 20% of its wall time.
-    from .insight import decompose_links, reconstruct_timeline
-    from .telemetry import TraceIndex
-
-    insight_wall = float("inf")
-    links_decomposed = 0
-    anchors_total = 0
-    for _ in range(repeats):
-        gc.collect()
-        start = time.perf_counter()
-        index = TraceIndex.from_recorder(telemetry.tracer)
-        timeline = reconstruct_timeline(index)
-        scorecards = decompose_links(index, timeline=timeline)
-        wall = time.perf_counter() - start
-        insight_wall = min(insight_wall, wall)
-        links_decomposed = len(scorecards)
-        anchors_total = sum(len(n.anchors) for n in timeline.nodes.values())
-    insight = {
-        "analysis_wall_s": round(insight_wall, 3),
-        "analysis_over_traced_run": round(insight_wall / fig6a_traced_wall, 3),
-        "links_decomposed": links_decomposed,
-        "anchors_reconstructed": anchors_total,
-    }
-
-    # --- fastpath (batched backend) ---------------------------------------
-    # Two workloads: the steady-state idle chain, where nearly every
-    # beacon interval runs batched (the backend's best case), and the
-    # saturated Fig. 6a testbed, where traffic keeps the merged heap busy
-    # (the backend's honest end-to-end case).  Both must stay
-    # byte-identical to the scalar oracle, always.
-    fastpath_chain_run("batched")  # warm the kernels
-    chain_scalar_wall = chain_batched_wall = float("inf")
-    chain_events = promoted = 0
-    for _ in range(repeats):
-        events_s, wall, _ = fastpath_chain_run("scalar")
-        chain_scalar_wall = min(chain_scalar_wall, wall)
-        chain_events, wall, promoted = fastpath_chain_run("batched")
-        chain_batched_wall = min(chain_batched_wall, wall)
-        # Mirrored sequence allocation: same event count on both backends.
-        assert chain_events == events_s
-    fig6a_batched_wall = float("inf")
-    digest_batched = ""
-    run_fig6a(backend="batched")  # warm
-    for _ in range(repeats):
-        digest_batched, wall = run_fig6a(backend="batched")
-        fig6a_batched_wall = min(fig6a_batched_wall, wall)
-    assert digest_batched == digest_new, (
-        "batched backend changed experiment output"
-    )
-    fastpath = {
-        "chain_hosts": FASTPATH_CHAIN_HOSTS,
-        "chain_simulated_ms": FASTPATH_CHAIN_DURATION_FS / units.MS,
-        "chain_events": chain_events,
-        "chain_directions_promoted": promoted,
-        "chain_events_per_sec_scalar": round(chain_events / chain_scalar_wall),
-        "chain_events_per_sec_batched": round(
-            chain_events / chain_batched_wall
-        ),
-        "chain_speedup_vs_scalar": round(
-            chain_scalar_wall / chain_batched_wall, 2
-        ),
-        "fig6a_wall_s_batched": round(fig6a_batched_wall, 3),
-        "fig6a_speedup_vs_scalar": round(
-            fig6a_new_wall / fig6a_batched_wall, 2
-        ),
-        "fig6a_bit_identical_to_scalar": digest_batched == digest_new,
-    }
-
-    # --- link supervision overhead -----------------------------------------
-    # Enabling repro.linkhealth on the fault-free Fig. 6a run arms one
-    # watchdog per link direction but never fires a transition: the
-    # supervisors are pure observers, so the experiment output must be
-    # bit-identical and the wall-clock cost is the supervision floor the
-    # pytest benchmark caps at 5%.
-    # The 5% budget is tighter than this host's section-to-section drift
-    # (burstable CPUs were observed 20-40% apart minutes into a run), so
-    # the baseline is re-measured here, strictly interleaved with the
-    # supervised runs, instead of reusing ``fig6a_new_wall`` from above.
-    fig6a_plain_wall = fig6a_supervised_wall = float("inf")
-    digest_supervised = ""
-    run_fig6a(linkhealth=True)  # warm
-    for _ in range(repeats):
-        _, wall = run_fig6a()
-        fig6a_plain_wall = min(fig6a_plain_wall, wall)
-        digest_supervised, wall = run_fig6a(linkhealth=True)
-        fig6a_supervised_wall = min(fig6a_supervised_wall, wall)
-    assert digest_supervised == digest_new, (
-        "idle link supervision changed experiment output"
-    )
-    linkhealth = {
-        "fig6a_wall_s_supervised": round(fig6a_supervised_wall, 3),
-        "supervised_over_unsupervised": round(
-            fig6a_supervised_wall / fig6a_plain_wall, 3
-        ),
-        "bit_identical_to_unsupervised": digest_supervised == digest_new,
-    }
-
-    # --- observe tap overhead ----------------------------------------------
-    # Streaming snapshot taps piggyback on the traced run (the probe and
-    # its flush batching only make sense with telemetry on), so the
-    # budget compares traced+tapped against plain traced — interleaved
-    # re-measured baseline, same method as the linkhealth section.  The
-    # tap must observe, never perturb: bit-identical experiment output.
-    import shutil
-    import tempfile
-
-    from .observe.snapshots import ObserveProbe, SnapshotTap
-
-    observe_dir = tempfile.mkdtemp(prefix="bench-observe-")
-
-    def tapped_fig6a() -> Tuple[str, float, int]:
-        tap = SnapshotTap(
-            str(Path(observe_dir) / "fig6a.snapshots.jsonl"),
-            {"scenario": "fig6a", "seed": FIG6A_CONFIG["seed"],
-             "duration_fs": FIG6A_CONFIG["duration_fs"],
-             "sample_interval_fs": 100 * units.US},
-        )
-        probe = ObserveProbe(tap=tap)
-        digest, wall = run_fig6a(telemetry=Telemetry(), observe=probe)
-        tap.flush()
-        return digest, wall, probe.samples
-    try:
-        tapped_fig6a()  # warm
-        fig6a_traced_base_wall = fig6a_tapped_wall = float("inf")
-        digest_tapped = ""
-        tapped_samples = 0
-        for _ in range(repeats):
-            _, wall = run_fig6a(telemetry=Telemetry())
-            fig6a_traced_base_wall = min(fig6a_traced_base_wall, wall)
-            digest_tapped, wall, tapped_samples = tapped_fig6a()
-            fig6a_tapped_wall = min(fig6a_tapped_wall, wall)
-    finally:
-        shutil.rmtree(observe_dir, ignore_errors=True)
-    assert digest_tapped == digest_new, (
-        "observe tap changed experiment output"
-    )
-    observe = {
-        "fig6a_wall_s_tapped": round(fig6a_tapped_wall, 3),
-        "tapped_over_traced": round(
-            fig6a_tapped_wall / fig6a_traced_base_wall, 3
-        ),
-        "snapshots_emitted": tapped_samples,
-        "bit_identical_to_untapped": digest_tapped == digest_new,
-    }
-
-    # --- sharded backend ---------------------------------------------------
-    # Throughput of the conservative parallel backend on the clos-fabric
-    # scenario at 1/2/4 shards, against the serial oracle.  Every sharded
-    # run must produce the byte-identical result dict; the ratios are
-    # hardware truth, not a promise — on boxes with fewer usable CPUs than
-    # shards the workers time-slice one core and the ratio drops below 1
-    # (``usable_cpus`` records the context; the regression guard and the
-    # 2x acceptance test scale their expectations accordingly).
-    from .faultlab.campaign import run_scenario
-    from .faultlab.scenarios import builtin_specs
-    from .resilience import default_jobs
-    from .shard import run_sharded_scenario
-
-    shard_spec = builtin_specs(["clos-fabric"], quick=True)[0]
-    run_scenario(dict(shard_spec), seed=0)  # warm
-    serial_wall = float("inf")
-    serial_result = None
-    for _ in range(repeats):
-        gc.collect()
-        start = time.perf_counter()
-        serial_result = run_scenario(dict(shard_spec), seed=0)
-        serial_wall = min(serial_wall, time.perf_counter() - start)
-    shard_levels = {}
-    for count in (1, 2, 4):
-        best_wall = float("inf")
-        best_stats = None
-        for _ in range(repeats):
-            stats: dict = {}
-            gc.collect()
-            result = run_sharded_scenario(
-                dict(shard_spec), seed=0, shards=count, stats_out=stats
-            )
-            assert result == serial_result, (
-                "sharded backend changed scenario output"
-            )
-            wall = stats["wall_ns"] / 1e9
-            if wall < best_wall:
-                best_wall = wall
-                best_stats = stats
-        shard_levels[str(count)] = {
-            "events": best_stats["events"],
-            "rounds": best_stats["rounds"],
-            "wall_s": round(best_wall, 3),
-            "events_per_sec": round(best_stats["events"] / best_wall),
-            "speedup_vs_serial": round(serial_wall / best_wall, 2),
-            "bit_identical_to_serial": True,
-        }
-    shard = {
-        "scenario": shard_spec["name"],
-        "simulated_ms": shard_spec["duration_fs"] / units.MS,
-        "serial_wall_s": round(serial_wall, 3),
-        "usable_cpus": default_jobs(),
-        "shards": shard_levels,
-    }
-
-    return {
-        "engine": engine,
-        "fig6a": fig6a,
-        "telemetry": bench_telemetry,
-        "insight": insight,
-        "fastpath": fastpath,
-        "linkhealth": linkhealth,
-        "observe": observe,
-        "shard": shard,
-        "checker": collect_checker(repeats, seed_core),
-    }
+    ``seed_core`` is the loaded ``benchmarks/_seed_core.py`` module, or None to
+    skip what needs the repository.  An identity that fails raises AssertionError."""
+    return {name: section(repeats, seed_core) for name, section in SECTIONS.items()}
 
 
-def collect_shard_acceptance(
-    duration_fs: Optional[int] = None, shards: int = 4
-) -> dict:
-    """The fabric-scale shard acceptance measurement (docs/SHARDING.md).
-
-    Runs ``fat-tree-k8`` — 336 nodes, 1024 port directions, the 4TD
-    invariant checked across the full diameter — once serially and once
-    on ``shards`` workers, asserts the results are byte-identical, and
-    returns the measured ratio.  The full profile simulates one second;
-    pass a smaller ``duration_fs`` for smoke runs.  Expect the >= 2x
-    ratio only with at least ``shards`` usable CPUs.
-    """
-    from .faultlab.campaign import run_scenario
-    from .faultlab.scenarios import builtin_specs
-    from .resilience import default_jobs
-    from .shard import run_sharded_scenario
-
-    spec = builtin_specs(["fat-tree-k8"], quick=False)[0]
-    if duration_fs is not None:
-        spec["duration_fs"] = int(duration_fs)
-    gc.collect()
-    start = time.perf_counter()
-    serial_result = run_scenario(dict(spec), seed=0)
-    serial_wall = time.perf_counter() - start
-    stats: dict = {}
-    gc.collect()
-    sharded_result = run_sharded_scenario(
-        dict(spec), seed=0, shards=shards, stats_out=stats
-    )
-    assert sharded_result == serial_result, (
-        "sharded backend changed scenario output"
-    )
-    sharded_wall = stats["wall_ns"] / 1e9
-    return {
-        "scenario": spec["name"],
-        "simulated_ms": spec["duration_fs"] / units.MS,
-        "shards": shards,
-        "usable_cpus": default_jobs(),
-        "serial_wall_s": round(serial_wall, 3),
-        "sharded_wall_s": round(sharded_wall, 3),
-        "events": stats["events"],
-        "rounds": stats["rounds"],
-        "events_per_sec": round(stats["events"] / sharded_wall),
-        "speedup_vs_serial": round(serial_wall / sharded_wall, 2),
-        "bit_identical_to_serial": True,
-    }
-
-
-# ----------------------------------------------------------------------
-# CLI: ``repro bench``
-# ----------------------------------------------------------------------
 def find_seed_core(start: Optional[Path] = None) -> Optional[Path]:
     """Locate ``benchmarks/_seed_core.py`` at or above ``start`` (cwd)."""
     start = (start or Path.cwd()).resolve()
@@ -599,8 +360,7 @@ def find_seed_core(start: Optional[Path] = None) -> Optional[Path]:
 
 
 def load_seed_core(path: Path):
-    """Import a repository-only module (the seed core, the checker's
-    brute-force reference) from an explicit file path."""
+    """Import a repository-only module (seed core, checker reference) by file path."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -610,36 +370,17 @@ def load_seed_core(path: Path):
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description=(
-            "Run the core performance benchmarks and rewrite "
-            "BENCH_core.json (atomically)."
-        ),
+        description="Run the same-process benchmark guards and rewrite BENCH_core.json.",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=TIMING_REPEATS,
-        help="timed runs per section; the minimum is reported (default 3)",
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help=(
-            "output path (default: BENCH_core.json in the repository "
-            "holding benchmarks/_seed_core.py, else ./BENCH_core.json)"
-        ),
-    )
-    parser.add_argument(
-        "--no-seed", action="store_true",
-        help="skip the seed-core comparisons even if _seed_core.py is found",
-    )
-    parser.add_argument(
-        "--dry-run", action="store_true",
-        help="print the measurements without writing the file",
-    )
-    parser.add_argument(
-        "--shard-acceptance", action="store_true",
-        help="also run the fat-tree-k8 shard acceptance measurement "
-        "(one simulated second, serial then 4 shards; minutes of wall "
-        "time, wants >= 4 usable CPUs) and record it under shard.acceptance",
-    )
+    parser.add_argument("--repeats", type=int, default=TIMING_REPEATS,
+                        help="timed pairs per ratio; the median is reported (default %(default)s)")
+    parser.add_argument("--out", default=None,
+                        help="output path (default: BENCH_core.json in the repository holding "
+                        "benchmarks/_seed_core.py, else ./BENCH_core.json)")
+    parser.add_argument("--no-seed", action="store_true",
+                        help="skip the seed-core comparisons even if _seed_core.py is found")
+    parser.add_argument("--dry-run", action="store_true",
+                        help="print the measurements without writing the file")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -647,20 +388,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     seed_path = None if args.no_seed else find_seed_core()
     seed_core = load_seed_core(seed_path) if seed_path else None
     if seed_core is None and not args.no_seed:
-        print(
-            "benchmarks/_seed_core.py not found; omitting seed comparisons",
-            file=sys.stderr,
-        )
-    if args.out:
-        out = Path(args.out)
-    elif seed_path is not None:
-        out = seed_path.parent.parent / "BENCH_core.json"
-    else:
-        out = Path("BENCH_core.json")
+        print("benchmarks/_seed_core.py not found; omitting seed comparisons", file=sys.stderr)
+    root = seed_path.parent.parent if seed_path else Path()
+    out = Path(args.out) if args.out else root / "BENCH_core.json"
 
     bench = collect(repeats=args.repeats, seed_core=seed_core)
-    if args.shard_acceptance:
-        bench["shard"]["acceptance"] = collect_shard_acceptance()
     print(json.dumps(bench, indent=2))
     if not args.dry_run:
         atomic_write_text(str(out), json.dumps(bench, indent=2) + "\n")

@@ -155,7 +155,7 @@ class DtpNetwork:
 
         #: Batched-backend coordinator (``repro.fastpath``), or None under
         #: the scalar backend.  Imported lazily so scalar runs never load
-        #: numpy-adjacent modules.
+        #: the coordinator.
         self.backend = backend
         self.fastpath = None
         if backend == "batched":

@@ -2,9 +2,9 @@
 
 See :mod:`repro.fastpath.coordinator` for the execution model and the
 bit-identical equivalence argument and :mod:`repro.fastpath.eligibility`
-for the promotion rules.  :mod:`repro.fastpath.kernels` is not part of the
-fast path: it is a numpy cross-check of the oscillator's tick → edge-time
-map that the equivalence tests run against the scalar oracle.
+for the promotion rules.  The package is pure Python; the vectorized
+cross-check of the oscillator's tick → edge-time map that the equivalence
+tests run against the scalar oracle lives in ``tests/fastpath_kernels.py``.
 """
 
 from .coordinator import FastpathCoordinator

@@ -194,8 +194,8 @@ def _fat_tree_k8(quick: bool) -> Dict[str, object]:
     # The ROADMAP north-star shape: a k=8 fat-tree with 8 hosts per edge
     # switch — 336 nodes, 1024 port directions, diameter 6, so the 4TD
     # invariant is checked across the paper's full-diameter bound.  The
-    # full profile runs one simulated second (the shard-acceptance
-    # workload); quick keeps CI honest at a few beacon intervals.
+    # full profile runs one simulated second; quick keeps CI honest at a
+    # few beacon intervals.
     return {
         "name": "fat-tree-k8",
         "topology": {"kind": "fat-tree", "k": 8, "hosts_per_edge": 8},

@@ -24,11 +24,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-try:  # vectorized offset grids; the scalar path below is the reference
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 from ..dtp import messages as dtpmsg
 from ..phy.specs import PHY_10G
 from ..telemetry.events import (
@@ -113,7 +108,6 @@ class Timeline:
         # Lazy per-node anchor caches; valid because anchors are frozen
         # once reconstruct_timeline() returns.
         self._anchor_times: Dict[str, List[int]] = {}
-        self._anchor_arrays: Dict[str, tuple] = {}
 
     def _node_anchor_times(self, node: str) -> Optional[List[int]]:
         times = self._anchor_times.get(node)
@@ -124,23 +118,6 @@ class Timeline:
             times = [t for t, _low in timeline.anchors]
             self._anchor_times[node] = times
         return times
-
-    def _node_anchor_arrays(self, node: str):
-        arrays = self._anchor_arrays.get(node)
-        if arrays is None:
-            timeline = self.nodes.get(node)
-            if timeline is None or not timeline.anchors:
-                return None
-            count = len(timeline.anchors)
-            times = _np.fromiter(
-                (t for t, _low in timeline.anchors), dtype=_np.int64, count=count
-            )
-            lows = _np.fromiter(
-                (low for _t, low in timeline.anchors), dtype=_np.int64, count=count
-            )
-            arrays = (times, lows)
-            self._anchor_arrays[node] = arrays
-        return arrays
 
     # ------------------------------------------------------------------
     # Offset reconstruction
@@ -203,72 +180,13 @@ class Timeline:
         times_fs: List[int],
         max_extrapolation_fs: Optional[int] = None,
     ) -> List[Tuple[int, int]]:
-        """``(t, offset)`` samples, skipping times either node can't cover.
-
-        Large grids take the vectorized path; it computes the identical
-        integer arithmetic as :meth:`pair_offset_at` in int64 (all values
-        fit: counters are 53-bit, extrapolation windows are bounded).
-        """
-        if _np is not None and len(times_fs) > 32:
-            vectorized = self._offset_series_grid(a, b, times_fs, max_extrapolation_fs)
-            if vectorized is not None:
-                return vectorized
+        """``(t, offset)`` samples, skipping times either node can't cover."""
         series = []
         for t in times_fs:
             offset = self.pair_offset_at(a, b, t, max_extrapolation_fs)
             if offset is not None:
                 series.append((t, offset))
         return series
-
-    def _gc_low_grid(self, node: str, times, max_extrapolation_fs: Optional[int]):
-        """Vector twin of :meth:`gc_low_at` over an int64 time grid."""
-        arrays = self._node_anchor_arrays(node)
-        if arrays is None:
-            return None
-        anchor_times, anchor_lows = arrays
-        last = len(anchor_times) - 1
-        lo = _np.searchsorted(anchor_times, times, side="left")
-        left = _np.clip(lo - 1, 0, last)
-        right = _np.clip(lo, 0, last)
-        # Nearest anchor, ties to the left — same rule as the scalar path.
-        pick = _np.where(
-            _np.abs(times - anchor_times[left]) <= _np.abs(times - anchor_times[right]),
-            left,
-            right,
-        )
-        dt = times - anchor_times[pick]
-        if max_extrapolation_fs is None:
-            valid = _np.ones(len(times), dtype=bool)
-        else:
-            valid = _np.abs(dt) <= max_extrapolation_fs
-        ticks = (dt + self.period_fs // 2) // self.period_fs
-        modulus = 1 << dtpmsg.COUNTER_LOW_BITS
-        low = (anchor_lows[pick] + ticks * self.increment) % modulus
-        return low, valid
-
-    def _offset_series_grid(
-        self,
-        a: str,
-        b: str,
-        times_fs: List[int],
-        max_extrapolation_fs: Optional[int],
-    ) -> Optional[List[Tuple[int, int]]]:
-        times = _np.asarray(times_fs, dtype=_np.int64)
-        grid_a = self._gc_low_grid(a, times, max_extrapolation_fs)
-        grid_b = self._gc_low_grid(b, times, max_extrapolation_fs)
-        if grid_a is None or grid_b is None:
-            return []
-        low_a, valid_a = grid_a
-        low_b, valid_b = grid_b
-        modulus = 1 << dtpmsg.COUNTER_LOW_BITS
-        half = modulus >> 1
-        offsets = (low_a - low_b + half) % modulus - half
-        valid = valid_a & valid_b
-        return [
-            (int(t), int(offset))
-            for t, offset, ok in zip(times, offsets, valid)
-            if ok
-        ]
 
     def sample_times(self, interval_fs: int) -> List[int]:
         """A regular sampling grid spanning every node's anchors."""

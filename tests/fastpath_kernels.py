@@ -1,12 +1,14 @@
 """Vectorized cross-check of the oscillator's tick → edge-time map.
 
-Not the fast path: the batched coordinator (:mod:`repro.fastpath.coordinator`)
-is pure Python.  Within one oscillator segment (piecewise-constant
-period, ~1 ms of simulated time) an edge time is an integer affine
-function of the tick index, so :func:`edge_times` fills whole tick grids
-with one numpy operation per *segment*, and :func:`crosscheck_edge_times`
-compares that grid against the scalar ``Oscillator.time_of_tick`` oracle
-tick by tick — the equivalence tests assert the two never disagree.
+Test-time only, like ``tests/checker_reference.py``: nothing under
+``src/repro`` imports numpy, and the batched coordinator
+(:mod:`repro.fastpath.coordinator`) is pure Python.  Within one oscillator
+segment (piecewise-constant period, ~1 ms of simulated time) an edge time
+is an integer affine function of the tick index, so :func:`edge_times`
+fills whole tick grids with one numpy operation per *segment*, and
+:func:`crosscheck_edge_times` compares that grid against the scalar
+``Oscillator.time_of_tick`` oracle tick by tick — the equivalence tests
+assert the two never disagree.
 
 All times are int64 femtoseconds.
 """
@@ -17,7 +19,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..clocks.oscillator import Oscillator
+from repro.clocks.oscillator import Oscillator
 
 
 def edge_times(osc: Oscillator, ticks: np.ndarray) -> np.ndarray:

@@ -3,10 +3,18 @@
 The measurements themselves are exercised (with real guards) by
 ``benchmarks/test_perf_core.py``; here the timed collection is stubbed so
 the CLI contract — seed-core auto-discovery, atomic rewrite of
-``BENCH_core.json``, ``--dry-run`` / ``--out`` — stays cheap to verify.
+``BENCH_core.json``, ``--dry-run`` / ``--out`` — stays cheap to verify,
+and nothing is timed.  The last block holds ``repro.bench.SECTIONS``, the
+guard table and the committed record to one another, so the three cannot
+drift apart unseen.
 """
 
+import inspect
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +78,114 @@ def test_bench_no_seed_skips_seed_core(stub_collect, tmp_path):
 def test_bench_rejects_zero_repeats(stub_collect):
     with pytest.raises(SystemExit):
         repro_main(["bench", "--repeats", "0"])
+
+
+# ----------------------------------------------------------------------
+# bench.SECTIONS == BENCH_core.json == the guard table
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def record():
+    return json.loads((REPO_ROOT / "BENCH_core.json").read_text())
+
+
+@pytest.fixture
+def guards(monkeypatch):
+    # The guard module imports ``_seed_core`` by bare name, as pytest's
+    # rootdir-relative sys.path gives it when run from ``benchmarks/``.
+    monkeypatch.syspath_prepend(str(REPO_ROOT / "benchmarks"))
+    return bench.load_seed_core(REPO_ROOT / "benchmarks" / "test_perf_core.py")
+
+
+def test_sections_are_the_record_keys(record):
+    assert set(bench.SECTIONS) == set(record)
+    assert len(bench.SECTIONS) == 7
+
+
+def test_every_guard_names_a_recorded_ratio(record, guards):
+    for section, key, op, bound, why in guards.GUARDS:
+        assert isinstance(record[section][key], float), (section, key)
+        assert op in (">=", "<=") and why
+    # ... and nothing timed escapes the table: every other value in the
+    # record is a count, a digest or a flag, which repeat exactly.
+    named = {(section, key) for section, key, *_ in guards.GUARDS}
+    for section, values in record.items():
+        for key, value in values.items():
+            assert (section, key) in named or isinstance(value, (int, str)), (section, key)
+
+
+def test_advisory_budgets_are_held_on_recorded_counts(record, guards):
+    # A ratio guard may only warn if its budget also stands on something exact.
+    assert guards.ADVISORY == {
+        ("linkhealth", "supervised_over_unsupervised"), ("observe", "tapped_over_traced"),
+    } and guards.ADVISORY <= {(section, key) for section, key, *_ in guards.GUARDS}
+    supervision, tap = record["linkhealth"], record["observe"]
+    watchdog_events = supervision["events_supervised"] - supervision["events_unsupervised"]
+    assert 0 < watchdog_events <= 0.05 * supervision["events_unsupervised"]
+    assert (tap["snapshots_emitted"], tap["tap_flushes"]) == (20, 2)
+
+
+def test_record_holds_no_raw_timing(record):
+    raw = re.compile(r"wall|_s$|_ms$|per_sec")
+    assert not [
+        (section, key)
+        for section, values in record.items()
+        for key in values
+        if raw.search(key)
+    ]
+    assert record["fig6a"]["output_digest"].startswith("7c294cfa")
+    assert record["checker"]["result_digest"].startswith("3e29e332")
+
+
+def test_bench_help_has_no_shard_acceptance(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        repro_main(["bench", "--help"])
+    assert exit_info.value.code == 0
+    assert "shard" not in capsys.readouterr().out
+
+
+def test_collect_signature_and_section_loop(monkeypatch):
+    parameters = inspect.signature(bench.collect).parameters
+    assert list(parameters) == ["repeats", "seed_core"]
+    assert parameters["seed_core"].default is None
+    calls = []
+    monkeypatch.setattr(
+        bench, "SECTIONS",
+        {"a": lambda *args: calls.append(args) or {"x": 1}, "b": lambda *args: {"y": 2}},
+    )
+    assert bench.collect(4, seed_core="seed") == {"a": {"x": 1}, "b": {"y": 2}}
+    assert calls == [(4, "seed")]
+
+
+def test_interleaved_takes_the_median_of_adjacent_pairs():
+    order = []
+    base_walls = iter([9.0, 1.0, 2.0, 4.0])     # first of each is the warm-up
+    variant_walls = iter([9.0, 3.0, 2.0, 20.0])
+
+    def side(name, walls):
+        def run():
+            order.append(name)
+            return "same", next(walls), name
+        return run
+
+    ratio, base_run, variant_run = bench.interleaved(
+        side("base", base_walls), side("variant", variant_walls), 3, "the variant"
+    )
+    assert ratio == 3.0                          # median of 3/1, 2/2, 20/4
+    assert (base_run, variant_run) == (("same", 4.0, "base"), ("same", 20.0, "variant"))
+    # Warm-up, then pairs that swap which side goes first.
+    assert order == ["base", "variant"] + ["base", "variant", "variant", "base", "base", "variant"]
+
+
+def test_interleaved_refuses_differing_outputs():
+    with pytest.raises(AssertionError, match="tracing changed the output"):
+        bench.interleaved(lambda: ("a", 1.0), lambda: ("b", 1.0), 1, "tracing")
+
+
+def test_src_repro_imports_leave_numpy_out():
+    code = (
+        "import sys, repro.bench, repro.insight, repro.fastpath, repro.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

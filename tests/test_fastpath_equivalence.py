@@ -19,7 +19,6 @@ from repro.fastpath import (
     direction_ineligible_reason,
     eligibility_report,
 )
-from repro.fastpath.kernels import crosscheck_edge_times
 from repro.faultlab.campaign import metrics_digest, run_scenario
 from repro.network.topology import chain, clos
 from repro.sim import units
@@ -262,7 +261,8 @@ def test_coordinator_requires_macrotick_sim():
 # Vectorized kernels vs the scalar oracle
 # ----------------------------------------------------------------------
 def test_edge_times_kernel_matches_oracle():
-    import numpy as np
+    np = pytest.importorskip("numpy")
+    from tests.fastpath_kernels import crosscheck_edge_times
 
     sim = Simulator()
     streams = RandomStreams(root_seed=7)

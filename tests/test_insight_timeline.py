@@ -113,6 +113,28 @@ def test_gc_extrapolation_matches_anchor_exactly():
     assert timeline.gc_low_at("missing", t) is None
 
 
+def test_offset_series_is_pair_offset_at_on_a_large_grid():
+    """``offset_series`` is ``pair_offset_at`` per grid point, minus the points
+    the extrapolation cap drops, whatever the grid's length."""
+    _net, telemetry, _truth = _traced_chain(
+        3, (40.0, -60.0, 90.0), seed=5,
+        duration_fs=300 * units.US, sample_interval_fs=100 * units.US,
+    )
+    timeline = reconstruct_timeline(TraceIndex.from_recorder(telemetry.tracer))
+    cap = 4 * 200 * timeline.period_fs
+    # Runs off both ends of the anchors, so the cap drops some points.
+    grid = list(range(0, 400 * units.US, 3 * units.US))
+    assert len(grid) > 32
+    for a, b in (("n0", "n2"), ("n1", "n0"), ("n0", "missing")):
+        expected = [
+            (t, offset)
+            for t in grid
+            if (offset := timeline.pair_offset_at(a, b, t, cap)) is not None
+        ]
+        assert timeline.offset_series(a, b, grid, cap) == expected
+        assert len(expected) < len(grid)
+
+
 # Derandomized like the faultlab property tests: CI must be reproducible.
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(
