@@ -53,8 +53,16 @@ GUARDS = [
     ("fastpath", "chain_speedup_vs_scalar", ">=", 1.6,
      "reads 2.3-2.5 where nearly everything promotes; exact equivalence (mirrored sequence "
      "numbers, scalar re-execution of irregular intervals) caps the win in CPython"),
+    ("fastpath", "traced_chain_speedup_vs_scalar", ">=", 1.5,
+     "the same chain with the coordinator emitting the scalar path's records (equal "
+     "trace_digest): reads 2.1-2.25, the record calls being the same cost on both sides"),
     ("fastpath", "fig6a_speedup_vs_scalar", ">=", 1.25,
-     "reads 1.8-2.1 on the saturated testbed, where traffic keeps the merged heap busy"),
+     "reads 1.8-2.1 on the saturated testbed, where traffic keeps the merged heap busy; "
+     "untraced, so it also holds the coordinator's `record is not None` tests to nothing"),
+    ("fastpath", "refused_over_scalar", "<=", 1.05,
+     "a scenario in which no direction may batch builds no coordinator and runs the inherited "
+     "loops: an A/A pair but for the engine class, reads 0.99-1.03; 1.07-1.17 when every "
+     "beacon of every refused port re-walked the eligibility checks"),
     ("linkhealth", "supervised_over_unsupervised", "<=", 1.05,
      "the budget docs/LINKHEALTH.md states; reads 1.01-1.20 over thirteen fresh processes, same code"),
     ("observe", "tapped_over_traced", "<=", 1.05,
@@ -67,9 +75,14 @@ GUARDS = [
 
 #: Rows whose budget is tighter than the A/A control resolves.  That budget is
 #: held exactly in ``test_bench_identities`` (4,444 watchdog events on 142,581;
-#: 20 snapshots in 2 flushes); a wall-clock reading over it warns, so a
-#: per-event cost that grew still shows, without failing one run in two on noise.
-ADVISORY = {("linkhealth", "supervised_over_unsupervised"), ("observe", "tapped_over_traced")}
+#: 20 snapshots in 2 flushes; no coordinator built); a wall-clock reading over
+#: it warns, so a per-event cost that grew still shows, without failing one run
+#: in two on noise.
+ADVISORY = {
+    ("linkhealth", "supervised_over_unsupervised"),
+    ("observe", "tapped_over_traced"),
+    ("fastpath", "refused_over_scalar"),
+}
 
 _COMPARE = {">=": operator.ge, "<=": operator.le}
 
@@ -102,7 +115,14 @@ def test_bench_identities(bench):
     }
     assert len(flags) == 5 and all(flags.values()), flags
     assert bench["checker"]["pairs_checked"] == 19 * 56_280
-    assert bench["fastpath"]["chain_directions_promoted"] > 0
+    fastpath = bench["fastpath"]
+    assert fastpath["chain_directions_promoted"] > 0
+    assert fastpath["traced_chain_directions_promoted"] == fastpath["chain_directions_promoted"], (
+        "tracing kept a direction on the scalar path"
+    )
+    assert not fastpath["refused_coordinator_built"], (
+        "a run in which nothing can promote still built a FastpathCoordinator"
+    )
     supervision, tap = bench["linkhealth"], bench["observe"]
     assert supervision["events_supervised"] <= 1.05 * supervision["events_unsupervised"], (
         "idle watchdogs dispatch more than 5% of the run's events"

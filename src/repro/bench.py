@@ -62,6 +62,13 @@ FIG6A_CONFIG = dict(frame_name="mtu", duration_fs=2 * units.MS, seed=1)
 #: the event count is the output the two runs must agree on.
 FASTPATH_CHAIN_HOSTS = 8
 FASTPATH_CHAIN_DURATION_FS = 20 * units.MS
+#: The traced chain overflows the 65,536-record ring in a quarter of that;
+#: the digest both runs must agree on covers what the ring still holds.
+FASTPATH_TRACED_DURATION_FS = 5 * units.MS
+#: The refused workload: a builtin whose every endpoint is fault-armed, so
+#: no direction may ever batch, stretched until one run is ~0.4 s.
+FASTPATH_REFUSED_BUILTIN = "two-faced"
+FASTPATH_REFUSED_DURATION_FS = 10 * units.MS
 
 #: Checker workload: the repo benchmark's fabric -- fat-tree k=8 (336 nodes,
 #: 56,280 checkable pairs) at the paper's Fig. 6b beacon interval, 200 us.
@@ -131,17 +138,44 @@ def run_fig6a(
     return result_digest(result), wall
 
 
-def fastpath_chain_run(backend: str) -> Tuple[int, float, int]:
-    """Timed idle-chain run; returns (events, wall seconds, promotions)."""
+def fastpath_chain_run(backend: str, traced: bool = False) -> Tuple[object, float, int]:
+    """Timed idle-chain run; returns (events, wall seconds, promotions).
+
+    ``traced`` records the run (hooks only: the digest is taken outside the
+    timed region) and returns ``(events, trace digest, records)`` first."""
+    telemetry = Telemetry() if traced else None
     sim = MacroTickSimulator() if backend == "batched" else Simulator()
-    net = DtpNetwork(sim, chain(FASTPATH_CHAIN_HOSTS), RandomStreams(root_seed=3), backend=backend)
+    net = DtpNetwork(
+        sim, chain(FASTPATH_CHAIN_HOSTS), RandomStreams(root_seed=3),
+        telemetry=telemetry, backend=backend,
+    )
     gc.collect()
     start = time.perf_counter()
     net.start()
-    sim.run_until(FASTPATH_CHAIN_DURATION_FS)
+    sim.run_until(FASTPATH_TRACED_DURATION_FS if traced else FASTPATH_CHAIN_DURATION_FS)
     wall = time.perf_counter() - start
     promoted = net.fastpath.promotions if backend == "batched" else 0
+    if traced:
+        return (sim._seq, telemetry.trace_digest(), telemetry.tracer.recorded), wall, promoted
     return sim._seq, wall, promoted
+
+
+def fastpath_refused_run(backend: str) -> Tuple[str, float, bool]:
+    """Timed all-tainted scenario; returns (result digest, wall seconds,
+    whether a coordinator was built)."""
+    from .faultlab.campaign import metrics_digest, run_scenario
+    from .faultlab.scenarios import builtin_specs
+
+    spec = builtin_specs([FASTPATH_REFUSED_BUILTIN])[0]
+    spec["duration_fs"] = FASTPATH_REFUSED_DURATION_FS
+    live = {}
+    gc.collect()
+    start = time.perf_counter()
+    result = run_scenario(
+        spec, seed=1, backend=backend, observers=[lambda **run: live.update(run)]
+    )
+    wall = time.perf_counter() - start
+    return metrics_digest(result), wall, live["network"].fastpath is not None
 
 
 def checker_run(brute_force=None) -> dict:
@@ -250,22 +284,38 @@ def _telemetry(repeats: int, seed_core) -> dict:
 
 def _fastpath(repeats: int, seed_core) -> dict:
     """Batched vs the scalar oracle on its best case (the idle chain: nearly
-    every beacon interval batches) and its honest end-to-end case (saturated
-    Fig. 6a: traffic keeps the merged heap busy)."""
+    every beacon interval batches), the same chain with the coordinator
+    emitting the trace, its honest end-to-end case (saturated Fig. 6a:
+    traffic keeps the merged heap busy), and its worst (nothing may batch,
+    so being the default must cost nothing)."""
     chain_speedup, (events, _, promoted), _ = interleaved(
         lambda: fastpath_chain_run("batched"), lambda: fastpath_chain_run("scalar"),
         repeats, "the batched backend (idle chain)",
+    )
+    traced_speedup, ((_, _, recorded), _, traced_promoted), _ = interleaved(
+        lambda: fastpath_chain_run("batched", traced=True),
+        lambda: fastpath_chain_run("scalar", traced=True),
+        repeats, "the batched backend (traced idle chain)",
     )
     fig6a_speedup, _, _ = interleaved(
         lambda: run_fig6a(backend="batched"), run_fig6a,
         repeats, "the batched backend (Fig. 6a)",
     )
+    refused, _, (_, _, coordinator_built) = interleaved(
+        lambda: fastpath_refused_run("scalar"), lambda: fastpath_refused_run("batched"),
+        repeats, "the batched backend (nothing may batch)",
+    )
     return {
         "chain_events": events,
         "chain_directions_promoted": promoted,
         "chain_speedup_vs_scalar": round(chain_speedup, 2),
+        "traced_chain_records": recorded,
+        "traced_chain_directions_promoted": traced_promoted,
+        "traced_chain_speedup_vs_scalar": round(traced_speedup, 2),
         "fig6a_speedup_vs_scalar": round(fig6a_speedup, 2),
         "fig6a_bit_identical_to_scalar": True,
+        "refused_coordinator_built": coordinator_built,
+        "refused_over_scalar": round(refused, 3),
     }
 
 

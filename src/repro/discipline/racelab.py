@@ -400,9 +400,9 @@ EXTRA_RACE_SCENARIOS: Dict[str, tuple] = {
         {"burst_probability": 0.55, "burst_max_packets": 18},
     ),
     # The 128-direction fabric track: servo behavior over a multi-path
-    # Clos rather than a chain.  Races always run on the scalar backend
-    # (observers), so this doubles as the race card for the topology the
-    # sharded backend benches on.
+    # Clos rather than a chain.  Races run in one live process (observers
+    # rule out sharding), so this doubles as the race card for the
+    # topology the sharded backend benches on.
     "clos-fabric": (FABRIC_SCENARIOS["clos-fabric"], {}),
 }
 

@@ -153,19 +153,29 @@ class DtpNetwork:
             self.ports[(edge.a, edge.b)] = port_a
             self.ports[(edge.b, edge.a)] = port_b
 
-        #: Batched-backend coordinator (``repro.fastpath``), or None under
-        #: the scalar backend.  Imported lazily so scalar runs never load
-        #: the coordinator.
+        #: Batched-backend coordinator (``repro.fastpath``); None under the
+        #: scalar backend and when no port could ever promote (every
+        #: endpoint fault-armed, a dispatch profile on the engine, ...),
+        #: in which case the engine runs its inherited scalar loops.
+        #: Refusals that cannot change during a run are settled here, once:
+        #: only a port that passes them carries the ``_fastpath`` hook.
+        #: Imported lazily so scalar runs never load the coordinator.
         self.backend = backend
         self.fastpath = None
         if backend == "batched":
-            from ..fastpath import FastpathCoordinator
+            from ..fastpath import FastpathCoordinator, static_ineligible_reason
 
-            self.fastpath = FastpathCoordinator(
-                sim, frozenset(tainted_nodes or frozenset())
-            )
-            for port in self.ports.values():
-                port._fastpath = self.fastpath
+            tainted = frozenset(tainted_nodes or ())
+            promotable = [
+                port for port in self.ports.values()
+                if static_ineligible_reason(port, tainted) is None
+            ]
+            if promotable:
+                self.fastpath = FastpathCoordinator(
+                    sim, tainted, telemetry.tracer if telemetry is not None else None
+                )
+                for port in promotable:
+                    port._fastpath = self.fastpath
 
         #: Single link-state authority: faults and the recovery FSM all
         #: change link state through this gate.

@@ -111,7 +111,8 @@ def run_fig6_dtp(
         # fig6a installs traffic generators, log channels, and a
         # true-offset watcher directly on the live network — custom
         # events the conservative shard protocol cannot replay (the same
-        # reason run_scenario rejects observers under --backend sharded).
+        # reason the sharded driver, alone of the three, rejects
+        # run_scenario observers).
         raise ValueError(
             "backend='sharded' supports spec-driven faultlab scenarios "
             "only; fig6a's traffic/log drivers need one live process "

@@ -12,6 +12,7 @@ from .eligibility import (
     direction_eligible,
     direction_ineligible_reason,
     eligibility_report,
+    static_ineligible_reason,
 )
 
 __all__ = [
@@ -19,4 +20,5 @@ __all__ = [
     "direction_eligible",
     "direction_ineligible_reason",
     "eligibility_report",
+    "static_ineligible_reason",
 ]

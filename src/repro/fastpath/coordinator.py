@@ -30,9 +30,16 @@ dispatches through the full port machinery.
   in place at virtual-event time, so any scalar event — an invariant
   checker tick, a logger, a watcher — reads exactly what it would have
   read mid-chain in a scalar run.
+* With telemetry tracing on, each stage appends the records the scalar
+  handler it stands for would have appended — ``EV_TX`` in CAPTURE,
+  ``EV_RX`` then ``EV_REJECT`` / ``EV_JUMP`` in APPLY, ``EV_PEER_FAULT``
+  on a tripped fault window — with the same five ints.  Dispatch order
+  is the scalar order, so the trace ring (and every artifact cut from
+  it) is byte-identical too.
 * Anything irregular demotes the direction: pending virtual events are
-  re-materialized as real heap events at their original times and the
-  scalar path finishes the chain (``link_down``, a tripped fault window).
+  re-materialized as real heap events at their original times and
+  sequence numbers and the scalar path finishes the chain (``link_down``,
+  a tripped fault window).
   Fault-armed devices never promote at all (see ``eligibility``).
 
 The stage bodies exist twice: inlined in :meth:`run_merged` (the hot
@@ -52,6 +59,14 @@ from ..dtp import messages as dtpmsg
 from ..dtp.port import DtpPort
 from ..phy.blocks import IDLE_WIRE_BASE
 from ..sim.engine import MacroTickSimulator, SimulationError
+from ..telemetry.events import (
+    EV_JUMP,
+    EV_PEER_FAULT,
+    EV_REJECT,
+    EV_RX,
+    EV_TX,
+    REJECT_RANGE,
+)
 from .eligibility import direction_ineligible_reason
 
 #: Virtual-event stages.  BEACON and BEACON_MSB flavors are distinct so
@@ -64,6 +79,9 @@ ARR_M = 4
 APP_B = 5
 APP_M = 6
 
+#: Message types as the plain ints trace records carry in field ``a``.
+_BEACON = int(dtpmsg.MessageType.BEACON)
+_MSB = int(dtpmsg.MessageType.BEACON_MSB)
 _SHIFTED_BEACON = dtpmsg.SHIFTED_TYPE[dtpmsg.MessageType.BEACON]
 _SHIFTED_MSB = dtpmsg.SHIFTED_TYPE[dtpmsg.MessageType.BEACON_MSB]
 _LOW_BITS = dtpmsg.COUNTER_LOW_BITS
@@ -124,6 +142,9 @@ class _Direction:
         "fw",
         "maxj",
         "maxr",
+        # Interned trace subject ids of both endpoints (-1 = tracing off).
+        "sid_p",
+        "sid_q",
     )
 
     def __init__(self, sender: DtpPort) -> None:
@@ -162,18 +183,26 @@ class _Direction:
         self.fw = qcfg.fault_window_beacons
         self.maxj = qcfg.max_jumps_per_window
         self.maxr = qcfg.max_rejects_per_window
+        self.sid_p = sender._sid
+        self.sid_q = receiver._sid
 
 
 class FastpathCoordinator:
     """Virtual-event source and merged run loop for the batched backend.
 
     Create one per network, attach it to a :class:`MacroTickSimulator`,
-    and point every port's ``_fastpath`` at it; ports then promote
-    themselves from their own ``_beacon_timeout`` once eligible.
+    and point the ``_fastpath`` of every port that could ever promote at
+    it; ports then promote themselves from their own ``_beacon_timeout``
+    once eligible.  ``tracer`` is the network's trace recorder (every port
+    of one :class:`~repro.dtp.network.DtpNetwork` records into the same
+    one), or None with tracing off.
     """
 
     def __init__(
-        self, sim: MacroTickSimulator, tainted: FrozenSet[str] = frozenset()
+        self,
+        sim: MacroTickSimulator,
+        tainted: FrozenSet[str] = frozenset(),
+        tracer=None,
     ) -> None:
         if not isinstance(sim, MacroTickSimulator):
             raise TypeError(
@@ -182,6 +211,9 @@ class FastpathCoordinator:
             )
         self.sim = sim
         self.tainted = frozenset(tainted)
+        #: The recorder's bound ``record``; like the ports' ``_tracer``,
+        #: None is the disabled state and costs one test per would-be record.
+        self._record = tracer.record if tracer is not None else None
         self._heap: List[tuple] = []
         self._dead = 0
         self._dirs: dict = {}
@@ -225,50 +257,46 @@ class FastpathCoordinator:
         """Hand a direction back to the scalar path.
 
         Every pending virtual event is re-materialized as a real heap
-        event at its original firing time; the scalar handlers then run
-        their full checks (link state, TX gate, BER, parity) against
-        whatever triggered the demotion.  Conversion follows the original
-        sequence order, so same-instant ties keep their scalar order.
+        event at its original firing time *and sequence number*; the
+        scalar handlers then run their full checks (link state, TX gate,
+        BER, parity) against whatever triggered the demotion.  Keeping
+        the sequence numbers keeps every same-instant tie — against each
+        other and against directions that stay batched — in scalar order.
         """
-        sim = self.sim
+        adopt = self.sim.adopt
         p = ds.sender
         q = ds.receiver
         epoch = ds.epoch
         pending = [e for e in self._heap if e[3] is ds and e[5] == epoch]
         ds.epoch = epoch + 1
         self._dead += len(pending)
-        pending.sort(key=lambda e: e[1])
-        for when, _seq, stage, _ds, payload, _epoch in pending:
+        for when, seq, stage, _ds, payload, _epoch in pending:
             if stage == PLAN:
-                p._beacon_event = sim.schedule_at(when, p._beacon_timeout)
+                p._beacon_event = adopt(when, seq, p._beacon_timeout)
             elif stage == CAP_B:
-                sim.post_at(
-                    when,
-                    p._transmit_now,
-                    dtpmsg.MessageType.BEACON,
-                    p._beacon_payload,
+                adopt(
+                    when, seq, p._transmit_now,
+                    dtpmsg.MessageType.BEACON, p._beacon_payload,
                 )
             elif stage == CAP_M:
-                sim.post_at(
-                    when,
-                    p._transmit_now,
+                adopt(
+                    when, seq, p._transmit_now,
                     dtpmsg.MessageType.BEACON_MSB,
                     lambda t, _p=p: dtpmsg.counter_high(_p._tx_counter(t)),
                 )
             elif stage == ARR_B:
-                sim.post_at(
-                    when,
-                    q._arrive,
+                adopt(
+                    when, seq, q._arrive,
                     IDLE_WIRE_BASE | _SHIFTED_BEACON | payload,
                 )
             elif stage == ARR_M:
-                sim.post_at(
-                    when, q._arrive, IDLE_WIRE_BASE | _SHIFTED_MSB | payload
+                adopt(
+                    when, seq, q._arrive, IDLE_WIRE_BASE | _SHIFTED_MSB | payload
                 )
             elif stage == APP_B:
-                sim.post_at(when, q._process, _SHIFTED_BEACON | payload)
+                adopt(when, seq, q._process, _SHIFTED_BEACON | payload)
             else:  # APP_M
-                sim.post_at(when, q._process, _SHIFTED_MSB | payload)
+                adopt(when, seq, q._process, _SHIFTED_MSB | payload)
         del self._dirs[p]
         self.demotions += 1
 
@@ -296,6 +324,7 @@ class FastpathCoordinator:
         pop = heappop
         push = heappush
         profile = sim.profile
+        record = self._record
         dispatched = 0
         # Hot-loop locals, published back to the shared state only around
         # call-outs (scalar dispatch, fault-window rolls): the engine seq
@@ -370,6 +399,8 @@ class FastpathCoordinator:
             # sync with _apply_stage below.
             if stage == APP_B:
                 ds.recv_b.value += 1
+                if record is not None:
+                    record(now, EV_RX, ds.sid_q, _BEACON, vtop[4])
                 if ds.receiver.peer_faulty:
                     continue
                 lc = ds.lc_q
@@ -400,6 +431,8 @@ class FastpathCoordinator:
                 if delta > thresh or delta < -thresh:
                     ds.rej_cell.value += 1
                     stats.rejects_in_window += 1
+                    if record is not None:
+                        record(now, EV_REJECT, ds.sid_q, REJECT_RANGE, delta)
                 else:
                     if candidate > lc_now:
                         # lc.adjust_to_max + device.on_local_jump, inlined.
@@ -407,6 +440,10 @@ class FastpathCoordinator:
                         lc.adjustments += 1
                         ds.jumps_cell.value += 1
                         stats.jumps_in_window += 1
+                        if record is not None:
+                            # a == b: reference_counter_at is counter_at
+                            # on the plain TickClocks eligibility admits.
+                            record(now, EV_JUMP, ds.sid_q, delta, delta)
                         gc = ds.gc_q
                         gc_now = gc.increment * ticks + gc.offset
                         if candidate > gc_now:
@@ -480,9 +517,13 @@ class FastpathCoordinator:
                 if stage == CAP_B:
                     payload = counter & _LOW_MASK
                     ds.sent_b.value += 1
+                    if record is not None:
+                        record(now, EV_TX, ds.sid_p, _BEACON, payload)
                 else:
                     payload = (counter >> _LOW_BITS) & _LOW_MASK
                     ds.sent_m.value += 1
+                    if record is not None:
+                        record(now, EV_TX, ds.sid_p, _MSB, payload)
                 n = tick + ds.txpipe
                 if n >= 1:
                     seg = ds.pseg
@@ -507,6 +548,8 @@ class FastpathCoordinator:
             # --- APPLY (BEACON_MSB): learn the counter's high half ------
             if stage == APP_M:
                 ds.recv_m.value += 1
+                if record is not None:
+                    record(now, EV_RX, ds.sid_q, _MSB, vtop[4])
                 ds.receiver.remote_msb = vtop[4]
                 continue
 
@@ -592,6 +635,9 @@ class FastpathCoordinator:
         if too_many_jumps or too_many_rejects:
             q.peer_faulty = True
             self.demote(ds)
+            record = self._record
+            if record is not None:
+                record(self.sim._now, EV_PEER_FAULT, ds.sid_q, jumps, rejects)
             if q.on_fault is not None:
                 q.on_fault(q)
 
@@ -658,11 +704,16 @@ class FastpathCoordinator:
         tick = osc.ticks_at(now)
         counter = gc.increment * tick + gc.offset
         if stage == CAP_B:
+            mtype = _BEACON
             payload = counter & _LOW_MASK
             ds.sent_b.value += 1
         else:
+            mtype = _MSB
             payload = (counter >> _LOW_BITS) & _LOW_MASK
             ds.sent_m.value += 1
+        record = self._record
+        if record is not None:
+            record(now, EV_TX, ds.sid_p, mtype, payload)
         n = tick + ds.txpipe
         exit_fs = osc.time_of_tick(n) if n >= 1 else now
         self._push(exit_fs + ds.wire, stage + 2, ds, payload)
@@ -683,11 +734,16 @@ class FastpathCoordinator:
 
     def _apply_stage(self, ds: _Direction, now: int, stage: int, payload: int) -> None:
         """Virtual ``_process`` + ``_on_beacon``/``_on_msb``: T4."""
+        record = self._record
         if stage == APP_M:
             ds.recv_m.value += 1
+            if record is not None:
+                record(now, EV_RX, ds.sid_q, _MSB, payload)
             ds.receiver.remote_msb = payload
             return
         ds.recv_b.value += 1
+        if record is not None:
+            record(now, EV_RX, ds.sid_q, _BEACON, payload)
         if ds.receiver.peer_faulty:
             return
         lc = ds.lc_q
@@ -702,12 +758,16 @@ class FastpathCoordinator:
         if delta > ds.thresh or delta < -ds.thresh:
             ds.rej_cell.value += 1
             stats.rejects_in_window += 1
+            if record is not None:
+                record(now, EV_REJECT, ds.sid_q, REJECT_RANGE, delta)
         else:
             if candidate > lc_now:
                 lc.offset += delta
                 lc.adjustments += 1
                 ds.jumps_cell.value += 1
                 stats.jumps_in_window += 1
+                if record is not None:
+                    record(now, EV_JUMP, ds.sid_q, delta, delta)
                 gc = ds.gc_q
                 gc_now = gc.increment * ds.qosc.ticks_at(now) + gc.offset
                 if candidate > gc_now:

@@ -1,12 +1,25 @@
-"""Static eligibility analysis for the batched beacon fast path.
+"""Eligibility analysis for the batched beacon fast path.
 
 A link *direction* (sender port -> its peer) may be promoted into the
 batched backend only when every semantic the batched kernels implement is
 exactly the semantic the scalar path would execute.  Anything irregular —
 fault hooks armed on either device, parity, BER injection, a TX gate, a
-patched TX counter (two-faced fault), telemetry tracing, a non-vanilla
-clock or device subclass — keeps the direction on the scalar path, which
-therefore remains the oracle.
+patched TX counter (two-faced fault), an engine dispatch profile, a
+non-vanilla clock or device subclass — keeps the direction on the scalar
+path, which therefore remains the oracle.  Telemetry tracing is *not* on
+that list: the coordinator emits the scalar path's trace records itself.
+
+The checks come in two tiers:
+
+* :func:`static_ineligible_reason` — what cannot change during a run
+  (wiring, taint, parity, object types, the dispatch profile).
+  :class:`~repro.dtp.network.DtpNetwork` asks once per port at build time:
+  a refused port never gets the coordinator hook, and a network in which
+  every port is refused builds no coordinator at all.
+* the rest of :func:`direction_ineligible_reason` — protocol and fault
+  state that comes and goes (synchronization, a TX gate, BER, link
+  supervision).  A hooked port asks at each of its beacon timeouts until
+  it promotes, and again after a demotion.
 
 The checks are deliberately *conservative and explicit*: a direction that
 fails any check simply never leaves the scalar path, costing nothing but
@@ -23,6 +36,44 @@ from ..dtp.port import DtpPort, PortState
 from ..phy.cdc import SyncFifo
 
 
+def static_ineligible_reason(
+    port: DtpPort, tainted: FrozenSet[str]
+) -> Optional[str]:
+    """Why ``port``'s send direction can *never* be batched in this run.
+
+    Every check reads both endpoints the same way, so the two directions
+    of a link get one answer: a port is left without the coordinator hook
+    only when its peer is too, and ``link_down`` on either side of a
+    batchable link still reaches the coordinator.
+    """
+    peer = port.peer
+    if peer is None:
+        return "no peer"
+    if peer.peer is not port:
+        return "asymmetric peering"
+    if port.device.name in tainted or peer.device.name in tainted:
+        return "fault model armed on an endpoint device"
+    if port.sim.profile is not None:
+        # sim_dispatch_total is part of the metrics digest, and virtual
+        # events are not engine dispatches.
+        return "engine dispatch profile attached"
+    if port.config.parity or peer.config.parity:
+        return "parity beacons enabled"
+    if type(port.device) is not DtpDevice or type(peer.device) is not DtpDevice:
+        return "non-standard device"
+    if type(port.lc) is not TickClock or type(peer.lc) is not TickClock:
+        return "non-standard local clock"
+    if (
+        type(port.device.gc) is not TickClock
+        or type(peer.device.gc) is not TickClock
+    ):
+        return "non-standard global clock"
+    for fifo in (port.fifo, peer.fifo):
+        if type(fifo) is not SyncFifo or not fifo.enabled:
+            return "non-standard CDC FIFO"
+    return None
+
+
 def direction_ineligible_reason(
     port: DtpPort, tainted: FrozenSet[str]
 ) -> Optional[str]:
@@ -34,9 +85,10 @@ def direction_ineligible_reason(
     mid-run fault mutations (BER, TX gates, counter rewrites, crash
     restarts) always execute against the scalar machinery they patch.
     """
+    reason = static_ineligible_reason(port, tainted)
+    if reason is not None:
+        return reason
     peer = port.peer
-    if peer is None:
-        return "no peer"
     if port.state is not PortState.SYNCHRONIZED:
         return "sender not synchronized"
     if peer.state is not PortState.SYNCHRONIZED:
@@ -45,33 +97,14 @@ def direction_ineligible_reason(
         return "receiver OWD not measured"
     if peer.peer_faulty:
         return "receiver marked sender faulty"
-    if port.device.name in tainted or peer.device.name in tainted:
-        return "fault model armed on an endpoint device"
     if port.tx_allow is not None:
         return "TX gate installed"
     if port._linkhealth is not None and not port._linkhealth.allows_fastpath():
         return "link supervision holding direction"
     if port.ber is not None:
         return "bit-error injection active"
-    if port.config.parity or peer.config.parity:
-        return "parity beacons enabled"
-    if port._tracer is not None or peer._tracer is not None:
-        return "telemetry tracing enabled"
     if getattr(port._tx_counter, "__func__", None) is not DtpPort._tx_counter:
         return "TX counter patched"
-    if type(port.device) is not DtpDevice or type(peer.device) is not DtpDevice:
-        return "non-standard device"
-    if type(port.lc) is not TickClock or type(peer.lc) is not TickClock:
-        return "non-standard local clock"
-    if (
-        type(port.device.gc) is not TickClock
-        or type(peer.device.gc) is not TickClock
-    ):
-        return "non-standard global clock"
-    if type(peer.fifo) is not SyncFifo or not peer.fifo.enabled:
-        return "non-standard CDC FIFO"
-    if peer.peer is not port:
-        return "asymmetric peering"
     return None
 
 

@@ -147,7 +147,7 @@ class RunOptions:
     metrics_dir: Optional[str] = None
     flight_dir: Optional[str] = None
     profile_dispatch: bool = False
-    backend: str = "scalar"
+    backend: str = "batched"
     shards: Optional[int] = None
     shard_transport: str = "process"
     snapshot_dir: Optional[str] = None
@@ -383,12 +383,14 @@ def _drive_inline(
     if telemetry is None and options.wants_telemetry:
         telemetry = Telemetry(profile_dispatch=options.profile_dispatch)
     engine = BACKEND_ENGINES[options.backend]
-    if observers and engine is not Simulator:
-        raise CampaignError("observers require the scalar backend")
     sim = (engine if sim_factory is Simulator else sim_factory)()
     if telemetry is not None:
         telemetry.attach_sim(sim)
-    streams, network = assemble(prepared, seed, sim, telemetry, options.backend)
+    # A caller's own engine decides, not the option: one that cannot merge
+    # virtual events (the seed engine, a profiled plain Simulator) runs the
+    # scalar port path.
+    backend = options.backend if isinstance(sim, engine) else "scalar"
+    streams, network = assemble(prepared, seed, sim, telemetry, backend)
     spec, name, duration_fs = prepared.spec, prepared.name, prepared.duration_fs
     checker = InvariantChecker(network, **spec.get("checker", {}))
     if network.linkhealth is not None:
@@ -491,7 +493,10 @@ def run_scenario(
     result deliberately records nothing about how it was computed.
 
     ``sim_factory`` exists for the reference-vs-optimized equivalence
-    tests, which substitute the verbatim seed engine.
+    tests, which substitute the verbatim seed engine, and for callers that
+    hang their own ``profile`` hook on a plain :class:`Simulator`.  An
+    engine built that way that is not the backend's own class runs the
+    scalar port path whatever ``backend`` says.
 
     Telemetry is opt-in: with everything at its default the run takes the
     exact pre-telemetry code paths.  Passing any artifact directory turns a
@@ -507,8 +512,9 @@ def run_scenario(
     existing stream, and therefore the scenario's behavior and metrics,
     byte-identical to an observer-free run (the racelab's fairness
     guarantee; pinned by the discipline equivalence tests).  Observers
-    require the scalar backend: the batched fast path replays the scalar
-    engine's event-sequence allocation, which observer events would skew.
+    run on ``scalar`` and ``batched`` alike — their events draw sequence
+    numbers from the one engine counter the batched coordinator mirrors —
+    and are rejected under ``sharded``, which has no single live process.
     """
     return _scenario_task(
         spec, seed, RunOptions.of(**options), sim_factory, telemetry, observers

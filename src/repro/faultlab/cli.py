@@ -41,6 +41,7 @@ from ..resilience.cli import (
 from .campaign import (
     DRIVERS,
     CampaignError,
+    RunOptions,
     render_campaign,
     run_campaign,
     run_resilient_campaign,
@@ -66,12 +67,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_run_flags(parser)
     parser.add_argument(
-        "--backend", choices=tuple(DRIVERS), default="scalar",
-        help="simulation backend; 'batched' routes healthy DTP port "
-        "directions through the repro.fastpath coordinator, 'sharded' "
-        "partitions the topology across parallel worker shards "
-        "(docs/SHARDING.md) — output is byte-identical to scalar either "
-        "way, just faster",
+        "--backend", choices=tuple(DRIVERS), default=RunOptions().backend,
+        help="simulation backend (default: %(default)s); 'batched' routes "
+        "healthy DTP port directions through the repro.fastpath "
+        "coordinator, 'scalar' is the oracle every other backend is held "
+        "byte-identical to, 'sharded' partitions the topology across "
+        "parallel worker shards (docs/SHARDING.md)",
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",

@@ -72,7 +72,9 @@ def drive_sharded(
     without touching the byte-stable result.
     """
     if observers:
-        raise CampaignError("observers require the scalar backend")
+        raise CampaignError(
+            "observers require a single-process backend (scalar or batched)"
+        )
     if sim_factory is not Simulator:
         raise CampaignError(
             "custom sim_factory requires a single-process backend"

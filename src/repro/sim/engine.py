@@ -283,6 +283,20 @@ class MacroTickSimulator(Simulator):
             raise SimulationError("a fastpath source is already attached")
         self.fastpath = source
 
+    def adopt(self, time_fs: int, seq: int, fn: Callable[..., Any], *args: Any) -> Event:
+        """Queue ``fn(*args)`` under a sequence number it has already drawn.
+
+        The source hands a pending virtual event back to the heap this way
+        when a direction leaves the batched path: the event keeps its place
+        in the ``(time, seq)`` order — same-instant ties against events that
+        stay virtual included — and the counter is not advanced, so it
+        stays equal to a scalar run's.
+        """
+        event = Event(time_fs, seq, fn, args)
+        heapq.heappush(self._queue, (time_fs, seq, fn, args, event))
+        self._pending += 1
+        return event
+
     def step(self) -> bool:
         source = self.fastpath
         if source is None:

@@ -117,11 +117,13 @@ def test_advisory_budgets_are_held_on_recorded_counts(record, guards):
     # A ratio guard may only warn if its budget also stands on something exact.
     assert guards.ADVISORY == {
         ("linkhealth", "supervised_over_unsupervised"), ("observe", "tapped_over_traced"),
+        ("fastpath", "refused_over_scalar"),
     } and guards.ADVISORY <= {(section, key) for section, key, *_ in guards.GUARDS}
     supervision, tap = record["linkhealth"], record["observe"]
     watchdog_events = supervision["events_supervised"] - supervision["events_unsupervised"]
     assert 0 < watchdog_events <= 0.05 * supervision["events_unsupervised"]
     assert (tap["snapshots_emitted"], tap["tap_flushes"]) == (20, 2)
+    assert record["fastpath"]["refused_coordinator_built"] is False
 
 
 def test_record_holds_no_raw_timing(record):

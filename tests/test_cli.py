@@ -149,7 +149,10 @@ QUARANTINE_REPORT = """\
 @pytest.mark.parametrize(
     "noun, argv, table, key",
     [
-        ("scenario", ["faultlab", "--quick", "baseline"], campaign.DRIVERS, "scalar"),
+        (
+            "scenario", ["faultlab", "--quick", "baseline", "--backend", "scalar"],
+            campaign.DRIVERS, "scalar",
+        ),
         ("experiment", ["baseline"], experiments_cli.COMMANDS, "baseline"),
     ],
 )

@@ -1,11 +1,15 @@
 """The batched backend's one contract: byte-identical to the scalar oracle.
 
 Every test here runs the same seeded scenario on both backends and asserts
-the *canonical metrics digests* are equal — not "close", equal.  The
-hypothesis sweep draws topology, seed, link-up stagger, and an active
-fault model, so the promotion, demotion (link-down and fault-window), and
-merge-ordering machinery all get exercised, not just the steady state.
+the *canonical metrics digests* are equal — not "close", equal — and, with
+tracing on, that the trace ring holds the same records in the same order
+(so every artifact cut from it is the same bytes).  The hypothesis sweep
+draws topology, seed, link-up stagger, and an active fault model, so the
+promotion, demotion (link-down and fault-window), and merge-ordering
+machinery all get exercised, not just the steady state.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -13,24 +17,35 @@ from hypothesis import strategies as st
 
 from repro.clocks.oscillator import ConstantSkew
 from repro.dtp.network import DtpNetwork
+from repro.dtp.port import DtpPortConfig
 from repro.fastpath import (
     FastpathCoordinator,
     direction_eligible,
     direction_ineligible_reason,
     eligibility_report,
 )
-from repro.faultlab.campaign import metrics_digest, run_scenario
+from repro.faultlab.campaign import RunOptions, metrics_digest, run_scenario
 from repro.network.topology import chain, clos
 from repro.sim import units
 from repro.sim.engine import MacroTickSimulator, SimulationError, Simulator
 from repro.sim.randomness import RandomStreams
 from repro.telemetry import Telemetry
+from repro.telemetry.events import EV_PEER_FAULT
 
 
-def _digests(spec, seed):
-    scalar = run_scenario(dict(spec), seed=seed)
-    batched = run_scenario(dict(spec), seed=seed, backend="batched")
-    return metrics_digest(scalar), metrics_digest(batched)
+def _digests(spec, seed, traced=False):
+    """Result digests on (scalar, batched); a traced run's result carries
+    its ``trace_digest`` / ``metrics_digest`` / ``trace_recorded``, so the
+    one comparison covers the trace bytes too."""
+    return tuple(
+        metrics_digest(
+            run_scenario(
+                dict(spec), seed=seed, backend=backend,
+                telemetry=Telemetry() if traced else None,
+            )
+        )
+        for backend in ("scalar", "batched")
+    )
 
 
 # ----------------------------------------------------------------------
@@ -99,8 +114,9 @@ def test_batched_backend_is_bit_identical(topology, fault, seed, stagger_us):
     # has no stagger knob, so fold it into the checker start instead of
     # growing the spec: the sample cadence shift reorders nothing.
     spec["sample_interval_fs"] = (64 + stagger_us) * units.US
-    ds, db = _digests(spec, seed)
-    assert ds == db
+    for traced in (False, True):
+        ds, db = _digests(spec, seed, traced)
+        assert ds == db, f"traced={traced}"
 
 
 def test_all_builtin_scenarios_bit_identical_quick():
@@ -109,6 +125,55 @@ def test_all_builtin_scenarios_bit_identical_quick():
     for spec in builtin_specs(quick=True):
         ds, db = _digests(spec, seed=0)
         assert ds == db, f"{spec['name']}: backends diverged"
+
+
+def _tree(root):
+    """{relative path: bytes} for every file under ``root``."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _run_live(spec, seed, **options):
+    """``run_scenario`` plus the live objects (sim, network, ...) an
+    observer is handed — the only way to see the engine and coordinator."""
+    live = {}
+    result = run_scenario(
+        dict(spec), seed=seed, observers=[lambda **run: live.update(run)], **options
+    )
+    return result, live
+
+
+def test_all_builtin_scenarios_write_the_same_artifact_bytes(tmp_path):
+    from repro.faultlab.scenarios import builtin_specs
+
+    specs = builtin_specs(quick=True)
+    assert len(specs) == 9
+    trees = {}
+    for backend in ("scalar", "batched"):
+        root = tmp_path / backend
+        dirs = {
+            kind: str(root / kind)
+            for kind in ("trace_dir", "metrics_dir", "flight_dir", "snapshot_dir")
+        }
+        results = {
+            spec["name"]: run_scenario(dict(spec), seed=0, backend=backend, **dirs)
+            for spec in specs
+        }
+        trees[backend] = (results, _tree(root))
+    (scalar_results, scalar_tree), (batched_results, batched_tree) = (
+        trees["scalar"], trees["batched"]
+    )
+    for name, result in scalar_results.items():
+        assert result["telemetry"]["trace_recorded"] > 0
+        assert batched_results[name] == result, name
+    assert sorted(batched_tree) == sorted(scalar_tree)
+    for suffix in (".trace.jsonl", ".flight.jsonl", ".snapshots.jsonl", ".prom"):
+        assert any(path.endswith(suffix) for path in scalar_tree), suffix
+    for path, data in scalar_tree.items():
+        assert batched_tree[path] == data, path
 
 
 # ----------------------------------------------------------------------
@@ -125,19 +190,136 @@ def _batched_chain(seed=0, hosts=2, telemetry=None, tainted=None):
     return sim, net
 
 
-def test_tracing_demotes_to_scalar():
-    # With telemetry tracing attached, no direction may ever promote: the
-    # batched stages do not emit trace events, so promotion would change
-    # the trace digest.
+def _traced_chain(backend, hosts=4, seed=5, drive=None):
+    """One traced chain run; returns (telemetry, network, sim)."""
     telemetry = Telemetry()
-    sim, net = _batched_chain(telemetry=telemetry)
-    sim.run_until(2 * units.MS)
-    assert net.all_synchronized()
-    assert net.fastpath.promotions == 0
-    port = net.ports[("n0", "n1")]
-    assert direction_ineligible_reason(port, frozenset()) == (
-        "telemetry tracing enabled"
+    sim = MacroTickSimulator() if backend == "batched" else Simulator()
+    net = DtpNetwork(
+        sim, chain(hosts), RandomStreams(root_seed=seed),
+        skews={f"n{i}": ConstantSkew((-1.0) ** i * 40.0) for i in range(hosts)},
+        telemetry=telemetry, backend=backend,
     )
+    net.start()
+    (drive or (lambda sim, net: sim.run_until(2 * units.MS)))(sim, net)
+    return telemetry, net, sim
+
+
+def test_traced_chain_promotes_everything_and_matches_scalar():
+    # The coordinator emits the scalar port path's records itself, so
+    # tracing no longer keeps any direction scalar — and the ring holds
+    # the same tuples in the same order.
+    scalar, _, scalar_sim = _traced_chain("scalar")
+    batched, net, batched_sim = _traced_chain("batched")
+    assert net.all_synchronized()
+    assert net.fastpath.promotions == 2 * 3  # every direction of chain(4)
+    assert net.fastpath.demotions == 0
+    assert net.fastpath.virtual_events > 0
+    for port in net.ports.values():
+        assert direction_ineligible_reason(port, frozenset()) is None
+    assert batched.tracer.recorded == scalar.tracer.recorded > 1000
+    assert list(batched.tracer.records) == list(scalar.tracer.records)
+    assert batched.tracer.subjects == scalar.tracer.subjects
+    assert batched.trace_digest() == scalar.trace_digest()
+    assert batched.metrics_digest() == scalar.metrics_digest()
+    assert batched_sim._seq == scalar_sim._seq
+
+
+def test_traced_link_down_demotion_keeps_record_order():
+    # Demotion hands pending virtual events to the heap under the seqs
+    # they already hold: same-instant ties against the directions that
+    # stay batched keep their scalar order, and the counter stays equal.
+    def drive(sim, net):
+        sim.run_until(1 * units.MS)
+        net.down_link("n1", "n2")
+        sim.run_until(1200 * units.US)
+        net.up_link("n1", "n2")
+        sim.run_until(3 * units.MS)
+
+    scalar, _, scalar_sim = _traced_chain("scalar", drive=drive)
+    batched, net, batched_sim = _traced_chain("batched", drive=drive)
+    assert net.fastpath.demotions == 2
+    assert net.fastpath.promotions == 6 + 2
+    assert list(batched.tracer.records) == list(scalar.tracer.records)
+    assert batched_sim._seq == scalar_sim._seq
+
+
+def test_traced_fault_window_trip_lands_at_the_same_record():
+    # No fault model: opposed skews make n1 jump on most windows, and a
+    # one-jump budget trips Section 3.2 on directions that are batched
+    # when it happens (a rejected catch-up trips the reverse ones).
+    spec = {
+        "name": "trip",
+        "topology": {"kind": "chain", "hosts": 3},
+        "duration_fs": 2 * units.MS,
+        "skew_ppm": {"n0": 80.0, "n1": -80.0, "n2": 0.0},
+        "config": {"fault_window_beacons": 100, "max_jumps_per_window": 1},
+    }
+    runs = {}
+    for backend in ("scalar", "batched"):
+        telemetry = Telemetry()
+        result, live = _run_live(spec, 3, backend=backend, telemetry=telemetry)
+        records = list(telemetry.tracer.records)
+        trips = [i for i, r in enumerate(records) if r[1] == EV_PEER_FAULT]
+        runs[backend] = (trips, records, metrics_digest(result), live["sim"]._seq)
+        if backend == "batched":
+            fastpath = live["network"].fastpath
+            assert fastpath.promotions == 4
+            assert fastpath.demotions == len(trips) == 4
+    assert runs["batched"] == runs["scalar"]
+
+
+def test_dispatch_profile_refuses_every_direction():
+    # sim_dispatch_total is in the metrics digest and virtual events are
+    # not dispatches: a profiled engine batches nothing, by name.
+    spec = {
+        "name": "profiled",
+        "topology": {"kind": "chain", "hosts": 3},
+        "duration_fs": 500 * units.US,
+    }
+    digests = {}
+    for backend in ("scalar", "batched"):
+        result, live = _run_live(spec, 2, backend=backend, profile_dispatch=True)
+        digests[backend] = result["telemetry"]["metrics_digest"]
+        net = live["network"]
+        assert net.fastpath is None  # zero promotions: nothing to promote into
+        assert {reason for _, reason in eligibility_report(
+            net.ports.values(), frozenset()
+        )} == {"engine dispatch profile attached"}
+    assert digests["batched"] == digests["scalar"]
+
+
+def test_factory_built_plain_engine_runs_the_scalar_port_path():
+    # The engine decides, not the option: the default backend is batched,
+    # but a caller's own Simulator (here with its own profile hook, as the
+    # repo benchmark's layer pass builds one) cannot merge virtual events.
+    class Counts:
+        n = 0
+
+        def count(self, fn):
+            self.n += 1
+
+    def profiled(counts):
+        def factory():
+            sim = Simulator()
+            sim.profile = counts
+            return sim
+
+        return factory
+
+    spec = {
+        "name": "hooked",
+        "topology": {"kind": "chain", "hosts": 3},
+        "duration_fs": 500 * units.US,
+    }
+    assert RunOptions().backend == "batched"
+    default, scalar = Counts(), Counts()
+    hooked = run_scenario(dict(spec), seed=2, sim_factory=profiled(default))
+    oracle = run_scenario(
+        dict(spec), seed=2, sim_factory=profiled(scalar), backend="scalar"
+    )
+    bare = run_scenario(dict(spec), seed=2, sim_factory=lambda: Simulator())
+    assert metrics_digest(hooked) == metrics_digest(oracle) == metrics_digest(bare)
+    assert default.n == scalar.n > 0  # every event was a real dispatch
 
 
 def test_untraced_chain_promotes_everything():
@@ -159,6 +341,21 @@ def test_tainted_nodes_pin_directions_to_scalar():
     report = dict(eligibility_report(net.ports.values(), frozenset({"n2"})))
     assert report["n0->n1"] is None
     assert report["n2->n1"] == "fault model armed on an endpoint device"
+    # Taint cannot change during a run, so it was settled at build time:
+    # the refused ports carry no hook and never ask the coordinator.
+    hooked = {port.name for port in net.ports.values() if port._fastpath is not None}
+    assert hooked == {"n0->n1", "n1->n0"}
+
+
+def test_network_where_nothing_can_promote_builds_no_coordinator():
+    sim, net = _batched_chain(hosts=3, tainted=frozenset({"n0", "n1", "n2"}))
+    assert net.fastpath is None and sim.fastpath is None
+    assert all(port._fastpath is None for port in net.ports.values())
+    sim.run_until(2 * units.MS)  # the inherited Simulator loops
+    assert net.all_synchronized()
+    # Partial taint that still covers every link: same outcome.
+    _, net = _batched_chain(hosts=3, tainted=frozenset({"n1"}))
+    assert net.fastpath is None
 
 
 def test_link_down_demotes_and_relearns():
@@ -207,32 +404,36 @@ def test_scenario_state_identical_not_just_digest():
 # ----------------------------------------------------------------------
 # Engine merge plumbing
 # ----------------------------------------------------------------------
+def _next_event_time(sim):
+    vkey = sim.fastpath.next_key()
+    queue = sim._queue
+    while queue and queue[0][4].cancelled:
+        heapq.heappop(queue)
+        sim._cancelled_in_queue -= 1
+    ekey = (queue[0][0], queue[0][1]) if queue else None
+    keys = [key for key in (vkey, ekey) if key is not None]
+    return min(keys)[0] if keys else None
+
+
+def _step_until(sim, horizon):
+    """``run_until`` through ``step()``: the coordinator's next_key /
+    dispatch_next protocol and the method-form stage bodies."""
+    while True:
+        when = _next_event_time(sim)
+        if when is None or when > horizon:
+            break
+        assert sim.step()
+    sim._now = horizon
+
+
 def test_step_slow_path_matches_run_merged():
-    # step() drains the merged queues one event at a time through the
-    # coordinator's next_key/dispatch_next protocol; the end state must
-    # match the fused run_merged loop exactly.
-    import heapq
-
-    def next_event_time(sim):
-        vkey = sim.fastpath.next_key()
-        queue = sim._queue
-        while queue and queue[0][4].cancelled:
-            heapq.heappop(queue)
-            sim._cancelled_in_queue -= 1
-        ekey = (queue[0][0], queue[0][1]) if queue else None
-        keys = [key for key in (vkey, ekey) if key is not None]
-        return min(keys)[0] if keys else None
-
+    # step() drains the merged queues one event at a time; the end state
+    # must match the fused run_merged loop exactly.
     def run(stepwise):
         sim, net = _batched_chain(seed=4)
         horizon = 2 * units.MS
         if stepwise:
-            while True:
-                when = next_event_time(sim)
-                if when is None or when > horizon:
-                    break
-                assert sim.step()
-            sim._now = horizon
+            _step_until(sim, horizon)
         else:
             sim.run_until(horizon)
         return (
@@ -243,6 +444,42 @@ def test_step_slow_path_matches_run_merged():
         )
 
     assert run(False) == run(True)
+
+
+def test_both_copies_of_the_stage_bodies_emit_the_scalar_trace(tmp_path):
+    # The inlined run_merged stages and the _*_stage methods each record
+    # on their own; an msb cadence of 7 puts BEACON_MSB records in play
+    # and a down/up flap adds a demotion and a re-promotion.
+    from repro.dtp.messages import MessageType
+    from repro.telemetry import write_trace_jsonl
+    from repro.telemetry.events import EV_RX
+
+    def run(mode):
+        telemetry = Telemetry()
+        sim = Simulator() if mode == "scalar" else MacroTickSimulator()
+        net = DtpNetwork(
+            sim, chain(3), RandomStreams(root_seed=11), telemetry=telemetry,
+            config=DtpPortConfig(msb_interval_beacons=7),
+            backend="scalar" if mode == "scalar" else "batched",
+        )
+        net.start()
+        advance = _step_until if mode == "stepped" else (lambda sim, t: sim.run_until(t))
+        advance(sim, 1 * units.MS)
+        net.down_link("n0", "n1")
+        net.up_link("n0", "n1")
+        advance(sim, 2 * units.MS)
+        if mode != "scalar":
+            assert net.fastpath.promotions == 6 and net.fastpath.demotions == 2
+        msb_rx = sum(
+            1 for r in telemetry.tracer.records
+            if r[1] == EV_RX and r[3] == MessageType.BEACON_MSB
+        )
+        assert msb_rx > 100
+        path = tmp_path / f"{mode}.trace.jsonl"
+        write_trace_jsonl(str(path), telemetry.tracer)
+        return path.read_bytes(), sim._seq
+
+    assert run("scalar") == run("fused") == run("stepped")
 
 
 def test_attach_fastpath_rejects_second_source():

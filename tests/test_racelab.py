@@ -108,15 +108,31 @@ class TestAcceptance:
 
 
 class TestObserverHook:
-    def test_observers_require_scalar_backend(self):
-        from repro.discipline.racelab import RaceObserver
-        from repro.discipline.base import build_discipline
-        from repro.faultlab.campaign import CampaignError, run_scenario
+    def test_race_report_is_byte_equal_on_scalar_and_batched(self, monkeypatch):
+        """Observers ride the batched default: their events draw sequence
+        numbers from the engine counter the coordinator mirrors, so the
+        race — rankings, digests, report — is the scalar oracle's."""
+        import functools
 
-        spec = BUILTIN_SCENARIOS["baseline"](True)
-        observer = RaceObserver(build_discipline("pi"))
-        with pytest.raises(CampaignError):
-            run_scenario(spec, observers=[observer], backend="batched")
+        from repro.discipline import racelab
+        from repro.faultlab.campaign import RunOptions, run_scenario
+
+        def report():
+            # link-flap demotes mid-race; oscillator-glitch is the pinned win.
+            races = run_race_campaign(
+                small_specs(("link-flap", "oscillator-glitch")), base_seed=0
+            )
+            return "\n".join(render_race_report(races)), races
+
+        assert RunOptions().backend == "batched"
+        default_report, default_races = report()
+        monkeypatch.setattr(
+            racelab, "run_scenario", functools.partial(run_scenario, backend="scalar")
+        )
+        scalar_report, scalar_races = report()
+        assert default_report == scalar_report
+        assert default_races == scalar_races
+        assert "| 1 | skewless |" in default_report
 
     def test_race_observer_is_single_use(self):
         from repro.discipline.racelab import RaceObserver, run_race_scenario

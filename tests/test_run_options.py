@@ -112,7 +112,7 @@ def _non_default(tmp_path):
         "metrics_dir": str(tmp_path / "metrics"),
         "flight_dir": str(tmp_path / "flight"),
         "profile_dispatch": True,
-        "backend": "batched",
+        "backend": "scalar",
         "shards": 2,
         "shard_transport": "inline",
         "snapshot_dir": str(tmp_path / "snapshots"),
@@ -150,18 +150,39 @@ def test_every_option_reaches_the_scenario_run(field, tmp_path, seen_by_driver):
 
 
 def test_sharded_inline_with_snapshots_through_run_campaign(tmp_path, seen_by_driver):
-    sharded_dir, scalar_dir = tmp_path / "sharded", tmp_path / "scalar"
+    sharded_dir, default_dir = tmp_path / "sharded", tmp_path / "default"
     sharded = run_campaign(
         [_spec()], jobs=1, backend="sharded", shards=2,
         shard_transport="inline", snapshot_dir=str(sharded_dir),
     )
-    scalar = run_campaign([_spec()], jobs=1, snapshot_dir=str(scalar_dir))
-    assert [o.backend for o in seen_by_driver] == ["sharded", "scalar"]
+    default = run_campaign([_spec()], jobs=1, snapshot_dir=str(default_dir))
+    assert [o.backend for o in seen_by_driver] == ["sharded", "batched"]
     assert seen_by_driver[0].shard_transport == "inline"
-    assert sharded == scalar
+    assert sharded == default
     assert "observe" in sharded["chain4"]
     name = "chain4.snapshots.jsonl"
-    assert (sharded_dir / name).read_bytes() == (scalar_dir / name).read_bytes()
+    assert (sharded_dir / name).read_bytes() == (default_dir / name).read_bytes()
+
+
+def test_batched_is_the_default_and_scalar_the_explicit_oracle(seen_by_driver, capsys):
+    """``RunOptions`` states the default; the CLI takes it from there, and
+    the entry points that are not ``RunOptions`` callers (``DtpNetwork``,
+    Fig. 6a — the oracle workload) keep their explicit ``scalar``."""
+    import inspect
+
+    from repro.dtp.network import DtpNetwork
+    from repro.experiments.fig6_dtp import run_fig6_dtp
+
+    assert RunOptions().backend == "batched"
+    assert len(FIELD_NAMES) == 10
+    assert sorted(campaign.DRIVERS) == ["batched", "scalar", "sharded"]
+    assert faultlab_main(["--quick", "baseline"]) == 0
+    default_out = capsys.readouterr().out
+    assert faultlab_main(["--quick", "baseline", "--backend", "scalar"]) == 0
+    assert capsys.readouterr().out == default_out
+    assert [o.backend for o in seen_by_driver] == ["batched", "scalar"]
+    for entry in (DtpNetwork.__init__, run_fig6_dtp):
+        assert inspect.signature(entry).parameters["backend"].default == "scalar"
 
 
 def test_unknown_backend_lists_the_registered_ones():
