@@ -227,7 +227,7 @@ def seed_arrive(self, wire_bits):
     if self.state is PortState.DOWN:
         return
     if wire_bits is None:
-        self.stats.lost_on_wire += 1
+        self.stats._lost_on_wire.value += 1
         return
     try:
         block = Block66.from_int(wire_bits)
@@ -235,7 +235,7 @@ def seed_arrive(self, wire_bits):
             raise BlockError("not an idle block")
         bits56 = extract_bits_from_idle(block)
     except BlockError:
-        self.stats.lost_on_wire += 1
+        self.stats._lost_on_wire.value += 1
         return
     process_fs = rx_process_time(
         self.sim.now, self.fifo, self.osc, self.config.latency
@@ -251,7 +251,7 @@ def seed_process(self, bits56):
     try:
         message = dtpmsg.decode(bits56)
     except dtpmsg.MessageError:
-        self.stats.rejected_undecodable += 1
+        self.stats._rejected["undecodable"].value += 1
         return
     self.stats.count_received(message.mtype)
     now = self.sim.now

@@ -118,8 +118,9 @@ class PortStats:
     :class:`repro.telemetry.Telemetry` object, :meth:`bind_registry`
     re-homes the cells onto its :class:`~repro.telemetry.MetricsRegistry`
     so the registry is the single source of truth (Prometheus exposition,
-    snapshots, digests) while this class stays a thin, attribute-compatible
-    view — ``stats.jumps``, ``stats.sent["BEACON"]`` etc. keep working.
+    snapshots, digests) while this class stays a thin read-only view —
+    ``stats.jumps``, ``stats.sent["BEACON"]`` etc.; writers (the port, the
+    batched coordinator) increment the cells themselves.
 
     The ``*_in_window`` fields are transient Section 3.2 fault-filter
     state, not metrics; they stay plain ints.
@@ -195,7 +196,7 @@ class PortStats:
         lost.value += self._lost_on_wire.value
         self._lost_on_wire = lost
 
-    # -- thin view: the original attribute API -------------------------
+    # -- thin read-only view: the original attribute API ---------------
     @property
     def sent(self) -> Dict[str, int]:
         """Messages sent by type name (types with zero sends omitted)."""
@@ -210,41 +211,21 @@ class PortStats:
     def jumps(self) -> int:
         return self._jumps.value
 
-    @jumps.setter
-    def jumps(self, value: int) -> None:
-        self._jumps.value = value
-
     @property
     def rejected_out_of_range(self) -> int:
         return self._rejected["out_of_range"].value
-
-    @rejected_out_of_range.setter
-    def rejected_out_of_range(self, value: int) -> None:
-        self._rejected["out_of_range"].value = value
 
     @property
     def rejected_parity(self) -> int:
         return self._rejected["parity"].value
 
-    @rejected_parity.setter
-    def rejected_parity(self, value: int) -> None:
-        self._rejected["parity"].value = value
-
     @property
     def rejected_undecodable(self) -> int:
         return self._rejected["undecodable"].value
 
-    @rejected_undecodable.setter
-    def rejected_undecodable(self, value: int) -> None:
-        self._rejected["undecodable"].value = value
-
     @property
     def lost_on_wire(self) -> int:
         return self._lost_on_wire.value
-
-    @lost_on_wire.setter
-    def lost_on_wire(self, value: int) -> None:
-        self._lost_on_wire.value = value
 
     def count_sent(self, mtype: dtpmsg.MessageType) -> None:
         self._sent[_MTYPE_NAME[mtype]].value += 1
@@ -459,13 +440,13 @@ class DtpPort:
         if self.state is PortState.DOWN:
             return
         if wire_bits is None:
-            self.stats.lost_on_wire += 1
+            self.stats._lost_on_wire.value += 1
             if self._tracer is not None:
                 self._tracer.record(self.sim._now, EV_LOST, self._sid, LOST_WIRE)
             return
         if wire_bits & IDLE_WIRE_HEADER_MASK != IDLE_WIRE_BASE:
             # Sync header or block type corrupted: the PCS drops the block.
-            self.stats.lost_on_wire += 1
+            self.stats._lost_on_wire.value += 1
             if self._tracer is not None:
                 self._tracer.record(self.sim._now, EV_LOST, self._sid, LOST_HEADER)
             return
@@ -501,7 +482,7 @@ class DtpPort:
         try:
             mtype, payload = dtpmsg.decode_type_payload(bits56)
         except dtpmsg.MessageError:
-            self.stats.rejected_undecodable += 1
+            self.stats._rejected["undecodable"].value += 1
             if self._tracer is not None:
                 self._tracer.record(
                     self.sim._now, EV_REJECT, self._sid, REJECT_UNDECODABLE
@@ -580,7 +561,7 @@ class DtpPort:
         lc_now = self.lc.counter_at(now)
         if self.config.parity:
             if not dtpmsg.check_parity(payload):
-                self.stats.rejected_parity += 1
+                self.stats._rejected["parity"].value += 1
                 if self._tracer is not None:
                     self._tracer.record(now, EV_REJECT, self._sid, REJECT_PARITY)
                 return
@@ -597,14 +578,14 @@ class DtpPort:
         delta = candidate - self.lc.reference_counter_at(now)
         self.stats.beacons_in_window += 1
         if abs(delta) > self._reject_threshold:
-            self.stats.rejected_out_of_range += 1
+            self.stats._rejected["out_of_range"].value += 1
             self.stats.rejects_in_window += 1
             if self._tracer is not None:
                 self._tracer.record(now, EV_REJECT, self._sid, REJECT_RANGE, delta)
             self._fault_window_tick()
             return
         if self.lc.adjust_to_max(now, candidate):
-            self.stats.jumps += 1
+            self.stats._jumps.value += 1
             self.stats.jumps_in_window += 1
             if self._tracer is not None:
                 self._tracer.record(
@@ -655,7 +636,7 @@ class DtpPort:
         remote = dtpmsg.reconstruct_counter(payload, lc_now)
         candidate = remote + self.d
         if self.lc.adjust_to_max(now, candidate):
-            self.stats.jumps += 1
+            self.stats._jumps.value += 1
             if self._tracer is not None:
                 self._tracer.record(
                     now,

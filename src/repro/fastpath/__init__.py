@@ -8,17 +8,10 @@ tests run against the scalar oracle lives in ``tests/fastpath_kernels.py``.
 """
 
 from .coordinator import FastpathCoordinator
-from .eligibility import (
-    direction_eligible,
-    direction_ineligible_reason,
-    eligibility_report,
-    static_ineligible_reason,
-)
+from .eligibility import direction_ineligible_reason, static_ineligible_reason
 
 __all__ = [
     "FastpathCoordinator",
-    "direction_eligible",
     "direction_ineligible_reason",
-    "eligibility_report",
     "static_ineligible_reason",
 ]

@@ -42,18 +42,25 @@ dispatches through the full port machinery.
   a tripped fault window).
   Fault-armed devices never promote at all (see ``eligibility``).
 
-The stage bodies exist twice: inlined in :meth:`run_merged` (the hot
-loop) and as ``_plan_stage``/``_capture_stage``/``_arrive_stage``/
-``_apply_stage`` methods (used by the single-step path and as the
-readable reference).  Any change to one MUST be mirrored in the other;
-the equivalence tests compare both backends through ``run_until`` and
-``step`` to catch drift.
+The stage bodies exist once, inlined in :meth:`run_merged`; promotion
+reaches them through the queue.  A direction promotes from inside its own
+scalar ``_beacon_timeout`` dispatch at ``(now, s)``; rather than planning
+that beacon itself, :meth:`on_beacon_timeout` pushes a PLAN entry keyed
+``(now, -1)`` and the timeout returns at once.  Everything with a key
+below ``(now, s)`` has already run, and real sequence numbers are never
+negative, so ``(now, -1)`` is the minimum of both queues: the loop's very
+next pick is that PLAN, before any other event can move the slot arbiter
+or the counter.  The sentinel draws nothing from the engine counter, so
+the PLAN body allocates exactly the sequence numbers the scalar timeout
+would have allocated in its place — same ``(time, seq)`` total order,
+same final ``sim._seq``.  (One promotion per dispatch means at most one
+``-1`` entry is ever pending.)
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List
 
 from ..dtp import messages as dtpmsg
 from ..dtp.port import DtpPort
@@ -230,8 +237,9 @@ class FastpathCoordinator:
         """Called by ``DtpPort._beacon_timeout``; True = direction batched.
 
         Runs at the port's own beacon instant, so taking over is seamless:
-        this very beacon is planned virtually with the same sequence
-        numbers the scalar body would have allocated.
+        this very beacon becomes a virtual PLAN keyed ``(now, -1)`` — the
+        next event :meth:`run_merged` picks (module docstring) — which
+        allocates the sequence numbers the scalar body would have.
         """
         if direction_ineligible_reason(port, self.tainted) is not None:
             return False
@@ -239,7 +247,7 @@ class FastpathCoordinator:
         self._dirs[port] = ds
         port._beacon_event = None
         self.promotions += 1
-        self._plan_stage(ds, self.sim._now)
+        heappush(self._heap, (self.sim._now, -1, PLAN, ds, 0, ds.epoch))
         return True
 
     def on_link_down(self, port: DtpPort) -> None:
@@ -299,10 +307,6 @@ class FastpathCoordinator:
                 adopt(when, seq, q._process, _SHIFTED_MSB | payload)
         del self._dirs[p]
         self.demotions += 1
-
-    def batched_directions(self) -> List[str]:
-        """Names of currently batched sender ports (instrumentation)."""
-        return sorted(port.name for port in self._dirs)
 
     # ------------------------------------------------------------------
     # The merged run loop (hot path — stage bodies inlined)
@@ -395,8 +399,7 @@ class FastpathCoordinator:
             ds = vtop[3]
 
             # --- APPLY (BEACON): T4 with Section 3.2 filtering ---------
-            # Mirrors _process + _on_beacon + _fault_window_tick; keep in
-            # sync with _apply_stage below.
+            # Mirrors _process + _on_beacon + _fault_window_tick.
             if stage == APP_B:
                 ds.recv_b.value += 1
                 if record is not None:
@@ -460,7 +463,7 @@ class FastpathCoordinator:
                 continue
 
             # --- ARRIVE: CDC quantize + the one random settling cycle --
-            # Mirrors _arrive; keep in sync with _arrive_stage below.
+            # Mirrors _arrive.
             if stage == ARR_B or stage == ARR_M:
                 ds.fifo.crossings += 1
                 seg = ds.qseg
@@ -499,7 +502,7 @@ class FastpathCoordinator:
                 continue
 
             # --- CAPTURE: read gc, stamp the payload, fly --------------
-            # Mirrors _transmit_now; keep in sync with _capture_stage.
+            # Mirrors _transmit_now.
             if stage == CAP_B or stage == CAP_M:
                 seg = ds.pseg
                 if seg is not None and seg.start_fs <= now < seg.end_fs:
@@ -554,8 +557,7 @@ class FastpathCoordinator:
                 continue
 
             # --- PLAN: beacon timeout — arbitrate slots, chain the next -
-            # Mirrors _beacon_timeout + _schedule_transmit; keep in sync
-            # with _plan_stage below.
+            # Mirrors _beacon_timeout + _schedule_transmit.
             p = ds.sender
             seg = ds.pseg
             if seg is not None and seg.start_fs <= now < seg.end_fs:
@@ -640,138 +642,3 @@ class FastpathCoordinator:
                 record(self.sim._now, EV_PEER_FAULT, ds.sid_q, jumps, rejects)
             if q.on_fault is not None:
                 q.on_fault(q)
-
-    # ------------------------------------------------------------------
-    # Single-step source protocol (slow path, used by Simulator.step/run)
-    # ------------------------------------------------------------------
-    def next_key(self) -> Optional[Tuple[int, int]]:
-        heap = self._heap
-        while heap and heap[0][5] != heap[0][3].epoch:
-            heappop(heap)
-            self._dead -= 1
-        if not heap:
-            return None
-        top = heap[0]
-        return (top[0], top[1])
-
-    def dispatch_next(self) -> None:
-        heap = self._heap
-        entry = heappop(heap)
-        while entry[5] != entry[3].epoch:
-            self._dead -= 1
-            entry = heappop(heap)
-        when, _seq, stage, ds, payload, _epoch = entry
-        self.virtual_events += 1
-        if stage == APP_B or stage == APP_M:
-            self._apply_stage(ds, when, stage, payload)
-        elif stage == ARR_B or stage == ARR_M:
-            self._arrive_stage(ds, when, stage, payload)
-        elif stage == CAP_B or stage == CAP_M:
-            self._capture_stage(ds, when, stage)
-        else:
-            self._plan_stage(ds, when)
-
-    # ------------------------------------------------------------------
-    # Stage bodies, method form (reference implementations; the inlined
-    # copies in run_merged must match these exactly)
-    # ------------------------------------------------------------------
-    def _push(self, when: int, stage: int, ds: _Direction, payload: int) -> None:
-        sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        heappush(self._heap, (when, seq, stage, ds, payload, ds.epoch))
-
-    def _plan_stage(self, ds: _Direction, now: int) -> None:
-        """Virtual ``_beacon_timeout``: arbitrate TX slots, chain the next."""
-        p = ds.sender
-        osc = ds.posc
-        tick = osc.ticks_at(now)
-        slot = p.traffic.next_idle_tick(max(tick + 1, p._last_tx_slot + 1))
-        p._last_tx_slot = slot
-        self._push(osc.time_of_tick(slot), CAP_B, ds, 0)
-        p._beacons_since_msb += 1
-        if p._beacons_since_msb >= ds.msb_every:
-            p._beacons_since_msb = 0
-            slot = p.traffic.next_idle_tick(max(tick + 1, slot + 1))
-            p._last_tx_slot = slot
-            self._push(osc.time_of_tick(slot), CAP_M, ds, 0)
-        self._push(osc.time_of_tick(tick + ds.interval), PLAN, ds, 0)
-
-    def _capture_stage(self, ds: _Direction, now: int, stage: int) -> None:
-        """Virtual ``_transmit_now``: read gc, stamp the payload, fly."""
-        osc = ds.posc
-        gc = ds.gc_p
-        tick = osc.ticks_at(now)
-        counter = gc.increment * tick + gc.offset
-        if stage == CAP_B:
-            mtype = _BEACON
-            payload = counter & _LOW_MASK
-            ds.sent_b.value += 1
-        else:
-            mtype = _MSB
-            payload = (counter >> _LOW_BITS) & _LOW_MASK
-            ds.sent_m.value += 1
-        record = self._record
-        if record is not None:
-            record(now, EV_TX, ds.sid_p, mtype, payload)
-        n = tick + ds.txpipe
-        exit_fs = osc.time_of_tick(n) if n >= 1 else now
-        self._push(exit_fs + ds.wire, stage + 2, ds, payload)
-
-    def _arrive_stage(self, ds: _Direction, now: int, stage: int, payload: int) -> None:
-        """Virtual ``_arrive``: CDC quantize + one random settling cycle."""
-        osc = ds.qosc
-        ds.fifo.crossings += 1
-        n = osc.edge_index_after(now)
-        bound = ds.bound
-        rand = ds.rand
-        r = rand(ds.kbits)
-        while r >= bound:
-            r = rand(ds.kbits)
-        self._push(
-            osc.time_of_tick(n + r + ds.rxpipe), stage + 2, ds, payload
-        )
-
-    def _apply_stage(self, ds: _Direction, now: int, stage: int, payload: int) -> None:
-        """Virtual ``_process`` + ``_on_beacon``/``_on_msb``: T4."""
-        record = self._record
-        if stage == APP_M:
-            ds.recv_m.value += 1
-            if record is not None:
-                record(now, EV_RX, ds.sid_q, _MSB, payload)
-            ds.receiver.remote_msb = payload
-            return
-        ds.recv_b.value += 1
-        if record is not None:
-            record(now, EV_RX, ds.sid_q, _BEACON, payload)
-        if ds.receiver.peer_faulty:
-            return
-        lc = ds.lc_q
-        lc_now = lc.increment * ds.qosc.ticks_at(now) + lc.offset
-        remote = dtpmsg.reconstruct_counter(payload, lc_now)
-        candidate = remote + ds.d
-        # reference_counter_at == counter_at for the plain TickClocks the
-        # eligibility check admits, so delta reuses lc_now.
-        delta = candidate - lc_now
-        stats = ds.stats_q
-        stats.beacons_in_window += 1
-        if delta > ds.thresh or delta < -ds.thresh:
-            ds.rej_cell.value += 1
-            stats.rejects_in_window += 1
-            if record is not None:
-                record(now, EV_REJECT, ds.sid_q, REJECT_RANGE, delta)
-        else:
-            if candidate > lc_now:
-                lc.offset += delta
-                lc.adjustments += 1
-                ds.jumps_cell.value += 1
-                stats.jumps_in_window += 1
-                if record is not None:
-                    record(now, EV_JUMP, ds.sid_q, delta, delta)
-                gc = ds.gc_q
-                gc_now = gc.increment * ds.qosc.ticks_at(now) + gc.offset
-                if candidate > gc_now:
-                    gc.offset += candidate - gc_now
-                    gc.adjustments += 1
-        if stats.beacons_in_window >= ds.fw:
-            self._roll_fault_window(ds)

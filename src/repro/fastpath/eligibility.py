@@ -28,7 +28,7 @@ the missed speedup.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional
 
 from ..clocks.clock import TickClock
 from ..dtp.device import DtpDevice
@@ -106,20 +106,3 @@ def direction_ineligible_reason(
     if getattr(port._tx_counter, "__func__", None) is not DtpPort._tx_counter:
         return "TX counter patched"
     return None
-
-
-def direction_eligible(port: DtpPort, tainted: FrozenSet[str]) -> bool:
-    """True when ``port``'s send direction may enter the batched backend."""
-    return direction_ineligible_reason(port, tainted) is None
-
-
-def eligibility_report(
-    ports, tainted: FrozenSet[str]
-) -> List[Tuple[str, Optional[str]]]:
-    """(port name, ineligibility reason or None) for every port, sorted."""
-    rows = [
-        (port.name, direction_ineligible_reason(port, tainted))
-        for port in ports
-    ]
-    rows.sort(key=lambda row: row[0])
-    return rows

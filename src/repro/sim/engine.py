@@ -234,10 +234,8 @@ class Simulator:
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue is empty (or ``max_events``); return count run."""
         count = 0
-        while self.step():
+        while (max_events is None or count < max_events) and self.step():
             count += 1
-            if max_events is not None and count >= max_events:
-                break
         return count
 
     def take_seq(self) -> int:
@@ -258,11 +256,15 @@ class MacroTickSimulator(Simulator):
 
     The source (``repro.fastpath.FastpathCoordinator``) maintains its own
     queue of *virtual* events — batched DTP port work that never touches the
-    engine heap.  ``run_until`` interleaves the two queues by ``(time, seq)``;
-    because the source draws its sequence numbers from :meth:`take_seq` at
-    exactly the points the scalar implementation would have scheduled real
-    events, the merged order is bit-identical to a scalar run.
+    engine heap — and owns the loop that interleaves the two queues by
+    ``(time, seq)``: ``run_until`` hands over to its ``run_merged(time_fs)``.
+    Because the source draws its sequence numbers from the engine's counter
+    at exactly the points the scalar implementation would have scheduled
+    real events, the merged order is bit-identical to a scalar run.
 
+    ``run_merged`` is the only merged loop.  With a source attached,
+    :meth:`step` (and so the inherited :meth:`run`) raises instead of
+    stepping the heap alone, which would silently skip every virtual event.
     With no source attached this class is exactly :class:`Simulator` (it
     falls through to the inherited loops), so nothing slows down if a
     batched backend is requested but nothing promotes.
@@ -274,8 +276,8 @@ class MacroTickSimulator(Simulator):
 
     def __init__(self) -> None:
         super().__init__()
-        #: External virtual-event source: any object with ``next_key()``
-        #: (returns ``(time_fs, seq)`` or None) and ``dispatch_next()``.
+        #: External virtual-event source: any object with
+        #: ``run_merged(time_fs)``.
         self.fastpath: Optional[Any] = None
 
     def attach_fastpath(self, source: Any) -> None:
@@ -298,31 +300,12 @@ class MacroTickSimulator(Simulator):
         return event
 
     def step(self) -> bool:
-        source = self.fastpath
-        if source is None:
+        if self.fastpath is None:
             return super().step()
-        vkey = source.next_key()
-        queue = self._queue
-        while queue:
-            entry = queue[0]
-            if entry[4].cancelled:
-                heapq.heappop(queue)
-                self._cancelled_in_queue -= 1
-                continue
-            if vkey is not None and vkey < (entry[0], entry[1]):
-                break
-            heapq.heappop(queue)
-            self._pending -= 1
-            self._now = entry[0]
-            if self.profile is not None:
-                self.profile.count(entry[2])
-            entry[2](*entry[3])
-            return True
-        if vkey is None:
-            return False
-        self._now = vkey[0]
-        source.dispatch_next()
-        return True
+        raise SimulationError(
+            "a fastpath source is attached: single-stepping would skip its "
+            "virtual events; advance with run_until()"
+        )
 
     def run_until(self, time_fs: int) -> None:
         source = self.fastpath

@@ -9,8 +9,6 @@ promotion, demotion (link-down and fault-window), and merge-ordering
 machinery all get exercised, not just the steady state.
 """
 
-import heapq
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,14 +16,9 @@ from hypothesis import strategies as st
 from repro.clocks.oscillator import ConstantSkew
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
-from repro.fastpath import (
-    FastpathCoordinator,
-    direction_eligible,
-    direction_ineligible_reason,
-    eligibility_report,
-)
+from repro.fastpath import FastpathCoordinator, direction_ineligible_reason
 from repro.faultlab.campaign import RunOptions, metrics_digest, run_scenario
-from repro.network.topology import chain, clos
+from repro.network.topology import chain, clos, star
 from repro.sim import units
 from repro.sim.engine import MacroTickSimulator, SimulationError, Simulator
 from repro.sim.randomness import RandomStreams
@@ -179,6 +172,17 @@ def test_all_builtin_scenarios_write_the_same_artifact_bytes(tmp_path):
 # ----------------------------------------------------------------------
 # Eligibility and demotion
 # ----------------------------------------------------------------------
+def _engine(backend):
+    return MacroTickSimulator() if backend == "batched" else Simulator()
+
+
+def _trace_file_bytes(telemetry, path):
+    from repro.telemetry import write_trace_jsonl
+
+    write_trace_jsonl(str(path), telemetry.tracer)
+    return path.read_bytes()
+
+
 def _batched_chain(seed=0, hosts=2, telemetry=None, tainted=None):
     sim = MacroTickSimulator()
     streams = RandomStreams(root_seed=seed)
@@ -193,7 +197,7 @@ def _batched_chain(seed=0, hosts=2, telemetry=None, tainted=None):
 def _traced_chain(backend, hosts=4, seed=5, drive=None):
     """One traced chain run; returns (telemetry, network, sim)."""
     telemetry = Telemetry()
-    sim = MacroTickSimulator() if backend == "batched" else Simulator()
+    sim = _engine(backend)
     net = DtpNetwork(
         sim, chain(hosts), RandomStreams(root_seed=seed),
         skews={f"n{i}": ConstantSkew((-1.0) ** i * 40.0) for i in range(hosts)},
@@ -282,9 +286,10 @@ def test_dispatch_profile_refuses_every_direction():
         digests[backend] = result["telemetry"]["metrics_digest"]
         net = live["network"]
         assert net.fastpath is None  # zero promotions: nothing to promote into
-        assert {reason for _, reason in eligibility_report(
-            net.ports.values(), frozenset()
-        )} == {"engine dispatch profile attached"}
+        assert {
+            direction_ineligible_reason(port, frozenset())
+            for port in net.ports.values()
+        } == {"engine dispatch profile attached"}
     assert digests["batched"] == digests["scalar"]
 
 
@@ -336,11 +341,16 @@ def test_tainted_nodes_pin_directions_to_scalar():
     sim.run_until(2 * units.MS)
     # n0<->n1 promotes (2 directions); everything touching n2 stays scalar.
     assert net.fastpath.promotions == 2
-    port = net.ports[("n1", "n2")]
-    assert not direction_eligible(port, frozenset({"n2"}))
-    report = dict(eligibility_report(net.ports.values(), frozenset({"n2"})))
-    assert report["n0->n1"] is None
-    assert report["n2->n1"] == "fault model armed on an endpoint device"
+    reasons = {
+        port.name: direction_ineligible_reason(port, frozenset({"n2"}))
+        for port in net.ports.values()
+    }
+    assert reasons["n0->n1"] is None
+    assert (
+        reasons["n1->n2"]
+        == reasons["n2->n1"]
+        == "fault model armed on an endpoint device"
+    )
     # Taint cannot change during a run, so it was settled at build time:
     # the refused ports carry no hook and never ask the coordinator.
     hooked = {port.name for port in net.ports.values() if port._fastpath is not None}
@@ -374,7 +384,7 @@ def test_link_down_demotes_and_relearns():
 def test_scenario_state_identical_not_just_digest():
     # Beyond metrics digests: every per-port counter the stats track.
     def run(backend):
-        sim = MacroTickSimulator() if backend == "batched" else Simulator()
+        sim = _engine(backend)
         streams = RandomStreams(root_seed=9)
         net = DtpNetwork(
             sim, chain(4), streams,
@@ -404,82 +414,117 @@ def test_scenario_state_identical_not_just_digest():
 # ----------------------------------------------------------------------
 # Engine merge plumbing
 # ----------------------------------------------------------------------
-def _next_event_time(sim):
-    vkey = sim.fastpath.next_key()
-    queue = sim._queue
-    while queue and queue[0][4].cancelled:
-        heapq.heappop(queue)
-        sim._cancelled_in_queue -= 1
-    ekey = (queue[0][0], queue[0][1]) if queue else None
-    keys = [key for key in (vkey, ekey) if key is not None]
-    return min(keys)[0] if keys else None
+def test_step_and_run_refuse_an_engine_with_a_coordinator_attached():
+    # run_merged is the only loop that sees virtual events; stepping the
+    # heap alone would silently skip them, so it is a named error.
+    sim, net = _batched_chain()
+    assert sim.fastpath is net.fastpath is not None
+    for advance in (sim.step, sim.run, lambda: sim.run(max_events=1)):
+        with pytest.raises(SimulationError, match="run_until"):
+            advance()
+    assert sim._now == 0 and net.fastpath.virtual_events == 0
+    sim.run_until(2 * units.MS)  # the engine is unharmed
+    assert net.all_synchronized() and net.fastpath.promotions == 2
 
 
-def _step_until(sim, horizon):
-    """``run_until`` through ``step()``: the coordinator's next_key /
-    dispatch_next protocol and the method-form stage bodies."""
-    while True:
-        when = _next_event_time(sim)
-        if when is None or when > horizon:
-            break
-        assert sim.step()
-    sim._now = horizon
+def test_step_and_run_without_a_source_are_the_plain_engine():
+    # Bare engines: same callbacks, same order, same return values.
+    def bare(cls):
+        sim, fired = cls(), []
+        for delay in (30, 10, 20, 10):
+            sim.schedule(delay, fired.append, (delay, len(fired)))
+        sim.cancel(sim.schedule(5, fired.append, "cancelled"))
+        out = [sim.step(), sim.run(max_events=2), sim.run(), sim.step()]
+        return out, fired, sim._now, sim._seq
 
+    plain = bare(Simulator)
+    assert bare(MacroTickSimulator) == plain
+    assert plain[0] == [True, 2, 1, False]
 
-def test_step_slow_path_matches_run_merged():
-    # step() drains the merged queues one event at a time; the end state
-    # must match the fused run_merged loop exactly.
-    def run(stepwise):
-        sim, net = _batched_chain(seed=4)
-        horizon = 2 * units.MS
-        if stepwise:
-            _step_until(sim, horizon)
-        else:
-            sim.run_until(horizon)
-        return (
-            sim._seq,
-            net.pair_offset("n0", "n1"),
-            net.ports[("n0", "n1")].stats.jumps,
-            net.fastpath.virtual_events,
-        )
-
-    assert run(False) == run(True)
-
-
-def test_both_copies_of_the_stage_bodies_emit_the_scalar_trace(tmp_path):
-    # The inlined run_merged stages and the _*_stage methods each record
-    # on their own; an msb cadence of 7 puts BEACON_MSB records in play
-    # and a down/up flap adds a demotion and a re-promotion.
-    from repro.dtp.messages import MessageType
-    from repro.telemetry import write_trace_jsonl
-    from repro.telemetry.events import EV_RX
-
-    def run(mode):
-        telemetry = Telemetry()
-        sim = Simulator() if mode == "scalar" else MacroTickSimulator()
+    # An all-tainted network builds no coordinator: step()/run() drive the
+    # scalar port path on either engine class, to the same state.
+    def network(cls):
+        sim = cls()
         net = DtpNetwork(
-            sim, chain(3), RandomStreams(root_seed=11), telemetry=telemetry,
-            config=DtpPortConfig(msb_interval_beacons=7),
-            backend="scalar" if mode == "scalar" else "batched",
+            sim, chain(3), RandomStreams(root_seed=4),
+            backend="batched" if cls is MacroTickSimulator else "scalar",
+            tainted_nodes=frozenset({"n1"}),
         )
         net.start()
-        advance = _step_until if mode == "stepped" else (lambda sim, t: sim.run_until(t))
-        advance(sim, 1 * units.MS)
+        ran = sim.run(max_events=4000)
+        while sim._now < 300 * units.US:
+            assert sim.step()
+        return (
+            ran, sim._now, sim._seq, net.fastpath,
+            net.pair_offset("n0", "n2"), net.ports[("n1", "n2")].stats.jumps,
+        )
+
+    plain = network(Simulator)
+    assert network(MacroTickSimulator) == plain
+    assert plain[0] == 4000 and plain[3] is None
+
+
+def test_promotion_ties_on_a_shared_oscillator_keep_scalar_order(tmp_path):
+    # star(4) with every skew zero: the hub's four ports share one
+    # oscillator and every device ticks alike, so promotions land on
+    # same-femtosecond ties.  Each promotion is one virtual PLAN keyed
+    # (now, -1) — the next event run_merged picks — so the counter and the
+    # trace bytes stay the scalar run's.
+    topology = star(4)
+
+    def run(backend):
+        telemetry = Telemetry()
+        sim = _engine(backend)
+        net = DtpNetwork(
+            sim, topology, RandomStreams(root_seed=5),
+            skews={name: ConstantSkew(0.0) for name in topology.nodes},
+            telemetry=telemetry, backend=backend,
+        )
+        net.start()
+        sim.run_until(1 * units.MS)
+        path = tmp_path / f"{backend}.trace.jsonl"
+        return _trace_file_bytes(telemetry, path), sim._seq, net
+
+    scalar_bytes, scalar_seq, _ = run("scalar")
+    batched_bytes, batched_seq, net = run("batched")
+    assert batched_bytes == scalar_bytes
+    assert batched_seq == scalar_seq == 25056
+    fastpath = net.fastpath
+    assert fastpath.promotions == 2 * len(topology.edges) == 8
+    assert fastpath.demotions == 0
+    # One PLAN per promotion on top of the 24952 events the chains ran.
+    assert fastpath.virtual_events == 24952 + fastpath.promotions
+
+
+def test_scalar_and_batched_write_the_same_trace_file_across_a_flap(tmp_path):
+    # An msb cadence of 7 puts BEACON_MSB records in play and a down/up
+    # flap adds a demotion and a re-promotion.
+    from repro.dtp.messages import MessageType
+    from repro.telemetry.events import EV_RX
+
+    def run(backend):
+        telemetry = Telemetry()
+        sim = _engine(backend)
+        net = DtpNetwork(
+            sim, chain(3), RandomStreams(root_seed=11), telemetry=telemetry,
+            config=DtpPortConfig(msb_interval_beacons=7), backend=backend,
+        )
+        net.start()
+        sim.run_until(1 * units.MS)
         net.down_link("n0", "n1")
         net.up_link("n0", "n1")
-        advance(sim, 2 * units.MS)
-        if mode != "scalar":
+        sim.run_until(2 * units.MS)
+        if backend == "batched":
             assert net.fastpath.promotions == 6 and net.fastpath.demotions == 2
         msb_rx = sum(
             1 for r in telemetry.tracer.records
             if r[1] == EV_RX and r[3] == MessageType.BEACON_MSB
         )
         assert msb_rx > 100
-        path = tmp_path / f"{mode}.trace.jsonl"
-        write_trace_jsonl(str(path), telemetry.tracer)
-        return path.read_bytes(), sim._seq
+        path = tmp_path / f"{backend}.trace.jsonl"
+        return _trace_file_bytes(telemetry, path), sim._seq
 
-    assert run("scalar") == run("fused") == run("stepped")
+    assert run("scalar") == run("batched")
 
 
 def test_attach_fastpath_rejects_second_source():

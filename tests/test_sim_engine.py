@@ -133,6 +133,15 @@ def test_run_with_max_events(sim):
     assert sim.pending_events == 7
 
 
+def test_run_with_zero_max_events_dispatches_nothing(sim):
+    # The bound is tested before the step, not after it.
+    fired = []
+    sim.schedule(1, fired.append, "x")
+    assert sim.run(max_events=0) == 0
+    assert fired == [] and sim.now == 0 and sim.pending_events == 1
+    assert sim.run() == 1 and fired == ["x"]
+
+
 def test_pending_events_counts_live_only(sim):
     keep = sim.schedule(10, lambda: None)
     cancel = sim.schedule(20, lambda: None)
