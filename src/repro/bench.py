@@ -342,8 +342,10 @@ def _observe(repeats: int, seed_core) -> dict:
         def tapped():
             tap = SnapshotTap(str(Path(directory) / "fig6a.snapshots.jsonl"), header)
             probe = ObserveProbe(tap=tap)
-            digest, wall = run_fig6a(telemetry=Telemetry(), observe=probe)
-            tap.flush()
+            try:
+                digest, wall = run_fig6a(telemetry=Telemetry(), observe=probe)
+            finally:
+                tap.close()
             return digest, wall, probe.samples, tap.flushes
 
         ratio, _, (_, _, samples, flushes) = interleaved(

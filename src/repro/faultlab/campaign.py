@@ -432,28 +432,31 @@ def _drive_inline(
     profiling = telemetry is not None and telemetry.profile is not None
     wall_start = time.perf_counter_ns() if profiling else None
     try:
-        sim.run_until(duration_fs)
-    except InvariantViolation as exc:
-        if telemetry is not None and options.flight_dir is not None:
-            _write_flight(
-                options.flight_dir, name, "", telemetry, seed, sim.now,
-                dict(exc.context, violation=exc.violation.as_dict()),
+        try:
+            sim.run_until(duration_fs)
+        except InvariantViolation as exc:
+            if telemetry is not None and options.flight_dir is not None:
+                _write_flight(
+                    options.flight_dir, name, "", telemetry, seed, sim.now,
+                    dict(exc.context, violation=exc.violation.as_dict()),
+                )
+            raise
+        if wall_start is not None:
+            telemetry.record_wallclock(
+                f"scenario:{name}", time.perf_counter_ns() - wall_start
             )
-        if probe is not None and probe.tap is not None:
-            # Leave the stream crash-consistent at the last sampled instant.
-            probe.tap.flush()
-        raise
-    if wall_start is not None:
-        telemetry.record_wallclock(
-            f"scenario:{name}", time.perf_counter_ns() - wall_start
-        )
 
-    summaries = {f.name: {"kind": f.kind, **f.summary()} for f in prepared.faults}
-    linkhealth = network.linkhealth.summary() if network.linkhealth is not None else None
-    return finish(
-        prepared, seed, options, telemetry, checker, sample_values, summaries,
-        network.all_synchronized(), linkhealth, probe,
-    )
+        summaries = {f.name: {"kind": f.kind, **f.summary()} for f in prepared.faults}
+        linkhealth = network.linkhealth.summary() if network.linkhealth is not None else None
+        return finish(
+            prepared, seed, options, telemetry, checker, sample_values, summaries,
+            network.all_synchronized(), linkhealth, probe,
+        )
+    finally:
+        if probe is not None:
+            # However the run ends, every snapshot sampled so far is on disk
+            # and the tap's handle is closed.
+            probe.close()
 
 
 def _drive_sharded(*run: object) -> Dict[str, object]:

@@ -1,13 +1,22 @@
-"""Crash-safe file writes: write to a temp file, then ``os.replace``.
+"""Crash-safe file writes: whole files by rename, streams by append.
 
-Every artifact this repo emits (trace JSONL, metrics snapshots, Prometheus
-expositions, flight recordings, CSV series, checkpoint journals) goes
-through these helpers so that a crash — including a SIGKILL — at any
-instant leaves either the previous complete file or the new complete file
-on disk, never a torn prefix.  ``os.replace`` is atomic on POSIX and
-Windows when source and destination share a filesystem, which is
-guaranteed here because the temp file is created in the destination's
-directory.
+A *whole-file* artifact (trace JSONL, metrics snapshots, Prometheus
+expositions, flight recordings, CSV series, a checkpoint journal's header)
+is written to a temp file in the destination's directory, fsynced and
+``os.replace``d into place, so a crash — including a SIGKILL — at any
+instant leaves either the previous complete file or the new complete file,
+never a torn prefix.  ``os.replace`` is atomic on POSIX and Windows when
+source and destination share a filesystem, which the temp file's location
+guarantees.
+
+A *stream* (a scenario's snapshot stream, the checkpoint journal's
+records) grows through :class:`JsonlAppender` instead: the path is opened
+once, every batch of lines is one ``write`` handed to the kernel, and
+nothing already written is written again.  What is on disk after process
+death at any instant is a byte prefix of the uninterrupted file, so only
+the final line can be torn, and the stream's readers skip a torn final
+line.  ``close()`` fsyncs: a snapshot stream is durable once its scenario
+has finished, a journal record before ``record()`` returns.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 
 def canonical_json(obj: object) -> str:
@@ -81,3 +90,44 @@ def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:
     """Atomically replace ``path`` with ``text`` (``\\n`` newlines)."""
     with atomic_open(path, encoding=encoding) as handle:
         handle.write(text)
+
+
+class JsonlAppender:
+    """An append-only JSONL file, opened once and cut back to ``keep`` bytes.
+
+    ``keep=0`` starts a new stream (whatever the path held is gone);
+    a journal being resumed passes the end of its last complete record.
+    Usable as a context manager.
+    """
+
+    def __init__(self, path: str, keep: int = 0) -> None:
+        if keep:
+            self._handle = open(path, "r+b")
+            self._handle.truncate(keep)
+            self._handle.seek(keep)
+        else:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            self._handle = open(path, "wb")
+
+    def append(self, lines: Sequence[str]) -> int:
+        """Hand ``lines`` to the kernel in one write — they outlive the process
+        from here — and return the stream's new length in bytes."""
+        self._handle.write(("\n".join(lines) + "\n").encode("utf-8"))
+        self._handle.flush()
+        return self._handle.tell()
+
+    @property
+    def closed(self) -> bool:
+        return self._handle.closed
+
+    def close(self) -> None:
+        """fsync, then close.  Idempotent."""
+        if not self._handle.closed:
+            os.fsync(self._handle.fileno())
+            self._handle.close()
+
+    def __enter__(self) -> "JsonlAppender":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()

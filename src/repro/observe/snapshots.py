@@ -16,10 +16,15 @@ coordinator's ``_SAMPLE`` merge-walk branch in ``repro.shard`` fire at
 the same simulated instants with the same checker state, so the scalar,
 batched and sharded backends emit byte-identical streams.
 
-Writes are batched (every ``flush_every`` snapshots) and each flush is a
-full atomic rewrite via :func:`repro.ioutil.atomic_write_text` — the
-same crash-consistency discipline as the resilience checkpoint journal —
-so a watcher never observes a torn line.
+Writes are batched (every ``DEFAULT_FLUSH_EVERY`` records) and each batch
+is appended through :class:`repro.ioutil.JsonlAppender` — the writer under
+the resilience checkpoint journal too: one ``write`` of the pending lines
+handed to the kernel, nothing already written rewritten.  After process
+death at any instant the file is a byte prefix of the finished stream, so
+a watcher (or a resume) may meet a torn *final* line and
+:func:`read_snapshots` skips it.  The stream's one fsync is at close:
+inside ``finalize`` for a run that finished, in the driver's ``finally``
+for one that raised.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ioutil import atomic_write_text, canonical_json
+from ..ioutil import JsonlAppender, canonical_json
 from .histograms import OffsetHistogram
 
 #: Flush the stream every N snapshot records (plus once at finalize).
@@ -40,36 +45,36 @@ SNAPSHOT_SUFFIX = ".snapshots.jsonl"
 class SnapshotTap:
     """Incremental JSONL writer for one scenario's snapshot stream."""
 
-    def __init__(
-        self,
-        path: str,
-        header: Dict[str, object],
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-    ) -> None:
+    def __init__(self, path: str, header: Dict[str, object]) -> None:
         self.path = path
-        self.flush_every = max(1, int(flush_every))
-        self._lines: List[str] = [
+        self._stream = JsonlAppender(path)
+        self._pending: List[str] = [
             canonical_json({"record": "snapshot-header", "version": 1, **header})
         ]
-        self._pending = 1
         self.flushes = 0
 
     def emit(self, fields: Dict[str, object]) -> None:
-        self._lines.append(canonical_json({"record": "snapshot", **fields}))
-        self._pending += 1
-        if self._pending >= self.flush_every:
+        self._pending.append(canonical_json({"record": "snapshot", **fields}))
+        if len(self._pending) >= DEFAULT_FLUSH_EVERY:
             self.flush()
 
     def finalize(self, fields: Dict[str, object]) -> None:
-        self._lines.append(canonical_json({"record": "final", **fields}))
-        self.flush()
+        self._pending.append(canonical_json({"record": "final", **fields}))
+        self.close()
 
     def flush(self) -> None:
         if not self._pending:
             return
-        atomic_write_text(self.path, "\n".join(self._lines) + "\n")
-        self._pending = 0
+        self._stream.append(self._pending)
+        self._pending = []
         self.flushes += 1
+
+    def close(self) -> None:
+        """Flush what is pending, fsync and close.  Idempotent: whoever made
+        the tap calls this in a ``finally``, after ``finalize`` or instead of it."""
+        if not self._stream.closed:
+            self.flush()
+            self._stream.close()
 
 
 class ObserveProbe:
@@ -178,6 +183,11 @@ class ObserveProbe:
             "links": links,
         }
 
+    def close(self) -> None:
+        """Close the tap, if any (see :meth:`SnapshotTap.close`)."""
+        if self.tap is not None:
+            self.tap.close()
+
     def finalize(self, result: Dict[str, object]) -> None:
         """Write the ``final`` record from the assembled scenario result."""
         if self.tap is None:
@@ -209,7 +219,6 @@ def make_tap(
     snapshot_dir: str, name: str, seed: int, duration_fs: int, sample_interval_fs: int
 ) -> SnapshotTap:
     """A tap for one scenario run, with the standard header fields."""
-    os.makedirs(snapshot_dir, exist_ok=True)
     return SnapshotTap(
         snapshot_path(snapshot_dir, name),
         {
@@ -224,9 +233,9 @@ def make_tap(
 def read_snapshots(path: str) -> Dict[str, object]:
     """Parse a snapshot stream: header, snapshot list, final (or None).
 
-    Tolerates a torn trailing line (a watcher racing a non-atomic copy of
-    the stream) by ignoring undecodable lines, mirroring the checkpoint
-    journal's recovery discipline.
+    Skips undecodable lines: the stream is appended to, so a reader racing
+    the writer, or one that finds what a killed run left, may meet a torn
+    final line.
     """
     header: Optional[Dict[str, object]] = None
     snapshots: List[Dict[str, object]] = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional
 
@@ -95,6 +96,8 @@ def report_failures(
 
 def _show_journal(path: str, as_json: bool) -> int:
     try:
+        if not os.path.exists(path):  # constructing one would create it
+            raise FileNotFoundError(f"{path}: no such journal")
         journal = CheckpointJournal(path)
     except (JournalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

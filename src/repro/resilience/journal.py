@@ -10,11 +10,16 @@ result, keyed by ``(task name, seed, args digest)``:
     {"record":"task-result","name":"baseline","seed":123,
      "args_sha256":"ab12...","result":{...}}
 
-Each append rewrites the journal to a temp file and ``os.replace``s it
-into place (see :mod:`repro.ioutil`), so a SIGKILL at any instant leaves a
-loadable journal.  As a second line of defense, a torn final line (e.g. a
-journal written by a plain ``open``-and-append writer, or a partial copy)
-is dropped on load rather than poisoning the resume.
+The header lands through :func:`repro.ioutil.atomic_write_text`, so the
+path never holds a partial one; every record after it is *appended*
+through :class:`repro.ioutil.JsonlAppender` — one line, one ``write``, one
+fsync before ``record()`` returns — and nothing already on disk is written
+again.  A record is complete once its newline is on disk: a SIGKILL at any
+instant leaves a byte prefix of the uninterrupted journal, loading drops
+whatever follows the last newline (the torn tail of an interrupted append)
+without touching the file, and the next ``record()`` cuts the file back to
+that point before it appends, so a torn fragment never becomes a corrupt
+middle line.
 
 Because entries are *keyed* rather than positional, resume order does not
 matter: a supervisor restarted against a journal skips every task whose
@@ -31,7 +36,7 @@ import os
 from typing import Dict, List, Optional
 
 from ..experiments.parallel import ExperimentTask
-from ..ioutil import atomic_write_text, canonical_json
+from ..ioutil import JsonlAppender, atomic_write_text, canonical_json
 
 JOURNAL_HEADER = "resilience-journal"
 JOURNAL_RESULT = "task-result"
@@ -80,24 +85,31 @@ class CheckpointJournal:
         self.meta: Dict[str, object] = dict(meta or {})
         self._results: Dict[str, object] = {}
         self._entries: List[Dict[str, object]] = []
-        if os.path.exists(path):
-            self._load()
-        else:
-            self._flush()
+        #: Byte offset the next record goes at: just past the last complete one.
+        self._end = 0
+        if not os.path.exists(path):
+            header = {
+                "record": JOURNAL_HEADER,
+                "version": JOURNAL_VERSION,
+                "meta": self.meta,
+            }
+            atomic_write_text(path, canonical_json(header) + "\n")
+        self._load()
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
+        """Read the journal; never writes (the cut-back waits for ``record``)."""
+        with open(self.path, "rb") as handle:
+            data = handle.read()
+        *lines, torn = data.split(b"\n")
+        self._end = len(data) - len(torn)
         if not lines:
-            raise JournalError(f"{self.path}: empty journal (no header)")
+            raise JournalError(f"{self.path}: empty journal (no complete header)")
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise JournalError(f"{self.path}: unreadable header: {exc}") from exc
         if header.get("record") != JOURNAL_HEADER:
             raise JournalError(f"{self.path}: not a resilience journal")
@@ -116,9 +128,7 @@ class CheckpointJournal:
         for lineno, line in enumerate(lines[1:], start=2):
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    break  # torn final line from an interrupted append
+            except ValueError:
                 raise JournalError(
                     f"{self.path}:{lineno}: corrupt journal line"
                 ) from None
@@ -130,16 +140,6 @@ class CheckpointJournal:
             key = f"{entry['name']}|{entry['seed']}|{entry['args_sha256']}"
             self._results[key] = entry["result"]
             self._entries.append(entry)
-
-    def _flush(self) -> None:
-        header = {
-            "record": JOURNAL_HEADER,
-            "version": JOURNAL_VERSION,
-            "meta": self.meta,
-        }
-        lines = [canonical_json(header)]
-        lines.extend(canonical_json(entry) for entry in self._entries)
-        atomic_write_text(self.path, "\n".join(lines) + "\n")
 
     # ------------------------------------------------------------------
     # Access
@@ -169,12 +169,13 @@ class CheckpointJournal:
             "result": result,
         }
         try:
-            canonical_json(entry)
+            line = canonical_json(entry)
         except (TypeError, ValueError) as exc:
             raise JournalError(
                 f"task {name!r}: result is not JSON-serializable ({exc});"
                 " journaled tasks must return plain data"
             ) from exc
+        with JsonlAppender(self.path, keep=self._end) as stream:
+            self._end = stream.append([line])
         self._results[key] = result
         self._entries.append(entry)
-        self._flush()

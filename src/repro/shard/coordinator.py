@@ -198,215 +198,220 @@ def run_sharded(
     checker_start = max(int(start_fs), 0)
 
     probe = make_probe(prepared, seed, options, sample_interval_fs)
+    try:
+        grant_cap = duration_fs + 1
+        pending: List[List[tuple]] = [[] for _ in range(shards)]
+        sample_values: List[int] = []
+        rounds = 0
+        stalled = 0
+        prev_grant = None
 
-    grant_cap = duration_fs + 1
-    pending: List[List[tuple]] = [[] for _ in range(shards)]
-    sample_values: List[int] = []
-    rounds = 0
-    stalled = 0
-    prev_grant = None
+        def replay_call(payload: tuple) -> None:
+            op = payload[0]
+            if op == "quarantine":
+                checker.quarantine(payload[1], payload[2])
+            elif op == "release":
+                checker.release(payload[1], payload[2], wait_for=payload[3])
+            elif op == "notify_counter_reset":
+                checker.notify_counter_reset(payload[1])
+            elif op == "quarantine_edge":
+                checker.quarantine_edge(payload[1], payload[2], payload[3])
+            elif op == "release_edge":
+                checker.release_edge(payload[1], payload[2], payload[3])
+            else:  # pragma: no cover - worker/coordinator version skew
+                raise CampaignError(f"unknown checker call {op!r}")
 
-    def replay_call(payload: tuple) -> None:
-        op = payload[0]
-        if op == "quarantine":
-            checker.quarantine(payload[1], payload[2])
-        elif op == "release":
-            checker.release(payload[1], payload[2], wait_for=payload[3])
-        elif op == "notify_counter_reset":
-            checker.notify_counter_reset(payload[1])
-        elif op == "quarantine_edge":
-            checker.quarantine_edge(payload[1], payload[2], payload[3])
-        elif op == "release_edge":
-            checker.release_edge(payload[1], payload[2], payload[3])
-        else:  # pragma: no cover - worker/coordinator version skew
-            raise CampaignError(f"unknown checker call {op!r}")
-
-    while True:
-        bounds: List[int] = []
-        for dest in range(shards):
-            out_la = plan.min_out_lookahead(dest)
-            if out_la is None:
-                continue
-            for item in pending[dest]:
-                if item[7]:  # unsafe: may cascade back across the cut
-                    bounds.append(item[2] + out_la)
-        grant = min(
-            [grant_cap]
-            + [p for p in promises if p is not None]
-            + bounds
-        )
-        delivered = sum(len(p) for p in pending)
-        if grant == prev_grant and delivered == 0:
-            stalled += 1
-            if health is not None:
-                health.shard_stall(grant, stalled, _STALL_LIMIT)
-            if stalled > _STALL_LIMIT:
-                raise CampaignError(
-                    f"sharded window stalled at grant={grant} fs "
-                    f"(promises={promises}); this is a bug in the "
-                    "conservative protocol, not in the scenario"
-                )
-        else:
-            stalled = 0
-        if health is not None:
-            health.shard_grant(
-                rounds + 1,
-                grant,
-                0 if prev_grant is None else max(0, grant - prev_grant),
+        while True:
+            bounds: List[int] = []
+            for dest in range(shards):
+                out_la = plan.min_out_lookahead(dest)
+                if out_la is None:
+                    continue
+                for item in pending[dest]:
+                    if item[7]:  # unsafe: may cascade back across the cut
+                        bounds.append(item[2] + out_la)
+            grant = min(
+                [grant_cap]
+                + [p for p in promises if p is not None]
+                + bounds
             )
-        prev_grant = grant
-
-        requests = [(grant, pending[s]) for s in range(shards)]
-        pending = [[] for _ in range(shards)]
-        responses = transport.service(requests)
-        rounds += 1
-
-        promises = [r["promise"] for r in responses]
-        for r in responses:
-            for item in r["outbox"]:
-                pending[item[0]].append(item)
-        if health is not None:
-            for s, r in enumerate(responses):
-                promise = r["promise"]
-                health.shard_service(
-                    grant,
-                    s,
-                    len(r["records"]),
-                    0 if promise is None else max(0, promise - grant),
-                )
-
-        # ---- merge-walk this round ---------------------------------
-        items: List[tuple] = []
-        checker_idx: Optional[set] = None
-        sampler_idx: Optional[set] = None
-        for s, r in enumerate(responses):
-            for rec in r["records"]:
-                items.append(((rec[0], rec[1], rec[2], rec[3], rec[4]),
-                              _REC, s, rec))
-            for call in r["calls"]:
-                items.append(((call[0], call[1], call[2], call[3], call[4]),
-                              _CALL, s, call))
-            cidx = set(r["checker_bundles"])
-            sidx = set(r["sampler_bundles"])
-            if checker_idx is None:
-                checker_idx, sampler_idx = cidx, sidx
-            elif cidx != checker_idx or sidx != sampler_idx:
-                raise CampaignError(
-                    "shard probe grids diverged within one window "
-                    f"(shard 0: {sorted(checker_idx)}/{sorted(sampler_idx)},"
-                    f" shard {s}: {sorted(cidx)}/{sorted(sidx)})"
-                )
-        for i in sorted(checker_idx or ()):
-            t = checker_start + i * interval_fs
-            key = _grid_key(i, t, t - interval_fs, checker_root, 0)
-            items.append((key, _CHECK, i, None))
-        for j in sorted(sampler_idx or ()):
-            t = j * sample_interval_fs
-            key = _grid_key(j, t, t - sample_interval_fs, sampler_root, 1)
-            items.append((key, _SAMPLE, j, None))
-
-        items.sort(key=lambda item: (item[0], item[1]))
-        for key, tag, who, payload in items:
-            if tag == _REC:
-                if tracer is not None:
-                    tracer.record(
-                        payload[0],
-                        payload[5],
-                        tracer.subject_id(subjects[who][payload[6]]),
-                        payload[7],
-                        payload[8],
-                    )
-            elif tag == _CALL:
-                view.sim.now = payload[0]
-                replay_call(payload[5])
-            elif tag == _CHECK:
-                for r in responses:
-                    view.apply_bundle(r["checker_bundles"][who])
-                view.sim.now = key[0]
-                checker._tick()
-            else:  # _SAMPLE
-                for r in responses:
-                    view.apply_bundle(r["sampler_bundles"][who])
-                view.sim.now = key[0]
-                worst = checker.worst_checkable_offset()
-                if worst is not None:
-                    sample_values.append(worst)
-                if probe is not None:
-                    probe.sample(
-                        view.sim.now,
-                        worst,
-                        checker,
-                        trace_recorded=(
-                            tracer.recorded if tracer is not None else 0
-                        ),
-                    )
-
-        if (
-            grant >= grant_cap
-            and not any(pending)
-            and all(p is None or p >= grant_cap for p in promises)
-        ):
-            break
-
-    finals = transport.finalize(duration_fs)
-    for final in finals:
-        view.apply_bundle(final["final"])
-    view.sim.now = duration_fs
-
-    # Registry merge: per-shard counter families sum into the coordinator
-    # registry (every port-counter cell already exists here at 0 from the
-    # replicated construction; foreign-port cells stayed 0 on shards, so
-    # the sum is exactly the serial value).
-    if telemetry is not None:
-        registry = telemetry.registry
-        for final in finals:
-            for family_name, cells in final["metric_counters"].items():
-                family = registry.get(family_name)
-                if not isinstance(family, CounterFamily):  # pragma: no cover
+            delivered = sum(len(p) for p in pending)
+            if grant == prev_grant and delivered == 0:
+                stalled += 1
+                if health is not None:
+                    health.shard_stall(grant, stalled, _STALL_LIMIT)
+                if stalled > _STALL_LIMIT:
                     raise CampaignError(
-                        f"shard exported non-counter family {family_name!r}"
+                        f"sharded window stalled at grant={grant} fs "
+                        f"(promises={promises}); this is a bug in the "
+                        "conservative protocol, not in the scenario"
                     )
-                children = family._children
-                for label_key, value in cells:
-                    label_key = tuple(label_key)
-                    child = children.get(label_key)
-                    if child is None:
-                        child = family._make_child()
-                        children[label_key] = child
-                    child.value += value
+            else:
+                stalled = 0
+            if health is not None:
+                health.shard_grant(
+                    rounds + 1,
+                    grant,
+                    0 if prev_grant is None else max(0, grant - prev_grant),
+                )
+            prev_grant = grant
 
-    fault_summaries: Dict[str, dict] = {}
-    for final in finals:
-        fault_summaries.update(final["fault_summaries"])
-    all_synchronized = all(final["all_synchronized"] for final in finals)
-    events_dispatched = sum(final["events_dispatched"] for final in finals)
+            requests = [(grant, pending[s]) for s in range(shards)]
+            pending = [[] for _ in range(shards)]
+            responses = transport.service(requests)
+            rounds += 1
 
-    linkhealth = None
-    if network.linkhealth is not None:
-        # The replicated manager holds every link at its dormant default;
-        # overlay what the owning shards actually observed, keeping the
-        # serial summary()'s key iteration order.
-        reported: Dict[str, dict] = {}
+            promises = [r["promise"] for r in responses]
+            for r in responses:
+                for item in r["outbox"]:
+                    pending[item[0]].append(item)
+            if health is not None:
+                for s, r in enumerate(responses):
+                    promise = r["promise"]
+                    health.shard_service(
+                        grant,
+                        s,
+                        len(r["records"]),
+                        0 if promise is None else max(0, promise - grant),
+                    )
+
+            # ---- merge-walk this round ---------------------------------
+            items: List[tuple] = []
+            checker_idx: Optional[set] = None
+            sampler_idx: Optional[set] = None
+            for s, r in enumerate(responses):
+                for rec in r["records"]:
+                    items.append(((rec[0], rec[1], rec[2], rec[3], rec[4]),
+                                  _REC, s, rec))
+                for call in r["calls"]:
+                    items.append(((call[0], call[1], call[2], call[3], call[4]),
+                                  _CALL, s, call))
+                cidx = set(r["checker_bundles"])
+                sidx = set(r["sampler_bundles"])
+                if checker_idx is None:
+                    checker_idx, sampler_idx = cidx, sidx
+                elif cidx != checker_idx or sidx != sampler_idx:
+                    raise CampaignError(
+                        "shard probe grids diverged within one window "
+                        f"(shard 0: {sorted(checker_idx)}/{sorted(sampler_idx)},"
+                        f" shard {s}: {sorted(cidx)}/{sorted(sidx)})"
+                    )
+            for i in sorted(checker_idx or ()):
+                t = checker_start + i * interval_fs
+                key = _grid_key(i, t, t - interval_fs, checker_root, 0)
+                items.append((key, _CHECK, i, None))
+            for j in sorted(sampler_idx or ()):
+                t = j * sample_interval_fs
+                key = _grid_key(j, t, t - sample_interval_fs, sampler_root, 1)
+                items.append((key, _SAMPLE, j, None))
+
+            items.sort(key=lambda item: (item[0], item[1]))
+            for key, tag, who, payload in items:
+                if tag == _REC:
+                    if tracer is not None:
+                        tracer.record(
+                            payload[0],
+                            payload[5],
+                            tracer.subject_id(subjects[who][payload[6]]),
+                            payload[7],
+                            payload[8],
+                        )
+                elif tag == _CALL:
+                    view.sim.now = payload[0]
+                    replay_call(payload[5])
+                elif tag == _CHECK:
+                    for r in responses:
+                        view.apply_bundle(r["checker_bundles"][who])
+                    view.sim.now = key[0]
+                    checker._tick()
+                else:  # _SAMPLE
+                    for r in responses:
+                        view.apply_bundle(r["sampler_bundles"][who])
+                    view.sim.now = key[0]
+                    worst = checker.worst_checkable_offset()
+                    if worst is not None:
+                        sample_values.append(worst)
+                    if probe is not None:
+                        probe.sample(
+                            view.sim.now,
+                            worst,
+                            checker,
+                            trace_recorded=(
+                                tracer.recorded if tracer is not None else 0
+                            ),
+                        )
+
+            if (
+                grant >= grant_cap
+                and not any(pending)
+                and all(p is None or p >= grant_cap for p in promises)
+            ):
+                break
+
+        finals = transport.finalize(duration_fs)
         for final in finals:
-            reported.update(final["linkhealth"])
-        manager = network.linkhealth
-        links = {}
-        for key in sorted(manager.supervisors):
-            supervisor = manager.supervisors[key]
-            links[supervisor.link] = reported.get(
-                supervisor.link, supervisor.summary()
-            )
-        linkhealth = {"links": links}
-    ordered = {fault.name: fault_summaries[fault.name] for fault in prepared.faults}
-    result = finish(
-        prepared, seed, options, telemetry, checker, sample_values, ordered,
-        all_synchronized, linkhealth, probe,
-    )
-    if stats_out is not None:
-        stats_out.update(
-            events=events_dispatched,
-            rounds=rounds,
-            shards=shards,
-            wall_ns=time.perf_counter_ns() - wall_start,
+            view.apply_bundle(final["final"])
+        view.sim.now = duration_fs
+
+        # Registry merge: per-shard counter families sum into the coordinator
+        # registry (every port-counter cell already exists here at 0 from the
+        # replicated construction; foreign-port cells stayed 0 on shards, so
+        # the sum is exactly the serial value).
+        if telemetry is not None:
+            registry = telemetry.registry
+            for final in finals:
+                for family_name, cells in final["metric_counters"].items():
+                    family = registry.get(family_name)
+                    if not isinstance(family, CounterFamily):  # pragma: no cover
+                        raise CampaignError(
+                            f"shard exported non-counter family {family_name!r}"
+                        )
+                    children = family._children
+                    for label_key, value in cells:
+                        label_key = tuple(label_key)
+                        child = children.get(label_key)
+                        if child is None:
+                            child = family._make_child()
+                            children[label_key] = child
+                        child.value += value
+
+        fault_summaries: Dict[str, dict] = {}
+        for final in finals:
+            fault_summaries.update(final["fault_summaries"])
+        all_synchronized = all(final["all_synchronized"] for final in finals)
+        events_dispatched = sum(final["events_dispatched"] for final in finals)
+
+        linkhealth = None
+        if network.linkhealth is not None:
+            # The replicated manager holds every link at its dormant default;
+            # overlay what the owning shards actually observed, keeping the
+            # serial summary()'s key iteration order.
+            reported: Dict[str, dict] = {}
+            for final in finals:
+                reported.update(final["linkhealth"])
+            manager = network.linkhealth
+            links = {}
+            for key in sorted(manager.supervisors):
+                supervisor = manager.supervisors[key]
+                links[supervisor.link] = reported.get(
+                    supervisor.link, supervisor.summary()
+                )
+            linkhealth = {"links": links}
+        ordered = {fault.name: fault_summaries[fault.name] for fault in prepared.faults}
+        result = finish(
+            prepared, seed, options, telemetry, checker, sample_values, ordered,
+            all_synchronized, linkhealth, probe,
         )
-    return result
+        if stats_out is not None:
+            stats_out.update(
+                events=events_dispatched,
+                rounds=rounds,
+                shards=shards,
+                wall_ns=time.perf_counter_ns() - wall_start,
+            )
+        return result
+    finally:
+        if probe is not None:
+            # Every exit — a CampaignError above, a dead worker, an interrupt —
+            # leaves the snapshots sampled so far on disk and the handle closed.
+            probe.close()

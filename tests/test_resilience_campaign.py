@@ -185,10 +185,11 @@ class TestGracefulDegradation:
 @pytest.mark.slow
 class TestKillResume:
     def test_sigkill_mid_campaign_resume_identical(self, tmp_path):
-        """SIGKILL a journaled campaign; the resumed run's stdout and
-        metrics artifacts must be sha256-identical to an uninterrupted
-        same-seed run.  (Valid wherever the kill lands — even after the
-        campaign finished, the rerun still exercises resume-from-journal.)
+        """SIGKILL a journaled campaign; the resumed run's stdout, metrics
+        artifacts and snapshot streams must be sha256-identical to an
+        uninterrupted same-seed run.  (Valid wherever the kill lands — even
+        after the campaign finished, the rerun still exercises
+        resume-from-journal.)
         """
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
         scenarios = ["baseline", "link-flap", "partition-heal", "two-faced"]
@@ -203,14 +204,17 @@ class TestKillResume:
 
         ref_out = str(tmp_path / "ref_out")
         ref_json = str(tmp_path / "ref.json")
-        assert run_cli(["--metrics-out", ref_out], ref_json).returncode == 0
+        assert run_cli(
+            ["--metrics-out", ref_out, "--snapshots", ref_out], ref_json
+        ).returncode == 0
 
         kr_out = str(tmp_path / "kr_out")
         kr_journal = str(tmp_path / "kr.jsonl")
         victim = subprocess.Popen(
             [sys.executable, "-m", "repro", "faultlab", "--quick",
              "--seed", "0", "--json", *scenarios,
-             "--journal", kr_journal, "--metrics-out", kr_out],
+             "--journal", kr_journal, "--metrics-out", kr_out,
+             "--snapshots", kr_out],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
         )
         time.sleep(1.5)
@@ -222,7 +226,9 @@ class TestKillResume:
 
         kr_json = str(tmp_path / "kr.json")
         resumed = run_cli(
-            ["--journal", kr_journal, "--metrics-out", kr_out], kr_json
+            ["--journal", kr_journal, "--metrics-out", kr_out,
+             "--snapshots", kr_out],
+            kr_json,
         )
         assert resumed.returncode == 0
         assert file_sha256(ref_json) == file_sha256(kr_json)

@@ -155,6 +155,34 @@ class TestJournal:
         assert lines[1]["seed"] == 3
 
 
+class TestShowJournal:
+    """``repro resilience journal PATH`` reads; it never creates or repairs."""
+
+    def test_missing_path_is_an_error_and_stays_missing(self, tmp_path, capsys):
+        from repro.cli import main as repro_main
+
+        path = tmp_path / "absent.journal.jsonl"
+        assert repro_main(["resilience", "journal", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(path) in captured.err
+        assert captured.out == ""
+        assert not path.exists()
+
+    def test_torn_tail_is_shown_without_being_modified(self, tmp_path, capsys):
+        from repro.cli import main as repro_main
+
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(str(path), meta={"campaign": "x"})
+        journal.record(task_key(_task("a")), 1)
+        journal.record(task_key(_task("b")), 2)
+        torn = path.read_bytes()[:-9]
+        path.write_bytes(torn)
+        assert repro_main(["resilience", "journal", str(path), "--json"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert [entry["name"] for entry in shown["entries"]] == ["a"]
+        assert path.read_bytes() == torn
+
+
 # ----------------------------------------------------------------------
 # Supervisor + journal: resume semantics
 # ----------------------------------------------------------------------
