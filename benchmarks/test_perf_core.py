@@ -71,6 +71,10 @@ GUARDS = [
     ("checker", "brute_force_over_screened", ">=", 50,
      "a settled tick is O(nodes + edges), ~1 ms against ~140 ms of brute force: reads 113-140; "
      "the per-tick pair walk the screen replaced read ~12"),
+    ("checker", "chain_brute_force_over_settled", ">=", 2.0,
+     "the `baseline` builtin, four nodes: no pairs to save, so a settled tick is fixed cost "
+     "against a from-scratch tick of ~30 us: reads 2.3-2.6; 1.73-1.93 while every tick rebuilt "
+     "the epoch signature and walked the nodes in five passes (docs/FAULTLAB.md)"),
 ]
 
 #: Rows whose budget is tighter than the A/A control resolves.  That budget is

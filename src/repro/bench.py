@@ -77,6 +77,9 @@ CHECKER_SPEC = {
     "topology": {"kind": "fat-tree", "k": 8, "hosts_per_edge": 8},
     "config": {"beacon_interval_ticks": 1200},
 }
+#: The other end: a builtin chain, where a settled tick has no pairs to save
+#: and is all fixed cost (1,522 of them at the default 200-tick interval).
+CHECKER_CHAIN_BUILTIN = "baseline"
 
 
 def _noop() -> None:  # sentinel heap filler, never runs
@@ -178,8 +181,8 @@ def fastpath_refused_run(backend: str) -> Tuple[str, float, bool]:
     return metrics_digest(result), wall, live["network"].fastpath is not None
 
 
-def checker_run(brute_force=None) -> dict:
-    """One ``CHECKER_SPEC`` run with every settled checker tick timed from
+def checker_run(brute_force=None, spec=CHECKER_SPEC) -> dict:
+    """One run of ``spec`` with every settled checker tick timed from
     outside: an observer rebinds ``_tick`` on the instance.
     ``brute_force(checker) -> (reference, tick)`` adds a from-scratch tick
     right after every checker tick, timed separately."""
@@ -206,7 +209,7 @@ def checker_run(brute_force=None) -> dict:
 
         checker._tick = timed_tick
 
-    run["result"] = run_scenario(dict(CHECKER_SPEC), seed=1, observers=[observer])
+    run["result"] = run_scenario(dict(spec), seed=1, observers=[observer])
     return run
 
 
@@ -355,10 +358,25 @@ def _observe(repeats: int, seed_core) -> dict:
             "tap_flushes": flushes, "bit_identical_to_untapped": True}
 
 
+def _brute_force_over_checker(brute_force, spec: dict, result: dict) -> float:
+    """Median from-scratch tick over median checker tick, the two alternating
+    inside one run of ``spec`` that must still end in ``result``."""
+    run = checker_run(brute_force, spec)
+    reference = run["reference"]
+    if run["result"] != result or (reference.pairs_checked, reference.counts) != (
+        result["pairs_checked"], result["violations"]
+    ):
+        raise AssertionError("checker disagrees with brute force, or timing changed it")
+    return statistics.median(run["brute_ticks"]) / statistics.median(run["ticks"])
+
+
 def _checker(repeats: int, seed_core) -> dict:
     """The checker on the fabric and, in a checkout (the brute-force reference
     ships in ``tests/`` beside the seed core), how much cheaper its settled tick
-    is.  The two ticks alternate inside one run: ``repeats`` has nothing to add."""
+    is there and on a four-node chain.  The two ticks alternate inside one run:
+    ``repeats`` has nothing to add."""
+    from .faultlab.scenarios import builtin_specs
+
     result = checker_run()["result"]
     section = {
         "nodes": result["nodes"],
@@ -370,14 +388,15 @@ def _checker(repeats: int, seed_core) -> dict:
         Path(seed_core.__file__).parents[1] / "tests" / "checker_reference.py"
     )
     if reference_path and reference_path.is_file():
-        run = checker_run(load_seed_core(reference_path).brute_force_tick)
-        reference = run["reference"]
-        if run["result"] != result or (reference.pairs_checked, reference.counts) != (
-            result["pairs_checked"], result["violations"]
-        ):
-            raise AssertionError("checker disagrees with brute force, or timing changed it")
+        brute_force = load_seed_core(reference_path).brute_force_tick
         section["brute_force_over_screened"] = round(
-            statistics.median(run["brute_ticks"]) / statistics.median(run["ticks"]), 1
+            _brute_force_over_checker(brute_force, CHECKER_SPEC, result), 1
+        )
+        chain_spec = builtin_specs([CHECKER_CHAIN_BUILTIN])[0]
+        section["chain_brute_force_over_settled"] = round(
+            _brute_force_over_checker(
+                brute_force, chain_spec, checker_run(spec=chain_spec)["result"]
+            ), 2,
         )
     return section
 

@@ -194,6 +194,14 @@ def prepare(spec: Dict[str, object]) -> Prepared:
     duration_fs = int(spec["duration_fs"])
     if duration_fs <= 0:
         raise CampaignError("duration_fs must be positive")
+    if "sample_interval_fs" in spec:
+        # The drivers walk this grid as given: 0 never advances, a fraction
+        # truncates to a different grid, a negative one runs backwards.
+        interval = spec["sample_interval_fs"]
+        if type(interval) is not int or interval <= 0:
+            raise CampaignError(
+                f"sample_interval_fs must be a positive integer, got {interval!r}"
+            )
     # Faults are built (not armed) before the network so their taint sets
     # are known at promotion time; arming still happens afterwards, in
     # spec order, and draws from name-keyed streams either way.
@@ -249,6 +257,24 @@ def make_probe(
         )
         return ObserveProbe(tap=tap)
     return ObserveProbe(tap=None) if options.observe else None
+
+
+def sample_grid(
+    checker: InvariantChecker, sample_values: List[int],
+    probe: Optional[ObserveProbe], tracer,
+) -> None:
+    """One sampler-grid instant, at the checker's ``sim.now``: the live
+    engine's event and the shard coordinator's replay of it are this one body."""
+    worst, links = checker.sample(probe is not None)
+    if worst is not None:
+        sample_values.append(worst)
+    if probe is not None:
+        probe.observe_links(
+            checker.network.sim.now, worst, links,
+            checks_run=checker.checks_run,
+            violations_total=checker.total_violations,
+            trace_recorded=tracer.recorded if tracer is not None else 0,
+        )
 
 
 def _write_flight(
@@ -418,14 +444,7 @@ def _drive_inline(
     tracer = telemetry.tracer if telemetry is not None else None
 
     def _sample() -> None:
-        worst = checker.worst_checkable_offset()
-        if worst is not None:
-            sample_values.append(worst)
-        if probe is not None:
-            probe.sample(
-                sim.now, worst, checker,
-                trace_recorded=tracer.recorded if tracer is not None else 0,
-            )
+        sample_grid(checker, sample_values, probe, tracer)
         sim.schedule(sample_interval_fs, _sample)
 
     sim.schedule_at(sim.now, _sample)

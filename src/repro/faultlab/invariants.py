@@ -139,6 +139,8 @@ class InvariantChecker:
 
         self.violations: List[Violation] = []
         self.counts: Dict[str, int] = {}
+        #: ``sum(counts.values())``, kept by ``_record``.
+        self.total_violations = 0
         self.checks_run = 0
         self.pairs_checked = 0
         #: Check ticks during which at least one pair was out of bound.
@@ -151,11 +153,20 @@ class InvariantChecker:
 
         self._nodes = list(network.devices)
         self._node_order = {name: i for i, name in enumerate(self._nodes)}
+        self._counter_reads = [
+            (name, device.global_counter) for name, device in network.devices.items()
+        ]
         ports = network.ports
         self._edge_ports = [
             (ports[(edge.a, edge.b)], ports[(edge.b, edge.a)])
             for edge in network.topology.edges
         ]
+        #: Per edge, whether both ports were synchronized at the last poll;
+        #: with ``_dirty`` (set by whatever else moves a signature input:
+        #: the quarantine sets and the healing set) it tells ``_epoch_state``
+        #: when ``_cache_key`` has to be recomputed at all.
+        self._edge_synced = [False] * len(self._edge_ports)
+        self._dirty = True
         self._last_counter: Dict[str, int] = {}
         self._connected_since: Dict[Tuple[str, str], int] = {}
         #: ``(earliest, latest)`` connect time in ``_connected_since`` (None
@@ -226,6 +237,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def quarantine(self, nodes: Iterable[str], reason: str) -> None:
         """Exclude ``nodes`` from violation checks (a fault is active)."""
+        self._dirty = True
         for node in nodes:
             self._check_node(node)
             self._quarantined[node] = reason
@@ -254,6 +266,7 @@ class InvariantChecker:
         """
         now = self.network.sim.now
         required = frozenset(wait_for or ())
+        self._dirty = True
         for node in nodes:
             self._check_node(node)
             self._quarantined.pop(node, None)
@@ -279,6 +292,7 @@ class InvariantChecker:
         """
         self._check_node(a)
         self._check_node(b)
+        self._dirty = True
         self._edge_quarantined[(a, b) if a < b else (b, a)] = reason
 
     def release_edge(self, a: str, b: str, reason: str) -> None:
@@ -286,6 +300,7 @@ class InvariantChecker:
         del reason
         self._check_node(a)
         self._check_node(b)
+        self._dirty = True
         self._edge_quarantined.pop((a, b) if a < b else (b, a), None)
 
     def notify_counter_reset(self, node: str) -> None:
@@ -304,10 +319,6 @@ class InvariantChecker:
     @property
     def healing_nodes(self) -> List[str]:
         return sorted(self._healing)
-
-    @property
-    def total_violations(self) -> int:
-        return sum(self.counts.values())
 
     def stop(self) -> None:
         self.network.sim.cancel(self._event)
@@ -375,8 +386,20 @@ class InvariantChecker:
         """Bring the per-epoch caches up to date; returns the distances.
 
         A connectivity change costs one all-pairs BFS and one pair build;
-        a healing-set change only the pair build.
+        a healing-set change only the pair build.  The signatures are only
+        recomputed when one of their inputs moved: an edge's synchronized
+        flag since the last poll, or whatever sets ``_dirty``.
         """
+        synced = self._edge_synced
+        moved = self._dirty
+        for index, (port_a, port_b) in enumerate(self._edge_ports):
+            up = port_a.synchronized and port_b.synchronized
+            if up != synced[index]:
+                synced[index] = up
+                moved = True
+        if not moved:
+            return self._cache_distances
+        self._dirty = False
         conn_sig, pairs_sig = self._cache_key()
         if conn_sig != self._conn_sig:
             self._cache_distances = self._all_distances()
@@ -470,8 +493,7 @@ class InvariantChecker:
         ]
 
     def _counters(self, now: int) -> Dict[str, int]:
-        devices = self.network.devices
-        return {name: devices[name].global_counter(now) for name in self._nodes}
+        return {name: read(now) for name, read in self._counter_reads}
 
     def _spreads(self, counters: Dict[str, int]) -> List[int]:
         """``max(gc) - min(gc)`` over each component's checkable nodes."""
@@ -497,16 +519,29 @@ class InvariantChecker:
             pairs = self._past_grace(pairs, self.network.sim.now)
         return list(pairs)
 
-    def worst_checkable_offset(self) -> Optional[int]:
-        """Largest |offset| among currently checkable pairs (None if none)."""
+    def sample(
+        self, want_links: bool
+    ) -> Tuple[Optional[int], Optional[List[Tuple[str, str, int, int]]]]:
+        """One sampler-grid instant: ``(worst_checkable_offset(),
+        link_offsets() if want_links else None)`` from one epoch poll and one
+        counter read."""
         self._epoch_state()
         now = self.network.sim.now
         counters = self._counters(now)
         if self._all_past_grace(now):
             # Every two checkable nodes of a component are a checkable pair.
-            return max(self._spreads(counters), default=None)
-        due = self._past_grace(self._cache_pairs, now)
-        return max((abs(counters[a] - counters[b]) for a, b, _ in due), default=None)
+            worst = max(self._spreads(counters), default=None)
+        else:
+            due = self._past_grace(self._cache_pairs, now)
+            worst = max(
+                (abs(counters[a] - counters[b]) for a, b, _ in due), default=None
+            )
+        links = self._link_offsets(now, counters, True) if want_links else None
+        return worst, links
+
+    def worst_checkable_offset(self) -> Optional[int]:
+        """Largest |offset| among currently checkable pairs (None if none)."""
+        return self.sample(False)[0]
 
     def link_offsets(
         self, enforce_grace: bool = True
@@ -523,10 +558,14 @@ class InvariantChecker:
         """
         self._epoch_state()
         now = self.network.sim.now
+        return self._link_offsets(now, self._counters(now), enforce_grace)
+
+    def _link_offsets(
+        self, now: int, counters: Dict[str, int], enforce_grace: bool
+    ) -> List[Tuple[str, str, int, int]]:
         links = self._cache_links
         if enforce_grace:
             links = self._past_grace(links, now)
-        counters = self._counters(now)
         return [(a, b, abs(counters[a] - counters[b]), bound) for a, b, bound in links]
 
     # ------------------------------------------------------------------
@@ -541,8 +580,24 @@ class InvariantChecker:
         counters = self._counters(now)
         distances = self._epoch_state()
 
-        self._check_monotonic(now, counters)
-        self._check_wrap_codec(now, counters)
+        # gc-monotonic and the wrap-codec self round trip in one pass that
+        # records nothing: any node that would be (or be excused from being)
+        # recorded, and a baseline that does not cover every node, send the
+        # tick through the two recording checks instead.
+        last = self._last_counter
+        settled = len(last) == len(counters)
+        if settled:
+            low_mask = dtpmsg.COUNTER_LOW_MASK
+            reconstruct = dtpmsg.reconstruct_counter
+            for node, gc in counters.items():
+                if gc <= last[node] or reconstruct(gc & low_mask, gc) != gc:
+                    settled = False
+                    break
+        if settled:
+            last.update(counters)
+        else:
+            self._check_monotonic(now, counters)
+            self._check_wrap_codec(now, counters)
         self._check_pair_bounds(now, counters)
         self._update_connectivity_epochs(now, counters, distances)
         self._check_recoveries(now, counters, distances)
@@ -704,6 +759,8 @@ class InvariantChecker:
             values = since_map.values()
             self._connect_span = (min(values), max(values)) if values else None
             self._swept_sig = self._conn_sig
+        elif not awaiting:
+            return
         for pair, since in list(awaiting.items()):
             a, b = pair
             if abs(counters[a] - counters[b]) <= self._pair_bound(
@@ -741,6 +798,7 @@ class InvariantChecker:
             if in_bound:
                 self.recovery_fs.setdefault(reason, []).append(now - since_fs)
                 del self._healing[node]
+                self._dirty = True
                 # Restart the monotonic baseline: the node may have been
                 # reset while it was out of the checked set.
                 self._last_counter[node] = counters[node]
@@ -753,6 +811,7 @@ class InvariantChecker:
     ) -> None:
         violation = Violation(now, invariant, subject, detail)
         self.counts[invariant] = self.counts.get(invariant, 0) + 1
+        self.total_violations += 1
         if len(self.violations) < self.max_recorded:
             self.violations.append(violation)
         if self._m_violations is not None:

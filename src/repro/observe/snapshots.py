@@ -10,11 +10,12 @@ the separate, explicitly nondeterministic ``repro.observe.health``
 channel).
 
 Determinism across backends comes from *where* the tap samples: the
-probe is driven from the invariant checker's existing sampler grid — the
-serial ``_sample`` closure in ``repro.faultlab.campaign`` and the
-coordinator's ``_SAMPLE`` merge-walk branch in ``repro.shard`` fire at
-the same simulated instants with the same checker state, so the scalar,
-batched and sharded backends emit byte-identical streams.
+probe is driven from the invariant checker's existing sampler grid —
+``repro.faultlab.campaign.sample_grid``, called by the serial sampler
+event and by the coordinator's ``_SAMPLE`` merge-walk branch in
+``repro.shard`` at the same simulated instants with the same checker
+state, so the scalar, batched and sharded backends emit byte-identical
+streams.
 
 Writes are batched (every ``DEFAULT_FLUSH_EVERY`` records) and each batch
 is appended through :class:`repro.ioutil.JsonlAppender` — the writer under
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ioutil import JsonlAppender, canonical_json
@@ -40,6 +42,33 @@ from .histograms import OffsetHistogram
 DEFAULT_FLUSH_EVERY = 16
 
 SNAPSHOT_SUFFIX = ".snapshots.jsonl"
+
+#: The probe's snapshot record.  Byte-equal to ``canonical_json`` of it when
+#: every value is exactly an ``int`` (``worst_units`` may be ``None``) -- and
+#: used only then: ``%d`` would coerce a ``bool`` or a ``float``.  A field
+#: added to :meth:`ObserveProbe.observe_links` is added here and to the
+#: hypothesis test in ``tests/test_observe.py`` together.
+_SNAPSHOT_INTS = (
+    "checks_run", "in_bound_total", "index", "links", "max_offset_units",
+    "observed_total", "t_fs", "trace_recorded", "violations_total",
+)
+_SNAPSHOT_TEMPLATE = (
+    '{"checks_run":%d,"in_bound_total":%d,"index":%d,"links":%d,'
+    '"max_offset_units":%d,"observed_total":%d,"record":"snapshot","t_fs":%d,'
+    '"trace_recorded":%d,"violations_total":%d,"worst_units":%s}'
+)
+_SNAPSHOT_KEYS = frozenset(_SNAPSHOT_INTS + ("worst_units",))
+_snapshot_ints = itemgetter(*_SNAPSHOT_INTS)
+
+
+def encode_snapshot(fields: Dict[str, object]) -> str:
+    """The canonical JSON line of a ``snapshot`` record with these ``fields``."""
+    if fields.keys() == _SNAPSHOT_KEYS:
+        ints = _snapshot_ints(fields)
+        worst = fields["worst_units"]
+        if set(map(type, ints)) == {int} and (worst is None or type(worst) is int):
+            return _SNAPSHOT_TEMPLATE % (*ints, "null" if worst is None else worst)
+    return canonical_json({"record": "snapshot", **fields})
 
 
 class SnapshotTap:
@@ -54,13 +83,18 @@ class SnapshotTap:
         self.flushes = 0
 
     def emit(self, fields: Dict[str, object]) -> None:
-        self._pending.append(canonical_json({"record": "snapshot", **fields}))
+        self._append(encode_snapshot(fields))
         if len(self._pending) >= DEFAULT_FLUSH_EVERY:
             self.flush()
 
     def finalize(self, fields: Dict[str, object]) -> None:
-        self._pending.append(canonical_json({"record": "final", **fields}))
+        self._append(canonical_json({"record": "final", **fields}))
         self.close()
+
+    def _append(self, line: str) -> None:
+        if self._stream.closed:
+            raise ValueError(f"snapshot tap {self.path!r} is closed")
+        self._pending.append(line)
 
     def flush(self) -> None:
         if not self._pending:
@@ -82,7 +116,7 @@ class ObserveProbe:
 
     Fed once per sampler-grid instant with the adjacent-link offsets the
     invariant checker can currently vouch for (see
-    ``InvariantChecker.link_offsets``).  All state is integer-only and
+    ``InvariantChecker.sample``).  All state is integer-only and
     derived from simulated time, so two probes fed the same grid produce
     identical summaries regardless of backend.
     """
@@ -138,17 +172,6 @@ class ObserveProbe:
                     "trace_recorded": trace_recorded,
                 }
             )
-
-    def sample(self, now_fs, worst, checker, trace_recorded: int = 0) -> None:
-        """Grid hook: pull link offsets and stats from ``checker``."""
-        self.observe_links(
-            now_fs,
-            worst,
-            checker.link_offsets(),
-            checks_run=checker.checks_run,
-            violations_total=checker.total_violations,
-            trace_recorded=trace_recorded,
-        )
 
     def summary(self) -> Dict[str, object]:
         """The ``result["observe"]`` section (digest-stable, ints only)."""

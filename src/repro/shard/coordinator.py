@@ -38,6 +38,7 @@ from ..faultlab.campaign import (
     assemble,
     finish,
     make_probe,
+    sample_grid,
 )
 from ..faultlab.invariants import InvariantChecker
 from ..sim.engine import Simulator
@@ -328,18 +329,7 @@ def run_sharded(
                     for r in responses:
                         view.apply_bundle(r["sampler_bundles"][who])
                     view.sim.now = key[0]
-                    worst = checker.worst_checkable_offset()
-                    if worst is not None:
-                        sample_values.append(worst)
-                    if probe is not None:
-                        probe.sample(
-                            view.sim.now,
-                            worst,
-                            checker,
-                            trace_recorded=(
-                                tracer.recorded if tracer is not None else 0
-                            ),
-                        )
+                    sample_grid(checker, sample_values, probe, tracer)
 
             if (
                 grant >= grant_cap

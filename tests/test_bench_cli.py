@@ -21,6 +21,7 @@ import pytest
 
 import repro.bench as bench
 from repro.cli import main as repro_main
+from repro.faultlab.scenarios import builtin_specs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -124,6 +125,20 @@ def test_advisory_budgets_are_held_on_recorded_counts(record, guards):
     assert 0 < watchdog_events <= 0.05 * supervision["events_unsupervised"]
     assert (tap["snapshots_emitted"], tap["tap_flushes"]) == (20, 2)
     assert record["fastpath"]["refused_coordinator_built"] is False
+
+
+def test_checker_is_guarded_at_both_ends_of_topology_size(record, guards):
+    # The fabric (pairs dominate) and a four-node chain (fixed cost dominates).
+    rows = {key: bound for section, key, _op, bound, _why in guards.GUARDS if section == "checker"}
+    assert rows == {"brute_force_over_screened": 50, "chain_brute_force_over_settled": 2.0}
+    assert set(record["checker"]) == set(rows) | {
+        "nodes", "checks_run", "pairs_checked", "result_digest",
+    }
+    (chain_spec,) = builtin_specs([bench.CHECKER_CHAIN_BUILTIN])
+    assert chain_spec["topology"] == {"kind": "chain", "hosts": 4} and not chain_spec["faults"]
+    parameters = inspect.signature(bench.checker_run).parameters
+    assert list(parameters) == ["brute_force", "spec"]
+    assert parameters["spec"].default is bench.CHECKER_SPEC
 
 
 def test_record_holds_no_raw_timing(record):

@@ -152,12 +152,28 @@ def _assert_same(checker, ref, net, gc):
     assert checker.recovery_fs == ref.recovery
     assert len(checker.reconnect_recoveries) == ref.reconnects
     assert checker.worst_checkable_offset() == ref.worst(now, gc, up)
+    _assert_same_sample(checker, ref, net, gc)
     for enforce in (True, False):
         assert checker.checkable_pairs(enforce) == ref.pairs(now, up, enforce)
         assert checker.link_offsets(enforce) == [
             (a, b, abs(gc[a] - gc[b]), bound)
             for a, b, bound in ref.pairs(now, up, enforce, hops_only=1)
         ]
+
+
+def _assert_same_sample(checker, ref, net, gc):
+    """One sampler instant == the two public reads == the reference's."""
+    now, up = net.sim.now, net.up_edges()
+    links = [
+        (a, b, abs(gc[a] - gc[b]), bound)
+        for a, b, bound in ref.pairs(now, up, hops_only=1)
+    ]
+    assert (
+        checker.sample(True)
+        == (checker.worst_checkable_offset(), checker.link_offsets())
+        == (ref.worst(now, gc, up), links)
+    )
+    assert checker.sample(False) == (ref.worst(now, gc, up), None)
 
 
 def run_schedule(plan):
@@ -203,8 +219,19 @@ def run_schedule(plan):
             assert raised.context["counters"] == expected.args[1]
             assert set(raised.context["quarantined"]) == expected.args[2]
             assert sorted(raised.context["healing"]) == expected.args[3]
-            return
+            return checker
         _assert_same(checker, ref, net, gc)
+        # A link moves between the tick and the sampler at the same instant:
+        # the sample must poll the ports itself, not trust the tick's epoch.
+        # And back, sampled again, so that the next tick's poll finds no flag
+        # moved and what its ops changed rests on the dirty bit alone.
+        index = t % len(plan["edges"])
+        flipped = net.topology.edges[index]
+        was_up = (flipped.a, flipped.b) in net.up_edges()
+        for up in (not was_up, was_up):
+            net.set_link(index, up)
+            _assert_same_sample(checker, ref, net, gc)
+    return checker
 
 
 @seed(15)
@@ -223,6 +250,31 @@ def _plan(**overrides):
     }
     plan.update(overrides)
     return plan
+
+
+@pytest.mark.parametrize("raising", [False, True])
+def test_regressions_on_quarantined_and_checkable_nodes_in_one_tick(raising):
+    """The tick that leaves the fused pass records what the two recording
+    checks always did, in node order: n1's regression is excused, n2's
+    repeated counter is one (``<=``), and every baseline still moves."""
+    checker = run_schedule(_plan(
+        edges=[(0, 1), (1, 2)], increments=[1] * 3, group=[0] * 3, gap=0,
+        links_up=[True, True], raising=raising,
+        ticks=[
+            ([], [0, 0, 0], False),
+            ([("quarantine", 1)], [0, 0, 0], False),
+            ([], [-14, -14, -12], False),
+            ([], [0, 0, 0], False),
+        ],
+    ))
+    recorded = [(v.invariant, v.subject, v.detail) for v in checker.violations]
+    assert recorded == [
+        ("gc-monotonic", "n0", {"previous": 1012, "current": 1010}),
+        ("gc-monotonic", "n2", {"previous": 1012, "current": 1012}),
+    ][: 1 if raising else 2]
+    assert checker.total_violations == len(recorded) == sum(checker.counts.values())
+    if not raising:
+        assert checker._last_counter == {"n0": 1036, "n1": 1036, "n2": 1036}
 
 
 def test_two_tight_components_far_apart_are_clean():

@@ -99,6 +99,26 @@ def test_snapshot_stream_cut_at_every_byte(tmp_path):
         }, cut
 
 
+@pytest.mark.parametrize("ending", ["close", "finalize"])
+def test_closed_tap_refuses_at_once_and_names_its_path(tmp_path, ending):
+    path = tmp_path / "s.snapshots.jsonl"
+    tap = SnapshotTap(str(path), {"scenario": "s"})
+    tap.emit({"index": 0})
+    if ending == "close":
+        tap.close()
+    else:
+        tap.finalize({"scenario": "s"})
+    written = path.read_bytes()
+    # Unchecked, 15 emits vanished into the pending batch and the 16th raised
+    # from inside the appender; a second finalize vanished outright.
+    for refused in (tap.emit, tap.finalize):
+        with pytest.raises(ValueError, match=r"s\.snapshots\.jsonl.* is closed"):
+            refused({"index": 1})
+    tap.flush()
+    tap.close()  # still idempotent
+    assert path.read_bytes() == written and tap._pending == []
+
+
 # ----------------------------------------------------------------------
 # (b) a journal cut at every byte
 # ----------------------------------------------------------------------

@@ -12,15 +12,20 @@ directory, the way an operator would.
 
 from __future__ import annotations
 
+import enum
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main as repro_main
 from repro.discipline.racelab import race_specs, run_race_campaign
 from repro.faultlab.campaign import run_campaign, run_scenario
-from repro.faultlab.scenarios import builtin_specs
+from repro.faultlab.scenarios import BUILTIN_SCENARIOS, builtin_specs
+from repro.ioutil import canonical_json
 from repro.observe import (
     HealthRecorder,
     SLOError,
@@ -32,6 +37,8 @@ from repro.observe import (
     slo_source_from_result,
     slo_source_from_snapshots,
 )
+from repro.observe import snapshots
+from repro.observe.snapshots import ObserveProbe, encode_snapshot
 from repro.observe.cli import (
     evaluate_results,
     evaluate_rundir,
@@ -113,6 +120,102 @@ class TestSnapshotStreams:
         assert snaps and stream["final"] is not None
         times = [s["t_fs"] for s in snaps]
         assert times == sorted(times)
+
+
+#: sha256[:16] of each builtin's ``--quick`` seed-0 snapshot stream as the
+#: commit before the line template wrote it (``canonical_json`` per record).
+PARENT_STREAMS = {
+    "baseline": "e355a35d7998583a",
+    "link-flap": "4caf973b4c943a80",
+    "ber-burst": "e86ac33098b79f4f",
+    "partition-heal": "5b1b1fc41fcac867",
+    "node-crash": "3c61820e3352d3b7",
+    "beacon-suppression": "3df02768a2e02a4a",
+    "two-faced": "09f7976aca2ea6f0",
+    "oscillator-glitch": "88496020f674bccb",
+    "runaway": "696e4e365d737f42",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_STREAMS))
+def test_builtin_streams_keep_the_parents_bytes_on_every_backend(name, tmp_path):
+    assert set(PARENT_STREAMS) == set(BUILTIN_SCENARIOS)
+    for backend in ("scalar", "batched", "sharded"):
+        out = tmp_path / backend
+        run_scenario(
+            spec_for(name), seed=0, snapshot_dir=str(out), backend=backend,
+            shards=2, shard_transport="inline",
+        )
+        data = (out / f"{name}.snapshots.jsonl").read_bytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == PARENT_STREAMS[name], backend
+
+
+# ----------------------------------------------------------------------
+# The snapshot line template == canonical_json, or it is not used
+# ----------------------------------------------------------------------
+class _Kind(enum.IntEnum):
+    ONE = 1
+
+
+def _probe_fields():
+    """The keys the probe emits, captured from the probe itself: a field
+    added there joins these tests (and fails them until the template has it)."""
+
+    class Tap:
+        def emit(self, fields):
+            self.fields = fields
+
+    probe = ObserveProbe(tap=Tap())
+    probe.observe_links(0, None, [])
+    return sorted(probe.tap.fields)
+
+
+SNAPSHOT_FIELDS = _probe_fields()
+_ints = st.integers(-(1 << 70), 1 << 70)
+_not_ints = st.one_of(
+    st.booleans(), st.just(_Kind.ONE), st.floats(allow_nan=False), st.just("7")
+)
+
+
+@given(
+    st.fixed_dictionaries(dict.fromkeys(SNAPSHOT_FIELDS, _ints)),
+    st.one_of(st.none(), _ints),
+)
+def test_snapshot_template_equals_canonical_json_over_ints(fields, worst):
+    fields["worst_units"] = worst
+    line = encode_snapshot(fields)
+    assert line == canonical_json({"record": "snapshot", **fields})
+    assert json.loads(line) == {"record": "snapshot", **fields}
+
+
+@given(
+    st.fixed_dictionaries(dict.fromkeys(SNAPSHOT_FIELDS, _ints)),
+    st.sampled_from(SNAPSHOT_FIELDS),
+    st.one_of(_not_ints, st.none()),
+)
+def test_snapshot_fields_that_are_not_ints_take_the_fallback(fields, key, value):
+    if key == "worst_units" and value is None:
+        value = 1.5
+    fields[key] = value
+    assert encode_snapshot(fields) == canonical_json({"record": "snapshot", **fields})
+
+
+def test_the_probes_own_record_takes_the_template(monkeypatch):
+    def refuse(_obj):
+        raise AssertionError("the probe emits a shape the template does not cover")
+
+    monkeypatch.setattr(snapshots, "canonical_json", refuse)
+    fields = dict.fromkeys(SNAPSHOT_FIELDS, 1)
+    assert json.loads(encode_snapshot(fields)) == {"record": "snapshot", **fields}
+
+
+def test_other_shapes_take_the_fallback():
+    for fields in (
+        {}, {"now_fs": 1, "worst": 2, "samples": 3},
+        dict.fromkeys(SNAPSHOT_FIELDS[1:], 1),
+        dict.fromkeys(SNAPSHOT_FIELDS + ["zeta"], 1),
+    ):
+        assert encode_snapshot(fields) == canonical_json({"record": "snapshot", **fields})
 
 
 # ----------------------------------------------------------------------

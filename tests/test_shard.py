@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,32 @@ class TestFeatureGates:
                     dict(spec), backend=backend, shards=2, shard_transport="inline"
                 )
             errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors == [(CampaignError, message)] * 3
+
+    @pytest.mark.parametrize("interval", [0, -5, 1.5, "x"])
+    def test_bad_sample_interval_rejected_identically_on_every_backend(
+        self, interval
+    ):
+        # Unvalidated, 0 never returns: the sampler reschedules itself (and
+        # the coordinator's grid walks ``j * 0``) at the same femtosecond.
+        def hung(*_):
+            raise AssertionError(f"sample_interval_fs={interval!r} hangs the run")
+
+        spec = dict(self.spec(), sample_interval_fs=interval)
+        errors = []
+        previous = signal.signal(signal.SIGALRM, hung)
+        try:
+            for backend in ("scalar", "batched", "sharded"):
+                signal.alarm(10)
+                with pytest.raises(CampaignError) as excinfo:
+                    run_scenario(
+                        dict(spec), backend=backend, shards=2, shard_transport="inline"
+                    )
+                errors.append((type(excinfo.value), str(excinfo.value)))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        message = f"sample_interval_fs must be a positive integer, got {interval!r}"
         assert errors == [(CampaignError, message)] * 3
 
     def test_live_handle_builder_rejects_sharded(self):
