@@ -38,7 +38,7 @@ from .ioutil import atomic_write_text, canonical_json
 from .network.topology import chain
 from .observe.snapshots import ObserveProbe, SnapshotTap
 from .sim import units
-from .sim.engine import MacroTickSimulator, Simulator
+from .sim.engine import Simulator
 from .sim.randomness import RandomStreams
 from .telemetry import Telemetry
 
@@ -130,7 +130,8 @@ def result_digest(result) -> str:
 def run_fig6a(
     telemetry=None, backend: str = "scalar", linkhealth=None, observe=None
 ) -> Tuple[str, float]:
-    """One timed Fig. 6a run; returns (output digest, wall seconds)."""
+    """One timed Fig. 6a run; returns (output digest, wall seconds).
+    Scalar unless asked: the base side of every recorded ratio."""
     gc.collect()
     start = time.perf_counter()
     result = run_fig6_dtp(
@@ -147,7 +148,7 @@ def fastpath_chain_run(backend: str, traced: bool = False) -> Tuple[object, floa
     ``traced`` records the run (hooks only: the digest is taken outside the
     timed region) and returns ``(events, trace digest, records)`` first."""
     telemetry = Telemetry() if traced else None
-    sim = MacroTickSimulator() if backend == "batched" else Simulator()
+    sim = Simulator()
     net = DtpNetwork(
         sim, chain(FASTPATH_CHAIN_HOSTS), RandomStreams(root_seed=3),
         telemetry=telemetry, backend=backend,

@@ -14,7 +14,7 @@ offers both measurement channels the paper uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..clocks.oscillator import (
@@ -27,14 +27,17 @@ from ..ethernet.traffic import DelayedTraffic, TrafficModel
 from ..phy.ber import BitErrorInjector
 from ..phy.specs import PHY_10G, PhySpec
 from ..sim import units
-from ..sim.engine import MacroTickSimulator, Simulator
+from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
 from ..network.topology import Topology
 from .device import DtpDevice
 from .port import DtpPort, DtpPortConfig
 
-#: In-process backend name -> the engine class its network runs on.
-BACKEND_ENGINES = {"scalar": Simulator, "batched": MacroTickSimulator}
+#: ``"scalar"`` is the oracle (and the only backend that can ``step()``);
+#: ``"batched"`` runs healthy directions through :mod:`repro.fastpath`.
+BACKENDS = ("scalar", "batched")
+#: The one default: every entry point takes its own from here.
+DEFAULT_BACKEND = "batched"
 
 #: Factory signature: (edge index, "a->b" direction label) -> TrafficModel.
 TrafficFactory = Callable[[int, str], TrafficModel]
@@ -66,11 +69,12 @@ class DtpNetwork:
         syntonized: bool = False,
         device_specs: Optional[Dict[str, PhySpec]] = None,
         telemetry=None,
-        backend: str = "scalar",
-        tainted_nodes: Optional[frozenset] = None,
+        backend: Optional[str] = None,
         linkhealth=None,
     ) -> None:
-        if backend not in BACKEND_ENGINES:
+        if backend is None:
+            backend = DEFAULT_BACKEND
+        if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         self.sim = sim
         self.topology = topology
@@ -134,14 +138,14 @@ class DtpNetwork:
             port_a = DtpPort(
                 self.devices[edge.a],
                 f"{edge.a}->{edge.b}",
-                config=self._clone_config(),
+                config=replace(self.config),
                 ber=self._make_ber(ber, f"ber/{index}/a"),
                 telemetry=telemetry,
             )
             port_b = DtpPort(
                 self.devices[edge.b],
                 f"{edge.b}->{edge.a}",
-                config=self._clone_config(),
+                config=replace(self.config),
                 ber=self._make_ber(ber, f"ber/{index}/b"),
                 telemetry=telemetry,
             )
@@ -154,25 +158,25 @@ class DtpNetwork:
             self.ports[(edge.b, edge.a)] = port_b
 
         #: Batched-backend coordinator (``repro.fastpath``); None under the
-        #: scalar backend and when no port could ever promote (every
-        #: endpoint fault-armed, a dispatch profile on the engine, ...),
-        #: in which case the engine runs its inherited scalar loops.
+        #: scalar backend and when no port can ever promote (parity, a
+        #: dispatch profile on the engine, every link pinned, ...), in
+        #: which case the engine runs its own scalar loops.
         #: Refusals that cannot change during a run are settled here, once:
         #: only a port that passes them carries the ``_fastpath`` hook.
+        #: The verbatim seed engine is no :class:`Simulator`: no coordinator.
         #: Imported lazily so scalar runs never load the coordinator.
         self.backend = backend
         self.fastpath = None
-        if backend == "batched":
+        if backend == "batched" and isinstance(sim, Simulator):
             from ..fastpath import FastpathCoordinator, static_ineligible_reason
 
-            tainted = frozenset(tainted_nodes or ())
             promotable = [
                 port for port in self.ports.values()
-                if static_ineligible_reason(port, tainted) is None
+                if static_ineligible_reason(port) is None
             ]
             if promotable:
                 self.fastpath = FastpathCoordinator(
-                    sim, tainted, telemetry.tracer if telemetry is not None else None
+                    sim, telemetry.tracer if telemetry is not None else None
                 )
                 for port in promotable:
                     port._fastpath = self.fastpath
@@ -196,20 +200,29 @@ class DtpNetwork:
                 self, linkhealth_config_from_value(linkhealth)
             )
 
-    def _clone_config(self) -> DtpPortConfig:
-        base = self.config
-        return DtpPortConfig(
-            alpha=base.alpha,
-            beacon_interval_ticks=base.beacon_interval_ticks,
-            init_retry_ticks=base.init_retry_ticks,
-            msb_interval_beacons=base.msb_interval_beacons,
-            reject_threshold_ticks=base.reject_threshold_ticks,
-            parity=base.parity,
-            fault_window_beacons=base.fault_window_beacons,
-            max_jumps_per_window=base.max_jumps_per_window,
-            max_rejects_per_window=base.max_rejects_per_window,
-            latency=base.latency,
-        )
+    def pin_scalar(self, nodes) -> None:
+        """Keep every link touching ``nodes`` on the scalar port path.
+
+        What :meth:`FaultModel.arm <repro.faultlab.faults.FaultModel.arm>`
+        does with the fault's ``tainted_nodes()``.  Both ports of each such
+        link lose the coordinator hook, directions already promoted are
+        demoted, and with no hooked port left the coordinator is detached.
+        """
+        fastpath = self.fastpath
+        if fastpath is None or not nodes:
+            return
+        hooked = False
+        for (node, peer), port in self.ports.items():
+            if port._fastpath is None:
+                continue
+            if node in nodes or peer in nodes:
+                fastpath.demote_port(port)
+                port._fastpath = None
+            else:
+                hooked = True
+        if not hooked:
+            self.sim.fastpath = None
+            self.fastpath = None
 
     def _make_ber(self, ber: float, stream: str) -> Optional[BitErrorInjector]:
         if ber <= 0.0:
@@ -291,8 +304,8 @@ class DtpNetwork:
     # Logged-offset measurement (paper Section 6.2)
     # ------------------------------------------------------------------
     def attach_logger(self, a: str, b: str) -> None:
-        """Record offset_hw samples for LOG records sent from a to b."""
-        sender = self.ports[(a, b)]
+        """Record offset_hw samples for LOG records sent from a to b
+        (the caller drives the sender with :meth:`send_log`)."""
         receiver = self.ports[(b, a)]
         link = f"{a}-{b}"
 
@@ -300,12 +313,6 @@ class DtpNetwork:
             self.logged.append(LoggedOffset(t_fs, link, offset))
 
         receiver.on_log = record
-        self._ensure_log_sender(sender)
-
-    def _ensure_log_sender(self, port: DtpPort) -> None:
-        # Senders are driven by the experiment harness calling send_log();
-        # nothing to schedule here, but keep the hook for symmetry.
-        _ = port
 
     def send_log(self, a: str, b: str) -> None:
         """Inject one LOG record on the a->b direction."""

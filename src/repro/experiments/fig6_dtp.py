@@ -16,9 +16,9 @@ statistical weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..dtp.network import BACKEND_ENGINES, DtpNetwork
+from ..dtp.network import DtpNetwork
 from ..dtp.port import DtpPortConfig
 from ..ethernet.frames import beacon_interval_ticks_for
 from ..network.topology import paper_testbed
@@ -83,7 +83,7 @@ def run_fig6_dtp(
     config: Fig6DtpConfig,
     pairs: List[Tuple[str, str]] = None,
     telemetry=None,
-    backend: str = "scalar",
+    backend: Optional[str] = None,
     linkhealth=None,
     observe=None,
 ) -> ExperimentResult:
@@ -91,9 +91,9 @@ def run_fig6_dtp(
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is optional; the
     default ``None`` keeps the run on the exact untraced code paths, so
-    the published experiment digests are unchanged.  ``backend="batched"``
-    runs on the :mod:`repro.fastpath` coordinator; the result (and its
-    digest) is byte-identical to the scalar run.  ``linkhealth`` enables
+    the published experiment digests are unchanged.  ``backend`` is
+    :class:`DtpNetwork`'s (default: its ``DEFAULT_BACKEND``); the result
+    (and its digest) is byte-identical on both.  ``linkhealth`` enables
     :mod:`repro.linkhealth` supervision (True or a knob dict); on this
     fault-free run the supervisors stay idle and the output digest is
     unchanged — the property the ``"linkhealth"`` bench section guards.
@@ -118,7 +118,7 @@ def run_fig6_dtp(
             "only; fig6a's traffic/log drivers need one live process "
             "(see docs/SHARDING.md)"
         )
-    sim = BACKEND_ENGINES.get(backend, Simulator)()
+    sim = Simulator()
     streams = RandomStreams(config.seed)
     topology = paper_testbed()
     port_config = DtpPortConfig(beacon_interval_ticks=beacon_interval)

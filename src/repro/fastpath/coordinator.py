@@ -7,11 +7,11 @@ beacon cycle without touching the engine heap.  Each scalar beacon chain
 
 becomes four *virtual* events (PLAN, CAPTURE, ARRIVE, APPLY) held in the
 coordinator's own queue.  :meth:`FastpathCoordinator.run_merged` — the
-loop :class:`~repro.sim.engine.MacroTickSimulator` delegates to — merges
-that queue with the engine heap by ``(time, seq)`` with all four stage
-bodies inlined, so a steady-state beacon interval costs a handful of
-integer operations and two small-heap pushes instead of four engine
-dispatches through the full port machinery.
+loop :meth:`Simulator.run_until <repro.sim.engine.Simulator.run_until>`
+hands over to — merges that queue with the engine heap by ``(time, seq)``
+with all four stage bodies inlined, so a steady-state beacon interval
+costs a handful of integer operations and two small-heap pushes instead of
+four engine dispatches through the full port machinery.
 
 **Why this is bit-identical, not approximately identical:**
 
@@ -39,8 +39,8 @@ dispatches through the full port machinery.
 * Anything irregular demotes the direction: pending virtual events are
   re-materialized as real heap events at their original times and
   sequence numbers and the scalar path finishes the chain (``link_down``,
-  a tripped fault window).
-  Fault-armed devices never promote at all (see ``eligibility``).
+  a tripped fault window, ``signal_loss``, ``DtpNetwork.pin_scalar`` when
+  a fault model is armed).
 
 The stage bodies exist once, inlined in :meth:`run_merged`; promotion
 reaches them through the queue.  A direction promotes from inside its own
@@ -60,12 +60,12 @@ same final ``sim._seq``.  (One promotion per dispatch means at most one
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import FrozenSet, List
+from typing import List
 
 from ..dtp import messages as dtpmsg
 from ..dtp.port import DtpPort
 from ..phy.blocks import IDLE_WIRE_BASE
-from ..sim.engine import MacroTickSimulator, SimulationError
+from ..sim.engine import SimulationError, Simulator
 from ..telemetry.events import (
     EV_JUMP,
     EV_PEER_FAULT,
@@ -197,27 +197,16 @@ class _Direction:
 class FastpathCoordinator:
     """Virtual-event source and merged run loop for the batched backend.
 
-    Create one per network, attach it to a :class:`MacroTickSimulator`,
-    and point the ``_fastpath`` of every port that could ever promote at
-    it; ports then promote themselves from their own ``_beacon_timeout``
-    once eligible.  ``tracer`` is the network's trace recorder (every port
-    of one :class:`~repro.dtp.network.DtpNetwork` records into the same
-    one), or None with tracing off.
+    Create one per network (it attaches itself to the engine) and point
+    the ``_fastpath`` of every port that could ever promote at it; ports
+    then promote themselves from their own ``_beacon_timeout`` once
+    eligible.  ``tracer`` is the network's trace recorder (every port of
+    one :class:`~repro.dtp.network.DtpNetwork` records into the same one),
+    or None with tracing off.
     """
 
-    def __init__(
-        self,
-        sim: MacroTickSimulator,
-        tainted: FrozenSet[str] = frozenset(),
-        tracer=None,
-    ) -> None:
-        if not isinstance(sim, MacroTickSimulator):
-            raise TypeError(
-                "the batched backend needs a MacroTickSimulator "
-                f"(got {type(sim).__name__})"
-            )
+    def __init__(self, sim: Simulator, tracer=None) -> None:
         self.sim = sim
-        self.tainted = frozenset(tainted)
         #: The recorder's bound ``record``; like the ports' ``_tracer``,
         #: None is the disabled state and costs one test per would-be record.
         self._record = tracer.record if tracer is not None else None
@@ -241,7 +230,7 @@ class FastpathCoordinator:
         next event :meth:`run_merged` picks (module docstring) — which
         allocates the sequence numbers the scalar body would have.
         """
-        if direction_ineligible_reason(port, self.tainted) is not None:
+        if direction_ineligible_reason(port) is not None:
             return False
         ds = _Direction(port)
         self._dirs[port] = ds
@@ -250,16 +239,17 @@ class FastpathCoordinator:
         heappush(self._heap, (self.sim._now, -1, PLAN, ds, 0, ds.epoch))
         return True
 
-    def on_link_down(self, port: DtpPort) -> None:
-        """Demote both directions touching ``port`` (cable pulled)."""
+    def demote_port(self, port: DtpPort) -> None:
+        """Demote ``port``'s send direction, if it is batched."""
         ds = self._dirs.get(port)
         if ds is not None:
             self.demote(ds)
-        peer = port.peer
-        if peer is not None:
-            ds = self._dirs.get(peer)
-            if ds is not None:
-                self.demote(ds)
+
+    def on_link_down(self, port: DtpPort) -> None:
+        """Demote both directions touching ``port`` (cable pulled)."""
+        self.demote_port(port)
+        if port.peer is not None:
+            self.demote_port(port.peer)
 
     def demote(self, ds: _Direction) -> None:
         """Hand a direction back to the scalar path.

@@ -3,19 +3,22 @@
 A link *direction* (sender port -> its peer) may be promoted into the
 batched backend only when every semantic the batched kernels implement is
 exactly the semantic the scalar path would execute.  Anything irregular —
-fault hooks armed on either device, parity, BER injection, a TX gate, a
-patched TX counter (two-faced fault), an engine dispatch profile, a
-non-vanilla clock or device subclass — keeps the direction on the scalar
-path, which therefore remains the oracle.  Telemetry tracing is *not* on
-that list: the coordinator emits the scalar path's trace records itself.
+parity, BER injection, a TX gate, a patched TX counter (two-faced fault),
+an engine dispatch profile, a non-vanilla clock or device subclass — keeps
+the direction on the scalar path, which therefore remains the oracle.
+Telemetry tracing is *not* on that list: the coordinator emits the scalar
+path's trace records itself.
 
 The checks come in two tiers:
 
 * :func:`static_ineligible_reason` — what cannot change during a run
-  (wiring, taint, parity, object types, the dispatch profile).
+  (wiring, parity, object types, the dispatch profile).
   :class:`~repro.dtp.network.DtpNetwork` asks once per port at build time:
   a refused port never gets the coordinator hook, and a network in which
-  every port is refused builds no coordinator at all.
+  every port is refused builds no coordinator at all.  A fault model that
+  mutates ports behind their API takes the hook away again when it is
+  armed (:meth:`~repro.dtp.network.DtpNetwork.pin_scalar`): a port without
+  the hook never asks.
 * the rest of :func:`direction_ineligible_reason` — protocol and fault
   state that comes and goes (synchronization, a TX gate, BER, link
   supervision).  A hooked port asks at each of its beacon timeouts until
@@ -28,7 +31,7 @@ the missed speedup.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional
+from typing import Optional
 
 from ..clocks.clock import TickClock
 from ..dtp.device import DtpDevice
@@ -36,9 +39,7 @@ from ..dtp.port import DtpPort, PortState
 from ..phy.cdc import SyncFifo
 
 
-def static_ineligible_reason(
-    port: DtpPort, tainted: FrozenSet[str]
-) -> Optional[str]:
+def static_ineligible_reason(port: DtpPort) -> Optional[str]:
     """Why ``port``'s send direction can *never* be batched in this run.
 
     Every check reads both endpoints the same way, so the two directions
@@ -51,8 +52,6 @@ def static_ineligible_reason(
         return "no peer"
     if peer.peer is not port:
         return "asymmetric peering"
-    if port.device.name in tainted or peer.device.name in tainted:
-        return "fault model armed on an endpoint device"
     if port.sim.profile is not None:
         # sim_dispatch_total is part of the metrics digest, and virtual
         # events are not engine dispatches.
@@ -74,18 +73,12 @@ def static_ineligible_reason(
     return None
 
 
-def direction_ineligible_reason(
-    port: DtpPort, tainted: FrozenSet[str]
-) -> Optional[str]:
+def direction_ineligible_reason(port: DtpPort) -> Optional[str]:
     """Why ``port``'s send direction cannot be batched (None = eligible).
 
     ``port`` is the *sender* of the direction; its peer is the receiver.
-    ``tainted`` holds node names with any fault model armed on them: every
-    direction touching a tainted device stays scalar so arm-time and
-    mid-run fault mutations (BER, TX gates, counter rewrites, crash
-    restarts) always execute against the scalar machinery they patch.
     """
-    reason = static_ineligible_reason(port, tainted)
+    reason = static_ineligible_reason(port)
     if reason is not None:
         return reason
     peer = port.peer

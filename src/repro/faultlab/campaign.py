@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .. import metrics
 from ..ioutil import atomic_write_text, canonical_json
 from ..clocks.oscillator import ConstantSkew
-from ..dtp.network import BACKEND_ENGINES, DtpNetwork
+from ..dtp.network import BACKENDS, DEFAULT_BACKEND, DtpNetwork
 from ..dtp.port import DtpPortConfig
 from ..experiments.parallel import ExperimentTask, derive_seed, run_named_tasks
 from ..network import topology as topo
@@ -147,7 +147,7 @@ class RunOptions:
     metrics_dir: Optional[str] = None
     flight_dir: Optional[str] = None
     profile_dispatch: bool = False
-    backend: str = "batched"
+    backend: str = DEFAULT_BACKEND
     shards: Optional[int] = None
     shard_transport: str = "process"
     snapshot_dir: Optional[str] = None
@@ -202,9 +202,6 @@ def prepare(spec: Dict[str, object]) -> Prepared:
             raise CampaignError(
                 f"sample_interval_fs must be a positive integer, got {interval!r}"
             )
-    # Faults are built (not armed) before the network so their taint sets
-    # are known at promotion time; arming still happens afterwards, in
-    # spec order, and draws from name-keyed streams either way.
     faults: List[FaultModel] = []
     seen_names = set()
     for index, fault_spec in enumerate(spec.get("faults", [])):
@@ -237,10 +234,9 @@ def assemble(
         if skew_ppm
         else None
     )
-    tainted = frozenset().union(*(f.tainted_nodes() for f in prepared.faults))
     network = DtpNetwork(
         sim, prepared.topology, streams, config=DtpPortConfig(**spec.get("config", {})),
-        skews=skews, telemetry=telemetry, backend=backend, tainted_nodes=tainted,
+        skews=skews, telemetry=telemetry, backend=backend,
         linkhealth=spec.get("linkhealth"),
     )
     return streams, network
@@ -408,15 +404,10 @@ def _drive_inline(
     """The ``scalar`` / ``batched`` driver: one engine, one live checker."""
     if telemetry is None and options.wants_telemetry:
         telemetry = Telemetry(profile_dispatch=options.profile_dispatch)
-    engine = BACKEND_ENGINES[options.backend]
-    sim = (engine if sim_factory is Simulator else sim_factory)()
+    sim = sim_factory()
     if telemetry is not None:
         telemetry.attach_sim(sim)
-    # A caller's own engine decides, not the option: one that cannot merge
-    # virtual events (the seed engine, a profiled plain Simulator) runs the
-    # scalar port path.
-    backend = options.backend if isinstance(sim, engine) else "scalar"
-    streams, network = assemble(prepared, seed, sim, telemetry, backend)
+    streams, network = assemble(prepared, seed, sim, telemetry, options.backend)
     spec, name, duration_fs = prepared.spec, prepared.name, prepared.duration_fs
     checker = InvariantChecker(network, **spec.get("checker", {}))
     if network.linkhealth is not None:
@@ -495,8 +486,8 @@ def _drive_sharded(*run: object) -> Dict[str, object]:
 
 #: Backend name -> driver ``(prepared, seed, options, sim_factory,
 #: telemetry, observers) -> result``.  A new backend registers here (an
-#: in-process one by its engine class, in ``BACKEND_ENGINES``).
-DRIVERS = {**dict.fromkeys(BACKEND_ENGINES, _drive_inline), "sharded": _drive_sharded}
+#: in-process one in ``dtp.network.BACKENDS``).
+DRIVERS = {**dict.fromkeys(BACKENDS, _drive_inline), "sharded": _drive_sharded}
 
 
 def run_scenario(
@@ -516,9 +507,9 @@ def run_scenario(
 
     ``sim_factory`` exists for the reference-vs-optimized equivalence
     tests, which substitute the verbatim seed engine, and for callers that
-    hang their own ``profile`` hook on a plain :class:`Simulator`.  An
-    engine built that way that is not the backend's own class runs the
-    scalar port path whatever ``backend`` says.
+    hang their own ``profile`` hook on a :class:`Simulator`.  Either runs
+    the scalar port path whatever ``backend`` says: the seed engine cannot
+    host the coordinator, and a dispatch profile is a static refusal.
 
     Telemetry is opt-in: with everything at its default the run takes the
     exact pre-telemetry code paths.  Passing any artifact directory turns a

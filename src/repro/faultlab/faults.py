@@ -60,6 +60,7 @@ class FaultModel(ABC):
             raise RuntimeError(f"fault {self.name!r} is already armed")
         self.armed = True
         self._ctx = ctx
+        ctx.network.pin_scalar(self.tainted_nodes())
         self._arm(ctx)
 
     @abstractmethod
@@ -76,11 +77,12 @@ class FaultModel(ABC):
         The batched backend (``repro.fastpath``) promotes a port direction
         only after checking, at promotion time, that nothing irregular is
         installed on it.  Faults that flip a port attribute mid-run —
-        after a promotion check could already have passed — must declare
-        the touched nodes here so the coordinator never promotes their
-        directions.  Faults that act through ``down_link``/``up_link`` or
-        the oscillator need not: link state changes demote explicitly, and
-        both backends read the same oscillator segments.
+        after a promotion check could already have passed — declare the
+        touched nodes here; :meth:`arm` pins every link touching them to
+        the scalar path (``DtpNetwork.pin_scalar``).  Faults that act
+        through ``down_link``/``up_link`` or the oscillator need not: link
+        state changes demote explicitly, and both backends read the same
+        oscillator segments.
         """
         return frozenset()
 

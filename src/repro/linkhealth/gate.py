@@ -115,12 +115,17 @@ class LinkGate:
 
         Port state is untouched — the a side keeps transmitting into a
         dark fiber (every message is dropped at the TX gate), and the b
-        side discovers the loss only through beacon silence.
+        side discovers the loss only through beacon silence.  A batched
+        a->b direction is handed back to the scalar port path first (the
+        gate is a scalar check); it re-promotes by itself at the first
+        beacon timeout after :meth:`signal_restore`.
         """
         key = (a, b)
         if key in self._dark:
             return
         port = self.network.ports[key]
+        if port._fastpath is not None:
+            port._fastpath.demote_port(port)
         self._dark[key] = port.tx_allow
         port.tx_allow = _dark_fiber
         if self.manager is not None:

@@ -14,10 +14,10 @@ one line::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from .clocks.oscillator import ConstantSkew
-from .dtp.network import BACKEND_ENGINES, DtpNetwork
+from .dtp.network import DtpNetwork
 from .dtp.port import DtpPortConfig
 from .ethernet.frames import JUMBO_FRAME, MTU_FRAME
 from .ethernet.traffic import SaturatedTraffic
@@ -151,14 +151,13 @@ SCENARIOS: Dict[str, Callable[[Simulator, RandomStreams, str], Scenario]] = {
 }
 
 
-def build(name: str, seed: int = 0, backend: str = "scalar") -> Scenario:
+def build(name: str, seed: int = 0, backend: Optional[str] = None) -> Scenario:
     """Instantiate a named scenario with its own simulator and seed.
 
-    ``backend="batched"`` builds the scenario on a
-    :class:`~repro.sim.engine.MacroTickSimulator` with the
-    :mod:`repro.fastpath` coordinator attached; every measurement is
-    byte-identical to the scalar backend, steady-state intervals just
-    cost less wall clock.
+    ``backend`` is :class:`DtpNetwork`'s (default: its
+    ``DEFAULT_BACKEND``, the :mod:`repro.fastpath` coordinator); every
+    measurement is byte-identical on ``"scalar"``, steady-state intervals
+    just cost more wall clock there.
     """
     try:
         factory = SCENARIOS[name]
@@ -176,6 +175,6 @@ def build(name: str, seed: int = 0, backend: str = "scalar") -> Scenario:
             "'repro faultlab --backend sharded' (e.g. the clos-fabric / "
             "fat-tree-k8 fabric scenarios, see docs/SHARDING.md)"
         )
-    sim = BACKEND_ENGINES.get(backend, Simulator)()
+    sim = Simulator()
     streams = RandomStreams(seed)
     return factory(sim, streams, backend)

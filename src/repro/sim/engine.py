@@ -92,6 +92,9 @@ class Simulator:
         #: any object with a ``count(fn)`` method.  ``None`` keeps the
         #: dispatch loops on a branch that never touches it.
         self.profile: Optional[Any] = None
+        #: External virtual-event source: any object with
+        #: ``run_merged(time_fs)`` (see :meth:`attach_fastpath`).
+        self.fastpath: Optional[Any] = None
 
     @property
     def now(self) -> int:
@@ -170,6 +173,12 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if the queue is empty."""
+        if self.fastpath is not None:
+            raise SimulationError(
+                "a fastpath source is attached: single-stepping would skip its "
+                "virtual events; advance with run_until(), or build the "
+                'network with backend="scalar"'
+            )
         queue = self._queue
         pop = heapq.heappop
         profile = self.profile
@@ -192,6 +201,10 @@ class Simulator:
         Time is left at exactly ``time_fs`` even if the queue drains early,
         so periodic observers see a consistent final timestamp.
         """
+        if self.fastpath is not None:
+            # The merged loop lives on the source, which owns the virtual
+            # heap and inlines the batched stage bodies around it.
+            return self.fastpath.run_merged(time_fs)
         if time_fs < self._now:
             raise SimulationError(
                 f"run_until({time_fs}) is in the past (now={self._now})"
@@ -241,7 +254,7 @@ class Simulator:
     def take_seq(self) -> int:
         """Allocate (and consume) the next event sequence number.
 
-        External co-simulators (see :class:`MacroTickSimulator`) use this to
+        External co-simulators (see :meth:`attach_fastpath`) use this to
         give their virtual events sequence numbers from the *same* counter
         heap events draw from, so a merged ``(time, seq)`` order is a total
         order identical to the one a pure heap run would produce.
@@ -250,37 +263,16 @@ class Simulator:
         self._seq = seq + 1
         return seq
 
-
-class MacroTickSimulator(Simulator):
-    """A :class:`Simulator` that can merge an external virtual-event source.
-
-    The source (``repro.fastpath.FastpathCoordinator``) maintains its own
-    queue of *virtual* events — batched DTP port work that never touches the
-    engine heap — and owns the loop that interleaves the two queues by
-    ``(time, seq)``: ``run_until`` hands over to its ``run_merged(time_fs)``.
-    Because the source draws its sequence numbers from the engine's counter
-    at exactly the points the scalar implementation would have scheduled
-    real events, the merged order is bit-identical to a scalar run.
-
-    ``run_merged`` is the only merged loop.  With a source attached,
-    :meth:`step` (and so the inherited :meth:`run`) raises instead of
-    stepping the heap alone, which would silently skip every virtual event.
-    With no source attached this class is exactly :class:`Simulator` (it
-    falls through to the inherited loops), so nothing slows down if a
-    batched backend is requested but nothing promotes.
-
-    The *macro-tick fast-forward* falls out of the merge: across a window
-    where the heap holds no event, the loop leaps directly from virtual
-    event to virtual event and the heap is never consulted beyond one peek.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: External virtual-event source: any object with
-        #: ``run_merged(time_fs)``.
-        self.fastpath: Optional[Any] = None
-
     def attach_fastpath(self, source: Any) -> None:
+        """Attach the virtual-event source :meth:`run_until` hands over to.
+
+        The source (``repro.fastpath.FastpathCoordinator``; its module
+        docstring argues the bit-identity) keeps batched DTP port work as
+        *virtual* events in its own queue, numbered from this engine's
+        counter, and owns the one loop that merges them with the heap by
+        ``(time, seq)``.  While it is attached :meth:`step` (and so
+        :meth:`run`) raises: stepping the heap alone would skip them.
+        """
         if self.fastpath is not None and self.fastpath is not source:
             raise SimulationError("a fastpath source is already attached")
         self.fastpath = source
@@ -299,18 +291,7 @@ class MacroTickSimulator(Simulator):
         self._pending += 1
         return event
 
-    def step(self) -> bool:
-        if self.fastpath is None:
-            return super().step()
-        raise SimulationError(
-            "a fastpath source is attached: single-stepping would skip its "
-            "virtual events; advance with run_until()"
-        )
 
-    def run_until(self, time_fs: int) -> None:
-        source = self.fastpath
-        if source is None:
-            return super().run_until(time_fs)
-        # The merged loop lives on the coordinator, which owns the virtual
-        # heap and inlines the batched stage bodies around it.
-        source.run_merged(time_fs)
+#: Former subclass name, kept only because the frozen ``e2e_bench/layers.py``
+#: constructs it; the next ``benchmark`` PR drops it (ROADMAP ledger (c)).
+MacroTickSimulator = Simulator

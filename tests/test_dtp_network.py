@@ -168,3 +168,23 @@ class TestMeasurementChannel:
         samples = net.logged_for("n0", "n1")
         assert len(samples) == 50
         assert all(-4 <= s.offset_ticks <= 4 for s in samples)
+
+
+class TestPortConfig:
+    def test_every_port_gets_its_own_copy_of_the_whole_config(self, sim, streams):
+        # Field by field, so a field added to DtpPortConfig reaches the ports.
+        from repro.dtp.port import DtpPortConfig
+
+        config = DtpPortConfig(
+            alpha=5, beacon_interval_ticks=1200, msb_interval_beacons=7,
+            reject_threshold_ticks=6, max_jumps_per_window=3,
+        )
+        net = DtpNetwork(sim, chain(3), streams, config=config)
+        configs = [port.config for port in net.ports.values()]
+        assert len(configs) == 4
+        for port_config in configs:
+            assert port_config == config and port_config is not config
+            assert port_config.latency is config.latency  # shared, as before
+        assert len({id(port_config) for port_config in configs}) == 4
+        configs[0].reject_threshold_ticks = 99  # a port's copy is its own
+        assert config.reject_threshold_ticks == configs[1].reject_threshold_ticks == 6

@@ -17,10 +17,17 @@ from repro.clocks.oscillator import ConstantSkew
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.fastpath import FastpathCoordinator, direction_ineligible_reason
-from repro.faultlab.campaign import RunOptions, metrics_digest, run_scenario
+from repro.faultlab.campaign import (
+    RunOptions,
+    build_fault,
+    build_topology,
+    metrics_digest,
+    run_scenario,
+)
+from repro.faultlab.faults import BerBurst, FaultContext
 from repro.network.topology import chain, clos, star
 from repro.sim import units
-from repro.sim.engine import MacroTickSimulator, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.randomness import RandomStreams
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EV_PEER_FAULT
@@ -57,25 +64,38 @@ _TOPOLOGIES = st.sampled_from(
 # Each fault template targets nodes every sampled topology has (topology
 # builders all start host numbering at their own prefixes, so faults are
 # keyed per kind below).
-_FAULTS = st.sampled_from(
-    [
-        None,
-        {"kind": "link-flap", "down_every_fs": 200 * units.US,
-         "down_for_fs": 40 * units.US, "start_fs": 250 * units.US, "flaps": 2},
-        {"kind": "partition", "down_at_fs": 250 * units.US,
-         "up_at_fs": 400 * units.US},
-        {"kind": "two-faced", "lie_ticks": 6, "at_fs": 200 * units.US},
-        {"kind": "oscillator-glitch", "at_fs": 200 * units.US,
-         "duration_fs": 300 * units.US, "glitch_ppm": 40.0},
-    ]
-)
+_FAULT_DICTS = [
+    {"kind": "link-flap", "down_every_fs": 200 * units.US,
+     "down_for_fs": 40 * units.US, "start_fs": 250 * units.US, "flaps": 2},
+    {"kind": "partition", "down_at_fs": 250 * units.US,
+     "up_at_fs": 400 * units.US},
+    {"kind": "two-faced", "lie_ticks": 6, "at_fs": 200 * units.US},
+    {"kind": "oscillator-glitch", "at_fs": 200 * units.US,
+     "duration_fs": 300 * units.US, "glitch_ppm": 40.0},
+]
+_FAULTS = st.sampled_from([None] + _FAULT_DICTS)
 
 
 def _first_edge_nodes(topology_spec):
-    from repro.faultlab.campaign import build_topology
-
     edge = build_topology(topology_spec).edges[0]
     return edge.a, edge.b
+
+
+def _placed(fault, a, b, shift_fs=0):
+    """``fault`` aimed at the a-b edge, its schedule moved ``shift_fs`` later."""
+    fault = dict(fault)
+    if fault["kind"] in ("link-flap", "partition", "ber-burst"):
+        fault.update(a=a, b=b)
+    elif fault["kind"] == "two-faced":
+        fault.update(node=a, victim=b)
+    elif fault["kind"] == "beacon-suppression":
+        fault.update(node=a, peer=b)
+    else:
+        fault.update(node=b)
+    for key in ("start_fs", "down_at_fs", "up_at_fs", "at_fs"):
+        if key in fault:
+            fault[key] += shift_fs
+    return fault
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -87,16 +107,7 @@ def _first_edge_nodes(topology_spec):
 )
 def test_batched_backend_is_bit_identical(topology, fault, seed, stagger_us):
     a, b = _first_edge_nodes(topology)
-    faults = []
-    if fault is not None:
-        fault = dict(fault)
-        if fault["kind"] in ("link-flap", "partition"):
-            fault.update(a=a, b=b)
-        elif fault["kind"] == "two-faced":
-            fault.update(node=a, victim=b)
-        else:
-            fault.update(node=b)
-        faults.append(fault)
+    faults = [_placed(fault, a, b)] if fault is not None else []
     spec = {
         "name": "prop",
         "topology": topology,
@@ -110,6 +121,152 @@ def test_batched_backend_is_bit_identical(topology, fault, seed, stagger_us):
     for traced in (False, True):
         ds, db = _digests(spec, seed, traced)
         assert ds == db, f"traced={traced}"
+
+
+# ----------------------------------------------------------------------
+# Hand-armed faults: no spec, no campaign — ``arm`` is the only declaration
+# ----------------------------------------------------------------------
+#: The sweep's faults plus the two whose taint is all that keeps them right.
+_HAND_FAULTS = _FAULT_DICTS + [
+    {"kind": "ber-burst", "start_fs": 250 * units.US,
+     "duration_fs": 200 * units.US, "ber": 1e-3},
+    {"kind": "beacon-suppression", "start_fs": 250 * units.US,
+     "duration_fs": 200 * units.US},
+]
+
+
+def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed):
+    """One traced run with ``fault_spec`` armed by hand at ``arm_at_fs``
+    (0 = before ``start()``) on a network that was told nothing about it."""
+    topology = build_topology(topology_spec)
+    edge = topology.edges[edge_index % len(topology.edges)]
+    # Armed late, the schedule moves with it: first effect >= 600 us, well
+    # after every direction promoted, so the pin has something to demote.
+    shift_fs = 400 * units.US if arm_at_fs else 0
+    fault = build_fault(_placed(fault_spec, edge.a, edge.b, shift_fs))
+    telemetry, sim, streams = Telemetry(), Simulator(), RandomStreams(root_seed=seed)
+    net = DtpNetwork(sim, topology, streams, telemetry=telemetry, backend=backend)
+    coordinator = net.fastpath
+    context = FaultContext(network=net, streams=streams)
+    if not arm_at_fs:
+        fault.arm(context)
+    net.start()
+    if arm_at_fs:
+        sim.run_until(arm_at_fs)
+        fault.arm(context)
+    sim.run_until(1 * units.MS)
+    # trace_digest: sha256 over the exact bytes write_trace_jsonl would write.
+    identity = (
+        telemetry.trace_digest(), list(telemetry.tracer.records),
+        telemetry.tracer.recorded, sim._seq, fault.summary(),
+    )
+    return identity, fault, net, coordinator
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    topology=_TOPOLOGIES,
+    fault=st.sampled_from(_HAND_FAULTS),
+    edge_index=st.integers(0, 7),
+    arm_at_us=st.sampled_from([0, 500]),
+    seed=st.integers(0, 2**16),
+)
+def test_hand_armed_fault_is_bit_identical(topology, fault, edge_index, arm_at_us, seed):
+    run = (topology, fault, edge_index, arm_at_us * units.US, seed)
+    scalar, _, _, _ = _hand_armed("scalar", *run)
+    batched, armed, net, coordinator = _hand_armed(None, *run)
+    assert net.backend == "batched" and coordinator is not None
+    assert batched == scalar
+    assert scalar[2] > 1000
+    # The pin is exactly the fault's own declaration, peer-side ports included.
+    tainted = armed.tainted_nodes()
+    for (node, peer), port in net.ports.items():
+        pinned = node in tainted or peer in tainted
+        assert (port._fastpath is None) == (pinned or net.fastpath is None)
+    if tainted and arm_at_us:
+        assert coordinator.demotions >= 2  # both directions of the drawn edge
+
+
+@pytest.mark.parametrize("arm_at_us", [0, 500])
+@pytest.mark.parametrize("fault", _HAND_FAULTS, ids=lambda f: f["kind"])
+def test_every_hand_armed_fault_on_an_inner_edge(fault, arm_at_us):
+    # The sweep draws; this walks all six kinds, on chain(4)'s middle edge
+    # (both neighbours stay batched), before start() and mid-run.
+    run = ({"kind": "chain", "hosts": 4}, fault, 1, arm_at_us * units.US, 7)
+    scalar, _, _, _ = _hand_armed("scalar", *run)
+    batched, armed, net, coordinator = _hand_armed(None, *run)
+    assert batched == scalar
+    hooked = {port.name for port in net.ports.values() if port._fastpath is not None}
+    if armed.tainted_nodes():
+        assert armed.tainted_nodes() == {"n1", "n2"}
+        assert hooked == set()  # n0-n1 and n2-n3 touch a tainted node too
+        assert net.fastpath is None and net.sim.fastpath is None
+        assert coordinator.demotions == (6 if arm_at_us else 0)
+    else:
+        assert len(hooked) == 6 and net.fastpath is coordinator
+
+
+def test_hand_armed_ber_burst_injects_what_scalar_injects():
+    # At the parent a batched network built without the taint kwarg let the
+    # promoted direction run past the swapped-in injector: 0 errors, not 24.
+    def run(backend):
+        sim, streams = Simulator(), RandomStreams(root_seed=1)
+        net = DtpNetwork(sim, chain(2), streams, backend=backend)
+        burst = BerBurst(
+            "n0", "n1", start_fs=300 * units.US, duration_fs=300 * units.US, ber=1e-3
+        )
+        burst.arm(FaultContext(network=net, streams=streams))
+        net.start()
+        sim.run_until(1 * units.MS)
+        return burst.summary()["errors_injected"], sim._seq
+
+    assert run(None) == run("scalar") == (24, 6260)
+
+
+def test_signal_loss_demotes_the_dark_direction(tmp_path):
+    # The TX gate is a scalar check: a promoted n3->n4 has to come back to
+    # the scalar path to be dropped at it, and re-promotes after the restore.
+    def drive(sim, net):
+        sim.run_until(700 * units.US)
+        net.signal_loss("n3", "n4")
+        sim.run_until(900 * units.US)
+        net.signal_restore("n3", "n4")
+        sim.run_until(1500 * units.US)
+
+    def run(backend):
+        telemetry, sim = Telemetry(), Simulator()
+        net = DtpNetwork(
+            sim, chain(5), RandomStreams(root_seed=5), telemetry=telemetry,
+            backend=backend,
+        )
+        net.start()
+        drive(sim, net)
+        heard = net.ports[("n4", "n3")].stats.received["BEACON"]
+        path = tmp_path / f"{backend}.trace.jsonl"
+        return (_trace_file_bytes(telemetry, path), sim._seq, heard), telemetry, net
+
+    scalar, telemetry, _ = run("scalar")
+    batched, _, net = run("batched")
+    assert batched == scalar
+    assert telemetry.tracer.recorded == 18_807 and scalar[1:] == (37_280, 1_015)
+    # Eight directions, then n3->n4 again after the restore.
+    assert net.fastpath.promotions == 9 and net.fastpath.demotions == 1
+
+
+def test_signal_loss_on_a_default_network_goes_dark_at_once():
+    def run(backend):
+        sim = Simulator()
+        net = DtpNetwork(sim, chain(2), RandomStreams(root_seed=1), backend=backend)
+        net.start()
+        sim.run_until(1 * units.MS)
+        heard = net.ports[("n1", "n0")].stats.received["BEACON"]
+        net.signal_loss("n0", "n1")
+        net.signal_loss("n0", "n1")  # idempotent
+        sim.run_until(2 * units.MS)
+        return net.ports[("n1", "n0")].stats.received["BEACON"] - heard, sim._seq
+
+    assert run(None) == run("scalar")
+    assert run(None)[0] == 0  # the parent delivered 781 through the dark fibre
 
 
 def test_all_builtin_scenarios_bit_identical_quick():
@@ -172,10 +329,6 @@ def test_all_builtin_scenarios_write_the_same_artifact_bytes(tmp_path):
 # ----------------------------------------------------------------------
 # Eligibility and demotion
 # ----------------------------------------------------------------------
-def _engine(backend):
-    return MacroTickSimulator() if backend == "batched" else Simulator()
-
-
 def _trace_file_bytes(telemetry, path):
     from repro.telemetry import write_trace_jsonl
 
@@ -183,13 +336,15 @@ def _trace_file_bytes(telemetry, path):
     return path.read_bytes()
 
 
-def _batched_chain(seed=0, hosts=2, telemetry=None, tainted=None):
-    sim = MacroTickSimulator()
+def _batched_chain(seed=0, hosts=2, telemetry=None, pinned=None):
+    """A hand-built chain on the default backend: no engine class to pick,
+    no ``backend=``; ``pinned`` nodes are pinned scalar before link-up."""
+    sim = Simulator()
     streams = RandomStreams(root_seed=seed)
-    net = DtpNetwork(
-        sim, chain(hosts), streams, telemetry=telemetry,
-        backend="batched", tainted_nodes=tainted,
-    )
+    net = DtpNetwork(sim, chain(hosts), streams, telemetry=telemetry)
+    assert net.backend == "batched"
+    if pinned is not None:
+        net.pin_scalar(pinned)
     net.start()
     return sim, net
 
@@ -197,7 +352,7 @@ def _batched_chain(seed=0, hosts=2, telemetry=None, tainted=None):
 def _traced_chain(backend, hosts=4, seed=5, drive=None):
     """One traced chain run; returns (telemetry, network, sim)."""
     telemetry = Telemetry()
-    sim = _engine(backend)
+    sim = Simulator()
     net = DtpNetwork(
         sim, chain(hosts), RandomStreams(root_seed=seed),
         skews={f"n{i}": ConstantSkew((-1.0) ** i * 40.0) for i in range(hosts)},
@@ -219,7 +374,7 @@ def test_traced_chain_promotes_everything_and_matches_scalar():
     assert net.fastpath.demotions == 0
     assert net.fastpath.virtual_events > 0
     for port in net.ports.values():
-        assert direction_ineligible_reason(port, frozenset()) is None
+        assert direction_ineligible_reason(port) is None
     assert batched.tracer.recorded == scalar.tracer.recorded > 1000
     assert list(batched.tracer.records) == list(scalar.tracer.records)
     assert batched.tracer.subjects == scalar.tracer.subjects
@@ -287,16 +442,17 @@ def test_dispatch_profile_refuses_every_direction():
         net = live["network"]
         assert net.fastpath is None  # zero promotions: nothing to promote into
         assert {
-            direction_ineligible_reason(port, frozenset())
+            direction_ineligible_reason(port)
             for port in net.ports.values()
         } == {"engine dispatch profile attached"}
     assert digests["batched"] == digests["scalar"]
 
 
 def test_factory_built_plain_engine_runs_the_scalar_port_path():
-    # The engine decides, not the option: the default backend is batched,
-    # but a caller's own Simulator (here with its own profile hook, as the
-    # repo benchmark's layer pass builds one) cannot merge virtual events.
+    # The default backend is batched, but a caller's own Simulator carrying
+    # a profile hook (as the repo benchmark's layer pass builds one) is a
+    # static refusal: every event stays a real dispatch.  A bare factory
+    # engine takes the coordinator path, to the same digest.
     class Counts:
         n = 0
 
@@ -337,35 +493,69 @@ def test_untraced_chain_promotes_everything():
 
 
 def test_tainted_nodes_pin_directions_to_scalar():
-    sim, net = _batched_chain(hosts=3, tainted=frozenset({"n2"}))
+    sim, net = _batched_chain(hosts=3, pinned=frozenset({"n2"}))
+    net.pin_scalar({"n2"})  # pinning twice is a no-op
     sim.run_until(2 * units.MS)
     # n0<->n1 promotes (2 directions); everything touching n2 stays scalar.
-    assert net.fastpath.promotions == 2
-    reasons = {
-        port.name: direction_ineligible_reason(port, frozenset({"n2"}))
-        for port in net.ports.values()
-    }
-    assert reasons["n0->n1"] is None
-    assert (
-        reasons["n1->n2"]
-        == reasons["n2->n1"]
-        == "fault model armed on an endpoint device"
-    )
-    # Taint cannot change during a run, so it was settled at build time:
-    # the refused ports carry no hook and never ask the coordinator.
+    assert net.fastpath.promotions == 2 and net.fastpath.demotions == 0
+    assert direction_ineligible_reason(net.ports[("n0", "n1")]) is None
+    # The pinned ports (the peer-side one included) carry no hook, so they
+    # never ask the coordinator: that, not a reason string, keeps them scalar.
     hooked = {port.name for port in net.ports.values() if port._fastpath is not None}
     assert hooked == {"n0->n1", "n1->n0"}
 
 
 def test_network_where_nothing_can_promote_builds_no_coordinator():
-    sim, net = _batched_chain(hosts=3, tainted=frozenset({"n0", "n1", "n2"}))
+    sim, net = _batched_chain(hosts=3, pinned=frozenset({"n0", "n1", "n2"}))
     assert net.fastpath is None and sim.fastpath is None
     assert all(port._fastpath is None for port in net.ports.values())
-    sim.run_until(2 * units.MS)  # the inherited Simulator loops
+    sim.run_until(2 * units.MS)  # the plain Simulator loops
     assert net.all_synchronized()
-    # Partial taint that still covers every link: same outcome.
-    _, net = _batched_chain(hosts=3, tainted=frozenset({"n1"}))
+    # A partial pin that still covers every link: same outcome.
+    _, net = _batched_chain(hosts=3, pinned=frozenset({"n1"}))
     assert net.fastpath is None
+    # Parity is refused at build: there was never a coordinator to detach.
+    sim = Simulator()
+    net = DtpNetwork(
+        sim, chain(2), RandomStreams(root_seed=0), config=DtpPortConfig(parity=True)
+    )
+    assert net.backend == "batched" and net.fastpath is None and sim.fastpath is None
+    assert {direction_ineligible_reason(port) for port in net.ports.values()} == {
+        "parity beacons enabled"
+    }
+
+
+def test_pinning_the_last_hooked_port_mid_run_detaches_cleanly(tmp_path):
+    # Everything is promoted when the pins land.  The first leaves n2<->n3
+    # batched; the second takes the last hooked ports, so the coordinator is
+    # detached with every pending virtual event back on the heap under its
+    # own (time, seq) — the bytes and the counter stay the scalar run's.
+    def drive(sim, net):
+        sim.run_until(1 * units.MS)
+        net.pin_scalar({"n0", "n1"})
+        sim.run_until(1500 * units.US)
+        net.pin_scalar({"n3"})
+        sim.run_until(2 * units.MS)
+
+    scalar, _, scalar_sim = _traced_chain("scalar", drive=drive)
+    coordinator = []
+
+    def batched_drive(sim, net):
+        coordinator.append(net.fastpath)
+        drive(sim, net)
+
+    batched, net, batched_sim = _traced_chain("batched", drive=batched_drive)
+    (fastpath,) = coordinator
+    assert fastpath.promotions == 6 and fastpath.demotions == 6
+    assert net.fastpath is None and batched_sim.fastpath is None
+    assert all(port._fastpath is None for port in net.ports.values())
+    assert not fastpath._dirs
+    assert all(entry[5] != entry[3].epoch for entry in fastpath._heap)  # all dead
+    assert _trace_file_bytes(batched, tmp_path / "b") == _trace_file_bytes(
+        scalar, tmp_path / "s"
+    )
+    assert batched_sim._seq == scalar_sim._seq
+    batched_sim.step()  # detached: the plain engine again
 
 
 def test_link_down_demotes_and_relearns():
@@ -384,7 +574,7 @@ def test_link_down_demotes_and_relearns():
 def test_scenario_state_identical_not_just_digest():
     # Beyond metrics digests: every per-port counter the stats track.
     def run(backend):
-        sim = _engine(backend)
+        sim = Simulator()
         streams = RandomStreams(root_seed=9)
         net = DtpNetwork(
             sim, chain(4), streams,
@@ -420,7 +610,7 @@ def test_step_and_run_refuse_an_engine_with_a_coordinator_attached():
     sim, net = _batched_chain()
     assert sim.fastpath is net.fastpath is not None
     for advance in (sim.step, sim.run, lambda: sim.run(max_events=1)):
-        with pytest.raises(SimulationError, match="run_until"):
+        with pytest.raises(SimulationError, match='run_until.*backend="scalar"'):
             advance()
     assert sim._now == 0 and net.fastpath.virtual_events == 0
     sim.run_until(2 * units.MS)  # the engine is unharmed
@@ -428,7 +618,7 @@ def test_step_and_run_refuse_an_engine_with_a_coordinator_attached():
 
 
 def test_step_and_run_without_a_source_are_the_plain_engine():
-    # Bare engines: same callbacks, same order, same return values.
+    # A bare engine: callbacks in (time, seq) order, the documented returns.
     def bare(cls):
         sim, fired = cls(), []
         for delay in (30, 10, 20, 10):
@@ -438,18 +628,15 @@ def test_step_and_run_without_a_source_are_the_plain_engine():
         return out, fired, sim._now, sim._seq
 
     plain = bare(Simulator)
-    assert bare(MacroTickSimulator) == plain
     assert plain[0] == [True, 2, 1, False]
+    assert [delay for delay, _ in plain[1]] == [10, 10, 20, 30]
 
-    # An all-tainted network builds no coordinator: step()/run() drive the
-    # scalar port path on either engine class, to the same state.
-    def network(cls):
-        sim = cls()
-        net = DtpNetwork(
-            sim, chain(3), RandomStreams(root_seed=4),
-            backend="batched" if cls is MacroTickSimulator else "scalar",
-            tainted_nodes=frozenset({"n1"}),
-        )
+    # A network pinned on every link has no coordinator: step()/run() drive
+    # the scalar port path on either backend, to the same state.
+    def network(backend):
+        sim = Simulator()
+        net = DtpNetwork(sim, chain(3), RandomStreams(root_seed=4), backend=backend)
+        net.pin_scalar({"n1"})
         net.start()
         ran = sim.run(max_events=4000)
         while sim._now < 300 * units.US:
@@ -459,8 +646,8 @@ def test_step_and_run_without_a_source_are_the_plain_engine():
             net.pair_offset("n0", "n2"), net.ports[("n1", "n2")].stats.jumps,
         )
 
-    plain = network(Simulator)
-    assert network(MacroTickSimulator) == plain
+    plain = network("scalar")
+    assert network("batched") == plain
     assert plain[0] == 4000 and plain[3] is None
 
 
@@ -474,7 +661,7 @@ def test_promotion_ties_on_a_shared_oscillator_keep_scalar_order(tmp_path):
 
     def run(backend):
         telemetry = Telemetry()
-        sim = _engine(backend)
+        sim = Simulator()
         net = DtpNetwork(
             sim, topology, RandomStreams(root_seed=5),
             skews={name: ConstantSkew(0.0) for name in topology.nodes},
@@ -504,7 +691,7 @@ def test_scalar_and_batched_write_the_same_trace_file_across_a_flap(tmp_path):
 
     def run(backend):
         telemetry = Telemetry()
-        sim = _engine(backend)
+        sim = Simulator()
         net = DtpNetwork(
             sim, chain(3), RandomStreams(root_seed=11), telemetry=telemetry,
             config=DtpPortConfig(msb_interval_beacons=7), backend=backend,
@@ -528,15 +715,23 @@ def test_scalar_and_batched_write_the_same_trace_file_across_a_flap(tmp_path):
 
 
 def test_attach_fastpath_rejects_second_source():
-    sim = MacroTickSimulator()
+    sim = Simulator()
     sim.attach_fastpath(object())
     with pytest.raises(SimulationError):
         sim.attach_fastpath(object())
 
 
-def test_coordinator_requires_macrotick_sim():
-    with pytest.raises(TypeError):
-        FastpathCoordinator(Simulator(), frozenset())
+def test_second_coordinator_on_one_engine_is_rejected():
+    # Any Simulator hosts a coordinator — there is no engine class to get
+    # wrong — but only one: two networks cannot share a batched engine.
+    sim = Simulator()
+    first = FastpathCoordinator(sim)
+    assert sim.fastpath is first
+    sim.attach_fastpath(first)  # re-attaching the same source is a no-op
+    with pytest.raises(SimulationError, match="already attached"):
+        FastpathCoordinator(sim)
+    with pytest.raises(SimulationError, match="already attached"):
+        DtpNetwork(sim, chain(2), RandomStreams(root_seed=0))
 
 
 # ----------------------------------------------------------------------

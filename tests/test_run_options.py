@@ -164,16 +164,22 @@ def test_sharded_inline_with_snapshots_through_run_campaign(tmp_path, seen_by_dr
     assert (sharded_dir / name).read_bytes() == (default_dir / name).read_bytes()
 
 
-def test_batched_is_the_default_and_scalar_the_explicit_oracle(seen_by_driver, capsys):
-    """``RunOptions`` states the default; the CLI takes it from there, and
-    the entry points that are not ``RunOptions`` callers (``DtpNetwork``,
-    Fig. 6a — the oracle workload) keep their explicit ``scalar``."""
+def test_batched_is_the_default_and_scalar_the_explicit_oracle(
+    seen_by_driver, capsys, monkeypatch
+):
+    """One literal: ``DtpNetwork`` resolves a missing ``backend`` to
+    ``dtp.network.DEFAULT_BACKEND`` when it is built, ``RunOptions`` (and
+    through it the CLI) takes its default from there, and the hand-built
+    entry points pass ``None`` through to the network."""
     import inspect
 
+    from repro import scenarios
+    from repro.dtp import network
     from repro.dtp.network import DtpNetwork
     from repro.experiments.fig6_dtp import run_fig6_dtp
 
-    assert RunOptions().backend == "batched"
+    assert network.BACKENDS == ("scalar", "batched")
+    assert RunOptions().backend == network.DEFAULT_BACKEND == "batched"
     assert len(FIELD_NAMES) == 10
     assert sorted(campaign.DRIVERS) == ["batched", "scalar", "sharded"]
     assert faultlab_main(["--quick", "baseline"]) == 0
@@ -181,8 +187,12 @@ def test_batched_is_the_default_and_scalar_the_explicit_oracle(seen_by_driver, c
     assert faultlab_main(["--quick", "baseline", "--backend", "scalar"]) == 0
     assert capsys.readouterr().out == default_out
     assert [o.backend for o in seen_by_driver] == ["batched", "scalar"]
-    for entry in (DtpNetwork.__init__, run_fig6_dtp):
-        assert inspect.signature(entry).parameters["backend"].default == "scalar"
+    for entry in (DtpNetwork.__init__, run_fig6_dtp, scenarios.build):
+        assert inspect.signature(entry).parameters["backend"].default is None
+    assert scenarios.build("rack").dtp.backend == "batched"
+    assert scenarios.build("rack", backend="scalar").dtp.backend == "scalar"
+    monkeypatch.setattr(network, "DEFAULT_BACKEND", "scalar")  # read at call time
+    assert scenarios.build("rack").dtp.backend == "scalar"
 
 
 def test_unknown_backend_lists_the_registered_ones():

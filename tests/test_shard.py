@@ -27,7 +27,7 @@ from repro.network.topology import chain
 from repro.shard import build_plan, resolve_shards, run_sharded_scenario
 from repro.shard.partition import _atoms
 from repro.shard.runner import default_margin_fs
-from repro.sim.engine import MacroTickSimulator
+from repro.sim.engine import Simulator
 
 
 def canon(result) -> str:
@@ -220,7 +220,7 @@ class TestFeatureGates:
 
     def test_custom_sim_factory_rejected(self):
         with pytest.raises(CampaignError, match="sim_factory"):
-            run_sharded_scenario(self.spec(), sim_factory=MacroTickSimulator)
+            run_sharded_scenario(self.spec(), sim_factory=lambda: Simulator())
 
     def test_raise_on_violation_rejected(self):
         spec = self.spec()
