@@ -7,7 +7,8 @@ two measurement hosts on a DTP-synchronized tree, sends timestamped probe
 packets through a congested packet network, and compares:
 
 * true OWD (from the simulator's omniscient clock);
-* DTP-measured OWD (receive counter minus embedded send counter);
+* DTP-measured OWD (``repro.apps.OneWayDelayMeter``: receive counter
+  minus the send counter stamped into the probe);
 * the classic RTT/2 estimate, which asymmetric queueing corrupts.
 
 Run:  python examples/owd_measurement.py
@@ -15,6 +16,7 @@ Run:  python examples/owd_measurement.py
 
 import statistics
 
+from repro.apps import OneWayDelayMeter
 from repro.clocks import ConstantSkew, TscCounter
 from repro.dtp import DtpDaemon, DtpNetwork, DtpPortConfig
 from repro.network import PacketNetwork, paper_testbed
@@ -53,41 +55,27 @@ def main() -> None:
         daemons[name].start()
     sim.run_until(5 * units.MS)
 
-    tick_ns = 6.4
-    forward, reverse, rtt_halves, true_fwd = [], [], [], []
-
-    def on_probe(packet, first_fs, last_fs) -> None:
-        rx_counter = daemons[packet.dst].get_dtp_counter(first_fs)
-        owd_ticks = rx_counter - packet.payload["tx_counter"]
-        record = packet.payload["record"]
-        record.append(owd_ticks * tick_ns)
-        if packet.dst == "S11":
-            true_fwd.append((first_fs - packet.payload["tx_fs"]) / units.NS)
-            # Bounce a reply, carrying the original departure time so the
-            # requester can form the classic RTT/2 estimate.
-            send_probe("S11", "S4", reverse, fwd_tx_fs=packet.payload["tx_fs"])
-        else:
-            rtt_ns = (first_fs - packet.payload["fwd_tx_fs"]) / units.NS
-            rtt_halves.append(rtt_ns / 2.0)
-
-    def send_probe(src: str, dst: str, record, fwd_tx_fs=None) -> None:
-        payload = {
-            "tx_counter": daemons[src].get_dtp_counter(sim.now),
-            "tx_fs": sim.now,
-            "fwd_tx_fs": fwd_tx_fs if fwd_tx_fs is not None else sim.now,
-            "record": record,
-        }
-        packets.send(src, dst, 128, "probe", payload)
-
-    for host in ("S4", "S11"):
-        packets.host(host).register_handler("probe", on_probe)
-
-    # A probe every 200 us for 40 ms.
+    # The meter stamps each probe with the sender's daemon counter when the
+    # NIC starts transmitting and subtracts at the receiver.  A probe each
+    # way every 200 us for 40 ms: each pair is one ping's two legs.
+    meter = OneWayDelayMeter(sim, packets, daemons)
     t = sim.now
     for _ in range(200):
         t += 200 * units.US
-        sim.schedule_at(t, send_probe, "S4", "S11", forward)
+        sim.schedule_at(t, meter.probe, "S4", "S11")
+        sim.schedule_at(t, meter.probe, "S11", "S4")
     sim.run_until(t + 5 * units.MS)
+
+    out = [sample for sample in meter.samples if sample.dst == "S11"]
+    back = [sample for sample in meter.samples if sample.dst == "S4"]
+    forward = [sample.owd_fs / units.NS for sample in out]
+    reverse = [sample.owd_fs / units.NS for sample in back]
+    true_fwd = [sample.true_owd_fs / units.NS for sample in out]
+    # The classic estimate: time the round trip on one clock, halve it.
+    rtt_halves = [
+        (there.true_owd_fs + here.true_owd_fs) / 2 / units.NS
+        for there, here in zip(out, back)
+    ]
 
     def describe(label, values):
         print(
@@ -105,6 +93,7 @@ def main() -> None:
     error_rtt = statistics.median(rtt_halves) - statistics.median(true_fwd)
     print(f"DTP OWD error:   {error_dtp:9.1f} ns  (daemon read error only)")
     print(f"RTT/2 error:     {error_rtt:9.1f} ns  (hides path asymmetry)")
+    assert abs(error_dtp) < 100.0 < abs(error_rtt)
 
 
 if __name__ == "__main__":

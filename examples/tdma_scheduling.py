@@ -6,77 +6,40 @@ of minimum sized packets at a finer granularity, which can minimize
 congestion" [R2C2, Fastpass].  This example demonstrates exactly that:
 
 Three senders share one egress link to a common receiver.  A centralized
-schedule assigns each sender a repeating time slot just wide enough for
-one MTU frame.  Each sender fires when *its own clock* says its slot
-started.  If clocks are tight (DTP), frames never collide in the shared
-queue and the worst queueing delay is ~zero.  With loose clocks (PTP under
-load), senders fire into each other's slots and the queue builds.
+schedule (``repro.apps.TdmaSchedule``) assigns each sender a repeating
+time slot just wide enough for one MTU frame.  Each sender fires when
+*its own clock* says its slot started.  If clocks are tight (DTP), frames
+never collide in the shared queue and the worst queueing delay is ~zero.
+With loose clocks (PTP under load), senders fire into each other's slots
+and the queue builds.
 
 Run:  python examples/tdma_scheduling.py
 """
 
-from repro.network import PacketNetwork, star
-from repro.sim import RandomStreams, Simulator, units
+from repro.apps import run_tdma_round
+from repro.sim import units
 
 SLOT_FS = 1_300 * units.NS  # one MTU frame (1.23 us) + guard band
-FRAME_BYTES = 1500
-SENDERS = ("h0", "h1", "h2")
-RECEIVER = "h3"
-
-
-def run_tdma(clock_error_ns: float, seed: int = 9) -> float:
-    """Run a TDMA round-robin; return worst queueing delay (ns) observed.
-
-    ``clock_error_ns`` is each sender's clock offset magnitude — ~25 ns
-    for DTP (the 4T bound), tens of microseconds for loaded PTP.
-    """
-    sim = Simulator()
-    streams = RandomStreams(seed)
-    network = PacketNetwork(sim, star(4))
-    rng = streams.stream("clock-errors")
-    offsets = {
-        name: round(rng.uniform(-clock_error_ns, clock_error_ns) * units.NS)
-        for name in SENDERS
-    }
-
-    delays = []
-
-    def on_receive(packet, first_fs, last_fs):
-        # Queueing delay = actual transit minus the uncongested floor.
-        transit = first_fs - packet.created_fs
-        floor = (
-            round(packet.wire_bytes * 8 * units.SEC / 10e9) * 2  # two links
-            + 2 * 8 * units.TICK_10G_FS  # two cables
-        )
-        delays.append(max(0, transit - floor))
-
-    network.host(RECEIVER).register_handler("tdma", on_receive)
-
-    def fire(sender: str, slot_index: int) -> None:
-        network.send(sender, RECEIVER, FRAME_BYTES, "tdma", {"slot": slot_index})
-
-    # Schedule 300 rounds: sender i owns slot (3k + i); each fires when its
-    # (erroneous) clock says the slot begins.
-    for round_index in range(300):
-        for lane, sender in enumerate(SENDERS):
-            true_start = (round_index * len(SENDERS) + lane) * SLOT_FS
-            believed_start = max(0, true_start + offsets[sender])
-            sim.schedule_at(believed_start, fire, sender, round_index)
-    sim.run()
-    return max(delays) / units.NS if delays else 0.0
 
 
 def main() -> None:
     print(f"slot width {SLOT_FS / units.NS:.0f} ns, 3 senders -> 1 receiver\n")
     print(f"{'clock error':>14}  {'worst queueing delay':>22}")
+    worst = {}
     for label, error_ns in (
         ("DTP (25.6ns)", 25.6),
         ("PTP idle (400ns)", 400.0),
         ("PTP medium (30us)", 30_000.0),
         ("PTP heavy (150us)", 150_000.0),
     ):
-        worst = run_tdma(error_ns)
-        print(f"{label:>18}  {worst:16.1f} ns")
+        # Each sender's clock is off by up to +/- error_ns: ~25 ns for DTP
+        # (the 4T bound), tens of microseconds for loaded PTP.
+        receiver = run_tdma_round(
+            round(error_ns * units.NS), senders=3, rounds=300, slot_fs=SLOT_FS
+        )
+        worst[label] = receiver.worst_queueing_fs() / units.NS
+        print(f"{label:>18}  {worst[label]:16.1f} ns")
+    assert worst["DTP (25.6ns)"] == 0.0 < worst["PTP heavy (150us)"]
     print()
     print("With DTP-grade sync the slots never collide; with loosely")
     print("synchronized clocks the TDMA schedule collapses into queueing.")

@@ -81,8 +81,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--shard-transport", choices=("process", "inline"), default="process",
-        help="how shards are hosted under --backend sharded: supervised "
-        "worker processes (default) or in-process objects (debugging; "
+        help="how shards are hosted under --backend sharded: one worker "
+        "process each (default) or in-process objects (debugging; "
         "byte-identical output)",
     )
     parser.add_argument(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..clocks.oscillator import SkewModel
 from ..dtp import messages as dtpmsg
@@ -27,6 +27,7 @@ from ..sim.randomness import RandomStreams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dtp.network import DtpNetwork
+    from ..network.topology import Topology
     from .invariants import InvariantChecker
 
 
@@ -86,6 +87,22 @@ class FaultModel(ABC):
         """
         return frozenset()
 
+    def pins(self, topology: "Topology") -> Tuple[str, ...]:
+        """Nodes the sharded backend must co-locate on one shard.
+
+        The fault's blast radius: every node whose device or ports its
+        callbacks touch through the real network, so the fault runs
+        against real objects on exactly one shard and ghost no-ops
+        everywhere else (``repro.shard.partition``).  A fault that does
+        not say cannot be placed, and is refused by kind.
+        """
+        from .campaign import CampaignError  # campaign imports this module
+
+        raise CampaignError(
+            f"fault kind {self.kind!r} has no shard pin rule; "
+            "the sharded backend cannot place it"
+        )
+
     # Internal helpers -------------------------------------------------
     def _quarantine(self, nodes: List[str]) -> None:
         if self._ctx is not None and self._ctx.checker is not None:
@@ -99,7 +116,22 @@ class FaultModel(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class LinkFlap(FaultModel):
+class _LinkFault(FaultModel):
+    """A fault on the link ``a``-``b``: it bounces or patches both ports."""
+
+    def pins(self, topology: "Topology") -> Tuple[str, ...]:
+        return (self.a, self.b)
+
+
+class _NodeFault(FaultModel):
+    """A fault on ``node`` alone: it mutates only objects that node owns
+    (for suppression and the two-faced peer, the node's own port)."""
+
+    def pins(self, topology: "Topology") -> Tuple[str, ...]:
+        return (self.node,)
+
+
+class LinkFlap(_LinkFault):
     """A link that repeatedly goes down and comes back up.
 
     Each heal re-runs INIT (fresh OWD measurement) and BEACON_JOIN; a
@@ -161,7 +193,7 @@ class LinkFlap(FaultModel):
         return {"flaps": self.flap_count}
 
 
-class Partition(FaultModel):
+class Partition(_LinkFault):
     """Cut one link at ``down_at_fs`` and heal it at ``up_at_fs``.
 
     While partitioned the two sides drift apart; on heal, INIT re-measures
@@ -204,7 +236,7 @@ class Partition(FaultModel):
         return {"partition_fs": self.up_at_fs - self.down_at_fs}
 
 
-class BerBurst(FaultModel):
+class BerBurst(_LinkFault):
     """A bit-error-rate episode on one link (both directions).
 
     Models a marginal transceiver or dirty fiber: during the window every
@@ -353,8 +385,13 @@ class FlapStorm(FaultModel):
     def summary(self) -> Dict[str, object]:
         return {"flaps": self.flap_count, "links": len(self.links)}
 
+    def pins(self, topology: "Topology") -> Tuple[str, ...]:
+        # The union of every listed link keeps each supervised recovery
+        # (and its gate claims) on one shard.
+        return tuple(dict.fromkeys(node for link in self.links for node in link))
 
-class SignalLoss(FaultModel):
+
+class SignalLoss(_LinkFault):
     """Asymmetric loss of signal: the a->b direction goes dark.
 
     Unlike a link cut, both ports stay administratively up — b simply
@@ -413,7 +450,7 @@ class SignalLoss(FaultModel):
         return frozenset({self.a, self.b})
 
 
-class BerRamp(FaultModel):
+class BerRamp(_LinkFault):
     """Slow transceiver degrade: BER rises through ``bers`` step by step.
 
     Every ``step_fs`` the link's (both directions') injectors are swapped
@@ -506,6 +543,14 @@ class BerRamp(FaultModel):
         # _step swaps ``port.ber`` mid-run, like BerBurst.
         return frozenset({self.a, self.b})
 
+    def pins(self, topology: "Topology") -> Tuple[str, ...]:
+        # The high-BER steps make the endpoints' *other* supervised links
+        # dip and recover (n1-n2 in the builtin): an incident nobody
+        # scheduled, which still needs both of its ports on one shard.
+        ends = (self.a, self.b)
+        reach = [*ends, *(peer for end in ends for peer in topology.neighbors(end))]
+        return tuple(dict.fromkeys(reach))
+
 
 class NodeCrash(FaultModel):
     """Crash-and-restart with counter reset.
@@ -570,8 +615,12 @@ class NodeCrash(FaultModel):
     def summary(self) -> Dict[str, object]:
         return {"crashes": self.crashes}
 
+    def pins(self, topology: "Topology") -> Tuple[str, ...]:
+        # Restart calls ``up_link`` toward every peer: both real ports.
+        return (self.node, *topology.neighbors(self.node))
 
-class BeaconSuppression(FaultModel):
+
+class BeaconSuppression(_NodeFault):
     """One port stops transmitting BEACON-family messages for a window.
 
     Models a wedged transmit path (or a switch filtering /E/ blocks): the
@@ -642,7 +691,7 @@ class BeaconSuppression(FaultModel):
         return frozenset({self.node, self.peer})
 
 
-class TwoFacedNode(FaultModel):
+class TwoFacedNode(_NodeFault):
     """A Byzantine peer that reports a lied counter toward one victim.
 
     The paper *assumes* these away (Section 3.1: no "two-faced" clocks);
@@ -731,7 +780,7 @@ class _GlitchSkew(SkewModel):
         return ppm
 
 
-class OscillatorStep(FaultModel):
+class OscillatorStep(_NodeFault):
     """Permanent frequency step (thermal shock) on one device at ``at_fs``.
 
     The piecewise-segment machinery picks the new rate up at the next
@@ -756,7 +805,7 @@ class OscillatorStep(FaultModel):
         return {"new_ppm_x1000": int(self.new_ppm * 1000)}
 
 
-class OscillatorGlitch(FaultModel):
+class OscillatorGlitch(_NodeFault):
     """Transient additive ppm excursion on one device.
 
     Unlike :class:`OscillatorStep` the deviation reverts after
@@ -795,7 +844,7 @@ class OscillatorGlitch(FaultModel):
         return {"glitch_ppm_x1000": int(self.glitch_ppm * 1000)}
 
 
-class RunawayQuarantine(FaultModel):
+class RunawayQuarantine(_NodeFault):
     """An oscillator leaves the IEEE +/-100 ppm envelope and stays out.
 
     Section 5.4's scenario: the runaway device drags the whole network's

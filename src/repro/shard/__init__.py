@@ -12,7 +12,8 @@ digests, stdout, and every telemetry artifact.
 Layering:
 
 * :mod:`repro.shard.partition` — cut the topology on links into shard
-  plans (fault pins keep every fault's blast radius on one shard);
+  plans (each fault's :meth:`~repro.faultlab.faults.FaultModel.pins`
+  keeps its blast radius on one shard);
 * :mod:`repro.shard.engine` — the per-shard simulator: the scalar heap
   plus serial-equivalent event keys, safety classification, boundary
   capture, and window promises;
@@ -20,8 +21,8 @@ Layering:
   construction, probes, and per-window service;
 * :mod:`repro.shard.coordinator` — window advancement, deterministic
   merge of traces/metrics/checker state, result assembly;
-* :mod:`repro.shard.transport` — inline (in-process) and supervised
-  multi-process shard hosting via :func:`repro.resilience.run_supervised`;
+* :mod:`repro.shard.transport` — shard hosting: inline (in-process), or
+  one :class:`multiprocessing.Process` and one pipe per shard;
 * :mod:`repro.shard.runner` — the ``run_scenario``-compatible entry
   point used by ``repro faultlab --backend sharded``.
 
@@ -30,14 +31,13 @@ math, and the digest-composition argument.
 """
 
 from .coordinator import run_sharded
-from .partition import ShardChannel, ShardPlan, build_plan, fault_pin_nodes
+from .partition import ShardChannel, ShardPlan, build_plan
 from .runner import resolve_shards, run_sharded_scenario
 
 __all__ = [
     "ShardChannel",
     "ShardPlan",
     "build_plan",
-    "fault_pin_nodes",
     "resolve_shards",
     "run_sharded",
     "run_sharded_scenario",

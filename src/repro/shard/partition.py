@@ -1,9 +1,10 @@
 """Cut a scenario topology into shard plans.
 
 The partitioner works on *atoms*: groups of nodes that must share a
-shard.  Every fault model pins its blast radius — the nodes whose
-devices or ports it mutates, plus (for crashes) the neighbors whose
-ports it bounces — into one atom, so a fault always runs against real
+shard.  Every fault model pins its blast radius
+(:meth:`~repro.faultlab.faults.FaultModel.pins`: the nodes whose
+devices or ports it mutates, plus, for crashes, the neighbors whose
+ports it bounces) into one atom, so a fault always runs against real
 objects on exactly one shard and ghost no-ops everywhere else.  Atoms
 are then packed into ``shards`` contiguous blocks in topology-node
 order, balanced by degree weight, so a chain cuts once in the middle
@@ -25,66 +26,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faultlab.campaign import CampaignError
-from ..faultlab.faults import (
-    BeaconSuppression,
-    BerBurst,
-    BerRamp,
-    FaultModel,
-    FlapStorm,
-    LinkFlap,
-    NodeCrash,
-    OscillatorGlitch,
-    OscillatorStep,
-    Partition,
-    RunawayQuarantine,
-    SignalLoss,
-    TwoFacedNode,
-)
+from ..faultlab.faults import FaultModel
 from ..network.topology import Topology
 
 #: Lookahead margin in nominal tick periods: one period because the TX
 #: pipeline's wire-exit time rounds *down* to a tick edge, doubled to
 #: absorb the IEEE +/-100 ppm skew stretching a period (and then some).
 MARGIN_PERIODS = 2
-
-
-def fault_pin_nodes(fault: FaultModel, topology: Topology) -> Tuple[str, ...]:
-    """Nodes this fault must co-locate on one shard.
-
-    Link faults pin both endpoints (they bounce both ports).  A node
-    crash pins the node *and* its neighbors: restart calls ``up_link``
-    toward every peer, which needs both real ports.  Per-node faults
-    (suppression, two-faced, oscillator) mutate only objects owned by
-    the node's shard — the victim port lives on the node itself.
-    """
-    if isinstance(fault, (LinkFlap, Partition, BerBurst, BerRamp, SignalLoss)):
-        return (fault.a, fault.b)
-    if isinstance(fault, FlapStorm):
-        # A storm bounces every listed link; pinning the union keeps each
-        # supervised recovery (and its gate claims) on one shard.
-        pins: List[str] = []
-        for a, b in fault.links:
-            for node in (a, b):
-                if node not in pins:
-                    pins.append(node)
-        return tuple(pins)
-    if isinstance(fault, NodeCrash):
-        return (fault.node, *topology.neighbors(fault.node))
-    if isinstance(
-        fault,
-        (
-            BeaconSuppression,
-            TwoFacedNode,
-            OscillatorStep,
-            OscillatorGlitch,
-            RunawayQuarantine,
-        ),
-    ):
-        return (fault.node,)
-    raise CampaignError(
-        f"fault kind {fault.kind!r} has no shard pin rule; "
-        "the sharded backend cannot place it"
-    )
 
 
 @dataclass(frozen=True)
@@ -144,7 +92,7 @@ def _atoms(topology: Topology, faults: Sequence[FaultModel]) -> List[List[str]]:
         return i
 
     for fault in faults:
-        pins = fault_pin_nodes(fault, topology)
+        pins = fault.pins(topology)
         for pin in pins:
             if pin not in index:
                 raise CampaignError(

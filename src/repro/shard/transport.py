@@ -1,4 +1,4 @@
-"""Shard hosting: in-process workers or supervised worker processes.
+"""Shard hosting: in-process workers or one worker process per shard.
 
 Both transports expose the same four calls the coordinator drives —
 ``launch`` / ``service`` / ``finalize`` / ``close`` — and both produce
@@ -8,22 +8,21 @@ isolation differ):
 * :class:`InlineTransport` constructs the :class:`~repro.shard.worker.
   ShardWorker` objects in the coordinator's own process.  No pickling, no
   process startup — the transport the equivalence tests hammer.
-* :class:`ProcessTransport` runs each shard in its own worker process
-  under :func:`repro.resilience.run_supervised` (one attempt, no
-  watchdog: a shard host is stateful, so a mid-protocol retry could only
-  corrupt the run — a dead worker must fail the whole scenario).
-  Commands and responses travel over dedicated
-  :mod:`multiprocessing.connection` pipes — each worker dials the
-  coordinator's listener on startup, so the window-protocol round trip
-  costs two socket hops instead of four ``multiprocessing.Manager``
-  proxy calls (the Manager RPC overhead dominated fabric-scale runs).  A
-  shard that raises ships its traceback back as an ``("error", ...)``
-  sentinel.
+* :class:`ProcessTransport` runs each shard in a daemonic
+  :class:`multiprocessing.Process` at the far end of one
+  :func:`multiprocessing.Pipe`.  A shard host is stateful, so nothing is
+  ever retried: a worker that raises ships its traceback back as an
+  ``("error", ...)`` sentinel, one that dies reads as end-of-file on its
+  pipe (the coordinator keeps no copy of the worker's end), one that
+  hangs runs into the reply timeout, and each of the three fails the
+  whole scenario with a :class:`~repro.faultlab.campaign.CampaignError`
+  naming the shard.
 """
 
 from __future__ import annotations
 
-import threading
+import multiprocessing
+import sys
 import traceback
 from typing import Dict, List, Optional, Tuple
 
@@ -31,10 +30,13 @@ from ..faultlab.campaign import CampaignError
 from .partition import ShardPlan
 from .worker import ShardWorker
 
-#: How long the coordinator waits on one shard response before declaring
-#: the worker dead.  Generous: a window services in milliseconds; only a
-#: killed or wedged worker process ever hits this.
+#: How long the coordinator waits on one shard response.  Generous: a
+#: window services in milliseconds; only a wedged worker ever hits this
+#: (a dead one reads as end-of-file at once).
 DEFAULT_REPLY_TIMEOUT_S = 600.0
+
+#: How long ``close`` waits for a stopped worker to exit before killing it.
+JOIN_TIMEOUT_S = 5.0
 
 
 class InlineTransport:
@@ -70,29 +72,16 @@ class InlineTransport:
         self._workers = None
 
 
-def _shard_host(
-    spec: Dict[str, object],
-    seed: int,
-    shard_id: int,
-    plan: ShardPlan,
-    telemetry_on: bool,
-    trace_on: bool,
-    address,
-    authkey: bytes,
-) -> dict:
-    """Module-level (picklable) per-process shard host.
-
-    Dials the coordinator's listener, builds the worker, posts its
-    handshake, then serves coordinator commands until ``stop``.  Any
-    exception is shipped back as an ``("error", traceback)`` sentinel
-    before re-raising (so the supervisor records the failure too).
-    """
-    from multiprocessing.connection import Client
-
-    conn = Client(address, authkey=authkey)
+def _shard_host(conn, inherited, *worker_args) -> None:
+    """Body of one shard's worker process: build the worker, post its
+    handshake, serve commands until ``stop``.  Any exception is shipped
+    back as an ``("error", traceback)`` sentinel (exit code 1)."""
+    # Copies of the coordinator's ends came with the fork; while any is
+    # open here, a dead coordinator would not read as EOF.
+    for coordinator_end in inherited:
+        coordinator_end.close()
     try:
-        conn.send(("hello", shard_id))
-        worker = ShardWorker(spec, seed, shard_id, plan, telemetry_on, trace_on)
+        worker = ShardWorker(*worker_args)
         conn.send(("handshake", worker.handshake()))
         while True:
             command = conn.recv()
@@ -102,28 +91,26 @@ def _shard_host(
             elif op == "finalize":
                 conn.send(("finalize", worker.finalize(command[1])))
             elif op == "stop":
-                return {"shard": shard_id, "ok": True}
+                return
             else:
                 raise CampaignError(f"unknown shard command {op!r}")
     except BaseException:
         try:
             conn.send(("error", traceback.format_exc()))
         except (OSError, ValueError):
-            pass  # coordinator already gone; the supervisor still records it
-        raise
+            pass  # coordinator already gone
+        sys.exit(1)
     finally:
         conn.close()
 
 
 class ProcessTransport:
-    """One supervised worker process per shard."""
+    """One worker process and one pipe per shard."""
 
     def __init__(self, reply_timeout_s: float = DEFAULT_REPLY_TIMEOUT_S) -> None:
         self._reply_timeout_s = reply_timeout_s
-        self._listener = None
+        self._procs: List[multiprocessing.Process] = []
         self._conns: List = []
-        self._thread: Optional[threading.Thread] = None
-        self._run = None
 
     def launch(
         self,
@@ -133,88 +120,37 @@ class ProcessTransport:
         telemetry_on: bool,
         trace_on: bool,
     ) -> List[dict]:
-        import os
-        from multiprocessing.connection import Listener
-
-        from ..experiments.parallel import ExperimentTask
-        from ..resilience import SupervisorPolicy, run_supervised
-
-        shards = plan.shards
-        authkey = os.urandom(16)
-        self._listener = Listener(authkey=authkey)
-        address = self._listener.address
-        tasks = [
-            ExperimentTask(
-                f"shard-{shard}",
-                _shard_host,
-                (
-                    spec,
-                    seed,
-                    shard,
-                    plan,
-                    telemetry_on,
-                    trace_on,
-                    address,
-                    authkey,
-                ),
-                seed=seed,
+        for shard in range(plan.shards):
+            conn, child_conn = multiprocessing.Pipe()
+            self._conns.append(conn)
+            worker_args = (spec, seed, shard, plan, telemetry_on, trace_on)
+            proc = multiprocessing.Process(
+                target=_shard_host,
+                args=(child_conn, tuple(self._conns), *worker_args),
+                name=f"repro-shard-{shard}",
+                daemon=True,
             )
-            for shard in range(shards)
-        ]
-        # A shard host is stateful: retrying one mid-protocol would replay
-        # construction against a coordinator that has already advanced, so
-        # a single failure fails the scenario (and surfaces its traceback).
-        policy = SupervisorPolicy(max_attempts=1, base_seed=seed)
-
-        def host_all() -> None:
-            self._run = run_supervised(tasks, jobs=shards, policy=policy)
-
-        self._thread = threading.Thread(
-            target=host_all, name="repro-shard-supervisor", daemon=True
-        )
-        self._thread.start()
-
-        by_shard: Dict[int, object] = {}
-
-        def accept_all() -> None:
-            try:
-                for _ in range(shards):
-                    conn = self._listener.accept()
-                    kind, shard_id = conn.recv()
-                    if kind != "hello":  # pragma: no cover - protocol guard
-                        conn.close()
-                        continue
-                    by_shard[shard_id] = conn
-            except (OSError, EOFError):
-                pass  # listener closed during teardown, or a dying worker
-
-        acceptor = threading.Thread(
-            target=accept_all, name="repro-shard-acceptor", daemon=True
-        )
-        acceptor.start()
-        # Wait in slices so a worker that crashes before it ever connects
-        # (the supervisor thread finishes with a failure) surfaces its
-        # traceback promptly instead of idling out the full reply timeout.
-        waited = 0.0
-        while acceptor.is_alive() and waited < self._reply_timeout_s:
-            acceptor.join(timeout=0.05)
-            waited += 0.05
-            if not self._thread.is_alive() and len(by_shard) < shards:
-                break
-        if len(by_shard) < shards:
-            details = ""
-            if self._run is not None and getattr(self._run, "failures", None):
-                details = "\n" + "\n".join(
-                    f"{failure.task}: {failure.detail}"
-                    for failure in self._run.failures
-                )
-            raise CampaignError(
-                f"only {len(by_shard)}/{shards} shard workers connected "
-                "(worker died or hung during startup); rerun with "
-                f"--shard-transport inline to debug{details}"
-            )
-        self._conns = [by_shard[shard] for shard in range(shards)]
+            proc.start()
+            # The worker holds the only other copy: its death is our EOF.
+            child_conn.close()
+            self._procs.append(proc)
         return self._gather("handshake")
+
+    def _lost(self, shard: int) -> CampaignError:
+        proc = self._procs[shard]
+        proc.join(timeout=1.0)
+        return CampaignError(
+            f"shard {shard} connection closed mid-protocol (worker died, "
+            f"exit code {proc.exitcode}); rerun with --shard-transport "
+            "inline to debug"
+        )
+
+    def _scatter(self, messages: List[tuple]) -> None:
+        for shard, (conn, message) in enumerate(zip(self._conns, messages)):
+            try:
+                conn.send(message)
+            except OSError:
+                raise self._lost(shard) from None
 
     def _gather(self, expected: str) -> List[dict]:
         results = []
@@ -223,19 +159,14 @@ class ProcessTransport:
                 if not conn.poll(self._reply_timeout_s):
                     raise CampaignError(
                         f"shard {shard} did not reply within "
-                        f"{self._reply_timeout_s:g}s (worker died or hung); "
+                        f"{self._reply_timeout_s:g}s (worker hung); "
                         "rerun with --shard-transport inline to debug"
                     )
                 kind, payload = conn.recv()
             except (EOFError, OSError):
-                raise CampaignError(
-                    f"shard {shard} connection closed mid-protocol (worker "
-                    "died); rerun with --shard-transport inline to debug"
-                ) from None
+                raise self._lost(shard) from None
             if kind == "error":
-                raise CampaignError(
-                    f"shard {shard} failed:\n{payload}"
-                )
+                raise CampaignError(f"shard {shard} failed:\n{payload}")
             if kind != expected:  # pragma: no cover - protocol bug guard
                 raise CampaignError(
                     f"shard {shard}: expected {expected!r} reply, got {kind!r}"
@@ -244,36 +175,27 @@ class ProcessTransport:
         return results
 
     def service(self, requests: List[Tuple[int, List[tuple]]]) -> List[dict]:
-        for conn, (grant, arrivals) in zip(self._conns, requests):
-            conn.send(("service", grant, arrivals))
+        self._scatter([("service", *request) for request in requests])
         return self._gather("service")
 
     def finalize(self, duration_fs: int) -> List[dict]:
-        for conn in self._conns:
-            conn.send(("finalize", duration_fs))
+        self._scatter([("finalize", duration_fs)] * len(self._conns))
         return self._gather("finalize")
 
     def close(self) -> None:
+        """Stop every worker; none outlives the call."""
         for conn in self._conns:
             try:
                 conn.send(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for conn in self._conns:
-            try:
-                conn.close()
             except OSError:
-                pass
-        self._conns = []
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-            self._thread = None
+                pass  # already dead
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=JOIN_TIMEOUT_S)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
+        self._conns, self._procs = [], []
 
 
 #: CLI name -> transport factory.

@@ -39,7 +39,7 @@ from ..faultlab.faults import FaultContext
 from ..telemetry import Telemetry
 from ..telemetry.registry import CounterFamily
 from .engine import BoundaryOutbox, ShardSimulator, noop_link_up
-from .partition import ShardPlan, fault_pin_nodes
+from .partition import ShardPlan
 
 
 class ShardTraceRecorder:
@@ -236,7 +236,7 @@ class ShardWorker:
         )
         self.pinned_faults = []
         for fault in faults:
-            pin_shard = plan.node_shard[fault_pin_nodes(fault, topology)[0]]
+            pin_shard = plan.node_shard[fault.pins(topology)[0]]
             if pin_shard == shard_id:
                 self.pinned_faults.append(fault)
                 fault.arm(pinned_ctx)

@@ -27,7 +27,7 @@ import pytest
 
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import PortState
-from repro.faultlab.campaign import run_scenario
+from repro.faultlab.campaign import CampaignError, run_scenario
 from repro.faultlab.invariants import InvariantChecker
 from repro.faultlab.scenarios import (
     BUILTIN_SCENARIOS,
@@ -225,33 +225,39 @@ class TestBackendIdentity:
             assert tree(base) == tree(scalar_base), backend
 
     def test_ber_ramp_scalar_batched_identical(self, tmp_path):
-        """ber-ramp's cross-backend contract is scalar == batched only.
+        """ber-ramp is identical everywhere it runs, and refused elsewhere.
 
-        Its high-BER step makes the *unfaulted* neighbor link n1-n2
-        dip and recover — an emergent supervised incident the fault pin
-        rules cannot foresee, so on a 2-shard cut that supervisor is
-        dormant and the sharded run diverges (docs/LINKHEALTH.md,
-        "Sharding and dormant supervisors").
+        Its high-BER step makes the *unfaulted* neighbor link n1-n2 dip
+        and recover, an emergent supervised incident.  ``BerRamp.pins``
+        therefore claims the endpoints' neighbours too: on this 3-node
+        chain the auto-resolved sharded run has one partition and equals
+        the scalar run, and an explicit 2-shard cut is refused by name
+        rather than run with that supervisor dormant (docs/LINKHEALTH.md,
+        "Backend integration").
         """
         spec = builtin_specs(["ber-ramp"], quick=True)[0]
         out = {}
-        for backend in ("scalar", "batched"):
+        for backend in ("scalar", "batched", "sharded"):
             base = tmp_path / backend
             out[backend] = (
                 run_scenario(
                     dict(spec),
                     seed=1,
                     backend=backend,
+                    shard_transport="inline",
                     trace_dir=str(base / "trace"),
                     metrics_dir=str(base / "metrics"),
                 ),
                 base,
             )
-        assert canon(out["batched"][0]) == canon(out["scalar"][0])
-        assert tree(out["batched"][1]) == tree(out["scalar"][1])
-        # The emergent neighbor incident is real in both.
+        for backend in ("batched", "sharded"):
+            assert canon(out[backend][0]) == canon(out["scalar"][0]), backend
+            assert tree(out[backend][1]) == tree(out["scalar"][1]), backend
+        # The emergent neighbor incident is real in all three.
         summary = out["scalar"][0]["linkhealth"]["links"]["n1-n2"]
         assert summary["downs"] == 1 and summary["state"] == "up"
+        with pytest.raises(CampaignError, match="exceeds the 1 cut partitions"):
+            run_scenario(dict(spec), seed=1, backend="sharded", shards=2)
 
     def test_serial_event_order_replayed(self, tmp_path):
         """EV_LINK_* records appear in identical serial order everywhere."""

@@ -10,14 +10,23 @@ packing, fault-pin, and error behavior.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import multiprocessing
 import os
 import signal
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.faultlab.campaign import CampaignError, build_fault, run_scenario
+from repro.faultlab.campaign import (
+    CampaignError,
+    build_fault,
+    prepare,
+    run_scenario,
+)
+from repro.faultlab.faults import FAULT_KINDS, FaultModel
 from repro.faultlab.scenarios import (
     BUILTIN_SCENARIOS,
     FABRIC_SCENARIOS,
@@ -26,7 +35,10 @@ from repro.faultlab.scenarios import (
 from repro.network.topology import chain
 from repro.shard import build_plan, resolve_shards, run_sharded_scenario
 from repro.shard.partition import _atoms
+from repro.shard import transport as transport_module
 from repro.shard.runner import default_margin_fs
+from repro.shard.transport import ProcessTransport
+from repro.shard.worker import ShardWorker
 from repro.sim.engine import Simulator
 
 
@@ -53,6 +65,22 @@ def tree(root: Path):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+@contextlib.contextmanager
+def deadline(seconds, what):
+    """Fail (rather than hang the suite) if the body outlives ``seconds``."""
+
+    def hung(*_):
+        raise AssertionError(f"{what} hung for {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +210,37 @@ class TestPartitioner:
         assert shard_of["n0"] == shard_of["n1"] == shard_of["n2"]
         assert shard_of["n3"] != shard_of["n1"]
 
+    @pytest.mark.parametrize(
+        "spec, pins",
+        [
+            (
+                {"kind": "partition", "a": "n1", "b": "n2",
+                 "down_at_fs": 1, "up_at_fs": 2},
+                ("n1", "n2"),
+            ),
+            (
+                {"kind": "flap-storm", "links": [["n0", "n1"], ["n1", "n2"]],
+                 "down_for_fs": 1, "gap_fs": 1},
+                ("n0", "n1", "n2"),
+            ),
+            (
+                {"kind": "ber-ramp", "a": "n1", "b": "n2", "start_fs": 1,
+                 "step_fs": 1, "bers": [0.01]},
+                ("n1", "n2", "n0", "n3"),
+            ),
+            (
+                {"kind": "beacon-suppression", "node": "n1", "peer": "n2",
+                 "start_fs": 1, "duration_fs": 1},
+                ("n1",),
+            ),
+            ({"kind": "oscillator-step", "node": "n3", "at_fs": 1, "new_ppm": 5.0},
+             ("n3",)),
+        ],
+        ids=lambda value: value["kind"] if isinstance(value, dict) else "",
+    )
+    def test_each_fault_says_which_nodes_it_pins(self, spec, pins):
+        assert build_fault(spec, 0).pins(chain(5)) == pins
+
     def test_more_shards_than_atoms_rejected(self):
         with pytest.raises(CampaignError, match="cut partitions"):
             build_plan(chain(3), [], 4, default_margin_fs())
@@ -274,23 +333,15 @@ class TestFeatureGates:
     ):
         # Unvalidated, 0 never returns: the sampler reschedules itself (and
         # the coordinator's grid walks ``j * 0``) at the same femtosecond.
-        def hung(*_):
-            raise AssertionError(f"sample_interval_fs={interval!r} hangs the run")
-
         spec = dict(self.spec(), sample_interval_fs=interval)
         errors = []
-        previous = signal.signal(signal.SIGALRM, hung)
-        try:
-            for backend in ("scalar", "batched", "sharded"):
-                signal.alarm(10)
+        for backend in ("scalar", "batched", "sharded"):
+            with deadline(10, f"sample_interval_fs={interval!r}"):
                 with pytest.raises(CampaignError) as excinfo:
                     run_scenario(
                         dict(spec), backend=backend, shards=2, shard_transport="inline"
                     )
-                errors.append((type(excinfo.value), str(excinfo.value)))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+            errors.append((type(excinfo.value), str(excinfo.value)))
         message = f"sample_interval_fs must be a positive integer, got {interval!r}"
         assert errors == [(CampaignError, message)] * 3
 
@@ -305,6 +356,141 @@ class TestFeatureGates:
 
         with pytest.raises(ValueError, match="sharded"):
             run_fig6_dtp(Fig6DtpConfig(), backend="sharded")
+
+
+# ----------------------------------------------------------------------
+# The process transport's failure modes: named error, no hang, no orphan
+# ----------------------------------------------------------------------
+class _SelfKillingWorker(ShardWorker):
+    """Shard 1 SIGKILLs its own process inside its third window."""
+
+    def service(self, grant_fs, arrivals):
+        self.windows = getattr(self, "windows", 0) + 1
+        if self.shard_id == 1 and self.windows == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().service(grant_fs, arrivals)
+
+
+class _UnbuildableWorker(ShardWorker):
+    def __init__(self, spec, seed, shard_id, *rest):
+        if shard_id == 1:
+            raise RuntimeError("shard one cannot be built")
+        super().__init__(spec, seed, shard_id, *rest)
+
+
+class TestProcessTransportFailures:
+    """Worker classes are patched before ``launch`` forks, so the children
+    inherit them."""
+
+    def spec(self):
+        return builtin_specs(["baseline"], quick=True)[0]
+
+    def test_worker_killed_mid_window_is_a_named_error(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "ShardWorker", _SelfKillingWorker)
+        with deadline(10, "a killed shard worker"):
+            with pytest.raises(CampaignError) as excinfo:
+                run_sharded_scenario(self.spec(), shards=2, transport="process")
+        assert "shard 1 " in str(excinfo.value)
+        assert f"exit code {-signal.SIGKILL}" in str(excinfo.value)
+        assert multiprocessing.active_children() == []
+
+    def launched(self, shards):
+        prepared = prepare(self.spec())
+        plan = build_plan(
+            prepared.topology, prepared.faults, shards, default_margin_fs()
+        )
+        transport = ProcessTransport()
+        transport.launch(prepared.spec, 0, plan, False, False)
+        return transport
+
+    @pytest.mark.parametrize("call", ["service", "finalize"])
+    def test_send_to_a_dead_worker_is_a_named_error(self, call):
+        with deadline(10, "a send to a dead shard worker"):
+            transport = self.launched(2)
+            try:
+                victim = transport._procs[0]
+                victim.kill()
+                victim.join()
+                with pytest.raises(CampaignError, match="shard 0 .*exit code -9"):
+                    if call == "service":
+                        transport.service([(1, []), (1, [])])
+                    else:
+                        transport.finalize(1)
+            finally:
+                transport.close()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_raises_in_construction_ships_its_traceback(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(transport_module, "ShardWorker", _UnbuildableWorker)
+        with deadline(10, "an unbuildable shard worker"):
+            with pytest.raises(CampaignError) as excinfo:
+                run_sharded_scenario(self.spec(), shards=2, transport="process")
+        message = str(excinfo.value)
+        assert message.startswith("shard 1 failed:\nTraceback")
+        assert "RuntimeError: shard one cannot be built" in message
+        assert multiprocessing.active_children() == []
+
+    def test_hung_worker_hits_the_reply_timeout_and_is_killed(self, monkeypatch):
+        class Wedged(ShardWorker):
+            def service(self, grant_fs, arrivals):
+                time.sleep(3600)
+
+        monkeypatch.setattr(transport_module, "ShardWorker", Wedged)
+        monkeypatch.setattr(transport_module, "JOIN_TIMEOUT_S", 0.2)
+        monkeypatch.setitem(
+            transport_module.TRANSPORTS, "process", lambda: ProcessTransport(0.5)
+        )
+        with deadline(10, "a wedged shard worker"):
+            with pytest.raises(CampaignError, match="shard 0 did not reply"):
+                run_sharded_scenario(self.spec(), shards=2, transport="process")
+        assert multiprocessing.active_children() == []
+
+
+    def test_workers_exit_when_the_coordinator_is_killed(self):
+        # Every worker inherits ``held``; it reads EOF once all have exited.
+        watch, held = multiprocessing.Pipe(duplex=False)
+
+        def coordinator():
+            watch.close()
+            self.launched(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        doomed = multiprocessing.Process(target=coordinator)
+        doomed.start()
+        held.close()
+        with deadline(10, "shard workers orphaned by a killed coordinator"):
+            with pytest.raises(EOFError):
+                watch.recv()
+            doomed.join()
+        assert doomed.exitcode == -signal.SIGKILL
+
+
+def test_fault_without_pins_is_refused_by_kind_on_sharded_only(monkeypatch):
+    """``FaultModel.pins`` has no silent default: a new fault kind runs on
+    the single-process backends and is refused, by kind, where it would
+    have to be placed."""
+
+    class Nudge(FaultModel):
+        kind = "nudge"
+
+        def _arm(self, ctx):
+            ctx.network.sim.schedule_at(1, lambda: None)
+
+    monkeypatch.setitem(FAULT_KINDS, "nudge", Nudge)
+    spec = builtin_specs(["baseline"], quick=True)[0]
+    spec["faults"] = [{"kind": "nudge"}]
+    assert canon(run_scenario(dict(spec), backend="scalar")) == canon(
+        run_scenario(dict(spec), backend="batched")
+    )
+    for transport in ("inline", "process"):
+        with pytest.raises(
+            CampaignError, match="fault kind 'nudge' has no shard pin rule"
+        ):
+            run_scenario(
+                dict(spec), backend="sharded", shards=2, shard_transport=transport
+            )
 
 
 # ----------------------------------------------------------------------
