@@ -328,6 +328,19 @@ class FastpathCoordinator:
         # macro-tick fast-forward).
         seqc = sim._seq
         dead = self._dead
+        # A keyed engine (``Simulator.key_layout``; the shard engine) packs
+        # the allocating instant into seq: every dispatch, real or virtual,
+        # publishes its own seq (the identity trace records are stamped
+        # with) and rebases the counter when the instant has advanced.  A
+        # plain engine pays the one ``keyed`` test per event.
+        layout = sim.key_layout
+        keyed = layout is not None
+        if keyed:
+            stride, instant, base = layout
+            atime = sim._alloc_time
+        else:
+            stride = 1
+            instant = base = atime = 0
         entry = None
         et = eseq = 0
         refresh = True
@@ -370,6 +383,12 @@ class FastpathCoordinator:
                 pop(queue)
                 sim._pending -= 1
                 sim._now = now
+                if keyed:
+                    if now > atime:
+                        atime = now
+                        seqc = now * instant + base
+                    sim._dispatch_seq = eseq
+                    sim.dispatched += 1
                 sim._seq = seqc
                 self._dead = dead
                 if profile is not None:
@@ -385,6 +404,11 @@ class FastpathCoordinator:
                 break
             pop(vheap)
             dispatched += 1
+            if keyed:
+                if now > atime:
+                    atime = now
+                    seqc = now * instant + base
+                sim._dispatch_seq = vtop[1]
             stage = vtop[2]
             ds = vtop[3]
 
@@ -488,7 +512,7 @@ class FastpathCoordinator:
                     when = osc.time_of_tick(n)
                     ds.qseg = osc._last_hit
                 push(vheap, (when, seqc, stage + 2, ds, vtop[4], vtop[5]))
-                seqc += 1
+                seqc += stride
                 continue
 
             # --- CAPTURE: read gc, stamp the payload, fly --------------
@@ -535,7 +559,7 @@ class FastpathCoordinator:
                     vheap,
                     (exit_fs + ds.wire, seqc, stage + 2, ds, payload, vtop[5]),
                 )
-                seqc += 1
+                seqc += stride
                 continue
 
             # --- APPLY (BEACON_MSB): learn the counter's high half ------
@@ -574,7 +598,7 @@ class FastpathCoordinator:
                 ds.pseg = osc._last_hit
             epoch = vtop[5]
             push(vheap, (when, seqc, CAP_B, ds, 0, epoch))
-            seqc += 1
+            seqc += stride
             b = p._beacons_since_msb + 1
             if b >= ds.msb_every:
                 p._beacons_since_msb = 0
@@ -582,7 +606,7 @@ class FastpathCoordinator:
                 slot = p.traffic.next_idle_tick(want)
                 p._last_tx_slot = slot
                 push(vheap, (self._tot_p(ds, slot), seqc, CAP_M, ds, 0, epoch))
-                seqc += 1
+                seqc += stride
             else:
                 p._beacons_since_msb = b
             n = tick + ds.interval
@@ -595,9 +619,11 @@ class FastpathCoordinator:
                 when = osc.time_of_tick(n)
                 ds.pseg = osc._last_hit
             push(vheap, (when, seqc, PLAN, ds, 0, epoch))
-            seqc += 1
+            seqc += stride
 
         sim._seq = seqc
+        if keyed:
+            sim._alloc_time = atime
         self._dead = dead
         self.virtual_events += dispatched
         sim._now = time_fs

@@ -184,6 +184,11 @@ class Prepared:
     faults: Tuple[FaultModel, ...]
 
 
+def _require_positive_int(name: str, value: object) -> None:
+    if type(value) is not int or value <= 0:
+        raise CampaignError(f"{name} must be a positive integer, got {value!r}")
+
+
 def prepare(spec: Dict[str, object]) -> Prepared:
     """Validate a scenario spec and build its topology and faults."""
     unknown = set(spec) - _SPEC_KEYS
@@ -194,14 +199,17 @@ def prepare(spec: Dict[str, object]) -> Prepared:
     duration_fs = int(spec["duration_fs"])
     if duration_fs <= 0:
         raise CampaignError("duration_fs must be positive")
+    # The drivers walk both grids as given: 0 never advances, a fraction
+    # truncates to a different grid, a negative one runs backwards.
+    checker = spec.get("checker", {})
     if "sample_interval_fs" in spec:
-        # The drivers walk this grid as given: 0 never advances, a fraction
-        # truncates to a different grid, a negative one runs backwards.
-        interval = spec["sample_interval_fs"]
-        if type(interval) is not int or interval <= 0:
-            raise CampaignError(
-                f"sample_interval_fs must be a positive integer, got {interval!r}"
-            )
+        _require_positive_int("sample_interval_fs", spec["sample_interval_fs"])
+    if checker.get("interval_fs") is not None:
+        _require_positive_int("checker.interval_fs", checker["interval_fs"])
+    if type(checker.get("start_fs", 0)) is not int:
+        raise CampaignError(
+            f"checker.start_fs must be an integer, got {checker['start_fs']!r}"
+        )
     faults: List[FaultModel] = []
     seen_names = set()
     for index, fault_spec in enumerate(spec.get("faults", [])):

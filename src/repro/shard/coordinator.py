@@ -7,16 +7,20 @@ only place where per-shard state meets.  Each round it
    still be influenced: the minimum over every shard's promise (the null
    message), every in-transit unsafe arrival's influence bound, and the
    end of the run;
-2. services every shard (delivering the boundary arrivals captured last
-   round) and lets each run all events strictly before the grant;
-3. **merge-walks** the round: every trace record, every fault→checker
-   call, and every checker/sampler grid instant is sorted by its
-   serial-equivalent event key ``(time, alloc_time, alloc_ctr, src,
-   ordinal)`` and replayed — trace records into one coordinator-side
+2. posts the window to every shard (delivering the boundary arrivals
+   captured last round); each runs all events strictly before the grant;
+3. **merge-walks** the *previous* round while the shards run this one
+   (the grant needed only that round's promises and outboxes): every
+   trace record, every fault→checker call, and every checker/sampler
+   grid instant is sorted by its serial-equivalent event key ``(time,
+   seq, ordinal)`` (``seq`` packs ``(alloc_time, alloc_ctr, src)``:
+   :func:`~repro.shard.engine.pack_key`) and replayed — trace records into one coordinator-side
    :class:`~repro.telemetry.trace.TraceRecorder` (subject ids translated
    through the shard tables), checker calls and grid ticks against a
    *real* :class:`~repro.faultlab.invariants.InvariantChecker` that reads
-   the merged counter/port state through a replay view of the network.
+   the merged counter/port state through a replay view of the network;
+4. collects the shards' responses: promises, outboxes, and the round to
+   walk next.
 
 Because the walk applies exactly the reads and writes the serial run's
 single checker performed, in exactly the serial order, every derived
@@ -43,6 +47,7 @@ from ..faultlab.campaign import (
 from ..faultlab.invariants import InvariantChecker
 from ..sim.engine import Simulator
 from ..telemetry.registry import CounterFamily
+from .engine import pack_key
 from .partition import ShardPlan
 
 #: Merge-walk item tags, in no particular order (keys never tie).
@@ -119,25 +124,27 @@ class _ReplayNetwork:
         return getattr(self._network, name)
 
     def apply_bundle(self, bundle: Dict[str, dict]) -> None:
+        """Overlay one worker bundle: its owned counters, and the ports
+        that moved since that worker's previous bundle."""
         self.counters.update(bundle["counters"])
         for key, (synchronized, state_value) in bundle["ports"].items():
-            port = self.ports[tuple(key)]
+            port = self.ports[key]
             port.synchronized = synchronized
             port.state.value = state_value
 
 
 def _grid_key(
     index: int, time_fs: int, prev_fs: int, root_ordinal: int, src: int
-) -> Tuple[int, int, int, int, int]:
+) -> Tuple[int, int, int]:
     """The serial-equivalent event key of checker tick / sampler ``index``.
 
     The first firing was allocated in the root phase (its key is the root
-    ordinal the worker's ``push_root_probe`` consumed); every later one
+    ordinal the worker's ``take_root_key`` consumed); every later one
     was allocated during the previous grid dispatch, before any real
     allocation there (``-1`` sorts below every genuine counter)."""
     if index == 0:
-        return (time_fs, -1, root_ordinal, 0, 0)
-    return (time_fs, prev_fs, -1, src, 0)
+        return (time_fs, pack_key(-1, root_ordinal, 0), 0)
+    return (time_fs, pack_key(prev_fs, -1, src), 0)
 
 
 def run_sharded(
@@ -168,16 +175,19 @@ def run_sharded(
     shards = plan.shards
     wall_start = time.perf_counter_ns()
 
+    # Workers first: they assemble their networks while this process
+    # assembles its own.
+    tracer = telemetry.tracer if telemetry is not None else None
+    transport.launch(spec, seed, plan, telemetry is not None, tracer is not None)
+
     # The serial run's own construction, on an engine that never runs:
     # same stream draws, same port interning order into the coordinator
     # tracer.  ``prepared`` is the object the plan was cut from.
     _streams, network = assemble(prepared, seed, Simulator(), telemetry, "scalar")
     view = _ReplayNetwork(network)
     checker = InvariantChecker(view, **spec.get("checker", {}))
-    tracer = telemetry.tracer if telemetry is not None else None
 
-    handshakes = transport.launch(spec, seed, plan, telemetry is not None,
-                                  tracer is not None)
+    handshakes = transport.handshakes()
     promises = [h["promise"] for h in handshakes]
     subjects = [h["subjects"] for h in handshakes]
     checker_root = handshakes[0]["checker_root_ordinal"]
@@ -197,6 +207,7 @@ def run_sharded(
                 f"{h['sampler_root_ordinal']})"
             )
     checker_start = max(int(start_fs), 0)
+    out_lookahead = [plan.min_out_lookahead(dest) for dest in range(shards)]
 
     probe = make_probe(prepared, seed, options, sample_interval_fs)
     try:
@@ -222,14 +233,69 @@ def run_sharded(
             else:  # pragma: no cover - worker/coordinator version skew
                 raise CampaignError(f"unknown checker call {op!r}")
 
+        def merge_walk(responses: List[dict]) -> None:
+            """Replay one collected round in serial event order."""
+            items: List[tuple] = []
+            checker_idx: Optional[set] = None
+            sampler_idx: Optional[set] = None
+            for s, r in enumerate(responses):
+                for rec in r["records"]:
+                    items.append((rec[:3], _REC, s, rec))
+                for call in r["calls"]:
+                    items.append((call[:3], _CALL, s, call))
+                cidx = set(r["checker_bundles"])
+                sidx = set(r["sampler_bundles"])
+                if checker_idx is None:
+                    checker_idx, sampler_idx = cidx, sidx
+                elif cidx != checker_idx or sidx != sampler_idx:
+                    raise CampaignError(
+                        "shard probe grids diverged within one window "
+                        f"(shard 0: {sorted(checker_idx)}/{sorted(sampler_idx)},"
+                        f" shard {s}: {sorted(cidx)}/{sorted(sidx)})"
+                    )
+            for i in sorted(checker_idx or ()):
+                t = checker_start + i * interval_fs
+                key = _grid_key(i, t, t - interval_fs, checker_root, 0)
+                items.append((key, _CHECK, i, None))
+            for j in sorted(sampler_idx or ()):
+                t = j * sample_interval_fs
+                key = _grid_key(j, t, t - sample_interval_fs, sampler_root, 1)
+                items.append((key, _SAMPLE, j, None))
+
+            items.sort(key=lambda item: (item[0], item[1]))
+            for key, tag, who, payload in items:
+                if tag == _REC:
+                    if tracer is not None:
+                        tracer.record(
+                            payload[0],
+                            payload[3],
+                            tracer.subject_id(subjects[who][payload[4]]),
+                            payload[5],
+                            payload[6],
+                        )
+                elif tag == _CALL:
+                    view.sim.now = payload[0]
+                    replay_call(payload[3])
+                elif tag == _CHECK:
+                    for r in responses:
+                        view.apply_bundle(r["checker_bundles"][who])
+                    view.sim.now = key[0]
+                    checker._tick()
+                else:  # _SAMPLE
+                    for r in responses:
+                        view.apply_bundle(r["sampler_bundles"][who])
+                    view.sim.now = key[0]
+                    sample_grid(checker, sample_values, probe, tracer)
+
+        responses: Optional[List[dict]] = None
         while True:
             bounds: List[int] = []
             for dest in range(shards):
-                out_la = plan.min_out_lookahead(dest)
+                out_la = out_lookahead[dest]
                 if out_la is None:
                     continue
                 for item in pending[dest]:
-                    if item[7]:  # unsafe: may cascade back across the cut
+                    if item[5]:  # unsafe: may cascade back across the cut
                         bounds.append(item[2] + out_la)
             grant = min(
                 [grant_cap]
@@ -257,10 +323,13 @@ def run_sharded(
                 )
             prev_grant = grant
 
-            requests = [(grant, pending[s]) for s in range(shards)]
+            transport.post([(grant, pending[s]) for s in range(shards)])
             pending = [[] for _ in range(shards)]
-            responses = transport.service(requests)
             rounds += 1
+            # The shards are running this window: walk the previous one now.
+            if responses is not None:
+                merge_walk(responses)
+            responses = transport.collect()
 
             promises = [r["promise"] for r in responses]
             for r in responses:
@@ -276,67 +345,13 @@ def run_sharded(
                         0 if promise is None else max(0, promise - grant),
                     )
 
-            # ---- merge-walk this round ---------------------------------
-            items: List[tuple] = []
-            checker_idx: Optional[set] = None
-            sampler_idx: Optional[set] = None
-            for s, r in enumerate(responses):
-                for rec in r["records"]:
-                    items.append(((rec[0], rec[1], rec[2], rec[3], rec[4]),
-                                  _REC, s, rec))
-                for call in r["calls"]:
-                    items.append(((call[0], call[1], call[2], call[3], call[4]),
-                                  _CALL, s, call))
-                cidx = set(r["checker_bundles"])
-                sidx = set(r["sampler_bundles"])
-                if checker_idx is None:
-                    checker_idx, sampler_idx = cidx, sidx
-                elif cidx != checker_idx or sidx != sampler_idx:
-                    raise CampaignError(
-                        "shard probe grids diverged within one window "
-                        f"(shard 0: {sorted(checker_idx)}/{sorted(sampler_idx)},"
-                        f" shard {s}: {sorted(cidx)}/{sorted(sidx)})"
-                    )
-            for i in sorted(checker_idx or ()):
-                t = checker_start + i * interval_fs
-                key = _grid_key(i, t, t - interval_fs, checker_root, 0)
-                items.append((key, _CHECK, i, None))
-            for j in sorted(sampler_idx or ()):
-                t = j * sample_interval_fs
-                key = _grid_key(j, t, t - sample_interval_fs, sampler_root, 1)
-                items.append((key, _SAMPLE, j, None))
-
-            items.sort(key=lambda item: (item[0], item[1]))
-            for key, tag, who, payload in items:
-                if tag == _REC:
-                    if tracer is not None:
-                        tracer.record(
-                            payload[0],
-                            payload[5],
-                            tracer.subject_id(subjects[who][payload[6]]),
-                            payload[7],
-                            payload[8],
-                        )
-                elif tag == _CALL:
-                    view.sim.now = payload[0]
-                    replay_call(payload[5])
-                elif tag == _CHECK:
-                    for r in responses:
-                        view.apply_bundle(r["checker_bundles"][who])
-                    view.sim.now = key[0]
-                    checker._tick()
-                else:  # _SAMPLE
-                    for r in responses:
-                        view.apply_bundle(r["sampler_bundles"][who])
-                    view.sim.now = key[0]
-                    sample_grid(checker, sample_values, probe, tracer)
-
             if (
                 grant >= grant_cap
                 and not any(pending)
                 and all(p is None or p >= grant_cap for p in promises)
             ):
                 break
+        merge_walk(responses)
 
         finals = transport.finalize(duration_fs)
         for final in finals:
@@ -369,7 +384,6 @@ def run_sharded(
         for final in finals:
             fault_summaries.update(final["fault_summaries"])
         all_synchronized = all(final["all_synchronized"] for final in finals)
-        events_dispatched = sum(final["events_dispatched"] for final in finals)
 
         linkhealth = None
         if network.linkhealth is not None:
@@ -394,7 +408,8 @@ def run_sharded(
         )
         if stats_out is not None:
             stats_out.update(
-                events=events_dispatched,
+                events=sum(final["events"] for final in finals),
+                virtual_events=sum(final["virtual_events"] for final in finals),
                 rounds=rounds,
                 shards=shards,
                 wall_ns=time.perf_counter_ns() - wall_start,

@@ -1,31 +1,42 @@
 """The per-shard simulation engine.
 
-A :class:`ShardSimulator` is the scalar :class:`~repro.sim.engine.Simulator`
+A :class:`ShardSimulator` is the :class:`~repro.sim.engine.Simulator`
 with three changes, none visible to the DTP machinery running on it:
 
-* **Serial-equivalent event keys.**  The scalar engine orders events by
+* **Serial-equivalent event keys.**  The serial engine orders events by
   ``(time, seq)`` with a globally increasing ``seq``.  Shards cannot
-  share a counter, so every entry instead carries the key
-  ``(time, alloc_time, alloc_ctr, src)``: the dispatch instant that
-  allocated it, a per-instant counter, and a source id.  Within one
-  shard this reproduces serial ``seq`` order exactly (later allocation
-  instants have larger keys; same-instant allocations keep their
-  order).  Across shards the key is a total order that can differ from
-  a serial run's only when two events on *different* shards are
-  allocated at the same femtosecond and fire at the same femtosecond —
-  a measure-zero coincidence on distinct skewed tick grids, absent from
-  every builtin scenario (and pinned by the equivalence tests).
+  share a counter, so ``seq`` here packs the key ``(alloc_time,
+  alloc_ctr, src)`` (:func:`pack_key`): the dispatch instant that
+  allocated the event, a per-instant counter, and a source id.  Within
+  one shard this reproduces serial ``seq`` order exactly (later
+  allocation instants have larger keys; same-instant allocations keep
+  their order).  Across shards the key is a total order that can differ
+  from a serial run's only when two events on *different* shards are
+  allocated at the same femtosecond and fire at the same femtosecond.
+  On distinct skewed tick grids that does not happen (none of the nine
+  builtins or ``clos-fabric`` has it; the equivalence tests pin them);
+  on a 336-device fabric some devices share a grid, and a traced run
+  shows it as reordered same-femtosecond records (docs/SHARDING.md,
+  "Known gap").
   Root-phase allocations (scenario construction, before time starts)
   use ``(-1, ordinal, 0)`` so all shards number them identically.
+  Because the key *is* ``seq``, heap entries have the serial engine's
+  shape and :mod:`repro.fastpath`'s merged loop runs a shard unchanged
+  (:attr:`Simulator.key_layout <repro.sim.engine.Simulator.key_layout>`
+  tells it how to step and rebase the counter): owned–owned link
+  directions batch exactly as in the serial run.
 
 * **Safety classification.**  Every scheduled callback is classified at
   push time with a conservative bound on how soon it could cause a
-  cross-shard arrival (its ``delta``): transmit-path events on a
-  boundary port get that channel's lookahead; events that can cascade
-  into a JOIN (the INIT family) get the shard's minimum out-channel
-  lookahead; provably local events (BEACON processing, foreign-port
-  no-ops) get ``None``.  :meth:`promise` — the null message — is the
-  min of ``time + delta`` over live entries.
+  cross-shard arrival (its ``delta``, the one field a heap entry has
+  beyond the serial shape): transmit-path events on a boundary port get
+  that channel's lookahead; events that can cascade into a JOIN (the
+  INIT family) get the shard's minimum out-channel lookahead; provably
+  local events (BEACON processing, foreign-port no-ops) get ``None``.
+  :meth:`promise` — the null message — is the min of ``time + delta``
+  over live entries.  Virtual events never enter it: only a direction
+  between two owned nodes promotes, and every event of its beacon chain
+  is one this classification proves local.
 
 * **Boundary capture.**  A cut edge's ghost peer port carries a
   :class:`BoundaryOutbox` in its ``_arrive`` slot; ``post_at`` captures
@@ -41,6 +52,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..dtp import messages as dtpmsg
 from ..dtp.port import DtpPort
+from ..fastpath import FastpathCoordinator
 from ..phy.blocks import (
     IDLE_PAYLOAD_MASK,
     IDLE_WIRE_BASE,
@@ -58,6 +70,23 @@ UNSAFE_MESSAGE_TYPES = frozenset(
         dtpmsg.MessageType.BEACON_JOIN,
     )
 )
+
+
+#: ``seq`` field widths below the allocating instant: 32 bits of
+#: per-instant counter over 16 bits of source id.
+KEY_STRIDE = 1 << 16
+KEY_INSTANT = KEY_STRIDE << 32
+
+
+def pack_key(alloc_time: int, ctr: int, src: int) -> int:
+    """``(alloc_time, ctr, src)`` as one ``seq`` integer, order preserved.
+
+    Both leading fields start at ``-1`` (the root phase; a probe's slot
+    ahead of every real allocation of its instant), so each is stored
+    off by one and the smallest key, ``(-1, -1, 0)``, is 0 — above the
+    merged loop's ``-1`` promotion sentinel.
+    """
+    return (alloc_time + 1) * KEY_INSTANT + (ctr + 1) * KEY_STRIDE + src
 
 
 def noop_link_up() -> None:
@@ -108,11 +137,11 @@ _LINK_UP = DtpPort.link_up
 
 
 class ShardSimulator(Simulator):
-    """Scalar engine + window execution for one shard.
+    """Serial engine + packed keys, classification and boundary capture.
 
-    Heap entries are ``(time, alloc_time, alloc_ctr, src, fn, args,
-    event, delta)``; the 4-int key prefix is unique, so heap comparisons
-    never reach ``fn``.
+    Heap entries are ``(time, seq, fn, args, event, delta)``: the serial
+    shape plus ``delta``.  ``seq`` is unique, so heap comparisons never
+    reach ``fn``.
     """
 
     def __init__(
@@ -123,53 +152,62 @@ class ShardSimulator(Simulator):
         min_out_lookahead: Optional[int],
     ) -> None:
         super().__init__()
+        if not 0 <= shard_id < KEY_STRIDE:
+            raise SimulationError(f"shard id {shard_id} does not fit an event key")
         self.shard_id = shard_id
         self._owned = frozenset(owned_nodes)
         self._chan_la = dict(chan_lookahead)
         self._min_la = min_out_lookahead
-        self._root = False
-        self._root_ord = 0
-        #: Allocation instant + per-instant counter (the serial ``seq``
-        #: split into a comparable pair).
+        self.key_layout = (KEY_STRIDE, KEY_INSTANT, pack_key(0, 0, shard_id))
+        #: The instant ``_seq`` currently allocates under (the merged loop
+        #: rebases it).  Never moves backwards, so a late boundary arrival
+        #: revisiting an instant cannot collide with keys allocated there.
         self._alloc_time = 0
-        self._alloc_ctr = 0
+        #: An engine is born in the root phase (scenario construction:
+        #: keys ``(-1, ordinal, 0)``, numbered alike on every shard) and
+        #: leaves it at :meth:`end_root`.
+        self._seq = pack_key(-1, 0, 0)
         #: Captured boundary arrivals of the current window:
-        #: (dest_shard, dest_key, arrival_fs, wire_bits, alloc_time,
-        #: alloc_ctr, src, unsafe).
+        #: (dest_shard, dest_key, arrival_fs, wire_bits, seq, unsafe).
         self.outbox: List[tuple] = []
+        #: Real (heap) events dispatched; see :attr:`events`.
         self.dispatched = 0
-        #: Key of the event being dispatched + per-dispatch record
-        #: ordinal — the global position of every trace record and
-        #: checker call emitted during that dispatch.
-        self._record_key: Tuple[int, int, int, int] = (0, -1, 0, 0)
+        #: ``seq`` of the event being dispatched, real or virtual (published
+        #: by the merged loop), and the per-dispatch record ordinal — the
+        #: global position of every trace record and checker call emitted
+        #: during that dispatch.  Construction-time calls sit at root ordinal 0.
+        self._dispatch_seq = self._slot_seq = pack_key(-1, 0, 0)
         self._record_ord = 0
 
     # ------------------------------------------------------------------
     # Root phase: scenario construction
     # ------------------------------------------------------------------
-    def begin_root(self) -> None:
-        self._root = True
-        self._root_ord = 0
-
     def end_root(self) -> None:
-        self._root = False
+        self._seq = self.key_layout[2]
 
     @property
     def root_ordinal(self) -> int:
-        return self._root_ord
+        """The next root ordinal (meaningful during the root phase only)."""
+        return self._seq // KEY_STRIDE - 1
+
+    @property
+    def events(self) -> int:
+        """Events a scalar shard would have dispatched: a virtual event
+        stands for one scalar event, except that a promoting
+        ``_beacon_timeout`` and its ``(now, -1)`` PLAN are one."""
+        source = self.fastpath
+        if source is None:
+            return self.dispatched
+        return self.dispatched + source.virtual_events - source.promotions
+
+    @property
+    def virtual_events(self) -> int:
+        """How many of :attr:`events` ran batched."""
+        return self.fastpath.virtual_events if self.fastpath is not None else 0
 
     # ------------------------------------------------------------------
-    # Allocation + classification
+    # Classification
     # ------------------------------------------------------------------
-    def _alloc_key(self) -> Tuple[int, int, int]:
-        if self._root:
-            ordinal = self._root_ord
-            self._root_ord = ordinal + 1
-            return (-1, ordinal, 0)
-        ctr = self._alloc_ctr
-        self._alloc_ctr = ctr + 1
-        return (self._alloc_time, ctr, self.shard_id)
-
     def _classify(self, fn: Callable[..., Any], args: tuple) -> Optional[int]:
         """Delta for the promise: None = provably shard-local."""
         func = getattr(fn, "__func__", None)
@@ -203,7 +241,7 @@ class ShardSimulator(Simulator):
         return self._min_la
 
     # ------------------------------------------------------------------
-    # Scheduling overrides (8-tuple entries)
+    # Scheduling overrides (packed seq, classified entries)
     # ------------------------------------------------------------------
     def schedule(self, delay_fs: int, fn: Callable[..., Any], *args: Any) -> Event:
         if delay_fs < 0:
@@ -215,20 +253,16 @@ class ShardSimulator(Simulator):
             raise SimulationError(
                 f"cannot schedule at {time_fs} fs; current time is {self._now} fs"
             )
-        delta = self._classify(fn, args)
-        alloc_t, ctr, src = self._alloc_key()
-        event = Event(time_fs, ctr, fn, args)
-        heapq.heappush(
-            self._queue, (time_fs, alloc_t, ctr, src, fn, args, event, delta)
-        )
-        self._pending += 1
-        return event
+        seq = self._seq
+        self._seq = seq + KEY_STRIDE
+        return self.adopt(time_fs, seq, fn, *args)
 
     def post_at(self, time_fs: int, fn: Callable[..., Any], *args: Any) -> None:
+        seq = self._seq
+        self._seq = seq + KEY_STRIDE
         if type(fn) is BoundaryOutbox:
             # A boundary transmission's arrival: capture it (with the
             # sender-side key it would have carried) for the coordinator.
-            alloc_t, ctr, src = self._alloc_key()
             wire_bits = args[0]
             self.outbox.append(
                 (
@@ -236,9 +270,7 @@ class ShardSimulator(Simulator):
                     fn.dest_key,
                     time_fs,
                     wire_bits,
-                    alloc_t,
-                    ctr,
-                    src,
+                    seq,
                     wire_bits_unsafe(wire_bits),
                 )
             )
@@ -247,74 +279,54 @@ class ShardSimulator(Simulator):
             raise SimulationError(
                 f"cannot schedule at {time_fs} fs; current time is {self._now} fs"
             )
-        delta = self._classify(fn, args)
-        alloc_t, ctr, src = self._alloc_key()
         heapq.heappush(
             self._queue,
-            (time_fs, alloc_t, ctr, src, fn, args, _UNCANCELLABLE, delta),
+            (time_fs, seq, fn, args, _UNCANCELLABLE, self._classify(fn, args)),
         )
         self._pending += 1
 
-    def _compact(self) -> None:
-        queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[6].cancelled]
-        heapq.heapify(queue)
-        self._cancelled_in_queue = 0
+    def adopt(self, time_fs: int, seq: int, fn: Callable[..., Any], *args: Any) -> Event:
+        event = Event(time_fs, seq, fn, args)
+        heapq.heappush(
+            self._queue, (time_fs, seq, fn, args, event, self._classify(fn, args))
+        )
+        self._pending += 1
+        return event
 
     # ------------------------------------------------------------------
-    # Cross-shard insertion and probes
+    # Explicitly keyed insertion: boundary arrivals and merge probes
     # ------------------------------------------------------------------
     def insert_arrival(
-        self,
-        port: DtpPort,
-        arrival_fs: int,
-        wire_bits: Optional[int],
-        alloc_t: int,
-        ctr: int,
-        src: int,
-        unsafe: bool,
+        self, port: DtpPort, arrival_fs: int, wire_bits: Optional[int],
+        seq: int, unsafe: bool,
     ) -> None:
         """Heap a boundary arrival under its sender-side key."""
-        delta = self._min_la if unsafe else None
         heapq.heappush(
             self._queue,
             (
-                arrival_fs,
-                alloc_t,
-                ctr,
-                src,
-                port._arrive,
-                (wire_bits,),
-                _UNCANCELLABLE,
-                delta,
+                arrival_fs, seq, port._arrive, (wire_bits,), _UNCANCELLABLE,
+                self._min_la if unsafe else None,
             ),
         )
         self._pending += 1
 
-    def push_probe(
-        self, time_fs: int, fn: Callable[[], None], alloc_time: int, src: int
-    ) -> None:
-        """Schedule a merge probe under the explicit key
-        ``(time, alloc_time, -1, src)`` — the position the serial run's
-        corresponding event (checker tick, sampler) occupies: allocated
-        at the previous grid instant, before any real allocation there
-        (``-1 < ctr``)."""
-        heapq.heappush(
-            self._queue,
-            (time_fs, alloc_time, -1, src, fn, (), _UNCANCELLABLE, None),
-        )
+    def push_probe(self, time_fs: int, seq: int, fn: Callable[[], None]) -> None:
+        """Schedule a merge probe (checker tick, sampler) under ``seq``:
+        ``pack_key(previous grid instant, -1, probe id)`` — the position
+        of the serial run's corresponding event, allocated at the previous
+        grid instant before any real allocation there (``-1 < ctr``) — or,
+        for its first firing, the root ordinal the serial run's
+        ``schedule_at`` would have taken (:meth:`take_root_key`)."""
+        heapq.heappush(self._queue, (time_fs, seq, fn, (), _UNCANCELLABLE, None))
         self._pending += 1
 
-    def push_root_probe(self, time_fs: int, fn: Callable[[], None]) -> None:
-        """Schedule a probe during the root phase, consuming the same
-        root ordinal the serial run's schedule_at would have."""
-        if not self._root:
-            raise SimulationError("push_root_probe outside the root phase")
-        alloc_t, ctr, src = self._alloc_key()
-        heapq.heappush(
-            self._queue, (time_fs, alloc_t, ctr, src, fn, (), _UNCANCELLABLE, None)
-        )
-        self._pending += 1
+    def take_root_key(self) -> int:
+        """Consume the next root-phase key."""
+        seq = self._seq
+        if seq >= KEY_INSTANT:
+            raise SimulationError("take_root_key outside the root phase")
+        self._seq = seq + KEY_STRIDE
+        return seq
 
     # ------------------------------------------------------------------
     # Window execution
@@ -325,8 +337,8 @@ class ShardSimulator(Simulator):
         current queue."""
         best: Optional[int] = None
         for entry in self._queue:
-            delta = entry[7]
-            if delta is None or entry[6].cancelled:
+            delta = entry[5]
+            if delta is None or entry[4].cancelled:
                 continue
             bound = entry[0] + delta
             if best is None or bound < best:
@@ -334,52 +346,28 @@ class ShardSimulator(Simulator):
         return best
 
     def run_window(self, limit_fs: int) -> None:
-        """Run every event strictly before ``limit_fs``."""
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            entry = queue[0]
-            when = entry[0]
-            if when >= limit_fs:
-                break
-            pop(queue)
-            if entry[6].cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            self._pending -= 1
-            self._now = when
-            # Monotone per-instant counter reset: never reset downward,
-            # so a late boundary arrival revisiting an instant cannot
-            # collide with keys already allocated there.
-            if when > self._alloc_time:
-                self._alloc_time = when
-                self._alloc_ctr = 0
-            self._record_key = (when, entry[1], entry[2], entry[3])
-            self._record_ord = 0
-            self.dispatched += 1
-            entry[4](*entry[5])
+        """Run every event strictly before ``limit_fs``: the merged loop
+        (the one loop there is) to ``limit_fs - 1``."""
+        source = self.fastpath
+        if source is None:
+            # No port here can promote (every link pinned or refused): over
+            # an empty virtual queue the merged loop is the scalar loop.
+            source = FastpathCoordinator(self)
         if limit_fs > self._now:
-            self._now = limit_fs
+            source.run_merged(limit_fs - 1)
 
-    def take_record_slot(self) -> Tuple[Tuple[int, int, int, int], int]:
-        """Key + ordinal for the next record/call of the current dispatch."""
+    def take_record_slot(self) -> Tuple[int, int]:
+        """``seq`` of the current dispatch + the ordinal of its next
+        record/call."""
+        seq = self._dispatch_seq
+        if seq != self._slot_seq:
+            self._slot_seq = seq
+            self._record_ord = 0
         ordinal = self._record_ord
         self._record_ord = ordinal + 1
-        return self._record_key, ordinal
+        return seq, ordinal
 
     def drain_outbox(self) -> List[tuple]:
         outbox = self.outbox
         self.outbox = []
         return outbox
-
-    # ------------------------------------------------------------------
-    # Forbidden scalar entry points
-    # ------------------------------------------------------------------
-    def run_until(self, time_fs: int) -> None:
-        raise SimulationError("ShardSimulator runs via run_window()")
-
-    def step(self) -> bool:
-        raise SimulationError("ShardSimulator runs via run_window()")
-
-    def run(self, max_events: Optional[int] = None) -> int:
-        raise SimulationError("ShardSimulator runs via run_window()")

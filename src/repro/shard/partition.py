@@ -123,8 +123,8 @@ def build_plan(
     propagation delay does not exceed the lookahead margin, or a fault
     kind without a pin rule.
     """
-    if shards < 1:
-        raise CampaignError(f"--shards must be >= 1 (got {shards})")
+    if type(shards) is not int or shards < 1:
+        raise CampaignError(f"--shards must be an integer >= 1 (got {shards!r})")
     atoms = _atoms(topology, faults)
     if shards > len(atoms):
         raise CampaignError(

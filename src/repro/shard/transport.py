@@ -1,13 +1,18 @@
 """Shard hosting: in-process workers or one worker process per shard.
 
-Both transports expose the same four calls the coordinator drives —
-``launch`` / ``service`` / ``finalize`` / ``close`` — and both produce
-byte-identical runs (the protocol is deterministic; only wall time and
-isolation differ):
+Both transports expose the same calls the coordinator drives —
+``launch`` / ``handshakes``, then ``post`` / ``collect`` once per window,
+``finalize``, ``close`` — and both produce byte-identical runs (the
+protocol is deterministic; only wall time and isolation differ).  The
+split halves are what takes the coordinator off the workers' critical
+path: it assembles its own network between ``launch`` and ``handshakes``
+and merge-walks round *n* between ``post`` and ``collect`` of round
+*n + 1*.
 
 * :class:`InlineTransport` constructs the :class:`~repro.shard.worker.
   ShardWorker` objects in the coordinator's own process.  No pickling, no
-  process startup — the transport the equivalence tests hammer.
+  process startup, nothing overlaps (``post`` runs the window) — the
+  transport the equivalence tests hammer.
 * :class:`ProcessTransport` runs each shard in a daemonic
   :class:`multiprocessing.Process` at the far end of one
   :func:`multiprocessing.Pipe`.  A shard host is stateful, so nothing is
@@ -44,6 +49,7 @@ class InlineTransport:
 
     def __init__(self) -> None:
         self._workers: Optional[List[ShardWorker]] = None
+        self._responses: List[dict] = []
 
     def launch(
         self,
@@ -52,18 +58,23 @@ class InlineTransport:
         plan: ShardPlan,
         telemetry_on: bool,
         trace_on: bool,
-    ) -> List[dict]:
+    ) -> None:
         self._workers = [
             ShardWorker(spec, seed, shard, plan, telemetry_on, trace_on)
             for shard in range(plan.shards)
         ]
+
+    def handshakes(self) -> List[dict]:
         return [worker.handshake() for worker in self._workers]
 
-    def service(self, requests: List[Tuple[int, List[tuple]]]) -> List[dict]:
-        return [
+    def post(self, requests: List[Tuple[int, List[tuple]]]) -> None:
+        self._responses = [
             worker.service(grant, arrivals)
             for worker, (grant, arrivals) in zip(self._workers, requests)
         ]
+
+    def collect(self) -> List[dict]:
+        return self._responses
 
     def finalize(self, duration_fs: int) -> List[dict]:
         return [worker.finalize(duration_fs) for worker in self._workers]
@@ -119,7 +130,7 @@ class ProcessTransport:
         plan: ShardPlan,
         telemetry_on: bool,
         trace_on: bool,
-    ) -> List[dict]:
+    ) -> None:
         for shard in range(plan.shards):
             conn, child_conn = multiprocessing.Pipe()
             self._conns.append(conn)
@@ -134,6 +145,8 @@ class ProcessTransport:
             # The worker holds the only other copy: its death is our EOF.
             child_conn.close()
             self._procs.append(proc)
+
+    def handshakes(self) -> List[dict]:
         return self._gather("handshake")
 
     def _lost(self, shard: int) -> CampaignError:
@@ -174,9 +187,16 @@ class ProcessTransport:
             results.append(payload)
         return results
 
-    def service(self, requests: List[Tuple[int, List[tuple]]]) -> List[dict]:
+    def post(self, requests: List[Tuple[int, List[tuple]]]) -> None:
         self._scatter([("service", *request) for request in requests])
+
+    def collect(self) -> List[dict]:
         return self._gather("service")
+
+    def service(self, requests: List[Tuple[int, List[tuple]]]) -> List[dict]:
+        """One lock-step window: ``post`` then ``collect``."""
+        self.post(requests)
+        return self.collect()
 
     def finalize(self, duration_fs: int) -> List[dict]:
         self._scatter([("finalize", duration_fs)] * len(self._conns))

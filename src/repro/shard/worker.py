@@ -33,18 +33,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..dtp.network import DtpNetwork
+from ..dtp.network import DEFAULT_BACKEND, DtpNetwork
 from ..faultlab.campaign import assemble, prepare
 from ..faultlab.faults import FaultContext
 from ..telemetry import Telemetry
 from ..telemetry.registry import CounterFamily
-from .engine import BoundaryOutbox, ShardSimulator, noop_link_up
+from .engine import BoundaryOutbox, ShardSimulator, noop_link_up, pack_key
 from .partition import ShardPlan
 
 
 class ShardTraceRecorder:
-    """Tracer stand-in: interns subjects, stamps records with their
-    dispatch key + per-dispatch ordinal instead of ringing them.
+    """Tracer stand-in: interns subjects, stamps records with the key of
+    the dispatching event — real or virtual — + per-dispatch ordinal
+    instead of ringing them.
 
     The subject table is frozen after construction (ports intern at
     construction; every other subject is interned coordinator-side
@@ -67,10 +68,8 @@ class ShardTraceRecorder:
         return sid
 
     def record(self, time_fs: int, kind: int, subject: int, a: int = 0, b: int = 0) -> None:
-        key, ordinal = self._engine.take_record_slot()
-        self.round_records.append(
-            (time_fs, key[1], key[2], key[3], ordinal, kind, subject, a, b)
-        )
+        seq, ordinal = self._engine.take_record_slot()
+        self.round_records.append((time_fs, seq, ordinal, kind, subject, a, b))
 
     @property
     def names(self) -> List[str]:
@@ -92,8 +91,8 @@ class _StubChecker:
         self.round_calls: List[tuple] = []
 
     def _log(self, payload: tuple) -> None:
-        key, ordinal = self._engine.take_record_slot()
-        self.round_calls.append((key[0], key[1], key[2], key[3], ordinal, payload))
+        seq, ordinal = self._engine.take_record_slot()
+        self.round_calls.append((self._engine.now, seq, ordinal, payload))
 
     def quarantine(self, nodes, reason: str) -> None:
         self._log(("quarantine", list(nodes), str(reason)))
@@ -183,10 +182,14 @@ class ShardWorker:
                 self.recorder = ShardTraceRecorder(engine)
                 telemetry.tracer = self.recorder
 
-        engine.begin_root()
         prepared = prepare(spec)
         topology, faults = prepared.topology, prepared.faults
-        streams, network = assemble(prepared, seed, engine, telemetry, "scalar")
+        streams, network = assemble(prepared, seed, engine, telemetry, DEFAULT_BACKEND)
+        # A link with a foreign endpoint never batches: a cut link's
+        # transmissions are what the promise bounds and the outbox ships,
+        # and a fully foreign one never comes up.  Every owned–owned
+        # direction promotes from its own beacon timeout, as in a serial run.
+        network.pin_scalar(frozenset(topology.nodes) - self._owned)
         self.network = network
         #: Owned nodes in topology order — the coordinator merges
         #: per-shard bundles keyed this way.
@@ -215,8 +218,15 @@ class ShardWorker:
         self._sampler_bundles: Dict[int, dict] = {}
         self._checker_idx = 0
         self._sampler_idx = 0
+        #: Owned ports beside the state each last shipped in: a bundle
+        #: carries only the ports that moved since this worker's previous one.
+        self._shipped = [
+            [key, port, None]
+            for key, port in network.ports.items()
+            if key[0] in self._owned
+        ]
         self.checker_root_ordinal = engine.root_ordinal
-        engine.push_root_probe(max(start_fs, 0), self._checker_probe)
+        engine.push_probe(max(start_fs, 0), engine.take_root_key(), self._checker_probe)
 
         # Ownership suppression must precede network.start(): start()
         # binds each port's link_up attribute into its event at schedule
@@ -249,7 +259,7 @@ class ShardWorker:
             spec.get("sample_interval_fs", self.interval_fs * 4)
         )
         self.sampler_root_ordinal = engine.root_ordinal
-        engine.push_root_probe(0, self._sampler_probe)
+        engine.push_probe(0, engine.take_root_key(), self._sampler_probe)
         engine.end_root()
 
     # ------------------------------------------------------------------
@@ -261,11 +271,13 @@ class ShardWorker:
             name: devices[name].global_counter(t_fs)
             for name in self._owned_order
         }
-        ports = {
-            key: (port.synchronized, port.state.value)
-            for key, port in self.network.ports.items()
-            if key[0] in self._owned
-        }
+        ports = {}
+        for entry in self._shipped:
+            port = entry[1]
+            state = port.state
+            if state is not entry[2]:
+                entry[2] = state
+                ports[entry[0]] = (port.synchronized, state.value)
         return {"counters": counters, "ports": ports}
 
     def _checker_probe(self) -> None:
@@ -273,7 +285,7 @@ class ShardWorker:
         self._checker_bundles[self._checker_idx] = self._capture(t)
         self._checker_idx += 1
         self.engine.push_probe(
-            t + self.interval_fs, self._checker_probe, alloc_time=t, src=0
+            t + self.interval_fs, pack_key(t, -1, 0), self._checker_probe
         )
 
     def _sampler_probe(self) -> None:
@@ -281,7 +293,7 @@ class ShardWorker:
         self._sampler_bundles[self._sampler_idx] = self._capture(t)
         self._sampler_idx += 1
         self.engine.push_probe(
-            t + self.sample_interval_fs, self._sampler_probe, alloc_time=t, src=1
+            t + self.sample_interval_fs, pack_key(t, -1, 1), self._sampler_probe
         )
 
     # ------------------------------------------------------------------
@@ -302,11 +314,8 @@ class ShardWorker:
     def service(self, grant_fs: int, arrivals: List[tuple]) -> dict:
         engine = self.engine
         ports = self.network.ports
-        for _dest, dest_key, arrival_fs, wire_bits, alloc_t, ctr, src, unsafe in arrivals:
-            engine.insert_arrival(
-                ports[tuple(dest_key)], arrival_fs, wire_bits,
-                alloc_t, ctr, src, unsafe,
-            )
+        for _dest, dest_key, arrival_fs, wire_bits, seq, unsafe in arrivals:
+            engine.insert_arrival(ports[dest_key], arrival_fs, wire_bits, seq, unsafe)
         engine.run_window(grant_fs)
         checker_bundles = self._checker_bundles
         sampler_bundles = self._sampler_bundles
@@ -359,6 +368,7 @@ class ShardWorker:
                 for fault in self.pinned_faults
             },
             "metric_counters": counters,
-            "events_dispatched": self.engine.dispatched,
+            "events": self.engine.events,
+            "virtual_events": self.engine.virtual_events,
             "linkhealth": linkhealth,
         }

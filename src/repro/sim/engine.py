@@ -82,6 +82,16 @@ _UNCANCELLABLE = _Uncancellable()
 class Simulator:
     """Event-driven simulator with femtosecond-resolution integer time."""
 
+    #: What ``seq`` is, for the merged loop (:meth:`attach_fastpath`).
+    #: ``None``: one global counter, stride 1.  An engine whose ``seq`` packs
+    #: the allocating instant (``repro.shard.engine.ShardSimulator``) sets
+    #: ``(stride, instant, base)``: allocations step by ``stride``, and the
+    #: first dispatch at a later instant ``t`` than its ``_alloc_time``
+    #: rebases the counter to ``t * instant + base``.  Such an engine is also
+    #: told each dispatch's own seq (``_dispatch_seq``, real or virtual) and
+    #: counts the real ones (``dispatched``).
+    key_layout: Optional[Tuple[int, int, int]] = None
+
     def __init__(self) -> None:
         self._now = 0
         self._seq = 0

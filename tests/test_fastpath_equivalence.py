@@ -22,10 +22,15 @@ from repro.faultlab.campaign import (
     build_fault,
     build_topology,
     metrics_digest,
+    prepare,
     run_scenario,
 )
 from repro.faultlab.faults import BerBurst, FaultContext
 from repro.network.topology import chain, clos, star
+from repro.shard import build_plan, run_sharded_scenario
+from repro.shard.coordinator import run_sharded
+from repro.shard.runner import default_margin_fs
+from repro.shard.transport import InlineTransport
 from repro.sim import units
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.randomness import RandomStreams
@@ -204,6 +209,60 @@ def test_every_hand_armed_fault_on_an_inner_edge(fault, arm_at_us):
         assert coordinator.demotions == (6 if arm_at_us else 0)
     else:
         assert len(hooked) == 6 and net.fastpath is coordinator
+
+
+def _six_chain(fault, supervised=False):
+    """``fault`` on n1-n2 of chain(6): two shards cut it n0-n2 | n3-n5."""
+    spec = {
+        "name": "sharded-arm",
+        "topology": {"kind": "chain", "hosts": 6},
+        "duration_fs": 1 * units.MS,
+        "faults": [_placed(fault, "n1", "n2")],
+    }
+    if supervised:
+        spec["linkhealth"] = True
+    return spec
+
+
+def _on_two_inline_shards(spec, seed, telemetry):
+    """``(result, per-shard coordinators)`` of a 2-shard inline run."""
+    prepared = prepare(spec)
+    plan = build_plan(prepared.topology, prepared.faults, 2, default_margin_fs())
+    transport = InlineTransport()
+    result = run_sharded(
+        prepared, seed, RunOptions.of(backend="sharded"), plan, transport, telemetry
+    )
+    return result, [worker.engine.fastpath for worker in transport._workers]
+
+
+@pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
+@pytest.mark.parametrize("fault", _HAND_FAULTS, ids=lambda f: f["kind"])
+def test_every_fault_keeps_its_identity_on_two_batching_shards(fault, supervised):
+    # The sharded arm of the sweep: a shard builds and arms its own faults,
+    # so the same six kinds come in through the spec.  Result bytes — the
+    # trace and metrics digests are in them — equal the scalar oracle's
+    # while every untainted owned-owned direction batches.
+    spec = _six_chain(fault, supervised)
+    stats = {}
+    scalar = run_scenario(dict(spec), seed=7, backend="scalar", telemetry=Telemetry())
+    sharded = run_sharded_scenario(
+        dict(spec), seed=7, shards=2, transport="inline", telemetry=Telemetry(),
+        stats_out=stats,
+    )
+    assert sharded == scalar
+    assert scalar["telemetry"]["trace_recorded"] > 1000
+    assert stats["virtual_events"] > stats["events"] // 4
+
+
+def test_fault_demotes_on_its_pinned_shard_while_the_other_keeps_batching():
+    # partition (acts via down_link) on n1-n2; the cut is n0-n2 | n3-n5.
+    _, (pinned, other) = _on_two_inline_shards(
+        _six_chain(_FAULT_DICTS[1]), 7, Telemetry()
+    )
+    # n1-n2 goes down promoted: both directions demote, and re-promote healed.
+    assert pinned.demotions == 2 and pinned.promotions == 4 + 2
+    assert other.demotions == 0 and other.promotions == 4
+    assert other.virtual_events > 10_000
 
 
 def test_hand_armed_ber_burst_injects_what_scalar_injects():
@@ -425,6 +484,34 @@ def test_traced_fault_window_trip_lands_at_the_same_record():
             assert fastpath.promotions == 4
             assert fastpath.demotions == len(trips) == 4
     assert runs["batched"] == runs["scalar"]
+
+
+@pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
+def test_fault_window_trips_inside_batching_shards_match_scalar(supervised):
+    # The trip is a call-out from a *virtual* APPLY (``_roll_fault_window``):
+    # its EV_PEER_FAULT record and, supervised, the ``on_fault`` ->
+    # quarantine/release checker calls must carry that virtual event's key to
+    # merge where the scalar run has them.  The cut link n2-n3 stays calm.
+    spec = {
+        "name": "shard-trip",
+        "topology": {"kind": "chain", "hosts": 6},
+        "duration_fs": 2 * units.MS,
+        "skew_ppm": {"n0": 80.0, "n1": -80.0, "n2": 0.5, "n3": 1.0,
+                     "n4": 75.0, "n5": -85.0},
+        "config": {"fault_window_beacons": 100, "max_jumps_per_window": 1},
+    }
+    if supervised:
+        spec["linkhealth"] = True
+    scalar_telemetry, telemetry = Telemetry(), Telemetry()
+    scalar = run_scenario(dict(spec), seed=3, backend="scalar", telemetry=scalar_telemetry)
+    sharded, coordinators = _on_two_inline_shards(spec, 3, telemetry)
+    assert sharded == scalar
+    records = list(telemetry.tracer.records)
+    assert records == list(scalar_telemetry.tracer.records)
+    trips = sum(1 for record in records if record[1] == EV_PEER_FAULT)
+    assert trips == 10 and min(c.demotions for c in coordinators) >= 4
+    if supervised:
+        assert sharded["linkhealth"]["links"]["n0-n1"]["downs"] == 1
 
 
 def test_dispatch_profile_refuses_every_direction():

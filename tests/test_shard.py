@@ -11,6 +11,7 @@ packing, fault-pin, and error behavior.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ import pytest
 
 from repro.faultlab.campaign import (
     CampaignError,
+    RunOptions,
     build_fault,
     prepare,
     run_scenario,
@@ -35,11 +37,14 @@ from repro.faultlab.scenarios import (
 from repro.network.topology import chain
 from repro.shard import build_plan, resolve_shards, run_sharded_scenario
 from repro.shard.partition import _atoms
+from repro.shard import coordinator as coordinator_module
 from repro.shard import transport as transport_module
+from repro.shard.coordinator import run_sharded
 from repro.shard.runner import default_margin_fs
-from repro.shard.transport import ProcessTransport
+from repro.shard.transport import InlineTransport, ProcessTransport
 from repro.shard.worker import ShardWorker
 from repro.sim.engine import Simulator
+from repro.telemetry import Telemetry
 
 
 def canon(result) -> str:
@@ -327,23 +332,52 @@ class TestFeatureGates:
             errors.append((type(excinfo.value), str(excinfo.value)))
         assert errors == [(CampaignError, message)] * 3
 
-    @pytest.mark.parametrize("interval", [0, -5, 1.5, "x"])
+    @pytest.mark.parametrize(
+        "breakage, message",
+        [
+            ({"sample_interval_fs": value},
+             f"sample_interval_fs must be a positive integer, got {value!r}")
+            for value in (0, -5, 1.5, "x")
+        ]
+        + [
+            ({"checker": {"interval_fs": value}},
+             f"checker.interval_fs must be a positive integer, got {value!r}")
+            for value in (0, 1.5, "x")
+        ]
+        + [
+            ({"checker": {"start_fs": value}},
+             f"checker.start_fs must be an integer, got {value!r}")
+            for value in (1.5, "x")
+        ],
+        ids=["0", "-5", "1.5", "x", "checker-interval-0", "checker-interval-1.5",
+             "checker-interval-x", "checker-start-1.5", "checker-start-x"],
+    )
     def test_bad_sample_interval_rejected_identically_on_every_backend(
-        self, interval
+        self, breakage, message
     ):
-        # Unvalidated, 0 never returns: the sampler reschedules itself (and
-        # the coordinator's grid walks ``j * 0``) at the same femtosecond.
-        spec = dict(self.spec(), sample_interval_fs=interval)
+        # Unvalidated, a 0 interval never returns: the sampler / checker tick
+        # reschedules itself (and the coordinator's grid walks ``j * 0``) at
+        # the same femtosecond; a fractional one walks a grid no backend
+        # shares; a string is a bare TypeError.
+        spec = dict(self.spec(), **breakage)
         errors = []
         for backend in ("scalar", "batched", "sharded"):
-            with deadline(10, f"sample_interval_fs={interval!r}"):
+            with deadline(10, f"{breakage!r}"):
                 with pytest.raises(CampaignError) as excinfo:
                     run_scenario(
                         dict(spec), backend=backend, shards=2, shard_transport="inline"
                     )
             errors.append((type(excinfo.value), str(excinfo.value)))
-        message = f"sample_interval_fs must be a positive integer, got {interval!r}"
         assert errors == [(CampaignError, message)] * 3
+
+    @pytest.mark.parametrize("shards", [1.5, "2", True, 0])
+    def test_shard_count_must_be_a_positive_int(self, shards):
+        # Were: bare TypeError, bare TypeError, a silent one-shard run.
+        with deadline(10, f"shards={shards!r}"):
+            with pytest.raises(CampaignError, match="--shards must be an integer"):
+                run_sharded_scenario(self.spec(), shards=shards, transport="inline")
+            with pytest.raises(CampaignError, match=repr(shards)):
+                build_plan(chain(4), [], shards, default_margin_fs())
 
     def test_live_handle_builder_rejects_sharded(self):
         from repro.scenarios import build
@@ -448,6 +482,21 @@ class TestProcessTransportFailures:
         assert multiprocessing.active_children() == []
 
 
+    def test_merge_walk_raising_mid_window_leaves_no_worker(self, monkeypatch):
+        # The walk of round n runs while the workers run round n + 1.
+        calls = []
+
+        def failing_sample_grid(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(coordinator_module, "sample_grid", failing_sample_grid)
+        with deadline(10, "a merge-walk failure with a window in flight"):
+            with pytest.raises(RuntimeError, match="walk failed"):
+                run_sharded_scenario(self.spec(), shards=2, transport="process")
+        assert multiprocessing.active_children() == []
+
     def test_workers_exit_when_the_coordinator_is_killed(self):
         # Every worker inherits ``held``; it reads EOF once all have exited.
         watch, held = multiprocessing.Pipe(duplex=False)
@@ -465,6 +514,28 @@ class TestProcessTransportFailures:
                 watch.recv()
             doomed.join()
         assert doomed.exitcode == -signal.SIGKILL
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_pipelined_rounds_keep_the_lock_step_health_sequence(tmp_path, transport):
+    """The grant / service / stall records of a 2-shard ``baseline`` run, in
+    file order, are the lock-step coordinator's (sha256 of the event lines
+    it wrote; they carry simulated time only)."""
+    spec = builtin_specs(["baseline"], quick=True)[0]
+    run_scenario(
+        dict(spec), backend="sharded", shards=2, shard_transport=transport,
+        health_dir=str(tmp_path),
+    )
+    lines = (tmp_path / "baseline.health.jsonl").read_text().splitlines()
+    events = [line for line in lines if json.loads(line)["record"] == "event"]
+    kinds = {json.loads(line)["name"] for line in events}
+    assert {"shard-grant", "shard-service"} <= kinds <= {
+        "shard-grant", "shard-service", "shard-stall"
+    }
+    assert len(events) == 2610
+    assert hashlib.sha256("\n".join(events).encode()).hexdigest() == (
+        "4d0979b4a0a9e5d5a3355dec13ead5691839a1441ceb080bc15399851ad7b582"
+    )
 
 
 def test_fault_without_pins_is_refused_by_kind_on_sharded_only(monkeypatch):
@@ -550,11 +621,72 @@ class TestFabricScenarios:
         assert "rounds" not in result  # stats never leak into the result
 
 
-@pytest.mark.skipif(
-    os.environ.get("RUN_SHARD_SLOW") != "1",
-    reason="set RUN_SHARD_SLOW=1 for the fat-tree identity run (slow)",
-)
+#: The repo benchmark's fabric (``fattree-sharded2`` and its serial twin), as
+#: a literal: 336 nodes, D = 6, the Fig. 6b beacon interval.
+BENCH_FABRIC = {
+    "name": "bench-fabric",
+    "topology": {"kind": "fat-tree", "k": 8, "hosts_per_edge": 8},
+    "duration_fs": 200_000_000_000,
+    "config": {"beacon_interval_ticks": 1200},
+    "faults": [],
+}
+
+
+def test_fabric_accounting_is_exact_while_shards_batch():
+    stats = {}
+    sharded = run_sharded_scenario(
+        dict(BENCH_FABRIC), seed=1, shards=2, transport="inline", stats_out=stats
+    )
+    assert stats["rounds"] == 56
+    assert stats["events"] == 113987
+    assert stats["virtual_events"] > stats["events"] // 2
+    assert sharded == run_scenario(dict(BENCH_FABRIC), seed=1)
+    assert sharded == run_scenario(dict(BENCH_FABRIC), seed=1, backend="scalar")
+
+
+def test_fabric_promotes_every_owned_direction_and_no_cut_one():
+    prepared = prepare(dict(BENCH_FABRIC, duration_fs=40_000_000_000))
+    plan = build_plan(prepared.topology, prepared.faults, 2, default_margin_fs())
+    transport = InlineTransport()
+    run_sharded(prepared, 1, RunOptions.of(backend="sharded"), plan, transport)
+    cut = {channel.src_port for channel in plan.channels}
+    assert len(cut) == 2 * 88
+    for shard, worker in enumerate(transport._workers):
+        owned = set(plan.owned_nodes[shard])
+        inner = {
+            port.name for (a, b), port in worker.network.ports.items()
+            if a in owned and b in owned
+        }
+        source = worker.engine.fastpath
+        assert {port.name for port in source._dirs} == inner
+        assert source.promotions == len(inner) and source.demotions == 0
+        assert not inner & cut
+
+
 def test_fat_tree_k8_identical_on_four_shards():
+    # The builtin's 25,000-tick beacons time the violation path (ROADMAP):
+    # run the fabric on an interval that holds its bound.
     spec = builtin_specs(["fat-tree-k8"], quick=True)[0]
+    spec["config"] = dict(spec.get("config", {}), beacon_interval_ticks=1200)
+    spec["duration_fs"] = 80_000_000_000
     serial, sharded = run_both(spec, shards=4, transport="process")
     assert canon(serial) == canon(sharded)
+
+    # Traced, two shards.  336 devices draw from ~1,280 integer-fs periods, so
+    # some on different shards tick on one grid and transmit at the same
+    # femtosecond for the whole run; the shard key orders such a cross-shard
+    # tie by shard, the serial counter by ancestry (docs/SHARDING.md, "Known
+    # gap").  Everything except the order inside one femtosecond is equal,
+    # and the batching shards write the trace the scalar shards of PR 22 did.
+    traced = {}
+    for backend in ("batched", "sharded"):
+        telemetry = Telemetry()
+        result = run_scenario(
+            dict(spec), backend=backend, shards=2, shard_transport="process",
+            telemetry=telemetry,
+        )
+        digest = result["telemetry"].pop("trace_digest")
+        traced[backend] = (canon(result), sorted(telemetry.tracer.records), digest)
+    assert traced["sharded"][:2] == traced["batched"][:2]
+    assert traced["batched"][2].startswith("851986ed33f9f8cf")
+    assert traced["sharded"][2].startswith("f313eb9ae3011d53")
