@@ -80,6 +80,7 @@ class PortState(enum.Enum):
 #: descriptor on every access; the stats counters hit it twice per
 #: message, so the names are precomputed.
 _MTYPE_NAME = {mtype: mtype.name for mtype in dtpmsg.MessageType}
+_MTYPE_NAMES = frozenset(_MTYPE_NAME.values())
 
 
 @dataclass
@@ -110,11 +111,30 @@ class DtpPortConfig:
 _REJECT_REASONS = ("out_of_range", "parity", "undecodable")
 
 
+class _Cells(dict):
+    """Counter cells by name, each created when it is first indexed: a
+    port counts a few of its message types and most never reject, and a
+    fabric has a thousand ports."""
+
+    __slots__ = ("_names",)
+
+    def __init__(self, names) -> None:
+        super().__init__()
+        self._names = names
+
+    def __missing__(self, name: str) -> _StatCounter:
+        if name not in self._names:
+            raise KeyError(name)
+        cell = self[name] = _StatCounter()
+        return cell
+
+
 class PortStats:
     """Counters for observability and the fault-handling tests.
 
     Every counter is a telemetry ``Counter`` cell.  A standalone port owns
-    private cells; when the port is built with a
+    private cells (the per-type and per-reason ones from their first use);
+    when the port is built with a
     :class:`repro.telemetry.Telemetry` object, :meth:`bind_registry`
     re-homes the cells onto its :class:`~repro.telemetry.MetricsRegistry`
     so the registry is the single source of truth (Prometheus exposition,
@@ -138,16 +158,10 @@ class PortStats:
     )
 
     def __init__(self) -> None:
-        self._sent: Dict[str, _StatCounter] = {
-            name: _StatCounter() for name in _MTYPE_NAME.values()
-        }
-        self._received: Dict[str, _StatCounter] = {
-            name: _StatCounter() for name in _MTYPE_NAME.values()
-        }
+        self._sent: Dict[str, _StatCounter] = _Cells(_MTYPE_NAMES)
+        self._received: Dict[str, _StatCounter] = _Cells(_MTYPE_NAMES)
         self._jumps = _StatCounter()
-        self._rejected: Dict[str, _StatCounter] = {
-            reason: _StatCounter() for reason in _REJECT_REASONS
-        }
+        self._rejected: Dict[str, _StatCounter] = _Cells(_REJECT_REASONS)
         self._lost_on_wire = _StatCounter()
         self.beacons_in_window = 0
         self.jumps_in_window = 0

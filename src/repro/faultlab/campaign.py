@@ -189,6 +189,42 @@ def _require_positive_int(name: str, value: object) -> None:
         raise CampaignError(f"{name} must be a positive integer, got {value!r}")
 
 
+#: ``InvariantChecker``'s keyword arguments, each with the type and the
+#: minimum a spec's value must have.  Unvalidated, a string dies mid-run
+#: with a bare TypeError, and a fraction, a negative or a truthy string runs
+#: and means something else.
+_CHECKER_KEYS = {
+    "interval_fs": (int, 1),
+    "start_fs": (int, None),
+    "grace_fs": (int, 0),
+    "bound_ticks_per_hop": (int, 1),
+    "slack_ticks": (int, 0),
+    "transient_allowance_intervals": (int, 0),
+    "max_recorded": (int, 0),
+    "raise_on_violation": (bool, None),
+}
+_KIND_NAMES = {
+    (int, 1): "a positive integer",
+    (int, 0): "a non-negative integer",
+    (int, None): "an integer",
+    (bool, None): "a boolean",
+}
+
+
+def _validate_checker(checker: Dict[str, object]) -> None:
+    unknown = set(checker) - _CHECKER_KEYS.keys()
+    if unknown:
+        raise CampaignError(f"unknown checker keys: {sorted(unknown)}")
+    for key, value in checker.items():
+        kind, minimum = _CHECKER_KEYS[key]
+        if key == "interval_fs" and value is None:
+            continue  # one beacon interval
+        if type(value) is not kind or (minimum is not None and value < minimum):
+            raise CampaignError(
+                f"checker.{key} must be {_KIND_NAMES[kind, minimum]}, got {value!r}"
+            )
+
+
 def prepare(spec: Dict[str, object]) -> Prepared:
     """Validate a scenario spec and build its topology and faults."""
     unknown = set(spec) - _SPEC_KEYS
@@ -201,15 +237,9 @@ def prepare(spec: Dict[str, object]) -> Prepared:
         raise CampaignError("duration_fs must be positive")
     # The drivers walk both grids as given: 0 never advances, a fraction
     # truncates to a different grid, a negative one runs backwards.
-    checker = spec.get("checker", {})
     if "sample_interval_fs" in spec:
         _require_positive_int("sample_interval_fs", spec["sample_interval_fs"])
-    if checker.get("interval_fs") is not None:
-        _require_positive_int("checker.interval_fs", checker["interval_fs"])
-    if type(checker.get("start_fs", 0)) is not int:
-        raise CampaignError(
-            f"checker.start_fs must be an integer, got {checker['start_fs']!r}"
-        )
+    _validate_checker(spec.get("checker", {}))
     faults: List[FaultModel] = []
     seen_names = set()
     for index, fault_spec in enumerate(spec.get("faults", [])):

@@ -29,7 +29,7 @@ port states, quarantine sets) for post-mortem debugging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from ..dtp import messages as dtpmsg
 from ..dtp.analysis import DIRECT_BOUND_TICKS
@@ -56,6 +56,10 @@ DEFAULT_GRACE_FS = 50 * units.US
 #: sits strictly inside that half-window the cross-node round trip provably
 #: recovers gc_a -- only offsets near the wrap boundary need the codec call.
 _WRAP_HALF = 1 << (dtpmsg.COUNTER_LOW_BITS - 1)
+
+#: ``InvariantChecker._past_grace``'s answer: True (every connected pair),
+#: None (none), or the groups two nodes must share.
+_Grace = Optional[Union[bool, Dict[str, int]]]
 
 
 @dataclass
@@ -86,6 +90,57 @@ class InvariantViolation(AssertionError):
             f"{violation.invariant} violated at t={violation.time_fs} fs "
             f"on {violation.subject}: {violation.detail}"
         )
+
+
+class ReconnectLog:
+    """Convergence log of pair (re)connections that came within bound.
+
+    ``rows`` holds ``(connected_fs, recovered_after_fs, pairs)``: how many
+    pairs that connected at ``connected_fs`` were found within their bound
+    ``recovered_after_fs`` later.  ``len()`` is the number of pairs.
+    """
+
+    def __init__(self) -> None:
+        self.rows: List[Tuple[int, int, int]] = []
+        self._pairs = 0
+
+    def add(self, connected_fs: int, recovered_after_fs: int, pairs: int) -> None:
+        if pairs:
+            self.rows.append((connected_fs, recovered_after_fs, pairs))
+            self._pairs += pairs
+
+    def __len__(self) -> int:
+        return self._pairs
+
+
+class _Component:
+    """One component (two nodes or more) of the synchronized subgraph.
+
+    Its checkable pairs -- any two of ``members`` -- are filed by hop class
+    only as far as a tick's counter spread has asked for: ``buckets`` holds
+    the classes up to ``depth`` hops, ``remainder`` counts the deeper ones.
+    """
+
+    __slots__ = (
+        "nodes", "members", "pairs", "min_increment", "depth", "buckets",
+        "remainder", "clears",
+    )
+
+    def __init__(self) -> None:
+        #: Every node of the component / the checkable ones (neither
+        #: quarantined nor healing), both in node order.
+        self.nodes: List[str] = []
+        self.members: List[str] = []
+        #: C(len(members), 2).
+        self.pairs = 0
+        self.min_increment = 1
+        self.depth = 0
+        #: ``(hops, bound, [(a, b, bound), ...])`` per filed (hops, increment).
+        self.buckets: List[Tuple[int, int, list]] = []
+        self.remainder = 0
+        #: Largest member spread that still proves every unfiled pair in
+        #: bound and clear of the wrap half-window.
+        self.clears: float = 0
 
 
 class InvariantChecker:
@@ -124,6 +179,11 @@ class InvariantChecker:
             )
         if interval_fs <= 0:
             raise ValueError("interval_fs must be positive")
+        # The spread screen rests on a pair's bound growing with its hops.
+        if bound_ticks_per_hop <= 0:
+            raise ValueError("bound_ticks_per_hop must be positive")
+        if slack_ticks < 0:
+            raise ValueError("slack_ticks must be >= 0")
         self.interval_fs = interval_fs
         self.bound_ticks_per_hop = bound_ticks_per_hop
         self.slack_ticks = slack_ticks
@@ -147,9 +207,11 @@ class InvariantChecker:
         self.ticks_above_bound = 0
         #: Fault reason -> list of recovery durations (release -> in-bound).
         self.recovery_fs: Dict[str, List[int]] = {}
-        #: Convergence log: one ``(a, b, connected_fs, recovered_after_fs)``
-        #: tuple per pair (re)connection that came within bound.
-        self.reconnect_recoveries: List[Tuple[str, str, int, int]] = []
+        #: Convergence log of pair (re)connections that came within bound;
+        #: ``len()`` is the number of pairs.
+        self.reconnect_recoveries = ReconnectLog()
+        #: Pairs filed into hop classes so far, over every epoch.
+        self.pairs_materialised = 0
 
         self._nodes = list(network.devices)
         self._node_order = {name: i for i, name in enumerate(self._nodes)}
@@ -168,36 +230,42 @@ class InvariantChecker:
         self._edge_synced = [False] * len(self._edge_ports)
         self._dirty = True
         self._last_counter: Dict[str, int] = {}
-        self._connected_since: Dict[Tuple[str, str], int] = {}
-        #: ``(earliest, latest)`` connect time in ``_connected_since`` (None
-        #: while empty), kept by the sweep: answers "every pair past grace"
-        #: and "every pair inside grace" without a walk.
-        self._connect_span: Optional[Tuple[int, int]] = None
-        self._awaiting_recovery: Dict[Tuple[str, str], int] = {}
+        #: Connect times, as the sweeps' merges: ``(time, group of each node
+        #: then connected, pairs sharing a group)``, oldest first, each level
+        #: a refinement of the next and of the components at the last sweep.
+        #: A pair has been connected since the oldest level that has its two
+        #: nodes in one group.
+        self._merges: List[Tuple[int, Dict[str, int], int]] = []
+        #: Connected pairs seen out of bound since they connected, with
+        #: their connect time: the part of the convergence log still open.
+        self._late: Dict[Tuple[str, str], int] = {}
         self._quarantined: Dict[str, str] = {}
         #: Edges (sorted endpoint pairs) excluded from the synchronized
         #: subgraph while link supervision holds them in recovery.  Unlike
         #: node quarantine, an edge quarantine leaves both endpoint nodes
         #: checkable over whatever other paths connect them.
         self._edge_quarantined: Dict[Tuple[str, str], str] = {}
-        # Per-epoch caches, holding exactly what a per-tick recomputation
-        # would produce.  Distances follow the connectivity signature
-        # (synchronized edges, quarantined nodes and edges); the pair
-        # structures also follow the healing set and the increments.
+        # Per-epoch state, holding exactly what a per-tick recomputation
+        # would produce.  Adjacency and single-source distances follow the
+        # connectivity signature (synchronized edges, quarantined nodes and
+        # edges); the components' pair structures also follow the healing
+        # set and the increments.
         self._conn_sig: Optional[tuple] = None
         self._pairs_sig: Optional[tuple] = None
-        self._cache_distances: Dict[str, Dict[str, int]] = {}
-        #: Checkable pairs as ``(a, b, bound)`` in i<j node order; the
-        #: hop-1 ones again in ``_cache_links``.
-        self._cache_pairs: List[Tuple[str, str, int]] = []
-        self._cache_links: List[Tuple[str, str, int]] = []
-        #: The same pairs filed as ``(component, hops, bound, pairs)``, so a
-        #: tick can clear a whole bucket by comparing its bound with the
-        #: counter spread of ``_cache_members[component]``.
-        self._cache_buckets: List[Tuple[int, int, int, list]] = []
-        self._cache_members: List[List[str]] = []
+        self._adjacency: Dict[str, List[str]] = {}
+        #: Full BFS per source, filled on demand (streaks, late pairs,
+        #: healing nodes).
+        self._reach: Dict[str, Dict[str, int]] = {}
+        self._component_of: Dict[str, int] = {}
+        self._components: List[_Component] = []
+        #: Those with two checkable members or more.
+        self._groups: List[_Component] = []
+        #: Every checkable pair / the hop-1 ones as ``(a, b, bound)`` in i<j
+        #: node order; None until something asks for the list.
+        self._cache_pairs: Optional[List[Tuple[str, str, int]]] = None
+        self._cache_links: Optional[List[Tuple[str, str, int]]] = None
         #: Connectivity signature of the last sweep: while it equals
-        #: ``_conn_sig`` every cached pair is in ``_connected_since``.
+        #: ``_conn_sig`` every connected pair is in ``_merges``.
         self._swept_sig: Optional[tuple] = None
         #: node -> (fault reason, healing since, peers that must be back
         #: in bound before the node counts as recovered).
@@ -348,25 +416,32 @@ class InvariantChecker:
 
     @staticmethod
     def _distances_from(
-        start: str, adjacency: Dict[str, List[str]]
+        start: str, adjacency: Dict[str, List[str]], limit: int
     ) -> Dict[str, int]:
+        """Hop distances from ``start``, no further than ``limit`` hops."""
         dist = {start: 0}
         frontier = [start]
-        while frontier:
+        hops = 0
+        while frontier and hops < limit:
+            hops += 1
             next_frontier = []
             for node in frontier:
                 for peer in adjacency[node]:
                     if peer not in dist:
-                        dist[peer] = dist[node] + 1
+                        dist[peer] = hops
                         next_frontier.append(peer)
             frontier = next_frontier
         return dist
 
-    def _all_distances(self) -> Dict[str, Dict[str, int]]:
-        adjacency = self._sync_adjacency()
-        return {
-            name: self._distances_from(name, adjacency) for name in self._nodes
-        }
+    def _distances(self, node: str) -> Dict[str, int]:
+        """Everything ``node`` reaches, with hop distances: one BFS per
+        source and connectivity epoch, run when something asks."""
+        reach = self._reach.get(node)
+        if reach is None:
+            reach = self._reach[node] = self._distances_from(
+                node, self._adjacency, len(self._nodes)
+            )
+        return reach
 
     def _cache_key(self) -> Tuple[tuple, tuple]:
         """``(connectivity, pair-set)`` signatures, O(nodes + edges)."""
@@ -382,13 +457,16 @@ class InvariantChecker:
             tuple(devices[name].counter_increment for name in self._nodes),
         )
 
-    def _epoch_state(self) -> Dict[str, Dict[str, int]]:
-        """Bring the per-epoch caches up to date; returns the distances.
+    def _epoch_state(self) -> None:
+        """Bring the per-epoch state up to date.
 
-        A connectivity change costs one all-pairs BFS and one pair build;
-        a healing-set change only the pair build.  The signatures are only
-        recomputed when one of their inputs moved: an edge's synchronized
-        flag since the last poll, or whatever sets ``_dirty``.
+        A change of either signature costs one traversal of the
+        synchronized subgraph: components, their checkable members and
+        hence their pair counts.  No pair and no distance is computed here
+        (``_file`` does that, when a spread or a reader asks).  The
+        signatures are only recomputed when one of their inputs moved: an
+        edge's synchronized flag since the last poll, or whatever sets
+        ``_dirty``.
         """
         synced = self._edge_synced
         moved = self._dirty
@@ -398,65 +476,142 @@ class InvariantChecker:
                 synced[index] = up
                 moved = True
         if not moved:
-            return self._cache_distances
+            return
         self._dirty = False
         conn_sig, pairs_sig = self._cache_key()
         if conn_sig != self._conn_sig:
-            self._cache_distances = self._all_distances()
+            self._adjacency = self._sync_adjacency()
+            self._reach = {}
             self._conn_sig = conn_sig
             self._pairs_sig = None
         if pairs_sig != self._pairs_sig:
-            self._build_pairs()
+            self._find_components()
             self._pairs_sig = pairs_sig
-        return self._cache_distances
 
-    def _build_pairs(self) -> None:
-        """File every checkable pair (neither node quarantined or healing,
-        same component) in the i<j list and in its bucket."""
-        distances = self._cache_distances
+    def _find_components(self) -> None:
+        """One traversal of the synchronized subgraph: its components, the
+        checkable members of each and so the number of checkable pairs."""
+        adjacency = self._adjacency
+        component_of: Dict[str, int] = {}
+        components: List[_Component] = []
+        for start in self._nodes:
+            if start in component_of or not adjacency[start]:
+                continue  # isolated, as every quarantined node is
+            index = component_of[start] = len(components)
+            components.append(_Component())
+            frontier = [start]
+            while frontier:
+                for peer in adjacency[frontier.pop()]:
+                    if peer not in component_of:
+                        component_of[peer] = index
+                        frontier.append(peer)
+        devices = self.network.devices
+        skip = self._quarantined.keys() | self._healing.keys()
+        for name in self._nodes:
+            index = component_of.get(name)
+            if index is not None:
+                components[index].nodes.append(name)
+                if name not in skip:
+                    components[index].members.append(name)
+        for component in components:
+            members = component.members
+            if len(members) > 1:
+                component.pairs = len(members) * (len(members) - 1) // 2
+                component.remainder = component.pairs
+                component.min_increment = min(
+                    devices[name].counter_increment for name in members
+                )
+                self._set_clears(component)
+        self._component_of = component_of
+        self._components = components
+        self._groups = [c for c in components if len(c.members) > 1]
+        self._cache_pairs = self._cache_links = None
+
+    def _set_clears(self, component: _Component) -> None:
+        if component.remainder:
+            component.clears = min(
+                (self.bound_ticks_per_hop * (component.depth + 1) + self.slack_ticks)
+                * component.min_increment,
+                _WRAP_HALF - 1,
+            )
+        else:
+            component.clears = float("inf")
+
+    def _deepen(self, component: _Component, spread: int) -> None:
+        """File hop classes until ``spread`` clears those left unfiled (all
+        of them once it reaches the wrap half-window)."""
+        everything = len(component.nodes) - 1
+        if spread >= _WRAP_HALF:
+            depth = everything
+        else:
+            # The shallowest unfiled class must reach this many ticks a hop.
+            ticks = -(-spread // component.min_increment) - self.slack_ticks
+            depth = min(everything, -(-ticks // self.bound_ticks_per_hop) - 1)
+        self._file(component, depth)
+
+    def _file(self, component: _Component, depth: int) -> None:
+        """File ``component``'s checkable pairs of ``component.depth`` <
+        hops <= ``depth``, by a BFS of that depth from each member."""
+        if depth <= component.depth or not component.remainder:
+            return
+        adjacency = self._adjacency
         devices = self.network.devices
         order = self._node_order
-        skip = self._quarantined.keys() | self._healing.keys()
         per_hop, slack = self.bound_ticks_per_hop, self.slack_ticks
-        pairs: List[Tuple[str, str, int]] = []
-        buckets: Dict[Tuple[int, int, int], tuple] = {}
-        members: List[List[str]] = []
-        later: Dict[str, Tuple[int, List[str]]] = {}
-        for a in self._nodes:
-            if a in skip:
-                continue
-            dist_a = distances[a]
-            if a not in later:
-                # First checkable node of its component: its BFS names the
-                # members, and every one of them sorts after it.
-                group = sorted(
-                    (n for n in dist_a if n not in skip), key=order.__getitem__
-                )
-                if len(group) < 2:
-                    continue
-                members.append(group)
-                for pos, node in enumerate(group):
-                    later[node] = (len(members) - 1, group[pos + 1 :])
-            component, peers = later[a]
+        rank = {name: order[name] for name in component.members}
+        filed_to = component.depth
+        buckets: Dict[Tuple[int, int], Tuple[int, int, list]] = {}
+        filed = 0
+        for a in component.members:
+            rank_a = rank[a]
             inc_a = devices[a].counter_increment
-            for b in peers:
-                hops = dist_a[b]
-                inc_b = devices[b].counter_increment
-                key = (component, hops, inc_a if inc_a >= inc_b else inc_b)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bound = (per_hop * hops + slack) * key[2]
-                    bucket = buckets[key] = (component, hops, bound, [])
-                pair = (a, b, bucket[2])
-                pairs.append(pair)
-                bucket[3].append(pair)
-        self._cache_pairs = pairs
-        self._cache_buckets = list(buckets.values())
-        self._cache_members = members
-        self._cache_links = sorted(
-            (pair for b in self._cache_buckets if b[1] == 1 for pair in b[3]),
-            key=lambda pair: (order[pair[0]], order[pair[1]]),
+            for b, hops in self._distances_from(a, adjacency, depth).items():
+                if hops > filed_to and rank.get(b, -1) > rank_a:
+                    inc_b = devices[b].counter_increment
+                    key = (hops, inc_a if inc_a >= inc_b else inc_b)
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        bound = (per_hop * hops + slack) * key[1]
+                        bucket = buckets[key] = (hops, bound, [])
+                    bucket[2].append((a, b, bucket[1]))
+                    filed += 1
+        component.buckets.extend(buckets.values())
+        component.depth = depth
+        component.remainder -= filed
+        self.pairs_materialised += filed
+        self._set_clears(component)
+
+    def _in_order(self, pairs: Iterable[tuple]) -> List[tuple]:
+        """``pairs`` (or whatever starts with one) in i<j node order."""
+        order = self._node_order
+        return sorted(pairs, key=lambda item: (order[item[0]], order[item[1]]))
+
+    def _filed(self, depth: int) -> List[Tuple[str, str, int]]:
+        """Every checkable pair of at most ``depth`` hops, filed now if it
+        was not yet, in i<j node order."""
+        for component in self._groups:
+            self._file(component, min(depth, len(component.nodes) - 1))
+        return self._in_order(
+            pair
+            for component in self._groups
+            for hops, _bound, pairs in component.buckets
+            if hops <= depth
+            for pair in pairs
         )
+
+    def _links(self) -> List[Tuple[str, str, int]]:
+        """The checkable hop-1 pairs: the synchronized edges between
+        checkable nodes."""
+        if self._cache_links is None:
+            self._cache_links = self._filed(1)
+        return self._cache_links
+
+    def _all_pairs(self) -> List[Tuple[str, str, int]]:
+        """The full per-pair build: every checkable pair (neither node
+        quarantined or healing, same component)."""
+        if self._cache_pairs is None:
+            self._cache_pairs = self._filed(len(self._nodes))
+        return self._cache_pairs
 
     def _pair_bound(self, a: str, b: str, hops: int) -> int:
         increment = max(
@@ -465,43 +620,68 @@ class InvariantChecker:
         )
         return (self.bound_ticks_per_hop * hops + self.slack_ticks) * increment
 
-    def _all_past_grace(self, now: int) -> bool:
-        """Every cached pair has been connected for ``grace_fs``, in O(1)."""
+    def _past_grace(self, now: int) -> _Grace:
+        """Which checkable pairs have been connected for ``grace_fs``:
+        True (all of them), None (none), or the groups of the newest merge
+        level that old -- a pair is past grace when both its nodes share a
+        group there (a pair the sweep has not seen yet counts as connected
+        just now, and shares none)."""
         if self.grace_fs <= 0:
             return True
-        span = self._connect_span
-        return (
-            span is not None
-            and self._swept_sig == self._conn_sig
-            and now - span[1] >= self.grace_fs
-        )
+        merges = self._merges
+        horizon = now - self.grace_fs
+        if not merges or merges[0][0] > horizon:
+            return None
+        if merges[-1][0] <= horizon and self._swept_sig == self._conn_sig:
+            return True
+        return next(groups for time, groups, _ in reversed(merges) if time <= horizon)
 
-    def _past_grace(self, pairs: List[tuple], now: int) -> List[tuple]:
-        """Those of the cached ``pairs`` that are past grace (a pair the
-        sweep has not seen yet counts as connected just now)."""
-        if self._all_past_grace(now):
+    @staticmethod
+    def _due(pairs: List[tuple], state: _Grace) -> List[tuple]:
+        """Those of ``pairs`` that are past grace under ``_past_grace``'s
+        answer ``state``."""
+        if state is True:
             return pairs
-        grace = self.grace_fs
-        span = self._connect_span
-        if span is None or now - span[0] < grace:
+        if state is None:
             return []
-        since_map = self._connected_since
-        return [
-            pair
-            for pair in pairs
-            if now - since_map.get((pair[0], pair[1]), now) >= grace
-        ]
+        group = state.get
+        return [pair for pair in pairs if group(pair[0], -1) == group(pair[1], -2)]
+
+    @staticmethod
+    def _spread(
+        component: _Component, counters: Dict[str, int], state: _Grace
+    ) -> Tuple[int, int]:
+        """``(largest |offset| among them, how many)`` for ``component``'s
+        checkable pairs that are past grace under ``state`` (not None).
+
+        Every two checkable nodes that share a component now and a group in
+        ``state`` are such a pair, so the largest offset is the largest
+        ``max(gc) - min(gc)`` over those shared groups, and some pair has it.
+        """
+        if state is True:
+            values = [counters[name] for name in component.members]
+            return max(values) - min(values), component.pairs
+        spans: Dict[int, List[int]] = {}
+        for name in component.members:
+            group = state.get(name)
+            if group is not None:
+                value = counters[name]
+                span = spans.get(group)
+                if span is None:
+                    spans[group] = [value, value, 1]
+                else:
+                    if value < span[0]:
+                        span[0] = value
+                    elif value > span[1]:
+                        span[1] = value
+                    span[2] += 1
+        return (
+            max((high - low for low, high, _ in spans.values()), default=0),
+            sum(size * (size - 1) // 2 for _, _, size in spans.values()),
+        )
 
     def _counters(self, now: int) -> Dict[str, int]:
         return {name: read(now) for name, read in self._counter_reads}
-
-    def _spreads(self, counters: Dict[str, int]) -> List[int]:
-        """``max(gc) - min(gc)`` over each component's checkable nodes."""
-        spreads = []
-        for group in self._cache_members:
-            values = [counters[name] for name in group]
-            spreads.append(max(values) - min(values))
-        return spreads
 
     def checkable_pairs(
         self, enforce_grace: bool = True
@@ -514,10 +694,10 @@ class InvariantChecker:
         ``grace_fs``.
         """
         self._epoch_state()
-        pairs = self._cache_pairs
-        if enforce_grace:
-            pairs = self._past_grace(pairs, self.network.sim.now)
-        return list(pairs)
+        state = self._past_grace(self.network.sim.now) if enforce_grace else True
+        if state is None:
+            return []
+        return list(self._due(self._all_pairs(), state))
 
     def sample(
         self, want_links: bool
@@ -528,15 +708,14 @@ class InvariantChecker:
         self._epoch_state()
         now = self.network.sim.now
         counters = self._counters(now)
-        if self._all_past_grace(now):
-            # Every two checkable nodes of a component are a checkable pair.
-            worst = max(self._spreads(counters), default=None)
-        else:
-            due = self._past_grace(self._cache_pairs, now)
-            worst = max(
-                (abs(counters[a] - counters[b]) for a, b, _ in due), default=None
-            )
-        links = self._link_offsets(now, counters, True) if want_links else None
+        state = self._past_grace(now)
+        worst = None
+        if state is not None:
+            for component in self._groups:
+                spread, due = self._spread(component, counters, state)
+                if due and (worst is None or spread > worst):
+                    worst = spread
+        links = self._link_offsets(counters, state) if want_links else None
         return worst, links
 
     def worst_checkable_offset(self) -> Optional[int]:
@@ -558,15 +737,19 @@ class InvariantChecker:
         """
         self._epoch_state()
         now = self.network.sim.now
-        return self._link_offsets(now, self._counters(now), enforce_grace)
+        return self._link_offsets(
+            self._counters(now), self._past_grace(now) if enforce_grace else True
+        )
 
     def _link_offsets(
-        self, now: int, counters: Dict[str, int], enforce_grace: bool
+        self, counters: Dict[str, int], state: _Grace
     ) -> List[Tuple[str, str, int, int]]:
-        links = self._cache_links
-        if enforce_grace:
-            links = self._past_grace(links, now)
-        return [(a, b, abs(counters[a] - counters[b]), bound) for a, b, bound in links]
+        if state is None:
+            return []
+        return [
+            (a, b, abs(counters[a] - counters[b]), bound)
+            for a, b, bound in self._due(self._links(), state)
+        ]
 
     # ------------------------------------------------------------------
     # The check tick
@@ -578,7 +761,7 @@ class InvariantChecker:
         pairs_before = self.pairs_checked
         violations_before = self.total_violations
         counters = self._counters(now)
-        distances = self._epoch_state()
+        self._epoch_state()
 
         # gc-monotonic and the wrap-codec self round trip in one pass that
         # records nothing: any node that would be (or be excused from being)
@@ -599,8 +782,8 @@ class InvariantChecker:
             self._check_monotonic(now, counters)
             self._check_wrap_codec(now, counters)
         self._check_pair_bounds(now, counters)
-        self._update_connectivity_epochs(now, counters, distances)
-        self._check_recoveries(now, counters, distances)
+        self._update_connectivity_epochs(now, counters)
+        self._check_recoveries(now, counters)
 
         if self._m_checks is not None:
             self._m_checks.value += 1
@@ -650,37 +833,36 @@ class InvariantChecker:
 
     def _check_pair_bounds(self, now: int, counters: Dict[str, int]) -> None:
         found: List[tuple] = []
-        if self._all_past_grace(now):
+        state = self._past_grace(now)
+        if state is not None:
             # The 4TD bound composes per hop, so inside one component a
-            # counter spread that is already within a bucket's bound (and
-            # below the wrap half-window) proves every pair of the bucket
-            # in bound; only the buckets the spread exceeds are walked.
-            spreads = self._spreads(counters)
+            # counter spread that is already within a hop class's bound (and
+            # below the wrap half-window) proves every pair of the class in
+            # bound.  Only the classes the spread exceeds are walked, and
+            # only those have to exist as pairs: whatever lies deeper than
+            # the component was ever asked about stays a count.
             streaks = self._above_streak
             if streaks:
                 # What the walk would do for a streak pair of a cleared
-                # bucket: checkable and back in bound ends the streak.
+                # class: checkable, past grace and back in bound ends it.
                 skip = self._quarantined.keys() | self._healing.keys()
-                for a, b in list(streaks):
-                    hops = self._cache_distances[a].get(b)
-                    if hops is not None and skip.isdisjoint((a, b)) and abs(
+                for pair in self._due(list(streaks), state):
+                    a, b = pair
+                    hops = self._distances(a).get(b)
+                    if hops is not None and skip.isdisjoint(pair) and abs(
                         counters[a] - counters[b]
                     ) <= self._pair_bound(a, b, hops):
-                        del streaks[(a, b)]
-            walked = 0
-            for component, _hops, bound, pairs in self._cache_buckets:
-                if spreads[component] <= bound and spreads[component] < _WRAP_HALF:
-                    self.pairs_checked += len(pairs)
-                else:
-                    self._walk(counters, pairs, found)
-                    walked += 1
-            if walked > 1:
-                order = self._node_order
-                found.sort(key=lambda item: (order[item[0]], order[item[1]]))
-        else:
-            self._walk(
-                counters, self._past_grace(self._cache_pairs, now), found
-            )
+                        del streaks[pair]
+            for component in self._groups:
+                spread, due = self._spread(component, counters, state)
+                self.pairs_checked += due
+                if spread > component.clears:
+                    self._deepen(component, spread)
+                for _hops, bound, pairs in component.buckets:
+                    if spread > bound or spread >= _WRAP_HALF:
+                        self._walk(counters, self._due(pairs, state), found)
+            if len(found) > 1:
+                found = self._in_order(found)
         for a, b, invariant, detail in found:
             self._record(now, invariant, f"{a}-{b}", detail)
         if any(item[2] is INVARIANT_PAIR_BOUND for item in found):
@@ -693,7 +875,6 @@ class InvariantChecker:
         recorded is appended to ``found`` as ``(a, b, invariant, detail)``."""
         allowance = self.transient_allowance_intervals
         streaks = self._above_streak
-        self.pairs_checked += len(pairs)
         for a, b, bound in pairs:
             offset = counters[a] - counters[b]
             if offset > bound or offset < -bound:
@@ -733,52 +914,131 @@ class InvariantChecker:
                     )
 
     def _update_connectivity_epochs(
-        self,
-        now: int,
-        counters: Dict[str, int],
-        distances: Dict[str, Dict[str, int]],
+        self, now: int, counters: Dict[str, int]
     ) -> None:
-        awaiting = self._awaiting_recovery
+        late = self._late
+        joined = False
         if self._swept_sig != self._conn_sig:
             # The connected-pair set is a function of the connectivity
             # signature alone, so epochs start and end only when it moves.
-            since_map = self._connected_since
-            for pair in [p for p in since_map if p[1] not in distances[p[0]]]:
-                del since_map[pair]
-                awaiting.pop(pair, None)
-            nodes = self._nodes
-            for i, a in enumerate(nodes):
-                dist_a = distances[a]
-                if len(dist_a) < 2:
-                    continue  # isolated, as every quarantined node is
-                for b in nodes[i + 1 :]:
-                    if b in dist_a:
-                        pair = (a, b)  # one key object for both maps
-                        if pair not in since_map:
-                            since_map[pair] = awaiting[pair] = now
-            values = since_map.values()
-            self._connect_span = (min(values), max(values)) if values else None
+            component_of = self._component_of.get
+            for pair in [
+                p for p in late if component_of(p[0], -1) != component_of(p[1], -2)
+            ]:
+                del late[pair]
+            joined = self._sweep(now)
             self._swept_sig = self._conn_sig
-        elif not awaiting:
-            return
-        for pair, since in list(awaiting.items()):
+        for pair, since in list(late.items()):
             a, b = pair
             if abs(counters[a] - counters[b]) <= self._pair_bound(
-                a, b, distances[a][b]
+                a, b, self._distances(a)[b]
             ):
-                del awaiting[pair]
-                self.reconnect_recoveries.append((a, b, since, now - since))
+                del late[pair]
+                self.reconnect_recoveries.add(since, now - since, 1)
+        if joined:
+            self._log_joined(now, counters)
 
-    def _check_recoveries(
-        self,
-        now: int,
-        counters: Dict[str, int],
-        distances: Dict[str, Dict[str, int]],
-    ) -> None:
+    def _sweep(self, now: int) -> bool:
+        """Bring the merge log to the current components, O(nodes) a level.
+
+        A split restricts every level to the components (two nodes stay in
+        one group only while they stay connected); pairs the components
+        newly connect become one more level.  A level that no longer adds
+        a pair to the one below is dropped, so there are never more levels
+        than nodes.  Returns whether pairs connected.
+        """
+        component_of = self._component_of.get
+        merges: List[Tuple[int, Dict[str, int], int]] = []
+        below = 0
+        for time, groups, _ in self._merges:
+            ids: Dict[Tuple[int, int], int] = {}
+            sizes: List[int] = []
+            kept: Dict[str, int] = {}
+            for name, group in groups.items():
+                component = component_of(name)
+                if component is not None:
+                    key = (group, component)
+                    index = ids.get(key)
+                    if index is None:
+                        index = ids[key] = len(sizes)
+                        sizes.append(0)
+                    kept[name] = index
+                    sizes[index] += 1
+            together = sum(size * (size - 1) // 2 for size in sizes)
+            if together > below:
+                merges.append((time, kept, together))
+                below = together
+        connected = sum(
+            len(c.nodes) * (len(c.nodes) - 1) // 2 for c in self._components
+        )
+        self._merges = merges
+        if connected == below:
+            return False
+        merges.append((now, dict(self._component_of), connected))
+        return True
+
+    def _log_joined(self, now: int, counters: Dict[str, int]) -> None:
+        """Log the pairs this tick's sweep connected that are already within
+        bound; the others wait in ``_late``.  Checkable pairs are cleared by
+        their component's spread like any other class; a healing node's
+        pairs are looked at one by one."""
+        below = self._merges[-2][1].get if len(self._merges) > 1 else None
+        healing = self._healing
+        order = self._node_order
+        late = self._late
+        logged = 0
+        for component in self._components:
+            nodes = component.nodes
+            fresh = len(nodes) * (len(nodes) - 1) // 2
+            if below is not None:
+                sizes: Dict[int, int] = {}
+                for name in nodes:
+                    group = below(name)
+                    if group is not None:
+                        sizes[group] = sizes.get(group, 0) + 1
+                fresh -= sum(size * (size - 1) // 2 for size in sizes.values())
+                if not fresh:
+                    continue
+            logged += fresh
+            # Connected pairs of the component that are out of bound now.
+            beyond: List[Tuple[str, str]] = []
+            if component.pairs:
+                spread = self._spread(component, counters, True)[0]
+                if spread > component.clears:
+                    self._deepen(component, spread)
+                for _hops, bound, pairs in component.buckets:
+                    if spread > bound:
+                        beyond.extend(
+                            (a, b)
+                            for a, b, _ in pairs
+                            if abs(counters[a] - counters[b]) > bound
+                        )
+            if len(component.members) < len(nodes):
+                for node in nodes:
+                    if node not in healing:
+                        continue
+                    reach = self._distances(node)
+                    for peer in nodes:
+                        if peer == node or (
+                            peer in healing and order[peer] < order[node]
+                        ):
+                            continue
+                        a, b = (node, peer) if order[node] < order[peer] else (peer, node)
+                        if abs(counters[a] - counters[b]) > self._pair_bound(
+                            a, b, reach[peer]
+                        ):
+                            beyond.append((a, b))
+            for pair in beyond:
+                if below is None or below(pair[0], -1) != below(pair[1], -2):
+                    late[pair] = now
+                    logged -= 1
+        self.reconnect_recoveries.add(now, 0, logged)
+
+    def _check_recoveries(self, now: int, counters: Dict[str, int]) -> None:
         if not self._healing:
             return
         for node, (reason, since_fs, required) in list(self._healing.items()):
-            reachable = distances[node]
+            reachable = self._distances(node)
             if any(peer not in reachable for peer in required):
                 continue  # the healed path has not re-synchronized yet
             peers = {

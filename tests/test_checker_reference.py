@@ -2,14 +2,19 @@
 
 ``tests/checker_reference.py`` re-derives everything on every tick — a fresh
 BFS per node, a full i<j pair walk, no epochs, no buckets, no spread screen —
-so any shortcut the checker takes (component spread vs bucket bound, the O(1)
-grace decisions, cached distances) has to reproduce it exactly, tick by tick.
+so any shortcut the checker takes (component spread vs hop-class bound, hop
+classes filed only when a spread asks, pair counts without pairs, connect
+times kept as merge levels) has to reproduce it exactly, tick by tick.
+
+Every schedule drives two checkers over the one network: one is asked for
+``checkable_pairs()`` (the full per-pair build) after every tick, the other
+never is, so whatever it answers comes from the demand-driven structures.
 """
 
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import core, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.faultlab.invariants import (
@@ -21,6 +26,10 @@ from repro.sim import units
 from tests.checker_reference import Reference, ReferenceRaise
 
 INTERVAL_FS = 20 * units.US
+
+#: Tier-1 runs one pinned example stream; ``--hypothesis-seed`` (CI's second
+#: pass) picks another, which ``@seed`` would otherwise override.
+pinned = seed(15) if core.global_force_seed is None else (lambda test: test)
 
 
 class _Sim:
@@ -72,11 +81,23 @@ class _Net:
         ]
 
 
+def _tree_plus_chords(draw, n):
+    """A spanning tree that tends to be deep (each node hangs off one of the
+    two before it), so hop classes of 3 and more exist, plus a few chords."""
+    tree = [(draw(st.integers(max(0, i - 2), i - 1)), i) for i in range(1, n)]
+    far = [(a, b) for a in range(n) for b in range(a + 3, n)]
+    chords = draw(st.lists(st.sampled_from(far), max_size=3, unique=True)) if far else []
+    return tree + [c for c in chords if c not in tree]
+
+
 @st.composite
-def schedules(draw):
-    n = draw(st.integers(2, 7))
+def schedules(draw, deep=False):
+    n = draw(st.integers(8, 24) if deep else st.integers(2, 7))
     all_pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=10, unique=True))
+    if deep:
+        edges = _tree_plus_chords(draw, n)
+    else:
+        edges = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=10, unique=True))
     increments = draw(st.lists(st.sampled_from([1, 1, 2, 20]), min_size=n, max_size=n))
     # Two groups of nodes, each internally tight, possibly far apart: a
     # global-spread shortcut would be wrong, and 2^52 apart under a 2^53
@@ -96,16 +117,36 @@ def schedules(draw):
         st.tuples(st.just("unhold"), edge),
         st.tuples(st.just("reset"), node),
     )
-    # Mostly within the hop-1 bound of 4, so buckets clear, with excursions.
+    # Mostly within the hop-1 bound of 4, so classes clear, with excursions.
     jitter = st.sampled_from([0, 1, 2, 3, 4, 4, 5, 7, 14])
+    if deep:
+        # Settled but for one node a tick, which steps past the bound of hop
+        # class 1, 2, 3 or all of them: deeper classes are first filed then.
+        calm = st.sampled_from([0, 0, 1, 1, 2, 3])
+        jitter_rows = st.builds(
+            lambda row, at, by: row[:at] + [by] + row[at + 1:],
+            st.lists(calm, min_size=n, max_size=n), node,
+            st.sampled_from([0, 0, 6, 10, 14, 30, 200]),
+        )
+    else:
+        jitter_rows = st.lists(jitter, min_size=n, max_size=n)
     ticks = draw(st.lists(
         st.tuples(
-            st.lists(op, max_size=2),
-            st.lists(jitter, min_size=n, max_size=n),
-            st.booleans(),
+            st.lists(op, max_size=1 if deep else 2), jitter_rows, st.booleans()
         ),
         min_size=6, max_size=16,
     ))
+    # Two components join and, on the next tick or the one after -- inside
+    # the join's grace window unless grace is 0 -- a link of the joined
+    # component drops: merges and splits that share one window.
+    for at, joining, dropping, gap in draw(st.lists(
+        st.tuples(st.integers(0, len(ticks) - 3), edge, edge, st.integers(1, 2)),
+        max_size=2,
+    )):
+        for index, change in ((at, ("link", joining, True)),
+                              (at + gap, ("link", dropping, False))):
+            ops, row, sample_first = ticks[index]
+            ticks[index] = (ops + [change], row, sample_first)
     mostly = st.sampled_from([True, True, True, False])
     return {
         "edges": edges, "increments": increments, "group": group, "gap": gap,
@@ -118,28 +159,34 @@ def schedules(draw):
     }
 
 
-def _apply(op, net, checker, ref):
+def _apply(op, net, checkers, ref):
     names = list(net.devices)
     if op[0] == "link":
         net.set_link(op[1], op[2])
     elif op[0] == "quarantine":
-        checker.quarantine([names[op[1]]], "fault")
+        for checker in checkers:
+            checker.quarantine([names[op[1]]], "fault")
         ref.quarantined.add(names[op[1]])
     elif op[0] == "release":
         wait_for = [names[i] for i in op[2]]
-        checker.release([names[op[1]]], "fault", wait_for=wait_for)
+        for checker in checkers:
+            checker.release([names[op[1]]], "fault", wait_for=wait_for)
         ref.quarantined.discard(names[op[1]])
         ref.healing[names[op[1]]] = ("fault", net.sim.now, frozenset(wait_for))
     elif op[0] in ("hold", "unhold"):
         e = net.topology.edges[op[1]]
-        (checker.quarantine_edge if op[0] == "hold" else checker.release_edge)(e.a, e.b, "rejoin")
+        for checker in checkers:
+            (checker.quarantine_edge if op[0] == "hold" else checker.release_edge)(
+                e.a, e.b, "rejoin"
+            )
         (ref.held_edges.add if op[0] == "hold" else ref.held_edges.discard)(frozenset((e.a, e.b)))
     else:
-        checker.notify_counter_reset(names[op[1]])
+        for checker in checkers:
+            checker.notify_counter_reset(names[op[1]])
         ref.last.pop(names[op[1]], None)
 
 
-def _assert_same(checker, ref, net, gc):
+def _assert_same(checker, ref, net, gc, full_build):
     now, up = net.sim.now, net.up_edges()
     assert [
         (v.time_fs, v.invariant, v.subject, v.detail) for v in checker.violations
@@ -154,7 +201,8 @@ def _assert_same(checker, ref, net, gc):
     assert checker.worst_checkable_offset() == ref.worst(now, gc, up)
     _assert_same_sample(checker, ref, net, gc)
     for enforce in (True, False):
-        assert checker.checkable_pairs(enforce) == ref.pairs(now, up, enforce)
+        if full_build:
+            assert checker.checkable_pairs(enforce) == ref.pairs(now, up, enforce)
         assert checker.link_offsets(enforce) == [
             (a, b, abs(gc[a] - gc[b]), bound)
             for a, b, bound in ref.pairs(now, up, enforce, hops_only=1)
@@ -180,47 +228,59 @@ def run_schedule(plan):
     net = _Net(plan["increments"], plan["edges"])
     for index, up in enumerate(plan["links_up"]):
         net.set_link(index, up)
-    checker = InvariantChecker(
-        net, interval_fs=INTERVAL_FS, slack_ticks=plan["slack"],
-        grace_fs=plan["grace"], raise_on_violation=plan["raising"],
-        transient_allowance_intervals=plan["allowance"],
-    )
+    # The first is asked for the full per-pair build after every tick, the
+    # second never: the build must not change any later answer, and nothing
+    # the second answers may need it.
+    checkers = [
+        InvariantChecker(
+            net, interval_fs=INTERVAL_FS, slack_ticks=plan["slack"],
+            grace_fs=plan["grace"], raise_on_violation=plan["raising"],
+            transient_allowance_intervals=plan["allowance"],
+        )
+        for _ in range(2)
+    ]
     ref = Reference(
-        net, checker.bound_ticks_per_hop, plan["slack"], plan["grace"],
+        net, checkers[0].bound_ticks_per_hop, plan["slack"], plan["grace"],
         plan["allowance"], plan["raising"],
     )
     names = list(net.devices)
     for t, (ops, jitter, sample_first) in enumerate(plan["ticks"]):
         net.sim.now = t * INTERVAL_FS
         for op in ops:
-            _apply(op, net, checker, ref)
+            _apply(op, net, checkers, ref)
         gc = {}
         for i, name in enumerate(names):
             gc[name] = plan["base"] + plan["group"][i] * plan["gap"] + 12 * t + jitter[i]
             net.devices[name].value = gc[name]
         if sample_first:
             # The sampler can fire before the tick that sweeps new pairs in.
-            assert checker.worst_checkable_offset() == ref.worst(
-                net.sim.now, gc, net.up_edges()
-            )
-        raised = expected = None
-        try:
-            checker._tick()
-        except InvariantViolation as exc:
-            raised = exc
+            for checker in checkers:
+                assert checker.worst_checkable_offset() == ref.worst(
+                    net.sim.now, gc, net.up_edges()
+                )
+        expected = None
         try:
             ref.step(net.sim.now, gc, net.up_edges())
         except ReferenceRaise as exc:
             expected = exc
-        assert (raised is None) == (expected is None)
-        if raised is not None:
-            v = raised.violation
-            assert (v.time_fs, v.invariant, v.subject, v.detail) == expected.args[0]
-            assert raised.context["counters"] == expected.args[1]
-            assert set(raised.context["quarantined"]) == expected.args[2]
-            assert sorted(raised.context["healing"]) == expected.args[3]
-            return checker
-        _assert_same(checker, ref, net, gc)
+        for checker in checkers:
+            raised = None
+            try:
+                checker._tick()
+            except InvariantViolation as exc:
+                raised = exc
+            assert (raised is None) == (expected is None)
+            if raised is not None:
+                v = raised.violation
+                assert (v.time_fs, v.invariant, v.subject, v.detail) == expected.args[0]
+                assert raised.context["counters"] == expected.args[1]
+                assert set(raised.context["quarantined"]) == expected.args[2]
+                assert sorted(raised.context["healing"]) == expected.args[3]
+        if expected is not None:
+            return checkers[0]
+        for checker in checkers:
+            _assert_same(checker, ref, net, gc, full_build=checker is checkers[0])
+        assert checkers[1]._cache_pairs is None
         # A link moves between the tick and the sampler at the same instant:
         # the sample must poll the ports itself, not trust the tick's epoch.
         # And back, sampled again, so that the next tick's poll finds no flag
@@ -230,14 +290,22 @@ def run_schedule(plan):
         was_up = (flipped.a, flipped.b) in net.up_edges()
         for up in (not was_up, was_up):
             net.set_link(index, up)
-            _assert_same_sample(checker, ref, net, gc)
-    return checker
+            for checker in checkers:
+                _assert_same_sample(checker, ref, net, gc)
+    return checkers[0]
 
 
-@seed(15)
+@pinned
 @settings(deadline=None)
 @given(schedules())
 def test_checker_matches_brute_force_reference(plan):
+    run_schedule(plan)
+
+
+@pinned
+@settings(deadline=None)
+@given(schedules(deep=True))
+def test_checker_matches_brute_force_reference_on_deep_topologies(plan):
     run_schedule(plan)
 
 
@@ -309,3 +377,32 @@ def test_cross_node_wrap_branch_is_reached(raising):
     net.devices["n0"].value = 1 << 52
     checker._tick()
     assert checker.counts == {"wrap-codec": 1}
+
+
+CALM = ([], [0, 0, 0], False)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # n2 joins while the old pair n0-n1 is out of bound: the walk of the
+        # hop-1 class must log the fresh pairs only.
+        dict(links_up=[True, False],
+             ticks=[CALM, ([("link", 1, True)], [14, 0, 0], False), CALM]),
+        # Both ends of a fresh, out-of-bound pair are healing: one late pair.
+        dict(links_up=[False, False],
+             ticks=[([("release", 0, []), ("release", 1, [])], [0, 0, 0], False),
+                    ([("link", 0, True)], [14, 0, 0], False), CALM]),
+        # n0-n1 runs up a streak, flaps, and is back in bound inside its new
+        # grace window while n1-n2 is past its own: the streak stays.
+        dict(links_up=[True, True], grace=DEFAULT_GRACE_FS,
+             ticks=[CALM] * 3 + [([], [14, 0, 0], False),
+                                 ([("link", 0, False)], [0, 0, 0], False),
+                                 ([("link", 0, True)], [0, 0, 0], False)] + [CALM] * 4),
+    ],
+    ids=["old-pair-out-of-bound-at-a-join", "two-healing-ends", "streak-inside-grace"],
+)
+def test_joins_log_and_streaks_without_per_pair_state(overrides):
+    run_schedule(_plan(
+        edges=[(0, 1), (1, 2)], increments=[1] * 3, group=[0] * 3, gap=0, **overrides
+    ))

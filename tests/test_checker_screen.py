@@ -1,7 +1,12 @@
-"""The checker's saving is structural: what a tick enumerates and rebuilds.
+"""The checker's saving is structural: what exists as pairs, and when.
 
-Spies on the enumeration path (``_walk``), the all-pairs BFS and the pair
-build of a fat-tree k=4 run (36 nodes, 630 checkable pairs).
+An epoch change computes components and pair *counts*; a hop class becomes
+pairs the first time a tick's component spread exceeds its bound, and what
+lies deeper stays a count.  Pinned here by what the checker holds afterwards
+(``pairs_materialised``, each component's ``depth`` / ``buckets`` /
+``remainder``, the single-source BFS memo ``_reach``) on a fat-tree k=4 run
+(36 nodes, 48 links, 630 checkable pairs) and on the benchmark's 336-node
+fabric; ``_walk`` is the one method wrapped, to see what a tick enumerates.
 """
 
 import pytest
@@ -9,117 +14,15 @@ import pytest
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.faultlab import INVARIANT_PAIR_BOUND, InvariantChecker
+from repro.faultlab.campaign import assemble, prepare
 from repro.network.topology import chain, fat_tree
 from repro.sim import units
+from tests.test_shard import BENCH_FABRIC
 
 PAIRS = 36 * 35 // 2
+LINKS = 48
 
 
-class Spy:
-    """Counts calls of the checker's expensive parts, per instance."""
-
-    def __init__(self, checker):
-        self.walked = []  # (bound, pairs) per non-empty _walk call
-        self.counters = None
-        self.bfs = self.builds = 0
-        for name in ("_walk", "_check_pair_bounds", "_all_distances", "_build_pairs"):
-            setattr(checker, name, self._wrap(name, getattr(checker, name)))
-
-    def _wrap(self, name, inner):
-        def call(*args):
-            if name == "_walk" and args[1]:
-                self.walked.append((args[1][0][2], len(args[1])))
-            elif name == "_check_pair_bounds":
-                self.counters = args[1]
-            elif name == "_all_distances":
-                self.bfs += 1
-            elif name == "_build_pairs":
-                self.builds += 1
-            return inner(*args)
-
-        return call
-
-
-@pytest.fixture
-def fabric(sim, streams):
-    net = DtpNetwork(
-        sim, fat_tree(4, 2), streams,
-        config=DtpPortConfig(beacon_interval_ticks=1200),
-    )
-    checker = InvariantChecker(net)
-    spy = Spy(checker)
-    net.start()
-    sim.run_until(100 * units.US)  # synchronized and past grace
-    assert checker.pairs_checked > 0 and checker.total_violations == 0
-    return net, checker, spy
-
-
-def test_settled_clean_ticks_enumerate_no_pair(sim, fabric):
-    _net, checker, spy = fabric
-    checks, pairs = checker.checks_run, checker.pairs_checked
-    spy.walked.clear()
-    sim.run_until(300 * units.US)
-    ticks = checker.checks_run - checks
-    assert ticks >= 20
-    assert checker.pairs_checked - pairs == ticks * PAIRS  # all still counted
-    assert checker.total_violations == 0
-    assert spy.walked == []
-
-
-def test_excursion_enumerates_only_buckets_the_spread_exceeds(sim, fabric):
-    net, checker, spy = fabric
-    host = next(name for name in net.devices if name.startswith("h"))
-    tick_fs = (sim.now // checker.interval_fs + 1) * checker.interval_fs
-    sim.run_until(tick_fs - units.NS)
-    device = net.devices[host]
-    device.gc.set_counter(sim.now, device.global_counter(sim.now) + 6)
-    spy.walked.clear()
-    pairs = checker.pairs_checked
-    sim.run_until(tick_fs)
-    assert checker.pairs_checked - pairs == PAIRS
-    spread = max(spy.counters.values()) - min(spy.counters.values())
-    bounds = {bound: len(bucket) for _c, _h, bound, bucket in checker._cache_buckets}
-    assert 4 < spread < max(bounds)  # some buckets walked, some cleared
-    assert sorted(spy.walked) == sorted(
-        (bound, size) for bound, size in bounds.items() if bound < spread
-    )
-    assert checker.counts[INVARIANT_PAIR_BOUND] >= 1
-    assert all(host in v.subject.split("-") for v in checker.violations)
-
-
-def test_link_flap_costs_one_bfs_and_one_pair_build_per_change(sim, fabric):
-    net, checker, spy = fabric
-    host = next(name for name in net.devices if name.startswith("h"))
-    (switch,) = [
-        e.b if e.a == host else e.a
-        for e in net.topology.edges
-        if host in (e.a, e.b)
-    ]
-    bfs, builds = spy.bfs, spy.builds
-    net.down_link(host, switch)
-    sim.run_until(sim.now + 50 * units.US)
-    assert (spy.bfs - bfs, spy.builds - builds) == (1, 1)
-    assert len(checker.checkable_pairs()) == PAIRS - 35
-    net.up_link(host, switch)
-    sim.run_until(sim.now + 200 * units.US)
-    assert (spy.bfs - bfs, spy.builds - builds) == (2, 2)
-    assert len(checker.checkable_pairs()) == PAIRS
-
-
-def test_healing_set_change_rebuilds_pairs_without_a_bfs(sim, fabric):
-    net, checker, spy = fabric
-    host = next(name for name in net.devices if name.startswith("h"))
-    bfs, builds = spy.bfs, spy.builds
-    checker.release([host], "drill")
-    sim.run_until(sim.now + 50 * units.US)
-    assert checker.recovery_fs["drill"]  # healed: the set changed twice
-    assert (spy.bfs - bfs, spy.builds - builds) == (0, 2)
-    assert len(checker.checkable_pairs()) == PAIRS
-
-
-# ----------------------------------------------------------------------
-# A settled tick pays for reading its nodes, whatever the topology's size
-# ----------------------------------------------------------------------
 def count_calls(checker, *names):
     """Wrap ``checker``'s methods by name; returns the live ``{name: calls}``."""
     calls = dict.fromkeys(names, 0)
@@ -136,6 +39,170 @@ def count_calls(checker, *names):
     return calls
 
 
+def walks(checker):
+    """The live list of ``(bound, pairs)`` per non-empty ``_walk`` call."""
+    walked = []
+    inner = checker._walk
+
+    def walk(counters, pairs, found):
+        if pairs:
+            walked.append((pairs[0][2], len(pairs)))
+        return inner(counters, pairs, found)
+
+    checker._walk = walk
+    return walked
+
+
+def filed(checker):
+    """``{hops: pairs}`` over every component's filed hop classes."""
+    classes = {}
+    for component in checker._components:
+        for hops, _bound, pairs in component.buckets:
+            classes[hops] = classes.get(hops, 0) + len(pairs)
+    return classes
+
+
+@pytest.fixture
+def fabric(sim, streams):
+    net = DtpNetwork(
+        sim, fat_tree(4, 2), streams,
+        config=DtpPortConfig(beacon_interval_ticks=1200),
+    )
+    checker = InvariantChecker(net)
+    net.start()
+    sim.run_until(100 * units.US)  # synchronized and past grace
+    assert checker.pairs_checked > 0 and checker.total_violations == 0
+    return net, checker, walks(checker)
+
+
+def _host_uplink(net):
+    host = next(name for name in net.devices if name.startswith("h"))
+    (switch,) = [
+        e.b if e.a == host else e.a
+        for e in net.topology.edges
+        if host in (e.a, e.b)
+    ]
+    return host, switch
+
+
+def test_settled_clean_ticks_enumerate_no_pair(sim, fabric):
+    _net, checker, walked = fabric
+    checks, pairs = checker.checks_run, checker.pairs_checked
+    sim.run_until(300 * units.US)
+    ticks = checker.checks_run - checks
+    assert ticks >= 20
+    assert checker.pairs_checked - pairs == ticks * PAIRS  # all still counted
+    assert checker.total_violations == 0
+    assert walked == []
+    # Every one of the 630 connected at one tick and was logged within bound
+    # there; not one of them was ever built.
+    assert checker.reconnect_recoveries.rows == [(7_680_000_000, 0, PAIRS)]
+    assert len(checker.reconnect_recoveries) == PAIRS
+    assert checker.pairs_materialised == 0 and checker._reach == {}
+
+
+def test_excursion_enumerates_only_buckets_the_spread_exceeds(sim, fabric):
+    net, checker, walked = fabric
+    host, _switch = _host_uplink(net)
+    tick_fs = (sim.now // checker.interval_fs + 1) * checker.interval_fs
+    sim.run_until(tick_fs - units.NS)
+    device = net.devices[host]
+    device.gc.set_counter(sim.now, device.global_counter(sim.now) + 6)
+    counters = {}
+    inner = checker._check_pair_bounds
+    checker._check_pair_bounds = lambda now, gc: (counters.update(gc), inner(now, gc))
+    pairs = checker.pairs_checked
+    assert filed(checker) == {}
+    sim.run_until(tick_fs)
+    assert checker.pairs_checked - pairs == PAIRS
+    spread = max(counters.values()) - min(counters.values())
+    assert 4 < spread <= 12  # past the hop-1 bound, within the deepest
+    # Exactly the classes whose bound (4 ticks a hop) the spread exceeds
+    # became pairs, and were walked; the deeper ones are still one count.
+    depth = (spread - 1) // 4
+    (component,) = checker._components
+    classes = filed(checker)
+    assert sorted(classes) == list(range(1, depth + 1)) and classes[1] == LINKS
+    assert component.depth == depth
+    assert component.remainder == PAIRS - sum(classes.values()) > 0
+    assert checker.pairs_materialised == sum(classes.values())
+    assert sorted(walked) == [(4 * hops, size) for hops, size in sorted(classes.items())]
+    assert checker.counts[INVARIANT_PAIR_BOUND] >= 1
+    assert all(host in v.subject.split("-") for v in checker.violations)
+    # The classes stay filed while the epoch lasts: settled ticks add none.
+    walked.clear()
+    sim.run_until(tick_fs + 40 * units.US)
+    assert checker.pairs_materialised == sum(classes.values())
+
+
+def test_link_flap_costs_one_component_traversal_and_no_all_pairs_bfs(sim, fabric):
+    net, checker, _walked = fabric
+    host, switch = _host_uplink(net)
+    calls = count_calls(checker, "_find_components", "_distances_from")
+    ticks, pairs = checker.checks_run, checker.pairs_checked
+    net.down_link(host, switch)
+    sim.run_until(sim.now + 50 * units.US)
+    assert calls == {"_find_components": 1, "_distances_from": 0}
+    went = checker.checks_run - ticks
+    assert checker.pairs_checked - pairs == went * (PAIRS - 35)
+    ticks, pairs = checker.checks_run, checker.pairs_checked
+    net.up_link(host, switch)
+    sim.run_until(sim.now + 200 * units.US)
+    # The host's 35 pairs sat out their grace window beside 595 that were
+    # past theirs: still no pair, no distance, and one more traversal.
+    assert calls == {"_find_components": 2, "_distances_from": 0}
+    assert checker.pairs_materialised == 0 and checker._reach == {}
+    rows = checker.reconnect_recoveries.rows
+    assert len(rows) == 2 and rows[1][1:] == (0, 35)
+    assert len(checker.reconnect_recoveries) == PAIRS + 35
+    assert len(checker._merges) == 2
+    went = checker.checks_run - ticks
+    assert 0 < checker.pairs_checked - pairs - went * (PAIRS - 35) < went * 35
+    # Asking for the pairs is what builds them (and changes no count).
+    assert len(checker.checkable_pairs()) == PAIRS
+    assert checker.pairs_materialised == PAIRS
+
+
+def test_healing_set_change_rebuilds_pairs_without_a_bfs(sim, fabric):
+    net, checker, _walked = fabric
+    host, _switch = _host_uplink(net)
+    calls = count_calls(checker, "_find_components", "_sync_adjacency")
+    checker.release([host], "drill")
+    sim.run_until(sim.now + 50 * units.US)
+    assert checker.recovery_fs["drill"]  # healed: the set changed twice
+    assert calls == {"_find_components": 2, "_sync_adjacency": 0}
+    # The healing node's own BFS is the only distance anything asked for.
+    assert list(checker._reach) == [host] and checker.pairs_materialised == 0
+    assert len(checker.checkable_pairs()) == PAIRS
+
+
+def test_benchmark_fabric_files_its_links_and_counts_the_rest(sim):
+    """The benchmark's 336-node fat-tree: 56,280 checkable pairs counted
+    every tick past grace, 512 of them (hop 1, the synchronized links) ever
+    built -- by the first tick whose spread exceeds the 4-tick hop-1 bound."""
+    prepared = prepare(dict(BENCH_FABRIC))
+    _streams, net = assemble(prepared, 1, sim, None, "scalar")
+    checker = InvariantChecker(net)
+    net.start()
+    per_tick = []
+    for index in range(27):  # one check every 7.68 us, the first at t = 0
+        before = checker.pairs_checked
+        sim.run_until(index * checker.interval_fs)
+        per_tick.append(checker.pairs_checked - before)
+        if index == 1:  # every link synchronizes together, before this tick
+            assert len(checker.reconnect_recoveries) == 56_280
+    sim.run_until(prepared.duration_fs)
+    assert (checker.checks_run, checker.pairs_checked) == (27, 1_069_320)
+    assert sorted(set(per_tick)) == [0, 56_280]
+    assert checker.pairs_materialised == 512 and filed(checker) == {1: 512}
+    (component,) = checker._components
+    assert (component.depth, component.remainder) == (1, 56_280 - 512)
+    assert len(checker.reconnect_recoveries) == 56_280
+
+
+# ----------------------------------------------------------------------
+# A settled tick pays for reading its nodes, whatever the topology's size
+# ----------------------------------------------------------------------
 @pytest.fixture
 def chain3(sim, streams):
     net = DtpNetwork(sim, chain(3), streams)
@@ -175,31 +242,19 @@ def test_sampler_instant_costs_one_poll_and_one_counter_read(sim, request, topol
     assert calls == {"_epoch_state": 2, "_counters": 2, "_cache_key": 0}
 
 
-def _host_uplink(net):
-    host = next(name for name in net.devices if name.startswith("h"))
-    (switch,) = [
-        e.b if e.a == host else e.a
-        for e in net.topology.edges
-        if host in (e.a, e.b)
-    ]
-    return host, switch
-
-
 def test_link_flap_costs_one_signature_per_poll_a_flag_moved_on(sim, fabric):
-    net, checker, spy = fabric
+    net, checker, _walked = fabric
     host, switch = _host_uplink(net)
-    calls = count_calls(checker, "_cache_key")
+    calls = count_calls(checker, "_cache_key", "_find_components")
     moved_on = []  # per poll: did it find an edge's synchronized flag changed?
     poll = checker._epoch_state
 
     def epoch_state():
         before = list(checker._edge_synced)
-        distances = poll()
+        poll()
         moved_on.append(before != checker._edge_synced)
-        return distances
 
     checker._epoch_state = epoch_state
-    bfs, builds = spy.bfs, spy.builds
     net.down_link(host, switch)
     sim.run_until(sim.now + 50 * units.US)
     assert (calls["_cache_key"], sum(moved_on)) == (1, 1)
@@ -207,11 +262,11 @@ def test_link_flap_costs_one_signature_per_poll_a_flag_moved_on(sim, fabric):
     sim.run_until(sim.now + 200 * units.US)
     assert (calls["_cache_key"], sum(moved_on)) == (2, 2)
     assert len(moved_on) >= 20
-    assert (spy.bfs - bfs, spy.builds - builds) == (2, 2)
+    assert calls["_find_components"] == 2
 
 
 def test_each_checker_call_and_a_healing_completion_cost_one_signature(sim, fabric):
-    net, checker, _spy = fabric
+    net, checker, _walked = fabric
     host, switch = _host_uplink(net)
     calls = count_calls(checker, "_cache_key")
 

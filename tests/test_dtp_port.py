@@ -245,3 +245,26 @@ class TestLogChannel:
             sim.run_until(sim.now + 10 * units.US)
         assert offsets
         assert all(-4 <= o <= 4 for o in offsets)
+
+
+class TestStatsCells:
+    def test_cells_exist_from_first_use_and_all_of_them_once_bound(self, sim, streams):
+        from repro.telemetry.registry import MetricsRegistry
+
+        a, b = make_pair(sim, streams)
+        assert not a.stats._sent and not a.stats._received and not a.stats._rejected
+        assert a.stats.sent == {} and a.stats.rejected_parity == 0
+        a.link_up()
+        b.link_up()
+        sim.run_until(500 * units.US)
+        assert set(a.stats._sent) == set(a.stats.sent) == {"INIT", "INIT_ACK", "BEACON", "BEACON_JOIN"}
+        with pytest.raises(KeyError):
+            a.stats._sent["BACON"]
+        # A registry still gets every family member, counted so far or not.
+        registry = MetricsRegistry()
+        sent = a.stats.sent
+        a.stats.bind_registry(registry, a.name)
+        assert set(a.stats._sent) == {mtype.name for mtype in MessageType}
+        assert len(a.stats._rejected) == 3 and a.stats.sent == sent
+        family = registry.get("dtp_messages_sent_total")
+        assert family.labels(port=a.name, type="BEACON").value == sent["BEACON"]

@@ -348,9 +348,26 @@ class TestFeatureGates:
             ({"checker": {"start_fs": value}},
              f"checker.start_fs must be an integer, got {value!r}")
             for value in (1.5, "x")
-        ],
+        ]
+        + [
+            ({"checker": {key: value}},
+             f"checker.{key} must be a {what}, got {value!r}")
+            for key, what, values in (
+                ("grace_fs", "non-negative integer", ("5", -1, 1.5)),
+                ("bound_ticks_per_hop", "positive integer", ("4", 0)),
+                ("slack_ticks", "non-negative integer", (None,)),
+                ("transient_allowance_intervals", "non-negative integer", (1.5, True)),
+                ("max_recorded", "non-negative integer", (-1,)),
+                ("raise_on_violation", "boolean", ("no",)),
+            )
+            for value in values
+        ]
+        + [({"checker": {"grace": 5}}, "unknown checker keys: ['grace']")],
         ids=["0", "-5", "1.5", "x", "checker-interval-0", "checker-interval-1.5",
-             "checker-interval-x", "checker-start-1.5", "checker-start-x"],
+             "checker-interval-x", "checker-start-1.5", "checker-start-x",
+             "grace-str", "grace-negative", "grace-fraction", "per-hop-str",
+             "per-hop-0", "slack-none", "allowance-fraction", "allowance-bool",
+             "max-recorded-negative", "raise-str", "checker-unknown-key"],
     )
     def test_bad_sample_interval_rejected_identically_on_every_backend(
         self, breakage, message
@@ -358,7 +375,9 @@ class TestFeatureGates:
         # Unvalidated, a 0 interval never returns: the sampler / checker tick
         # reschedules itself (and the coordinator's grid walks ``j * 0``) at
         # the same femtosecond; a fractional one walks a grid no backend
-        # shares; a string is a bare TypeError.
+        # shares; a string is a bare TypeError.  The checker's other
+        # arguments likewise: a string or None dies mid-run, a negative or
+        # fractional grace, a zero per-hop bound or "no" for a flag runs.
         spec = dict(self.spec(), **breakage)
         errors = []
         for backend in ("scalar", "batched", "sharded"):
