@@ -18,33 +18,21 @@ Quick start::
     net.start()
     sim.run_until(2 * units.MS)
     assert net.max_abs_offset() <= 4 * paper_testbed().diameter_hops()
+
+Importing ``repro`` (or any of its packages) imports no submodule: every
+package re-exports through a lazy table (:mod:`repro._lazy`).
 """
 
-from . import clocks, dtp, ethernet, gps, network, ntp, phy, ptp, sim
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "clocks",
-    "dtp",
-    "ethernet",
-    "gps",
-    "network",
-    "ntp",
-    "phy",
-    "ptp",
-    "sim",
-]
-
-from . import metrics  # noqa: E402  (clock-stability statistics)
-
-__all__.append("metrics")
-
-from . import scenarios  # noqa: E402  (pre-configured simulation bundles)
-
-__all__.append("scenarios")
-
-from . import apps  # noqa: E402  (Section 1's motivating applications)
-
-__all__.append("apps")
+_LAZY = {
+    name: name
+    for name in (
+        "apps", "clocks", "dtp", "ethernet", "gps", "metrics", "network", "ntp",
+        "phy", "ptp", "scenarios", "sim",
+    )
+}
+__all__ = ["__version__", *_LAZY]
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

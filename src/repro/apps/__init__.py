@@ -5,18 +5,12 @@
 * :mod:`snapshot` — coordinated network-wide snapshots (Libra-style).
 """
 
-from .owd import KIND_OWD_PROBE, OneWayDelayMeter, OwdSample
-from .snapshot import SnapshotCoordinator, SnapshotResult
-from .tdma import TdmaReceiver, TdmaSchedule, TdmaSender, run_tdma_round
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KIND_OWD_PROBE",
-    "OneWayDelayMeter",
-    "OwdSample",
-    "SnapshotCoordinator",
-    "SnapshotResult",
-    "TdmaReceiver",
-    "TdmaSchedule",
-    "TdmaSender",
-    "run_tdma_round",
-]
+_LAZY = {
+    "OneWayDelayMeter": "owd",
+    "TdmaSchedule": "tdma",
+    "run_tdma_round": "tdma",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -25,12 +25,14 @@ import gc
 import hashlib
 import importlib.util
 import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .dtp.network import DtpNetwork
 from .experiments.fig6_dtp import Fig6DtpConfig, run_fig6_dtp
@@ -80,6 +82,19 @@ CHECKER_SPEC = {
 #: The other end: a builtin chain, where a settled tick has no pairs to save
 #: and is all fixed cost (1,522 of them at the default 200-tick interval).
 CHECKER_CHAIN_BUILTIN = "baseline"
+
+#: The imports every figure and every campaign process starts with, by the
+#: key prefix the start-up section records them under.
+STARTUP_IMPORTS = {
+    "fig6_dtp": "repro.experiments.fig6_dtp",
+    "campaign": "repro.faultlab.campaign",
+}
+_LIST_REPRO_MODULES = (
+    "\nimport sys\n"
+    "for name, module in sorted(sys.modules.items()):\n"
+    "    if name.split('.')[0] == 'repro':\n"
+    "        print(name, module.__file__, file=sys.stderr)\n"
+)
 
 
 def _noop() -> None:  # sentinel heap filler, never runs
@@ -213,6 +228,22 @@ def checker_run(brute_force=None, spec=CHECKER_SPEC) -> dict:
 
     run["result"] = run_scenario(dict(spec), seed=1, observers=[observer])
     return run
+
+
+def fresh_import(statement: str = "pass") -> Tuple[int, float, Dict[str, str]]:
+    """Run ``statement`` in a new interpreter that writes no bytecode, as
+    every benchmark and ``repro`` process starts.  Returns (exit status,
+    wall seconds, ``{name: source path}`` of each ``repro`` module loaded).
+    A checkout whose ``__pycache__`` is populated reads faster walls."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", statement + _LIST_REPRO_MODULES],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, check=True,
+    )
+    wall = time.perf_counter() - start
+    return done.returncode, wall, dict(line.split(" ", 1) for line in done.stderr.splitlines())
 
 
 def fig6a_dispatched(**options) -> int:
@@ -406,6 +437,21 @@ def _checker(repeats: int, seed_core) -> dict:
     return section
 
 
+def _startup(repeats: int, seed_core) -> dict:
+    """What a fresh process compiles before it runs anything: per entry
+    point, the ``repro`` modules one import loads and their source bytes
+    (both exact), and its wall over a bare interpreter's."""
+    section = {}
+    for key, module in STARTUP_IMPORTS.items():
+        ratio, _, (_, _, loaded) = interleaved(
+            fresh_import, lambda: fresh_import(f"import {module}"), repeats, f"importing {module}"
+        )
+        section[f"{key}_modules"] = len(loaded)
+        section[f"{key}_source_bytes"] = sum(os.path.getsize(path) for path in loaded.values())
+        section[f"{key}_import_over_interpreter"] = round(ratio, 2)
+    return section
+
+
 SECTIONS = {
     "engine": _engine,
     "fig6a": _fig6a,
@@ -414,6 +460,7 @@ SECTIONS = {
     "linkhealth": _linkhealth,
     "observe": _observe,
     "checker": _checker,
+    "startup": _startup,
 }
 
 

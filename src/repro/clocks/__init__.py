@@ -1,29 +1,10 @@
 """Clock substrate: oscillators, tick clocks, PHCs, and the TSC."""
 
-from .oscillator import (
-    IEEE_8023_PPM_LIMIT,
-    CompositeSkew,
-    ConstantSkew,
-    Oscillator,
-    RandomWalkSkew,
-    SinusoidalSkew,
-    SkewModel,
-)
-from .clock import AdjustableFrequencyClock, FreeRunningClock, TickClock
-from .tsc import TSC_FREQUENCY_HZ, TSC_PERIOD_FS, TscCounter
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdjustableFrequencyClock",
-    "CompositeSkew",
-    "ConstantSkew",
-    "FreeRunningClock",
-    "IEEE_8023_PPM_LIMIT",
-    "Oscillator",
-    "RandomWalkSkew",
-    "SinusoidalSkew",
-    "SkewModel",
-    "TSC_FREQUENCY_HZ",
-    "TSC_PERIOD_FS",
-    "TickClock",
-    "TscCounter",
-]
+_LAZY = {
+    "ConstantSkew": "oscillator",
+    "TscCounter": "tsc",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -23,36 +23,11 @@ scenario on max offset, convergence time, and time above a bound.  See
 ``docs/DISCIPLINE.md`` for the interface contract and a CLI walkthrough.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .base import (  # noqa: F401
-    DISCIPLINE_KINDS,
-    Discipline,
-    DisciplineAction,
-    DisciplineError,
-    Observation,
-    build_discipline,
-)
-
-#: Lazily re-exported implementation classes.  The implementations import
-#: the hosts they extract from (``classic`` pulls in :mod:`repro.ptp`,
-#: whose slave imports this package right back), so eager imports here
-#: would be circular; anything that goes through :func:`build_discipline`
-#: loads them on demand anyway.
 _LAZY = {
-    "DaemonDiscipline": "classic",
-    "PiServoDiscipline": "classic",
-    "CongestionAssistedDiscipline": "congestion",
-    "SkewlessDiscipline": "skewless",
-    "stable_gains": "skewless",
-    "closed_loop_poles": "skewless",
+    "Observation": "base",
+    "build_discipline": "base",
 }
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -1,65 +1,11 @@
 """Ethernet substrate: frame geometry and idle-cadence traffic models."""
 
-from .frames import (
-    ETHERNET_HEADER_BYTES,
-    FCS_BYTES,
-    JUMBO_FRAME,
-    JUMBO_FRAME_BYTES,
-    MIN_FRAME,
-    MIN_FRAME_BYTES,
-    MIN_IPG_BYTES,
-    MTU_FRAME,
-    MTU_FRAME_BYTES,
-    PREAMBLE_BYTES,
-    FrameError,
-    FrameSpec,
-    beacon_interval_ticks_for,
-)
-from .mac import (
-    BROADCAST,
-    ETHERTYPE_IPV4,
-    ETHERTYPE_PTP,
-    MacError,
-    MacFrame,
-    address,
-    crc32,
-)
-from .traffic import (
-    BurstyTraffic,
-    DelayedTraffic,
-    IdleLink,
-    PartialLoadTraffic,
-    SaturatedTraffic,
-    TrafficError,
-    TrafficModel,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BROADCAST",
-    "BurstyTraffic",
-    "DelayedTraffic",
-    "ETHERTYPE_IPV4",
-    "ETHERTYPE_PTP",
-    "MacError",
-    "MacFrame",
-    "address",
-    "crc32",
-    "ETHERNET_HEADER_BYTES",
-    "FCS_BYTES",
-    "FrameError",
-    "FrameSpec",
-    "IdleLink",
-    "JUMBO_FRAME",
-    "JUMBO_FRAME_BYTES",
-    "MIN_FRAME",
-    "MIN_FRAME_BYTES",
-    "MIN_IPG_BYTES",
-    "MTU_FRAME",
-    "MTU_FRAME_BYTES",
-    "PREAMBLE_BYTES",
-    "PartialLoadTraffic",
-    "SaturatedTraffic",
-    "TrafficError",
-    "TrafficModel",
-    "beacon_interval_ticks_for",
-]
+_LAZY = {
+    "JUMBO_FRAME": "frames",
+    "MTU_FRAME": "frames",
+    "SaturatedTraffic": "traffic",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

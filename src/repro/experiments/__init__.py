@@ -3,54 +3,14 @@
 See DESIGN.md's per-experiment index for the mapping.
 """
 
-from . import (
-    ablations,
-    asciiplot,
-    bounds,
-    convergence,
-    extensions,
-    fig6_dtp,
-    fig6_ptp,
-    fig7_daemon,
-    hybrid_sync,
-    overhead,
-    parallel,
-    stability,
-    sweeps,
-    table1,
-    table2,
-    workloads,
-)
-from .harness import (
-    ExperimentResult,
-    PeriodicSampler,
-    TimeSeries,
-    format_ns,
-    format_us,
-    histogram,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "PeriodicSampler",
-    "TimeSeries",
-    "ablations",
-    "asciiplot",
-    "bounds",
-    "convergence",
-    "extensions",
-    "fig6_dtp",
-    "fig6_ptp",
-    "fig7_daemon",
-    "format_ns",
-    "format_us",
-    "histogram",
-    "hybrid_sync",
-    "overhead",
-    "parallel",
-    "stability",
-    "sweeps",
-    "table1",
-    "table2",
-    "workloads",
-]
+_LAZY = {
+    name: name
+    for name in (
+        "ablations", "bounds", "convergence", "extensions", "fig6_dtp", "fig6_ptp",
+        "fig7_daemon", "hybrid_sync", "stability", "sweeps", "table1", "table2",
+    )
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

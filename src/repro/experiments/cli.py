@@ -241,8 +241,7 @@ def _run_report(options: ExperimentOptions) -> List[str]:
 
 
 def _run_faultlab(options: ExperimentOptions) -> List[str]:
-    # Imported lazily: faultlab pulls in dtp.network, which must not happen
-    # while repro.dtp's own package import is still in flight.
+    # Imported on use: no other experiment needs the campaign runner.
     from ..faultlab import builtin_specs, render_campaign, run_campaign
 
     results = run_campaign(

@@ -150,7 +150,8 @@ def write_telemetry_artifacts(
     content is derived from sim time and seeds, so two same-seed runs write
     byte-identical files.
     """
-    # Imported on use: faultlab imports this package's parallel runner.
+    # Imported on use: an experiment that writes no artifacts never loads
+    # the campaign runner.
     from ..faultlab.campaign import write_telemetry
 
     if telemetry is None:

@@ -7,11 +7,12 @@ cross-check of the oscillator's tick → edge-time map that the equivalence
 tests run against the scalar oracle lives in ``tests/fastpath_kernels.py``.
 """
 
-from .coordinator import FastpathCoordinator
-from .eligibility import direction_ineligible_reason, static_ineligible_reason
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FastpathCoordinator",
-    "direction_ineligible_reason",
-    "static_ineligible_reason",
-]
+_LAZY = {
+    "FastpathCoordinator": "coordinator",
+    "direction_ineligible_reason": "eligibility",
+    "static_ineligible_reason": "eligibility",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -59,7 +59,7 @@ same final ``sim._seq``.  (One promotion per dispatch means at most one
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import List
 
 from ..dtp import messages as dtpmsg
@@ -317,6 +317,7 @@ class FastpathCoordinator:
         vheap = self._heap
         pop = heappop
         push = heappush
+        replace = heapreplace
         profile = sim.profile
         record = self._record
         dispatched = 0
@@ -402,7 +403,8 @@ class FastpathCoordinator:
             now = vtop[0]
             if now > time_fs:
                 break
-            pop(vheap)
+            # An APPLY ends its chain and pops; every other stage replaces
+            # its own heap entry with the next one (one sift, not two).
             dispatched += 1
             if keyed:
                 if now > atime:
@@ -415,6 +417,7 @@ class FastpathCoordinator:
             # --- APPLY (BEACON): T4 with Section 3.2 filtering ---------
             # Mirrors _process + _on_beacon + _fault_window_tick.
             if stage == APP_B:
+                pop(vheap)
                 ds.recv_b.value += 1
                 if record is not None:
                     record(now, EV_RX, ds.sid_q, _BEACON, vtop[4])
@@ -511,7 +514,7 @@ class FastpathCoordinator:
                 else:
                     when = osc.time_of_tick(n)
                     ds.qseg = osc._last_hit
-                push(vheap, (when, seqc, stage + 2, ds, vtop[4], vtop[5]))
+                replace(vheap, (when, seqc, stage + 2, ds, vtop[4], vtop[5]))
                 seqc += stride
                 continue
 
@@ -555,7 +558,7 @@ class FastpathCoordinator:
                         ds.pseg = osc._last_hit
                 else:
                     exit_fs = now
-                push(
+                replace(
                     vheap,
                     (exit_fs + ds.wire, seqc, stage + 2, ds, payload, vtop[5]),
                 )
@@ -564,6 +567,7 @@ class FastpathCoordinator:
 
             # --- APPLY (BEACON_MSB): learn the counter's high half ------
             if stage == APP_M:
+                pop(vheap)
                 ds.recv_m.value += 1
                 if record is not None:
                     record(now, EV_RX, ds.sid_q, _MSB, vtop[4])
@@ -597,7 +601,7 @@ class FastpathCoordinator:
                 when = osc.time_of_tick(slot)
                 ds.pseg = osc._last_hit
             epoch = vtop[5]
-            push(vheap, (when, seqc, CAP_B, ds, 0, epoch))
+            replace(vheap, (when, seqc, CAP_B, ds, 0, epoch))
             seqc += stride
             b = p._beacons_since_msb + 1
             if b >= ds.msb_every:

@@ -24,69 +24,34 @@ only its figure shapes:
   ``repro faultlab`` CLI runs.
 """
 
-from .campaign import (
-    CampaignError,
-    build_fault,
-    build_topology,
-    metrics_digest,
-    render_campaign,
-    run_campaign,
-    run_resilient_campaign,
-    run_scenario,
-)
-from .faults import (
-    FAULT_KINDS,
-    BeaconSuppression,
-    BerBurst,
-    FaultContext,
-    FaultModel,
-    LinkFlap,
-    NodeCrash,
-    OscillatorGlitch,
-    OscillatorStep,
-    Partition,
-    RunawayQuarantine,
-    SteppedSkew,
-    TwoFacedNode,
-)
-from .invariants import (
-    INVARIANT_MONOTONIC,
-    INVARIANT_PAIR_BOUND,
-    INVARIANT_WRAP,
-    InvariantChecker,
-    InvariantViolation,
-    Violation,
-)
-from .scenarios import BUILTIN_SCENARIOS, builtin_specs
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BUILTIN_SCENARIOS",
-    "BeaconSuppression",
-    "BerBurst",
-    "CampaignError",
-    "FAULT_KINDS",
-    "FaultContext",
-    "FaultModel",
-    "INVARIANT_MONOTONIC",
-    "INVARIANT_PAIR_BOUND",
-    "INVARIANT_WRAP",
-    "InvariantChecker",
-    "InvariantViolation",
-    "LinkFlap",
-    "NodeCrash",
-    "OscillatorGlitch",
-    "OscillatorStep",
-    "Partition",
-    "RunawayQuarantine",
-    "SteppedSkew",
-    "TwoFacedNode",
-    "Violation",
-    "build_fault",
-    "build_topology",
-    "builtin_specs",
-    "metrics_digest",
-    "render_campaign",
-    "run_campaign",
-    "run_resilient_campaign",
-    "run_scenario",
-]
+_LAZY = {
+    "CampaignError": "campaign",
+    "build_fault": "campaign",
+    "build_topology": "campaign",
+    "metrics_digest": "campaign",
+    "render_campaign": "campaign",
+    "run_campaign": "campaign",
+    "run_resilient_campaign": "campaign",
+    "run_scenario": "campaign",
+    "FAULT_KINDS": "faults",
+    "BeaconSuppression": "faults",
+    "BerBurst": "faults",
+    "FaultContext": "faults",
+    "LinkFlap": "faults",
+    "NodeCrash": "faults",
+    "OscillatorGlitch": "faults",
+    "Partition": "faults",
+    "RunawayQuarantine": "faults",
+    "SteppedSkew": "faults",
+    "TwoFacedNode": "faults",
+    "INVARIANT_MONOTONIC": "invariants",
+    "INVARIANT_PAIR_BOUND": "invariants",
+    "InvariantChecker": "invariants",
+    "InvariantViolation": "invariants",
+    "BUILTIN_SCENARIOS": "scenarios",
+    "builtin_specs": "scenarios",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

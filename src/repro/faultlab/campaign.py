@@ -43,7 +43,7 @@ from ..network import topology as topo
 from ..observe.snapshots import ObserveProbe, make_tap
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from ..telemetry import Telemetry, dump_flight, write_metrics_json, write_trace_jsonl
+from ..telemetry import Telemetry
 from .faults import FAULT_KINDS, FaultContext, FaultModel
 from .invariants import InvariantChecker, InvariantViolation
 
@@ -322,6 +322,7 @@ def _write_flight(
     as the flight artifact.
     """
     from ..insight import flight_summary_markdown
+    from ..telemetry.flight import dump_flight
 
     dump = dump_flight(
         _artifact(flight_dir, name, f"{kind}flight.jsonl"),
@@ -342,6 +343,8 @@ def write_telemetry(
     derived from sim time and seeds, so two same-seed runs write
     byte-identical files.
     """
+    from ..telemetry.export import write_metrics_json, write_trace_jsonl
+
     written: Dict[str, str] = {}
     if trace_dir is not None and telemetry.tracer is not None:
         written["trace.jsonl"] = _artifact(trace_dir, name, "trace.jsonl")

@@ -1,5 +1,4 @@
-"""GPS receiver model: the nanosecond-but-unscalable baseline."""
+"""GPS receiver model: the nanosecond-but-unscalable baseline
+(:mod:`repro.gps.receiver`)."""
 
-from .receiver import GpsReceiver, pairwise_precision_fs
-
-__all__ = ["GpsReceiver", "pairwise_precision_fs"]
+__all__: list = []

@@ -16,64 +16,25 @@ and answers three questions the raw streams cannot:
 deterministic markdown run report; :mod:`.cli` is ``repro insight``.
 """
 
-from .causal import (
-    JumpHop,
-    ViolationExplanation,
-    explain_flight,
-    explain_jump,
-    explain_violation,
-    render_explanation,
-)
-from .decompose import (
-    DRIFT_BUDGET_TICKS,
-    OWD_ERROR_BUDGET_TICKS,
-    DirectionStats,
-    LinkScorecard,
-    decompose_links,
-    fault_free_end_fs,
-    scorecard_rows,
-)
-from .report import (
-    flight_summary_markdown,
-    generate_insight_report,
-    scan_campaign_dir,
-    write_insight_report,
-)
-from .timeline import (
-    CAUSE_BEACON,
-    CAUSE_JOIN,
-    CAUSE_UNKNOWN,
-    NodeTimeline,
-    PortTimeline,
-    Timeline,
-    classify_jump,
-    reconstruct_timeline,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CAUSE_BEACON",
-    "CAUSE_JOIN",
-    "CAUSE_UNKNOWN",
-    "DRIFT_BUDGET_TICKS",
-    "DirectionStats",
-    "JumpHop",
-    "LinkScorecard",
-    "NodeTimeline",
-    "OWD_ERROR_BUDGET_TICKS",
-    "PortTimeline",
-    "Timeline",
-    "ViolationExplanation",
-    "classify_jump",
-    "decompose_links",
-    "explain_flight",
-    "explain_jump",
-    "explain_violation",
-    "fault_free_end_fs",
-    "flight_summary_markdown",
-    "generate_insight_report",
-    "reconstruct_timeline",
-    "render_explanation",
-    "scan_campaign_dir",
-    "scorecard_rows",
-    "write_insight_report",
-]
+_LAZY = {
+    "explain_flight": "causal",
+    "explain_jump": "causal",
+    "explain_violation": "causal",
+    "render_explanation": "causal",
+    "DRIFT_BUDGET_TICKS": "decompose",
+    "OWD_ERROR_BUDGET_TICKS": "decompose",
+    "decompose_links": "decompose",
+    "fault_free_end_fs": "decompose",
+    "scorecard_rows": "decompose",
+    "flight_summary_markdown": "report",
+    "generate_insight_report": "report",
+    "scan_campaign_dir": "report",
+    "write_insight_report": "report",
+    "CAUSE_BEACON": "timeline",
+    "CAUSE_JOIN": "timeline",
+    "reconstruct_timeline": "timeline",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -8,57 +8,23 @@ adapters and drives a deterministic per-link recovery FSM::
 
 Supervision is strictly opt-in: a network built without a ``linkhealth``
 spec constructs nothing from this package and pays nothing.  When
-active, the :class:`LinkHealthManager` owns one :class:`LinkSupervisor`
-per topology edge; detection is SpaceWire-style (a silence timeout over
-missed-beacon watchdog windows) plus hi_ber-style degrade windows,
-recovery uses bounded deterministic backoff from a named RNG stream,
-and rejoin holds the link quarantined at the
+active, the :class:`~repro.linkhealth.fsm.LinkHealthManager` owns one
+:class:`LinkSupervisor` per topology edge; detection is SpaceWire-style (a
+silence timeout over missed-beacon watchdog windows) plus hi_ber-style
+degrade windows, recovery uses bounded deterministic backoff from a named
+RNG stream, and rejoin holds the link quarantined at the
 :class:`~repro.faultlab.invariants.InvariantChecker` until a configured
 number of consecutive clean beacon intervals have passed.
 """
 
-from .gate import ADMIN_CLAIM, LinkGate, link_key
-from .fsm import (
-    CAUSE_ADMIN,
-    CAUSE_BER,
-    CAUSE_NAMES,
-    CAUSE_NONE,
-    CAUSE_PEER,
-    CAUSE_SIGNAL_LOSS,
-    CAUSE_SILENCE,
-    LINK_DEGRADED,
-    LINK_DOWN,
-    LINK_RECONNECTING,
-    LINK_RESYNC,
-    LINK_STATE_NAMES,
-    LINK_UP,
-    DirectionHealth,
-    LinkHealthConfig,
-    LinkHealthManager,
-    LinkSupervisor,
-    linkhealth_config_from_value,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ADMIN_CLAIM",
-    "CAUSE_ADMIN",
-    "CAUSE_BER",
-    "CAUSE_NAMES",
-    "CAUSE_NONE",
-    "CAUSE_PEER",
-    "CAUSE_SIGNAL_LOSS",
-    "CAUSE_SILENCE",
-    "DirectionHealth",
-    "LINK_DEGRADED",
-    "LINK_DOWN",
-    "LINK_RECONNECTING",
-    "LINK_RESYNC",
-    "LINK_STATE_NAMES",
-    "LINK_UP",
-    "LinkGate",
-    "LinkHealthConfig",
-    "LinkHealthManager",
-    "LinkSupervisor",
-    "link_key",
-    "linkhealth_config_from_value",
-]
+_LAZY = {
+    "ADMIN_CLAIM": "gate",
+    "LinkGate": "gate",
+    "LinkHealthConfig": "fsm",
+    "LinkSupervisor": "fsm",
+    "linkhealth_config_from_value": "fsm",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

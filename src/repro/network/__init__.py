@@ -1,58 +1,15 @@
 """Network substrate: cables, topologies, and the packet-switched model."""
 
-from .link import MAX_DATACENTER_CABLE_M, Cable, CableError
-from .topology import (
-    NODE_HOST,
-    NODE_SWITCH,
-    Topology,
-    TopologyEdge,
-    TopologyError,
-    TopologyNode,
-    chain,
-    fat_tree,
-    paper_testbed,
-    star,
-    to_networkx,
-    two_level_tree,
-)
-from .packet import (
-    DEFAULT_RATE_BPS,
-    Host,
-    Interface,
-    Packet,
-    PacketNetwork,
-    PacketNode,
-    Switch,
-)
-from .queues import ByteFifo
-from .background import MTU_PACKET_BYTES, UdpFlow, heavy_load, medium_load
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ByteFifo",
-    "Cable",
-    "CableError",
-    "DEFAULT_RATE_BPS",
-    "Host",
-    "Interface",
-    "MAX_DATACENTER_CABLE_M",
-    "MTU_PACKET_BYTES",
-    "NODE_HOST",
-    "NODE_SWITCH",
-    "Packet",
-    "PacketNetwork",
-    "PacketNode",
-    "Switch",
-    "Topology",
-    "TopologyEdge",
-    "TopologyError",
-    "TopologyNode",
-    "UdpFlow",
-    "chain",
-    "fat_tree",
-    "heavy_load",
-    "medium_load",
-    "paper_testbed",
-    "star",
-    "to_networkx",
-    "two_level_tree",
-]
+_LAZY = {
+    "Cable": "link",
+    "Topology": "topology",
+    "chain": "topology",
+    "fat_tree": "topology",
+    "paper_testbed": "topology",
+    "star": "topology",
+    "PacketNetwork": "packet",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

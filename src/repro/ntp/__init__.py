@@ -1,21 +1,4 @@
-"""NTP baseline: software-timestamped four-timestamp synchronization."""
+"""NTP baseline: software-timestamped four-timestamp synchronization
+(:mod:`repro.ntp.protocol`)."""
 
-from .protocol import (
-    KIND_NTP_REQUEST,
-    KIND_NTP_RESPONSE,
-    NTP_PACKET_BYTES,
-    NtpClient,
-    NtpSample,
-    NtpServer,
-    StackJitterModel,
-)
-
-__all__ = [
-    "KIND_NTP_REQUEST",
-    "KIND_NTP_RESPONSE",
-    "NTP_PACKET_BYTES",
-    "NtpClient",
-    "NtpSample",
-    "NtpServer",
-    "StackJitterModel",
-]
+__all__: list = []

@@ -26,31 +26,20 @@ Three layers over the fault-campaign stack:
 artifact directory alone.
 """
 
-from .histograms import OffsetHistogram
-from .snapshots import ObserveProbe, SnapshotTap, read_snapshots
-from .slo import (
-    SLOError,
-    builtin_slos,
-    evaluate_slo,
-    load_slo,
-    render_scorecard,
-    slo_source_from_result,
-    slo_source_from_snapshots,
-)
-from .health import HealthRecorder, read_health
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OffsetHistogram",
-    "ObserveProbe",
-    "SnapshotTap",
-    "read_snapshots",
-    "SLOError",
-    "builtin_slos",
-    "evaluate_slo",
-    "load_slo",
-    "render_scorecard",
-    "slo_source_from_result",
-    "slo_source_from_snapshots",
-    "HealthRecorder",
-    "read_health",
-]
+_LAZY = {
+    "OffsetHistogram": "histograms",
+    "ObserveProbe": "snapshots",
+    "read_snapshots": "snapshots",
+    "SLOError": "slo",
+    "builtin_slos": "slo",
+    "evaluate_slo": "slo",
+    "load_slo": "slo",
+    "slo_source_from_result": "slo",
+    "slo_source_from_snapshots": "slo",
+    "HealthRecorder": "health",
+    "read_health": "health",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -1,149 +1,7 @@
-"""PHY substrate: specs, 64b/66b blocks, scrambler, CDC, BER, pipelines."""
+"""PHY substrate: specs, 64b/66b blocks, scrambler, CDC, BER, pipelines.
 
-from .specs import (
-    COMMON_COUNTER_UNIT_FS,
-    PHY_1G,
-    PHY_10G,
-    PHY_40G,
-    PHY_100G,
-    SPECS,
-    PhySpec,
-    spec_for,
-)
-from .blocks import (
-    BLOCK_TYPE_IDLE,
-    CONTROL_CHARS_PER_BLOCK,
-    IDLE_CHAR,
-    IDLE_PAYLOAD_BITS,
-    Block66,
-    BlockError,
-    control_chars_to_payload,
-    data_block,
-    embed_bits_in_idle,
-    extract_bits_from_idle,
-    idle_block,
-    payload_to_control_chars,
-    restore_idle,
-)
-from .scrambler import Scrambler, disparity, word_bits
-from .encoding_8b10b import (
-    COMMA_CODES,
-    Decoder8b10b,
-    Encoder8b10b,
-    Encoding8b10bError,
-    K23_7,
-    K27_7,
-    K28_1,
-    K28_5,
-    K29_7,
-)
-from .dtp_1g import (
-    I1_SET,
-    I2_SET,
-    SETS_PER_MESSAGE,
-    Dtp1GError,
-    decode_interframe_gap,
-    encode_interframe_gap,
-    reassemble_message,
-    segment_message,
-)
-from .pcs_stream import (
-    BLOCK_TYPE_START,
-    TERMINATE_TYPES,
-    PcsStreamError,
-    PcsTransmitStream,
-    StreamItem,
-    decode_blocks,
-    encode_frame,
-    receive_stream,
-)
-from .block_sync import (
-    HI_BER_THRESHOLD,
-    HI_BER_WINDOW_BLOCKS,
-    LOCK_THRESHOLD,
-    BlockSync,
-    blocks_to_bitstream,
-    headers_from_bitstream,
-)
-from .cdc import SyncFifo
-from .ber import BitErrorInjector, parity_of_lsbs
-from .link_signal import (
-    REALIGN_GOOD_GROUPS,
-    BlockSyncSignal,
-    Comma8b10bSignal,
-    CommaAligner,
-    LinkSignal,
-    PortStatsSignal,
-)
-from .pipeline import PhyLatencyConfig, advance_ticks, rx_process_time, tx_exit_time
+Nothing is re-exported here; import from the submodules (``repro.phy.specs``,
+``repro.phy.blocks``, ``repro.phy.cdc``, ...).
+"""
 
-__all__ = [
-    "BLOCK_TYPE_IDLE",
-    "BLOCK_TYPE_START",
-    "BlockSync",
-    "COMMA_CODES",
-    "HI_BER_THRESHOLD",
-    "HI_BER_WINDOW_BLOCKS",
-    "LOCK_THRESHOLD",
-    "blocks_to_bitstream",
-    "headers_from_bitstream",
-    "Decoder8b10b",
-    "Dtp1GError",
-    "Encoder8b10b",
-    "Encoding8b10bError",
-    "I1_SET",
-    "I2_SET",
-    "K23_7",
-    "K27_7",
-    "K28_1",
-    "K28_5",
-    "K29_7",
-    "PcsStreamError",
-    "PcsTransmitStream",
-    "SETS_PER_MESSAGE",
-    "StreamItem",
-    "TERMINATE_TYPES",
-    "decode_blocks",
-    "decode_interframe_gap",
-    "encode_frame",
-    "encode_interframe_gap",
-    "reassemble_message",
-    "receive_stream",
-    "segment_message",
-    "BitErrorInjector",
-    "Block66",
-    "BlockError",
-    "BlockSyncSignal",
-    "Comma8b10bSignal",
-    "CommaAligner",
-    "LinkSignal",
-    "PortStatsSignal",
-    "REALIGN_GOOD_GROUPS",
-    "COMMON_COUNTER_UNIT_FS",
-    "CONTROL_CHARS_PER_BLOCK",
-    "IDLE_CHAR",
-    "IDLE_PAYLOAD_BITS",
-    "PHY_100G",
-    "PHY_10G",
-    "PHY_1G",
-    "PHY_40G",
-    "PhyLatencyConfig",
-    "PhySpec",
-    "SPECS",
-    "Scrambler",
-    "SyncFifo",
-    "advance_ticks",
-    "control_chars_to_payload",
-    "data_block",
-    "disparity",
-    "embed_bits_in_idle",
-    "extract_bits_from_idle",
-    "idle_block",
-    "parity_of_lsbs",
-    "payload_to_control_chars",
-    "restore_idle",
-    "rx_process_time",
-    "spec_for",
-    "tx_exit_time",
-    "word_bits",
-]
+__all__: list = []

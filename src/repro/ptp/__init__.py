@@ -1,58 +1,9 @@
 """PTP (IEEE 1588v2) baseline: master, slaves, servo, deployment."""
 
-from .messages import (
-    DELAY_REQ_BYTES,
-    DELAY_RESP_BYTES,
-    EVENT_KINDS,
-    FOLLOW_UP_BYTES,
-    KIND_DELAY_REQ,
-    KIND_DELAY_RESP,
-    KIND_FOLLOW_UP,
-    KIND_SYNC,
-    SYNC_BYTES,
-    TIMESTAMP_GRANULARITY_FS,
-    quantize_timestamp,
-)
-from .servo import DelayFilter, PiServo, ServoAction
-from .master import PtpMaster
-from .slave import OffsetRecord, PtpSlave, SyncContext
-from .boundary import BoundaryClock
-from .bmc import ANNOUNCE_BYTES, KIND_ANNOUNCE, ClockQuality, OrdinaryClock
-from .network import (
-    LOAD_HEAVY,
-    LOAD_IDLE,
-    LOAD_MEDIUM,
-    PtpConfig,
-    PtpDeployment,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANNOUNCE_BYTES",
-    "BoundaryClock",
-    "ClockQuality",
-    "DELAY_REQ_BYTES",
-    "KIND_ANNOUNCE",
-    "OrdinaryClock",
-    "DELAY_RESP_BYTES",
-    "DelayFilter",
-    "EVENT_KINDS",
-    "FOLLOW_UP_BYTES",
-    "KIND_DELAY_REQ",
-    "KIND_DELAY_RESP",
-    "KIND_FOLLOW_UP",
-    "KIND_SYNC",
-    "LOAD_HEAVY",
-    "LOAD_IDLE",
-    "LOAD_MEDIUM",
-    "OffsetRecord",
-    "PiServo",
-    "PtpConfig",
-    "PtpDeployment",
-    "PtpMaster",
-    "PtpSlave",
-    "ServoAction",
-    "SYNC_BYTES",
-    "SyncContext",
-    "TIMESTAMP_GRANULARITY_FS",
-    "quantize_timestamp",
-]
+_LAZY = {
+    "PtpDeployment": "network",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

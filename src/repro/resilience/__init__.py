@@ -10,46 +10,22 @@ byte-identical artifacts.
 See ``docs/RESILIENCE.md`` for the semantics and the on-disk formats.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .journal import (  # noqa: F401
-    CheckpointJournal,
-    JournalError,
-    args_digest,
-    task_key,
-)
-from .supervisor import (  # noqa: F401
-    FAILURE_CRASH,
-    FAILURE_EXCEPTION,
-    FAILURE_KINDS,
-    FAILURE_QUARANTINED,
-    FAILURE_TIMEOUT,
-    REPORT_VERSION,
-    SupervisedRun,
-    SupervisorError,
-    SupervisorPolicy,
-    TaskFailure,
-    backoff_slots,
-    default_jobs,
-    run_supervised,
-)
-
-__all__ = [
-    "CheckpointJournal",
-    "JournalError",
-    "args_digest",
-    "task_key",
-    "FAILURE_TIMEOUT",
-    "FAILURE_CRASH",
-    "FAILURE_EXCEPTION",
-    "FAILURE_QUARANTINED",
-    "FAILURE_KINDS",
-    "REPORT_VERSION",
-    "SupervisedRun",
-    "SupervisorError",
-    "SupervisorPolicy",
-    "TaskFailure",
-    "backoff_slots",
-    "default_jobs",
-    "run_supervised",
-]
+_LAZY = {
+    "CheckpointJournal": "journal",
+    "JournalError": "journal",
+    "args_digest": "journal",
+    "task_key": "journal",
+    "FAILURE_TIMEOUT": "supervisor",
+    "FAILURE_CRASH": "supervisor",
+    "FAILURE_EXCEPTION": "supervisor",
+    "FAILURE_QUARANTINED": "supervisor",
+    "SupervisedRun": "supervisor",
+    "SupervisorPolicy": "supervisor",
+    "backoff_slots": "supervisor",
+    "default_jobs": "supervisor",
+    "run_supervised": "supervisor",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -30,15 +30,12 @@ See ``docs/SHARDING.md`` for the partitioning rules, the lookahead
 math, and the digest-composition argument.
 """
 
-from .coordinator import run_sharded
-from .partition import ShardChannel, ShardPlan, build_plan
-from .runner import resolve_shards, run_sharded_scenario
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ShardChannel",
-    "ShardPlan",
-    "build_plan",
-    "resolve_shards",
-    "run_sharded",
-    "run_sharded_scenario",
-]
+_LAZY = {
+    "build_plan": "partition",
+    "resolve_shards": "runner",
+    "run_sharded_scenario": "runner",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import multiprocessing
 from typing import Callable, Dict, List, Optional
 
+from ..experiments.parallel import default_jobs
 from ..faultlab.campaign import (
     CampaignError,
     Prepared,
@@ -22,12 +23,9 @@ from ..faultlab.campaign import (
     prepare,
 )
 from ..phy.specs import PHY_10G
-from ..resilience import default_jobs
 from ..sim.engine import Simulator
 from ..telemetry import Telemetry
-from .coordinator import run_sharded
 from .partition import MARGIN_PERIODS, _atoms, build_plan
-from .transport import TRANSPORTS
 
 
 def default_margin_fs() -> int:
@@ -46,7 +44,7 @@ def resolve_shards(
     """The shard count a scenario will actually run with.
 
     ``None`` (the CLI default) resolves to the smaller of the machine's
-    usable CPU count (:func:`repro.resilience.default_jobs`, affinity
+    usable CPU count (:func:`repro.experiments.parallel.default_jobs`, affinity
     aware) and the scenario's cut-partition count — never more workers
     than the topology can be cut into.  An explicit request is returned
     as-is; :func:`~repro.shard.partition.build_plan` rejects it with a
@@ -71,6 +69,11 @@ def drive_sharded(
     ``stats_out`` (a dict) receives events/rounds/wall-time statistics
     without touching the byte-stable result.
     """
+    # Imported on use: only a sharded run needs the coordinator, the workers
+    # and their hosts.
+    from .coordinator import run_sharded
+    from .transport import TRANSPORTS
+
     if observers:
         raise CampaignError(
             "observers require a single-process backend (scalar or batched)"

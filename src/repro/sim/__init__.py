@@ -1,15 +1,11 @@
 """Discrete-event simulation engine (femtosecond-resolution, deterministic)."""
 
-from .engine import Event, SimulationError, Simulator
-from .process import Process
-from .randomness import RandomStreams
-from . import units
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "Process",
-    "RandomStreams",
-    "SimulationError",
-    "Simulator",
-    "units",
-]
+_LAZY = {
+    "Simulator": "engine",
+    "RandomStreams": "randomness",
+    "units": "units",
+}
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)

@@ -21,8 +21,8 @@ import sys
 from typing import List, Optional
 
 from ..cli import add_run_flags
-from . import Telemetry, write_chrome_trace
-from .export import file_sha256, read_trace_jsonl, summarize_records
+from .bundle import Telemetry
+from .export import file_sha256, read_trace_jsonl, summarize_records, write_chrome_trace
 
 #: Experiment scenarios ``record`` knows beyond the faultlab catalogue.
 _EXPERIMENT_SCENARIOS = ("fig6a",)

@@ -99,7 +99,7 @@ def guards(monkeypatch):
 
 def test_sections_are_the_record_keys(record):
     assert set(bench.SECTIONS) == set(record)
-    assert len(bench.SECTIONS) == 7
+    assert len(bench.SECTIONS) == 8
 
 
 def test_every_guard_names_a_recorded_ratio(record, guards):
@@ -119,12 +119,31 @@ def test_advisory_budgets_are_held_on_recorded_counts(record, guards):
     assert guards.ADVISORY == {
         ("linkhealth", "supervised_over_unsupervised"), ("observe", "tapped_over_traced"),
         ("fastpath", "refused_over_scalar"),
+        ("startup", "fig6_dtp_import_over_interpreter"),
+        ("startup", "campaign_import_over_interpreter"),
     } and guards.ADVISORY <= {(section, key) for section, key, *_ in guards.GUARDS}
     supervision, tap = record["linkhealth"], record["observe"]
     watchdog_events = supervision["events_supervised"] - supervision["events_unsupervised"]
     assert 0 < watchdog_events <= 0.05 * supervision["events_unsupervised"]
     assert (tap["snapshots_emitted"], tap["tap_flushes"]) == (20, 2)
     assert record["fastpath"]["refused_coordinator_built"] is False
+    # The import walls stand on the module and byte counts, held as ceilings.
+    assert guards.CEILINGS == {
+        ("startup", f"{key}_{count}")
+        for key in bench.STARTUP_IMPORTS for count in ("modules", "source_bytes")
+    }
+    assert all(isinstance(record[section][key], int) for section, key in guards.CEILINGS)
+
+
+def test_startup_records_each_entry_point(record):
+    assert set(record["startup"]) == {
+        f"{key}_{metric}"
+        for key in bench.STARTUP_IMPORTS
+        for metric in ("modules", "source_bytes", "import_over_interpreter")
+    }
+    assert list(bench.STARTUP_IMPORTS.values()) == [
+        "repro.experiments.fig6_dtp", "repro.faultlab.campaign",
+    ]
 
 
 def test_checker_is_guarded_at_both_ends_of_topology_size(record, guards):
@@ -200,8 +219,11 @@ def test_interleaved_refuses_differing_outputs():
 
 
 def test_src_repro_imports_leave_numpy_out():
+    # Every module, by name: a package import alone loads none of them.
     code = (
-        "import sys, repro.bench, repro.insight, repro.fastpath, repro.cli\n"
+        "import importlib, pkgutil, sys, repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(info.name)\n"
         "assert 'numpy' not in sys.modules, 'numpy imported'"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))

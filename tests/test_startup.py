@@ -1,0 +1,75 @@
+"""What a fresh process loads: lazy package tables and import-closure guards.
+
+Every package ``__init__`` re-exports through a lazy table
+(:mod:`repro._lazy`), so importing a module compiles that module's own
+imports and nothing its package merely lists.  The first block holds each
+table to the submodules it names; the second runs imports in a new
+interpreter that writes no bytecode (:func:`repro.bench.fresh_import`) and
+fails by module name when an import drags in a package it does not use.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import repro
+from repro.bench import fresh_import
+
+PACKAGES = ["repro"] + [
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.") if info.ispkg
+]
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_every_export_is_the_object_its_submodule_holds(name):
+    package = importlib.import_module(name)
+    submodules = [
+        importlib.import_module(f"{name}.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)
+    ]
+    listed = dir(package)
+    # ``__version__`` is the one name a package binds itself.
+    for export in (e for e in package.__all__ if not e.startswith("__")):
+        value = getattr(package, export)
+        if inspect.ismodule(value):
+            assert value.__name__ == f"{name}.{export}", export
+        else:
+            assert any(vars(sub).get(export) is value for sub in submodules), export
+        assert export in listed, export
+
+
+def test_a_package_imports_no_submodule_until_a_name_is_used():
+    _, _, loaded = fresh_import("import repro.telemetry, repro.faultlab")
+    assert set(loaded) == {"repro", "repro._lazy", "repro.telemetry", "repro.faultlab"}
+    _, _, loaded = fresh_import("from repro.telemetry import Telemetry")
+    assert "repro.telemetry.bundle" in loaded and "repro.telemetry.index" not in loaded
+
+
+def _packages_in(loaded, packages):
+    return sorted(
+        name for name in loaded if any(name == p or name.startswith(p + ".") for p in packages)
+    )
+
+
+def test_import_repro_and_the_command_load_only_the_helper():
+    assert set(fresh_import("import repro")[2]) == {"repro", "repro._lazy"}
+    assert set(fresh_import("import repro.cli")[2]) == {"repro", "repro._lazy", "repro.cli"}
+    _, _, loaded = fresh_import("from repro.cli import main; main(['--help'])")
+    assert set(loaded) == {"repro", "repro._lazy", "repro.cli"}
+
+
+def test_fig6_dtp_loads_no_baseline_or_campaign_machinery():
+    _, _, loaded = fresh_import("import repro.experiments.fig6_dtp")
+    assert not _packages_in(loaded, [
+        "repro.ptp", "repro.ntp", "repro.gps", "repro.apps", "repro.shard",
+        "repro.insight", "repro.discipline", "repro.resilience",
+    ])
+
+
+def test_the_campaign_loads_no_shard_insight_or_baseline():
+    _, _, loaded = fresh_import("import repro.faultlab.campaign")
+    assert not _packages_in(loaded, [
+        "repro.shard", "repro.insight", "repro.ptp", "repro.ntp", "repro.discipline",
+    ])
