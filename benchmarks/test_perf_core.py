@@ -145,6 +145,9 @@ def test_bench_identities(bench):
     assert not fastpath["refused_coordinator_built"], (
         "a run in which nothing can promote still built a FastpathCoordinator"
     )
+    assert fastpath["faulted_builtins_promoted"] > 0, (
+        "a fault that patches a port kept its whole network off the coordinator"
+    )
     supervision, tap = bench["linkhealth"], bench["observe"]
     assert supervision["events_supervised"] <= 1.05 * supervision["events_unsupervised"], (
         "idle watchdogs dispatch more than 5% of the run's events"

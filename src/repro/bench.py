@@ -67,10 +67,13 @@ FASTPATH_CHAIN_DURATION_FS = 20 * units.MS
 #: The traced chain overflows the 65,536-record ring in a quarter of that;
 #: the digest both runs must agree on covers what the ring still holds.
 FASTPATH_TRACED_DURATION_FS = 5 * units.MS
-#: The refused workload: a builtin whose every endpoint is fault-armed, so
-#: no direction may ever batch, stretched until one run is ~0.4 s.
+#: The refused workload: a builtin with parity beacons on, which no
+#: direction may ever batch, stretched until one run is ~0.4 s.
 FASTPATH_REFUSED_BUILTIN = "two-faced"
 FASTPATH_REFUSED_DURATION_FS = 10 * units.MS
+#: The builtins whose faults patch a port behind its API: each hands back
+#: only the patched directions, for the patch's window.
+FASTPATH_FAULTED_BUILTINS = ("ber-burst", "beacon-suppression", "two-faced")
 
 #: Checker workload: the repo benchmark's fabric -- fat-tree k=8 (336 nodes,
 #: 56,280 checkable pairs) at the paper's Fig. 6b beacon interval, 200 us.
@@ -180,13 +183,14 @@ def fastpath_chain_run(backend: str, traced: bool = False) -> Tuple[object, floa
 
 
 def fastpath_refused_run(backend: str) -> Tuple[str, float, bool]:
-    """Timed all-tainted scenario; returns (result digest, wall seconds,
-    whether a coordinator was built)."""
+    """Timed statically refused scenario; returns (result digest, wall
+    seconds, whether a coordinator was built)."""
     from .faultlab.campaign import metrics_digest, run_scenario
     from .faultlab.scenarios import builtin_specs
 
     spec = builtin_specs([FASTPATH_REFUSED_BUILTIN])[0]
     spec["duration_fs"] = FASTPATH_REFUSED_DURATION_FS
+    spec["config"] = {"parity": True}
     live = {}
     gc.collect()
     start = time.perf_counter()
@@ -195,6 +199,18 @@ def fastpath_refused_run(backend: str) -> Tuple[str, float, bool]:
     )
     wall = time.perf_counter() - start
     return metrics_digest(result), wall, live["network"].fastpath is not None
+
+
+def fastpath_faulted_promotions() -> int:
+    """Directions :data:`FASTPATH_FAULTED_BUILTINS` promote, summed, at seed 1."""
+    from .faultlab.campaign import run_scenario
+    from .faultlab.scenarios import builtin_specs
+
+    coordinators = []
+    observers = [lambda network, **_: coordinators.append(network.fastpath)]
+    for spec in builtin_specs(list(FASTPATH_FAULTED_BUILTINS)):
+        run_scenario(spec, seed=1, observers=observers)
+    return sum(coordinator.promotions for coordinator in coordinators)
 
 
 def checker_run(brute_force=None, spec=CHECKER_SPEC) -> dict:
@@ -323,7 +339,8 @@ def _fastpath(repeats: int, seed_core) -> dict:
     every beacon interval batches), the same chain with the coordinator
     emitting the trace, its honest end-to-end case (saturated Fig. 6a:
     traffic keeps the merged heap busy), and its worst (nothing may batch,
-    so being the default must cost nothing)."""
+    so being the default must cost nothing); and how many directions the
+    builtins whose faults patch a port still batch."""
     chain_speedup, (events, _, promoted), _ = interleaved(
         lambda: fastpath_chain_run("batched"), lambda: fastpath_chain_run("scalar"),
         repeats, "the batched backend (idle chain)",
@@ -352,6 +369,7 @@ def _fastpath(repeats: int, seed_core) -> dict:
         "fig6a_bit_identical_to_scalar": True,
         "refused_coordinator_built": coordinator_built,
         "refused_over_scalar": round(refused, 3),
+        "faulted_builtins_promoted": fastpath_faulted_promotions(),
     }
 
 

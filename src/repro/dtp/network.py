@@ -203,10 +203,10 @@ class DtpNetwork:
     def pin_scalar(self, nodes) -> None:
         """Keep every link touching ``nodes`` on the scalar port path.
 
-        What :meth:`FaultModel.arm <repro.faultlab.faults.FaultModel.arm>`
-        does with the fault's ``tainted_nodes()``.  Both ports of each such
-        link lose the coordinator hook, directions already promoted are
-        demoted, and with no hooked port left the coordinator is detached.
+        What a shard worker does with the nodes it does not own (their
+        ports are ghosts).  Both ports of each such link lose the
+        coordinator hook, directions already promoted are demoted, and with
+        no hooked port left the coordinator is detached.
         """
         fastpath = self.fastpath
         if fastpath is None or not nodes:

@@ -348,6 +348,12 @@ class DtpPort:
     def can_transmit(self) -> bool:
         return self.state is not PortState.DOWN and self.peer is not None
 
+    def leave_fastpath(self) -> None:
+        """Demote this port's batched send direction, if any: called just
+        before ``ber``, ``tx_allow`` or ``_tx_counter`` is patched."""
+        if self._fastpath is not None:
+            self._fastpath.demote_port(self)
+
     @property
     def synchronized(self) -> bool:
         return self.state is PortState.SYNCHRONIZED

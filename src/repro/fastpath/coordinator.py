@@ -39,8 +39,9 @@ four engine dispatches through the full port machinery.
 * Anything irregular demotes the direction: pending virtual events are
   re-materialized as real heap events at their original times and
   sequence numbers and the scalar path finishes the chain (``link_down``,
-  a tripped fault window, ``signal_loss``, ``DtpNetwork.pin_scalar`` when
-  a fault model is armed).
+  a tripped fault window, ``DtpPort.leave_fastpath`` before a fault or
+  ``signal_loss`` patches the port, ``DtpNetwork.pin_scalar`` on a shard
+  worker's ghost links).
 
 The stage bodies exist once, inlined in :meth:`run_merged`; promotion
 reaches them through the queue.  A direction promotes from inside its own

@@ -15,14 +15,16 @@ The checks come in two tiers:
   (wiring, parity, object types, the dispatch profile).
   :class:`~repro.dtp.network.DtpNetwork` asks once per port at build time:
   a refused port never gets the coordinator hook, and a network in which
-  every port is refused builds no coordinator at all.  A fault model that
-  mutates ports behind their API takes the hook away again when it is
-  armed (:meth:`~repro.dtp.network.DtpNetwork.pin_scalar`): a port without
-  the hook never asks.
+  every port is refused builds no coordinator at all.  A shard worker
+  takes the hook away from the links of its ghost nodes
+  (:meth:`~repro.dtp.network.DtpNetwork.pin_scalar`): a port without the
+  hook never asks.
 * the rest of :func:`direction_ineligible_reason` — protocol and fault
-  state that comes and goes (synchronization, a TX gate, BER, link
-  supervision).  A hooked port asks at each of its beacon timeouts until
-  it promotes, and again after a demotion.
+  state that comes and goes (synchronization, a TX gate, BER, a patched
+  TX counter, link supervision).  A fault that patches one of those hands
+  the direction back first (:meth:`~repro.dtp.port.DtpPort.leave_fastpath`);
+  a hooked port asks at each of its beacon timeouts until it promotes, and
+  again after a demotion, so it re-promotes once the patch is undone.
 
 The checks are deliberately *conservative and explicit*: a direction that
 fails any check simply never leaves the scalar path, costing nothing but

@@ -11,6 +11,10 @@ legitimately out of spec quarantines it for the duration and releases it on
 heal (which is what produces the per-fault recovery-time metric).  A fault
 DTP explicitly does *not* defend against — the two-faced peer — never
 quarantines anything, so the checker flags it.
+
+A fault that patches a port behind its API (``ber``, ``tx_allow``,
+``_tx_counter``) first calls :meth:`~repro.dtp.port.DtpPort.leave_fastpath`:
+only that direction leaves the batched backend, and only while patched.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ class FaultModel(ABC):
             raise RuntimeError(f"fault {self.name!r} is already armed")
         self.armed = True
         self._ctx = ctx
-        ctx.network.pin_scalar(self.tainted_nodes())
         self._arm(ctx)
 
     @abstractmethod
@@ -71,21 +74,6 @@ class FaultModel(ABC):
     def summary(self) -> Dict[str, object]:
         """Scalar facts about what the fault actually did (for metrics)."""
         return {}
-
-    def tainted_nodes(self) -> frozenset:
-        """Nodes whose ports this fault mutates *behind the port API*.
-
-        The batched backend (``repro.fastpath``) promotes a port direction
-        only after checking, at promotion time, that nothing irregular is
-        installed on it.  Faults that flip a port attribute mid-run —
-        after a promotion check could already have passed — declare the
-        touched nodes here; :meth:`arm` pins every link touching them to
-        the scalar path (``DtpNetwork.pin_scalar``).  Faults that act
-        through ``down_link``/``up_link`` or the oscillator need not: link
-        state changes demote explicitly, and both backends read the same
-        oscillator segments.
-        """
-        return frozenset()
 
     def pins(self, topology: "Topology") -> Tuple[str, ...]:
         """Nodes the sharded backend must co-locate on one shard.
@@ -286,6 +274,7 @@ class BerBurst(_LinkFault):
         network = self._ctx.network
         for key, tag in (((self.a, self.b), "fwd"), ((self.b, self.a), "rev")):
             port = network.ports[key]
+            port.leave_fastpath()
             self._saved[key] = port.ber
             injector = BitErrorInjector(
                 self.ber, self._ctx.streams.stream(f"faultlab/{self.name}/{tag}")
@@ -307,11 +296,6 @@ class BerBurst(_LinkFault):
     def summary(self) -> Dict[str, object]:
         self.errors_injected = sum(i.errors_injected for i in self._injectors)
         return {"errors_injected": self.errors_injected}
-
-    def tainted_nodes(self) -> frozenset:
-        # _start swaps ``port.ber`` mid-run; a promoted direction would
-        # bypass the injector entirely.
-        return frozenset({self.a, self.b})
 
 
 class FlapStorm(FaultModel):
@@ -445,10 +429,6 @@ class SignalLoss(_LinkFault):
     def summary(self) -> Dict[str, object]:
         return {"losses": self.losses, "dark_fs": self.duration_fs}
 
-    def tainted_nodes(self) -> frozenset:
-        # signal_loss installs a TX gate on the a->b port mid-run.
-        return frozenset({self.a, self.b})
-
 
 class BerRamp(_LinkFault):
     """Slow transceiver degrade: BER rises through ``bers`` step by step.
@@ -510,6 +490,7 @@ class BerRamp(_LinkFault):
         self.steps_taken += 1
         for key, tag in (((self.a, self.b), "fwd"), ((self.b, self.a), "rev")):
             port = network.ports[key]
+            port.leave_fastpath()
             if key not in self._saved:
                 self._saved[key] = port.ber
             injector = BitErrorInjector(
@@ -538,10 +519,6 @@ class BerRamp(_LinkFault):
             "errors_injected": self.errors_injected,
             "steps_taken": self.steps_taken,
         }
-
-    def tainted_nodes(self) -> frozenset:
-        # _step swaps ``port.ber`` mid-run, like BerBurst.
-        return frozenset({self.a, self.b})
 
     def pins(self, topology: "Topology") -> Tuple[str, ...]:
         # The high-BER steps make the endpoints' *other* supervised links
@@ -674,6 +651,7 @@ class BeaconSuppression(_NodeFault):
 
     def _start(self) -> None:
         port = self._ctx.network.ports[(self.node, self.peer)]
+        port.leave_fastpath()
         self._saved = port.tx_allow
         port.tx_allow = self._allow
         self._quarantine([self.node])
@@ -685,10 +663,6 @@ class BeaconSuppression(_NodeFault):
 
     def summary(self) -> Dict[str, object]:
         return {"suppressed": self.suppressed}
-
-    def tainted_nodes(self) -> frozenset:
-        # _start installs ``port.tx_allow`` mid-run.
-        return frozenset({self.node, self.peer})
 
 
 class TwoFacedNode(_NodeFault):
@@ -733,14 +707,11 @@ class TwoFacedNode(_NodeFault):
         def lying_counter(t_fs: int) -> int:
             return device.global_counter(t_fs) + lie
 
+        port.leave_fastpath()
         port._tx_counter = lying_counter
 
     def summary(self) -> Dict[str, object]:
         return {"lie_ticks": self.lie_ticks}
-
-    def tainted_nodes(self) -> frozenset:
-        # _install patches ``port._tx_counter`` mid-run.
-        return frozenset({self.node, self.victim})
 
 
 class SteppedSkew(SkewModel):

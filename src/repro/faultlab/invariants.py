@@ -10,9 +10,11 @@ properties the paper proves:
    units, where ``D`` is their hop distance over those links (Section 3.3);
 2. **gc-monotonic** — every device's global counter is strictly monotonic,
    including across Algorithm 2's ``gc <- max(gc, lc_i)`` merges;
-3. **wrap-codec** — the 53-bit low half of every counter survives the
-   encode/reconstruct round trip, both against the node's own counter and
-   against every in-bound peer's counter (Section 4.4 wraparound).
+3. **wrap-codec** — the 53-bit low half of a node's counter,
+   reconstructed against an in-bound peer's counter, recovers the node's
+   exact counter (Section 4.4 wraparound).  Only the cross-node trip can
+   fail: against the node's own counter the round trip holds for every
+   int (``tests/test_dtp_messages.py``), so it is not checked at run time.
 
 Fault models tell the checker which nodes are deliberately broken
 (:meth:`InvariantChecker.quarantine`) so injected faults do not drown the
@@ -33,6 +35,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from ..dtp import messages as dtpmsg
 from ..dtp.analysis import DIRECT_BOUND_TICKS
+from ..dtp.device import DtpDevice
 from ..dtp.network import DtpNetwork
 from ..sim import units
 from ..telemetry.events import (
@@ -215,9 +218,15 @@ class InvariantChecker:
 
         self._nodes = list(network.devices)
         self._node_order = {name: i for i, name in enumerate(self._nodes)}
+        #: Per node: device, and whether its class reads ``gc`` as DtpDevice
+        #: does (then a tick calls ``gc.counter_at``, one frame fewer).
+        plain = DtpDevice.global_counter
         self._counter_reads = [
-            (name, device.global_counter) for name, device in network.devices.items()
+            (name, device, getattr(type(device), "global_counter", None) is plain)
+            for name, device in network.devices.items()
         ]
+        #: The ``EV_CHECK`` subject id, interned at the first traced tick.
+        self._check_sid: Optional[int] = None
         ports = network.ports
         self._edge_ports = [
             (ports[(edge.a, edge.b)], ports[(edge.b, edge.a)])
@@ -681,7 +690,10 @@ class InvariantChecker:
         )
 
     def _counters(self, now: int) -> Dict[str, int]:
-        return {name: read(now) for name, read in self._counter_reads}
+        return {
+            name: device.gc.counter_at(now) if plain else device.global_counter(now)
+            for name, device, plain in self._counter_reads
+        }
 
     def checkable_pairs(
         self, enforce_grace: bool = True
@@ -763,24 +775,20 @@ class InvariantChecker:
         counters = self._counters(now)
         self._epoch_state()
 
-        # gc-monotonic and the wrap-codec self round trip in one pass that
-        # records nothing: any node that would be (or be excused from being)
-        # recorded, and a baseline that does not cover every node, send the
-        # tick through the two recording checks instead.
+        # gc-monotonic in one pass that records nothing: any node that would
+        # be (or be excused from being) recorded, and a baseline that does
+        # not cover every node, send the tick through the recording check.
         last = self._last_counter
         settled = len(last) == len(counters)
         if settled:
-            low_mask = dtpmsg.COUNTER_LOW_MASK
-            reconstruct = dtpmsg.reconstruct_counter
             for node, gc in counters.items():
-                if gc <= last[node] or reconstruct(gc & low_mask, gc) != gc:
+                if gc <= last[node]:
                     settled = False
                     break
         if settled:
             last.update(counters)
         else:
             self._check_monotonic(now, counters)
-            self._check_wrap_codec(now, counters)
         self._check_pair_bounds(now, counters)
         self._update_connectivity_epochs(now, counters)
         self._check_recoveries(now, counters)
@@ -789,10 +797,12 @@ class InvariantChecker:
             self._m_checks.value += 1
             self._m_pairs.value += self.pairs_checked - pairs_before
         if self._tracer is not None:
+            if self._check_sid is None:
+                self._check_sid = self._tracer.subject_id("invariant-checker")
             self._tracer.record(
                 now,
                 EV_CHECK,
-                self._tracer.subject_id("invariant-checker"),
+                self._check_sid,
                 self.pairs_checked - pairs_before,
                 self.total_violations - violations_before,
             )
@@ -815,21 +825,6 @@ class InvariantChecker:
                     {"previous": previous, "current": counters[node]},
                 )
             self._last_counter[node] = counters[node]
-
-    def _check_wrap_codec(self, now: int, counters: Dict[str, int]) -> None:
-        for node in self._nodes:
-            gc = counters[node]
-            low = dtpmsg.counter_low(gc)
-            if not 0 <= low <= dtpmsg.COUNTER_LOW_MASK:
-                self._record(now, INVARIANT_WRAP, node, {"low": low, "gc": gc})
-                continue
-            if dtpmsg.reconstruct_counter(low, gc) != gc:
-                self._record(
-                    now,
-                    INVARIANT_WRAP,
-                    node,
-                    {"low": low, "gc": gc, "kind": "self-roundtrip"},
-                )
 
     def _check_pair_bounds(self, now: int, counters: Dict[str, int]) -> None:
         found: List[tuple] = []

@@ -451,10 +451,8 @@ class LinkSupervisor:
 
     def _demote_fastpath(self) -> None:
         """Hand any batched direction of this link back to scalar."""
-        for port in (self.port_ab, self.port_ba):
-            fastpath = port._fastpath
-            if fastpath is not None:
-                fastpath.on_link_down(port)
+        self.port_ab.leave_fastpath()
+        self.port_ba.leave_fastpath()
 
     def _stream(self):
         if self._rng is None:

@@ -124,8 +124,7 @@ class LinkGate:
         if key in self._dark:
             return
         port = self.network.ports[key]
-        if port._fastpath is not None:
-            port._fastpath.demote_port(port)
+        port.leave_fastpath()
         self._dark[key] = port.tx_allow
         port.tx_allow = _dark_fiber
         if self.manager is not None:

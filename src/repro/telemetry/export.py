@@ -37,13 +37,14 @@ _FS_PER_US = 1_000_000_000
 #: Records encoded at a time: the exporter's peak memory is one block.
 _RECORD_BLOCK = 4096
 
-#: Byte-equal to ``canonical_json`` of a record dict whose five values are
-#: ints or int subclasses (``IntEnum``) — and only for those.
-_RECORD_TEMPLATE = '{"a":%d,"b":%d,"k":%d,"s":%d,"t":%d}'
+#: Byte-equal to the UTF-8 ``canonical_json`` line of a record dict whose
+#: five values are ints or int subclasses (``IntEnum``) — and only for those.
+_RECORD_TEMPLATE = b'{"a":%d,"b":%d,"k":%d,"s":%d,"t":%d}\n'
 
 
-def encode_records(records: Sequence[TraceRecord]) -> str:
-    """The canonical JSON lines of ``records``, ``"\\n"``-joined.
+def encode_records(records: Sequence[TraceRecord]) -> bytes:
+    """The canonical JSON lines of ``records``, each ending in ``\\n``, as
+    the UTF-8 bytes every artifact writes.
 
     The one record encoder (trace file, its digest, flight dump).  ``%d``
     would coerce a ``bool``/``float`` and reject ``None``/``str``, so a
@@ -51,13 +52,13 @@ def encode_records(records: Sequence[TraceRecord]) -> str:
     """
     kinds = set(map(type, chain.from_iterable(records)))
     if all(issubclass(tp, int) and tp is not bool for tp in kinds):
-        return "\n".join(
+        return b"".join(
             [_RECORD_TEMPLATE % (a, b, k, s, t) for t, k, s, a, b in records]
         )
-    return "\n".join(
-        canonical_json({"a": a, "b": b, "k": k, "s": s, "t": t})
+    return "".join(
+        canonical_json({"a": a, "b": b, "k": k, "s": s, "t": t}) + "\n"
         for t, k, s, a, b in records
-    )
+    ).encode("utf-8")
 
 
 def _digest_key(tracer: TraceRecorder) -> Tuple[int, int]:
@@ -70,7 +71,7 @@ def _stream_trace(tracer: TraceRecorder, handle: Optional[IO[bytes]]) -> str:
     """Encode the trace once, teeing header and blocks to sha256 and ``handle``."""
     h = hashlib.sha256()
     records = iter(tracer.records)
-    text = canonical_json(
+    chunk = canonical_json(
         {
             "record": TRACE_HEADER,
             "version": 1,
@@ -80,13 +81,12 @@ def _stream_trace(tracer: TraceRecorder, handle: Optional[IO[bytes]]) -> str:
             "kinds": {str(code): name for code, name in sorted(KIND_NAMES.items())},
             "subjects": tracer.subjects,
         }
-    )
-    while text:  # an exhausted ring encodes to ""
-        chunk = (text + "\n").encode("utf-8")
+    ).encode("utf-8") + b"\n"
+    while chunk:  # an exhausted ring encodes to b""
         h.update(chunk)
         if handle is not None:
             handle.write(chunk)
-        text = encode_records(list(islice(records, _RECORD_BLOCK)))
+        chunk = encode_records(list(islice(records, _RECORD_BLOCK)))
     digest = h.hexdigest()
     tracer.digest_memo = (_digest_key(tracer), digest)
     return digest

@@ -54,15 +54,17 @@ class FlightDump:
 
     def dump_bytes(self) -> bytes:
         """The exact artifact bytes (round-trip target for tests)."""
-        parts = [
-            canonical_json(dict(self.header, record=FLIGHT_HEADER)),
-            canonical_json({"record": FLIGHT_TRACE, "subjects": self.subjects}),
-        ]
-        if self.records:
-            parts.append(encode_records(self.records))
-        parts.append(canonical_json({"metrics": self.metrics, "record": FLIGHT_METRICS}))
-        parts.append(canonical_json({"context": self.context, "record": FLIGHT_CONTEXT}))
-        return ("\n".join(parts) + "\n").encode("utf-8")
+        return b"".join((
+            _line(dict(self.header, record=FLIGHT_HEADER)),
+            _line({"record": FLIGHT_TRACE, "subjects": self.subjects}),
+            encode_records(self.records),
+            _line({"metrics": self.metrics, "record": FLIGHT_METRICS}),
+            _line({"context": self.context, "record": FLIGHT_CONTEXT}),
+        ))
+
+
+def _line(obj: Dict[str, object]) -> bytes:
+    return canonical_json(obj).encode("utf-8") + b"\n"
 
 
 def build_flight(

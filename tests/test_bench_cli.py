@@ -161,6 +161,20 @@ def test_checker_is_guarded_at_both_ends_of_topology_size(record, guards):
     assert parameters["spec"].default is bench.CHECKER_SPEC
 
 
+def test_fastpath_records_a_refused_and_a_faulted_case(record):
+    assert set(record["fastpath"]) == {
+        "chain_events", "chain_directions_promoted", "chain_speedup_vs_scalar",
+        "traced_chain_records", "traced_chain_directions_promoted",
+        "traced_chain_speedup_vs_scalar", "fig6a_speedup_vs_scalar",
+        "fig6a_bit_identical_to_scalar", "refused_coordinator_built",
+        "refused_over_scalar", "faulted_builtins_promoted",
+    }
+    # The refused case is a faulted builtin with parity on: a fault alone
+    # no longer keeps a network off the coordinator.
+    assert bench.FASTPATH_REFUSED_BUILTIN in bench.FASTPATH_FAULTED_BUILTINS
+    assert record["fastpath"]["faulted_builtins_promoted"] == 6 + 3 + 4
+
+
 def test_record_holds_no_raw_timing(record):
     raw = re.compile(r"wall|_s$|_ms$|per_sec")
     assert not [

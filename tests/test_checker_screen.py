@@ -11,8 +11,11 @@ fabric; ``_walk`` is the one method wrapped, to see what a tick enumerates.
 
 import pytest
 
+from repro.clocks.oscillator import ConstantSkew
+from repro.dtp.device import DtpDevice
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
+from repro.dtp.spanning_tree import FollowerClock, configure_spanning_tree
 from repro.faultlab import INVARIANT_PAIR_BOUND, InvariantChecker
 from repro.faultlab.campaign import assemble, prepare
 from repro.network.topology import chain, fat_tree
@@ -218,17 +221,39 @@ def test_settled_ticks_skip_the_signature_and_the_recording_checks(
     sim, request, topology
 ):
     _net, checker = request.getfixturevalue(topology)[:2]
-    calls = count_calls(
-        checker, "_cache_key", "_check_monotonic", "_check_wrap_codec", "_counters"
-    )
+    calls = count_calls(checker, "_cache_key", "_check_monotonic", "_counters")
     checks = checker.checks_run
     sim.run_until(sim.now + 30 * checker.interval_fs)
     ticks = checker.checks_run - checks
     assert ticks >= 20 and checker.total_violations == 0
-    assert calls == {
-        "_cache_key": 0, "_check_monotonic": 0, "_check_wrap_codec": 0,
-        "_counters": ticks,
-    }
+    assert calls == {"_cache_key": 0, "_check_monotonic": 0, "_counters": ticks}
+
+
+class _AheadDevice(DtpDevice):
+    """A device class whose ``global_counter`` is not ``gc``'s reading."""
+
+    def global_counter(self, t_fs: int) -> int:
+        return super().global_counter(t_fs) + 7
+
+
+def test_counter_read_is_each_devices_global_counter(sim, streams):
+    # n0 keeps its plain gc (the tree's root), n1 and n2 follow their parents
+    # through a FollowerClock swapped in *after* the checker was built, and
+    # n3's class overrides global_counter: the tick's direct gc read must
+    # still be exactly what every device reports.
+    net = DtpNetwork(sim, chain(4), streams, skews={"n2": ConstantSkew(60.0)})
+    net.devices["n3"].__class__ = _AheadDevice
+    checker = InvariantChecker(net)
+    configure_spanning_tree(net, master="n0")
+    assert isinstance(net.devices["n1"].gc, FollowerClock)
+    net.start()
+    for stop_us in (0, 30, 100, 250):
+        sim.run_until(stop_us * units.US)
+        now = sim.now
+        expected = {name: d.global_counter(now) for name, d in net.devices.items()}
+        assert checker._counters(now) == expected
+        assert expected["n3"] == net.devices["n3"].gc.counter_at(now) + 7
+    assert net.devices["n2"].gc.stalls > 0  # the fast follower did hold
 
 
 @pytest.mark.parametrize("topology", ["fabric", "chain3"])

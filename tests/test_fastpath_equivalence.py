@@ -131,7 +131,7 @@ def test_batched_backend_is_bit_identical(topology, fault, seed, stagger_us):
 # ----------------------------------------------------------------------
 # Hand-armed faults: no spec, no campaign — ``arm`` is the only declaration
 # ----------------------------------------------------------------------
-#: The sweep's faults plus the two whose taint is all that keeps them right.
+#: The sweep's faults plus the two others that patch a port behind its API.
 _HAND_FAULTS = _FAULT_DICTS + [
     {"kind": "ber-burst", "start_fs": 250 * units.US,
      "duration_fs": 200 * units.US, "ber": 1e-3},
@@ -140,18 +140,52 @@ _HAND_FAULTS = _FAULT_DICTS + [
 ]
 
 
+def _patched(fault_spec, a, b):
+    """The send directions ``fault_spec`` placed on a-b patches (``ber``,
+    ``tx_allow``, ``_tx_counter``), as ``(node, peer)`` port keys."""
+    return {
+        "ber-burst": [(a, b), (b, a)],
+        "beacon-suppression": [(a, b)],
+        "two-faced": [(a, b)],
+    }.get(fault_spec["kind"], [])
+
+
+def _direction_log(coordinator, sim):
+    """``[(time, sender port key, "promote" | "demote"), ...]`` of every
+    direction ``coordinator`` takes or hands back from now on."""
+    log = []
+    promote, demote = coordinator.on_beacon_timeout, coordinator.demote
+
+    def on_beacon_timeout(port):
+        promoted = promote(port)
+        if promoted:
+            log.append((sim.now, tuple(port.name.split("->")), "promote"))
+        return promoted
+
+    def logged_demote(ds):
+        log.append((sim.now, tuple(ds.sender.name.split("->")), "demote"))
+        demote(ds)
+
+    coordinator.on_beacon_timeout = on_beacon_timeout
+    coordinator.demote = logged_demote
+    return log
+
+
 def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed):
     """One traced run with ``fault_spec`` armed by hand at ``arm_at_fs``
-    (0 = before ``start()``) on a network that was told nothing about it."""
+    (0 = before ``start()``) on a network that was told nothing about it.
+    Returns the run's identity, the fault, the network, its coordinator (None
+    on scalar) and the coordinator's promote / demote log."""
     topology = build_topology(topology_spec)
     edge = topology.edges[edge_index % len(topology.edges)]
     # Armed late, the schedule moves with it: first effect >= 600 us, well
-    # after every direction promoted, so the pin has something to demote.
+    # after every direction promoted, so a patch has something to demote.
     shift_fs = 400 * units.US if arm_at_fs else 0
     fault = build_fault(_placed(fault_spec, edge.a, edge.b, shift_fs))
     telemetry, sim, streams = Telemetry(), Simulator(), RandomStreams(root_seed=seed)
     net = DtpNetwork(sim, topology, streams, telemetry=telemetry, backend=backend)
     coordinator = net.fastpath
+    log = _direction_log(coordinator, sim) if coordinator is not None else []
     context = FaultContext(network=net, streams=streams)
     if not arm_at_fs:
         fault.arm(context)
@@ -165,7 +199,7 @@ def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed)
         telemetry.trace_digest(), list(telemetry.tracer.records),
         telemetry.tracer.recorded, sim._seq, fault.summary(),
     )
-    return identity, fault, net, coordinator
+    return identity, fault, net, coordinator, log
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -178,37 +212,70 @@ def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed)
 )
 def test_hand_armed_fault_is_bit_identical(topology, fault, edge_index, arm_at_us, seed):
     run = (topology, fault, edge_index, arm_at_us * units.US, seed)
-    scalar, _, _, _ = _hand_armed("scalar", *run)
-    batched, armed, net, coordinator = _hand_armed(None, *run)
+    scalar, *_ = _hand_armed("scalar", *run)
+    batched, _, net, coordinator, log = _hand_armed(None, *run)
     assert net.backend == "batched" and coordinator is not None
     assert batched == scalar
     assert scalar[2] > 1000
-    # The pin is exactly the fault's own declaration, peer-side ports included.
-    tainted = armed.tainted_nodes()
-    for (node, peer), port in net.ports.items():
-        pinned = node in tainted or peer in tainted
-        assert (port._fastpath is None) == (pinned or net.fastpath is None)
-    if tainted and arm_at_us:
-        assert coordinator.demotions >= 2  # both directions of the drawn edge
+    # Arming takes no port off the coordinator: a patch hands back only
+    # the direction it patches, and only for its window.
+    assert net.fastpath is coordinator
+    assert all(port._fastpath is coordinator for port in net.ports.values())
+    edge = net.topology.edges[edge_index % len(net.topology.edges)]
+    demoted = {key for _t, key, event in log if event == "demote"}
+    assert set(_patched(fault, edge.a, edge.b)) <= demoted
 
 
 @pytest.mark.parametrize("arm_at_us", [0, 500])
 @pytest.mark.parametrize("fault", _HAND_FAULTS, ids=lambda f: f["kind"])
 def test_every_hand_armed_fault_on_an_inner_edge(fault, arm_at_us):
-    # The sweep draws; this walks all six kinds, on chain(4)'s middle edge
-    # (both neighbours stay batched), before start() and mid-run.
+    # The sweep draws; this walks all six kinds, on chain(4)'s middle edge,
+    # before start() and mid-run.
     run = ({"kind": "chain", "hosts": 4}, fault, 1, arm_at_us * units.US, 7)
-    scalar, _, _, _ = _hand_armed("scalar", *run)
-    batched, armed, net, coordinator = _hand_armed(None, *run)
+    scalar, *_ = _hand_armed("scalar", *run)
+    batched, _, net, coordinator, log = _hand_armed(None, *run)
+    # Trace bytes, records, recorded count and sim._seq: the scalar run's.
     assert batched == scalar
-    hooked = {port.name for port in net.ports.values() if port._fastpath is not None}
-    if armed.tainted_nodes():
-        assert armed.tainted_nodes() == {"n1", "n2"}
-        assert hooked == set()  # n0-n1 and n2-n3 touch a tainted node too
-        assert net.fastpath is None and net.sim.fastpath is None
-        assert coordinator.demotions == (6 if arm_at_us else 0)
-    else:
-        assert len(hooked) == 6 and net.fastpath is coordinator
+    assert net.fastpath is coordinator
+    # The four outer directions promote once and stay promoted all run.
+    outer = [("n0", "n1"), ("n1", "n0"), ("n2", "n3"), ("n3", "n2")]
+    for key in outer:
+        assert [event for _t, k, event in log if k == key] == ["promote"], key
+        assert net.ports[key] in coordinator._dirs
+    # A patched direction runs scalar exactly while patched: handed back at
+    # the patch, re-promoted at its first beacon timeout after the restore
+    # (the two-faced lie is never taken back).
+    shift_fs = 400 * units.US if arm_at_us else 0
+    interval_fs = net.config.beacon_interval_ticks * net.spec.period_fs
+    for key in _patched(fault, "n1", "n2"):
+        events = [(t, event) for t, k, event in log if k == key]
+        assert events[0][1] == "promote"
+        if fault["kind"] == "two-faced":
+            assert events[1:] == [(fault["at_fs"] + shift_fs, "demote")]
+            continue
+        start_fs = fault["start_fs"] + shift_fs
+        stop_fs = start_fs + fault["duration_fs"]
+        (demoted_at, demote), (promoted_at, promote) = events[1:]
+        assert (demoted_at, demote, promote) == (start_fs, "demote", "promote")
+        assert stop_fs < promoted_at <= stop_fs + 2 * interval_fs
+        assert net.ports[key] in coordinator._dirs
+
+
+@pytest.mark.parametrize(
+    "name, promotions, demotions",
+    [("ber-burst", 6, 2), ("beacon-suppression", 3, 1), ("two-faced", 4, 1)],
+)
+def test_builtins_that_patch_a_port_still_batch(name, promotions, demotions):
+    # These three used to pin every node of the fault to the scalar path at
+    # arm, so their networks built no coordinator at all.
+    from repro.faultlab.scenarios import builtin_specs
+
+    (spec,) = builtin_specs([name], quick=True)
+    result, live = _run_live(spec, 1)
+    fastpath = live["network"].fastpath
+    assert fastpath is not None
+    assert (fastpath.promotions, fastpath.demotions) == (promotions, demotions)
+    assert result == run_scenario(dict(spec), seed=1, backend="scalar")
 
 
 def _six_chain(fault, supervised=False):
@@ -241,7 +308,7 @@ def test_every_fault_keeps_its_identity_on_two_batching_shards(fault, supervised
     # The sharded arm of the sweep: a shard builds and arms its own faults,
     # so the same six kinds come in through the spec.  Result bytes — the
     # trace and metrics digests are in them — equal the scalar oracle's
-    # while every untainted owned-owned direction batches.
+    # while every owned-owned direction batches outside a patch.
     spec = _six_chain(fault, supervised)
     stats = {}
     scalar = run_scenario(dict(spec), seed=7, backend="scalar", telemetry=Telemetry())
@@ -579,7 +646,7 @@ def test_untraced_chain_promotes_everything():
     assert net.fastpath.virtual_events > 0
 
 
-def test_tainted_nodes_pin_directions_to_scalar():
+def test_pin_scalar_keeps_ghost_links_scalar():
     sim, net = _batched_chain(hosts=3, pinned=frozenset({"n2"}))
     net.pin_scalar({"n2"})  # pinning twice is a no-op
     sim.run_until(2 * units.MS)

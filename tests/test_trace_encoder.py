@@ -19,12 +19,13 @@ from repro.telemetry.export import (
 )
 
 
-def reference_lines(records) -> str:
-    """The pre-template encoder: ``canonical_json`` per record."""
-    return "\n".join(
-        canonical_json({"a": a, "b": b, "k": k, "s": s, "t": t})
+def reference_lines(records) -> bytes:
+    """The pre-template encoder: ``canonical_json`` per record, one line
+    each, as the UTF-8 bytes an artifact holds."""
+    return "".join(
+        canonical_json({"a": a, "b": b, "k": k, "s": s, "t": t}) + "\n"
         for t, k, s, a, b in records
-    )
+    ).encode("utf-8")
 
 
 class Flag(enum.IntFlag):
@@ -74,8 +75,11 @@ class TestEncoderEquality:
         monkeypatch.setattr(export, "canonical_json", None)
         assert (
             encode_records([(10, 1, 0, MessageType.BEACON, -3)])
-            == '{"a":2,"b":-3,"k":1,"s":0,"t":10}'
+            == b'{"a":2,"b":-3,"k":1,"s":0,"t":10}\n'
         )
+
+    def test_an_empty_batch_is_no_bytes(self):
+        assert encode_records([]) == b""
 
 
 def small_recorder(capacity: int = 8) -> TraceRecorder:
@@ -197,8 +201,8 @@ class TestFlightUsesTheEncoder:
         telemetry = Telemetry()
         telemetry.tracer = small_recorder()
         dump = flight.dump_flight(str(tmp_path / "f.jsonl"), telemetry, "s", 0, 0)
-        lines = (tmp_path / "f.jsonl").read_text().splitlines()
-        assert "\n".join(lines[2:-2]) == encode_records(dump.records)
+        lines = (tmp_path / "f.jsonl").read_bytes().splitlines(keepends=True)
+        assert b"".join(lines[2:-2]) == encode_records(dump.records)
         assert flight.load_flight(str(tmp_path / "f.jsonl")).dump_bytes() == (
             tmp_path / "f.jsonl"
         ).read_bytes()
