@@ -52,14 +52,17 @@ GUARDS = [
      "hooks ~1.15-1.2 plus digest ~0.15 on a full 65,536-record ring, reads 1.07-1.42; ~2.0 "
      "when the digest was a json.dumps per record (docs/OBSERVABILITY.md, 'What tracing costs')"),
     ("fastpath", "chain_speedup_vs_scalar", ">=", 1.6,
-     "reads 2.3-2.5 where nearly everything promotes; exact equivalence (mirrored sequence "
-     "numbers, scalar re-execution of irregular intervals) caps the win in CPython"),
+     "reads 2.3-2.5 where nearly everything promotes, 2.7 once PLAN, CAPTURE and APPLY carry "
+     "their tick; exact equivalence (mirrored sequence numbers, scalar re-execution of "
+     "irregular intervals) caps the win in CPython"),
     ("fastpath", "traced_chain_speedup_vs_scalar", ">=", 1.5,
      "the same chain with the coordinator emitting the scalar path's records (equal "
-     "trace_digest): reads 2.1-2.25, the record calls being the same cost on both sides"),
+     "trace_digest): reads 2.1-2.25, 2.6 with carried ticks, the record calls being the same "
+     "cost on both sides"),
     ("fastpath", "fig6a_speedup_vs_scalar", ">=", 1.25,
-     "reads 1.8-2.1 on the saturated testbed, where traffic keeps the merged heap busy; "
-     "untraced, so it also holds the coordinator's `record is not None` tests to nothing"),
+     "reads 1.8-2.1 on the saturated testbed, 2.5 with carried ticks, where traffic keeps the "
+     "merged heap busy; untraced, so it also holds the coordinator's `record is not None` "
+     "tests to nothing"),
     ("fastpath", "refused_over_scalar", "<=", 1.05,
      "a scenario in which no direction may batch builds no coordinator and runs the inherited "
      "loops: an A/A pair but for the engine class, reads 0.99-1.03; 1.07-1.17 when every "

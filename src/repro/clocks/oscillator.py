@@ -267,7 +267,9 @@ class Oscillator:
             # pathological update intervals); carry the pending edge time.
             first_edge = prev.first_edge_fs
         else:
-            first_edge = last_edge + period
+            # Not before the update instant, where a shorter period could
+            # put it: ticks_at(time_of_tick(n)) == n for every n.
+            first_edge = max(last_edge + period, start)
         segment = _Segment(
             start_fs=start,
             end_fs=start + self.update_interval_fs,

@@ -122,21 +122,16 @@ def reconstruct_counter(low: int, reference: int, bits: int = COUNTER_LOW_BITS) 
     """Recover a full counter from its ``bits`` LSBs near a reference.
 
     Picks the value congruent to ``low`` (mod 2^bits) closest to
-    ``reference``; with beacons microseconds apart and a ~667-day wrap this
-    is always unambiguous.
+    ``reference``, a tie going to the smaller one: the unique such value
+    in ``[reference - 2^(bits-1), reference + 2^(bits-1))``.  With beacons
+    microseconds apart and a ~667-day wrap this is always unambiguous.
     """
     modulus = 1 << bits
-    value = ((reference >> bits) << bits) + low
-    # Branch-free-of-min() form of "candidate closest to the reference
-    # among value-modulus, value, value+modulus" with ties resolved
-    # toward the smaller candidate (the order min() scanned them in).
-    delta = value - reference  # in (-modulus, modulus)
-    half = modulus >> 1
-    if delta >= half:
-        return value - modulus
-    if delta < -half:
-        return value + modulus
-    return value
+    # The wrapped difference, brought into [-half, half).
+    delta = (low - reference) & (modulus - 1)
+    if delta >= modulus >> 1:
+        delta -= modulus
+    return reference + delta
 
 
 def payload_with_parity(counter: int) -> int:

@@ -11,7 +11,9 @@ Each command prints the experiment's series statistics and summary — the
 same rows/series the paper reports (shape, not absolute testbed numbers).
 ``--jobs`` fans the independent experiments of a group command (``all``,
 ``fig6``) across worker processes; outputs are printed in the same
-deterministic order a serial run produces.
+deterministic order a serial run produces.  Each command imports its
+experiment module when it runs, so ``repro fig6a`` compiles ``fig6_dtp``
+and none of the other experiments or their baselines.
 """
 
 from __future__ import annotations
@@ -21,20 +23,14 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..cli import add_run_flags, add_telemetry_flags
-from ..resilience import CheckpointJournal, run_supervised
 from ..resilience.cli import (
     add_supervision_flags,
     report_failures,
     supervisor_policy,
 )
 from ..sim import units
-from . import ablations, bounds, convergence, extensions, fig6_dtp, fig6_ptp
-from . import fig7_daemon, hybrid_sync, stability, sweeps, table1, table2
-from .asciiplot import render_series
-from .fig6_dtp import Fig6DtpConfig
-from .fig6_ptp import Fig6PtpConfig
-from .fig7_daemon import Fig7Config
 from .parallel import ExperimentTask, run_tasks
+
 
 @dataclass(frozen=True)
 class ExperimentOptions:
@@ -58,6 +54,8 @@ def _series_outputs(result, options: ExperimentOptions) -> List[str]:
     if options.csv_dir is not None:
         outputs.extend(export_csv(result, options.csv_dir))
     if options.plot:
+        from .asciiplot import render_series
+
         outputs.extend(
             render_series(series) for series in result.series if series.values
         )
@@ -109,25 +107,14 @@ def export_csv(result, directory: str) -> List[str]:
     return written
 
 
-def _run_fig6a(options: ExperimentOptions) -> List[str]:
+def _run_fig6_dtp(frame_name: str, options: ExperimentOptions) -> List[str]:
+    from .fig6_dtp import Fig6DtpConfig, run_fig6_dtp
+
     config = Fig6DtpConfig(
-        frame_name="mtu", duration_fs=(6 if options.quick else 20) * units.MS
+        frame_name=frame_name, duration_fs=(6 if options.quick else 20) * units.MS
     )
     telemetry = _telemetry_for_run(options)
-    result = fig6_dtp.run_fig6_dtp(config, telemetry=telemetry)
-    return (
-        [result.render()]
-        + _series_outputs(result, options)
-        + _export_telemetry(result.name, telemetry, options)
-    )
-
-
-def _run_fig6b(options: ExperimentOptions) -> List[str]:
-    config = Fig6DtpConfig(
-        frame_name="jumbo", duration_fs=(6 if options.quick else 20) * units.MS
-    )
-    telemetry = _telemetry_for_run(options)
-    result = fig6_dtp.run_fig6_dtp(config, telemetry=telemetry)
+    result = run_fig6_dtp(config, telemetry=telemetry)
     return (
         [result.render()]
         + _series_outputs(result, options)
@@ -136,11 +123,13 @@ def _run_fig6b(options: ExperimentOptions) -> List[str]:
 
 
 def _run_fig6c(options: ExperimentOptions) -> List[str]:
+    from .fig6_dtp import Fig6DtpConfig, run_fig6c
+
     config = Fig6DtpConfig(
         frame_name="jumbo", duration_fs=(10 if options.quick else 40) * units.MS
     )
     telemetry = _telemetry_for_run(options)
-    result, pdfs = fig6_dtp.run_fig6c(config, telemetry=telemetry)
+    result, pdfs = run_fig6c(config, telemetry=telemetry)
     lines = [result.render(), "--- offset PDFs (ticks -> probability) ---"]
     for label, pdf in sorted(pdfs.items()):
         cells = ", ".join(f"{int(k):+d}: {v:.3f}" for k, v in pdf.items())
@@ -149,16 +138,20 @@ def _run_fig6c(options: ExperimentOptions) -> List[str]:
 
 
 def _run_fig6_ptp(load: str, options: ExperimentOptions) -> List[str]:
+    from .fig6_ptp import Fig6PtpConfig, run_fig6_ptp
+
     config = Fig6PtpConfig(
         load=load, duration_fs=(180 if options.quick else 600) * units.SEC
     )
-    result = fig6_ptp.run_fig6_ptp(config)
+    result = run_fig6_ptp(config)
     return [result.render()] + _series_outputs(result, options)
 
 
 def _run_fig7(options: ExperimentOptions) -> List[str]:
+    from .fig7_daemon import Fig7Config, run_fig7
+
     config = Fig7Config(duration_fs=(100 if options.quick else 400) * units.MS)
-    raw, smoothed = fig7_daemon.run_fig7(config)
+    raw, smoothed = run_fig7(config)
     return (
         [raw.render(), smoothed.render()]
         + _series_outputs(raw, options)
@@ -167,7 +160,9 @@ def _run_fig7(options: ExperimentOptions) -> List[str]:
 
 
 def _run_table1(options: ExperimentOptions) -> List[str]:
-    result = table1.run_table1(
+    from .table1 import run_table1
+
+    result = run_table1(
         packet_protocol_duration_fs=(60 if options.quick else 180) * units.SEC,
         dtp_duration_fs=(2 if options.quick else 4) * units.MS,
     )
@@ -177,13 +172,17 @@ def _run_table1(options: ExperimentOptions) -> List[str]:
 
 
 def _run_table2(options: ExperimentOptions) -> List[str]:
-    result = table2.run_table2(duration_fs=(1 if options.quick else 2) * units.MS)
+    from .table2 import run_table2
+
+    result = run_table2(duration_fs=(1 if options.quick else 2) * units.MS)
     lines = [result.render(), "--- Table 2 ---"]
     lines.extend(result.summary["rows"])
     return lines
 
 
 def _run_bounds(options: ExperimentOptions) -> List[str]:
+    from . import bounds
+
     hop_config = bounds.BoundsConfig(duration_fs=(3 if options.quick else 6) * units.MS)
     outputs = [bounds.run_hop_scaling(hop_config).render()]
     outputs.append(
@@ -193,6 +192,8 @@ def _run_bounds(options: ExperimentOptions) -> List[str]:
 
 
 def _run_convergence(options: ExperimentOptions) -> List[str]:
+    from . import convergence
+
     outputs = [convergence.run_dtp_convergence().render()]
     outputs.append(
         convergence.run_ptp_convergence(
@@ -203,10 +204,14 @@ def _run_convergence(options: ExperimentOptions) -> List[str]:
 
 
 def _run_ablations(options: ExperimentOptions) -> List[str]:
-    return [result.render() for result in ablations.run_all_ablations()]
+    from .ablations import run_all_ablations
+
+    return [result.render() for result in run_all_ablations()]
 
 
 def _run_extensions(options: ExperimentOptions) -> List[str]:
+    from . import extensions
+
     outputs = [extensions.run_synce_ablation().render()]
     outputs.append(extensions.run_spanning_tree_comparison().render())
     outputs.append(
@@ -219,7 +224,9 @@ def _run_extensions(options: ExperimentOptions) -> List[str]:
 
 
 def _run_stability(options: ExperimentOptions) -> List[str]:
-    result = stability.run_stability_comparison(
+    from .stability import run_stability_comparison
+
+    result = run_stability_comparison(
         dtp_duration_fs=(4 if options.quick else 8) * units.MS,
         ptp_duration_fs=(150 if options.quick else 400) * units.SEC,
     )
@@ -227,7 +234,9 @@ def _run_stability(options: ExperimentOptions) -> List[str]:
 
 
 def _run_hybrid(options: ExperimentOptions) -> List[str]:
-    result = hybrid_sync.run_hybrid_comparison(
+    from .hybrid_sync import run_hybrid_comparison
+
+    result = run_hybrid_comparison(
         ptp_duration_fs=(120 if options.quick else 200) * units.SEC,
         hybrid_duration_fs=(60 if options.quick else 100) * units.MS,
     )
@@ -241,7 +250,6 @@ def _run_report(options: ExperimentOptions) -> List[str]:
 
 
 def _run_faultlab(options: ExperimentOptions) -> List[str]:
-    # Imported on use: no other experiment needs the campaign runner.
     from ..faultlab import builtin_specs, render_campaign, run_campaign
 
     results = run_campaign(
@@ -254,6 +262,8 @@ def _run_faultlab(options: ExperimentOptions) -> List[str]:
 
 
 def _run_sweeps(options: ExperimentOptions) -> List[str]:
+    from . import sweeps
+
     quick = options.quick
     outputs = [
         sweeps.sweep_beacon_vs_skew(duration_fs=(3 if quick else 4) * units.MS).render()
@@ -266,8 +276,8 @@ def _run_sweeps(options: ExperimentOptions) -> List[str]:
 
 
 COMMANDS = {
-    "fig6a": _run_fig6a,
-    "fig6b": _run_fig6b,
+    "fig6a": lambda options: _run_fig6_dtp("mtu", options),
+    "fig6b": lambda options: _run_fig6_dtp("jumbo", options),
     "fig6c": _run_fig6c,
     "fig6d": lambda options: _run_fig6_ptp("idle", options),
     "fig6e": lambda options: _run_fig6_ptp("medium", options),
@@ -346,6 +356,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if policy is None:
         _print_blocks(run_tasks(tasks, jobs=jobs))
         return 0
+
+    from ..resilience import CheckpointJournal, run_supervised
 
     journal = None
     if args.journal is not None:

@@ -30,6 +30,12 @@ four engine dispatches through the full port machinery.
   in place at virtual-event time, so any scalar event — an invariant
   checker tick, a logger, a watcher — reads exactly what it would have
   read mid-chain in a scalar run.
+* PLAN, CAPTURE and APPLY fire on a tick edge whose index was known when
+  the stage was scheduled, and carry it in their entry (layout below the
+  imports).  The scalar handler maps its time back to a tick with
+  ``ticks_at``; the oscillator guarantees
+  ``ticks_at(time_of_tick(n)) == n``, so the carried index is the one it
+  reads.  Only ARRIVE, which lands between receiver edges, divides.
 * With telemetry tracing on, each stage appends the records the scalar
   handler it stands for would have appended — ``EV_TX`` in CAPTURE,
   ``EV_RX`` then ``EV_REJECT`` / ``EV_JUMP`` in APPLY, ``EV_PEER_FAULT``
@@ -46,8 +52,9 @@ four engine dispatches through the full port machinery.
 The stage bodies exist once, inlined in :meth:`run_merged`; promotion
 reaches them through the queue.  A direction promotes from inside its own
 scalar ``_beacon_timeout`` dispatch at ``(now, s)``; rather than planning
-that beacon itself, :meth:`on_beacon_timeout` pushes a PLAN entry keyed
-``(now, -1)`` and the timeout returns at once.  Everything with a key
+that beacon itself, :meth:`on_beacon_timeout` reads the sender's tick
+once and pushes a PLAN entry keyed ``(now, -1)`` carrying it, and the
+timeout returns at once.  Everything with a key
 below ``(now, s)`` has already run, and real sequence numbers are never
 negative, so ``(now, -1)`` is the minimum of both queues: the loop's very
 next pick is that PLAN, before any other event can move the slot arbiter
@@ -98,7 +105,11 @@ _MOD = 1 << _LOW_BITS
 _HALF = _MOD >> 1
 
 # Virtual heap entries are plain tuples:
-#   (time_fs, seq, stage, direction, payload, epoch)
+#   (time_fs, seq, stage, direction, payload, epoch)       PLAN, CAP_*, ARR_*
+#   (time_fs, seq, stage, direction, payload, epoch, n)    APP_*
+# The payload field of a PLAN holds the sender tick it fires on, of a
+# CAPTURE its TX slot; an ARRIVE or APPLY carries the message payload, and
+# an APPLY's ``n`` is the receiver tick its ARRIVE computed.
 # An entry is live iff its epoch matches its direction's current epoch;
 # demotion bumps the epoch, killing every pending entry at once without
 # touching the heap.  ``_dead`` counts killed-but-unpopped entries so the
@@ -237,7 +248,11 @@ class FastpathCoordinator:
         self._dirs[port] = ds
         port._beacon_event = None
         self.promotions += 1
-        heappush(self._heap, (self.sim._now, -1, PLAN, ds, 0, ds.epoch))
+        now = self.sim._now
+        osc = ds.posc
+        tick = osc.ticks_at(now)
+        ds.pseg = osc._last_hit
+        heappush(self._heap, (now, -1, PLAN, ds, tick, ds.epoch))
         return True
 
     def demote_port(self, port: DtpPort) -> None:
@@ -269,7 +284,8 @@ class FastpathCoordinator:
         pending = [e for e in self._heap if e[3] is ds and e[5] == epoch]
         ds.epoch = epoch + 1
         self._dead += len(pending)
-        for when, seq, stage, _ds, payload, _epoch in pending:
+        for entry in pending:
+            when, seq, stage, payload = entry[0], entry[1], entry[2], entry[4]
             if stage == PLAN:
                 p._beacon_event = adopt(when, seq, p._beacon_timeout)
             elif stage == CAP_B:
@@ -415,37 +431,27 @@ class FastpathCoordinator:
             stage = vtop[2]
             ds = vtop[3]
 
+            # Stage tests run in frequency order: each BEACON stage before
+            # its BEACON_MSB twin (one beacon in msb_every).
             # --- APPLY (BEACON): T4 with Section 3.2 filtering ---------
             # Mirrors _process + _on_beacon + _fault_window_tick.
             if stage == APP_B:
                 pop(vheap)
                 ds.recv_b.value += 1
+                payload = vtop[4]
                 if record is not None:
-                    record(now, EV_RX, ds.sid_q, _BEACON, vtop[4])
+                    record(now, EV_RX, ds.sid_q, _BEACON, payload)
                 if ds.receiver.peer_faulty:
                     continue
+                ticks = vtop[6]
                 lc = ds.lc_q
-                seg = ds.qseg
-                if seg is not None and seg.start_fs <= now < seg.end_fs:
-                    fe = seg.first_edge_fs
-                    if now < fe:
-                        ticks = seg.start_count
-                    else:
-                        ticks = seg.start_count + (now - fe) // seg.period_fs + 1
-                else:
-                    osc = ds.qosc
-                    ticks = osc.ticks_at(now)
-                    ds.qseg = osc._last_hit
                 lc_now = lc.increment * ticks + lc.offset
-                # reconstruct_counter, inlined.
-                value = ((lc_now >> _LOW_BITS) << _LOW_BITS) + vtop[4]
-                dv = value - lc_now
-                if dv >= _HALF:
-                    value -= _MOD
-                elif dv < -_HALF:
-                    value += _MOD
-                candidate = value + ds.d
-                delta = candidate - lc_now
+                # reconstruct_counter, inlined: the remote counter is
+                # lc_now + d, the wrapped difference in [-half, half).
+                d = (payload - lc_now) & _LOW_MASK
+                if d >= _HALF:
+                    d -= _MOD
+                delta = d + ds.d
                 stats = ds.stats_q
                 stats.beacons_in_window += 1
                 thresh = ds.thresh
@@ -454,22 +460,22 @@ class FastpathCoordinator:
                     stats.rejects_in_window += 1
                     if record is not None:
                         record(now, EV_REJECT, ds.sid_q, REJECT_RANGE, delta)
-                else:
-                    if candidate > lc_now:
-                        # lc.adjust_to_max + device.on_local_jump, inlined.
-                        lc.offset += delta
-                        lc.adjustments += 1
-                        ds.jumps_cell.value += 1
-                        stats.jumps_in_window += 1
-                        if record is not None:
-                            # a == b: reference_counter_at is counter_at
-                            # on the plain TickClocks eligibility admits.
-                            record(now, EV_JUMP, ds.sid_q, delta, delta)
-                        gc = ds.gc_q
-                        gc_now = gc.increment * ticks + gc.offset
-                        if candidate > gc_now:
-                            gc.offset += candidate - gc_now
-                            gc.adjustments += 1
+                elif delta > 0:
+                    # lc.adjust_to_max + device.on_local_jump, inlined.
+                    lc.offset += delta
+                    lc.adjustments += 1
+                    ds.jumps_cell.value += 1
+                    stats.jumps_in_window += 1
+                    if record is not None:
+                        # a == b: reference_counter_at is counter_at
+                        # on the plain TickClocks eligibility admits.
+                        record(now, EV_JUMP, ds.sid_q, delta, delta)
+                    candidate = lc_now + delta
+                    gc = ds.gc_q
+                    gc_now = gc.increment * ticks + gc.offset
+                    if candidate > gc_now:
+                        gc.offset += candidate - gc_now
+                        gc.adjustments += 1
                 if stats.beacons_in_window >= ds.fw:
                     sim._now = now
                     sim._seq = seqc
@@ -515,24 +521,14 @@ class FastpathCoordinator:
                 else:
                     when = osc.time_of_tick(n)
                     ds.qseg = osc._last_hit
-                replace(vheap, (when, seqc, stage + 2, ds, vtop[4], vtop[5]))
+                replace(vheap, (when, seqc, stage + 2, ds, vtop[4], vtop[5], n))
                 seqc += stride
                 continue
 
             # --- CAPTURE: read gc, stamp the payload, fly --------------
-            # Mirrors _transmit_now.
+            # Mirrors _transmit_now; fires on its TX slot.
             if stage == CAP_B or stage == CAP_M:
-                seg = ds.pseg
-                if seg is not None and seg.start_fs <= now < seg.end_fs:
-                    fe = seg.first_edge_fs
-                    if now < fe:
-                        tick = seg.start_count
-                    else:
-                        tick = seg.start_count + (now - fe) // seg.period_fs + 1
-                else:
-                    osc = ds.posc
-                    tick = osc.ticks_at(now)
-                    ds.pseg = osc._last_hit
+                tick = vtop[4]
                 gc = ds.gc_p
                 counter = gc.increment * tick + gc.offset
                 if stage == CAP_B:
@@ -545,20 +541,17 @@ class FastpathCoordinator:
                     ds.sent_m.value += 1
                     if record is not None:
                         record(now, EV_TX, ds.sid_p, _MSB, payload)
+                # A slot is >= 1 and pipeline depths are non-negative, so
+                # the scalar ``n >= 1`` guard always holds here.
                 n = tick + ds.txpipe
-                if n >= 1:
-                    seg = ds.pseg
-                    sc = seg.start_count
-                    if sc < n <= sc + seg.edge_count:
-                        exit_fs = (
-                            seg.first_edge_fs + (n - sc - 1) * seg.period_fs
-                        )
-                    else:
-                        osc = ds.posc
-                        exit_fs = osc.time_of_tick(n)
-                        ds.pseg = osc._last_hit
+                seg = ds.pseg
+                sc = seg.start_count
+                if sc < n <= sc + seg.edge_count:
+                    exit_fs = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
                 else:
-                    exit_fs = now
+                    osc = ds.posc
+                    exit_fs = osc.time_of_tick(n)
+                    ds.pseg = osc._last_hit
                 replace(
                     vheap,
                     (exit_fs + ds.wire, seqc, stage + 2, ds, payload, vtop[5]),
@@ -566,65 +559,51 @@ class FastpathCoordinator:
                 seqc += stride
                 continue
 
-            # --- APPLY (BEACON_MSB): learn the counter's high half ------
-            if stage == APP_M:
-                pop(vheap)
-                ds.recv_m.value += 1
-                if record is not None:
-                    record(now, EV_RX, ds.sid_q, _MSB, vtop[4])
-                ds.receiver.remote_msb = vtop[4]
-                continue
-
             # --- PLAN: beacon timeout — arbitrate slots, chain the next -
-            # Mirrors _beacon_timeout + _schedule_transmit.
-            p = ds.sender
-            seg = ds.pseg
-            if seg is not None and seg.start_fs <= now < seg.end_fs:
-                fe = seg.first_edge_fs
-                if now < fe:
-                    tick = seg.start_count
-                else:
-                    tick = seg.start_count + (now - fe) // seg.period_fs + 1
-            else:
-                osc = ds.posc
-                tick = osc.ticks_at(now)
-                ds.pseg = osc._last_hit
-            last = p._last_tx_slot
-            want = tick + 1 if tick > last else last + 1
-            slot = p.traffic.next_idle_tick(want)
-            p._last_tx_slot = slot
-            seg = ds.pseg
-            sc = seg.start_count
-            if sc < slot <= sc + seg.edge_count:
-                when = seg.first_edge_fs + (slot - sc - 1) * seg.period_fs
-            else:
-                osc = ds.posc
-                when = osc.time_of_tick(slot)
-                ds.pseg = osc._last_hit
-            epoch = vtop[5]
-            replace(vheap, (when, seqc, CAP_B, ds, 0, epoch))
-            seqc += stride
-            b = p._beacons_since_msb + 1
-            if b >= ds.msb_every:
-                p._beacons_since_msb = 0
-                want = tick + 1 if tick > slot else slot + 1
+            # Mirrors _beacon_timeout + _schedule_transmit; fires on tick n.
+            if stage == PLAN:
+                tick = vtop[4]
+                p = ds.sender
+                last = p._last_tx_slot
+                want = tick + 1 if tick > last else last + 1
                 slot = p.traffic.next_idle_tick(want)
                 p._last_tx_slot = slot
-                push(vheap, (self._tot_p(ds, slot), seqc, CAP_M, ds, 0, epoch))
+                seg = ds.pseg
+                sc = seg.start_count
+                if sc < slot <= sc + seg.edge_count:
+                    when = seg.first_edge_fs + (slot - sc - 1) * seg.period_fs
+                else:
+                    when = self._tot_p(ds, slot)
+                epoch = vtop[5]
+                replace(vheap, (when, seqc, CAP_B, ds, slot, epoch))
                 seqc += stride
-            else:
-                p._beacons_since_msb = b
-            n = tick + ds.interval
-            seg = ds.pseg
-            sc = seg.start_count
-            if sc < n <= sc + seg.edge_count:
-                when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
-            else:
-                osc = ds.posc
-                when = osc.time_of_tick(n)
-                ds.pseg = osc._last_hit
-            push(vheap, (when, seqc, PLAN, ds, 0, epoch))
-            seqc += stride
+                b = p._beacons_since_msb + 1
+                if b >= ds.msb_every:
+                    p._beacons_since_msb = 0
+                    want = tick + 1 if tick > slot else slot + 1
+                    slot = p.traffic.next_idle_tick(want)
+                    p._last_tx_slot = slot
+                    push(vheap, (self._tot_p(ds, slot), seqc, CAP_M, ds, slot, epoch))
+                    seqc += stride
+                else:
+                    p._beacons_since_msb = b
+                n = tick + ds.interval
+                seg = ds.pseg
+                sc = seg.start_count
+                if sc < n <= sc + seg.edge_count:
+                    when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
+                else:
+                    when = self._tot_p(ds, n)
+                push(vheap, (when, seqc, PLAN, ds, n, epoch))
+                seqc += stride
+                continue
+
+            # --- APPLY (BEACON_MSB): learn the counter's high half ------
+            pop(vheap)
+            ds.recv_m.value += 1
+            if record is not None:
+                record(now, EV_RX, ds.sid_q, _MSB, vtop[4])
+            ds.receiver.remote_msb = vtop[4]
 
         sim._seq = seqc
         if keyed:

@@ -10,7 +10,8 @@ Also home of the supervision flag group (``--journal`` /
 ``--task-timeout`` / ``--retries`` / ``--failure-report``) that
 ``repro faultlab`` and the experiment chooser share: the flags, the
 :class:`SupervisorPolicy` they select, and the stderr quarantine report
-are defined here once.
+are defined here once.  The journal and the supervisor are imported on
+use: a command that parses these flags and is given none loads neither.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..ioutil import atomic_write_text, canonical_json
-from .journal import CheckpointJournal, JournalError
-from .supervisor import SupervisorPolicy
+
+if TYPE_CHECKING:
+    from .supervisor import SupervisorPolicy
 
 
 def add_supervision_flags(parser: argparse.ArgumentParser, noun: str) -> None:
@@ -58,6 +60,8 @@ def supervisor_policy(
     flags = (args.journal, args.task_timeout, args.retries, args.failure_report)
     if all(value is None for value in flags):
         return None
+    from .supervisor import SupervisorPolicy
+
     return SupervisorPolicy(
         timeout_s=args.task_timeout,
         max_attempts=args.retries if args.retries is not None else 3,
@@ -95,6 +99,8 @@ def report_failures(
 
 
 def _show_journal(path: str, as_json: bool) -> int:
+    from .journal import CheckpointJournal, JournalError
+
     try:
         if not os.path.exists(path):  # constructing one would create it
             raise FileNotFoundError(f"{path}: no such journal")

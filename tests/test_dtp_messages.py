@@ -127,6 +127,39 @@ def test_property_reconstruct_recovers_counter(counter, drift):
     assert m.reconstruct_counter(m.counter_low(counter), reference) == counter
 
 
+@st.composite
+def _field_and_reference(draw):
+    bits = draw(st.sampled_from([m.COUNTER_LOW_BITS, m.PARITY_PAYLOAD_BITS, 4, 1]))
+    modulus = 1 << bits
+    reference = draw(st.one_of(
+        st.just(0),
+        st.integers(max_value=-1),
+        st.integers(min_value=1 << 106, max_value=1 << 200),
+        st.integers(),
+    ))
+    # Any field value, or one that lands on the window's edges: reference
+    # +/- half and one inside them.
+    low = draw(st.one_of(
+        st.integers(min_value=0, max_value=modulus - 1),
+        st.sampled_from([reference + offset for offset in (
+            -(modulus >> 1), -(modulus >> 1) + 1, (modulus >> 1) - 1, modulus >> 1,
+        )]).map(lambda value: value % modulus),
+    ))
+    return bits, low, reference
+
+
+@given(case=_field_and_reference())
+@settings(max_examples=300, deadline=None)
+def test_property_reconstruct_is_the_spec(case):
+    """The result is the unique value congruent to ``low`` (mod 2^bits) in
+    ``[reference - half, reference + half)``."""
+    bits, low, reference = case
+    modulus, half = 1 << bits, 1 << (bits - 1)
+    value = m.reconstruct_counter(low, reference, bits=bits)
+    assert (value - low) % modulus == 0
+    assert reference - half <= value < reference + half
+
+
 @given(counter=st.integers(min_value=0, max_value=(1 << 52) - 1))
 @settings(max_examples=100, deadline=None)
 def test_property_parity_roundtrip(counter):

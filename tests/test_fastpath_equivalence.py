@@ -9,11 +9,14 @@ promotion, demotion (link-down and fault-window), and merge-ordering
 machinery all get exercised, not just the steady state.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clocks.oscillator import ConstantSkew
+from repro.clocks.oscillator import ConstantSkew, Oscillator, RandomWalkSkew, SinusoidalSkew
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.fastpath import FastpathCoordinator, direction_ineligible_reason
@@ -27,6 +30,7 @@ from repro.faultlab.campaign import (
 )
 from repro.faultlab.faults import BerBurst, FaultContext
 from repro.network.topology import chain, clos, star
+from repro.phy.specs import PHY_1G, PHY_10G, PHY_40G, PHY_100G
 from repro.shard import build_plan, run_sharded_scenario
 from repro.shard.coordinator import run_sharded
 from repro.shard.runner import default_margin_fs
@@ -56,6 +60,16 @@ def _digests(spec, seed, traced=False):
 # ----------------------------------------------------------------------
 # Property sweep: random topology x seed x stagger x fault model
 # ----------------------------------------------------------------------
+#: Both sweeps draw 12 examples in tier-1.  Under CI's ``ci`` profile
+#: (``--hypothesis-profile=ci``) they inherit its example budget instead.
+_SWEEP = settings(
+    max_examples=(
+        settings.default.max_examples
+        if settings.default is settings.get_profile("ci") else 12
+    ),
+    deadline=None, derandomize=True, database=None,
+)
+
 _TOPOLOGIES = st.sampled_from(
     [
         {"kind": "chain", "hosts": 2},
@@ -103,7 +117,7 @@ def _placed(fault, a, b, shift_fs=0):
     return fault
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@_SWEEP
 @given(
     topology=_TOPOLOGIES,
     fault=_FAULTS,
@@ -202,7 +216,7 @@ def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed)
     return identity, fault, net, coordinator, log
 
 
-@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@_SWEEP
 @given(
     topology=_TOPOLOGIES,
     fault=st.sampled_from(_HAND_FAULTS),
@@ -725,8 +739,26 @@ def test_link_down_demotes_and_relearns():
     assert net.all_synchronized()
 
 
+def _state(sim, net):
+    """Every per-port counter the stats track, the clocks, and the engine
+    counter: what a digest could miss."""
+    state = {"seq": sim._seq, "now": sim._now}
+    for key, port in sorted(net.ports.items()):
+        state[key] = (
+            port.lc.offset, port.lc.adjustments, port.d,
+            port._last_tx_slot, port._beacons_since_msb, port.remote_msb,
+            {k: c.value for k, c in port.stats._sent.items()},
+            {k: c.value for k, c in port.stats._received.items()},
+            port.stats.jumps, port.stats.rejected_out_of_range,
+            port.stats.jumps_in_window, port.stats.rejects_in_window,
+            port.fifo.crossings,
+        )
+    for name, device in sorted(net.devices.items()):
+        state[name] = (device.gc.offset, device.gc.adjustments)
+    return state
+
+
 def test_scenario_state_identical_not_just_digest():
-    # Beyond metrics digests: every per-port counter the stats track.
     def run(backend):
         sim = Simulator()
         streams = RandomStreams(root_seed=9)
@@ -737,22 +769,89 @@ def test_scenario_state_identical_not_just_digest():
         )
         net.start()
         sim.run_until(3 * units.MS)
-        state = {"seq": sim._seq, "now": sim._now}
-        for key, port in sorted(net.ports.items()):
-            state[key] = (
-                port.lc.offset, port.lc.adjustments, port.d,
-                port._last_tx_slot, port._beacons_since_msb,
-                {k: c.value for k, c in port.stats._sent.items()},
-                {k: c.value for k, c in port.stats._received.items()},
-                port.stats.jumps, port.stats.rejected_out_of_range,
-                port.stats.jumps_in_window, port.stats.rejects_in_window,
-                port.fifo.crossings,
-            )
-        for name, device in sorted(net.devices.items()):
-            state[name] = (device.gc.offset, device.gc.adjustments)
-        return state
+        return _state(sim, net)
 
     assert run("scalar") == run("batched")
+
+
+#: Three beacon intervals per oscillator segment, off the tick grid: the
+#: sweep's 600 us runs never leave the default 1 ms first segment, so every
+#: cached-segment miss in the coordinator goes untested there.
+_SHORT_SEGMENT_FS = 3 * 200 * units.TICK_10G_FS + 12_345
+
+
+def _drifting_skews(nodes):
+    """A period change at every segment boundary: alternating sinusoids
+    and random walks with swings of tens of ppm per few hundred us."""
+    skews = {}
+    for i, name in enumerate(sorted(nodes)):
+        if i % 2:
+            skews[name] = RandomWalkSkew(
+                mean_ppm=-20.0, step_ppm=4.0, step_interval_fs=30 * units.US,
+                max_excursion_ppm=60.0, seed=i,
+            )
+        else:
+            skews[name] = SinusoidalSkew(
+                mean_ppm=25.0 - 10 * i, amplitude_ppm=60.0,
+                period_fs=(500 + 70 * i) * units.US, phase=i,
+            )
+    return skews
+
+
+@pytest.mark.parametrize(
+    "topology, device_specs",
+    [
+        (chain(4), None),
+        (star(4), None),
+        (star(4), {"sw0": PHY_100G, "h0": PHY_10G, "h1": PHY_40G, "h2": PHY_1G}),
+    ],
+    ids=["chain4", "star4", "star4-mixed-speeds"],
+)
+def test_segment_boundaries_keep_scalar_identity(topology, device_specs):
+    # Stages that fire on a carried tick index rely on
+    # ticks_at(time_of_tick(n)) == n at every boundary, where the period
+    # (and a cached segment) changes under them.
+    def run(backend):
+        telemetry, sim = Telemetry(), Simulator()
+        net = DtpNetwork(
+            sim, topology, RandomStreams(root_seed=13),
+            skews=_drifting_skews(topology.nodes),
+            oscillator_update_interval_fs=_SHORT_SEGMENT_FS,
+            device_specs=device_specs, telemetry=telemetry, backend=backend,
+        )
+        net.start()
+        sim.run_until(1500 * units.US)
+        return (telemetry.trace_digest(), telemetry.tracer.recorded, _state(sim, net)), net
+
+    scalar, _ = run("scalar")
+    batched, net = run("batched")
+    assert batched == scalar
+    assert net.all_synchronized()
+    assert net.fastpath.promotions == 2 * len(topology.edges)
+    # The only demotions are fault-window trips (the mixed arm rejects
+    # enough beacons for two).
+    faulty = sum(port.peer_faulty for port in net.ports.values())
+    assert net.fastpath.demotions == faulty == (2 if device_specs else 0)
+    assert min(len(device.oscillator._segments) for device in net.devices.values()) > 300
+
+
+def test_batched_stages_never_map_a_time_back_to_a_tick(monkeypatch):
+    # PLAN, CAPTURE and APPLY carry the tick they fire on; only promotion
+    # reads one, once, from the port's own beacon instant.
+    callers = Counter()
+    ticks_at = Oscillator.ticks_at
+
+    def spy(osc, t_fs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return ticks_at(osc, t_fs)
+
+    monkeypatch.setattr(Oscillator, "ticks_at", spy)
+    sim, net = _batched_chain(hosts=8)
+    sim.run_until(3 * units.MS)
+    fastpath = net.fastpath
+    assert fastpath.promotions == 14 and fastpath.virtual_events > 30_000
+    assert callers["run_merged"] == 0
+    assert callers["on_beacon_timeout"] == fastpath.promotions
 
 
 # ----------------------------------------------------------------------

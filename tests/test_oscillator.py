@@ -11,6 +11,7 @@ from repro.clocks.oscillator import (
     Oscillator,
     RandomWalkSkew,
     SinusoidalSkew,
+    SkewModel,
 )
 from repro.sim import units
 
@@ -167,10 +168,67 @@ def test_property_tick_count_within_ppm_envelope(ppm, t):
     assert nominal * (1 - 2e-4) - 1 <= ticks <= nominal * (1 + 2e-4) + 1
 
 
-@given(n=st.integers(min_value=1, max_value=1_000_000))
-@settings(max_examples=50, deadline=None)
-def test_property_time_of_tick_inverts_ticks_at(n):
-    osc = Oscillator(TICK, ConstantSkew(77.7))
-    t = osc.time_of_tick(n)
-    assert osc.ticks_at(t) == n
-    assert osc.ticks_at(t - 1) == n - 1
+#: Skews whose period changes at every update: drifting models with swings
+#: of up to 100 ppm across a few segments, and a constant one.
+_SKEWS = st.one_of(
+    st.builds(ConstantSkew, st.floats(-100.0, 100.0)),
+    st.builds(
+        SinusoidalSkew,
+        mean_ppm=st.floats(-50.0, 50.0),
+        amplitude_ppm=st.floats(0.0, 50.0),
+        period_fs=st.integers(2 * TICK, 200 * TICK),
+        phase=st.floats(0.0, 6.3),
+    ),
+    st.builds(
+        RandomWalkSkew,
+        mean_ppm=st.floats(-50.0, 50.0),
+        step_ppm=st.floats(0.0, 40.0),
+        step_interval_fs=st.integers(TICK, 20 * TICK),
+        max_excursion_ppm=st.floats(0.0, 50.0),
+        seed=st.integers(0, 2**16),
+    ),
+)
+
+
+@given(
+    skew=_SKEWS,
+    update_interval_fs=st.integers(TICK, 8 * TICK),
+    ticks=st.lists(st.integers(min_value=1, max_value=20_000), min_size=1, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_time_of_tick_inverts_ticks_at(skew, update_interval_fs, ticks):
+    """``ticks_at(time_of_tick(n)) == n`` on segments a few periods long: the
+    batched backend's stages fire on a tick index they carry and never read
+    it back.  One oscillator answers the drawn indices in drawn order (warm,
+    non-monotonic caches); a fresh one per index answers from cold."""
+    warm = Oscillator(TICK, skew, update_interval_fs=update_interval_fs)
+    for n in ticks:
+        t = warm.time_of_tick(n)
+        assert warm.ticks_at(t) == n
+        assert warm.ticks_at(t - 1) == n - 1
+        cold = Oscillator(TICK, skew, update_interval_fs=update_interval_fs)
+        assert cold.ticks_at(t) == n
+        assert cold.time_of_tick(n) == t
+        assert cold.edge_index_after(t - 1) == n
+    # The first edge of every segment the queries built: where a period
+    # change would break the identity.
+    for segment in warm._segments:
+        n = segment.start_count + 1
+        assert warm.ticks_at(warm.time_of_tick(n)) == n
+
+
+def test_faster_period_puts_the_first_edge_on_the_update_instant():
+    # 0 ppm for the first segment, +100 ppm after: the segment ends 100 fs
+    # before edge 4 would at the old period, and edge 3 + the new period
+    # (640 fs shorter) falls before that end.  The edge lands on the update
+    # instant, where ticks_at counts it.
+    class Step(SkewModel):
+        def ppm_at(self, t_fs):
+            return 0.0 if t_fs < 4 * TICK - 100 else 100.0
+
+    osc = Oscillator(TICK, Step(), update_interval_fs=4 * TICK - 100)
+    assert osc.time_of_tick(3) == 3 * TICK
+    assert osc.time_of_tick(4) == 4 * TICK - 100
+    assert osc.ticks_at(4 * TICK - 101) == 3
+    assert osc.ticks_at(4 * TICK - 100) == 4
+    assert osc.time_of_tick(5) - osc.time_of_tick(4) == osc.period_at(4 * TICK)

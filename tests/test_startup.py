@@ -60,6 +60,34 @@ def test_import_repro_and_the_command_load_only_the_helper():
     assert set(loaded) == {"repro", "repro._lazy", "repro.cli"}
 
 
+#: Packages no Fig. 6a process needs: the baselines and the supervisor.
+_NOT_FIG6A = [
+    "repro.ptp", "repro.ntp", "repro.gps", "repro.apps", "repro.shard", "repro.insight",
+    "repro.discipline", "repro.resilience.journal", "repro.resilience.supervisor",
+]
+
+
+def test_an_experiment_command_compiles_only_its_own_experiment():
+    # The chooser's table imports each experiment when its command runs:
+    # `repro fig6a --help` compiles none, and a run compiles what
+    # fig6_dtp itself imports and no other experiment.
+    _, _, loaded = fresh_import(
+        "from repro.cli import main\ntry:\n    main(['fig6a', '--help'])\n"
+        "except SystemExit:\n    pass"
+    )
+    assert _packages_in(loaded, ["repro.experiments"]) == [
+        "repro.experiments", "repro.experiments.cli", "repro.experiments.parallel",
+    ]
+    assert not _packages_in(loaded, ["repro.dtp", "repro.sim.engine"] + _NOT_FIG6A)
+    _, _, own = fresh_import("import repro.experiments.fig6_dtp")
+    _, _, loaded = fresh_import("from repro.cli import main; main(['fig6a', '--quick'])")
+    assert _packages_in(loaded, ["repro.experiments"]) == sorted(
+        _packages_in(own, ["repro.experiments"])
+        + ["repro.experiments.cli", "repro.experiments.parallel"]
+    )
+    assert not _packages_in(loaded, _NOT_FIG6A)
+
+
 def test_fig6_dtp_loads_no_baseline_or_campaign_machinery():
     _, _, loaded = fresh_import("import repro.experiments.fig6_dtp")
     assert not _packages_in(loaded, [
