@@ -201,6 +201,31 @@ def fastpath_refused_run(backend: str) -> Tuple[str, float, bool]:
     return metrics_digest(result), wall, live["network"].fastpath is not None
 
 
+def fastpath_fig6a_heap() -> Tuple[int, int]:
+    """``(peak virtual heap, directions promoted)`` of one batched Fig. 6a
+    run as long as the repo benchmark's (9 ms: LOGs start at 2 ms, and each
+    takes a slot from its direction's beacons for good).  Exact: the heap
+    grows only through the coordinator module's ``heappush`` (looked up per
+    call), and a promotion is the push keyed with seq -1."""
+    from .fastpath import coordinator
+
+    counted = {"peak": 0, "promoted": 0}
+    real_push = coordinator.heappush
+
+    def push(heap, entry) -> None:
+        real_push(heap, entry)
+        counted["peak"] = max(counted["peak"], len(heap))
+        counted["promoted"] += entry[1] == -1
+
+    coordinator.heappush = push
+    try:
+        run_fig6_dtp(Fig6DtpConfig(**dict(FIG6A_CONFIG, duration_fs=9 * units.MS)),
+                     backend="batched")
+    finally:
+        coordinator.heappush = real_push
+    return counted["peak"], counted["promoted"]
+
+
 def fastpath_faulted_promotions() -> int:
     """Directions :data:`FASTPATH_FAULTED_BUILTINS` promote, summed, at seed 1."""
     from .faultlab.campaign import run_scenario
@@ -339,8 +364,9 @@ def _fastpath(repeats: int, seed_core) -> dict:
     every beacon interval batches), the same chain with the coordinator
     emitting the trace, its honest end-to-end case (saturated Fig. 6a:
     traffic keeps the merged heap busy), and its worst (nothing may batch,
-    so being the default must cost nothing); and how many directions the
-    builtins whose faults patch a port still batch."""
+    so being the default must cost nothing); how deep Fig. 6a's virtual heap
+    gets while captures back up; and how many directions the builtins whose
+    faults patch a port still batch."""
     chain_speedup, (events, _, promoted), _ = interleaved(
         lambda: fastpath_chain_run("batched"), lambda: fastpath_chain_run("scalar"),
         repeats, "the batched backend (idle chain)",
@@ -358,6 +384,7 @@ def _fastpath(repeats: int, seed_core) -> dict:
         lambda: fastpath_refused_run("scalar"), lambda: fastpath_refused_run("batched"),
         repeats, "the batched backend (nothing may batch)",
     )
+    peak_heap, fig6a_promoted = fastpath_fig6a_heap()
     return {
         "chain_events": events,
         "chain_directions_promoted": promoted,
@@ -367,6 +394,8 @@ def _fastpath(repeats: int, seed_core) -> dict:
         "traced_chain_speedup_vs_scalar": round(traced_speedup, 2),
         "fig6a_speedup_vs_scalar": round(fig6a_speedup, 2),
         "fig6a_bit_identical_to_scalar": True,
+        "fig6a_peak_virtual_heap": peak_heap,
+        "fig6a_directions_promoted": fig6a_promoted,
         "refused_coordinator_built": coordinator_built,
         "refused_over_scalar": round(refused, 3),
         "faulted_builtins_promoted": fastpath_faulted_promotions(),

@@ -42,12 +42,20 @@ four engine dispatches through the full port machinery.
   on a tripped fault window — with the same five ints.  Dispatch order
   is the scalar order, so the trace ring (and every artifact cut from
   it) is byte-identical too.
-* Anything irregular demotes the direction: pending virtual events are
-  re-materialized as real heap events at their original times and
-  sequence numbers and the scalar path finishes the chain (``link_down``,
-  a tripped fault window, ``DtpPort.leave_fastpath`` before a fault or
-  ``signal_loss`` patches the port, ``DtpNetwork.pin_scalar`` on a shard
-  worker's ghost links).
+* Only a direction's oldest pending capture sits in the heap; the rest
+  wait in its ``txq``.  The slot arbiter hands one direction strictly
+  increasing slots and PLAN numbers them in that order, so its captures
+  fire in queue order, and each pushes its successor (a key still ahead
+  of ``now``) as it fires.  On Fig. 6a's links the beacon interval is
+  the slot period, so every LOG or BEACON_MSB delays its direction's
+  beacons by one slot for good: in the heap, that backlog made every
+  sift dearer.
+* Anything irregular demotes the direction: its heap entries are taken
+  out and, with its queued captures, re-materialized as real heap events
+  at their original times and sequence numbers, and the scalar path
+  finishes the chain (``link_down``, a tripped fault window,
+  ``DtpPort.leave_fastpath`` before a fault or ``signal_loss`` patches
+  the port, ``DtpNetwork.pin_scalar`` on a shard worker's ghost links).
 
 The stage bodies exist once, inlined in :meth:`run_merged`; promotion
 reaches them through the queue.  A direction promotes from inside its own
@@ -67,7 +75,8 @@ same final ``sim._seq``.  (One promotion per dispatch means at most one
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from collections import deque
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import List
 
 from ..dtp import messages as dtpmsg
@@ -85,7 +94,8 @@ from ..telemetry.events import (
 from .eligibility import direction_ineligible_reason
 
 #: Virtual-event stages.  BEACON and BEACON_MSB flavors are distinct so
-#: payloads travel pre-decoded (no 56-bit pack/unpack on the hot path).
+#: payloads travel pre-decoded (no 56-bit pack/unpack on the hot path);
+#: BEACON stages are odd, and CAPTURE and ARRIVE lead to ``stage + 2``.
 PLAN = 0
 CAP_B = 1
 CAP_M = 2
@@ -105,15 +115,13 @@ _MOD = 1 << _LOW_BITS
 _HALF = _MOD >> 1
 
 # Virtual heap entries are plain tuples:
-#   (time_fs, seq, stage, direction, payload, epoch)       PLAN, CAP_*, ARR_*
-#   (time_fs, seq, stage, direction, payload, epoch, n)    APP_*
+#   (time_fs, seq, stage, direction, payload)       PLAN, CAP_*, ARR_*
+#   (time_fs, seq, stage, direction, payload, n)    APP_*
 # The payload field of a PLAN holds the sender tick it fires on, of a
 # CAPTURE its TX slot; an ARRIVE or APPLY carries the message payload, and
-# an APPLY's ``n`` is the receiver tick its ARRIVE computed.
-# An entry is live iff its epoch matches its direction's current epoch;
-# demotion bumps the epoch, killing every pending entry at once without
-# touching the heap.  ``_dead`` counts killed-but-unpopped entries so the
-# hot loop skips the liveness check entirely while it is zero.
+# an APPLY's ``n`` is the receiver tick its ARRIVE computed.  Every entry
+# in the heap (and in a direction's ``txq``) is live: demotion takes a
+# direction's entries out at once.
 
 
 class _Direction:
@@ -123,7 +131,10 @@ class _Direction:
     __slots__ = (
         "sender",
         "receiver",
-        "epoch",
+        # Slot of the last capture planned, and the captures queued behind
+        # the one in the heap (None until the first one queues).
+        "cap_slot",
+        "txq",
         # Oscillators + cached piecewise-affine segments (refreshed on miss;
         # any segment whose range covers a query is correct, since segments
         # partition both time and tick indices).
@@ -170,7 +181,8 @@ class _Direction:
         receiver = sender.peer
         self.sender = sender
         self.receiver = receiver
-        self.epoch = 0
+        self.cap_slot = -1
+        self.txq = None
         self.posc = sender.osc
         self.qosc = receiver.osc
         self.pseg = None
@@ -223,7 +235,6 @@ class FastpathCoordinator:
         #: None is the disabled state and costs one test per would-be record.
         self._record = tracer.record if tracer is not None else None
         self._heap: List[tuple] = []
-        self._dead = 0
         self._dirs: dict = {}
         #: Instrumentation (not part of any digest).
         self.promotions = 0
@@ -252,7 +263,7 @@ class FastpathCoordinator:
         osc = ds.posc
         tick = osc.ticks_at(now)
         ds.pseg = osc._last_hit
-        heappush(self._heap, (now, -1, PLAN, ds, tick, ds.epoch))
+        heappush(self._heap, (now, -1, PLAN, ds, tick))
         return True
 
     def demote_port(self, port: DtpPort) -> None:
@@ -270,8 +281,10 @@ class FastpathCoordinator:
     def demote(self, ds: _Direction) -> None:
         """Hand a direction back to the scalar path.
 
-        Every pending virtual event is re-materialized as a real heap
-        event at its original firing time *and sequence number*; the
+        The direction's entries leave the virtual heap (re-heapified in
+        place: :meth:`run_merged` holds it) and its queued captures leave
+        ``txq``; each pending virtual event is re-materialized as a real
+        heap event at its original firing time *and sequence number*.  The
         scalar handlers then run their full checks (link state, TX gate,
         BER, parity) against whatever triggered the demotion.  Keeping
         the sequence numbers keeps every same-instant tie — against each
@@ -280,12 +293,15 @@ class FastpathCoordinator:
         adopt = self.sim.adopt
         p = ds.sender
         q = ds.receiver
-        epoch = ds.epoch
-        pending = [e for e in self._heap if e[3] is ds and e[5] == epoch]
-        ds.epoch = epoch + 1
-        self._dead += len(pending)
-        for entry in pending:
-            when, seq, stage, payload = entry[0], entry[1], entry[2], entry[4]
+        heap = self._heap
+        pending = [e for e in heap if e[3] is ds]
+        heap[:] = [e for e in heap if e[3] is not ds]
+        heapify(heap)
+        if ds.txq:
+            pending.extend(ds.txq)
+            ds.txq.clear()
+        for when, seq, stage, _, payload, *_ in pending:
+            shifted = _SHIFTED_BEACON if stage & 1 else _SHIFTED_MSB
             if stage == PLAN:
                 p._beacon_event = adopt(when, seq, p._beacon_timeout)
             elif stage == CAP_B:
@@ -299,19 +315,10 @@ class FastpathCoordinator:
                     dtpmsg.MessageType.BEACON_MSB,
                     lambda t, _p=p: dtpmsg.counter_high(_p._tx_counter(t)),
                 )
-            elif stage == ARR_B:
-                adopt(
-                    when, seq, q._arrive,
-                    IDLE_WIRE_BASE | _SHIFTED_BEACON | payload,
-                )
-            elif stage == ARR_M:
-                adopt(
-                    when, seq, q._arrive, IDLE_WIRE_BASE | _SHIFTED_MSB | payload
-                )
-            elif stage == APP_B:
-                adopt(when, seq, q._process, _SHIFTED_BEACON | payload)
-            else:  # APP_M
-                adopt(when, seq, q._process, _SHIFTED_MSB | payload)
+            elif stage <= ARR_M:
+                adopt(when, seq, q._arrive, IDLE_WIRE_BASE | shifted | payload)
+            else:
+                adopt(when, seq, q._process, shifted | payload)
         del self._dirs[p]
         self.demotions += 1
 
@@ -338,14 +345,9 @@ class FastpathCoordinator:
         profile = sim.profile
         record = self._record
         dispatched = 0
-        # Hot-loop locals, published back to the shared state only around
-        # call-outs (scalar dispatch, fault-window rolls): the engine seq
-        # counter, the dead-entry count, and the engine heap head (the
-        # engine heap cannot change while only virtual events dispatch,
-        # so one peek survives an entire quiescent stretch — this is the
-        # macro-tick fast-forward).
+        # The engine seq counter lives in a local, published back only
+        # around call-outs (scalar dispatch, fault-window rolls).
         seqc = sim._seq
-        dead = self._dead
         # A keyed engine (``Simulator.key_layout``; the shard engine) packs
         # the allocating instant into seq: every dispatch, real or virtual,
         # publishes its own seq (the identity trace records are stamped
@@ -359,256 +361,253 @@ class FastpathCoordinator:
         else:
             stride = 1
             instant = base = atime = 0
-        entry = None
-        et = eseq = 0
-        refresh = True
+        # Above every virtual key the run may fire: times <= time_fs, and
+        # no seq is below the promotion sentinel -1.
+        horizon = (time_fs + 1, -2)
         while True:
-            if refresh:
-                while queue and queue[0][4].cancelled:
-                    pop(queue)
-                    sim._cancelled_in_queue -= 1
-                if queue:
-                    entry = queue[0]
-                    et = entry[0]
-                    eseq = entry[1]
-                else:
-                    entry = None
-                refresh = False
-            if dead:
-                while vheap:
-                    head = vheap[0]
-                    if head[5] != head[3].epoch:
-                        pop(vheap)
-                        dead -= 1
-                    else:
-                        break
-            if vheap:
-                vtop = vheap[0]
-                if entry is None:
-                    virtual = True
-                else:
-                    vt = vtop[0]
-                    virtual = vt < et or (vt == et and vtop[1] < eseq)
-            elif entry is not None:
-                virtual = False
-            else:
-                break
-
-            if not virtual:
-                now = et
-                if now > time_fs:
-                    break
+            while queue and queue[0][4].cancelled:
                 pop(queue)
-                sim._pending -= 1
-                sim._now = now
+                sim._cancelled_in_queue -= 1
+            if queue and queue[0][0] <= time_fs:
+                limit = entry = queue[0]
+            else:
+                entry, limit = None, horizon
+            # Virtual events below ``limit`` — the engine head, or the
+            # horizon — run in this inner loop.  The engine heap cannot
+            # change while only virtual events dispatch (a fault-window trip
+            # aside, which re-reads it), so one peek covers a whole stretch
+            # and the merge is one tuple comparison per event: seqs are
+            # unique, so it never reaches a third field.
+            while vheap:
+                vtop = vheap[0]
+                if not vtop < limit:
+                    break
+                now = vtop[0]
+                # An APPLY ends its chain and pops; every other stage
+                # replaces its own heap entry with the next one (one sift,
+                # not two).
+                dispatched += 1
                 if keyed:
                     if now > atime:
                         atime = now
                         seqc = now * instant + base
-                    sim._dispatch_seq = eseq
-                    sim.dispatched += 1
-                sim._seq = seqc
-                self._dead = dead
-                if profile is not None:
-                    profile.count(entry[2])
-                entry[2](*entry[3])
-                seqc = sim._seq
-                dead = self._dead
-                refresh = True
-                continue
+                    sim._dispatch_seq = vtop[1]
+                stage = vtop[2]
+                ds = vtop[3]
 
-            now = vtop[0]
-            if now > time_fs:
+                # Stage tests run in frequency order: each BEACON stage
+                # before its BEACON_MSB twin (one beacon in msb_every).
+                # --- APPLY (BEACON): T4 with Section 3.2 filtering -----
+                # Mirrors _process + _on_beacon + _fault_window_tick.
+                if stage == APP_B:
+                    pop(vheap)
+                    ds.recv_b.value += 1
+                    payload = vtop[4]
+                    if record is not None:
+                        record(now, EV_RX, ds.sid_q, _BEACON, payload)
+                    if ds.receiver.peer_faulty:
+                        continue
+                    ticks = vtop[5]
+                    lc = ds.lc_q
+                    lc_now = lc.increment * ticks + lc.offset
+                    # reconstruct_counter, inlined: the remote counter is
+                    # lc_now + d, the wrapped difference in [-half, half).
+                    d = (payload - lc_now) & _LOW_MASK
+                    if d >= _HALF:
+                        d -= _MOD
+                    delta = d + ds.d
+                    stats = ds.stats_q
+                    stats.beacons_in_window += 1
+                    thresh = ds.thresh
+                    if delta > thresh or delta < -thresh:
+                        ds.rej_cell.value += 1
+                        stats.rejects_in_window += 1
+                        if record is not None:
+                            record(now, EV_REJECT, ds.sid_q, REJECT_RANGE, delta)
+                    elif delta > 0:
+                        # lc.adjust_to_max + device.on_local_jump, inlined.
+                        lc.offset += delta
+                        lc.adjustments += 1
+                        ds.jumps_cell.value += 1
+                        stats.jumps_in_window += 1
+                        if record is not None:
+                            # a == b: reference_counter_at is counter_at
+                            # on the plain TickClocks eligibility admits.
+                            record(now, EV_JUMP, ds.sid_q, delta, delta)
+                        candidate = lc_now + delta
+                        gc = ds.gc_q
+                        gc_now = gc.increment * ticks + gc.offset
+                        if candidate > gc_now:
+                            gc.offset += candidate - gc_now
+                            gc.adjustments += 1
+                    if stats.beacons_in_window >= ds.fw:
+                        sim._now = now
+                        sim._seq = seqc
+                        if self._roll_fault_window(ds):
+                            # The trip demoted ``ds`` onto the engine heap
+                            # and ran ``on_fault``: re-read its head.
+                            seqc = sim._seq
+                            limit = None
+                            break
+                    continue
+
+                # --- ARRIVE: CDC quantize + the one random settling cycle
+                # Mirrors _arrive.
+                if stage == ARR_B or stage == ARR_M:
+                    ds.fifo.crossings += 1
+                    seg = ds.qseg
+                    n = -1
+                    if seg is not None and seg.start_fs <= now < seg.end_fs:
+                        fe = seg.first_edge_fs
+                        if now < fe:
+                            if seg.edge_count:
+                                n = seg.start_count + 1
+                        else:
+                            k = (now - fe) // seg.period_fs + 1
+                            if k < seg.edge_count:
+                                n = seg.start_count + k + 1
+                    osc = ds.qosc
+                    if n < 0:
+                        n = osc.edge_index_after(now)
+                        ds.qseg = osc._last_hit
+                    # Exact inline of rng.randint(0, max_extra_cycles): the
+                    # same accept-reject loop, on the same stream.
+                    bound = ds.bound
+                    rand = ds.rand
+                    kb = ds.kbits
+                    r = rand(kb)
+                    while r >= bound:
+                        r = rand(kb)
+                    n += r + ds.rxpipe
+                    seg = ds.qseg
+                    sc = seg.start_count
+                    if sc < n <= sc + seg.edge_count:
+                        when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
+                    else:
+                        when = osc.time_of_tick(n)
+                        ds.qseg = osc._last_hit
+                    replace(vheap, (when, seqc, stage + 2, ds, vtop[4], n))
+                    seqc += stride
+                    continue
+
+                # --- CAPTURE: read gc, stamp the payload, fly ----------
+                # Mirrors _transmit_now; fires on its TX slot, then hands
+                # the heap the direction's next queued capture.
+                if stage == CAP_B or stage == CAP_M:
+                    tick = vtop[4]
+                    gc = ds.gc_p
+                    counter = gc.increment * tick + gc.offset
+                    if stage == CAP_B:
+                        payload = counter & _LOW_MASK
+                        ds.sent_b.value += 1
+                        if record is not None:
+                            record(now, EV_TX, ds.sid_p, _BEACON, payload)
+                    else:
+                        payload = (counter >> _LOW_BITS) & _LOW_MASK
+                        ds.sent_m.value += 1
+                        if record is not None:
+                            record(now, EV_TX, ds.sid_p, _MSB, payload)
+                    # A slot is >= 1 and pipeline depths are non-negative,
+                    # so the scalar ``n >= 1`` guard always holds here.
+                    n = tick + ds.txpipe
+                    seg = ds.pseg
+                    sc = seg.start_count
+                    if sc < n <= sc + seg.edge_count:
+                        exit_fs = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
+                    else:
+                        osc = ds.posc
+                        exit_fs = osc.time_of_tick(n)
+                        ds.pseg = osc._last_hit
+                    replace(vheap, (exit_fs + ds.wire, seqc, stage + 2, ds, payload))
+                    seqc += stride
+                    txq = ds.txq
+                    if txq:
+                        push(vheap, txq.popleft())
+                    continue
+
+                # --- PLAN: beacon timeout — arbitrate slots, chain the next
+                # Mirrors _beacon_timeout + _schedule_transmit; fires on
+                # tick n.
+                if stage == PLAN:
+                    tick = vtop[4]
+                    p = ds.sender
+                    last = p._last_tx_slot
+                    want = tick + 1 if tick > last else last + 1
+                    slot = p.traffic.next_idle_tick(want)
+                    p._last_tx_slot = slot
+                    seg = ds.pseg
+                    sc = seg.start_count
+                    if sc < slot <= sc + seg.edge_count:
+                        when = seg.first_edge_fs + (slot - sc - 1) * seg.period_fs
+                    else:
+                        when = self._tot_p(ds, slot)
+                    capture = (when, seqc, CAP_B, ds, slot)
+                    seqc += stride
+                    # A capture planned on an earlier tick whose slot is
+                    # still ahead has not fired: queue behind it.  Else
+                    # this one is next; it fires after this PLAN, which
+                    # therefore stays on top for the heapreplace below.
+                    if ds.cap_slot > tick:
+                        txq = ds.txq
+                        if txq is None:
+                            txq = ds.txq = deque()
+                        txq.append(capture)
+                    else:
+                        push(vheap, capture)
+                    b = p._beacons_since_msb + 1
+                    if b >= ds.msb_every:
+                        p._beacons_since_msb = 0
+                        slot = p.traffic.next_idle_tick(slot + 1)
+                        p._last_tx_slot = slot
+                        txq = ds.txq
+                        if txq is None:
+                            txq = ds.txq = deque()
+                        txq.append((self._tot_p(ds, slot), seqc, CAP_M, ds, slot))
+                        seqc += stride
+                    else:
+                        p._beacons_since_msb = b
+                    ds.cap_slot = slot
+                    n = tick + ds.interval
+                    seg = ds.pseg
+                    sc = seg.start_count
+                    if sc < n <= sc + seg.edge_count:
+                        when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
+                    else:
+                        when = self._tot_p(ds, n)
+                    replace(vheap, (when, seqc, PLAN, ds, n))
+                    seqc += stride
+                    continue
+
+                # --- APPLY (BEACON_MSB): learn the counter's high half --
+                pop(vheap)
+                ds.recv_m.value += 1
+                if record is not None:
+                    record(now, EV_RX, ds.sid_q, _MSB, vtop[4])
+                ds.receiver.remote_msb = vtop[4]
+
+            if limit is None:
+                continue
+            if entry is None:
                 break
-            # An APPLY ends its chain and pops; every other stage replaces
-            # its own heap entry with the next one (one sift, not two).
-            dispatched += 1
+            now = entry[0]
+            pop(queue)
+            sim._pending -= 1
+            sim._now = now
             if keyed:
                 if now > atime:
                     atime = now
                     seqc = now * instant + base
-                sim._dispatch_seq = vtop[1]
-            stage = vtop[2]
-            ds = vtop[3]
-
-            # Stage tests run in frequency order: each BEACON stage before
-            # its BEACON_MSB twin (one beacon in msb_every).
-            # --- APPLY (BEACON): T4 with Section 3.2 filtering ---------
-            # Mirrors _process + _on_beacon + _fault_window_tick.
-            if stage == APP_B:
-                pop(vheap)
-                ds.recv_b.value += 1
-                payload = vtop[4]
-                if record is not None:
-                    record(now, EV_RX, ds.sid_q, _BEACON, payload)
-                if ds.receiver.peer_faulty:
-                    continue
-                ticks = vtop[6]
-                lc = ds.lc_q
-                lc_now = lc.increment * ticks + lc.offset
-                # reconstruct_counter, inlined: the remote counter is
-                # lc_now + d, the wrapped difference in [-half, half).
-                d = (payload - lc_now) & _LOW_MASK
-                if d >= _HALF:
-                    d -= _MOD
-                delta = d + ds.d
-                stats = ds.stats_q
-                stats.beacons_in_window += 1
-                thresh = ds.thresh
-                if delta > thresh or delta < -thresh:
-                    ds.rej_cell.value += 1
-                    stats.rejects_in_window += 1
-                    if record is not None:
-                        record(now, EV_REJECT, ds.sid_q, REJECT_RANGE, delta)
-                elif delta > 0:
-                    # lc.adjust_to_max + device.on_local_jump, inlined.
-                    lc.offset += delta
-                    lc.adjustments += 1
-                    ds.jumps_cell.value += 1
-                    stats.jumps_in_window += 1
-                    if record is not None:
-                        # a == b: reference_counter_at is counter_at
-                        # on the plain TickClocks eligibility admits.
-                        record(now, EV_JUMP, ds.sid_q, delta, delta)
-                    candidate = lc_now + delta
-                    gc = ds.gc_q
-                    gc_now = gc.increment * ticks + gc.offset
-                    if candidate > gc_now:
-                        gc.offset += candidate - gc_now
-                        gc.adjustments += 1
-                if stats.beacons_in_window >= ds.fw:
-                    sim._now = now
-                    sim._seq = seqc
-                    self._dead = dead
-                    self._roll_fault_window(ds)
-                    seqc = sim._seq
-                    dead = self._dead
-                    refresh = True
-                continue
-
-            # --- ARRIVE: CDC quantize + the one random settling cycle --
-            # Mirrors _arrive.
-            if stage == ARR_B or stage == ARR_M:
-                ds.fifo.crossings += 1
-                seg = ds.qseg
-                n = -1
-                if seg is not None and seg.start_fs <= now < seg.end_fs:
-                    fe = seg.first_edge_fs
-                    if now < fe:
-                        if seg.edge_count:
-                            n = seg.start_count + 1
-                    else:
-                        k = (now - fe) // seg.period_fs + 1
-                        if k < seg.edge_count:
-                            n = seg.start_count + k + 1
-                osc = ds.qosc
-                if n < 0:
-                    n = osc.edge_index_after(now)
-                    ds.qseg = osc._last_hit
-                # Exact inline of rng.randint(0, max_extra_cycles): the
-                # same accept-reject loop, on the same stream.
-                bound = ds.bound
-                rand = ds.rand
-                kb = ds.kbits
-                r = rand(kb)
-                while r >= bound:
-                    r = rand(kb)
-                n += r + ds.rxpipe
-                seg = ds.qseg
-                sc = seg.start_count
-                if sc < n <= sc + seg.edge_count:
-                    when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
-                else:
-                    when = osc.time_of_tick(n)
-                    ds.qseg = osc._last_hit
-                replace(vheap, (when, seqc, stage + 2, ds, vtop[4], vtop[5], n))
-                seqc += stride
-                continue
-
-            # --- CAPTURE: read gc, stamp the payload, fly --------------
-            # Mirrors _transmit_now; fires on its TX slot.
-            if stage == CAP_B or stage == CAP_M:
-                tick = vtop[4]
-                gc = ds.gc_p
-                counter = gc.increment * tick + gc.offset
-                if stage == CAP_B:
-                    payload = counter & _LOW_MASK
-                    ds.sent_b.value += 1
-                    if record is not None:
-                        record(now, EV_TX, ds.sid_p, _BEACON, payload)
-                else:
-                    payload = (counter >> _LOW_BITS) & _LOW_MASK
-                    ds.sent_m.value += 1
-                    if record is not None:
-                        record(now, EV_TX, ds.sid_p, _MSB, payload)
-                # A slot is >= 1 and pipeline depths are non-negative, so
-                # the scalar ``n >= 1`` guard always holds here.
-                n = tick + ds.txpipe
-                seg = ds.pseg
-                sc = seg.start_count
-                if sc < n <= sc + seg.edge_count:
-                    exit_fs = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
-                else:
-                    osc = ds.posc
-                    exit_fs = osc.time_of_tick(n)
-                    ds.pseg = osc._last_hit
-                replace(
-                    vheap,
-                    (exit_fs + ds.wire, seqc, stage + 2, ds, payload, vtop[5]),
-                )
-                seqc += stride
-                continue
-
-            # --- PLAN: beacon timeout — arbitrate slots, chain the next -
-            # Mirrors _beacon_timeout + _schedule_transmit; fires on tick n.
-            if stage == PLAN:
-                tick = vtop[4]
-                p = ds.sender
-                last = p._last_tx_slot
-                want = tick + 1 if tick > last else last + 1
-                slot = p.traffic.next_idle_tick(want)
-                p._last_tx_slot = slot
-                seg = ds.pseg
-                sc = seg.start_count
-                if sc < slot <= sc + seg.edge_count:
-                    when = seg.first_edge_fs + (slot - sc - 1) * seg.period_fs
-                else:
-                    when = self._tot_p(ds, slot)
-                epoch = vtop[5]
-                replace(vheap, (when, seqc, CAP_B, ds, slot, epoch))
-                seqc += stride
-                b = p._beacons_since_msb + 1
-                if b >= ds.msb_every:
-                    p._beacons_since_msb = 0
-                    want = tick + 1 if tick > slot else slot + 1
-                    slot = p.traffic.next_idle_tick(want)
-                    p._last_tx_slot = slot
-                    push(vheap, (self._tot_p(ds, slot), seqc, CAP_M, ds, slot, epoch))
-                    seqc += stride
-                else:
-                    p._beacons_since_msb = b
-                n = tick + ds.interval
-                seg = ds.pseg
-                sc = seg.start_count
-                if sc < n <= sc + seg.edge_count:
-                    when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
-                else:
-                    when = self._tot_p(ds, n)
-                push(vheap, (when, seqc, PLAN, ds, n, epoch))
-                seqc += stride
-                continue
-
-            # --- APPLY (BEACON_MSB): learn the counter's high half ------
-            pop(vheap)
-            ds.recv_m.value += 1
-            if record is not None:
-                record(now, EV_RX, ds.sid_q, _MSB, vtop[4])
-            ds.receiver.remote_msb = vtop[4]
+                sim._dispatch_seq = entry[1]
+                sim.dispatched += 1
+            sim._seq = seqc
+            if profile is not None:
+                profile.count(entry[2])
+            entry[2](*entry[3])
+            seqc = sim._seq
 
         sim._seq = seqc
         if keyed:
             sim._alloc_time = atime
-        self._dead = dead
         self.virtual_events += dispatched
         sim._now = time_fs
 
@@ -623,8 +622,9 @@ class FastpathCoordinator:
         ds.pseg = osc._last_hit
         return when
 
-    def _roll_fault_window(self, ds: _Direction) -> None:
-        """Mirror ``_fault_window_tick``'s window roll; demote on a trip."""
+    def _roll_fault_window(self, ds: _Direction) -> bool:
+        """Mirror ``_fault_window_tick``'s window roll; demote on a trip.
+        True = tripped (the engine heap may have changed)."""
         q = ds.receiver
         stats = ds.stats_q
         jumps = stats.jumps_in_window
@@ -634,11 +634,13 @@ class FastpathCoordinator:
         stats.rejects_in_window = 0
         too_many_jumps = ds.maxj is not None and jumps > ds.maxj
         too_many_rejects = ds.maxr is not None and rejects > ds.maxr
-        if too_many_jumps or too_many_rejects:
-            q.peer_faulty = True
-            self.demote(ds)
-            record = self._record
-            if record is not None:
-                record(self.sim._now, EV_PEER_FAULT, ds.sid_q, jumps, rejects)
-            if q.on_fault is not None:
-                q.on_fault(q)
+        if not (too_many_jumps or too_many_rejects):
+            return False
+        q.peer_faulty = True
+        self.demote(ds)
+        record = self._record
+        if record is not None:
+            record(self.sim._now, EV_PEER_FAULT, ds.sid_q, jumps, rejects)
+        if q.on_fault is not None:
+            q.on_fault(q)
+        return True

@@ -27,7 +27,6 @@ needs (reported as ``incomplete`` rather than guessed).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -124,17 +123,6 @@ class LinkScorecard:
     @property
     def complete(self) -> bool:
         return bool(self.directions) and all(d.complete for d in self.directions)
-
-    @property
-    def within_budget(self) -> Optional[bool]:
-        """True when every complete direction meets both 2-tick budgets."""
-        verdicts = []
-        for direction in self.directions:
-            owd = direction.owd_within_budget
-            if owd is None:
-                return None
-            verdicts.append(owd and direction.drift_within_budget)
-        return all(verdicts) if verdicts else None
 
 
 def _match_beacons(
@@ -350,8 +338,3 @@ def scorecard_rows(scorecards: List[LinkScorecard]) -> List[str]:
                 f" | {flight} | {owd_err} | {drift_form} | {verdict} |"
             )
     return lines
-
-
-def ceil_ticks(value: float) -> int:
-    """Round an analytical tick budget up to whole ticks."""
-    return int(math.ceil(value))

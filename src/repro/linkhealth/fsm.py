@@ -530,9 +530,6 @@ class LinkHealthManager:
             if a not in owned or b not in owned:
                 supervisor.dormant = True
 
-    def supervisor_for(self, a: str, b: str) -> LinkSupervisor:
-        return self.supervisors[link_key(a, b)]
-
     # -- checker handshake ---------------------------------------------
     def quarantine(self, supervisor: LinkSupervisor) -> None:
         if self.checker is not None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List
 
 
 class BitErrorInjector:
@@ -52,24 +51,6 @@ class BitErrorInjector:
             self._bits_until_error = self._draw_gap()
         self._bits_until_error -= remaining
         return word
-
-    def flipped_positions(self, nbits: int) -> List[int]:
-        """Positions (LSB-first) that would be flipped in the next ``nbits``."""
-        if self._bits_until_error is None:
-            return []
-        # Non-destructive preview used by tests.
-        saved_state = self.rng.getstate()
-        saved_gap = self._bits_until_error
-        saved_count = self.errors_injected
-        positions = []
-        word = self.corrupt(0, nbits)
-        for i in range(nbits):
-            if (word >> i) & 1:
-                positions.append(i)
-        self.rng.setstate(saved_state)
-        self._bits_until_error = saved_gap
-        self.errors_injected = saved_count
-        return positions
 
 
 def parity_of_lsbs(value: int, nbits: int = 3) -> int:

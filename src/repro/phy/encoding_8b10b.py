@@ -18,7 +18,7 @@ octet streams, and code-group error detection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 
 class Encoding8b10bError(ValueError):
@@ -182,10 +182,6 @@ class Encoder8b10b:
         fghj, rd_out = _disparity_choice(rd_mid, neg4, pos4, nbits=4)
         self.rd = rd_out
         return abcdei | (fghj << 6)
-
-    def encode_stream(self, octets: List[Tuple[int, bool]]) -> List[int]:
-        """Encode a list of (octet, is_control) pairs."""
-        return [self.encode(octet, control) for octet, control in octets]
 
 
 class Decoder8b10b:

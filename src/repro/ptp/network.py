@@ -171,6 +171,3 @@ class PtpDeployment:
         """Slave PHC minus master PHC at simulation time ``t_fs``."""
         t = self.sim.now if t_fs is None else t_fs
         return self.slaves[slave].offset_to(self.clocks[self.master_name], t)
-
-    def all_true_offsets_fs(self, t_fs: Optional[int] = None) -> Dict[str, float]:
-        return {name: self.true_offset_fs(name, t_fs) for name in self.slaves}

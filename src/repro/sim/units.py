@@ -44,10 +44,6 @@ def ns_from_fs(fs: int) -> float:
     return fs / NS
 
 
-def us_from_fs(fs: int) -> float:
-    """Convert integer femtoseconds to microseconds (float)."""
-    return fs / US
-
 
 def ppm_to_fraction(ppm: float) -> float:
     """Parts-per-million to a plain fraction (100 ppm -> 1e-4)."""

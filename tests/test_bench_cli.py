@@ -166,13 +166,17 @@ def test_fastpath_records_a_refused_and_a_faulted_case(record):
         "chain_events", "chain_directions_promoted", "chain_speedup_vs_scalar",
         "traced_chain_records", "traced_chain_directions_promoted",
         "traced_chain_speedup_vs_scalar", "fig6a_speedup_vs_scalar",
-        "fig6a_bit_identical_to_scalar", "refused_coordinator_built",
+        "fig6a_bit_identical_to_scalar", "fig6a_peak_virtual_heap",
+        "fig6a_directions_promoted", "refused_coordinator_built",
         "refused_over_scalar", "faulted_builtins_promoted",
     }
     # The refused case is a faulted builtin with parity on: a fault alone
     # no longer keeps a network off the coordinator.
     assert bench.FASTPATH_REFUSED_BUILTIN in bench.FASTPATH_FAULTED_BUILTINS
     assert record["fastpath"]["faulted_builtins_promoted"] == 6 + 3 + 4
+    # The testbed's 11 links, both ways; queued captures wait outside the heap.
+    assert record["fastpath"]["fig6a_directions_promoted"] == 22
+    assert record["fastpath"]["fig6a_peak_virtual_heap"] <= 5 * 22
 
 
 def test_record_holds_no_raw_timing(record):

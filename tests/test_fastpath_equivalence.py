@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 from repro.clocks.oscillator import ConstantSkew, Oscillator, RandomWalkSkew, SinusoidalSkew
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
+from repro.ethernet.frames import MTU_FRAME, beacon_interval_ticks_for
+from repro.ethernet.traffic import PartialLoadTraffic
+from repro.experiments.workloads import saturated_traffic
 from repro.fastpath import FastpathCoordinator, direction_ineligible_reason
 from repro.faultlab.campaign import (
     RunOptions,
@@ -185,11 +188,33 @@ def _direction_log(coordinator, sim):
     return log
 
 
-def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed):
+#: Fig. 6a's regime: the beacon interval at the MTU frame slot period.
+_MTU_INTERVAL = beacon_interval_ticks_for(MTU_FRAME)
+
+
+def _loaded(net, streams, traffic):
+    """Load every direction of ``net`` (from tick 20,000) with ``traffic``:
+    ``"idle"``, ``"saturated"`` MTU frames or a 70 % ``"partial"`` load."""
+    if traffic == "saturated":
+        net.install_traffic(saturated_traffic("mtu"))
+    elif traffic == "partial":
+        net.install_traffic(
+            lambda index, direction: PartialLoadTraffic(
+                MTU_FRAME, 0.7, streams.stream(f"traffic/{index}/{direction}")
+            )
+        )
+
+
+def _hand_armed(
+    backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed, traffic="idle"
+):
     """One traced run with ``fault_spec`` armed by hand at ``arm_at_fs``
     (0 = before ``start()``) on a network that was told nothing about it.
-    Returns the run's identity, the fault, the network, its coordinator (None
-    on scalar) and the coordinator's promote / demote log."""
+    A loaded run (``_loaded``) beacons once per MTU slot with a BEACON_MSB
+    every 20 beacons: each MSB takes a slot from beacons for good, so the
+    batched run's captures queue behind each other.  Returns the run's
+    identity, the fault, the network, its coordinator (None on scalar) and
+    the coordinator's promote / demote log."""
     topology = build_topology(topology_spec)
     edge = topology.edges[edge_index % len(topology.edges)]
     # Armed late, the schedule moves with it: first effect >= 600 us, well
@@ -197,7 +222,13 @@ def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed)
     shift_fs = 400 * units.US if arm_at_fs else 0
     fault = build_fault(_placed(fault_spec, edge.a, edge.b, shift_fs))
     telemetry, sim, streams = Telemetry(), Simulator(), RandomStreams(root_seed=seed)
-    net = DtpNetwork(sim, topology, streams, telemetry=telemetry, backend=backend)
+    config = None
+    if traffic != "idle":
+        config = DtpPortConfig(beacon_interval_ticks=_MTU_INTERVAL, msb_interval_beacons=20)
+    net = DtpNetwork(
+        sim, topology, streams, config=config, telemetry=telemetry, backend=backend
+    )
+    _loaded(net, streams, traffic)
     coordinator = net.fastpath
     log = _direction_log(coordinator, sim) if coordinator is not None else []
     context = FaultContext(network=net, streams=streams)
@@ -223,9 +254,12 @@ def _hand_armed(backend, topology_spec, fault_spec, edge_index, arm_at_fs, seed)
     edge_index=st.integers(0, 7),
     arm_at_us=st.sampled_from([0, 500]),
     seed=st.integers(0, 2**16),
+    traffic=st.sampled_from(["idle", "saturated", "partial"]),
 )
-def test_hand_armed_fault_is_bit_identical(topology, fault, edge_index, arm_at_us, seed):
-    run = (topology, fault, edge_index, arm_at_us * units.US, seed)
+def test_hand_armed_fault_is_bit_identical(
+    topology, fault, edge_index, arm_at_us, seed, traffic
+):
+    run = (topology, fault, edge_index, arm_at_us * units.US, seed, traffic)
     scalar, *_ = _hand_armed("scalar", *run)
     batched, _, net, coordinator, log = _hand_armed(None, *run)
     assert net.backend == "batched" and coordinator is not None
@@ -718,7 +752,7 @@ def test_pinning_the_last_hooked_port_mid_run_detaches_cleanly(tmp_path):
     assert net.fastpath is None and batched_sim.fastpath is None
     assert all(port._fastpath is None for port in net.ports.values())
     assert not fastpath._dirs
-    assert all(entry[5] != entry[3].epoch for entry in fastpath._heap)  # all dead
+    assert not fastpath._heap  # every pending event went back to the engine
     assert _trace_file_bytes(batched, tmp_path / "b") == _trace_file_bytes(
         scalar, tmp_path / "s"
     )
@@ -852,6 +886,111 @@ def test_batched_stages_never_map_a_time_back_to_a_tick(monkeypatch):
     assert fastpath.promotions == 14 and fastpath.virtual_events > 30_000
     assert callers["run_merged"] == 0
     assert callers["on_beacon_timeout"] == fastpath.promotions
+
+
+def _backlogged(topology, backend, telemetry=None):
+    """Fig. 6a's regime on ``topology``: MTU-saturated links beaconing once
+    per slot, a BEACON_MSB every 50 beacons.  Every LOG (LOGs share the
+    slot arbiter) and every MSB takes a slot from beacons for good, so a
+    batched direction's captures queue in its ``txq``."""
+    sim, streams = Simulator(), RandomStreams(root_seed=17)
+    net = DtpNetwork(
+        sim, topology, streams,
+        config=DtpPortConfig(beacon_interval_ticks=_MTU_INTERVAL, msb_interval_beacons=50),
+        telemetry=telemetry, backend=backend,
+    )
+    _loaded(net, streams, "saturated")
+    net.start()
+    return sim, net
+
+
+def _queued(net, a, b):
+    """Captures queued behind the heap on the a->b direction (batched)."""
+    ds = net.fastpath._dirs[net.ports[(a, b)]]
+    return len(ds.txq or ())
+
+
+@pytest.mark.parametrize("topology", [chain(4), star(4)], ids=["chain4", "star4"])
+def test_queued_captures_keep_scalar_identity(topology):
+    # LOGs every 20 us on every port from 200 us: the backlog grows by one
+    # slot per LOG.  One link goes down and one direction is handed back
+    # while their captures are queued; both promote again.  The healed
+    # link's INIT_ACKs wait for slots, so its OWD is measured long
+    # (EXPERIMENTS.md deviation 7): rejected beacons trip fault windows
+    # across the fabric, adding demotions from virtual APPLYs with
+    # captures queued.
+    down, handed_back = topology.edges[1], topology.edges[2]
+
+    def run(backend):
+        telemetry = Telemetry()
+        sim, net = _backlogged(topology, backend, telemetry)
+        fastpath = net.fastpath
+        log = _direction_log(fastpath, sim) if fastpath is not None else []
+        deepest = 0
+        for step in range(1, 151):
+            if fastpath is not None and step in (80, 100):
+                assert _queued(net, down.a, down.b) and _queued(net, down.b, down.a)
+                assert _queued(net, handed_back.a, handed_back.b)
+            if step == 80:
+                net.down_link(down.a, down.b)
+            elif step == 90:
+                net.up_link(down.a, down.b)
+            elif step == 100:
+                net.ports[(handed_back.a, handed_back.b)].leave_fastpath()
+            sim.run_until(step * 10 * units.US)
+            if step >= 20 and step % 2 == 0:
+                for port in net.ports.values():
+                    port.send_log()
+            if fastpath is not None:
+                # Each direction's heap holds its PLAN, its oldest pending
+                # capture and what is in flight; +1 for a promotion PLAN.
+                assert len(fastpath._heap) <= 4 * len(fastpath._dirs) + 1
+                deepest = max([deepest] + [len(ds.txq or ()) for ds in fastpath._dirs.values()])
+        state = (telemetry.trace_digest(), telemetry.tracer.recorded, _state(sim, net))
+        return state, net, deepest, log
+
+    scalar, *_ = run("scalar")
+    batched, net, deepest, log = run("batched")
+    assert batched == scalar
+    assert deepest >= 5
+    for key, at_fs in [
+        ((down.a, down.b), 790 * units.US),
+        ((down.b, down.a), 790 * units.US),
+        ((handed_back.a, handed_back.b), 990 * units.US),
+    ]:
+        (_, first), (demoted_at, demote), (_, again), *_ = [
+            (t, event) for t, k, event in log if k == key
+        ]
+        assert (first, demoted_at, demote, again) == ("promote", at_fs, "demote", "promote")
+    trips = sum(port.peer_faulty for port in net.ports.values())
+    assert trips and net.fastpath.demotions == 3 + trips
+    sent = net.ports[(down.a, down.b)].stats.sent
+    assert sent["LOG"] > 50 and sent["BEACON_MSB"] > 10
+
+
+def test_demotion_takes_the_direction_out_of_the_heap_and_its_queue():
+    sim, net = _backlogged(chain(2), None)
+    sim.run_until(200 * units.US)
+    for _ in range(10):
+        net.send_log("n0", "n1")
+    sim.run_until(300 * units.US)
+    fastpath = net.fastpath
+    port = net.ports[("n0", "n1")]
+    ds = fastpath._dirs[port]
+    queued = len(ds.txq)
+    assert queued >= 5
+    mine = sum(entry[3] is ds for entry in fastpath._heap)
+    others = len(fastpath._heap) - mine
+    pending = sim.pending_events
+    port.leave_fastpath()
+    heap = fastpath._heap
+    assert port not in fastpath._dirs and not ds.txq
+    assert len(heap) == others and all(entry[3] is not ds for entry in heap)
+    # Still a heap, and every pending event is now a real one.
+    assert all(heap[(i - 1) // 2] < heap[i] for i in range(1, len(heap)))
+    assert sim.pending_events == pending + mine + queued
+    sim.run_until(1 * units.MS)
+    assert port in fastpath._dirs and fastpath.promotions == 3
 
 
 # ----------------------------------------------------------------------
