@@ -1,8 +1,9 @@
 """Applications on synchronized time — the paper's Section 1 motivations.
 
-* :mod:`owd` — precise one-way delay measurement;
-* :mod:`tdma` — packet-level time-division scheduling;
-* :mod:`snapshot` — coordinated network-wide snapshots (Libra-style).
+* :mod:`owd` — precise one-way delay measurement
+  (``examples/owd_measurement.py``);
+* :mod:`tdma` — packet-level time-division scheduling
+  (``examples/tdma_scheduling.py``).
 """
 
 from .._lazy import lazy_exports

@@ -163,17 +163,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     policy = supervisor_policy(args, base_seed=args.seed)
     report = None
-    if policy is not None:
-        results, report = run_resilient_campaign(
-            specs,
-            base_seed=args.seed,
-            jobs=jobs,
-            journal_path=args.journal,
-            policy=policy,
-            **options,
-        )
-    else:
-        results = run_campaign(specs, base_seed=args.seed, jobs=jobs, **options)
+    try:
+        if policy is not None:
+            results, report = run_resilient_campaign(
+                specs,
+                base_seed=args.seed,
+                jobs=jobs,
+                journal_path=args.journal,
+                policy=policy,
+                **options,
+            )
+        else:
+            results = run_campaign(specs, base_seed=args.seed, jobs=jobs, **options)
+    except CampaignError as exc:
+        # A run-time refusal (too many shards, a dead shard worker) is a
+        # named error, not a crash: one line and parser.error's exit code.
+        print(f"faultlab: {exc}", file=sys.stderr)
+        return 2
     # stdout carries only the (digest-stable) campaign results; failure
     # reporting goes to stderr so supervised and plain runs of the same
     # surviving scenario set stay byte-identical on stdout.

@@ -1,8 +1,8 @@
 """Self-healing link supervision (docs/LINKHEALTH.md).
 
 ``repro.linkhealth`` watches every link of a :class:`repro.dtp.network.
-DtpNetwork` through encoding-agnostic :mod:`repro.phy.link_signal`
-adapters and drives a deterministic per-link recovery FSM::
+DtpNetwork` through each port's received-beacon and error counters
+and drives a deterministic per-link recovery FSM::
 
     UP -> DEGRADED -> DOWN -> RECONNECTING -> RESYNC -> UP
 

@@ -16,7 +16,7 @@ state machine::
 Detection is window-based and runs on a per-edge *watchdog*: a single
 self-rescheduling simulator event on the a-side device's oscillator tick
 grid, every ``watchdog_beacons`` beacon intervals.  Each tick samples
-both directions' :class:`repro.phy.link_signal.LinkSignal` deltas —
+both directions' :class:`PortStatsSignal` counter deltas —
 zero units in a window is SpaceWire-style disconnect (silence), a burst
 of errors is a hi_ber-style degrade window.  All decisions consume only
 monotone counter deltas and named-stream RNG draws, so every backend
@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..phy.link_signal import PortStatsSignal
 from ..telemetry.events import (
     EV_LINK_RECONNECT,
     EV_LINK_RELEASE,
@@ -119,6 +118,36 @@ def linkhealth_config_from_value(value) -> LinkHealthConfig:
 VERDICT_CLEAN = 0
 VERDICT_DEGRADED = 1
 VERDICT_DOWN = 2
+
+
+class PortStatsSignal:
+    """The two monotone counters of one receive direction of a port.
+
+    Units are messages of ``unit_type`` received (BEACON by default — the
+    periodic heartbeat whose silence means disconnect); errors fold
+    together on-wire losses and out-of-range rejects (the two observable
+    symptoms of a degrading link in the timing model).  Counter *cells*
+    are re-read from the stats dict on every call: binding a telemetry
+    registry replaces them, so caching cell objects here would silently
+    read stale zeros.
+    """
+
+    __slots__ = ("port", "unit_type")
+
+    def __init__(self, port, unit_type: str = "BEACON") -> None:
+        self.port = port
+        self.unit_type = unit_type
+
+    def counts(self) -> Tuple[int, int]:
+        """``(units, errors)`` in one stats lookup: this runs once per
+        watchdog window per direction, the supervision hot path."""
+        stats = self.port.stats
+        cell = stats._received.get(self.unit_type)
+        units = int(cell.value) if cell is not None else 0
+        errors = int(
+            stats._lost_on_wire.value + stats._rejected["out_of_range"].value
+        )
+        return units, errors
 
 
 class DirectionHealth:

@@ -1,4 +1,4 @@
-"""PHY substrate: specs, 64b/66b blocks, scrambler, CDC, BER, pipelines.
+"""PHY substrate: specs, 64b/66b blocks, CDC, BER, pipelines.
 
 Nothing is re-exported here; import from the submodules (``repro.phy.specs``,
 ``repro.phy.blocks``, ``repro.phy.cdc``, ...).

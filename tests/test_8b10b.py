@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.encoding_8b10b import COMMA_CODES, Decoder8b10b, Encoder8b10b, Encoding8b10bError, K28_5
+from tests.wire.encoding_8b10b import COMMA_CODES, Decoder8b10b, Encoder8b10b, Encoding8b10bError, K28_5
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ def test_property_stream_roundtrip(octets):
 
 
 # ----------------------------------------------------------------------
-# Comma alignment recovery (repro.phy.link_signal.CommaAligner)
+# Comma alignment recovery (tests.wire.encoding_8b10b.CommaAligner)
 # ----------------------------------------------------------------------
 def _group_bits(group):
     """A 10-bit code-group in transmission order (bit 0 first)."""
@@ -156,9 +156,9 @@ def _ordered_sets(octets, start_rd):
 def test_property_realign_after_corrupt_prefix(prefix, octets, rd_plus):
     """After an arbitrary corrupt bit prefix, REALIGN_GOOD_GROUPS clean
     comma-bearing ordered sets restore alignment *and* absolute running
-    disparity — every later group decodes exactly (the spec'd bound the
-    link supervisor's 8b/10b signal adapter relies on)."""
-    from repro.phy.link_signal import REALIGN_GOOD_GROUPS, CommaAligner
+    disparity — every later group decodes exactly (the spec'd
+    re-acquisition bound)."""
+    from tests.wire.encoding_8b10b import REALIGN_GOOD_GROUPS, CommaAligner
 
     sets = _ordered_sets(octets, 1 if rd_plus else -1)
     aligner = CommaAligner()
@@ -182,7 +182,7 @@ def test_property_realign_after_corrupt_prefix(prefix, octets, rd_plus):
 
 
 def test_aligner_counts_slips_and_realigns():
-    from repro.phy.link_signal import CommaAligner
+    from tests.wire.encoding_8b10b import CommaAligner
 
     sets = _ordered_sets([0x55, 0xAA, 0x0F], start_rd=-1)
     aligner = CommaAligner()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps.owd import OneWayDelayMeter
-from repro.apps.snapshot import SnapshotCoordinator
 from repro.apps.tdma import TdmaSchedule, run_tdma_round
 from repro.clocks.oscillator import ConstantSkew
 from repro.clocks.tsc import TscCounter
@@ -11,7 +10,7 @@ from repro.dtp.daemon import DtpDaemon
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.network.packet import PacketNetwork
-from repro.network.topology import paper_testbed, star
+from repro.network.topology import star
 from repro.network.virtualload import heavy_backlog
 from repro.sim import units
 
@@ -99,39 +98,3 @@ class TestTdma:
         receiver = run_tdma_round(clock_error_fs=0, senders=3, rounds=50)
         assert len(receiver.queueing_delays_fs) == 150
 
-
-class TestSnapshot:
-    def test_snapshot_skew_within_sync_bound(self, sim, streams):
-        net = DtpNetwork(sim, paper_testbed(), streams)
-        net.start()
-        sim.run_until(units.MS)
-        coordinator = SnapshotCoordinator(net)
-        result = coordinator.schedule_snapshot(lead_time_fs=200 * units.US)
-        sim.run_until(sim.now + 2 * units.MS)
-        assert len(result.fire_times_fs) == 12  # every device fired
-        bound_fs = 4 * net.topology.diameter_hops() * units.TICK_10G_FS
-        assert result.skew_fs <= bound_fs + units.TICK_10G_FS
-
-    def test_snapshot_fires_near_lead_time(self, sim, streams):
-        net = DtpNetwork(sim, paper_testbed(), streams)
-        net.start()
-        sim.run_until(units.MS)
-        start = sim.now
-        coordinator = SnapshotCoordinator(net)
-        result = coordinator.schedule_snapshot(lead_time_fs=300 * units.US)
-        sim.run_until(sim.now + 2 * units.MS)
-        first = min(result.fire_times_fs.values())
-        assert first == pytest.approx(start + 300 * units.US, abs=2 * units.US)
-
-    def test_callback_invoked_per_device(self, sim, streams):
-        net = DtpNetwork(sim, paper_testbed(), streams)
-        net.start()
-        sim.run_until(units.MS)
-        fired = []
-        coordinator = SnapshotCoordinator(net)
-        coordinator.schedule_snapshot(
-            lead_time_fs=100 * units.US,
-            on_fire=lambda name, t: fired.append(name),
-        )
-        sim.run_until(sim.now + units.MS)
-        assert sorted(fired) == sorted(net.devices)

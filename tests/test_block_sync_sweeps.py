@@ -3,15 +3,15 @@
 
 
 from repro.experiments.sweeps import sweep_beacon_vs_skew, sweep_ber, sweep_cable_length
-from repro.phy.block_sync import (
+from repro.phy.blocks import idle_block
+from repro.sim import units
+from tests.wire.block_sync import (
     HI_BER_THRESHOLD,
     LOCK_THRESHOLD,
     BlockSync,
     blocks_to_bitstream,
     headers_from_bitstream,
 )
-from repro.phy.blocks import idle_block
-from repro.sim import units
 
 
 class TestBlockSync:
@@ -97,7 +97,7 @@ class TestSweeps:
 
 
 # ----------------------------------------------------------------------
-# Relock recovery property (the link supervisor's 64b/66b signal source)
+# Relock recovery property (Clause 49 block lock)
 # ----------------------------------------------------------------------
 import random
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.phy.blocks import idle_block
-from repro.phy.dtp_1g import (
+from tests.wire.dtp_1g import (
     Dtp1GError,
     SETS_PER_MESSAGE,
     decode_interframe_gap,
@@ -13,15 +13,15 @@ from repro.phy.dtp_1g import (
     reassemble_message,
     segment_message,
 )
-from repro.phy.encoding_8b10b import Decoder8b10b, Encoder8b10b, K28_1
-from repro.phy.pcs_stream import (
+from tests.wire.encoding_8b10b import Decoder8b10b, Encoder8b10b, K28_1
+from tests.wire.pcs_stream import (
     PcsStreamError,
     PcsTransmitStream,
     decode_blocks,
     encode_frame,
     receive_stream,
 )
-from repro.phy.scrambler import Scrambler
+from tests.wire.scrambler import Scrambler
 
 
 class TestDtp1G:

@@ -231,3 +231,12 @@ def test_umbrella_cli_dispatches(capsys):
     assert repro_main(["faultlab", "--list"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[: len(BUILTIN_SCENARIOS)] == list(BUILTIN_SCENARIOS)
+
+
+def test_cli_reports_runtime_campaign_error_in_one_line(capsys):
+    argv = ["--quick", "baseline", "--backend", "sharded", "--shards", "9"]
+    assert faultlab_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("faultlab: --shards 9 exceeds the 4 cut partitions")
+    assert captured.err.count("\n") == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ethernet.mac import (
+from tests.wire.mac import (
     BROADCAST,
     ETHERTYPE_IPV4,
     MIN_PAYLOAD_BYTES,
@@ -13,7 +13,7 @@ from repro.ethernet.mac import (
     address,
     crc32,
 )
-from repro.phy.pcs_stream import PcsTransmitStream, receive_stream
+from tests.wire.pcs_stream import PcsTransmitStream, receive_stream
 
 
 class TestCrc32:

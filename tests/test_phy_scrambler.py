@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.scrambler import Scrambler, disparity, word_bits
+from tests.wire.scrambler import Scrambler, disparity, word_bits
 
 
 def test_scramble_descramble_roundtrip_same_state():

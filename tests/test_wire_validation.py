@@ -15,11 +15,11 @@ import random
 
 
 from repro.dtp.messages import DtpMessage, MessageType, encode
-from repro.ethernet.mac import MacFrame, address
-from repro.phy.block_sync import BlockSync, blocks_to_bitstream
 from repro.phy.blocks import Block66, extract_bits_from_idle
-from repro.phy.pcs_stream import PcsTransmitStream, receive_stream
-from repro.phy.scrambler import Scrambler
+from tests.wire.block_sync import BlockSync, blocks_to_bitstream
+from tests.wire.mac import MacFrame, address
+from tests.wire.pcs_stream import PcsTransmitStream, receive_stream
+from tests.wire.scrambler import Scrambler
 
 
 def build_tx_stream(num_frames: int, rng: random.Random):
