@@ -54,10 +54,6 @@ class TickClock:
         """
         return self.counter_at(t_fs)
 
-    def next_tick_after(self, t_fs: int) -> int:
-        """Time of the next counter change strictly after ``t_fs``."""
-        return self.oscillator.next_edge_after(t_fs)
-
     def time_after_ticks(self, t_fs: int, ticks: int) -> int:
         """Time at which ``ticks`` more tick edges will have occurred.
 

@@ -411,13 +411,6 @@ class Oscillator:
         """The (integer) period in effect at time ``t_fs``."""
         return self._segment_for(t_fs).period_fs
 
-    def mean_frequency_hz(self, start_fs: int, end_fs: int) -> float:
-        """Average realized frequency over ``[start_fs, end_fs]``."""
-        if end_fs <= start_fs:
-            raise ValueError("end_fs must exceed start_fs")
-        ticks = self.ticks_at(end_fs) - self.ticks_at(start_fs)
-        return ticks / units.seconds_from_fs(end_fs - start_fs)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Oscillator(name={self.name!r}, nominal={self.nominal_period_fs} fs, "

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Optional
 from ..clocks.clock import AdjustableFrequencyClock
 from ..clocks.oscillator import ConstantSkew
 from ..clocks.tsc import TscCounter
-from ..experiments.parallel import ExperimentTask, derive_seed, run_named_tasks
+from ..experiments.parallel import ExperimentTask, derive_seed, run_tasks
 from ..faultlab.campaign import CampaignError, metrics_digest, run_scenario
 from ..faultlab.scenarios import BUILTIN_SCENARIOS, FABRIC_SCENARIOS
 from ..ioutil import atomic_write_text, canonical_json
@@ -502,7 +502,7 @@ def run_race_campaign(
                     seed=seed,
                 )
             )
-    results = run_named_tasks(tasks, jobs=jobs)
+    results = dict(zip((task.name for task in tasks), run_tasks(tasks, jobs=jobs)))
     races: Dict[str, Dict[str, object]] = {}
     for spec in specs:
         name = str(spec["name"])

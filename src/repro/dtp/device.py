@@ -50,9 +50,6 @@ class DtpDevice:
     def add_port(self, port: "DtpPort") -> None:
         self.ports.append(port)
 
-    def port_count(self) -> int:
-        return len(self.ports)
-
     @property
     def is_switch(self) -> bool:
         return len(self.ports) > 1
@@ -81,10 +78,6 @@ class DtpDevice:
         for port in self.ports:
             if port is not source_port and port.can_transmit():
                 port.send_join()
-
-    def local_counters(self, t_fs: int) -> List[int]:
-        """Current local counters of all ports (diagnostics)."""
-        return [port.lc.counter_at(t_fs) for port in self.ports]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "switch" if self.is_switch else "nic"

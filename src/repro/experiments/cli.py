@@ -26,7 +26,7 @@ from ..cli import add_run_flags, add_telemetry_flags
 from ..resilience.cli import (
     add_supervision_flags,
     report_failures,
-    supervisor_policy,
+    supervision_from_args,
 )
 from ..sim import units
 from .parallel import ExperimentTask, run_tasks
@@ -352,19 +352,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         ExperimentTask(name=name, fn=_run_command_worker, args=(name, options))
         for name in GROUPS.get(args.experiment, [args.experiment])
     ]
-    policy = supervisor_policy(args)
-    if policy is None:
-        _print_blocks(run_tasks(tasks, jobs=jobs))
-        return 0
-
-    from ..resilience import CheckpointJournal, run_supervised
-
-    journal = None
-    if args.journal is not None:
-        journal = CheckpointJournal(
-            args.journal,
-            meta={"campaign": "repro", "experiment": args.experiment},
-        )
-    run = run_supervised(tasks, jobs=jobs, policy=policy, journal=journal)
-    _print_blocks(run.results)
-    return report_failures(run.report(), "experiment", args.failure_report)
+    supervision = supervision_from_args(
+        parser, args, {"campaign": "repro", "experiment": args.experiment}
+    )
+    _print_blocks(run_tasks(tasks, jobs=jobs, supervision=supervision))
+    return report_failures(supervision, "experiment", args.failure_report)

@@ -24,7 +24,10 @@ import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from ..resilience.supervisor import Supervision
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:
@@ -36,11 +39,6 @@ def derive_seed(base_seed: int, task_name: str) -> int:
     """
     digest = hashlib.sha256(f"{base_seed}:{task_name}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def replicate_seeds(base_seed: int, names: Sequence[str]) -> Dict[str, int]:
-    """Per-name seeds for a family of replicated runs."""
-    return {name: derive_seed(base_seed, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -81,14 +79,29 @@ def default_jobs() -> int:
 def run_tasks(
     tasks: Sequence[ExperimentTask],
     jobs: Optional[int] = None,
+    supervision: Optional[Supervision] = None,
 ) -> List[Any]:
-    """Run ``tasks`` and return their results **in task order**.
+    """Run ``tasks`` (unique names) and return their results **in task order**.
 
     ``jobs=None`` uses one worker per CPU; ``jobs<=1`` (or a single task)
     runs serially in-process, which is byte-for-byte equivalent — the
-    parallel path only changes wall time, never results.
+    parallel path only changes wall time, never results.  The first
+    failure cancels every task not yet started and propagates.
+
+    With a :class:`~repro.resilience.supervisor.Supervision` the tasks run
+    on a supervised pool instead (even at ``jobs=1``): failures are
+    retried or quarantined rather than raised, a quarantined task's result
+    is ``None``, and ``supervision.run`` holds the outcome and its failure
+    report.
     """
     tasks = list(tasks)
+    names = [task.name for task in tasks]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate task names: {sorted(names)}")
+    if supervision is not None:
+        from ..resilience.supervisor import run_supervised
+
+        return run_supervised(tasks, jobs, supervision).results
     if jobs is None:
         jobs = default_jobs()
     if jobs <= 1 or len(tasks) <= 1:
@@ -107,15 +120,3 @@ def run_tasks(
             # current task during executor shutdown.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
-
-
-def run_named_tasks(
-    tasks: Sequence[ExperimentTask],
-    jobs: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Like :func:`run_tasks` but keyed by task name (names must be unique)."""
-    names = [task.name for task in tasks]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate task names: {sorted(names)}")
-    results = run_tasks(tasks, jobs=jobs)
-    return dict(zip(names, results))

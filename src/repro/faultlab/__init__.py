@@ -18,8 +18,11 @@ only its figure shapes:
 * :mod:`~repro.faultlab.campaign` — a campaign runner executing declarative
   scenario specs (plain dicts / JSON) and producing deterministic metrics:
   per-fault recovery time, max offset excursion, time above bound.  The
-  same seed always produces the byte-identical (sha256-stable) output, and
-  campaigns fan out over the PR-1 parallel runner.
+  same seed always produces the byte-identical (sha256-stable) output.
+  ``run_campaign`` is the one campaign entry point: it fans out over the
+  parallel experiment runner, and an optional
+  :class:`~repro.resilience.Supervision` makes the same call crash-safe
+  and resumable.
 * :mod:`~repro.faultlab.scenarios` — the built-in scenario catalogue the
   ``repro faultlab`` CLI runs.
 """
@@ -33,7 +36,6 @@ _LAZY = {
     "metrics_digest": "campaign",
     "render_campaign": "campaign",
     "run_campaign": "campaign",
-    "run_resilient_campaign": "campaign",
     "run_scenario": "campaign",
     "FAULT_KINDS": "faults",
     "BeaconSuppression": "faults",

@@ -31,14 +31,14 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import metrics
 from ..ioutil import atomic_write_text, canonical_json
 from ..clocks.oscillator import ConstantSkew
 from ..dtp.network import BACKENDS, DEFAULT_BACKEND, DtpNetwork
 from ..dtp.port import DtpPortConfig
-from ..experiments.parallel import ExperimentTask, derive_seed, run_named_tasks
+from ..experiments.parallel import ExperimentTask, derive_seed, run_tasks
 from ..network import topology as topo
 from ..observe.snapshots import ObserveProbe, make_tap
 from ..sim.engine import Simulator
@@ -46,6 +46,9 @@ from ..sim.randomness import RandomStreams
 from ..telemetry import Telemetry
 from .faults import FAULT_KINDS, FaultContext, FaultModel
 from .invariants import InvariantChecker, InvariantViolation
+
+if TYPE_CHECKING:
+    from ..resilience.supervisor import Supervision
 
 
 class CampaignError(ValueError):
@@ -70,6 +73,8 @@ _SPEC_KEYS = frozenset(
 
 def build_topology(spec: Dict[str, object]) -> topo.Topology:
     """Build a topology from its spec: ``{"kind": ..., <parameters>}``."""
+    if not isinstance(spec, dict):
+        raise CampaignError(f"topology must be a dict, got {spec!r}")
     params = dict(spec)
     kind = params.pop("kind", None)
     try:
@@ -99,6 +104,8 @@ def build_topology(spec: Dict[str, object]) -> topo.Topology:
         raise CampaignError(
             f"topology {kind!r} is missing parameter {exc.args[0]!r}"
         ) from exc
+    except (TypeError, ValueError) as exc:
+        raise CampaignError(f"bad parameters for topology {kind!r}: {exc}") from exc
     if params:
         raise CampaignError(
             f"unknown topology parameters for {kind!r}: {sorted(params)}"
@@ -113,6 +120,8 @@ def build_fault(spec: Dict[str, object], index: int = 0) -> FaultModel:
     every other key is passed to the constructor.  An omitted ``name``
     defaults to ``"<kind>-<index>"``.
     """
+    if not isinstance(spec, dict):
+        raise CampaignError(f"fault {index} must be a dict, got {spec!r}")
     params = dict(spec)
     kind = params.pop("kind", None)
     cls = FAULT_KINDS.get(kind)
@@ -225,6 +234,31 @@ def _validate_checker(checker: Dict[str, object]) -> None:
             )
 
 
+def _validate_network(spec: Dict[str, object], topology: topo.Topology) -> None:
+    """What :func:`assemble` hands the network: the port config, the
+    ``linkhealth`` value and per-node skews, refused here by name rather
+    than as a bare exception from deep inside the build."""
+    try:
+        DtpPortConfig(**spec.get("config", {}))
+    except TypeError as exc:
+        raise CampaignError(f"bad config: {exc}") from exc
+    if spec.get("linkhealth"):
+        from ..linkhealth.fsm import linkhealth_config_from_value
+
+        try:
+            linkhealth_config_from_value(spec["linkhealth"])
+        except TypeError as exc:
+            raise CampaignError(f"bad linkhealth: {exc}") from exc
+    skew_ppm = spec.get("skew_ppm") or {}
+    if not isinstance(skew_ppm, dict):
+        raise CampaignError(f"skew_ppm must be a dict, got {skew_ppm!r}")
+    for node, ppm in skew_ppm.items():
+        if node not in topology.nodes:
+            raise CampaignError(f"skew_ppm names {node!r}, which is not in the topology")
+        if type(ppm) not in (int, float):
+            raise CampaignError(f"skew_ppm[{node!r}] must be a number, got {ppm!r}")
+
+
 def prepare(spec: Dict[str, object]) -> Prepared:
     """Validate a scenario spec and build its topology and faults."""
     unknown = set(spec) - _SPEC_KEYS
@@ -232,7 +266,9 @@ def prepare(spec: Dict[str, object]) -> Prepared:
         raise CampaignError(f"unknown scenario keys: {sorted(unknown)}")
     if "topology" not in spec or "duration_fs" not in spec:
         raise CampaignError("scenario needs 'topology' and 'duration_fs'")
-    duration_fs = int(spec["duration_fs"])
+    duration_fs = spec["duration_fs"]
+    if type(duration_fs) is not int:
+        raise CampaignError(f"duration_fs must be an integer, got {duration_fs!r}")
     if duration_fs <= 0:
         raise CampaignError("duration_fs must be positive")
     # The drivers walk both grids as given: 0 never advances, a fraction
@@ -240,18 +276,21 @@ def prepare(spec: Dict[str, object]) -> Prepared:
     if "sample_interval_fs" in spec:
         _require_positive_int("sample_interval_fs", spec["sample_interval_fs"])
     _validate_checker(spec.get("checker", {}))
+    topology = build_topology(spec["topology"])
+    _validate_network(spec, topology)
+    fault_specs = spec.get("faults", [])
+    if not isinstance(fault_specs, (list, tuple)):
+        raise CampaignError(f"faults must be a list, got {fault_specs!r}")
     faults: List[FaultModel] = []
     seen_names = set()
-    for index, fault_spec in enumerate(spec.get("faults", [])):
+    for index, fault_spec in enumerate(fault_specs):
         fault = build_fault(fault_spec, index)
         if fault.name in seen_names:
             raise CampaignError(f"duplicate fault name {fault.name!r}")
         seen_names.add(fault.name)
         faults.append(fault)
     name = str(spec.get("name", "scenario"))
-    return Prepared(
-        spec, name, duration_fs, build_topology(spec["topology"]), tuple(faults)
-    )
+    return Prepared(spec, name, duration_fs, topology, tuple(faults))
 
 
 def assemble(
@@ -616,6 +655,7 @@ def run_campaign(
     specs: Iterable[Dict[str, object]],
     base_seed: int = 0,
     jobs: Optional[int] = 1,
+    supervision: Optional[Supervision] = None,
     **options: object,
 ) -> Dict[str, Dict[str, object]]:
     """Run many scenarios, each seeded from ``(base_seed, scenario name)``.
@@ -623,78 +663,44 @@ def run_campaign(
     Returns an ordered ``{scenario name: metrics}`` dict.  ``jobs > 1``
     fans out over worker processes via the parallel experiment runner;
     results — and any telemetry artifacts written to the ``*_dir``
-    directories — are byte-identical to the serial path.  For campaigns
-    that must survive worker crashes, hangs, or a SIGKILL of the whole
-    run, use :func:`run_resilient_campaign`.  ``**options`` are the
-    :class:`RunOptions` fields (``docs/FAULTLAB.md``, "Run options"),
-    applied to every scenario; results are byte-identical on the
-    scalar, batched and sharded backends.
+    directories — are byte-identical to the serial path.  ``**options``
+    are the :class:`RunOptions` fields (``docs/FAULTLAB.md``, "Run
+    options"), applied to every scenario; results are byte-identical on
+    the scalar, batched and sharded backends.
+
+    With a :class:`~repro.resilience.Supervision` the campaign survives
+    worker crashes, hangs and (with a journal) a SIGKILL of the whole run;
+    the dict then holds only the scenarios that completed, and
+    ``supervision.run`` reports the rest.  ``health_dir`` then also gets
+    ``campaign.health.jsonl``, and ``flight_dir`` a
+    ``<scenario>.failure.flight.jsonl`` per quarantined scenario.
     """
-    tasks = _campaign_tasks(specs, base_seed, RunOptions.of(**options))
-    return run_named_tasks(tasks, jobs=jobs)
-
-
-def run_resilient_campaign(
-    specs: Iterable[Dict[str, object]],
-    base_seed: int = 0,
-    jobs: Optional[int] = 1,
-    journal_path: Optional[str] = None,
-    policy=None,
-    **options: object,
-):
-    """Run a campaign under the :mod:`repro.resilience` supervisor.
-
-    Like :func:`run_campaign`, but each scenario runs in a supervised
-    worker with per-task timeouts, bounded retries, pool respawn on worker
-    death, and quarantine of poison scenarios.  With ``journal_path``,
-    completed scenarios are checkpointed as they finish and a re-invoked
-    campaign resumes by skipping them — results and artifacts are
-    byte-identical to an uninterrupted run.
-
-    Returns ``(results, report)``: the ordered ``{scenario: metrics}``
-    dict for every scenario that completed, and the machine-readable
-    failure report (:meth:`repro.resilience.SupervisedRun.report`).  When
-    ``flight_dir`` is set, every quarantined scenario additionally gets a
-    ``<scenario>.failure.flight.jsonl`` post-mortem artifact.
-    """
-    from ..resilience import CheckpointJournal, SupervisorPolicy, run_supervised
-
     run_options = RunOptions.of(**options)
     tasks = _campaign_tasks(specs, base_seed, run_options)
-    if policy is None:
-        policy = SupervisorPolicy(base_seed=base_seed)
-    # The meta deliberately omits the scenario list: every journal entry
-    # is keyed by (name, seed, args digest), so resuming with a subset or
-    # superset of scenarios is safe and useful (finish the rest later).
-    journal = None
-    if journal_path is not None:
-        journal = CheckpointJournal(
-            journal_path,
-            meta={"campaign": "faultlab", "base_seed": base_seed},
-        )
-    health = None
-    if run_options.health_dir is not None:
+    supervised_health = supervision is not None and run_options.health_dir is not None
+    if supervised_health and supervision.health is None:
         from ..observe.health import HealthRecorder
 
-        health = HealthRecorder(source="resilient-campaign")
-    run = run_supervised(
-        tasks, jobs=jobs, policy=policy, journal=journal, health=health
-    )
-    if health is not None:
-        health.write(_artifact(run_options.health_dir, "campaign", "health.jsonl"))
-    report = run.report()
-    if run_options.flight_dir is not None and run.quarantined:
-        failures = [failure.as_dict() for failure in run.failures]
+        supervision.health = HealthRecorder(source="resilient-campaign")
+    results = run_tasks(tasks, jobs=jobs, supervision=supervision)
+    if supervision is None:
+        return {task.name: result for task, result in zip(tasks, results)}
+    if supervised_health:
+        supervision.health.write(
+            _artifact(run_options.health_dir, "campaign", "health.jsonl")
+        )
+    run = supervision.run
+    if run_options.flight_dir is not None:
         for name in run.quarantined:
             context = {
                 "reason": "supervisor-quarantine",
-                "failures": [f for f in failures if f["task"] == name],
+                "failures": [f.as_dict() for f in run.failures if f.task == name],
             }
             _write_flight(
                 run_options.flight_dir, name, "failure.", Telemetry(trace=False),
                 derive_seed(base_seed, name), 0, context,
             )
-    return run.named_results(), report
+    return run.named_results()
 
 
 def render_campaign(results: Dict[str, Dict[str, object]]) -> List[str]:

@@ -22,7 +22,9 @@ Any of these flags routes the campaign through the
 :mod:`repro.resilience` supervisor: scenarios that hang, crash their
 worker, or keep failing are quarantined and reported on stderr (exit
 status 1) while every other scenario's metrics still appear — on stdout,
-byte-identical to an unsupervised run of the surviving set.
+byte-identical to an unsupervised run of the surviving set.  A bad flag
+(a journal of another seed, ``--retries 0``) is a usage error: one stderr
+line, exit status 2.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ..ioutil import canonical_json
 from ..resilience.cli import (
     add_supervision_flags,
     report_failures,
-    supervisor_policy,
+    supervision_from_args,
 )
 from .campaign import (
     DRIVERS,
@@ -44,7 +46,6 @@ from .campaign import (
     RunOptions,
     render_campaign,
     run_campaign,
-    run_resilient_campaign,
 )
 from .scenarios import (
     BUILTIN_SCENARIOS,
@@ -161,20 +162,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         observe=args.slo is not None,
         health_dir=args.health,
     )
-    policy = supervisor_policy(args, base_seed=args.seed)
-    report = None
+    supervision = supervision_from_args(
+        parser, args, {"campaign": "faultlab", "base_seed": args.seed},
+        base_seed=args.seed,
+    )
     try:
-        if policy is not None:
-            results, report = run_resilient_campaign(
-                specs,
-                base_seed=args.seed,
-                jobs=jobs,
-                journal_path=args.journal,
-                policy=policy,
-                **options,
-            )
-        else:
-            results = run_campaign(specs, base_seed=args.seed, jobs=jobs, **options)
+        results = run_campaign(
+            specs, base_seed=args.seed, jobs=jobs, supervision=supervision, **options
+        )
     except CampaignError as exc:
         # A run-time refusal (too many shards, a dead shard worker) is a
         # named error, not a crash: one line and parser.error's exit code.
@@ -188,9 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         for line in render_campaign(results):
             print(line)
-    if report is not None and report_failures(
-        report, "scenario", args.failure_report
-    ):
+    if report_failures(supervision, "scenario", args.failure_report):
         return 1
     if slo is not None:
         from ..observe.cli import evaluate_results, render_verdicts, write_verdicts

@@ -77,10 +77,6 @@ class PortTimeline:
         times = self.beacon_rx_times
         return [times[i + 1] - times[i] for i in range(len(times) - 1)]
 
-    def max_beacon_interval_fs(self) -> Optional[int]:
-        gaps = self.beacon_intervals_fs()
-        return max(gaps) if gaps else None
-
 
 @dataclass
 class NodeTimeline:

@@ -59,7 +59,3 @@ class Cable:
 
     def reverse_delay_fs(self) -> int:
         return self.delay_fs - self.asymmetry_fs // 2
-
-    def delay_ticks(self, period_fs: int) -> float:
-        """Propagation delay expressed in clock ticks of ``period_fs``."""
-        return self.delay_fs / period_fs

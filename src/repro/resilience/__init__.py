@@ -7,6 +7,9 @@ journal** (:mod:`~repro.resilience.journal`) that persists completed
 results so a killed campaign resumes where it stopped and still produces
 byte-identical artifacts.
 
+A caller asks for both with one optional :class:`Supervision`, passed to
+``run_tasks`` or ``run_campaign``; without one, neither loads this package.
+
 See ``docs/RESILIENCE.md`` for the semantics and the on-disk formats.
 """
 
@@ -22,6 +25,7 @@ _LAZY = {
     "FAILURE_EXCEPTION": "supervisor",
     "FAILURE_QUARANTINED": "supervisor",
     "SupervisedRun": "supervisor",
+    "Supervision": "supervisor",
     "SupervisorPolicy": "supervisor",
     "backoff_slots": "supervisor",
     "default_jobs": "supervisor",

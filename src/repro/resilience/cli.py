@@ -8,10 +8,11 @@ Usage::
 
 Also home of the supervision flag group (``--journal`` /
 ``--task-timeout`` / ``--retries`` / ``--failure-report``) that
-``repro faultlab`` and the experiment chooser share: the flags, the
-:class:`SupervisorPolicy` they select, and the stderr quarantine report
-are defined here once.  The journal and the supervisor are imported on
-use: a command that parses these flags and is given none loads neither.
+``repro faultlab`` and the experiment chooser share: the flags, the one
+:class:`~repro.resilience.supervisor.Supervision` they build (``None``
+when none is given), and the stderr quarantine report are defined here
+once.  The journal and the supervisor are imported on use: a command that
+parses these flags and is given none loads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from ..ioutil import atomic_write_text, canonical_json
 
 if TYPE_CHECKING:
-    from .supervisor import SupervisorPolicy
+    from .journal import CheckpointJournal
+    from .supervisor import Supervision
 
 
 def add_supervision_flags(parser: argparse.ArgumentParser, noun: str) -> None:
@@ -53,31 +55,56 @@ def add_supervision_flags(parser: argparse.ArgumentParser, noun: str) -> None:
     )
 
 
-def supervisor_policy(
-    args: argparse.Namespace, base_seed: int = 0
-) -> Optional[SupervisorPolicy]:
-    """The policy the supervision flags select; None when none was given."""
+def _open_journal(path: str, meta: Optional[Dict[str, object]] = None) -> CheckpointJournal:
+    from .journal import CheckpointJournal
+
+    return CheckpointJournal(path, meta=meta)
+
+
+def supervision_from_args(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    meta: Dict[str, object],
+    base_seed: int = 0,
+) -> Optional[Supervision]:
+    """The :class:`Supervision` the flags select; ``None`` when none is given.
+
+    ``meta`` goes in the journal header.  A bad flag (a journal of another
+    campaign, ``--retries 0``, ``--task-timeout -1``) is a usage error:
+    one stderr line, exit status 2.
+    """
     flags = (args.journal, args.task_timeout, args.retries, args.failure_report)
     if all(value is None for value in flags):
         return None
-    from .supervisor import SupervisorPolicy
+    from .journal import JournalError
+    from .supervisor import Supervision, SupervisorError, SupervisorPolicy
 
-    return SupervisorPolicy(
-        timeout_s=args.task_timeout,
-        max_attempts=args.retries if args.retries is not None else 3,
-        base_seed=base_seed,
-    )
+    try:
+        retries = 3 if args.retries is None else args.retries
+        policy = SupervisorPolicy(args.task_timeout, retries, base_seed=base_seed)
+        journal = None if args.journal is None else _open_journal(args.journal, meta)
+    except SupervisorError as exc:  # the policy names its field; say the flag
+        message = str(exc).replace("max_attempts", "--retries")
+        message = message.replace("timeout_s", "--task-timeout")
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
+    except (JournalError, OSError) as exc:
+        parser.exit(2, f"{parser.prog}: error: --journal: {exc}\n")
+    return Supervision(policy, journal)
 
 
 def report_failures(
-    report: Dict[str, object], noun: str, path: Optional[str] = None
+    supervision: Optional[Supervision], noun: str, path: Optional[str] = None
 ) -> int:
-    """Write the failure report to ``path`` and list quarantines on stderr.
+    """Write the failure report to ``path`` and list quarantines on stderr;
+    an unsupervised run (``None``) has nothing to report.
 
     Returns the exit status: 1 when any ``noun`` was quarantined.  Only
     stderr is touched, so supervised and plain runs of the same surviving
     set stay byte-identical on stdout.
     """
+    if supervision is None:
+        return 0
+    report = supervision.run.report()
     if path is not None:
         atomic_write_text(path, canonical_json(report) + "\n")
         print(f"wrote {path}", file=sys.stderr)
@@ -99,12 +126,12 @@ def report_failures(
 
 
 def _show_journal(path: str, as_json: bool) -> int:
-    from .journal import CheckpointJournal, JournalError
+    from .journal import JournalError
 
     try:
-        if not os.path.exists(path):  # constructing one would create it
+        if not os.path.exists(path):  # opening one would create it
             raise FileNotFoundError(f"{path}: no such journal")
-        journal = CheckpointJournal(path)
+        journal = _open_journal(path)
     except (JournalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

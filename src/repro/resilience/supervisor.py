@@ -24,37 +24,36 @@ Every terminal outcome is classified by the failure taxonomy
 :data:`FAILURE_QUARANTINED`) and collected into a machine-readable report
 (:meth:`SupervisedRun.report`).
 
-Results are returned **in task order**, exactly as
-:func:`~repro.experiments.parallel.run_tasks` would return them — retries,
-respawns, and worker count never change any result, only wall time.  With
-a :class:`~repro.resilience.journal.CheckpointJournal`, completed results
+Callers pass one :class:`Supervision` to
+:func:`~repro.experiments.parallel.run_tasks`.  Results come back **in
+task order**, exactly as unsupervised — retries, respawns, and worker
+count never change any result, only wall time.  With a
+:class:`~repro.resilience.journal.CheckpointJournal`, completed results
 are persisted as they arrive and a restarted run resumes by skipping them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..experiments.parallel import ExperimentTask, _invoke, default_jobs
 from .journal import CheckpointJournal, task_key
+
+if TYPE_CHECKING:
+    from ..observe.health import HealthRecorder
 
 #: Failure taxonomy: every recorded failure carries exactly one of these.
 FAILURE_TIMEOUT = "timeout"
 FAILURE_CRASH = "crash"
 FAILURE_EXCEPTION = "exception"
 FAILURE_QUARANTINED = "quarantined"
-FAILURE_KINDS = (
-    FAILURE_TIMEOUT,
-    FAILURE_CRASH,
-    FAILURE_EXCEPTION,
-    FAILURE_QUARANTINED,
-)
 
 #: The failure report format version (machine-readable contract).
 REPORT_VERSION = 1
@@ -88,6 +87,14 @@ class SupervisorPolicy:
     max_backoff_slots: int = 4
     max_respawns: int = 16
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise SupervisorError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.timeout_s is not None and not 0 < self.timeout_s < math.inf:
+            raise SupervisorError(
+                f"timeout_s must be a positive number of seconds, got {self.timeout_s!r}"
+            )
 
 
 def backoff_slots(policy: SupervisorPolicy, task_name: str, attempt: int) -> int:
@@ -190,6 +197,24 @@ class SupervisedRun:
         }
 
 
+@dataclass
+class Supervision:
+    """How a run is supervised and, once it has run, what happened.
+
+    ``journal`` checkpoints completed results so a rerun resumes.
+    ``health`` (a :class:`~repro.observe.HealthRecorder`) receives worker
+    lifecycle events; it is observational only — scheduling, results and
+    the report are identical without it.  :func:`run_supervised` stores
+    its outcome in ``run``, whose :meth:`~SupervisedRun.report` is the
+    failure report.
+    """
+
+    policy: SupervisorPolicy = field(default_factory=SupervisorPolicy)
+    journal: Optional[CheckpointJournal] = None
+    health: Optional[HealthRecorder] = None
+    run: Optional[SupervisedRun] = None
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcefully retire a pool whose workers may be hung or dead."""
     processes = getattr(pool, "_processes", None) or {}
@@ -207,33 +232,21 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 def run_supervised(
     tasks: Sequence[ExperimentTask],
     jobs: Optional[int] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    journal: Optional[CheckpointJournal] = None,
-    health=None,
+    supervision: Optional[Supervision] = None,
 ) -> SupervisedRun:
-    """Run ``tasks`` under supervision; see the module docstring.
+    """Run ``tasks`` under ``supervision``; see the module docstring.
 
-    Always executes on a worker pool (even ``jobs=1``) so that a crashing
-    or hanging task takes down a disposable worker, never the caller.
-    Task callables and arguments must therefore be picklable, exactly as
-    :func:`~repro.experiments.parallel.run_tasks` requires; with a
-    ``journal``, results must additionally be JSON-serializable.
-
-    ``health``, an optional :class:`~repro.observe.HealthRecorder`,
-    receives worker lifecycle events (running / done / retrying /
-    quarantined).  It is observational only: the supervisor's scheduling
-    decisions, results, and failure report are identical with or without
-    it (the health channel is explicitly nondeterministic and never part
-    of any identity surface).
+    Reached through :func:`~repro.experiments.parallel.run_tasks`, which
+    holds task names unique.  Always executes on a worker pool (even
+    ``jobs=1``) so that a crashing or hanging task takes down a disposable
+    worker, never the caller; with a journal, results must be
+    JSON-serializable.
     """
     tasks = list(tasks)
     names = [task.name for task in tasks]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate task names: {sorted(names)}")
-    if policy is None:
-        policy = SupervisorPolicy()
-    if policy.max_attempts < 1:
-        raise SupervisorError("policy.max_attempts must be >= 1")
+    if supervision is None:
+        supervision = Supervision()
+    policy, journal, health = supervision.policy, supervision.journal, supervision.health
 
     results: List[Any] = [None] * len(tasks)
     failures: List[TaskFailure] = []
@@ -249,11 +262,9 @@ def run_supervised(
             from_journal += 1
         else:
             pending.append(_TaskState(index, task, key))
-
     if not pending:
-        return SupervisedRun(
-            names, results, failures, quarantined, respawns, from_journal
-        )
+        supervision.run = SupervisedRun(names, results, [], [], 0, from_journal)
+        return supervision.run
 
     if jobs is None or jobs <= 0:
         jobs = default_jobs()
@@ -438,6 +449,7 @@ def run_supervised(
     finally:
         _kill_pool(pool)
 
-    return SupervisedRun(
+    supervision.run = SupervisedRun(
         names, results, failures, quarantined, respawns, from_journal
     )
+    return supervision.run

@@ -24,27 +24,6 @@ TICK_10G_FS = 6_400_000
 FIBER_DELAY_FS_PER_M = 5 * NS
 
 
-def fs_from_seconds(seconds: float) -> int:
-    """Convert seconds (float) to integer femtoseconds."""
-    return round(seconds * SEC)
-
-
-def seconds_from_fs(fs: int) -> float:
-    """Convert integer femtoseconds to seconds (float)."""
-    return fs / SEC
-
-
-def fs_from_ns(ns: float) -> int:
-    """Convert nanoseconds (possibly fractional) to integer femtoseconds."""
-    return round(ns * NS)
-
-
-def ns_from_fs(fs: int) -> float:
-    """Convert integer femtoseconds to nanoseconds (float)."""
-    return fs / NS
-
-
-
 def ppm_to_fraction(ppm: float) -> float:
     """Parts-per-million to a plain fraction (100 ppm -> 1e-4)."""
     return ppm * 1e-6

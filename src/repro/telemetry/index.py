@@ -130,10 +130,6 @@ class TraceIndex:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def counts_by_kind(self) -> Dict[int, int]:
-        """``{kind: record count}`` over the whole stream."""
-        return dict(self._kind_counts)
-
     def stream(self, kind: int, subject: str) -> List[TraceRecord]:
         """All records of ``kind`` on the named subject, in time order."""
         sid = self._ids.get(subject)

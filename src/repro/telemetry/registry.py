@@ -68,9 +68,6 @@ class Gauge:
     def inc(self, amount: int = 1) -> None:
         self.value += amount
 
-    def dec(self, amount: int = 1) -> None:
-        self.value -= amount
-
 
 # ----------------------------------------------------------------------
 # Families

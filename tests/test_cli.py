@@ -167,3 +167,36 @@ def test_quarantine_report_is_the_same_everywhere(
         f"wrote {report_path}\n" + QUARANTINE_REPORT.format(noun=noun)
     )
     assert '"quarantined":["baseline"]' in report_path.read_text()
+
+
+# ----------------------------------------------------------------------
+# A bad supervision flag is a usage error, on every command that has them
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "command",
+    [["faultlab", "--quick", "--seed", "2", "baseline"], ["table2", "--quick"]],
+    ids=["faultlab", "table2"],
+)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--journal", "{journal}"], "--journal: .*journal belongs to a different campaign"),
+        (["--retries", "0"], "--retries must be >= 1, got 0"),
+        (["--task-timeout", "-1"], "--task-timeout must be a positive number of seconds"),
+    ],
+    ids=["journal-of-another-campaign", "retries-0", "negative-timeout"],
+)
+def test_bad_supervision_flags_exit_2_in_one_line(command, flags, message, capsys, tmp_path):
+    from repro.resilience import CheckpointJournal
+
+    journal = tmp_path / "j.jsonl"
+    CheckpointJournal(str(journal), meta={"campaign": "faultlab", "base_seed": 1})
+    before = journal.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        repro_main(command + [flag.format(journal=journal) for flag in flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert re.match(rf"repro( faultlab)?: error: {message}", captured.err)
+    assert journal.read_bytes() == before

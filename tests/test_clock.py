@@ -65,11 +65,6 @@ class TestTickClock:
         t1 = clock.time_after_ticks(t0, 3)
         assert clock.counter_at(t1) == clock.counter_at(t0) + 3
 
-    def test_next_tick_after(self):
-        clock = make_clock()
-        edge = clock.next_tick_after(0)
-        assert edge == TICK
-
 
 class TestFreeRunningClock:
     def test_never_adjusts(self):

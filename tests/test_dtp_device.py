@@ -23,7 +23,6 @@ def test_single_port_device_is_nic(sim, streams):
     device = make_device(sim, streams)
     DtpPort(device, "p0")
     assert not device.is_switch
-    assert device.port_count() == 1
 
 
 def test_multi_port_device_is_switch(sim, streams):
@@ -62,7 +61,6 @@ def test_gc_takes_max_of_multiple_ports(sim, streams):
     device.on_local_jump(a, t)
     device.on_local_jump(b, t)
     assert device.global_counter(t) == 700
-    assert device.local_counters(t) == [500, 700]
 
 
 def test_gc_keeps_ticking_after_jump(sim, streams):

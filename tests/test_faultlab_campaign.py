@@ -15,7 +15,9 @@ from repro.faultlab import (
     run_campaign,
     run_scenario,
 )
+from repro.faultlab.campaign import prepare
 from repro.faultlab.cli import main as faultlab_main
+from repro.faultlab.scenarios import FABRIC_SCENARIOS, LINKHEALTH_SCENARIOS
 from repro.sim import units
 
 
@@ -83,6 +85,39 @@ def test_scenario_spec_errors():
         )
     with pytest.raises(CampaignError, match="need a 'name'"):
         run_campaign([{"topology": {}, "duration_fs": 1}])
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"duration_fs": "abc"}, "duration_fs must be an integer, got 'abc'"),
+        ({"duration_fs": None}, "duration_fs must be an integer, got None"),
+        ({"duration_fs": 1.5e6}, "duration_fs must be an integer, got 1500000.0"),
+        ({"topology": ["chain", 3]}, "topology must be a dict"),
+        ({"topology": {"kind": "chain", "hosts": "x"}}, "bad parameters for topology 'chain'"),
+        ({"faults": {"kind": "partition"}}, "faults must be a list"),
+        ({"faults": [3]}, "fault 0 must be a dict, got 3"),
+        ({"config": {"beacon_intervall": 5}}, "bad config: .*beacon_intervall"),
+        ({"linkhealth": {"watchdog": 4}}, "bad linkhealth: .*watchdog"),
+        ({"skew_ppm": {"n0": "fast"}}, r"skew_ppm\['n0'\] must be a number, got 'fast'"),
+        ({"skew_ppm": {"n9": 20.0}}, "skew_ppm names 'n9', which is not in the topology"),
+    ],
+    ids=[
+        "duration-str", "duration-none", "duration-float", "topology-list",
+        "hosts-str", "faults-dict", "fault-int", "config-key", "linkhealth-key",
+        "skew-str", "skew-unknown-node",
+    ],
+)
+def test_bad_spec_values_are_named_campaign_errors(overrides, message):
+    with pytest.raises(CampaignError, match=message):
+        prepare(_spec(**overrides))
+
+
+def test_every_builtin_spec_prepares():
+    names = list(BUILTIN_SCENARIOS) + list(FABRIC_SCENARIOS) + list(LINKHEALTH_SCENARIOS)
+    for quick in (True, False):
+        for spec in builtin_specs(names, quick=quick):
+            assert prepare(spec).name == spec["name"]
 
 
 def test_builtin_catalogue():

@@ -37,10 +37,6 @@ class TestCable:
         cable = Cable(length_m=1000.0)
         assert cable.delay_fs == 5 * units.US
 
-    def test_delay_in_ticks(self):
-        cable = Cable(length_m=10.24)
-        assert cable.delay_ticks(units.TICK_10G_FS) == pytest.approx(8.0)
-
 
 class TestByteFifo:
     def test_push_pop_order(self):

@@ -127,11 +127,6 @@ class TestOscillator:
         fast = make_osc(IEEE_8023_PPM_LIMIT)
         assert fast.period_at(0) < TICK
 
-    def test_mean_frequency(self):
-        osc = make_osc(0.0)
-        freq = osc.mean_frequency_hz(0, units.SEC // 100)
-        assert freq == pytest.approx(156.25e6, rel=1e-4)
-
     def test_update_interval_must_cover_period(self):
         with pytest.raises(ValueError):
             Oscillator(TICK, ConstantSkew(0.0), update_interval_fs=TICK // 2)

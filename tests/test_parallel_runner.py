@@ -5,8 +5,6 @@ import pytest
 from repro.experiments.parallel import (
     ExperimentTask,
     derive_seed,
-    replicate_seeds,
-    run_named_tasks,
     run_tasks,
 )
 from repro.experiments.sweeps import sweep_ber
@@ -14,11 +12,6 @@ from repro.experiments.sweeps import sweep_ber
 
 def _square(x, offset=0):
     return x * x + offset
-
-
-def _seeded_sum(seed, n):
-    # A deterministic stand-in for "run an experiment with this seed".
-    return sum((seed * (i + 1)) % 997 for i in range(n))
 
 
 class TestDeriveSeed:
@@ -31,11 +24,6 @@ class TestDeriveSeed:
     def test_fits_in_63_bits(self):
         for name in ("a", "b", "c", "long/task/name=42"):
             assert 0 <= derive_seed(123, name) < (1 << 63)
-
-    def test_replicate_seeds_keys(self):
-        seeds = replicate_seeds(5, ["r0", "r1", "r2"])
-        assert set(seeds) == {"r0", "r1", "r2"}
-        assert len(set(seeds.values())) == 3
 
 
 class TestRunTasks:
@@ -57,17 +45,9 @@ class TestRunTasks:
     def test_jobs_none_runs_all_tasks(self):
         assert len(run_tasks(self._tasks())) == 8
 
-    def test_named_tasks_keyed_by_name(self):
-        out = run_named_tasks(
-            [ExperimentTask("a", _seeded_sum, (1, 10)),
-             ExperimentTask("b", _seeded_sum, (2, 10))],
-            jobs=2,
-        )
-        assert out == {"a": _seeded_sum(1, 10), "b": _seeded_sum(2, 10)}
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            run_named_tasks(
+            run_tasks(
                 [ExperimentTask("a", _square, (1,)),
                  ExperimentTask("a", _square, (2,))]
             )

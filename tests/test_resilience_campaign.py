@@ -2,8 +2,9 @@
 
 The acceptance contract this file pins down:
 
-* a supervised campaign with no failures returns exactly what
-  :func:`~repro.faultlab.campaign.run_campaign` returns (same digest);
+* :func:`~repro.faultlab.campaign.run_campaign` given a ``Supervision``
+  and no failures returns exactly what the plain call returns (same
+  digest);
 * a campaign interrupted at any point and resumed from its checkpoint
   journal produces sha256-identical metrics artifacts and result
   ordering to a same-seed uninterrupted run — serial and ``--jobs N``;
@@ -21,17 +22,30 @@ import time
 
 import pytest
 
-from repro.faultlab import (
-    metrics_digest,
-    run_campaign,
-    run_resilient_campaign,
-)
-from repro.resilience import SupervisorPolicy
+from repro.faultlab import metrics_digest, run_campaign
+from repro.observe.health import read_health
+from repro.resilience import CheckpointJournal, Supervision, SupervisorPolicy
 from repro.sim import units
 from repro.telemetry import load_flight
 from repro.telemetry.export import file_sha256
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+
+def _supervised_campaign(
+    specs, base_seed=0, jobs=1, journal_path=None, policy=None, **options
+):
+    """A supervised ``run_campaign``, journaled as ``repro faultlab`` does:
+    the completed scenarios and the failure report."""
+    journal = None
+    if journal_path is not None:
+        meta = {"campaign": "faultlab", "base_seed": base_seed}
+        journal = CheckpointJournal(journal_path, meta=meta)
+    supervision = Supervision(policy or SupervisorPolicy(base_seed=base_seed), journal)
+    results = run_campaign(
+        specs, base_seed=base_seed, jobs=jobs, supervision=supervision, **options
+    )
+    return results, supervision.run.report()
 
 
 def _specs():
@@ -76,7 +90,7 @@ def _bad_spec():
 class TestParityWithPlainCampaign:
     def test_same_results_and_digest(self):
         plain = run_campaign(_specs(), base_seed=3, jobs=1)
-        resilient, report = run_resilient_campaign(_specs(), base_seed=3, jobs=2)
+        resilient, report = _supervised_campaign(_specs(), base_seed=3, jobs=2)
         assert resilient == plain
         assert metrics_digest(resilient) == metrics_digest(plain)
         assert report["failed"] == 0
@@ -84,14 +98,25 @@ class TestParityWithPlainCampaign:
 
     def test_serial_supervised_matches(self):
         plain = run_campaign(_specs(), base_seed=3, jobs=1)
-        resilient, _report = run_resilient_campaign(_specs(), base_seed=3, jobs=1)
+        resilient, _report = _supervised_campaign(_specs(), base_seed=3, jobs=1)
         assert resilient == plain
+
+    def test_only_the_supervised_run_writes_the_campaign_health(self, tmp_path):
+        plain_dir, supervised_dir = tmp_path / "plain", tmp_path / "supervised"
+        plain = run_campaign(_specs()[:2], base_seed=3, health_dir=str(plain_dir))
+        supervised, _report = _supervised_campaign(
+            _specs()[:2], base_seed=3, health_dir=str(supervised_dir)
+        )
+        assert supervised == plain
+        assert not (plain_dir / "campaign.health.jsonl").exists()
+        health = read_health(str(supervised_dir / "campaign.health.jsonl"))
+        assert health["subjects"] == ["task/baseline", "task/flap"]
 
 
 class TestJournalResume:
     def test_resume_from_partial_journal(self, tmp_path):
         journal = str(tmp_path / "j.jsonl")
-        full, _ = run_resilient_campaign(
+        full, _ = _supervised_campaign(
             _specs(), base_seed=3, jobs=2, journal_path=journal
         )
         # Simulate an interruption that lost the last two completions.
@@ -99,7 +124,7 @@ class TestJournalResume:
             lines = handle.read().splitlines()
         with open(journal, "w") as handle:
             handle.write("\n".join(lines[:2]) + "\n")  # header + 1 entry
-        resumed, report = run_resilient_campaign(
+        resumed, report = _supervised_campaign(
             _specs(), base_seed=3, jobs=2, journal_path=journal
         )
         assert resumed == full
@@ -109,16 +134,16 @@ class TestJournalResume:
         ref_dir = str(tmp_path / "ref")
         res_dir = str(tmp_path / "res")
         journal = str(tmp_path / "j.jsonl")
-        run_resilient_campaign(
+        _supervised_campaign(
             _specs(), base_seed=3, jobs=1, metrics_dir=ref_dir
         )
         # Interrupted run: only the first scenario completes...
-        run_resilient_campaign(
+        _supervised_campaign(
             _specs()[:1], base_seed=3, jobs=1,
             metrics_dir=res_dir, journal_path=journal,
         )
         # ... the resumed run skips it and completes the rest.
-        resumed, report = run_resilient_campaign(
+        resumed, report = _supervised_campaign(
             _specs(), base_seed=3, jobs=1,
             metrics_dir=res_dir, journal_path=journal,
         )
@@ -133,11 +158,11 @@ class TestJournalResume:
         from repro.resilience import JournalError
 
         journal = str(tmp_path / "j.jsonl")
-        run_resilient_campaign(
+        _supervised_campaign(
             _specs()[:1], base_seed=3, jobs=1, journal_path=journal
         )
         with pytest.raises(JournalError, match="different campaign"):
-            run_resilient_campaign(
+            _supervised_campaign(
                 _specs()[:1], base_seed=4, jobs=1, journal_path=journal
             )
 
@@ -147,7 +172,7 @@ class TestGracefulDegradation:
         flight_dir = str(tmp_path / "flight")
         plain_flight_dir = str(tmp_path / "plain_flight")
         specs = _specs()[:2] + [_bad_spec()]
-        results, report = run_resilient_campaign(
+        results, report = _supervised_campaign(
             specs, base_seed=3, jobs=2, flight_dir=flight_dir,
             policy=SupervisorPolicy(max_attempts=2, base_seed=3),
         )
@@ -174,7 +199,7 @@ class TestGracefulDegradation:
         assert flight.context["failures"]
 
     def test_report_is_canonical_jsonable(self):
-        _results, report = run_resilient_campaign(
+        _results, report = _supervised_campaign(
             _specs()[:1] + [_bad_spec()], base_seed=3, jobs=1,
             policy=SupervisorPolicy(max_attempts=1, base_seed=3),
         )

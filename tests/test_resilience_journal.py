@@ -10,6 +10,7 @@ from repro.ioutil import atomic_open, atomic_write_bytes, atomic_write_text
 from repro.resilience import (
     CheckpointJournal,
     JournalError,
+    Supervision,
     args_digest,
     run_supervised,
     task_key,
@@ -81,6 +82,32 @@ class TestTaskKey:
         a = ExperimentTask("t", _double, (), {"x": 1})
         b = ExperimentTask("t", _double, (), {"x": 2})
         assert args_digest(a) != args_digest(b)
+
+    def test_the_commands_tasks_keep_their_keys(self, monkeypatch, capsys):
+        # A journal written by an earlier version resumes only while the
+        # tasks the commands build -- callable, args, RunOptions -- digest
+        # exactly as they did: these keys were computed before the
+        # supervised and plain paths became one call.
+        from repro.cli import main as repro_main
+        from repro.experiments import cli as experiments_cli
+        from repro.faultlab import campaign
+
+        built = []
+
+        def capture(tasks, jobs=None, supervision=None):
+            built.extend(tasks)
+            return [None] * len(tasks)
+
+        monkeypatch.setattr(campaign, "run_tasks", capture)
+        monkeypatch.setattr(experiments_cli, "run_tasks", capture)
+        assert repro_main(["faultlab", "--quick", "--json", "baseline"]) == 0
+        assert repro_main(["table2", "--quick"]) == 0
+        capsys.readouterr()
+        assert [task_key(task) for task in built] == [
+            "baseline|6210070594232202667|"
+            "ccba5d221d3b0e257c8b6961cb148413e126b024e398ca6d3dc3f5d5421a3c41",
+            "table2|0|5f6c95a4d614d959353dec3406d34b731ba62a24edb3bc0876f005d1124185d4",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -186,18 +213,18 @@ class TestShowJournal:
 # ----------------------------------------------------------------------
 # Supervisor + journal: resume semantics
 # ----------------------------------------------------------------------
+def _journaled(path):
+    return Supervision(journal=CheckpointJournal(path))
+
+
 class TestResume:
     def _tasks(self):
         return [ExperimentTask(f"t{i}", _double, (i,), seed=i) for i in range(4)]
 
     def test_resume_skips_completed(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        first = run_supervised(
-            self._tasks(), jobs=2, journal=CheckpointJournal(path)
-        )
-        second = run_supervised(
-            self._tasks(), jobs=2, journal=CheckpointJournal(path)
-        )
+        first = run_supervised(self._tasks(), jobs=2, supervision=_journaled(path))
+        second = run_supervised(self._tasks(), jobs=2, supervision=_journaled(path))
         assert second.from_journal == 4
         assert second.results == first.results == [0, 2, 4, 6]
 
@@ -207,16 +234,16 @@ class TestResume:
         tasks = self._tasks()
         journal.record(task_key(tasks[0]), 0)
         journal.record(task_key(tasks[2]), 4)
-        run = run_supervised(tasks, jobs=2, journal=CheckpointJournal(path))
+        run = run_supervised(tasks, jobs=2, supervision=_journaled(path))
         assert run.from_journal == 2
         assert run.results == [0, 2, 4, 6]
 
     def test_changed_args_not_skipped(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        run_supervised(self._tasks(), jobs=2, journal=CheckpointJournal(path))
+        run_supervised(self._tasks(), jobs=2, supervision=_journaled(path))
         changed = [
             ExperimentTask(f"t{i}", _double, (i + 10,), seed=i) for i in range(4)
         ]
-        run = run_supervised(changed, jobs=2, journal=CheckpointJournal(path))
+        run = run_supervised(changed, jobs=2, supervision=_journaled(path))
         assert run.from_journal == 0
         assert run.results == [20, 22, 24, 26]

@@ -14,6 +14,7 @@ from repro.resilience import (
     FAILURE_EXCEPTION,
     FAILURE_QUARANTINED,
     FAILURE_TIMEOUT,
+    Supervision,
     SupervisorPolicy,
     backoff_slots,
     run_supervised,
@@ -97,9 +98,10 @@ class TestSupervisedHappyPath:
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            run_supervised(
+            run_tasks(
                 [ExperimentTask("a", _square, (1,)),
-                 ExperimentTask("a", _square, (2,))]
+                 ExperimentTask("a", _square, (2,))],
+                supervision=Supervision(),
             )
 
     def test_jobs_one_still_supervised(self):
@@ -116,7 +118,7 @@ class TestWorkerCrash:
         sentinel = str(tmp_path / "crash.sentinel")
         tasks = [ExperimentTask("crashy", _crash_unless_sentinel, (sentinel, 41))]
         tasks += _tasks(4)
-        run = run_supervised(tasks, jobs=2, policy=SupervisorPolicy())
+        run = run_supervised(tasks, jobs=2, supervision=Supervision(SupervisorPolicy()))
         # The campaign survives the dead worker and returns ordered results.
         assert run.results == [41, 0, 1, 4, 9]
         assert run.ok
@@ -137,7 +139,7 @@ class TestWorkerCrash:
     def test_poison_crash_quarantined(self):
         tasks = [ExperimentTask("poison", _always_crash, (1,))] + _tasks(3)
         run = run_supervised(
-            tasks, jobs=2, policy=SupervisorPolicy(max_attempts=2)
+            tasks, jobs=2, supervision=Supervision(SupervisorPolicy(max_attempts=2))
         )
         assert run.quarantined == ["poison"]
         assert run.results[0] is None
@@ -150,7 +152,7 @@ class TestWorkerCrash:
         tasks = [ExperimentTask("poison", _always_crash, (1,))]
         run = run_supervised(
             tasks, jobs=1,
-            policy=SupervisorPolicy(max_attempts=10, max_respawns=1),
+            supervision=Supervision(SupervisorPolicy(max_attempts=10, max_respawns=1)),
         )
         assert run.quarantined == ["poison"]
         assert not run.ok
@@ -174,7 +176,7 @@ class TestExceptions:
     def test_poison_exception_quarantined_with_report(self):
         tasks = [ExperimentTask("poison", _always_raise, (3,))] + _tasks(2)
         run = run_supervised(
-            tasks, jobs=2, policy=SupervisorPolicy(max_attempts=2)
+            tasks, jobs=2, supervision=Supervision(SupervisorPolicy(max_attempts=2))
         )
         assert run.quarantined == ["poison"]
         report = run.report()
@@ -199,7 +201,7 @@ class TestWatchdog:
         tasks = [ExperimentTask("hung", _hang, (7,))] + _tasks(3)
         run = run_supervised(
             tasks, jobs=2,
-            policy=SupervisorPolicy(timeout_s=1.0, max_attempts=1),
+            supervision=Supervision(SupervisorPolicy(timeout_s=1.0, max_attempts=1)),
         )
         # The hang is contained: every other task's result is intact.
         assert run.quarantined == ["hung"]

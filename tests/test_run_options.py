@@ -24,10 +24,10 @@ from repro.faultlab.campaign import (
     RunOptions,
     _campaign_tasks,
     run_campaign,
-    run_resilient_campaign,
     run_scenario,
 )
 from repro.faultlab.cli import main as faultlab_main
+from repro.resilience import Supervision
 from repro.resilience.journal import args_digest
 from repro.shard import run_sharded_scenario
 from repro.sim import units
@@ -51,10 +51,10 @@ def _spec(name="chain4"):
     [
         lambda **kw: run_scenario(_spec(), **kw),
         lambda **kw: run_campaign([_spec()], **kw),
-        lambda **kw: run_resilient_campaign([_spec()], **kw),
+        lambda **kw: run_campaign([_spec()], supervision=Supervision(), **kw),
         lambda **kw: run_sharded_scenario(_spec(), **kw),
     ],
-    ids=["run_scenario", "run_campaign", "run_resilient_campaign", "run_sharded_scenario"],
+    ids=["run_scenario", "run_campaign", "supervised_run_campaign", "run_sharded_scenario"],
 )
 def test_unknown_option_rejected_naming_the_valid_fields(call):
     with pytest.raises(CampaignError) as excinfo:
@@ -78,6 +78,7 @@ def test_run_options_survive_pickle():
 
 _DIGEST_SNIPPET = """
 from repro.faultlab.campaign import RunOptions, _campaign_tasks
+from repro.resilience import Supervision
 from repro.resilience.journal import args_digest
 from repro.sim import units
 spec = {"name": "chain4", "topology": {"kind": "chain", "hosts": 4},

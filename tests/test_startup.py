@@ -96,6 +96,25 @@ def test_fig6_dtp_loads_no_baseline_or_campaign_machinery():
     ])
 
 
+def test_an_unsupervised_campaign_loads_no_supervisor_or_journal():
+    _, _, loaded = fresh_import(
+        "from repro.faultlab.campaign import run_campaign\n"
+        "from repro.faultlab.scenarios import builtin_specs\n"
+        "run_campaign(builtin_specs(['baseline'], quick=True))"
+    )
+    assert "repro.faultlab.campaign" in loaded
+    assert not _packages_in(loaded, ["repro.resilience"])
+    # The command parses the supervision flags, so it loads their module
+    # (``repro.resilience.cli``) and nothing they would run.
+    _, _, loaded = fresh_import(
+        "from repro.cli import main; main(['faultlab', '--quick', 'baseline'])"
+    )
+    assert "repro.faultlab.campaign" in loaded
+    assert not _packages_in(
+        loaded, ["repro.resilience.supervisor", "repro.resilience.journal"]
+    )
+
+
 def test_the_campaign_loads_no_shard_insight_or_baseline():
     _, _, loaded = fresh_import("import repro.faultlab.campaign")
     assert not _packages_in(loaded, [

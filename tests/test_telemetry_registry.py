@@ -20,8 +20,7 @@ def build_registry() -> MetricsRegistry:
     sent.labels(port="a->b", type="BEACON").inc(7)
     sent.labels(port="b->a", type="INIT").inc()
     gauge = registry.gauge("quarantined_nodes", "nodes").labels()
-    gauge.set(3)
-    gauge.dec()
+    gauge.set(2)
     return registry
 
 

@@ -18,18 +18,6 @@ def test_tick_10g_is_6_4_ns():
     assert units.TICK_10G_FS / units.NS == pytest.approx(6.4)
 
 
-def test_fs_seconds_roundtrip():
-    assert units.seconds_from_fs(units.fs_from_seconds(1.5)) == pytest.approx(1.5)
-
-
-def test_fs_from_ns():
-    assert units.fs_from_ns(6.4) == 6_400_000
-
-
-def test_ns_from_fs():
-    assert units.ns_from_fs(12_800_000) == pytest.approx(12.8)
-
-
 def test_ppm_to_fraction():
     assert units.ppm_to_fraction(100.0) == pytest.approx(1e-4)
 
