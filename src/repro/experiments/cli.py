@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional
 
 from ..cli import add_run_flags, add_telemetry_flags
 from ..resilience.cli import (
@@ -49,34 +50,19 @@ class ExperimentOptions:
     metrics_dir: Optional[str] = None
 
 
-def _series_outputs(result, options: ExperimentOptions) -> List[str]:
+def _series_outputs(results, options: ExperimentOptions) -> List[str]:
+    """The ``--csv`` files, then the ``--plot`` plots, of each result's series."""
     outputs = []
-    if options.csv_dir is not None:
-        outputs.extend(export_csv(result, options.csv_dir))
-    if options.plot:
-        from .asciiplot import render_series
+    for result in results:
+        if options.csv_dir is not None:
+            outputs.extend(export_csv(result, options.csv_dir))
+        if options.plot:
+            from .asciiplot import render_series
 
-        outputs.extend(
-            render_series(series) for series in result.series if series.values
-        )
+            outputs.extend(
+                render_series(series) for series in result.series if series.values
+            )
     return outputs
-
-
-def _telemetry_for_run(options: ExperimentOptions):
-    """A Telemetry object when --trace/--metrics-out is active, else None."""
-    if options.trace_dir is None and options.metrics_dir is None:
-        return None
-    from ..telemetry import Telemetry
-
-    return Telemetry()
-
-
-def _export_telemetry(name: str, telemetry, options: ExperimentOptions) -> List[str]:
-    from .harness import write_telemetry_artifacts
-
-    return write_telemetry_artifacts(
-        name, telemetry, options.trace_dir, options.metrics_dir
-    )
 
 
 def export_csv(result, directory: str) -> List[str]:
@@ -107,146 +93,196 @@ def export_csv(result, directory: str) -> List[str]:
     return written
 
 
-def _run_fig6_dtp(frame_name: str, options: ExperimentOptions) -> List[str]:
+def _renders(results, options: ExperimentOptions) -> List[str]:
+    return [result.render() for result in results]
+
+
+def _plotted(results, options: ExperimentOptions) -> List[str]:
+    return _renders(results, options) + _series_outputs(results, options)
+
+
+def _table(title: str):
+    def render(results, options: ExperimentOptions) -> List[str]:
+        [result] = results
+        return [result.render(), f"--- {title} ---", *result.summary["rows"]]
+
+    return render
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A chooser entry: ``run(options)`` returns its results and is the one
+    place its quick and full sizes are written (``repro report`` and the
+    claims checks call it too); ``render(results, options)`` makes what
+    ``repro <name>`` prints.  A ``traced`` run also takes the Telemetry
+    object ``--trace`` / ``--metrics-out`` ask for, exported after it."""
+
+    run: Callable[..., List]
+    render: Callable[[List, ExperimentOptions], List[str]] = _renders
+    traced: bool = False
+
+    def __call__(self, options: ExperimentOptions) -> List[str]:
+        if not self.traced:
+            return self.render(self.run(options), options)
+        from .harness import write_telemetry_artifacts
+
+        telemetry = None
+        if options.trace_dir is not None or options.metrics_dir is not None:
+            from ..telemetry import Telemetry
+
+            telemetry = Telemetry()
+        results = self.run(options, telemetry)
+        return self.render(results, options) + write_telemetry_artifacts(
+            results[0].name, telemetry, options.trace_dir, options.metrics_dir
+        )
+
+
+def _run_fig6_dtp(frame_name: str, options: ExperimentOptions, telemetry=None):
     from .fig6_dtp import Fig6DtpConfig, run_fig6_dtp
 
     config = Fig6DtpConfig(
         frame_name=frame_name, duration_fs=(6 if options.quick else 20) * units.MS
     )
-    telemetry = _telemetry_for_run(options)
-    result = run_fig6_dtp(config, telemetry=telemetry)
-    return (
-        [result.render()]
-        + _series_outputs(result, options)
-        + _export_telemetry(result.name, telemetry, options)
-    )
+    return [run_fig6_dtp(config, telemetry=telemetry)]
 
 
-def _run_fig6c(options: ExperimentOptions) -> List[str]:
+def _run_fig6c(options: ExperimentOptions, telemetry=None):
     from .fig6_dtp import Fig6DtpConfig, run_fig6c
 
     config = Fig6DtpConfig(
         frame_name="jumbo", duration_fs=(10 if options.quick else 40) * units.MS
     )
-    telemetry = _telemetry_for_run(options)
-    result, pdfs = run_fig6c(config, telemetry=telemetry)
+    result, _pdfs = run_fig6c(config, telemetry=telemetry)
+    return [result]
+
+
+def _render_fig6c(results, options: ExperimentOptions) -> List[str]:
+    from .harness import histogram
+
+    [result] = results
     lines = [result.render(), "--- offset PDFs (ticks -> probability) ---"]
-    for label, pdf in sorted(pdfs.items()):
+    for series in sorted(result.series, key=lambda series: series.label):
+        pdf = histogram(series.values, bin_width=1.0)
         cells = ", ".join(f"{int(k):+d}: {v:.3f}" for k, v in pdf.items())
-        lines.append(f"  {label:10s} {cells}")
-    return lines + _export_telemetry(result.name, telemetry, options)
+        lines.append(f"  {series.label:10s} {cells}")
+    return lines
 
 
-def _run_fig6_ptp(load: str, options: ExperimentOptions) -> List[str]:
+def _run_fig6_ptp(load: str, options: ExperimentOptions):
     from .fig6_ptp import Fig6PtpConfig, run_fig6_ptp
 
     config = Fig6PtpConfig(
         load=load, duration_fs=(180 if options.quick else 600) * units.SEC
     )
-    result = run_fig6_ptp(config)
-    return [result.render()] + _series_outputs(result, options)
+    return [run_fig6_ptp(config)]
 
 
-def _run_fig7(options: ExperimentOptions) -> List[str]:
+def _run_fig7(options: ExperimentOptions):
     from .fig7_daemon import Fig7Config, run_fig7
 
     config = Fig7Config(duration_fs=(100 if options.quick else 400) * units.MS)
-    raw, smoothed = run_fig7(config)
-    return (
-        [raw.render(), smoothed.render()]
-        + _series_outputs(raw, options)
-        + _series_outputs(smoothed, options)
-    )
+    return list(run_fig7(config))
 
 
-def _run_table1(options: ExperimentOptions) -> List[str]:
+def _run_table1(options: ExperimentOptions):
     from .table1 import run_table1
 
     result = run_table1(
         packet_protocol_duration_fs=(60 if options.quick else 180) * units.SEC,
         dtp_duration_fs=(2 if options.quick else 4) * units.MS,
     )
-    lines = [result.render(), "--- Table 1 ---"]
-    lines.extend(result.summary["rows"])
-    return lines
+    return [result]
 
 
-def _run_table2(options: ExperimentOptions) -> List[str]:
+def _run_table2(options: ExperimentOptions):
     from .table2 import run_table2
 
-    result = run_table2(duration_fs=(1 if options.quick else 2) * units.MS)
-    lines = [result.render(), "--- Table 2 ---"]
-    lines.extend(result.summary["rows"])
-    return lines
+    return [run_table2(duration_fs=(1 if options.quick else 2) * units.MS)]
 
 
-def _run_bounds(options: ExperimentOptions) -> List[str]:
+def _run_bounds(options: ExperimentOptions):
     from . import bounds
 
     hop_config = bounds.BoundsConfig(duration_fs=(3 if options.quick else 6) * units.MS)
-    outputs = [bounds.run_hop_scaling(hop_config).render()]
-    outputs.append(
-        bounds.run_fat_tree(duration_fs=(2 if options.quick else 4) * units.MS).render()
-    )
-    return outputs
+    return [
+        bounds.run_hop_scaling(hop_config),
+        bounds.run_fat_tree(duration_fs=(2 if options.quick else 4) * units.MS),
+    ]
 
 
-def _run_convergence(options: ExperimentOptions) -> List[str]:
+def _run_convergence(options: ExperimentOptions):
     from . import convergence
 
-    outputs = [convergence.run_dtp_convergence().render()]
-    outputs.append(
+    return [
+        convergence.run_dtp_convergence(),
         convergence.run_ptp_convergence(
             duration_fs=(300 if options.quick else 900) * units.SEC
-        ).render()
-    )
-    return outputs
+        ),
+    ]
 
 
-def _run_ablations(options: ExperimentOptions) -> List[str]:
+def _run_ablations(options: ExperimentOptions):
     from .ablations import run_all_ablations
 
-    return [result.render() for result in run_all_ablations()]
+    return run_all_ablations()
 
 
-def _run_extensions(options: ExperimentOptions) -> List[str]:
+def _run_extensions(options: ExperimentOptions):
     from . import extensions
 
-    outputs = [extensions.run_synce_ablation().render()]
-    outputs.append(extensions.run_spanning_tree_comparison().render())
-    outputs.append(
+    return [
+        extensions.run_synce_ablation(),
+        extensions.run_spanning_tree_comparison(),
         extensions.run_boundary_cascade(
             depths=[1, 2, 3] if options.quick else [1, 2, 3, 4],
             duration_fs=(200 if options.quick else 400) * units.SEC,
-        ).render()
-    )
-    return outputs
+        ),
+    ]
 
 
-def _run_stability(options: ExperimentOptions) -> List[str]:
+def _run_stability(options: ExperimentOptions):
     from .stability import run_stability_comparison
 
     result = run_stability_comparison(
         dtp_duration_fs=(4 if options.quick else 8) * units.MS,
         ptp_duration_fs=(150 if options.quick else 400) * units.SEC,
     )
-    return [result.render()]
+    return [result]
 
 
-def _run_hybrid(options: ExperimentOptions) -> List[str]:
+def _run_hybrid(options: ExperimentOptions):
     from .hybrid_sync import run_hybrid_comparison
 
     result = run_hybrid_comparison(
         ptp_duration_fs=(120 if options.quick else 200) * units.SEC,
         hybrid_duration_fs=(60 if options.quick else 100) * units.MS,
     )
-    return [result.render()]
+    return [result]
 
 
-def _run_report(options: ExperimentOptions) -> List[str]:
+def _run_sweeps(options: ExperimentOptions):
+    from . import sweeps
+
+    quick = options.quick
+    return [
+        sweeps.sweep_beacon_vs_skew(duration_fs=(3 if quick else 4) * units.MS),
+        sweeps.sweep_cable_length(duration_fs=(2 if quick else 3) * units.MS),
+        sweeps.sweep_ber(duration_fs=(3 if quick else 4) * units.MS),
+    ]
+
+
+def _run_report(options: ExperimentOptions):
+    from .report import claimed_commands
+
+    return [
+        result for name in claimed_commands() for result in COMMANDS[name].run(options)
+    ]
+
+
+def _render_report(results, options: ExperimentOptions) -> List[str]:
     from .report import generate_report
 
-    return [generate_report(quick=options.quick)]
+    return [generate_report(results)] + _series_outputs(results, options)
 
 
 def _run_faultlab(options: ExperimentOptions) -> List[str]:
@@ -261,39 +297,25 @@ def _run_faultlab(options: ExperimentOptions) -> List[str]:
     return render_campaign(results)
 
 
-def _run_sweeps(options: ExperimentOptions) -> List[str]:
-    from . import sweeps
-
-    quick = options.quick
-    outputs = [
-        sweeps.sweep_beacon_vs_skew(duration_fs=(3 if quick else 4) * units.MS).render()
-    ]
-    outputs.append(
-        sweeps.sweep_cable_length(duration_fs=(2 if quick else 3) * units.MS).render()
-    )
-    outputs.append(sweeps.sweep_ber(duration_fs=(3 if quick else 4) * units.MS).render())
-    return outputs
-
-
 COMMANDS = {
-    "fig6a": lambda options: _run_fig6_dtp("mtu", options),
-    "fig6b": lambda options: _run_fig6_dtp("jumbo", options),
-    "fig6c": _run_fig6c,
-    "fig6d": lambda options: _run_fig6_ptp("idle", options),
-    "fig6e": lambda options: _run_fig6_ptp("medium", options),
-    "fig6f": lambda options: _run_fig6_ptp("heavy", options),
-    "fig7": _run_fig7,
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "bounds": _run_bounds,
-    "convergence": _run_convergence,
-    "ablations": _run_ablations,
-    "extensions": _run_extensions,
-    "stability": _run_stability,
-    "hybrid": _run_hybrid,
-    "sweeps": _run_sweeps,
+    "fig6a": Experiment(partial(_run_fig6_dtp, "mtu"), _plotted, traced=True),
+    "fig6b": Experiment(partial(_run_fig6_dtp, "jumbo"), _plotted, traced=True),
+    "fig6c": Experiment(_run_fig6c, _render_fig6c, traced=True),
+    "fig6d": Experiment(partial(_run_fig6_ptp, "idle"), _plotted),
+    "fig6e": Experiment(partial(_run_fig6_ptp, "medium"), _plotted),
+    "fig6f": Experiment(partial(_run_fig6_ptp, "heavy"), _plotted),
+    "fig7": Experiment(_run_fig7, _plotted),
+    "table1": Experiment(_run_table1, _table("Table 1")),
+    "table2": Experiment(_run_table2, _table("Table 2")),
+    "bounds": Experiment(_run_bounds),
+    "convergence": Experiment(_run_convergence),
+    "ablations": Experiment(_run_ablations),
+    "extensions": Experiment(_run_extensions),
+    "stability": Experiment(_run_stability),
+    "hybrid": Experiment(_run_hybrid),
+    "sweeps": Experiment(_run_sweeps),
     "faultlab": _run_faultlab,
-    "report": _run_report,
+    "report": Experiment(_run_report, _render_report),
 }
 
 #: Group commands that expand to several independent experiments; these

@@ -19,3 +19,43 @@ def sim() -> Simulator:
 @pytest.fixture
 def streams() -> RandomStreams:
     return RandomStreams(root_seed=1234)
+
+
+@pytest.fixture(scope="session")
+def quick_run():
+    """``quick_run(command)``: the results ``repro <command> --quick`` prints,
+    by result name.  Each command runs once per session, at the chooser's
+    own quick size."""
+    from repro.experiments.cli import COMMANDS, ExperimentOptions
+
+    runs = {}
+
+    def run(command):
+        if command not in runs:
+            results = COMMANDS[command].run(ExperimentOptions(quick=True))
+            runs[command] = {result.name: result for result in results}
+        return runs[command]
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def assert_claims(quick_run):
+    """``assert_claims(*keys)``: the named rows of the claims table
+    (``repro.experiments.report.CLAIMS``) hold at ``--quick``."""
+    from repro.experiments.report import CLAIMS
+
+    by_key = {claim.key: claim for claim in CLAIMS}
+
+    def check(*keys):
+        for key in keys:
+            claim = by_key[key]
+            summaries = {
+                name: result.summary
+                for command in claim.commands
+                for name, result in quick_run(command).items()
+            }
+            holds, measured = claim.check(summaries)
+            assert holds, f"{key}: {measured}"
+
+    return check

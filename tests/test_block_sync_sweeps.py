@@ -1,10 +1,6 @@
 """Tests for block synchronization and the parameter sweeps."""
 
-
-
-from repro.experiments.sweeps import sweep_beacon_vs_skew, sweep_ber, sweep_cable_length
 from repro.phy.blocks import idle_block
-from repro.sim import units
 from tests.wire.block_sync import (
     HI_BER_THRESHOLD,
     LOCK_THRESHOLD,
@@ -76,24 +72,16 @@ class TestBlockSync:
 
 
 class TestSweeps:
-    def test_beacon_vs_skew_within_bound(self):
-        result = sweep_beacon_vs_skew(
-            intervals=[200, 4000], ppm_gaps=[0.0, 200.0],
-            duration_fs=3 * units.MS,
-        )
-        assert result.summary["all_within_bound"]
-        assert len(result.summary["table"]) == 3
+    def test_beacon_vs_skew_within_bound(self, quick_run, assert_claims):
+        assert_claims("sweeps/beacon-skew-within-4")
+        table = quick_run("sweeps")["sweep-beacon-vs-skew"].summary["table"]
+        assert len(table) == 4  # a header, then one row per beacon interval
 
-    def test_cable_length_sweep(self):
-        result = sweep_cable_length(
-            lengths_m=[10.24, 33.3, 1000.0], duration_fs=2 * units.MS
-        )
-        assert result.summary["all_within_five_ticks"]
-        assert result.summary["integer_tick_lengths_within_four"]
+    def test_cable_length_sweep(self, assert_claims):
+        assert_claims("sweeps/cable-within-5", "sweeps/integer-cable-within-4")
 
-    def test_ber_sweep(self):
-        result = sweep_ber(bers=[0.0, 1e-6], duration_fs=3 * units.MS)
-        assert result.summary["all_within_bound"]
+    def test_ber_sweep(self, assert_claims):
+        assert_claims("sweeps/ber-within-4")
 
 
 # ----------------------------------------------------------------------

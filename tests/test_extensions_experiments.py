@@ -1,28 +1,18 @@
-"""Smoke tests for the extension experiments."""
-
-from repro.experiments.extensions import (
-    run_boundary_cascade,
-    run_spanning_tree_comparison,
-    run_synce_ablation,
-)
-from repro.sim import units
+"""The extension experiments' claims, read from the claims table at
+``--quick`` (``repro.experiments.report.CLAIMS``)."""
 
 
-def test_synce_ablation():
-    result = run_synce_ablation(duration_fs=3 * units.MS)
-    assert result.summary["synce_no_worse"]
-    assert result.summary["synce_within_two_ticks"]
+def test_synce_ablation(assert_claims):
+    assert_claims("extensions/synce-no-worse", "extensions/synce-within-2")
 
 
-def test_spanning_tree_comparison():
-    result = run_spanning_tree_comparison(duration_fs=4 * units.MS)
-    assert result.summary["plain_follows_runaway"]
-    assert result.summary["tree_holds_master_rate"]
-    assert result.summary["worst_offset_ticks_tree"] <= 8
+def test_spanning_tree_comparison(assert_claims):
+    assert_claims(
+        "extensions/plain-follows-runaway",
+        "extensions/tree-holds-rate",
+        "extensions/tree-within-8",
+    )
 
 
-def test_boundary_cascade_grows():
-    result = run_boundary_cascade(depths=[1, 3], duration_fs=150 * units.SEC)
-    assert result.summary["cascade_grows"]
-    by_depth = result.summary["worst_leaf_offset_ns_by_depth"]
-    assert by_depth[3] > by_depth[1]
+def test_boundary_cascade_grows(assert_claims):
+    assert_claims("extensions/cascade-grows")

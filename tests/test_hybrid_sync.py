@@ -8,7 +8,6 @@ from repro.dtp.daemon import DtpDaemon
 from repro.dtp.hybrid import HybridTimeMaster, HybridTimeSlave
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
-from repro.experiments.hybrid_sync import run_hybrid_comparison
 from repro.network.packet import PacketNetwork
 from repro.network.topology import star
 from repro.network.virtualload import heavy_backlog
@@ -95,9 +94,5 @@ def test_master_utc_bias_propagates(sim, streams, hybrid_setup):
     assert slave.utc_error_fs(sim.now) == pytest.approx(bias, abs=units.US / 2)
 
 
-def test_comparison_experiment():
-    result = run_hybrid_comparison(
-        ptp_duration_fs=120 * units.SEC, hybrid_duration_fs=60 * units.MS
-    )
-    assert result.summary["hybrid_immune_to_load"]
-    assert result.summary["improvement_factor"] > 10
+def test_comparison_experiment(assert_claims):
+    assert_claims("hybrid/immune-to-load", "hybrid/over-50x")

@@ -1,10 +1,6 @@
 """Smoke test for the MTIE/ADEV stability comparison."""
 
-from repro.experiments.stability import (
-    dtp_offset_series,
-    ptp_offset_series,
-    run_stability_comparison,
-)
+from repro.experiments.stability import dtp_offset_series, ptp_offset_series
 from repro.sim import units
 
 
@@ -20,9 +16,5 @@ def test_ptp_series_has_noise():
     assert series.max_abs() > units.US  # loaded PTP wanders by microseconds
 
 
-def test_comparison_summary():
-    result = run_stability_comparison(
-        dtp_duration_fs=4 * units.MS, ptp_duration_fs=150 * units.SEC
-    )
-    assert result.summary["dtp_mtie_flat_under_bound"]
-    assert result.summary["ptp_mtie_exceeds_dtp_bound"]
+def test_comparison_summary(assert_claims):
+    assert_claims("stability/dtp-mtie-flat", "stability/ptp-mtie-above")
