@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
+from ..clocks.clock import TickClock
 from ..dtp import messages as dtpmsg
 from ..dtp.analysis import DIRECT_BOUND_TICKS
 from ..dtp.device import DtpDevice
@@ -219,7 +220,7 @@ class InvariantChecker:
         self._nodes = list(network.devices)
         self._node_order = {name: i for i, name in enumerate(self._nodes)}
         #: Per node: device, and whether its class reads ``gc`` as DtpDevice
-        #: does (then a tick calls ``gc.counter_at``, one frame fewer).
+        #: does (then a tick reads a plain TickClock gc itself).
         plain = DtpDevice.global_counter
         self._counter_reads = [
             (name, device, getattr(type(device), "global_counter", None) is plain)
@@ -690,10 +691,14 @@ class InvariantChecker:
         )
 
     def _counters(self, now: int) -> Dict[str, int]:
-        return {
-            name: device.gc.counter_at(now) if plain else device.global_counter(now)
-            for name, device, plain in self._counter_reads
-        }
+        counters = {}
+        for name, device, plain in self._counter_reads:
+            gc = device.gc if plain else None
+            if type(gc) is TickClock:  # DtpDevice.global_counter, inline
+                counters[name] = gc.increment * gc.oscillator.ticks_at(now) + gc.offset
+            else:  # a FollowerClock gc, a subclass's or a shim's own read
+                counters[name] = device.global_counter(now)
+        return counters
 
     def checkable_pairs(
         self, enforce_grace: bool = True
@@ -912,6 +917,8 @@ class InvariantChecker:
         self, now: int, counters: Dict[str, int]
     ) -> None:
         late = self._late
+        if not late and self._swept_sig == self._conn_sig:
+            return
         joined = False
         if self._swept_sig != self._conn_sig:
             # The connected-pair set is a function of the connectivity

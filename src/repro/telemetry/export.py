@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import chain, islice
+from itertools import chain
 from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ioutil import atomic_open, atomic_write_text, canonical_json
 from .events import KIND_NAMES, kind_name
-from .trace import TraceRecord, TraceRecorder
+from .trace import FIELDS, TraceRecord, TraceRecorder
 
 TRACE_HEADER = "trace-header"
 
@@ -42,23 +42,26 @@ _RECORD_BLOCK = 4096
 _RECORD_TEMPLATE = b'{"a":%d,"b":%d,"k":%d,"s":%d,"t":%d}\n'
 
 
-def encode_records(records: Sequence[TraceRecord]) -> bytes:
-    """The canonical JSON lines of ``records``, each ending in ``\\n``, as
-    the UTF-8 bytes every artifact writes.
+def encode_block(flat: Sequence[int]) -> bytes:
+    """The canonical JSON lines, as the UTF-8 bytes every artifact writes,
+    of the records ``flat`` holds in :attr:`TraceRecorder.flat`'s layout.
 
-    The one record encoder (trace file, its digest, flight dump).  ``%d``
-    would coerce a ``bool``/``float`` and reject ``None``/``str``, so a
-    batch holding one goes through ``canonical_json`` record by record.
+    The one record encoder (trace file, its digest, flight dump): one ``%``
+    over the record template repeated.  ``%d`` would coerce a
+    ``bool``/``float`` and reject ``None``/``str``, so a block holding one
+    goes through ``canonical_json`` record by record.
     """
-    kinds = set(map(type, chain.from_iterable(records)))
-    if all(issubclass(tp, int) and tp is not bool for tp in kinds):
-        return b"".join(
-            [_RECORD_TEMPLATE % (a, b, k, s, t) for t, k, s, a, b in records]
-        )
+    if all(issubclass(tp, int) and tp is not bool for tp in set(map(type, flat))):
+        return _RECORD_TEMPLATE * (len(flat) // FIELDS) % tuple(flat)
     return "".join(
-        canonical_json({"a": a, "b": b, "k": k, "s": s, "t": t}) + "\n"
-        for t, k, s, a, b in records
+        canonical_json(dict(zip("abkst", flat[i:i + FIELDS]))) + "\n"
+        for i in range(0, len(flat), FIELDS)
     ).encode("utf-8")
+
+
+def encode_records(records: Iterable[TraceRecord]) -> bytes:
+    """:func:`encode_block` of ``(t, k, s, a, b)`` record tuples."""
+    return encode_block([x for t, k, s, a, b in records for x in (a, b, k, s, t)])
 
 
 def _digest_key(tracer: TraceRecorder) -> Tuple[int, int]:
@@ -70,8 +73,7 @@ def _digest_key(tracer: TraceRecorder) -> Tuple[int, int]:
 def _stream_trace(tracer: TraceRecorder, handle: Optional[IO[bytes]]) -> str:
     """Encode the trace once, teeing header and blocks to sha256 and ``handle``."""
     h = hashlib.sha256()
-    records = iter(tracer.records)
-    chunk = canonical_json(
+    header = canonical_json(
         {
             "record": TRACE_HEADER,
             "version": 1,
@@ -82,11 +84,16 @@ def _stream_trace(tracer: TraceRecorder, handle: Optional[IO[bytes]]) -> str:
             "subjects": tracer.subjects,
         }
     ).encode("utf-8") + b"\n"
-    while chunk:  # an exhausted ring encodes to b""
+    flat = tracer.flat
+    step = FIELDS * _RECORD_BLOCK
+    blocks = (
+        encode_block(flat[i:i + step])
+        for i in range(len(flat) - FIELDS * len(tracer), len(flat), step)
+    )
+    for chunk in chain([header], blocks):
         h.update(chunk)
         if handle is not None:
             handle.write(chunk)
-        chunk = encode_records(list(islice(records, _RECORD_BLOCK)))
     digest = h.hexdigest()
     tracer.digest_memo = (_digest_key(tracer), digest)
     return digest

@@ -5,11 +5,12 @@ Instrumented components hold an optional reference to a
 hot path pays exactly one ``is not None`` test per would-be record and
 nothing else — the PR-1 fast path is untouched when tracing is off.
 
-Records are the 5-int tuples of :mod:`repro.telemetry.events`.  The buffer
-is a ``collections.deque`` with ``maxlen``: when full, the *oldest* records
-are discarded (flight-recorder semantics — the most recent history is what
-a post-mortem needs).  ``recorded`` keeps counting, so ``dropped`` reports
-how much history fell off the front.
+Records are the 5-int tuples of :mod:`repro.telemetry.events`, kept flat:
+one list of ints, ``a, b, k, s, t`` per record (export field order), so no
+tuple per record stays alive for the GC to scan.  When full, the *oldest*
+records are discarded (flight-recorder semantics — the most recent history
+is what a post-mortem needs).  ``recorded`` keeps counting, so ``dropped``
+reports how much history fell off the front.
 
 Subject names (ports, nodes, links, fault reasons) are interned to small
 ints in first-use order, which is deterministic because the simulation
@@ -19,12 +20,17 @@ identical record stream.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Default ring capacity: enough for a few beacon intervals of a sizeable
 #: network without letting a long run grow memory without bound.
 DEFAULT_TRACE_CAPACITY = 65_536
+
+#: Ints per record in :attr:`TraceRecorder.flat`.
+FIELDS = 5
+
+#: Records held beyond ``capacity`` before the oldest are cut, a block at once.
+_SPILL = 4096
 
 #: One trace record: (time_fs, kind, subject, a, b).  Every field is an
 #: ``int`` or an ``int`` subclass (``dtp.port`` puts a ``MessageType``
@@ -37,15 +43,17 @@ TraceRecord = Tuple[int, int, int, int, int]
 class TraceRecorder:
     """Bounded, integer-only event recorder."""
 
-    __slots__ = ("capacity", "records", "recorded", "_names", "_ids", "digest_memo")
+    __slots__ = ("capacity", "flat", "_cut", "_limit", "_names", "_ids", "digest_memo")
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("trace capacity must be positive")
         self.capacity = capacity
-        self.records: Deque[TraceRecord] = deque(maxlen=capacity)
-        #: Total records ever recorded (including ones the ring dropped).
-        self.recorded = 0
+        #: ``a, b, k, s, t`` per record, oldest first: the ring is its last
+        #: ``capacity`` records, after ``_cut`` records cut off the front.
+        self.flat: List[int] = []
+        self._cut = 0
+        self._limit = FIELDS * (capacity + _SPILL)
         self._names: List[str] = []
         self._ids: Dict[str, int] = {}
         #: ``((recorded, subject count), sha256)`` of the last export, kept
@@ -77,31 +85,47 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     def record(self, time_fs: int, kind: int, subject: int, a: int = 0, b: int = 0) -> None:
         """Append one record (oldest record drops when the ring is full)."""
-        self.recorded += 1
-        self.records.append((time_fs, kind, subject, a, b))
+        flat = self.flat
+        flat += (a, b, kind, subject, time_fs)
+        if len(flat) > self._limit:
+            cut = len(flat) - FIELDS * self.capacity
+            del flat[:cut]
+            self._cut += cut // FIELDS
+
+    @property
+    def recorded(self) -> int:
+        """Total records ever recorded (including ones the ring dropped)."""
+        return self._cut + len(self.flat) // FIELDS
 
     @property
     def dropped(self) -> int:
         """Records lost off the front of the ring."""
-        return self.recorded - len(self.records)
+        return self.recorded - len(self)
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The buffered records, oldest first."""
+        return self.tail()
 
     def tail(self, n: Optional[int] = None) -> List[TraceRecord]:
         """The last ``n`` records (all buffered records when ``n`` is None)."""
-        if n is None or n >= len(self.records):
-            return list(self.records)
-        return list(self.records)[-n:]
+        n = len(self) if n is None else min(n, len(self))
+        if n < 0:
+            raise ValueError("tail length must be >= 0")
+        last = self.flat[len(self.flat) - FIELDS * n:]
+        return list(zip(last[4::5], last[2::5], last[3::5], last[0::5], last[1::5]))
 
     def clear(self) -> None:
-        self.records.clear()
-        self.recorded = 0
+        self.flat.clear()
+        self._cut = 0
         # The counts restart, so they no longer identify the old content.
         self.digest_memo = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return min(len(self.flat) // FIELDS, self.capacity)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"TraceRecorder(capacity={self.capacity}, buffered={len(self.records)}, "
+            f"TraceRecorder(capacity={self.capacity}, buffered={len(self)}, "
             f"recorded={self.recorded}, subjects={len(self._names)})"
         )

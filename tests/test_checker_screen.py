@@ -11,14 +11,17 @@ fabric; ``_walk`` is the one method wrapped, to see what a tick enumerates.
 
 import pytest
 
+from repro.clocks.clock import TickClock
 from repro.clocks.oscillator import ConstantSkew
 from repro.dtp.device import DtpDevice
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.dtp.spanning_tree import FollowerClock, configure_spanning_tree
 from repro.faultlab import INVARIANT_PAIR_BOUND, InvariantChecker
-from repro.faultlab.campaign import assemble, prepare
+from repro.faultlab.campaign import assemble, prepare, run_scenario
+from repro.faultlab.scenarios import builtin_specs
 from repro.network.topology import chain, fat_tree
+from repro.shard import run_sharded_scenario
 from repro.sim import units
 from tests.test_shard import BENCH_FABRIC
 
@@ -239,21 +242,71 @@ class _AheadDevice(DtpDevice):
 def test_counter_read_is_each_devices_global_counter(sim, streams):
     # n0 keeps its plain gc (the tree's root), n1 and n2 follow their parents
     # through a FollowerClock swapped in *after* the checker was built, and
-    # n3's class overrides global_counter: the tick's direct gc read must
-    # still be exactly what every device reports.
+    # the classes of n0 (a plain gc) and n3 (a follower) override
+    # global_counter: the tick's direct gc read must still be exactly what
+    # every device reports.
     net = DtpNetwork(sim, chain(4), streams, skews={"n2": ConstantSkew(60.0)})
-    net.devices["n3"].__class__ = _AheadDevice
+    for name in ("n0", "n3"):
+        net.devices[name].__class__ = _AheadDevice
     checker = InvariantChecker(net)
     configure_spanning_tree(net, master="n0")
     assert isinstance(net.devices["n1"].gc, FollowerClock)
     net.start()
-    for stop_us in (0, 30, 100, 250):
+    for stop_us in (0, 30, 100, 250, 400, 600):
         sim.run_until(stop_us * units.US)
         now = sim.now
         expected = {name: d.global_counter(now) for name, d in net.devices.items()}
         assert checker._counters(now) == expected
-        assert expected["n3"] == net.devices["n3"].gc.counter_at(now) + 7
+        for name in ("n0", "n3"):
+            assert expected[name] == net.devices[name].gc.counter_at(now) + 7
+    assert type(net.devices["n0"].gc) is TickClock
     assert net.devices["n2"].gc.stalls > 0  # the fast follower did hold
+
+
+def test_a_holding_follower_is_read_through_its_method(sim, streams):
+    # Right after a stall the follower's free-running count sits below the
+    # value it holds, so only counter_at reads it right.
+    net = DtpNetwork(sim, chain(3), streams, skews={"n2": ConstantSkew(90.0)})
+    checker = InvariantChecker(net)
+    configure_spanning_tree(net, master="n0")
+    follower = net.devices["n2"].gc
+    track, held = follower.track, []
+
+    def spy(t_fs, candidate):
+        action = track(t_fs, candidate)
+        if action == "stall":
+            free = TickClock.counter_at(follower, t_fs)
+            read = checker._counters(t_fs)
+            held.append(read["n2"] > free)
+            assert read == {n: d.global_counter(t_fs) for n, d in net.devices.items()}
+        return action
+
+    follower.track = spy
+    net.start()
+    sim.run_until(300 * units.US)
+    assert held and all(held)
+
+
+def _method_counters(self, now):
+    """The read every device (and every shim) answers: ``global_counter``."""
+    return {name: d.global_counter(now) for name, d in self.network.devices.items()}
+
+
+def test_shard_replay_shims_equal_the_method_path(monkeypatch):
+    # The replay's shims have no gc, a ``now`` without ``_now`` and a boxed
+    # port state: the whole result -- ``checks_run``, ``pairs_checked``,
+    # violations, ``max_offset_excursion`` -- must be the one a checker gives
+    # that reads every counter through ``global_counter``.
+    (spec,) = builtin_specs(["link-flap"], quick=True)
+
+    def run():
+        return run_sharded_scenario(spec, seed=1, shards=2, transport="inline")
+
+    fast = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(InvariantChecker, "_counters", _method_counters)
+        assert run() == fast
+    assert fast == run_scenario(spec, seed=1)
 
 
 @pytest.mark.parametrize("topology", ["fabric", "chain3"])

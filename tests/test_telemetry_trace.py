@@ -10,6 +10,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.telemetry import Telemetry, TraceRecorder
 from repro.telemetry.events import EV_RX, EV_TX, kind_name
+from repro.telemetry.flight import build_flight
 
 
 class TestRecorder:
@@ -22,6 +23,25 @@ class TestRecorder:
         assert tracer.dropped == 0
         assert tracer.tail(2) == [(30, EV_TX, 0, 3, 0), (40, EV_TX, 0, 4, 0)]
         assert tracer.tail() == tracer.tail(99)
+
+    def test_tail_zero_is_empty(self):
+        tracer = TraceRecorder(capacity=4)
+        for i in range(6):
+            tracer.record(i, EV_TX, 0)
+        assert tracer.tail(0) == []
+        assert tracer.tail(1) == [(5, EV_TX, 0, 0, 0)]
+        assert TraceRecorder().tail(0) == []
+        telemetry = Telemetry()
+        telemetry.tracer = tracer
+        dump = build_flight(telemetry, "s", 0, 0, last_n=0)
+        assert dump.records == [] and dump.header["trace_tail"] == 0
+
+    def test_negative_tail_raises(self):
+        tracer = TraceRecorder(capacity=4)
+        for i in range(3):
+            tracer.record(i, EV_TX, 0)
+        with pytest.raises(ValueError):
+            tracer.tail(-1)
 
     def test_ring_drops_oldest(self):
         tracer = TraceRecorder(capacity=4)

@@ -1,6 +1,13 @@
-"""The one trace-record encoder: byte equality, the digest memo, one pass."""
+"""The one trace-record encoder: byte equality, the digest memo, one pass,
+and the flat ring against a ``deque`` model."""
 
 import enum
+import hashlib
+import json
+import os
+import tempfile
+from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +17,9 @@ from repro.dtp.messages import MessageType
 from repro.faultlab.campaign import run_scenario
 from repro.faultlab.scenarios import builtin_specs
 from repro.ioutil import canonical_json
-from repro.telemetry import Telemetry, TraceRecorder, export, flight
+from repro.telemetry import Telemetry, TraceRecorder, export, flight, trace
 from repro.telemetry.export import (
+    encode_block,
     encode_records,
     file_sha256,
     trace_digest,
@@ -80,6 +88,62 @@ class TestEncoderEquality:
 
     def test_an_empty_batch_is_no_bytes(self):
         assert encode_records([]) == b""
+        assert encode_block([]) == b""
+
+    def test_a_full_block_takes_one_format(self):
+        records = [(t, 1, 2, -t, 2**70 + t) for t in range(export._RECORD_BLOCK)]
+        flat = [x for t, k, s, a, b in records for x in (a, b, k, s, t)]
+        assert encode_block(flat) == reference_lines(records)
+
+
+@st.composite
+def ring_records(draw):
+    """A record of ints (negatives, >= 2**64, ``IntEnum``), now and then with
+    one bool / float / None / str field."""
+    record = list(draw(st.tuples(ints, ints, ints, ints, ints)))
+    if draw(st.integers(0, 3)) == 0:
+        record[draw(st.integers(0, 4))] = draw(non_ints)
+    return tuple(record)
+
+
+class TestRingAgainstDeque:
+    """The flat ring reads exactly as a ``deque(maxlen=capacity)`` of record
+    tuples would, through every accessor and both exports."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 8),
+        spill=st.sampled_from([1, 2, 3, trace._SPILL]),
+        records=st.lists(ring_records(), max_size=40),
+    )
+    def test_ring_matches_model(self, capacity, spill, records):
+        with mock.patch.object(trace, "_SPILL", spill):
+            tracer = TraceRecorder(capacity)
+        tracer.subject_id("p0")
+        model = deque(maxlen=capacity)
+        for record in records:
+            tracer.record(*record)
+            model.append(record)
+            assert len(tracer.flat) <= trace.FIELDS * (capacity + spill)
+        assert tracer.records == list(model)
+        for n in range(capacity + 3):
+            assert tracer.tail(n) == (list(model)[-n:] if n else [])
+        assert tracer.tail() == list(model)
+        assert tracer.recorded == len(records)
+        assert len(tracer) == len(model)
+        assert tracer.dropped == len(records) - len(model)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = os.path.join(scratch, "t.jsonl")
+            write_trace_jsonl(path, tracer)
+            with open(path, "rb") as handle:
+                raw = handle.read()
+        header, body = raw.split(b"\n", 1)
+        assert body == reference_lines(model)
+        head = json.loads(header)
+        assert (head["capacity"], head["recorded"], head["dropped"], head["subjects"]) == (
+            capacity, len(records), len(records) - len(model), ["p0"]
+        )
+        assert trace_digest(_copy(tracer)) == hashlib.sha256(raw).hexdigest()
 
 
 def small_recorder(capacity: int = 8) -> TraceRecorder:
@@ -91,17 +155,19 @@ def small_recorder(capacity: int = 8) -> TraceRecorder:
 
 
 class CountingEncoder:
-    """Wraps ``encode_records`` and counts the records it is handed."""
+    """Wraps ``encode_block`` (which every record encoding goes through) and
+    counts the records it is handed."""
 
     def __init__(self, monkeypatch) -> None:
         self.records = 0
-        real = export.encode_records
+        real = export.encode_block
 
-        def spy(records):
-            self.records += len(records)
-            return real(records)
+        def spy(flat):
+            assert len(flat) % trace.FIELDS == 0
+            self.records += len(flat) // trace.FIELDS
+            return real(flat)
 
-        monkeypatch.setattr(export, "encode_records", spy)
+        monkeypatch.setattr(export, "encode_block", spy)
 
 
 class TestDigestMemo:
@@ -157,8 +223,9 @@ def _copy(tracer: TraceRecorder) -> TraceRecorder:
     fresh = TraceRecorder(tracer.capacity)
     for name in tracer.subjects:
         fresh.subject_id(name)
-    fresh.records.extend(tracer.records)
-    fresh.recorded = tracer.recorded
+    fresh.flat.extend(tracer.flat)
+    fresh._cut = tracer._cut
+    assert (fresh.records, fresh.recorded) == (tracer.records, tracer.recorded)
     return fresh
 
 
