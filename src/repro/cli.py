@@ -26,10 +26,6 @@ COMMANDS = {
         "repro.faultlab.cli:main",
         "run deterministic fault-injection campaigns",
     ),
-    "racelab": (
-        "repro.discipline.cli:main",
-        "race clock disciplines over identical fault streams",
-    ),
     "trace": (
         "repro.telemetry.cli:main",
         "record, summarize and export deterministic traces",

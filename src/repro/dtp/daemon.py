@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..clocks.tsc import TscCounter
-from ..discipline.interp import endpoint_rate, extrapolate, windowed_anchor
 from ..sim import units
 from ..sim.engine import Simulator
 from .device import DtpDevice
@@ -54,9 +53,7 @@ class DaemonSample:
     ``time_fs`` is the sample's simulated-clock timestamp — the midpoint
     of issue and completion, i.e. the instant the TSC anchor estimates.
     It exists so samples carry an explicit common timebase instead of
-    relying on their position in the history deque: clock disciplines
-    compared across protocols (see :mod:`repro.discipline`) need sample
-    times, not sample indices.
+    relying on their position in the history deque.
     """
 
     tsc: int
@@ -142,17 +139,12 @@ class DtpDaemon:
             self.sim.schedule(self.sample_interval_fs, self._read_once)
 
     def _update_ratio(self) -> None:
-        """Refresh the DTP-per-TSC frequency ratio from the sample history.
-
-        Delegates to :func:`repro.discipline.interp.endpoint_rate`, the
-        extracted daemon math (same float operations in the same order,
-        pinned byte-identical by the discipline equivalence tests).
-        """
+        """Refresh the DTP-per-TSC frequency ratio from the sample history."""
         if len(self.samples) < 2:
             return
         first = self.samples[0]
         last = self.samples[-1]
-        ratio = endpoint_rate(first.tsc, first.counter, last.tsc, last.counter)
+        ratio = _endpoint_rate(first.tsc, first.counter, last.tsc, last.counter)
         if ratio is not None:
             self._ratio = ratio
 
@@ -168,16 +160,55 @@ class DtpDaemon:
         """
         if not self.samples:
             raise RuntimeError("daemon has no samples yet; call start() and run")
-        anchor_tsc, anchor_counter = windowed_anchor(
+        anchor_tsc, anchor_counter = _windowed_anchor(
             [s.tsc for s in self.samples],
             [s.counter for s in self.samples],
             self.smoothing_window,
         )
         tsc_now = self.tsc.rdtsc(t_fs)
-        return round(extrapolate(anchor_tsc, anchor_counter, self._ratio, tsc_now))
+        return round(_extrapolate(anchor_tsc, anchor_counter, self._ratio, tsc_now))
 
     def estimated_frequency_ratio(self) -> float:
         return self._ratio
+
+
+# The interpolation math, kept as three plain functions so
+# ``tests/test_dtp_daemon.py`` can pin it to the original inline formulas
+# (same float operations in the same order, compared with ``==``).
+def _endpoint_rate(
+    first_x: float, first_y: float, last_x: float, last_y: float
+) -> Optional[float]:
+    """Slope ``dy/dx`` between the history endpoints.
+
+    ``None`` when ``last_x`` does not advance past ``first_x``: the caller
+    keeps its previous estimate.
+    """
+    dx = last_x - first_x
+    if dx <= 0:
+        return None
+    return (last_y - first_y) / dx
+
+
+def _windowed_anchor(
+    xs: Sequence[float], ys: Sequence[float], window: int
+) -> Tuple[float, float]:
+    """Mean ``(x, y)`` of the trailing ``window`` samples.
+
+    ``window`` is clamped to the history length; with ``window == 1`` the
+    anchor is the raw latest sample (Figure 7a), larger windows suppress
+    read spikes (Figure 7b).
+    """
+    if not xs or len(xs) != len(ys):
+        raise ValueError("need equal, non-empty sample sequences")
+    window = max(1, min(window, len(xs)))
+    recent_x = xs[len(xs) - window:]
+    recent_y = ys[len(ys) - window:]
+    return sum(recent_x) / window, sum(recent_y) / window
+
+
+def _extrapolate(anchor_x: float, anchor_y: float, rate: float, x: float) -> float:
+    """``anchor_y + (x - anchor_x) * rate``: the interpolation read."""
+    return anchor_y + (x - anchor_x) * rate
 
 
 def moving_average(values: List[int], window: int) -> List[float]:

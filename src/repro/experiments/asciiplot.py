@@ -7,7 +7,7 @@ be eyeballed against the paper without matplotlib.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from .harness import TimeSeries
 
@@ -42,41 +42,3 @@ def render_series(
     lines.append("+" + "-" * width + "+")
     return "\n".join(lines)
 
-
-def render_histogram(
-    pdf: Dict[float, float], width: int = 40, label: str = ""
-) -> str:
-    """Horizontal-bar PDF, one row per bin (the Figure 6c shape)."""
-    if not pdf:
-        return f"[{label}: empty]"
-    peak = max(pdf.values())
-    lines = [f"{label}  (peak p={peak:.3f})"] if label else []
-    for center in sorted(pdf):
-        bar = "#" * max(1, round(pdf[center] / peak * width)) if pdf[center] else ""
-        lines.append(f"{center:+6.1f} | {bar} {pdf[center]:.3f}")
-    return "\n".join(lines)
-
-
-def render_comparison(
-    rows: Dict[str, float], unit: str = "", width: int = 48, log: bool = False
-) -> str:
-    """Labelled horizontal bars for cross-protocol comparisons."""
-    if not rows:
-        return "[empty]"
-    import math
-
-    def scale(value: float) -> float:
-        if not log:
-            return value
-        return math.log10(max(value, 1e-12))
-
-    scaled = {k: scale(v) for k, v in rows.items()}
-    lo = min(scaled.values())
-    hi = max(scaled.values())
-    span = (hi - lo) or 1.0
-    lines = []
-    for name in sorted(rows, key=lambda k: rows[k]):
-        frac = (scaled[name] - lo) / span
-        bar = "#" * max(1, round(frac * width))
-        lines.append(f"{name:>12s} | {bar} {rows[name]:.3g} {unit}")
-    return "\n".join(lines)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
-from ..sim import units
 
 
 @dataclass
@@ -62,12 +61,6 @@ class ExperimentResult:
     params: Dict[str, object] = field(default_factory=dict)
     series: List[TimeSeries] = field(default_factory=list)
     summary: Dict[str, object] = field(default_factory=dict)
-
-    def series_by_label(self, label: str) -> TimeSeries:
-        for s in self.series:
-            if s.label == label:
-                return s
-        raise KeyError(f"no series labelled {label!r} in {self.name}")
 
     def render(self) -> str:
         """Human-readable report: params, per-series stats, summary."""
@@ -171,10 +164,3 @@ def write_telemetry_artifacts(
         lines.append(f"wrote {written['prom']}")
     return lines
 
-
-def format_ns(fs: float) -> str:
-    return f"{fs / units.NS:.1f} ns"
-
-
-def format_us(fs: float) -> str:
-    return f"{fs / units.US:.2f} us"

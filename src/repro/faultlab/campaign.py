@@ -603,8 +603,9 @@ def run_scenario(
     *new* name-keyed random streams, which — by the
     :class:`~repro.sim.randomness.RandomStreams` contract — leaves every
     existing stream, and therefore the scenario's behavior and metrics,
-    byte-identical to an observer-free run (the racelab's fairness
-    guarantee; pinned by the discipline equivalence tests).  Observers
+    byte-identical to an observer-free run (pinned by
+    ``test_observer_leaves_every_builtin_digest_untouched`` in
+    ``tests/test_faultlab_campaign.py``).  Observers
     run on ``scalar`` and ``batched`` alike — their events draw sequence
     numbers from the one engine counter the batched coordinator mirrors —
     and are rejected under ``sharded``, which has no single live process.

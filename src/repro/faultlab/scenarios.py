@@ -299,8 +299,8 @@ BUILTIN_SCENARIOS: Dict[str, Callable[[bool], Dict[str, object]]] = {
 }
 
 #: Fabric-scale scenarios (the sharded backend's home turf).  Kept out
-#: of ``BUILTIN_SCENARIOS`` — ``repro faultlab`` with no arguments, the
-#: insight tooling, and the racelab builtins all assume exactly nine —
+#: of ``BUILTIN_SCENARIOS`` — ``repro faultlab`` with no arguments and
+#: the insight tooling both assume exactly nine —
 #: but resolvable by explicit name everywhere specs are.
 FABRIC_SCENARIOS: Dict[str, Callable[[bool], Dict[str, object]]] = {
     "clos-fabric": _clos_fabric,

@@ -51,7 +51,6 @@ _SUFFIXES = {
     "prom": ".prom",
     "failure_flight": ".failure.flight.jsonl",
     "flight": ".flight.jsonl",
-    "race": ".race.json",
     "snapshots": ".snapshots.jsonl",
     "slo": ".slo.json",
 }
@@ -259,36 +258,6 @@ def _slo_section(
     return lines
 
 
-def _race_section(race_doc: Dict[str, object]) -> List[str]:
-    """Ranked discipline-race standings from a ``.race.json`` artifact."""
-    from ..discipline.racelab import ranked_entries
-
-    lines = [
-        f"seed={race_doc.get('seed', '?')}"
-        f"  scenario-digest={str(race_doc.get('scenario_digest', '?'))[:12]}"
-    ]
-    entries = race_doc.get("entries")
-    if not isinstance(entries, dict) or not entries:
-        lines.append("no race entries in the artifact")
-        return lines
-    ranked = ranked_entries(race_doc)
-    for rank, entry in enumerate(ranked, start=1):
-        converged = entry["convergence_time_fs"]
-        lines.append(
-            f"  {rank}. {entry['discipline']:16s}"
-            f" max|offset|={entry['max_abs_offset_fs']} fs"
-            f"  above-bound={entry['time_above_bound_fs']} fs"
-            f"  converged={converged if converged >= 0 else 'never'}"
-        )
-    winner = ranked[0]
-    lines.append(
-        f"winner: {winner['discipline']}"
-        f" (max offset {winner['max_abs_offset_fs']} fs"
-        f" within bound {winner['bound_fs']} fs)"
-    )
-    return lines
-
-
 # ----------------------------------------------------------------------
 # Report generation
 # ----------------------------------------------------------------------
@@ -396,15 +365,6 @@ def _scenario_section(
                 period_fs=period_fs,
             )
         )
-        lines.append("```")
-        lines.append("")
-
-    if "race" in artifacts:
-        race_doc = _load_metrics(artifacts["race"])
-        lines.append("### Discipline race")
-        lines.append("")
-        lines.append("```")
-        lines.extend(_race_section(race_doc))
         lines.append("```")
         lines.append("")
 

@@ -1,4 +1,4 @@
-"""Clock-stability metrics: Allan deviation, MTIE, TDEV.
+"""Clock-stability metrics: Allan deviation and MTIE.
 
 The paper reports raw offset ranges; the synchronization community also
 characterizes clocks with these standard statistics (ITU-T G.810):
@@ -7,7 +7,6 @@ characterizes clocks with these standard statistics (ITU-T G.810):
 * **MTIE** — Maximum Time Interval Error: the largest peak-to-peak time
   error within any observation window of a given length (the metric SyncE
   and PTP telecom profiles are specified against);
-* **TDEV** — time deviation, the tau-scaled spectral cousin of ADEV.
 
 All functions take a uniformly sampled time-error series ``x`` (seconds or
 any consistent unit) with sampling interval ``tau0``.
@@ -110,28 +109,6 @@ def mtie_curve(x: Sequence[float], tau0: float, octaves: int = 8) -> Dict[float,
     return curve
 
 
-def time_deviation(x: Sequence[float], tau0: float, m: int = 1) -> float:
-    """TDEV(tau) = tau * ADEV_modified(tau) / sqrt(3).
-
-    Uses the modified Allan variance (phase-averaged second differences).
-    """
-    _check(x, 3 * m + 1)
-    n = len(x)
-    tau = m * tau0
-    total = 0.0
-    count = 0
-    for j in range(n - 3 * m + 1):
-        inner = 0.0
-        for i in range(j, j + m):
-            inner += x[i + 2 * m] - 2 * x[i + m] + x[i]
-        total += (inner / m) ** 2
-        count += 1
-    if count == 0:
-        raise MetricsError("series too short for this m")
-    mod_avar = total / (2.0 * tau * tau * count)
-    return tau * math.sqrt(mod_avar / 3.0)
-
-
 def max_abs_excursion(values: Sequence[float]) -> float:
     """Largest absolute value in a series (0 for an empty series).
 
@@ -145,20 +122,3 @@ def max_abs_excursion(values: Sequence[float]) -> float:
             worst = magnitude
     return worst
 
-
-def summarize_stability(
-    offsets_fs: Sequence[float], interval_fs: int
-) -> Dict[str, float]:
-    """One-call stability summary of an offset series (fs units in, out).
-
-    Returns peak-to-peak, ADEV at tau0, and MTIE over ~1/8 of the record.
-    """
-    _check(offsets_fs, 5)
-    seconds = [value * 1e-15 for value in offsets_fs]
-    tau0 = interval_fs * 1e-15
-    window = max(2, len(offsets_fs) // 8)
-    return {
-        "peak_to_peak_fs": max(offsets_fs) - min(offsets_fs),
-        "adev_tau0": allan_deviation(seconds, tau0),
-        "mtie_fs": mtie(list(offsets_fs), window),
-    }

@@ -118,41 +118,6 @@ class Topology:
                 best = max(best, self.hop_distance(a, b))
         return best
 
-    def shortest_path(self, a: str, b: str) -> List[str]:
-        """One shortest path from ``a`` to ``b`` (BFS, deterministic order)."""
-        if a == b:
-            return [a]
-        parents: Dict[str, str] = {a: a}
-        frontier = [a]
-        while frontier:
-            next_frontier = []
-            for node in frontier:
-                for peer in self.neighbors(node):
-                    if peer not in parents:
-                        parents[peer] = node
-                        if peer == b:
-                            path = [b]
-                            while path[-1] != a:
-                                path.append(parents[path[-1]])
-                            return list(reversed(path))
-                        next_frontier.append(peer)
-            frontier = next_frontier
-        raise TopologyError(f"{a!r} and {b!r} are not connected")
-
-    def is_connected(self) -> bool:
-        if not self.nodes:
-            return True
-        start = next(iter(self.nodes))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for peer in self.neighbors(node):
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
-        return len(seen) == len(self.nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Topology(name={self.name!r}, nodes={len(self.nodes)}, "
@@ -323,14 +288,3 @@ def clos(
             topo.add_link(leaf, host, cable)
     return topo
 
-
-def to_networkx(topo: Topology):
-    """Export to a networkx graph (optional dependency, used by examples)."""
-    import networkx as nx
-
-    graph = nx.Graph(name=topo.name)
-    for node in topo.nodes.values():
-        graph.add_node(node.name, kind=node.kind)
-    for edge in topo.edges:
-        graph.add_edge(edge.a, edge.b, delay_fs=edge.cable.delay_fs)
-    return graph

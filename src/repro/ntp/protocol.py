@@ -22,7 +22,6 @@ from ..clocks.clock import AdjustableFrequencyClock
 from ..network.packet import Host, Packet, PacketNetwork
 from ..sim import units
 from ..sim.engine import Simulator
-from ..discipline.base import Observation
 from ..ptp.servo import PiServo
 
 KIND_NTP_REQUEST = "ntp_request"
@@ -121,21 +120,11 @@ class NtpClient:
         self.rng = rng
         self.poll_interval_fs = poll_interval_fs
         self.stack = stack or StackJitterModel()
-        # Imported here, not at module level: discipline.classic imports
-        # repro.ptp back (it wraps PiServo).
-        from ..discipline.classic import PiServoDiscipline
-
         self.servo = servo or PiServo(
             kp=0.3,
             ki=0.05,
             step_threshold_fs=100 * units.US,
             panic_threshold_fs=100 * units.MS,
-        )
-        #: The servo re-hosted behind the common Discipline interface
-        #: (:mod:`repro.discipline`); it wraps — not replaces — the same
-        #: ``self.servo`` object, so behavior and counters are unchanged.
-        self.discipline = PiServoDiscipline(
-            servo=self.servo, name=f"ntp/{host_name}"
         )
         #: Popcorn-spike suppression (as in ntpd): a single offset that
         #: leaps away from the previous one is suppressed once; if the next
@@ -197,20 +186,13 @@ class NtpClient:
             else self.poll_interval_fs
         )
         self._last_servo_fs = now
+        action = self.servo.sample(-offset, max(interval, 1))
         # NTP's offset convention is (server - client); the servo takes
-        # (client - server), hence the sign flip.
-        action = self.discipline.observe(
-            Observation(
-                time_fs=now,
-                offset_fs=-offset,
-                interval_fs=max(interval, 1),
-                delay_fs=delay,
-            )
-        )
+        # (client - server), hence the sign flip above.
         if action.kind == "step":
-            self.clock.step(now, action.step_fs)
+            self.clock.step(now, action.value)
         else:
-            self.clock.slew(now, action.freq_adj)
+            self.clock.slew(now, action.value)
         self.samples.append(NtpSample(time_fs=now, offset_fs=offset, delay_fs=delay))
 
     def _filter_offset(self, raw_offset: float) -> float:

@@ -25,7 +25,6 @@ from ..network.packet import Host, Packet, PacketNetwork
 from ..sim import units
 from ..sim.engine import Simulator
 from . import messages as ptpmsg
-from ..discipline.base import Observation
 from .servo import DelayFilter, PiServo
 
 
@@ -70,17 +69,7 @@ class PtpSlave:
         self.clock = clock
         self.rng = rng
         self.sync_interval_fs = sync_interval_fs
-        # Imported here, not at module level: discipline.classic imports
-        # this package back (it wraps PiServo).
-        from ..discipline.classic import PiServoDiscipline
-
         self.servo = servo or PiServo()
-        #: The servo re-hosted behind the common Discipline interface
-        #: (:mod:`repro.discipline`); it wraps — not replaces — the same
-        #: ``self.servo`` object, so behavior and counters are unchanged.
-        self.discipline = PiServoDiscipline(
-            servo=self.servo, name=f"ptp/{host_name}"
-        )
         self.delay_filter = delay_filter or DelayFilter()
         self.records: List[OffsetRecord] = []
         #: BMC support: a disabled slave ignores all PTP traffic, and the
@@ -184,18 +173,11 @@ class PtpSlave:
             else self.sync_interval_fs
         )
         self._last_servo_fs = now
-        action = self.discipline.observe(
-            Observation(
-                time_fs=now,
-                offset_fs=offset_fs,
-                interval_fs=max(interval, 1),
-                delay_fs=path_delay_fs,
-            )
-        )
+        action = self.servo.sample(offset_fs, max(interval, 1))
         if action.kind == "step":
-            self.clock.step(now, action.step_fs)
+            self.clock.step(now, action.value)
         else:
-            self.clock.slew(now, action.freq_adj)
+            self.clock.slew(now, action.value)
         self.records.append(
             OffsetRecord(time_fs=now, offset_fs=offset_fs, path_delay_fs=path_delay_fs)
         )

@@ -54,12 +54,11 @@ EV_QUARANTINE = 12
 EV_RELEASE = 13
 #: BoundMonitor alarm.  subject = link, a = offset ticks, b = bound ticks.
 EV_ALARM = 14
-#: Racelab discipline ingested one measurement.  subject = ``race/<node>``,
-#: a = measured offset (fs, signed), b = measured read delay (fs).
+#: Codes 15 and 16 are retired: nothing emits them.  They stay, with their
+#: names in :data:`KIND_NAMES`, because every trace header lists all of
+#: ``KIND_NAMES``; dropping them would change the bytes (and the pinned
+#: digests) of every ``.trace.jsonl``.  Codes 17 and up keep their numbers.
 EV_DISC_OBSERVE = 15
-#: Racelab discipline emitted a correction.  a = action code
-#: (:data:`DISC_ACTION_CODES`), b = step size (fs) for steps, new
-#: frequency adjustment (ppb) otherwise.
 EV_DISC_ACTION = 16
 #: Link recovery FSM entered a new state (``repro.linkhealth``).
 #: subject = ``link/<a>-<b>``, a = state code (:data:`LINK_STATE_CODES`),
@@ -142,9 +141,6 @@ LOST_HEADER = 2
 REJECT_RANGE = 1
 REJECT_PARITY = 2
 REJECT_UNDECODABLE = 3
-
-#: ``EV_DISC_ACTION`` argument ``a``: the correction kind.
-DISC_ACTION_CODES: Dict[str, int] = {"step": 1, "slew": 2, "hold": 3}
 
 #: ``EV_LINK_STATE`` argument ``a``: the recovery FSM state (mirrors
 #: ``repro.linkhealth.fsm``; duplicated here so the schema table has no
@@ -255,14 +251,14 @@ EVENT_SCHEMA: Dict[int, Tuple[str, str, str]] = {
         "configured bound, ticks",
     ),
     EV_DISC_OBSERVE: (
-        "raced clock (race/<node>)",
-        "measured offset, fs (signed)",
-        "measured read delay, fs",
+        "retired: emitted by nothing",
+        "unused (0)",
+        "unused (0)",
     ),
     EV_DISC_ACTION: (
-        "raced clock (race/<node>)",
-        "action code: step=1 / slew=2 / hold=3",
-        "step size (fs) for steps, new frequency adjustment (ppb) otherwise",
+        "retired: emitted by nothing",
+        "unused (0)",
+        "unused (0)",
     ),
     EV_LINK_STATE: (
         "supervised link (link/<a>-<b>)",

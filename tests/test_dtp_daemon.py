@@ -1,10 +1,19 @@
 """Unit tests for the DTP software daemon (paper Section 5.1, Figure 7)."""
 
+import random
+
 import pytest
 
 from repro.clocks.oscillator import ConstantSkew
 from repro.clocks.tsc import TscCounter
-from repro.dtp.daemon import DtpDaemon, PcieModel, moving_average
+from repro.dtp.daemon import (
+    DtpDaemon,
+    PcieModel,
+    _endpoint_rate,
+    _extrapolate,
+    _windowed_anchor,
+    moving_average,
+)
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.network.topology import chain
@@ -159,3 +168,40 @@ class TestMovingAverage:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             moving_average([1], 0)
+
+
+def _old_daemon_estimate(samples, window, x):
+    """The DtpDaemon formulas exactly as they read inline, before the
+    interpolation math became three helper functions."""
+    first_x, first_y = samples[0]
+    last_x, last_y = samples[-1]
+    dx = last_x - first_x
+    ratio = None if dx <= 0 else (last_y - first_y) / dx
+    if ratio is None:
+        ratio = 0.0
+    window = min(window, len(samples))
+    recent = samples[-window:]
+    anchor_x = sum(s[0] for s in recent) / window
+    anchor_y = sum(s[1] for s in recent) / window
+    return anchor_y + (x - anchor_x) * ratio
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("window", [1, 4, 8])
+def test_interp_matches_verbatim_daemon_math(seed, window):
+    rng = random.Random(seed)
+    samples = []
+    x = 0
+    for _ in range(40):
+        x += rng.randint(1, 10**9)
+        samples.append((x, rng.uniform(-1e9, 1e9)))
+        query = x + rng.randint(0, 10**9)
+        rate = _endpoint_rate(
+            samples[0][0], samples[0][1], samples[-1][0], samples[-1][1]
+        )
+        anchor_x, anchor_y = _windowed_anchor(
+            [s[0] for s in samples], [s[1] for s in samples], window
+        )
+        got = _extrapolate(anchor_x, anchor_y, rate if rate is not None else 0.0, query)
+        # `==`, not isclose: identical float op order is the contract.
+        assert got == _old_daemon_estimate(samples, window, query)

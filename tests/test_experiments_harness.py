@@ -6,8 +6,6 @@ from repro.experiments.harness import (
     ExperimentResult,
     PeriodicSampler,
     TimeSeries,
-    format_ns,
-    format_us,
     histogram,
 )
 from repro.sim import units
@@ -45,13 +43,6 @@ class TestTimeSeries:
 
 
 class TestExperimentResult:
-    def test_series_lookup(self):
-        series = TimeSeries(label="a")
-        result = ExperimentResult(name="t", series=[series])
-        assert result.series_by_label("a") is series
-        with pytest.raises(KeyError):
-            result.series_by_label("b")
-
     def test_render_includes_summary(self):
         series = TimeSeries(label="a")
         series.append(0, 1.0)
@@ -108,7 +99,3 @@ class TestHistogram:
         assert pdf[0.0] == pytest.approx(2 / 3)
         assert pdf[2.0] == pytest.approx(1 / 3)
 
-
-def test_formatters():
-    assert format_ns(6_400_000) == "6.4 ns"
-    assert format_us(2_500_000_000) == "2.50 us"

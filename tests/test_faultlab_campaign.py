@@ -172,6 +172,42 @@ def test_metrics_are_json_roundtrippable():
     assert json.loads(json.dumps(result)) == result
 
 
+class _ReadingObserver:
+    """A read-only campaign observer: periodic counter reads on its own
+    events, at intervals drawn from a stream no scenario component uses."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __call__(self, *, sim, network, streams, checker, telemetry, duration_fs):
+        rng = streams.stream("observer-contract/jitter")
+        devices = list(network.devices.values())
+
+        def _read():
+            for device in devices:
+                device.global_counter(sim.now)
+            self.reads += 1
+            sim.schedule(rng.randint(5, 50) * units.US, _read)
+
+        sim.schedule(rng.randint(5, 50) * units.US, _read)
+
+
+@pytest.mark.parametrize("backend", ["scalar", "batched"])
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_observer_leaves_every_builtin_digest_untouched(name, backend):
+    """The ``run_scenario(observers=...)`` contract: an observer that
+    schedules its own events and draws from a new named stream leaves
+    the scenario's metrics byte-identical to an observer-free run."""
+    spec = BUILTIN_SCENARIOS[name](True)
+    plain = run_scenario(dict(spec), seed=99, backend=backend)
+    observer = _ReadingObserver()
+    watched = run_scenario(
+        dict(spec), seed=99, backend=backend, observers=[observer]
+    )
+    assert metrics_digest(watched) == metrics_digest(plain)
+    assert observer.reads > 0
+
+
 # ----------------------------------------------------------------------
 # Acceptance matrix
 # ----------------------------------------------------------------------

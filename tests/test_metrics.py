@@ -13,8 +13,6 @@ from repro.metrics import (
     allan_deviation_curve,
     mtie,
     mtie_curve,
-    summarize_stability,
-    time_deviation,
 )
 
 
@@ -93,30 +91,6 @@ class TestMtie:
         x = [rng.gauss(0, 1) for _ in range(100)]
         curve = mtie_curve(x, tau0=0.5)
         assert 1.0 in curve  # window 2 * tau0
-
-
-class TestTimeDeviation:
-    def test_constant_zero(self):
-        assert time_deviation([1.0] * 50, tau0=1.0) == 0.0
-
-    def test_positive_for_noise(self):
-        rng = random.Random(5)
-        x = [rng.gauss(0, 1e-9) for _ in range(200)]
-        assert time_deviation(x, tau0=1.0) > 0
-
-    def test_too_short(self):
-        with pytest.raises(MetricsError):
-            time_deviation([0.0, 1.0, 2.0], tau0=1.0, m=2)
-
-
-class TestSummary:
-    def test_summary_keys(self):
-        rng = random.Random(6)
-        offsets = [rng.gauss(0, 10_000_000) for _ in range(64)]  # ~10ns noise
-        summary = summarize_stability(offsets, interval_fs=10**12)
-        assert set(summary) == {"peak_to_peak_fs", "adev_tau0", "mtie_fs"}
-        assert summary["peak_to_peak_fs"] > 0
-        assert summary["mtie_fs"] <= summary["peak_to_peak_fs"] + 1e-9
 
 
 @given(

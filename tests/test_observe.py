@@ -22,7 +22,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cli import main as repro_main
-from repro.discipline.racelab import race_specs, run_race_campaign
 from repro.faultlab.campaign import run_campaign, run_scenario
 from repro.faultlab.scenarios import BUILTIN_SCENARIOS, builtin_specs
 from repro.ioutil import canonical_json
@@ -385,32 +384,3 @@ class TestHealthChannel:
         health = read_health(str(path))
         assert health["header"]["deterministic"] is False
         assert str(health["header"]["source"]).startswith("shard-coordinator")
-
-
-# ----------------------------------------------------------------------
-# Racelab export rides along without touching fairness
-# ----------------------------------------------------------------------
-class TestRacelabExport:
-    def test_trace_and_metrics_export(self, tmp_path):
-        specs = race_specs(("baseline",), quick=True)
-        plain = run_race_campaign(specs, disciplines=("pi", "daemon"), base_seed=3)
-        exported = run_race_campaign(
-            race_specs(("baseline",), quick=True),
-            disciplines=("pi", "daemon"),
-            base_seed=3,
-            trace_dir=str(tmp_path / "traces"),
-            metrics_dir=str(tmp_path / "metrics"),
-        )
-        # Per-discipline subdirectories, so scenario-keyed names can't collide.
-        for discipline in ("pi", "daemon"):
-            assert list((tmp_path / "traces" / discipline).iterdir())
-            assert list((tmp_path / "metrics" / discipline).iterdir())
-        # The fairness digest ignores the telemetry overlay: exporting
-        # changes nothing about who won or what the scenario did.
-        assert (
-            exported["baseline"]["scenario_digest"]
-            == plain["baseline"]["scenario_digest"]
-        )
-        assert canon(exported["baseline"]["entries"]) == canon(
-            plain["baseline"]["entries"]
-        )

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.dtp.network import DtpNetwork
-from repro.experiments.asciiplot import (
-    render_comparison,
-    render_histogram,
-    render_series,
-)
+from repro.experiments.asciiplot import render_series
 from repro.experiments.harness import TimeSeries
 from repro.experiments.overhead import (
     dtp_overhead,
@@ -104,21 +100,3 @@ class TestAsciiPlot:
     def test_render_series_respects_bounds(self):
         text = render_series(self.make_series(), y_bounds=(-10, 10))
         assert "[-10.00 .. 10.00]" in text
-
-    def test_render_histogram(self):
-        text = render_histogram({0.0: 0.5, 1.0: 0.3, 2.0: 0.2}, label="pdf")
-        assert "pdf" in text
-        assert text.count("|") == 3
-
-    def test_render_histogram_empty(self):
-        assert "empty" in render_histogram({})
-
-    def test_render_comparison_sorted(self):
-        text = render_comparison({"DTP": 25.6, "PTP": 400.0, "NTP": 1e5}, unit="ns")
-        lines = text.splitlines()
-        assert lines[0].strip().startswith("DTP")
-        assert lines[-1].strip().startswith("NTP")
-
-    def test_render_comparison_log_scale(self):
-        text = render_comparison({"a": 1.0, "b": 1e6}, log=True)
-        assert "#" in text

@@ -63,7 +63,7 @@ def test_import_repro_and_the_command_load_only_the_helper():
 #: Packages no Fig. 6a process needs: the baselines and the supervisor.
 _NOT_FIG6A = [
     "repro.ptp", "repro.ntp", "repro.gps", "repro.apps", "repro.shard", "repro.insight",
-    "repro.discipline", "repro.resilience.journal", "repro.resilience.supervisor",
+    "repro.resilience.journal", "repro.resilience.supervisor",
 ]
 
 
@@ -92,7 +92,7 @@ def test_fig6_dtp_loads_no_baseline_or_campaign_machinery():
     _, _, loaded = fresh_import("import repro.experiments.fig6_dtp")
     assert not _packages_in(loaded, [
         "repro.ptp", "repro.ntp", "repro.gps", "repro.apps", "repro.shard",
-        "repro.insight", "repro.discipline", "repro.resilience",
+        "repro.insight", "repro.resilience",
     ])
 
 
@@ -118,5 +118,5 @@ def test_an_unsupervised_campaign_loads_no_supervisor_or_journal():
 def test_the_campaign_loads_no_shard_insight_or_baseline():
     _, _, loaded = fresh_import("import repro.faultlab.campaign")
     assert not _packages_in(loaded, [
-        "repro.shard", "repro.insight", "repro.ptp", "repro.ntp", "repro.discipline",
+        "repro.shard", "repro.insight", "repro.ptp", "repro.ntp",
     ])
