@@ -9,10 +9,9 @@ host.  Everything here is a faithful copy of the seed revision:
   ``Event.__lt__`` dominated profiles (~1.46 M calls per 2 ms Fig. 6a run);
 * ``seed_oscillator_*`` — the always-bisect segment lookup without the
   last-hit cache or the ``ticks_at`` memo;
-* ``seed_time_after_ticks`` — the O(ticks) edge-stepping loop;
 * ``seed_transmit_now`` / ``seed_arrive`` / ``seed_process`` — the DTP port
-  fast path with per-message ``Block66`` / ``DtpMessage`` object round-trips
-  and a dispatch dict rebuilt per received message;
+  fast path with per-message ``SeedBlock66`` / ``DtpMessage`` object
+  round-trips and a dispatch dict rebuilt per received message;
 * ``seed_reconstruct_counter`` — the ``min(key=lambda...)`` form.
 
 ``seed_implementation()`` patches them all in, so a whole experiment can
@@ -24,14 +23,14 @@ from __future__ import annotations
 import bisect
 import heapq
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
-from repro.clocks.clock import TickClock
 from repro.clocks.oscillator import Oscillator
 from repro.dtp import messages as dtpmsg
 from repro.dtp.port import DtpPort
 from repro.experiments import fig6_dtp
-from repro.phy.blocks import Block66, BlockError, embed_bits_in_idle, extract_bits_from_idle
+from repro.phy.blocks import BLOCK_TYPE_IDLE, IDLE_PAYLOAD_BITS, SYNC_CONTROL, SYNC_DATA
 from repro.phy.pipeline import rx_process_time, tx_exit_time
 from repro.sim.engine import SimulationError
 
@@ -176,13 +175,60 @@ def seed_next_edge_after(self, t_fs):
         segment = self._segments[index]
 
 
-def seed_time_after_ticks(self, t_fs, ticks):
-    if ticks <= 0:
-        return t_fs
-    t = t_fs
-    for _ in range(ticks):
-        t = self.oscillator.next_edge_after(t)
-    return t
+# ----------------------------------------------------------------------
+# Seed 64b/66b block object
+# ----------------------------------------------------------------------
+class SeedBlockError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class SeedBlock66:
+    """The seed's 66-bit block object, built and parsed once per message."""
+
+    sync: int
+    payload: int
+
+    def __post_init__(self) -> None:
+        if self.sync not in (SYNC_DATA, SYNC_CONTROL):
+            raise SeedBlockError(f"invalid sync header {self.sync:#04b}")
+        if not 0 <= self.payload < (1 << 64):
+            raise SeedBlockError("payload must fit in 64 bits")
+
+    def to_int(self) -> int:
+        return (self.sync << 64) | self.payload
+
+    @classmethod
+    def from_int(cls, value: int) -> "SeedBlock66":
+        if not 0 <= value < (1 << 66):
+            raise SeedBlockError("value must fit in 66 bits")
+        return cls(sync=value >> 64, payload=value & ((1 << 64) - 1))
+
+    @property
+    def is_control(self) -> bool:
+        return self.sync == SYNC_CONTROL
+
+    @property
+    def block_type(self) -> int:
+        if not self.is_control:
+            raise SeedBlockError("data blocks have no block type")
+        return (self.payload >> 56) & 0xFF
+
+    @property
+    def is_idle(self) -> bool:
+        return self.is_control and self.block_type == BLOCK_TYPE_IDLE
+
+
+def seed_embed_bits_in_idle(bits56):
+    if not 0 <= bits56 < (1 << IDLE_PAYLOAD_BITS):
+        raise SeedBlockError("DTP message must fit in 56 bits")
+    return SeedBlock66(sync=SYNC_CONTROL, payload=(BLOCK_TYPE_IDLE << 56) | bits56)
+
+
+def seed_extract_bits_from_idle(block):
+    if not block.is_idle:
+        raise SeedBlockError("not an idle control block")
+    return block.payload & ((1 << IDLE_PAYLOAD_BITS) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +261,7 @@ def seed_transmit_now(self, mtype, payload_builder):
     self.stats.count_sent(mtype)
     exit_fs = tx_exit_time(self.osc, now, self.config.latency)
     arrival_fs = exit_fs + self.wire_delay_fs
-    wire_bits = embed_bits_in_idle(bits56).to_int()
+    wire_bits = seed_embed_bits_in_idle(bits56).to_int()
     if self.ber is not None:
         wire_bits = self.ber.corrupt(wire_bits, 66)
     self.sim.schedule_at(arrival_fs, self.peer._arrive, wire_bits)
@@ -230,11 +276,11 @@ def seed_arrive(self, wire_bits):
         self.stats._lost_on_wire.value += 1
         return
     try:
-        block = Block66.from_int(wire_bits)
+        block = SeedBlock66.from_int(wire_bits)
         if not block.is_idle:
-            raise BlockError("not an idle block")
-        bits56 = extract_bits_from_idle(block)
-    except BlockError:
+            raise SeedBlockError("not an idle block")
+        bits56 = seed_extract_bits_from_idle(block)
+    except SeedBlockError:
         self.stats._lost_on_wire.value += 1
         return
     process_fs = rx_process_time(
@@ -279,7 +325,6 @@ def seed_implementation():
         "ticks_at": Oscillator.ticks_at,
         "time_of_tick": Oscillator.time_of_tick,
         "next_edge_after": Oscillator.next_edge_after,
-        "time_after_ticks": TickClock.time_after_ticks,
         "reconstruct_counter": dtpmsg.reconstruct_counter,
         "_schedule_transmit": DtpPort._schedule_transmit,
         "_transmit_now": DtpPort._transmit_now,
@@ -291,7 +336,6 @@ def seed_implementation():
     Oscillator.ticks_at = seed_ticks_at
     Oscillator.time_of_tick = seed_time_of_tick
     Oscillator.next_edge_after = seed_next_edge_after
-    TickClock.time_after_ticks = seed_time_after_ticks
     dtpmsg.reconstruct_counter = seed_reconstruct_counter
     DtpPort._schedule_transmit = seed_schedule_transmit
     DtpPort._transmit_now = seed_transmit_now
@@ -305,7 +349,6 @@ def seed_implementation():
         Oscillator.ticks_at = saved["ticks_at"]
         Oscillator.time_of_tick = saved["time_of_tick"]
         Oscillator.next_edge_after = saved["next_edge_after"]
-        TickClock.time_after_ticks = saved["time_after_ticks"]
         dtpmsg.reconstruct_counter = saved["reconstruct_counter"]
         DtpPort._schedule_transmit = saved["_schedule_transmit"]
         DtpPort._transmit_now = saved["_transmit_now"]

@@ -31,7 +31,7 @@ _LAZY = {
     name: name
     for name in (
         "apps", "clocks", "dtp", "ethernet", "gps", "metrics", "network", "ntp",
-        "phy", "ptp", "scenarios", "sim",
+        "phy", "ptp", "sim",
     )
 }
 __all__ = ["__version__", *_LAZY]

@@ -12,7 +12,7 @@ packet, no RTT halving, no symmetry assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..dtp.daemon import DtpDaemon
 from ..network.packet import Packet, PacketNetwork
@@ -33,10 +33,6 @@ class OwdSample:
     owd_fs: int
     #: Simulator ground truth, for validation.
     true_owd_fs: int
-
-    @property
-    def error_fs(self) -> int:
-        return self.owd_fs - self.true_owd_fs
 
 
 class OneWayDelayMeter:
@@ -90,8 +86,3 @@ class OneWayDelayMeter:
                 true_owd_fs=first_fs - tx_fs,
             )
         )
-
-    def worst_error_fs(self) -> Optional[int]:
-        if not self.samples:
-            return None
-        return max(abs(sample.error_fs) for sample in self.samples)

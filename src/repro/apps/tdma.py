@@ -32,9 +32,6 @@ class TdmaSchedule:
     def slot_start_fs(self, round_index: int, lane: int) -> int:
         return (round_index * len(self.senders) + lane) * self.slot_fs
 
-    def total_duration_fs(self) -> int:
-        return self.rounds * len(self.senders) * self.slot_fs
-
 
 class TdmaSender:
     """One participant firing frames at its believed slot starts."""
@@ -97,13 +94,6 @@ class TdmaReceiver:
 
     def worst_queueing_fs(self) -> int:
         return max(self.queueing_delays_fs) if self.queueing_delays_fs else 0
-
-    def collision_fraction(self, threshold_fs: int = 100 * units.NS) -> float:
-        """Fraction of frames that hit meaningful queueing."""
-        if not self.queueing_delays_fs:
-            return 0.0
-        hits = sum(1 for d in self.queueing_delays_fs if d > threshold_fs)
-        return hits / len(self.queueing_delays_fs)
 
 
 def run_tdma_round(

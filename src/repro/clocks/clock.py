@@ -54,18 +54,6 @@ class TickClock:
         """
         return self.counter_at(t_fs)
 
-    def time_after_ticks(self, t_fs: int, ticks: int) -> int:
-        """Time at which ``ticks`` more tick edges will have occurred.
-
-        Equivalent to iterating ``next_edge_after`` ``ticks`` times (the
-        k-th iterate lands on edge number ``ticks_at(t_fs) + k``), but
-        O(log segments) instead of O(ticks).
-        """
-        if ticks <= 0:
-            return t_fs
-        osc = self.oscillator
-        return osc.time_of_tick(osc.ticks_at(t_fs) + ticks)
-
     def period_at(self, t_fs: int) -> int:
         """Current oscillator period in femtoseconds."""
         return self.oscillator.period_at(t_fs)

@@ -130,22 +130,6 @@ class BoundMonitor:
             self.network.ports[(sender, receiver)].send_log()
         self.network.sim.schedule(self.log_interval_fs, self._tick)
 
-    def reset_link(self, sender: str, receiver: str) -> None:
-        """Forget a link's violation window and alarm state.
-
-        Operators call this after servicing a fault (e.g. a faultlab
-        campaign healing a link) so the monitor can re-alarm on a fresh
-        burst instead of staying latched forever.
-        """
-        link = f"{sender}-{receiver}"
-        window = self._windows.get(link)
-        if window is None:
-            raise KeyError(f"monitor does not watch link {link!r}")
-        window.clear()
-        self.alarmed_links.discard(link)
-        if self._m_alarmed is not None:
-            self._m_alarmed.value = len(self.alarmed_links)
-
     @property
     def healthy(self) -> bool:
         """No link has crossed the alarm threshold."""

@@ -229,18 +229,6 @@ class PortStats:
     def rejected_out_of_range(self) -> int:
         return self._rejected["out_of_range"].value
 
-    @property
-    def rejected_parity(self) -> int:
-        return self._rejected["parity"].value
-
-    @property
-    def rejected_undecodable(self) -> int:
-        return self._rejected["undecodable"].value
-
-    @property
-    def lost_on_wire(self) -> int:
-        return self._lost_on_wire.value
-
     def count_sent(self, mtype: dtpmsg.MessageType) -> None:
         self._sent[_MTYPE_NAME[mtype]].value += 1
 

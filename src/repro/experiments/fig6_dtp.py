@@ -192,34 +192,6 @@ def run_fig6_dtp(
     return result
 
 
-def run_fig6a_traced_digests(
-    duration_fs: int = 1 * units.MS,
-    seed: int = 1,
-) -> Dict[str, object]:
-    """Run a short traced Fig. 6a slice and return its telemetry digests.
-
-    Module-level (hence picklable): the exporter determinism tests run
-    this both serially and through the parallel experiment runner and
-    assert the digests are identical — the trace/metrics byte-stability
-    contract across processes.
-    """
-    from ..telemetry import Telemetry
-
-    telemetry = Telemetry()
-    config = Fig6DtpConfig(
-        frame_name="mtu",
-        duration_fs=duration_fs,
-        warmup_fs=min(duration_fs // 4, 2 * units.MS),
-        seed=seed,
-    )
-    run_fig6_dtp(config, telemetry=telemetry)
-    return {
-        "trace_digest": telemetry.trace_digest(),
-        "metrics_digest": telemetry.metrics_digest(),
-        "trace_recorded": telemetry.tracer.recorded,
-    }
-
-
 def run_fig6c(
     config: Fig6DtpConfig = None, telemetry=None
 ) -> Tuple[ExperimentResult, Dict[str, Dict[float, float]]]:

@@ -61,6 +61,22 @@ def _flag(key: str) -> Callable[[dict], bool]:
     return lambda summary: summary[key]
 
 
+def _zero_packets(summary: dict) -> bool:
+    """DTP puts no packet on the wire yet beacons at the 200-tick rate on
+    both directions of every link (80 % of it, for start-up); the packet
+    protocols it is compared with do send packets."""
+    from ..phy.specs import PHY_10G
+    from .table2 import expected_dtp_message_rate
+
+    beacons = 2 * expected_dtp_message_rate(200, PHY_10G.period_fs)
+    return (
+        summary["dtp_packets"] == 0
+        and summary["dtp_messages_per_link_per_s"] > 0.8 * beacons
+        and summary["ptp_packets_per_s"] > 0
+        and summary["ntp_packets_per_s"] > 0
+    )
+
+
 CLAIMS: List[Claim] = [
     # Figures 6a-6c: DTP on the twelve-node testbed (Section 6.2).
     Claim("fig6a", "direct-bound", "fig6-dtp-mtu",
@@ -104,6 +120,9 @@ CLAIMS: List[Claim] = [
           "PTP is more precise than NTP", _flag("ptp_beats_ntp")),
     Claim("table1", "dtp-ns-scale", "table1-protocol-comparison",
           "DTP precision is nanosecond-scale", _flag("dtp_ns_scale")),
+    Claim("table1", "zero-packets", "table1-protocol-comparison",
+          "DTP adds zero packets while sending hundreds of thousands of"
+          " messages per link per second; PTP and NTP send packets", _zero_packets),
     Claim("table2", "all-speeds-bound", "table2-phy-speeds",
           "the 4-tick bound at 1/10/40/100G", _flag("all_speeds_within_bound")),
     Claim("table2", "common-unit", "table2-phy-speeds",

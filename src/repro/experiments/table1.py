@@ -2,14 +2,16 @@
 
 The paper's table is qualitative (precision class, scalability, packet
 overhead, extra hardware); we regenerate it with *measured* precision from
-short runs of each protocol on comparable two-hop setups, plus the
-protocols' message counts as the overhead column.
+short runs of each protocol on comparable two-hop setups.  The overhead
+column is measured on the same runs: the packets NTP and PTP put on the
+wire (interface counters, every hop), and for DTP the PHY messages per link
+(port stats) beside the packets it adds to the run's Ethernet plane, zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from ..clocks.clock import AdjustableFrequencyClock
 from ..clocks.oscillator import Oscillator, RandomWalkSkew
@@ -32,18 +34,39 @@ class Table1Row:
     measured_precision_ns: float
     precision_class: str
     scalability: str
-    overhead_packets: str
+    #: Measured packets per second; ``None`` where the model has no network.
+    packets_per_s: Optional[float]
     extra_hardware: str
+    #: DTP only: PHY messages per link per second, carried in idle blocks.
+    messages_per_link_per_s: Optional[float] = None
+
+    @property
+    def overhead(self) -> str:
+        if self.packets_per_s is None:
+            return "None"
+        text = f"{self.packets_per_s:.2f} pkt/s"
+        if self.messages_per_link_per_s is not None:
+            text += f", {self.messages_per_link_per_s / 1e3:.0f}k msg/link/s"
+        return text
 
     def render(self) -> str:
         return (
             f"{self.protocol:5s} | {self.measured_precision_ns:12.1f} ns "
             f"| {self.precision_class:7s} | {self.scalability:5s} "
-            f"| {self.overhead_packets:9s} | {self.extra_hardware}"
+            f"| {self.overhead:28s} | {self.extra_hardware}"
         )
 
 
-def _measure_ntp(seed: int, duration_fs: int) -> float:
+def _packets_sent(network: PacketNetwork) -> int:
+    """Packets the run put on the wire, counted at every hop."""
+    return sum(
+        iface.packets_sent
+        for node in network.nodes.values()
+        for iface in node.interfaces.values()
+    )
+
+
+def _measure_ntp(seed: int, duration_fs: int) -> Tuple[float, float]:
     sim = Simulator()
     streams = RandomStreams(seed)
     network = PacketNetwork(sim, star(3))
@@ -79,10 +102,10 @@ def _measure_ntp(seed: int, duration_fs: int) -> float:
         sim.run_until(t)
         if t >= warmup:
             worst = max(worst, abs(client.offset_to(server_clock, t)))
-    return worst / units.NS
+    return worst / units.NS, _packets_sent(network) * units.SEC / duration_fs
 
 
-def _measure_ptp(seed: int, duration_fs: int) -> float:
+def _measure_ptp(seed: int, duration_fs: int) -> Tuple[float, float]:
     sim = Simulator()
     streams = RandomStreams(seed)
     deployment = PtpDeployment(sim, star(4), streams, master="h0", config=PtpConfig())
@@ -99,7 +122,7 @@ def _measure_ptp(seed: int, duration_fs: int) -> float:
                 worst,
                 max(abs(deployment.true_offset_fs(n, t)) for n in deployment.slaves),
             )
-    return worst / units.NS
+    return worst / units.NS, _packets_sent(deployment.network) * units.SEC / duration_fs
 
 
 def _measure_gps(seed: int, reads: int = 500) -> float:
@@ -112,10 +135,17 @@ def _measure_gps(seed: int, reads: int = 500) -> float:
     return worst / units.NS
 
 
-def _measure_dtp(seed: int, duration_fs: int) -> float:
+def _measure_dtp(seed: int, duration_fs: int) -> Tuple[float, int, float]:
+    """Precision, the packets DTP added, and its messages per link per second.
+
+    The run carries an idle Ethernet plane on the same topology and engine:
+    DTP has no path into it, so its counters read what DTP adds to layer 2.
+    """
     sim = Simulator()
     streams = RandomStreams(seed)
-    net = DtpNetwork(sim, star(2), streams)
+    topology = star(2)
+    net = DtpNetwork(sim, topology, streams)
+    plane = PacketNetwork(sim, topology)
     net.start()
     sim.run_until(duration_fs // 4)
     worst = 0
@@ -124,7 +154,9 @@ def _measure_dtp(seed: int, duration_fs: int) -> float:
         t += 20 * units.US
         sim.run_until(t)
         worst = max(worst, net.max_abs_offset())
-    return worst * PHY_10G.period_ns
+    messages = sum(sum(port.stats.sent.values()) for port in net.ports.values())
+    per_link_per_s = messages / len(topology.edges) * units.SEC / duration_fs
+    return worst * PHY_10G.period_ns, _packets_sent(plane), per_link_per_s
 
 
 def run_table1(
@@ -133,21 +165,24 @@ def run_table1(
     dtp_duration_fs: int = 4 * units.MS,
 ) -> ExperimentResult:
     """Measure all four protocols and lay out the Table 1 rows."""
+    ntp_ns, ntp_packets_per_s = _measure_ntp(seed, packet_protocol_duration_fs)
+    ptp_ns, ptp_packets_per_s = _measure_ptp(seed + 1, packet_protocol_duration_fs)
+    dtp_ns, dtp_packets, dtp_messages = _measure_dtp(seed + 3, dtp_duration_fs)
     rows: List[Table1Row] = [
         Table1Row(
             protocol="NTP",
-            measured_precision_ns=_measure_ntp(seed, packet_protocol_duration_fs),
+            measured_precision_ns=ntp_ns,
             precision_class="us",
             scalability="Good",
-            overhead_packets="Moderate",
+            packets_per_s=ntp_packets_per_s,
             extra_hardware="None",
         ),
         Table1Row(
             protocol="PTP",
-            measured_precision_ns=_measure_ptp(seed + 1, packet_protocol_duration_fs),
+            measured_precision_ns=ptp_ns,
             precision_class="sub-us",
             scalability="Good",
-            overhead_packets="Moderate",
+            packets_per_s=ptp_packets_per_s,
             extra_hardware="PTP-enabled devices",
         ),
         Table1Row(
@@ -155,16 +190,17 @@ def run_table1(
             measured_precision_ns=_measure_gps(seed + 2),
             precision_class="ns",
             scalability="Bad",
-            overhead_packets="None",
+            packets_per_s=None,
             extra_hardware="Timing signal receivers, cables",
         ),
         Table1Row(
             protocol="DTP",
-            measured_precision_ns=_measure_dtp(seed + 3, dtp_duration_fs),
+            measured_precision_ns=dtp_ns,
             precision_class="ns",
             scalability="Good",
-            overhead_packets="None",
+            packets_per_s=dtp_packets * units.SEC / dtp_duration_fs,
             extra_hardware="DTP-enabled devices",
+            messages_per_link_per_s=dtp_messages,
         ),
     ]
     result = ExperimentResult(name="table1-protocol-comparison", params={"seed": seed})
@@ -177,4 +213,8 @@ def run_table1(
     result.summary["dtp_beats_ptp"] = ordering["DTP"] < ordering["PTP"]
     result.summary["ptp_beats_ntp"] = ordering["PTP"] < ordering["NTP"]
     result.summary["dtp_ns_scale"] = ordering["DTP"] < 1000.0
+    result.summary["ntp_packets_per_s"] = ntp_packets_per_s
+    result.summary["ptp_packets_per_s"] = ptp_packets_per_s
+    result.summary["dtp_packets"] = dtp_packets
+    result.summary["dtp_messages_per_link_per_s"] = dtp_messages
     return result

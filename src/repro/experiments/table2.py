@@ -22,7 +22,15 @@ from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
 from ..telemetry import Telemetry
 from .harness import ExperimentResult
-from .overhead import expected_dtp_message_rate
+
+
+def expected_dtp_message_rate(beacon_interval_ticks: int, period_fs: int) -> float:
+    """Beacons per second per direction for a given interval.
+
+    Paper Section 1: "hundreds of thousands of protocol messages" per
+    second — 781,250/s at the 200-tick interval.
+    """
+    return units.SEC / (beacon_interval_ticks * period_fs)
 
 
 def render_spec_row(spec: PhySpec) -> str:

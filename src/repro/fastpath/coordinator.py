@@ -591,7 +591,6 @@ class FastpathCoordinator:
                 break
             now = entry[0]
             pop(queue)
-            sim._pending -= 1
             sim._now = now
             if keyed:
                 if now > atime:

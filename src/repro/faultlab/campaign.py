@@ -259,6 +259,36 @@ def _validate_network(spec: Dict[str, object], topology: topo.Topology) -> None:
             raise CampaignError(f"skew_ppm[{node!r}] must be a number, got {ppm!r}")
 
 
+def _validate_fault_nodes(fault: FaultModel, index: int, topology: topo.Topology) -> None:
+    """Refuse by name a fault that names a node outside the topology, or a
+    pair that is not one of its links; the run would die on a bare KeyError."""
+
+    def node(key: str, name: object) -> None:
+        if name not in topology.nodes:
+            raise CampaignError(
+                f"fault {index}: {key} names {name!r}, which is not in the topology"
+            )
+
+    def link(key: str, a: object, b: object) -> None:
+        if b not in topology.neighbors(a):
+            raise CampaignError(f"fault {index}: {key} {a!r}-{b!r} is not a link")
+
+    if hasattr(fault, "a"):
+        node("a", fault.a)
+        node("b", fault.b)
+        link("a-b", fault.a, fault.b)
+    for i, (a, b) in enumerate(getattr(fault, "links", ())):
+        node(f"links[{i}]", a)
+        node(f"links[{i}]", b)
+        link(f"links[{i}]", a, b)
+    if hasattr(fault, "node"):
+        node("node", fault.node)
+    for key in ("peer", "victim"):
+        if hasattr(fault, key):
+            node(key, getattr(fault, key))
+            link(f"node-{key}", fault.node, getattr(fault, key))
+
+
 def prepare(spec: Dict[str, object]) -> Prepared:
     """Validate a scenario spec and build its topology and faults."""
     unknown = set(spec) - _SPEC_KEYS
@@ -285,6 +315,7 @@ def prepare(spec: Dict[str, object]) -> Prepared:
     seen_names = set()
     for index, fault_spec in enumerate(fault_specs):
         fault = build_fault(fault_spec, index)
+        _validate_fault_nodes(fault, index, topology)
         if fault.name in seen_names:
             raise CampaignError(f"duplicate fault name {fault.name!r}")
         seen_names.add(fault.name)

@@ -390,14 +390,6 @@ class InvariantChecker:
         if node not in self.network.devices:
             raise KeyError(f"unknown node {node!r}")
 
-    @property
-    def quarantined_nodes(self) -> List[str]:
-        return sorted(self._quarantined)
-
-    @property
-    def healing_nodes(self) -> List[str]:
-        return sorted(self._healing)
-
     def stop(self) -> None:
         self.network.sim.cancel(self._event)
         self._event = None

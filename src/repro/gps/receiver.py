@@ -32,21 +32,3 @@ class GpsReceiver:
         error = round(self.rng.gauss(0.0, self.sigma_fs))
         error = max(-self.max_error_fs, min(self.max_error_fs, error))
         return t_fs + self.bias_fs + error
-
-    def error_fs(self, t_fs: int) -> int:
-        """The signed error of one read (for precision statistics)."""
-        return self.read_fs(t_fs) - t_fs
-
-
-def pairwise_precision_fs(
-    a: GpsReceiver, b: GpsReceiver, t_fs: int, reads: int = 100
-) -> int:
-    """Worst observed |a - b| clock difference over ``reads`` simultaneous reads.
-
-    Two GPS-disciplined servers differ by the two receivers' independent
-    errors; this is the "ns scale but not better" Table 1 row.
-    """
-    worst = 0
-    for _ in range(reads):
-        worst = max(worst, abs(a.read_fs(t_fs) - b.read_fs(t_fs)))
-    return worst

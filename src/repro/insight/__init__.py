@@ -31,7 +31,6 @@ _LAZY = {
     "flight_summary_markdown": "report",
     "generate_insight_report": "report",
     "scan_campaign_dir": "report",
-    "write_insight_report": "report",
     "CAUSE_BEACON": "timeline",
     "CAUSE_JOIN": "timeline",
     "reconstruct_timeline": "timeline",

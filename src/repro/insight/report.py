@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..experiments.asciiplot import render_series
 from ..experiments.harness import TimeSeries
-from ..ioutil import atomic_write_text
 from ..phy.specs import PHY_10G
 from ..telemetry import load_flight
 from ..telemetry.index import TraceIndex
@@ -436,26 +435,6 @@ def generate_insight_report(
             )
         )
     return "\n".join(lines).rstrip("\n") + "\n"
-
-
-def write_insight_report(
-    directory: str,
-    out_path: str,
-    increment: int = 1,
-    period_fs: int = PHY_10G.period_fs,
-    top_k: int = DEFAULT_TOP_K,
-    wallclock: bool = False,
-) -> str:
-    """Generate and atomically write the report; returns the text."""
-    text = generate_insight_report(
-        directory,
-        increment=increment,
-        period_fs=period_fs,
-        top_k=top_k,
-        wallclock=wallclock,
-    )
-    atomic_write_text(out_path, text)
-    return text
 
 
 def flight_summary_markdown(

@@ -139,9 +139,6 @@ class LinkGate:
         if self.manager is not None:
             self.manager.on_signal_restore(a, b)
 
-    def direction_dark(self, a: str, b: str) -> bool:
-        return (a, b) in self._dark
-
 
 def _dark_fiber(mtype, now) -> bool:
     """TX gate installed while a direction has loss of signal."""

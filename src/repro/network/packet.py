@@ -82,16 +82,6 @@ class Interface:
         #: Optional fluid background-load model (see network.virtualload):
         #: adds the wait a packet would spend behind unmodelled bulk bytes.
         self.virtual_load = None
-        #: 802.3x flow control: when enabled, crossing the high watermark
-        #: asks upstream ports to pause; draining below the low watermark
-        #: resumes them.  ``_paused`` is set by OUR peer pausing US.
-        self.flow_control = False
-        self.pause_high_bytes = 0
-        self.pause_low_bytes = 0
-        self._paused = False
-        self._pause_asserted = False
-        self.pauses_sent = 0
-        self.pauses_received = 0
 
     def connect(self, peer: "PacketNode") -> None:
         self._peer = peer
@@ -99,65 +89,16 @@ class Interface:
     def serialization_fs(self, packet: Packet) -> int:
         return round(packet.wire_bytes * 8 * units.SEC / self.rate_bps)
 
-    def enable_flow_control(
-        self, high_bytes: int = 256 * 1024, low_bytes: int = 64 * 1024
-    ) -> None:
-        """Turn on 802.3x PAUSE with the given watermarks."""
-        if low_bytes >= high_bytes:
-            raise ValueError("low watermark must sit below the high watermark")
-        self.flow_control = True
-        self.pause_high_bytes = high_bytes
-        self.pause_low_bytes = low_bytes
-
-    def set_paused(self, paused: bool) -> None:
-        """Peer-driven pause state (arrives like a PAUSE frame would)."""
-        if paused:
-            self.pauses_received += 1
-        was_paused = self._paused
-        self._paused = paused
-        if was_paused and not paused and not self._busy:
-            self._start_next()
-
-    def _update_pause_signalling(self) -> None:
-        """Ask upstream ports to stop/resume feeding this egress queue."""
-        if not self.flow_control:
-            return
-        if not self._pause_asserted and self.queue.bytes_queued >= self.pause_high_bytes:
-            self._pause_asserted = True
-            self._signal_upstream(True)
-        elif self._pause_asserted and self.queue.bytes_queued <= self.pause_low_bytes:
-            self._pause_asserted = False
-            self._signal_upstream(False)
-
-    def _signal_upstream(self, paused: bool) -> None:
-        self.pauses_sent += 1 if paused else 0
-        for iface in self.owner.interfaces.values():
-            if iface is self:
-                continue
-            peer = iface._peer
-            if peer is None:
-                continue
-            upstream = peer.interfaces.get(self.owner.name)
-            if upstream is None:
-                continue
-            # PAUSE frames cross the wire like any other frame.
-            self.sim.schedule(iface.delay_fs, upstream.set_paused, paused)
-
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet for transmission; False on tail drop."""
         if not self.queue.push(packet, packet.wire_bytes):
             return False
-        self._update_pause_signalling()
-        if not self._busy and not self._paused:
+        if not self._busy:
             self._start_next()
         return True
 
     def _start_next(self) -> None:
-        if self._paused:
-            self._busy = False
-            return
         popped = self.queue.pop()
-        self._update_pause_signalling()
         if popped is None:
             self._busy = False
             return

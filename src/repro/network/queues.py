@@ -29,10 +29,6 @@ class ByteFifo:
     def __len__(self) -> int:
         return len(self._queue)
 
-    @property
-    def bytes_queued(self) -> int:
-        return self._bytes
-
     def push(self, item: object, size_bytes: int) -> bool:
         """Enqueue; returns False (tail drop) when the queue is full."""
         if self._bytes + size_bytes > self.capacity_bytes:

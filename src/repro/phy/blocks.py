@@ -1,4 +1,4 @@
-"""64b/66b PCS block model (IEEE 802.3 Clause 49).
+"""64b/66b PCS block constants (IEEE 802.3 Clause 49).
 
 A 66-bit block is a 2-bit sync header followed by 64 payload bits:
 
@@ -11,21 +11,17 @@ at least twelve ``/I/`` (hence at least one full idle block) between any two
 Ethernet frames.  DTP hides its 56-bit protocol messages in exactly these
 eight 7-bit characters (paper Section 4.4) and restores them to zeros before
 the block reaches the MAC.
+
+The simulation moves each block as a 66-bit int, so this module holds only
+the Clause 49 constants that build and check that int.  The block object
+model (``Block66`` and its helpers) is test support in ``tests/wire/blocks.py``.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List, Tuple
 
 SYNC_DATA = 0b01
 SYNC_CONTROL = 0b10
 
 #: Block type of an all-control (idle) block in Clause 49.
 BLOCK_TYPE_IDLE = 0x1E
-
-#: The 7-bit idle control character /I/.
-IDLE_CHAR = 0x00
 
 #: Number of 7-bit control characters per idle block.
 CONTROL_CHARS_PER_BLOCK = 8
@@ -36,125 +32,10 @@ IDLE_PAYLOAD_BITS = 7 * CONTROL_CHARS_PER_BLOCK  # 56
 IDLE_PAYLOAD_MASK = (1 << IDLE_PAYLOAD_BITS) - 1
 
 #: A 66-bit idle /E/ block with zeroed control characters, as an int.
-#: ``IDLE_WIRE_BASE | bits56`` is the wire image of a DTP message — the
-#: hot-path equivalent of ``embed_bits_in_idle(bits56).to_int()``.
+#: ``IDLE_WIRE_BASE | bits56`` is the wire image of a DTP message.
 IDLE_WIRE_BASE = (SYNC_CONTROL << 64) | (BLOCK_TYPE_IDLE << 56)
 
 #: Mask selecting the sync header and block-type octet of a 66-bit int.
 #: A received block is a well-formed idle block iff
 #: ``wire_bits & IDLE_WIRE_HEADER_MASK == IDLE_WIRE_BASE``.
 IDLE_WIRE_HEADER_MASK = (0b11 << 64) | (0xFF << 56)
-
-
-class BlockError(ValueError):
-    """Raised on malformed 66-bit blocks."""
-
-
-@dataclass(frozen=True)
-class Block66:
-    """An undecoded 66-bit PCS block: 2-bit sync header + 64-bit payload."""
-
-    sync: int
-    payload: int
-
-    def __post_init__(self) -> None:
-        if self.sync not in (SYNC_DATA, SYNC_CONTROL):
-            raise BlockError(f"invalid sync header {self.sync:#04b}")
-        if not 0 <= self.payload < (1 << 64):
-            raise BlockError("payload must fit in 64 bits")
-
-    def to_int(self) -> int:
-        """Pack into a 66-bit integer, sync header in the two MSBs."""
-        return (self.sync << 64) | self.payload
-
-    @classmethod
-    def from_int(cls, value: int) -> "Block66":
-        if not 0 <= value < (1 << 66):
-            raise BlockError("value must fit in 66 bits")
-        return cls(sync=value >> 64, payload=value & ((1 << 64) - 1))
-
-    @property
-    def is_control(self) -> bool:
-        return self.sync == SYNC_CONTROL
-
-    @property
-    def is_data(self) -> bool:
-        return self.sync == SYNC_DATA
-
-    @property
-    def block_type(self) -> int:
-        """Block type field (first payload octet) of a control block."""
-        if not self.is_control:
-            raise BlockError("data blocks have no block type")
-        return (self.payload >> 56) & 0xFF
-
-    @property
-    def is_idle(self) -> bool:
-        """True for an all-control block (the only place DTP may write)."""
-        return self.is_control and self.block_type == BLOCK_TYPE_IDLE
-
-
-def data_block(octets: bytes) -> Block66:
-    """Build a /D/ block from exactly eight payload octets."""
-    if len(octets) != 8:
-        raise BlockError(f"a data block carries 8 octets, got {len(octets)}")
-    return Block66(sync=SYNC_DATA, payload=int.from_bytes(octets, "big"))
-
-
-def control_chars_to_payload(chars: List[int]) -> int:
-    """Pack eight 7-bit control characters behind an idle block type."""
-    if len(chars) != CONTROL_CHARS_PER_BLOCK:
-        raise BlockError(f"need {CONTROL_CHARS_PER_BLOCK} chars, got {len(chars)}")
-    packed = 0
-    for char in chars:
-        if not 0 <= char < (1 << 7):
-            raise BlockError(f"control char {char:#x} does not fit in 7 bits")
-        packed = (packed << 7) | char
-    return (BLOCK_TYPE_IDLE << 56) | packed
-
-
-def payload_to_control_chars(payload: int) -> Tuple[int, List[int]]:
-    """Split a control-block payload into (block_type, eight 7-bit chars)."""
-    block_type = (payload >> 56) & 0xFF
-    packed = payload & ((1 << 56) - 1)
-    chars = []
-    for shift in range(49, -1, -7):
-        chars.append((packed >> shift) & 0x7F)
-    return block_type, chars
-
-
-def idle_block() -> Block66:
-    """A standard-conforming all-idle /E/ block (eight /I/ characters)."""
-    return Block66(
-        sync=SYNC_CONTROL,
-        payload=control_chars_to_payload([IDLE_CHAR] * CONTROL_CHARS_PER_BLOCK),
-    )
-
-
-def embed_bits_in_idle(bits56: int) -> Block66:
-    """Embed a 56-bit value in the idle characters of an /E/ block.
-
-    This is how DTP transmits a message: the block still parses as an
-    all-control block (same block type), only the control characters differ.
-    """
-    if not 0 <= bits56 < (1 << IDLE_PAYLOAD_BITS):
-        raise BlockError("DTP message must fit in 56 bits")
-    return Block66(sync=SYNC_CONTROL, payload=(BLOCK_TYPE_IDLE << 56) | bits56)
-
-
-def extract_bits_from_idle(block: Block66) -> int:
-    """Recover the 56 idle-character bits from an /E/ block."""
-    if not block.is_idle:
-        raise BlockError("not an idle control block")
-    return block.payload & ((1 << IDLE_PAYLOAD_BITS) - 1)
-
-
-def restore_idle(block: Block66) -> Block66:
-    """Return the block with its idle characters zeroed (what the MAC sees).
-
-    Paper Section 4.2: after the RX DTP sublayer consumes a message it
-    rewrites the characters to /I/ so higher layers never observe DTP.
-    """
-    if not block.is_idle:
-        raise BlockError("not an idle control block")
-    return idle_block()

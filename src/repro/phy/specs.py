@@ -48,14 +48,6 @@ class PhySpec:
     def period_ns(self) -> float:
         return self.period_fs / units.NS
 
-    def ticks_for_duration(self, duration_fs: int) -> int:
-        """Nominal number of ticks covering ``duration_fs`` (ceiling)."""
-        return -(-duration_fs // self.period_fs)
-
-    def bytes_per_tick(self) -> float:
-        """Decoded payload bytes that cross the PHY per clock tick."""
-        return self.data_width_bits / 8.0
-
     def blocks_for_bytes(self, nbytes: int) -> int:
         """PCS blocks needed to carry ``nbytes`` of MAC-level data."""
         payload_bytes = self.block_payload_bits // 8
@@ -113,11 +105,3 @@ PHY_100G = PhySpec(
 SPECS: Dict[str, PhySpec] = {
     spec.name: spec for spec in (PHY_1G, PHY_10G, PHY_40G, PHY_100G)
 }
-
-
-def spec_for(name: str) -> PhySpec:
-    """Look up a :class:`PhySpec` by name ('1G', '10G', '40G', '100G')."""
-    try:
-        return SPECS[name]
-    except KeyError:
-        raise KeyError(f"unknown PHY spec {name!r}; known: {sorted(SPECS)}") from None

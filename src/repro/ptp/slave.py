@@ -72,8 +72,8 @@ class PtpSlave:
         self.servo = servo or PiServo()
         self.delay_filter = delay_filter or DelayFilter()
         self.records: List[OffsetRecord] = []
-        #: BMC support: a disabled slave ignores all PTP traffic, and the
-        #: master it follows may be retargeted after an election.
+        #: A disabled slave (a stopped boundary clock's) ignores all PTP
+        #: traffic.
         self.enabled = True
         self._context: Optional[SyncContext] = None
         self._pending_t3: Optional[float] = None
@@ -89,13 +89,6 @@ class PtpSlave:
     # ------------------------------------------------------------------
     # Sync path (master -> slave)
     # ------------------------------------------------------------------
-    def retarget(self, master_name: str) -> None:
-        """Follow a different master (after a BMC election)."""
-        self.master_name = master_name
-        self._context = None
-        self._pending_t3 = None
-        self._pending_req_seq = None
-
     def _on_sync(self, packet: Packet, first_fs: int, last_fs: int) -> None:
         if not self.enabled or packet.src != self.master_name:
             return

@@ -34,7 +34,6 @@ from .._lazy import lazy_exports
 
 _LAZY = {
     "build_plan": "partition",
-    "resolve_shards": "runner",
     "run_sharded_scenario": "runner",
 }
 __all__ = list(_LAZY)

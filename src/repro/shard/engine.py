@@ -283,14 +283,12 @@ class ShardSimulator(Simulator):
             self._queue,
             (time_fs, seq, fn, args, _UNCANCELLABLE, self._classify(fn, args)),
         )
-        self._pending += 1
 
     def adopt(self, time_fs: int, seq: int, fn: Callable[..., Any], *args: Any) -> Event:
         event = Event(time_fs, seq, fn, args)
         heapq.heappush(
             self._queue, (time_fs, seq, fn, args, event, self._classify(fn, args))
         )
-        self._pending += 1
         return event
 
     # ------------------------------------------------------------------
@@ -308,7 +306,6 @@ class ShardSimulator(Simulator):
                 self._min_la if unsafe else None,
             ),
         )
-        self._pending += 1
 
     def push_probe(self, time_fs: int, seq: int, fn: Callable[[], None]) -> None:
         """Schedule a merge probe (checker tick, sampler) under ``seq``:
@@ -318,7 +315,6 @@ class ShardSimulator(Simulator):
         for its first firing, the root ordinal the serial run's
         ``schedule_at`` would have taken (:meth:`take_root_key`)."""
         heapq.heappush(self._queue, (time_fs, seq, fn, (), _UNCANCELLABLE, None))
-        self._pending += 1
 
     def take_root_key(self) -> int:
         """Consume the next root-phase key."""

@@ -38,21 +38,6 @@ def _auto_shards(prepared: Prepared) -> int:
     return max(1, min(default_jobs(), len(atoms)))
 
 
-def resolve_shards(
-    spec: Dict[str, object], shards: Optional[int] = None
-) -> int:
-    """The shard count a scenario will actually run with.
-
-    ``None`` (the CLI default) resolves to the smaller of the machine's
-    usable CPU count (:func:`repro.experiments.parallel.default_jobs`, affinity
-    aware) and the scenario's cut-partition count — never more workers
-    than the topology can be cut into.  An explicit request is returned
-    as-is; :func:`~repro.shard.partition.build_plan` rejects it with a
-    clear error if it exceeds the partition count.
-    """
-    return shards if shards is not None else _auto_shards(prepare(spec))
-
-
 def drive_sharded(
     prepared: Prepared,
     seed: int,

@@ -96,7 +96,6 @@ class Simulator:
         self._now = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, Callable[..., Any], tuple, Event]] = []
-        self._pending = 0
         self._cancelled_in_queue = 0
         #: Optional dispatch profiler (``repro.telemetry.DispatchProfile``):
         #: any object with a ``count(fn)`` method.  ``None`` keeps the
@@ -111,11 +110,6 @@ class Simulator:
         """Current simulation time in femtoseconds."""
         return self._now
 
-    @property
-    def pending_events(self) -> int:
-        """Number of live (not cancelled) events still queued."""
-        return self._pending
-
     def schedule(self, delay_fs: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay_fs`` femtoseconds from now."""
         if delay_fs < 0:
@@ -125,7 +119,6 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time_fs, seq, fn, args)
         heapq.heappush(self._queue, (time_fs, seq, fn, args, event))
-        self._pending += 1
         return event
 
     def schedule_at(self, time_fs: int, fn: Callable[..., Any], *args: Any) -> Event:
@@ -138,7 +131,6 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time_fs, seq, fn, args)
         heapq.heappush(self._queue, (time_fs, seq, fn, args, event))
-        self._pending += 1
         return event
 
     def post_at(self, time_fs: int, fn: Callable[..., Any], *args: Any) -> None:
@@ -156,13 +148,11 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (time_fs, seq, fn, args, _UNCANCELLABLE))
-        self._pending += 1
 
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel a previously scheduled event (idempotent, ``None``-safe)."""
         if event is not None and not event.cancelled:
             event.cancelled = True
-            self._pending -= 1
             self._cancelled_in_queue += 1
             queue = self._queue
             if (
@@ -197,7 +187,6 @@ class Simulator:
             if event.cancelled:
                 self._cancelled_in_queue -= 1
                 continue
-            self._pending -= 1
             self._now = time_fs
             if profile is not None:
                 profile.count(fn)
@@ -234,7 +223,6 @@ class Simulator:
                 if entry[4].cancelled:
                     self._cancelled_in_queue -= 1
                     continue
-                self._pending -= 1
                 self._now = when
                 entry[2](*entry[3])
         else:
@@ -248,7 +236,6 @@ class Simulator:
                 if entry[4].cancelled:
                     self._cancelled_in_queue -= 1
                     continue
-                self._pending -= 1
                 self._now = when
                 count(entry[2])
                 entry[2](*entry[3])
@@ -298,7 +285,6 @@ class Simulator:
         """
         event = Event(time_fs, seq, fn, args)
         heapq.heappush(self._queue, (time_fs, seq, fn, args, event))
-        self._pending += 1
         return event
 
 

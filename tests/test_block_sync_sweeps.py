@@ -1,6 +1,5 @@
 """Tests for block synchronization and the parameter sweeps."""
 
-from repro.phy.blocks import idle_block
 from tests.wire.block_sync import (
     HI_BER_THRESHOLD,
     LOCK_THRESHOLD,
@@ -8,6 +7,7 @@ from tests.wire.block_sync import (
     blocks_to_bitstream,
     headers_from_bitstream,
 )
+from tests.wire.blocks import idle_block
 
 
 class TestBlockSync:

@@ -358,7 +358,7 @@ def test_each_checker_call_and_a_healing_completion_cost_one_signature(sim, fabr
     assert len(checker.checkable_pairs(False)) == PAIRS - 35
     # The release, then the tick after the one that saw the node back in bound.
     assert cost(lambda: checker.release([host], "drill")) == 2
-    assert checker.recovery_fs["drill"] and not checker.healing_nodes
+    assert checker.recovery_fs["drill"] and not checker._healing
     assert len(checker.checkable_pairs(False)) == PAIRS
     assert cost(lambda: checker.quarantine_edge(host, switch, "rejoin")) == 1
     assert len(checker.checkable_pairs(False)) == PAIRS - 35

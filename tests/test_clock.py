@@ -59,12 +59,6 @@ class TestTickClock:
         clock.adjust_to_max(10 * TICK, 1_000)
         assert clock.counter_at(11 * TICK) == 1_001
 
-    def test_time_after_ticks(self):
-        clock = make_clock()
-        t0 = 5 * TICK
-        t1 = clock.time_after_ticks(t0, 3)
-        assert clock.counter_at(t1) == clock.counter_at(t0) + 3
-
 
 class TestFreeRunningClock:
     def test_never_adjusts(self):

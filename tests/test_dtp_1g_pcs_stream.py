@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.phy.blocks import idle_block
+from tests.wire.blocks import idle_block
 from tests.wire.dtp_1g import (
     Dtp1GError,
     SETS_PER_MESSAGE,
@@ -90,10 +90,11 @@ class TestPcsStream:
             encode_frame(b"short")
 
     def test_data_block_outside_frame_rejected(self):
-        from repro.phy.blocks import data_block
+        from repro.phy.blocks import SYNC_DATA
+        from tests.wire.blocks import Block66
 
         with pytest.raises(PcsStreamError):
-            decode_blocks([data_block(b"12345678")])
+            decode_blocks([Block66(sync=SYNC_DATA, payload=int.from_bytes(b"12345678", "big"))])
 
     def test_multiplexed_stream(self):
         tx = PcsTransmitStream()
@@ -135,7 +136,7 @@ class TestPcsStream:
         tx.send_frame(frame)
         scrambler = Scrambler(state=99)
         descrambler = Scrambler(state=99)
-        from repro.phy.blocks import Block66
+        from tests.wire.blocks import Block66
 
         wire = [
             Block66(sync=b.sync, payload=scrambler.scramble_word(b.payload))

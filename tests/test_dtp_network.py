@@ -149,8 +149,8 @@ class TestBitErrors:
         sim.run_until(5 * units.MS)
         total_rejected = sum(
             p.stats.rejected_out_of_range
-            + p.stats.rejected_undecodable
-            + p.stats.lost_on_wire
+            + p.stats._rejected["undecodable"].value
+            + p.stats._lost_on_wire.value
             for p in net.ports.values()
         )
         assert total_rejected > 0

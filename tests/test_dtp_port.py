@@ -206,7 +206,7 @@ class TestFaultHandling:
             a.device.global_counter(sim.now) - b.device.global_counter(sim.now)
         )
         assert offset <= 4
-        assert b.stats.rejected_parity == 0
+        assert b.stats._rejected["parity"].value == 0
 
     def test_parity_rejects_lsb_corruption(self, sim, streams):
         config = DtpPortConfig(parity=True)
@@ -220,7 +220,7 @@ class TestFaultHandling:
         corrupted = good ^ 0b1  # flip an LSB: parity now wrong
         bits = m.encode(m.DtpMessage(m.MessageType.BEACON, corrupted))
         b._process(bits)
-        assert b.stats.rejected_parity == 1
+        assert b.stats._rejected["parity"].value == 1
 
     def test_undecodable_message_dropped(self, sim, streams):
         a, b = make_pair(sim, streams)
@@ -229,7 +229,7 @@ class TestFaultHandling:
         sim.run_until(500 * units.US)
         bits = (0b111 << 53) | 42  # invalid type code
         b._process(bits)
-        assert b.stats.rejected_undecodable == 1
+        assert b.stats._rejected["undecodable"].value == 1
 
 
 class TestLogChannel:
@@ -253,7 +253,7 @@ class TestStatsCells:
 
         a, b = make_pair(sim, streams)
         assert not a.stats._sent and not a.stats._received and not a.stats._rejected
-        assert a.stats.sent == {} and a.stats.rejected_parity == 0
+        assert a.stats.sent == {} and a.stats._rejected["parity"].value == 0
         a.link_up()
         b.link_up()
         sim.run_until(500 * units.US)

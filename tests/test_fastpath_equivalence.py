@@ -73,6 +73,7 @@ _SWEEP = settings(
     deadline=None, derandomize=True, database=None,
 )
 
+
 _TOPOLOGIES = st.sampled_from(
     [
         {"kind": "chain", "hosts": 2},
@@ -981,14 +982,14 @@ def test_demotion_takes_the_direction_out_of_the_heap_and_its_queue():
     assert queued >= 5
     mine = sum(entry[3] is ds for entry in fastpath._heap)
     others = len(fastpath._heap) - mine
-    pending = sim.pending_events
+    pending = len(sim._queue) - sim._cancelled_in_queue
     port.leave_fastpath()
     heap = fastpath._heap
     assert port not in fastpath._dirs and not ds.txq
     assert len(heap) == others and all(entry[3] is not ds for entry in heap)
     # Still a heap, and every pending event is now a real one.
     assert all(heap[(i - 1) // 2] < heap[i] for i in range(1, len(heap)))
-    assert sim.pending_events == pending + mine + queued
+    assert len(sim._queue) - sim._cancelled_in_queue == pending + mine + queued
     sim.run_until(1 * units.MS)
     assert port in fastpath._dirs and fastpath.promotions == 3
 

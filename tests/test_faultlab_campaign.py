@@ -32,6 +32,14 @@ def _spec(name="baseline", **overrides):
     return spec
 
 
+US = units.US
+
+
+def _fault(kind, **params):
+    """``_spec`` overrides holding one fault of ``kind``."""
+    return {"faults": [{"kind": kind, **params}]}
+
+
 # ----------------------------------------------------------------------
 # Spec validation
 # ----------------------------------------------------------------------
@@ -101,11 +109,40 @@ def test_scenario_spec_errors():
         ({"linkhealth": {"watchdog": 4}}, "bad linkhealth: .*watchdog"),
         ({"skew_ppm": {"n0": "fast"}}, r"skew_ppm\['n0'\] must be a number, got 'fast'"),
         ({"skew_ppm": {"n9": 20.0}}, "skew_ppm names 'n9', which is not in the topology"),
+        # Every fault that names a node or a link: before, each passed
+        # ``prepare`` and died mid-run on a bare KeyError.
+        (_fault("link-flap", a="zz", b="n1", down_every_fs=2 * US, down_for_fs=US),
+         "fault 0: a names 'zz', which is not in the topology"),
+        (_fault("link-flap", a="n0", b="n2", down_every_fs=2 * US, down_for_fs=US),
+         "fault 0: a-b 'n0'-'n2' is not a link"),
+        (_fault("ber-burst", a="n0", b="zz", start_fs=US, duration_fs=US, ber=1e-3),
+         "fault 0: b names 'zz', which is not in the topology"),
+        (_fault("partition", a="zz", b="n1", down_at_fs=US, up_at_fs=2 * US),
+         "fault 0: a names 'zz', which is not in the topology"),
+        (_fault("flap-storm", links=[["n0", "n1"], ["n0", "n2"]], down_for_fs=US, gap_fs=US),
+         r"fault 0: links\[1\] 'n0'-'n2' is not a link"),
+        (_fault("node-crash", node="zz", at_fs=US, restart_after_fs=US),
+         "fault 0: node names 'zz', which is not in the topology"),
+        (_fault("beacon-suppression", node="n0", peer="zz", start_fs=US, duration_fs=US),
+         "fault 0: peer names 'zz', which is not in the topology"),
+        (_fault("beacon-suppression", node="n0", peer="n2", start_fs=US, duration_fs=US),
+         "fault 0: node-peer 'n0'-'n2' is not a link"),
+        (_fault("two-faced", node="n1", victim="zz", lie_ticks=5),
+         "fault 0: victim names 'zz', which is not in the topology"),
+        (_fault("oscillator-glitch", node="zz", at_fs=US, duration_fs=US, glitch_ppm=50.0),
+         "fault 0: node names 'zz', which is not in the topology"),
+        (_fault("runaway", node="zz"),
+         "fault 0: node names 'zz', which is not in the topology"),
     ],
     ids=[
         "duration-str", "duration-none", "duration-float", "topology-list",
         "hosts-str", "faults-dict", "fault-int", "config-key", "linkhealth-key",
-        "skew-str", "skew-unknown-node",
+        "skew-str", "skew-unknown-node", "link-flap-unknown-node",
+        "link-flap-not-a-link", "ber-burst-unknown-node", "partition-unknown-node",
+        "flap-storm-not-a-link", "node-crash-unknown-node",
+        "beacon-suppression-unknown-peer", "beacon-suppression-not-a-link",
+        "two-faced-unknown-victim", "oscillator-glitch-unknown-node",
+        "runaway-unknown-node",
     ],
 )
 def test_bad_spec_values_are_named_campaign_errors(overrides, message):

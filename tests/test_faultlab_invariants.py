@@ -142,7 +142,7 @@ def test_partition_heal_records_recovery(sim, streams):
     assert checker.total_violations == 0
     assert "partition" in checker.recovery_fs
     assert len(checker.recovery_fs["partition"]) == 2  # both endpoints
-    assert checker.healing_nodes == []
+    assert not checker._healing
     assert len(checker.reconnect_recoveries) >= 1
 
 

@@ -1,16 +1,9 @@
 """The insight run report: campaign scan, determinism, campaign wiring."""
 
-import os
-
 from repro.cli import main as repro_main
 from repro.faultlab import builtin_specs, run_campaign
-from repro.insight import (
-    generate_insight_report,
-    scan_campaign_dir,
-    write_insight_report,
-)
+from repro.insight import generate_insight_report, scan_campaign_dir
 from repro.insight.report import _metrics_section
-from repro.telemetry.export import file_sha256
 
 SCENARIOS = ["baseline", "two-faced"]
 
@@ -70,12 +63,8 @@ def test_report_sections(tmp_path, capsys):
 def test_report_byte_identical_serial_vs_jobs(tmp_path):
     _run_campaign(tmp_path / "serial", jobs=1)
     _run_campaign(tmp_path / "par", jobs=2)
-    out_a = tmp_path / "serial.md"
-    out_b = tmp_path / "par.md"
-    write_insight_report(str(tmp_path / "serial"), str(out_a))
-    write_insight_report(str(tmp_path / "par"), str(out_b))
-    assert file_sha256(str(out_a)) == file_sha256(str(out_b))
-    assert out_a.read_bytes() == out_b.read_bytes()
+    serial = generate_insight_report(str(tmp_path / "serial"))
+    assert generate_insight_report(str(tmp_path / "par")) == serial
 
 
 def test_campaign_attaches_insight_summary(tmp_path):

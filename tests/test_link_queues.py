@@ -58,9 +58,9 @@ class TestByteFifo:
     def test_bytes_accounting(self):
         fifo = ByteFifo(1000)
         fifo.push("a", 300)
-        assert fifo.bytes_queued == 300
+        assert fifo._bytes == 300
         fifo.pop()
-        assert fifo.bytes_queued == 0
+        assert fifo._bytes == 0
 
     def test_peak_tracking(self):
         fifo = ByteFifo(1000)

@@ -366,13 +366,13 @@ class TestLinkGate:
         network = self.net(sim, streams)
         gate = network.gate
         gate.signal_loss("n0", "n1")
-        assert gate.direction_dark("n0", "n1")
-        assert not gate.direction_dark("n1", "n0")
+        assert ("n0", "n1") in gate._dark
+        assert ("n1", "n0") not in gate._dark
         # Port state untouched: the dark TX is invisible to the sender.
         assert network.ports[("n0", "n1")].state is not PortState.DOWN
         assert network.ports[("n0", "n1")].tx_allow("beacon", sim.now) is False
         gate.signal_restore("n0", "n1")
-        assert not gate.direction_dark("n0", "n1")
+        assert ("n0", "n1") not in gate._dark
 
     def test_signal_restore_preserves_prior_tx_gate(self, sim, streams):
         network = self.net(sim, streams)

@@ -1,14 +1,33 @@
-"""Every ``src/repro`` module is reachable from the ``repro`` command, or named.
+"""Every ``src/repro`` module and public definition has a caller, or is named.
 
-The static import graph counts module- and function-level imports
+Modules: the static import graph counts module- and function-level imports
 (relative ones resolved), the submodules a package's ``_LAZY`` table
 names, and the ``"module:function"`` targets of ``repro.cli``'s
 ``COMMANDS`` and ``EXPERIMENTS``.  A module nothing in the command's
 closure reaches must say who calls it in :data:`EXTERNAL_CALLERS`, or it
 belongs in ``tests/`` (as the wire model does) or nowhere.
+
+Names: every public module-level function and class, and every public
+method of such a class, needs a word reference in ``src/repro``,
+``examples/`` or ``e2e_bench/`` that is not a ``def`` / ``class`` of that
+name and not a package ``__init__``'s ``_LAZY`` / ``__all__`` re-export.
+Otherwise :data:`NO_CALLER_REASONS` names it with one of three reasons.
+A test calling it is not one.  The scan reads words, not bindings, so:
+
+* it passes a dead name that shares its word with a live one (two classes'
+  ``render``), or that only a comment or docstring mentions;
+* it counts a name reached through a registry or ``getattr`` dispatch
+  when the key is a literal, since the string is a word too
+  (``cli.COMMANDS``'s ``"module:function"`` targets, which
+  ``cli.main`` resolves with ``getattr``);
+* it would flag a name reached only through a *computed* string
+  (``getattr(obj, "on_" + kind)``).  None exists today; such a name
+  needs a literal reference.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 from repro import cli
@@ -21,14 +40,34 @@ EXTERNAL_CALLERS = {
     "repro.apps": "examples/owd_measurement.py",
     "repro.apps.owd": "examples/owd_measurement.py",
     "repro.apps.tdma": "examples/tdma_scheduling.py",
-    "repro.ptp.bmc": (
-        "test-only: the IEEE 1588 best-master election the PTP baseline"
-        " assumes settled (tests/test_ptp_bmc_boundary.py)"
-    ),
-    "repro.scenarios": (
-        "test-only: one-line named setups the tests build"
-        " (tests/test_scenarios_cli.py, tests/test_run_options.py)"
-    ),
+}
+
+#: The directories whose words count as callers of a ``src/repro`` name.
+CALLER_DIRS = ("src/repro", "examples", "e2e_bench")
+
+_SPEC = (
+    "executable spec: PAPER.md §3.3's bound formulas, which"
+    " tests/test_dtp_analysis.py and tests/test_dtp_faults.py hold the"
+    " simulation to"
+)
+_KEPT = (
+    "kept: the daemon's rate estimate, which tests/test_dtp_daemon.py reads"
+    " (ROADMAP item 8 keeps it)"
+)
+#: The only reasons a public definition may go without a caller.  A
+#: reference implementation is named with the test that compares against it.
+ALLOWED_REASONS = (_SPEC, _KEPT, "reference implementation: ")
+
+#: ``"module:qualname" -> reason`` for public definitions with no caller.
+NO_CALLER_REASONS = {
+    "repro.dtp.analysis:direct_bound_ns": _SPEC,
+    "repro.dtp.analysis:network_bound_ns": _SPEC,
+    "repro.dtp.analysis:end_to_end_bound_ns": _SPEC,
+    "repro.dtp.analysis:safe_beacon_interval_ticks": _SPEC,
+    "repro.dtp.analysis:OwdErrorAnalysis.never_overestimates": _SPEC,
+    "repro.dtp.analysis:runaway_skews": _SPEC,
+    "repro.dtp.analysis:expected_partition_divergence_ticks": _SPEC,
+    "repro.dtp.daemon:DtpDaemon.estimated_frequency_ratio": _KEPT,
 }
 
 
@@ -125,3 +164,81 @@ def test_every_named_module_has_that_caller_only():
             script = SRC.parent / caller
             imported = _imports("__main__", script, False, modules)
             assert module in _closure(graph, imported), (module, caller)
+
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions():
+    """``{"module:qualname": (path, line)}`` for every name the guard covers."""
+    found = {}
+    for name, (path, _) in _modules().items():
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, _DEFS):
+                continue
+            if not node.name.startswith("_"):
+                found[f"{name}:{node.name}"] = (path, node.lineno)
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, _DEFS[:2]) and not method.name.startswith("_"):
+                        key = f"{name}:{node.name}.{method.name}"
+                        found[key] = (path, method.lineno)
+    return found
+
+
+def _caller_text(path):
+    """The file's text, less a package ``__init__``'s re-export tables."""
+    text = path.read_text()
+    if path.name != "__init__.py":
+        return text
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id in ("_LAZY", "__all__") for t in targets):
+            lines[node.lineno - 1 : node.end_lineno] = [""] * (
+                node.end_lineno - node.lineno + 1
+            )
+    return "\n".join(lines)
+
+
+def _references():
+    """Word counts over :data:`CALLER_DIRS`, less one per ``def`` / ``class``
+    (hidden directories, such as a benchmark's scratch copies, are skipped)."""
+    words, defined = Counter(), Counter()
+    for directory in CALLER_DIRS:
+        for path in sorted((SRC.parent / directory).rglob("*.py")):
+            if any(part.startswith(".") for part in path.relative_to(SRC.parent).parts):
+                continue
+            text = _caller_text(path)
+            words.update(_WORD.findall(text))
+            defined.update(
+                node.name for node in ast.walk(ast.parse(text)) if isinstance(node, _DEFS)
+            )
+    words.subtract(defined)
+    return words
+
+
+def _callerless():
+    references = _references()
+    return {
+        key: where
+        for key, where in _public_definitions().items()
+        if references[key.partition(":")[2].rpartition(".")[2]] <= 0
+    }
+
+
+def test_every_public_name_has_a_caller_or_a_reason():
+    unexplained = sorted(
+        f"{path.relative_to(SRC.parent)}:{line} {key}"
+        for key, (path, line) in _callerless().items()
+        if key not in NO_CALLER_REASONS
+    )
+    assert unexplained == []
+
+
+def test_every_reason_is_allowed_and_still_needed():
+    callerless = _callerless()
+    for key, reason in NO_CALLER_REASONS.items():
+        assert reason.startswith(ALLOWED_REASONS), key
+        assert key in callerless, f"{key} has a caller now (or is gone): drop its entry"

@@ -1,7 +1,5 @@
 """Tests for the bound monitor and packet-network conservation laws."""
 
-import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,24 +127,3 @@ class TestPacketConservation:
             for iface in node.interfaces.values()
         )
         assert delivered[0] + dropped == total
-
-
-class TestResetLink:
-    def test_reset_clears_window_and_alarm(self, sim, streams):
-        net = DtpNetwork(sim, chain(2), streams)
-        net.start()
-        sim.run_until(units.MS)
-        monitor = BoundMonitor(net, [("n0", "n1")], violations_to_alarm=1)
-        monitor._windows["n0-n1"].append(True)
-        monitor.alarmed_links.add("n0-n1")
-        assert not monitor.healthy
-        monitor.reset_link("n0", "n1")
-        assert monitor.healthy
-        assert len(monitor._windows["n0-n1"]) == 0
-
-    def test_reset_unknown_link_raises(self, sim, streams):
-        net = DtpNetwork(sim, chain(2), streams)
-        net.start()
-        monitor = BoundMonitor(net, [("n0", "n1")])
-        with pytest.raises(KeyError):
-            monitor.reset_link("n1", "n0")

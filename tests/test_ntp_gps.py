@@ -4,7 +4,7 @@ import pytest
 
 from repro.clocks.clock import AdjustableFrequencyClock
 from repro.clocks.oscillator import ConstantSkew, Oscillator
-from repro.gps.receiver import GpsReceiver, pairwise_precision_fs
+from repro.gps.receiver import GpsReceiver
 from repro.network.packet import PacketNetwork
 from repro.network.topology import star
 from repro.ntp.protocol import NtpClient, NtpServer, StackJitterModel
@@ -104,15 +104,8 @@ class TestNtp:
 class TestGps:
     def test_single_receiver_error_bounded(self, streams):
         gps = GpsReceiver(streams.stream("g"))
-        errors = [abs(gps.error_fs(t)) for t in range(0, 10**6, 10**4)]
+        errors = [abs(gps.read_fs(t) - t) for t in range(0, 10**6, 10**4)]
         assert max(errors) <= gps.max_error_fs
-
-    def test_pairwise_precision_ns_scale(self, streams):
-        a = GpsReceiver(streams.stream("a"))
-        b = GpsReceiver(streams.stream("b"))
-        worst = pairwise_precision_fs(a, b, 0, reads=200)
-        # Paper: GPS gives ~100 ns precision in practice.
-        assert worst < 400 * units.NS
 
     def test_bias_shifts_reads(self, streams):
         gps = GpsReceiver(streams.stream("g2"), bias_fs=50 * units.NS, sigma_fs=0)

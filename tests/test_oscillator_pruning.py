@@ -1,5 +1,5 @@
-"""Tests for the oscillator's segment-pruning window and the O(log)
-``time_after_ticks`` rewrite.
+"""Tests for the oscillator's segment-pruning window and its O(log)
+``time_of_tick(ticks_at(t) + k)`` step over ``k`` edges.
 
 Pruning bounds the segment list's memory on long runs; cumulative tick
 counts are carried in each segment, so every *forward* query must return
@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clocks.clock import TickClock
 from repro.clocks.oscillator import ConstantSkew, Oscillator, RandomWalkSkew
 from repro.sim import units
 
@@ -72,24 +71,24 @@ class TestTimeAfterTicks:
     @settings(max_examples=80, deadline=None)
     @given(
         t=st.integers(min_value=0, max_value=5 * units.MS),
-        ticks=st.integers(min_value=-2, max_value=400),
+        ticks=st.integers(min_value=1, max_value=400),
         ppm=st.floats(min_value=-100.0, max_value=100.0),
     )
     def test_matches_iterated_next_edge(self, t, ticks, ppm):
         # The O(log segments) closed form must agree with the definition:
         # iterating next_edge_after `ticks` times.
-        clock = TickClock(Oscillator(TICK, ConstantSkew(ppm)))
-        fast = clock.time_after_ticks(t, ticks)
+        osc = Oscillator(TICK, ConstantSkew(ppm))
+        fast = osc.time_of_tick(osc.ticks_at(t) + ticks)
         reference = t
-        for _ in range(max(0, ticks)):
-            reference = clock.oscillator.next_edge_after(reference)
+        for _ in range(ticks):
+            reference = osc.next_edge_after(reference)
         assert fast == reference
 
     def test_crosses_segment_boundaries(self):
-        clock = TickClock(Oscillator(TICK, RandomWalkSkew(0.0, seed=7)))
+        osc = Oscillator(TICK, RandomWalkSkew(0.0, seed=7))
         # One update interval is 1 ms => ~156k ticks; stepping 400k ticks
         # spans several segments with different periods.
-        t = clock.time_after_ticks(123, 400_000)
-        assert clock.oscillator.ticks_at(t) == clock.oscillator.ticks_at(123) + 400_000
+        t = osc.time_of_tick(osc.ticks_at(123) + 400_000)
+        assert osc.ticks_at(t) == osc.ticks_at(123) + 400_000
         # An edge time: the previous femtosecond holds one fewer tick.
-        assert clock.oscillator.ticks_at(t - 1) == clock.oscillator.ticks_at(t) - 1
+        assert osc.ticks_at(t - 1) == osc.ticks_at(t) - 1

@@ -1,16 +1,12 @@
-"""Unit tests for overhead accounting, SyncE, and ASCII rendering."""
+"""Unit tests for Table 1's overhead accounting, SyncE, and ASCII rendering."""
 
 import pytest
 
 from repro.dtp.network import DtpNetwork
 from repro.experiments.asciiplot import render_series
 from repro.experiments.harness import TimeSeries
-from repro.experiments.overhead import (
-    dtp_overhead,
-    expected_dtp_message_rate,
-    packet_overhead,
-    verify_zero_packet_overhead,
-)
+from repro.experiments.table1 import _measure_dtp, _packets_sent
+from repro.experiments.table2 import expected_dtp_message_rate
 from repro.network.packet import PacketNetwork
 from repro.network.topology import chain, star
 from repro.phy.specs import PHY_10G
@@ -18,46 +14,27 @@ from repro.sim import units
 
 
 class TestOverhead:
-    def test_dtp_zero_packets(self, sim, streams):
-        net = DtpNetwork(sim, chain(2), streams)
-        net.start()
-        sim.run_until(2 * units.MS)
-        report = dtp_overhead(net, 2 * units.MS)
-        assert report.packets_per_s == 0.0
-        assert report.bytes_per_s == 0.0
-        assert report.messages_per_link_per_s > 100_000  # "hundreds of thousands"
+    def test_dtp_zero_packets(self):
+        _, packets, messages_per_link_per_s = _measure_dtp(1, 2 * units.MS)
+        assert packets == 0
+        assert messages_per_link_per_s > 100_000  # "hundreds of thousands"
 
     def test_expected_message_rate_matches_paper(self):
         """200-tick beacons = 781,250 messages/s per direction."""
         rate = expected_dtp_message_rate(200, PHY_10G.period_fs)
         assert rate == pytest.approx(781_250, rel=1e-6)
 
-    def test_measured_rate_close_to_expected(self, sim, streams):
-        net = DtpNetwork(sim, chain(2), streams)
-        net.start()
-        sim.run_until(4 * units.MS)
-        report = dtp_overhead(net, 4 * units.MS)
+    def test_measured_rate_close_to_expected(self):
+        _, _, messages_per_link_per_s = _measure_dtp(1, 4 * units.MS)
         expected = 2 * expected_dtp_message_rate(200, PHY_10G.period_fs)
-        assert report.messages_per_link_per_s == pytest.approx(expected, rel=0.1)
-
-    def test_verify_zero_packet_summary(self, sim, streams):
-        net = DtpNetwork(sim, chain(2), streams)
-        net.start()
-        sim.run_until(units.MS)
-        totals = verify_zero_packet_overhead(net)
-        assert totals["ethernet_packets"] == 0
-        assert totals["BEACON"] > 0
-        assert totals["INIT"] >= 2
+        assert messages_per_link_per_s == pytest.approx(expected, rel=0.1)
 
     def test_packet_overhead_counts_wire_traffic(self, sim, streams):
         net = PacketNetwork(sim, star(2))
         for _ in range(10):
             net.send("h0", "h1", 100, "ptp_sync")
         sim.run()
-        report = packet_overhead("PTP", net, units.SEC, "ptp")
-        assert report.packets_per_s >= 10
-        assert report.bytes_per_s > 0
-        assert "PTP" in report.render()
+        assert _packets_sent(net) == 20  # h0 -> switch -> h1: two hops each
 
 
 class TestSyncE:

@@ -7,27 +7,27 @@ from hypothesis import strategies as st
 from repro.phy.blocks import (
     BLOCK_TYPE_IDLE,
     CONTROL_CHARS_PER_BLOCK,
-    IDLE_CHAR,
     IDLE_PAYLOAD_BITS,
-    Block66,
-    BlockError,
     SYNC_CONTROL,
     SYNC_DATA,
+)
+from tests.wire.blocks import (
+    IDLE_CHAR,
+    Block66,
+    BlockError,
     control_chars_to_payload,
-    data_block,
     embed_bits_in_idle,
     extract_bits_from_idle,
     idle_block,
-    payload_to_control_chars,
-    restore_idle,
 )
 
 
-class TestBlock66:
-    def test_roundtrip_int(self):
-        block = Block66(sync=SYNC_DATA, payload=0x1122334455667788)
-        assert Block66.from_int(block.to_int()) == block
+def control_chars(payload):
+    """The eight 7-bit characters of a control-block payload, in wire order."""
+    return [(payload >> shift) & 0x7F for shift in range(49, -1, -7)]
 
+
+class TestBlock66:
     def test_sync_header_in_msbs(self):
         block = Block66(sync=SYNC_CONTROL, payload=0)
         assert block.to_int() >> 64 == SYNC_CONTROL
@@ -42,22 +42,9 @@ class TestBlock66:
         with pytest.raises(BlockError):
             Block66(sync=SYNC_DATA, payload=1 << 64)
 
-    def test_from_int_width_enforced(self):
-        with pytest.raises(BlockError):
-            Block66.from_int(1 << 66)
-
-    def test_data_block_from_octets(self):
-        block = data_block(b"\x01\x02\x03\x04\x05\x06\x07\x08")
-        assert block.is_data
-        assert block.payload == 0x0102030405060708
-
-    def test_data_block_requires_eight_octets(self):
-        with pytest.raises(BlockError):
-            data_block(b"\x01\x02")
-
     def test_data_block_has_no_block_type(self):
         with pytest.raises(BlockError):
-            _ = data_block(b"\x00" * 8).block_type
+            _ = Block66(sync=SYNC_DATA, payload=0).block_type
 
 
 class TestIdleBlocks:
@@ -68,15 +55,13 @@ class TestIdleBlocks:
         assert block.block_type == BLOCK_TYPE_IDLE
 
     def test_idle_block_chars_all_idle(self):
-        _, chars = payload_to_control_chars(idle_block().payload)
-        assert chars == [IDLE_CHAR] * CONTROL_CHARS_PER_BLOCK
+        assert control_chars(idle_block().payload) == [IDLE_CHAR] * CONTROL_CHARS_PER_BLOCK
 
     def test_control_chars_roundtrip(self):
         chars = [1, 2, 3, 4, 5, 6, 7, 8]
         payload = control_chars_to_payload(chars)
-        block_type, decoded = payload_to_control_chars(payload)
-        assert block_type == BLOCK_TYPE_IDLE
-        assert decoded == chars
+        assert payload >> 56 == BLOCK_TYPE_IDLE
+        assert control_chars(payload) == chars
 
     def test_control_chars_width_enforced(self):
         with pytest.raises(BlockError):
@@ -102,15 +87,9 @@ class TestDtpEmbedding:
         with pytest.raises(BlockError):
             embed_bits_in_idle(1 << IDLE_PAYLOAD_BITS)
 
-    def test_restore_idle_zeroes_characters(self):
-        block = embed_bits_in_idle(0xDEADBEEF)
-        restored = restore_idle(block)
-        assert restored == idle_block()
-        assert extract_bits_from_idle(restored) == 0
-
     def test_extract_from_data_block_rejected(self):
         with pytest.raises(BlockError):
-            extract_bits_from_idle(data_block(b"\x00" * 8))
+            extract_bits_from_idle(Block66(sync=SYNC_DATA, payload=0))
 
 
 @given(bits=st.integers(min_value=0, max_value=(1 << 56) - 1))
@@ -122,5 +101,4 @@ def test_property_embed_extract_identity(bits):
 @given(chars=st.lists(st.integers(min_value=0, max_value=127), min_size=8, max_size=8))
 @settings(max_examples=100, deadline=None)
 def test_property_control_chars_roundtrip(chars):
-    _, decoded = payload_to_control_chars(control_chars_to_payload(chars))
-    assert decoded == chars
+    assert control_chars(control_chars_to_payload(chars)) == chars

@@ -9,7 +9,6 @@ from repro.phy.specs import (
     PHY_40G,
     PHY_100G,
     SPECS,
-    spec_for,
 )
 from repro.sim import units
 
@@ -44,9 +43,9 @@ def test_frequencies_match_periods():
 
 
 def test_spec_lookup():
-    assert spec_for("10G") is PHY_10G
+    assert SPECS["10G"] is PHY_10G
     with pytest.raises(KeyError):
-        spec_for("25G")
+        SPECS["25G"]
 
 
 def test_blocks_for_bytes_10g():
@@ -57,14 +56,3 @@ def test_blocks_for_bytes_10g():
 def test_blocks_for_bytes_1g():
     # 8b/10b carries one byte per block.
     assert PHY_1G.blocks_for_bytes(100) == 100
-
-
-def test_ticks_for_duration_ceils():
-    assert PHY_10G.ticks_for_duration(1) == 1
-    assert PHY_10G.ticks_for_duration(PHY_10G.period_fs) == 1
-    assert PHY_10G.ticks_for_duration(PHY_10G.period_fs + 1) == 2
-
-
-def test_bytes_per_tick():
-    assert PHY_10G.bytes_per_tick() == pytest.approx(4.0)
-    assert PHY_100G.bytes_per_tick() == pytest.approx(8.0)

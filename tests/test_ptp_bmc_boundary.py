@@ -1,12 +1,10 @@
-"""Unit tests for the PTP best-master-clock algorithm and boundary clocks."""
-
+"""Unit tests for PTP boundary clocks."""
 
 from repro.clocks.clock import AdjustableFrequencyClock
 from repro.clocks.oscillator import ConstantSkew, Oscillator
 from repro.network.packet import PacketNetwork
 from repro.network.topology import star
 from repro.phy.specs import PHY_10G
-from repro.ptp.bmc import ClockQuality, OrdinaryClock
 from repro.ptp.boundary import BoundaryClock
 from repro.ptp.master import PtpMaster
 from repro.ptp.slave import PtpSlave
@@ -17,84 +15,6 @@ def make_clock(ppm: float) -> AdjustableFrequencyClock:
     return AdjustableFrequencyClock(
         Oscillator(PHY_10G.period_fs, ConstantSkew(ppm))
     )
-
-
-def build_bmc(sim, streams, qualities):
-    network = PacketNetwork(sim, star(len(qualities)))
-    hosts = [f"h{i}" for i in range(len(qualities))]
-    clocks = {h: make_clock(3.0 * i - 3) for i, h in enumerate(hosts)}
-    nodes = {}
-    for host, quality in zip(hosts, qualities):
-        nodes[host] = OrdinaryClock(
-            sim, network, host, quality, hosts, clocks[host],
-            streams.stream(host), sync_interval_fs=units.SEC,
-        )
-    for node in nodes.values():
-        node.start()
-    return nodes, clocks
-
-
-class TestClockQuality:
-    def test_ordering_by_priority1_first(self):
-        good = ClockQuality(priority1=1, identity="a")
-        bad = ClockQuality(priority1=2, clock_class=0, identity="b")
-        assert good.as_tuple() < bad.as_tuple()
-
-    def test_identity_breaks_ties(self):
-        a = ClockQuality(identity="a")
-        b = ClockQuality(identity="b")
-        assert a.as_tuple() < b.as_tuple()
-
-
-class TestElection:
-    def test_best_quality_wins(self, sim, streams):
-        nodes, _ = build_bmc(
-            sim, streams,
-            [ClockQuality(priority1=50, identity="h0"),
-             ClockQuality(priority1=10, identity="h1"),
-             ClockQuality(priority1=99, identity="h2")],
-        )
-        sim.run_until(20 * units.SEC)
-        assert nodes["h1"].role == OrdinaryClock.ROLE_MASTER
-        assert nodes["h0"].role == OrdinaryClock.ROLE_SLAVE
-        assert nodes["h0"].current_master == "h1"
-
-    def test_slaves_synchronize_to_elected_master(self, sim, streams):
-        nodes, clocks = build_bmc(
-            sim, streams,
-            [ClockQuality(priority1=10, identity="h0"),
-             ClockQuality(priority1=20, identity="h1"),
-             ClockQuality(priority1=30, identity="h2")],
-        )
-        sim.run_until(120 * units.SEC)
-        offset = abs(
-            clocks["h2"].time_at(sim.now) - clocks["h0"].time_at(sim.now)
-        )
-        assert offset < 2 * units.US
-
-    def test_failover_to_next_best(self, sim, streams):
-        nodes, _ = build_bmc(
-            sim, streams,
-            [ClockQuality(priority1=10, identity="h0"),
-             ClockQuality(priority1=20, identity="h1"),
-             ClockQuality(priority1=30, identity="h2")],
-        )
-        sim.run_until(20 * units.SEC)
-        assert nodes["h0"].role == OrdinaryClock.ROLE_MASTER
-        nodes["h0"].stop()  # grandmaster dies
-        sim.run_until(60 * units.SEC)
-        assert nodes["h1"].role == OrdinaryClock.ROLE_MASTER
-        assert nodes["h2"].current_master == "h1"
-
-    def test_elections_counted(self, sim, streams):
-        nodes, _ = build_bmc(
-            sim, streams,
-            [ClockQuality(priority1=10, identity="h0"),
-             ClockQuality(priority1=20, identity="h1")],
-        )
-        sim.run_until(20 * units.SEC)
-        assert nodes["h0"].elections >= 1
-        assert nodes["h1"].elections >= 1
 
 
 class TestBoundaryClock:

@@ -174,10 +174,12 @@ def test_batched_is_the_default_and_scalar_the_explicit_oracle(
     entry points pass ``None`` through to the network."""
     import inspect
 
-    from repro import scenarios
     from repro.dtp import network
     from repro.dtp.network import DtpNetwork
     from repro.experiments.fig6_dtp import run_fig6_dtp
+    from repro.network.topology import chain
+    from repro.sim.engine import Simulator
+    from repro.sim.randomness import RandomStreams
 
     assert network.BACKENDS == ("scalar", "batched")
     assert RunOptions().backend == network.DEFAULT_BACKEND == "batched"
@@ -188,12 +190,10 @@ def test_batched_is_the_default_and_scalar_the_explicit_oracle(
     assert faultlab_main(["--quick", "baseline", "--backend", "scalar"]) == 0
     assert capsys.readouterr().out == default_out
     assert [o.backend for o in seen_by_driver] == ["batched", "scalar"]
-    for entry in (DtpNetwork.__init__, run_fig6_dtp, scenarios.build):
+    for entry in (DtpNetwork.__init__, run_fig6_dtp):
         assert inspect.signature(entry).parameters["backend"].default is None
-    assert scenarios.build("rack").dtp.backend == "batched"
-    assert scenarios.build("rack", backend="scalar").dtp.backend == "scalar"
-    monkeypatch.setattr(network, "DEFAULT_BACKEND", "scalar")  # read at call time
-    assert scenarios.build("rack").dtp.backend == "scalar"
+    monkeypatch.setattr(network, "DEFAULT_BACKEND", "scalar")  # read at build time
+    assert DtpNetwork(Simulator(), chain(2), RandomStreams(0)).backend == "scalar"
 
 
 def test_unknown_backend_lists_the_registered_ones():

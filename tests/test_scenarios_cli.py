@@ -1,4 +1,4 @@
-"""Tests for the scenario registry, CLI dispatch, and GPS-anchored UTC."""
+"""Tests for CLI dispatch and GPS-anchored UTC."""
 
 import pytest
 
@@ -11,39 +11,7 @@ from repro.dtp.port import DtpPortConfig
 from repro.experiments import cli
 from repro.gps.receiver import GpsReceiver
 from repro.network.topology import chain
-from repro.scenarios import SCENARIOS, build
 from repro.sim import units
-
-
-class TestScenarios:
-    def test_registry_names(self):
-        assert "paper-testbed-loaded" in SCENARIOS
-        assert "worst-case-pair" in SCENARIOS
-
-    def test_unknown_scenario_raises(self):
-        with pytest.raises(KeyError):
-            build("does-not-exist")
-
-    def test_worst_case_pair_holds_bound(self):
-        scenario = build("worst-case-pair", seed=3)
-        worst = scenario.run_and_measure(3 * units.MS)
-        assert worst <= scenario.offset_bound_ticks
-
-    def test_paper_testbed_loaded_holds_bound(self):
-        scenario = build("paper-testbed-loaded", seed=3)
-        worst = scenario.run_and_measure(2 * units.MS)
-        assert worst <= scenario.offset_bound_ticks
-
-    def test_rack_scenario(self):
-        scenario = build("rack", seed=5)
-        worst = scenario.run_and_measure(2 * units.MS)
-        assert worst <= scenario.offset_bound_ticks
-        assert scenario.dtp.all_synchronized()
-
-    def test_seeds_are_reproducible(self):
-        a = build("worst-case-pair", seed=11).run_and_measure(2 * units.MS)
-        b = build("worst-case-pair", seed=11).run_and_measure(2 * units.MS)
-        assert a == b
 
 
 class TestCli:

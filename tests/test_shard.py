@@ -35,7 +35,7 @@ from repro.faultlab.scenarios import (
     builtin_specs,
 )
 from repro.network.topology import chain
-from repro.shard import build_plan, resolve_shards, run_sharded_scenario
+from repro.shard import build_plan, run_sharded_scenario
 from repro.shard.partition import _atoms
 from repro.shard import coordinator as coordinator_module
 from repro.shard import transport as transport_module
@@ -259,12 +259,11 @@ class TestPartitioner:
     def test_resolve_shards_defaults_to_jobs_capped_by_atoms(self, monkeypatch):
         import repro.shard.runner as runner
 
-        spec = builtin_specs(["baseline"], quick=True)[0]  # 4 atoms
+        prepared = prepare(builtin_specs(["baseline"], quick=True)[0])  # 4 atoms
         monkeypatch.setattr(runner, "default_jobs", lambda: 2)
-        assert resolve_shards(spec) == 2
+        assert runner._auto_shards(prepared) == 2
         monkeypatch.setattr(runner, "default_jobs", lambda: 64)
-        assert resolve_shards(spec) == 4
-        assert resolve_shards(spec, shards=3) == 3  # explicit passthrough
+        assert runner._auto_shards(prepared) == 4
 
 
 # ----------------------------------------------------------------------
@@ -397,12 +396,6 @@ class TestFeatureGates:
                 run_sharded_scenario(self.spec(), shards=shards, transport="inline")
             with pytest.raises(CampaignError, match=repr(shards)):
                 build_plan(chain(4), [], shards, default_margin_fs())
-
-    def test_live_handle_builder_rejects_sharded(self):
-        from repro.scenarios import build
-
-        with pytest.raises(ValueError, match="sharded"):
-            build("rack", backend="sharded")
 
     def test_fig6_rejects_sharded(self):
         from repro.experiments.fig6_dtp import Fig6DtpConfig, run_fig6_dtp

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
-from repro.experiments.fig6_dtp import run_fig6a_traced_digests
+from repro.experiments.fig6_dtp import Fig6DtpConfig, run_fig6_dtp
 from repro.experiments.parallel import ExperimentTask, run_tasks
 from repro.faultlab.campaign import run_scenario
 from repro.faultlab.scenarios import builtin_specs
@@ -25,6 +25,27 @@ from repro.telemetry.export import (
     write_metrics_json,
     write_trace_jsonl,
 )
+
+
+def run_fig6a_traced_digests(duration_fs=1 * units.MS, seed=1):
+    """Run a short traced Fig. 6a slice and return its telemetry digests.
+
+    Module-level (hence picklable): the determinism test runs it both
+    serially and through the parallel experiment runner.
+    """
+    telemetry = Telemetry()
+    config = Fig6DtpConfig(
+        frame_name="mtu",
+        duration_fs=duration_fs,
+        warmup_fs=min(duration_fs // 4, 2 * units.MS),
+        seed=seed,
+    )
+    run_fig6_dtp(config, telemetry=telemetry)
+    return {
+        "trace_digest": telemetry.trace_digest(),
+        "metrics_digest": telemetry.metrics_digest(),
+        "trace_recorded": telemetry.tracer.recorded,
+    }
 
 
 @pytest.fixture(scope="module")

@@ -15,9 +15,9 @@ import random
 
 
 from repro.dtp.messages import DtpMessage, MessageType, encode
-from repro.phy.blocks import Block66, extract_bits_from_idle
 from tests.wire.block_sync import BlockSync, blocks_to_bitstream
 from tests.wire.mac import MacFrame, address
+from tests.wire.blocks import Block66, extract_bits_from_idle
 from tests.wire.pcs_stream import PcsTransmitStream, receive_stream
 from tests.wire.scrambler import Scrambler
 

@@ -6,6 +6,7 @@ claim: DTP counters ride ``/E/`` idle blocks (10 GbE) or 8b/10b ordered
 sets (1 GbE) intact through scrambling, block lock, comma alignment and
 the MAC's view of the stream.
 
+* :mod:`blocks` — the 66-bit block as an object, and DTP's idle embedding;
 * :mod:`scrambler` — the Clause 49 self-synchronous scrambler;
 * :mod:`block_sync` — the Clause 49 block-lock state machine;
 * :mod:`pcs_stream` — frames and DTP messages as 66-bit block streams;

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.phy.blocks import BLOCK_TYPE_IDLE, Block66, SYNC_CONTROL, SYNC_DATA, embed_bits_in_idle, extract_bits_from_idle, idle_block
+from repro.phy.blocks import BLOCK_TYPE_IDLE, SYNC_CONTROL, SYNC_DATA
+from tests.wire.blocks import Block66, embed_bits_in_idle, extract_bits_from_idle, idle_block
 
 BLOCK_TYPE_START = 0x78
 #: TERMINATE block types indexed by the number of data octets they carry.
@@ -73,7 +74,7 @@ def decode_blocks(blocks: List[Block66]) -> List[StreamItem]:
     items: List[StreamItem] = []
     current: Optional[bytearray] = None
     for block in blocks:
-        if block.is_data:
+        if block.sync == SYNC_DATA:
             if current is None:
                 raise PcsStreamError("data block outside a frame")
             current.extend(block.payload.to_bytes(8, "big"))
@@ -158,7 +159,7 @@ def receive_stream(blocks: List[Block66]) -> Tuple[List[bytes], List[int], List[
                 mac_view.append(block)
             continue
         mac_view.append(block)
-        if block.is_data:
+        if block.sync == SYNC_DATA:
             if current is not None:
                 current.extend(block.payload.to_bytes(8, "big"))
             continue
