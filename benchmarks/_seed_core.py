@@ -9,9 +9,12 @@ host.  Everything here is a faithful copy of the seed revision:
   ``Event.__lt__`` dominated profiles (~1.46 M calls per 2 ms Fig. 6a run);
 * ``seed_oscillator_*`` — the always-bisect segment lookup without the
   last-hit cache or the ``ticks_at`` memo;
+* ``seed_schedule_beacon_timeout`` / ``seed_beacon_timeout`` — the beacon
+  cycle that reads its tick back with ``ticks_at(now)``;
 * ``seed_transmit_now`` / ``seed_arrive`` / ``seed_process`` — the DTP port
   fast path with per-message ``SeedBlock66`` / ``DtpMessage`` object
-  round-trips and a dispatch dict rebuilt per received message;
+  round-trips and a dispatch dict rebuilt per received message, counting
+  its messages through ``seed_count_sent`` / ``seed_count_received``;
 * ``seed_reconstruct_counter`` — the ``min(key=lambda...)`` form.
 
 ``seed_implementation()`` patches them all in, so a whole experiment can
@@ -241,9 +244,22 @@ def seed_reconstruct_counter(low, reference, bits=dtpmsg.COUNTER_LOW_BITS):
     return min(candidates, key=lambda value: abs(value - reference))
 
 
-def seed_schedule_transmit(self, mtype, payload_builder):
+def seed_count_sent(stats, mtype):
+    stats._sent[mtype.name].value += 1
+
+
+def seed_count_received(stats, mtype):
+    stats._received[mtype.name].value += 1
+
+
+def seed_schedule_transmit(self, mtype, payload_builder, _tick=None):
+    # ``_tick``: the current code's callers pass the tick they read; the
+    # seed reads it again.  An idle link has no model now (the seed's
+    # ``IdleLink`` answered the query itself).
     tick = self.osc.ticks_at(self.sim.now)
-    slot = self.traffic.next_idle_tick(max(tick + 1, self._last_tx_slot + 1))
+    slot = max(tick + 1, self._last_tx_slot + 1)
+    if self.traffic is not None:
+        slot = self.traffic.next_idle_tick(slot)
     self._last_tx_slot = slot
     self.sim.schedule_at(
         self.osc.time_of_tick(slot), self._transmit_now, mtype, payload_builder
@@ -258,7 +274,7 @@ def seed_transmit_now(self, mtype, payload_builder):
     now = self.sim.now
     payload = payload_builder(now)
     bits56 = dtpmsg.encode(dtpmsg.DtpMessage(mtype, payload))
-    self.stats.count_sent(mtype)
+    seed_count_sent(self.stats, mtype)
     exit_fs = tx_exit_time(self.osc, now, self.config.latency)
     arrival_fs = exit_fs + self.wire_delay_fs
     wire_bits = seed_embed_bits_in_idle(bits56).to_int()
@@ -299,7 +315,7 @@ def seed_process(self, bits56):
     except dtpmsg.MessageError:
         self.stats._rejected["undecodable"].value += 1
         return
-    self.stats.count_received(message.mtype)
+    seed_count_received(self.stats, message.mtype)
     now = self.sim.now
     handler = {
         dtpmsg.MessageType.INIT: self._on_init,
@@ -310,6 +326,29 @@ def seed_process(self, bits56):
         dtpmsg.MessageType.LOG: self._on_log_message,
     }[message.mtype]
     handler(message.payload, now)
+
+
+def seed_schedule_beacon_timeout(self, _tick=None):
+    # ``_tick``: T2 in the current code passes the tick it read.
+    tick = self.osc.ticks_at(self.sim.now)
+    when = self.osc.time_of_tick(tick + self.config.beacon_interval_ticks)
+    self._beacon_event = self.sim.schedule_at(when, self._beacon_timeout)
+
+
+def seed_beacon_timeout(self):
+    from repro.dtp.port import PortState
+
+    if self.state is not PortState.SYNCHRONIZED:
+        return
+    self._schedule_transmit(dtpmsg.MessageType.BEACON, self._beacon_payload)
+    self._beacons_since_msb += 1
+    if self._beacons_since_msb >= self.config.msb_interval_beacons:
+        self._beacons_since_msb = 0
+        self._schedule_transmit(
+            dtpmsg.MessageType.BEACON_MSB,
+            lambda t: dtpmsg.counter_high(self._tx_counter(t)),
+        )
+    self._schedule_beacon_timeout()
 
 
 @contextmanager
@@ -326,6 +365,8 @@ def seed_implementation():
         "time_of_tick": Oscillator.time_of_tick,
         "next_edge_after": Oscillator.next_edge_after,
         "reconstruct_counter": dtpmsg.reconstruct_counter,
+        "_schedule_beacon_timeout": DtpPort._schedule_beacon_timeout,
+        "_beacon_timeout": DtpPort._beacon_timeout,
         "_schedule_transmit": DtpPort._schedule_transmit,
         "_transmit_now": DtpPort._transmit_now,
         "_arrive": DtpPort._arrive,
@@ -337,6 +378,8 @@ def seed_implementation():
     Oscillator.time_of_tick = seed_time_of_tick
     Oscillator.next_edge_after = seed_next_edge_after
     dtpmsg.reconstruct_counter = seed_reconstruct_counter
+    DtpPort._schedule_beacon_timeout = seed_schedule_beacon_timeout
+    DtpPort._beacon_timeout = seed_beacon_timeout
     DtpPort._schedule_transmit = seed_schedule_transmit
     DtpPort._transmit_now = seed_transmit_now
     DtpPort._arrive = seed_arrive
@@ -350,6 +393,8 @@ def seed_implementation():
         Oscillator.time_of_tick = saved["time_of_tick"]
         Oscillator.next_edge_after = saved["next_edge_after"]
         dtpmsg.reconstruct_counter = saved["reconstruct_counter"]
+        DtpPort._schedule_beacon_timeout = saved["_schedule_beacon_timeout"]
+        DtpPort._beacon_timeout = saved["_beacon_timeout"]
         DtpPort._schedule_transmit = saved["_schedule_transmit"]
         DtpPort._transmit_now = saved["_transmit_now"]
         DtpPort._arrive = saved["_arrive"]

@@ -533,6 +533,8 @@ def load_seed_core(path: Path):
     """Import a repository-only module (seed core, checker reference) by file path."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
+    # A dataclass looks its module up in sys.modules while it is built.
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 

@@ -54,10 +54,6 @@ class TickClock:
         """
         return self.counter_at(t_fs)
 
-    def period_at(self, t_fs: int) -> int:
-        """Current oscillator period in femtoseconds."""
-        return self.oscillator.period_at(t_fs)
-
     # ------------------------------------------------------------------
     # Adjusting
     # ------------------------------------------------------------------
@@ -79,20 +75,6 @@ class TickClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TickClock(name={self.name!r}, increment={self.increment})"
-
-
-class FreeRunningClock(TickClock):
-    """A clock that is never adjusted — the unsynchronized baseline.
-
-    Useful in tests and ablations: the divergence of two free-running
-    clocks is what any synchronization protocol has to beat.
-    """
-
-    def adjust_to_max(self, t_fs: int, candidate: int) -> bool:
-        return False
-
-    def set_counter(self, t_fs: int, value: int) -> None:
-        raise TypeError("FreeRunningClock cannot be set")
 
 
 class AdjustableFrequencyClock:

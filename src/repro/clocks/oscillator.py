@@ -16,7 +16,6 @@ in this simulation.
 from __future__ import annotations
 
 import bisect
-import math
 import random
 from abc import ABC, abstractmethod
 from typing import List, Optional
@@ -50,34 +49,6 @@ class ConstantSkew(SkewModel):
 
     def __repr__(self) -> str:
         return f"ConstantSkew({self.ppm:+.3f} ppm)"
-
-
-class SinusoidalSkew(SkewModel):
-    """Slow sinusoidal wander, e.g. a datacenter HVAC temperature cycle."""
-
-    def __init__(
-        self,
-        mean_ppm: float,
-        amplitude_ppm: float,
-        period_fs: int,
-        phase: float = 0.0,
-    ) -> None:
-        if period_fs <= 0:
-            raise ValueError("period_fs must be positive")
-        self.mean_ppm = mean_ppm
-        self.amplitude_ppm = amplitude_ppm
-        self.period_fs = period_fs
-        self.phase = phase
-
-    def ppm_at(self, t_fs: int) -> float:
-        angle = 2.0 * math.pi * (t_fs / self.period_fs) + self.phase
-        return self.mean_ppm + self.amplitude_ppm * math.sin(angle)
-
-    def __repr__(self) -> str:
-        return (
-            f"SinusoidalSkew(mean={self.mean_ppm:+.3f} ppm, "
-            f"amp={self.amplitude_ppm:.3f} ppm)"
-        )
 
 
 class RandomWalkSkew(SkewModel):
@@ -200,13 +171,6 @@ class Oscillator:
 
     Both caches are pure memoization — results are bit-identical with or
     without them.
-
-    ``prune_window_segments`` optionally bounds memory on long runs: once
-    more than that many segments exist, the oldest are dropped (keeping
-    at least the window).  Cumulative tick counts are carried in each
-    segment, so *forward* queries remain exact and deterministic; queries
-    before the pruned horizon raise :class:`ValueError`.  Leave it
-    ``None`` (the default) when backward queries are needed.
     """
 
     def __init__(
@@ -216,23 +180,16 @@ class Oscillator:
         update_interval_fs: int = units.MS,
         origin_fs: int = 0,
         name: str = "",
-        prune_window_segments: Optional[int] = None,
     ) -> None:
         if nominal_period_fs <= 0:
             raise ValueError("nominal_period_fs must be positive")
         if update_interval_fs < nominal_period_fs:
             raise ValueError("update_interval_fs must cover at least one period")
-        if prune_window_segments is not None and prune_window_segments < 2:
-            raise ValueError("prune_window_segments must be at least 2")
         self.nominal_period_fs = nominal_period_fs
         self.skew = skew if skew is not None else ConstantSkew(0.0)
         self.update_interval_fs = update_interval_fs
         self.origin_fs = origin_fs
         self.name = name
-        self.prune_window_segments = prune_window_segments
-        #: Times before this horizon have been pruned away (== origin when
-        #: nothing has been pruned yet).
-        self.pruned_before_fs = origin_fs
         self._segments: List[_Segment] = []
         self._starts: List[int] = []
         self._last_hit: Optional[_Segment] = None
@@ -279,14 +236,6 @@ class Oscillator:
         )
         self._segments.append(segment)
         self._starts.append(segment.start_fs)
-        window = self.prune_window_segments
-        if window is not None and len(self._segments) > window:
-            drop = len(self._segments) - window
-            del self._segments[:drop]
-            del self._starts[:drop]
-            self.pruned_before_fs = self._segments[0].start_fs
-            self._last_hit = None
-            self._ticks_memo_t = None
 
     def _segment_for(self, t_fs: int) -> _Segment:
         # Fast path: queries are near-monotonic in simulation time, so the
@@ -301,12 +250,6 @@ class Oscillator:
         segments = self._segments
         while segments[-1].end_fs <= t_fs:
             self._append_next_segment()
-        if t_fs < self._starts[0]:
-            raise ValueError(
-                f"query at {t_fs} fs precedes pruned horizon "
-                f"{self.pruned_before_fs} fs (prune_window_segments="
-                f"{self.prune_window_segments})"
-            )
         index = bisect.bisect_right(self._starts, t_fs) - 1
         segment = segments[index]
         self._last_hit = segment
@@ -347,11 +290,6 @@ class Oscillator:
             return hit.first_edge_fs + (n - hit.start_count - 1) * hit.period_fs
         while self._segments[-1].start_count + self._segments[-1].edge_count < n:
             self._append_next_segment()
-        if n <= self._segments[0].start_count:
-            raise ValueError(
-                f"tick {n} precedes pruned horizon {self.pruned_before_fs} fs "
-                f"(prune_window_segments={self.prune_window_segments})"
-            )
         lo, hi = 0, len(self._segments) - 1
         while lo < hi:
             mid = (lo + hi) // 2
@@ -406,10 +344,6 @@ class Oscillator:
                 if k < hit.edge_count:
                     return hit.start_count + k + 1
         return self.ticks_at(self.next_edge_after(t_fs))
-
-    def period_at(self, t_fs: int) -> int:
-        """The (integer) period in effect at time ``t_fs``."""
-        return self._segment_for(t_fs).period_fs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,7 +23,7 @@ from ..clocks.oscillator import (
     Oscillator,
     SkewModel,
 )
-from ..ethernet.traffic import DelayedTraffic, TrafficModel
+from ..ethernet.traffic import TrafficModel
 from ..phy.ber import BitErrorInjector
 from ..phy.specs import PHY_10G, PhySpec
 from ..sim import units
@@ -252,7 +252,8 @@ class DtpNetwork:
         for index, edge in enumerate(self.topology.edges):
             for direction, key in (("a->b", (edge.a, edge.b)), ("b->a", (edge.b, edge.a))):
                 model = factory(index, direction)
-                self.ports[key].traffic = DelayedTraffic(model, start_tick)
+                model.start_at(start_tick)
+                self.ports[key].traffic = model
 
     def all_synchronized(self) -> bool:
         return all(port.synchronized for port in self.ports.values())
@@ -265,10 +266,6 @@ class DtpNetwork:
         """Heal the a-b cable (via the gate; both ports rerun INIT and
         JOIN unless the recovery FSM still holds the link down)."""
         self.gate.release_up(a, b)
-
-    def link_is_up(self, a: str, b: str) -> bool:
-        """True when neither direction of the a-b cable is DOWN."""
-        return self.gate.link_is_up(a, b)
 
     def signal_loss(self, a: str, b: str) -> None:
         """Asymmetric fault: the a->b direction goes dark (ports stay up)."""

@@ -36,7 +36,7 @@ from ..phy.blocks import (
 )
 from ..phy.cdc import SyncFifo
 from ..phy.pipeline import PhyLatencyConfig
-from ..ethernet.traffic import IdleLink, TrafficModel
+from ..ethernet.traffic import TrafficModel
 from ..sim.engine import Event, Simulator
 from ..telemetry.events import (
     EV_JUMP,
@@ -77,7 +77,7 @@ class PortState(enum.Enum):
 
 
 #: ``MessageType.name`` goes through enum's DynamicClassAttribute
-#: descriptor on every access; the stats counters hit it twice per
+#: descriptor on every access; the stats cells are keyed by it twice per
 #: message, so the names are precomputed.
 _MTYPE_NAME = {mtype: mtype.name for mtype in dtpmsg.MessageType}
 _MTYPE_NAMES = frozenset(_MTYPE_NAME.values())
@@ -229,12 +229,6 @@ class PortStats:
     def rejected_out_of_range(self) -> int:
         return self._rejected["out_of_range"].value
 
-    def count_sent(self, mtype: dtpmsg.MessageType) -> None:
-        self._sent[_MTYPE_NAME[mtype]].value += 1
-
-    def count_received(self, mtype: dtpmsg.MessageType) -> None:
-        self._received[_MTYPE_NAME[mtype]].value += 1
-
 
 class DtpPort:
     """One side of a DTP link."""
@@ -256,7 +250,8 @@ class DtpPort:
         self.lc = TickClock(
             self.osc, increment=device.counter_increment, name=f"{name}.lc"
         )
-        self.traffic = traffic or IdleLink()
+        #: Slot source; None is an idle link (every block is idle).
+        self.traffic = traffic
         self.ber = ber
         self.fifo = SyncFifo(
             self.osc, device.streams.stream(f"cdc/{name}")
@@ -385,6 +380,7 @@ class DtpPort:
         self._schedule_transmit(
             dtpmsg.MessageType.INIT,
             lambda t: dtpmsg.counter_low(self.lc.counter_at(t)),
+            self.osc.ticks_at(self.sim._now),
         )
         retry_fs = self.config.init_retry_ticks * self.osc.nominal_period_fs
         self.sim.cancel(self._init_retry_event)
@@ -397,17 +393,26 @@ class DtpPort:
         self,
         mtype: dtpmsg.MessageType,
         payload_builder: Callable[[int], int],
+        tick: int,
     ) -> None:
-        """Queue a message for the next idle block (monotonic slot arbiter)."""
-        tick = self.osc.ticks_at(self.sim._now)
-        slot = self.traffic.next_idle_tick(max(tick + 1, self._last_tx_slot + 1))
+        """Queue a message for the first idle block after ``tick`` (the
+        current tick) and after the last one queued: a monotonic slot
+        arbiter.  The transmission fires on its slot and carries it."""
+        last = self._last_tx_slot
+        slot = tick + 1 if tick > last else last + 1
+        if self.traffic is not None:
+            slot = self.traffic.next_idle_tick(slot)
         self._last_tx_slot = slot
         self.sim.post_at(
-            self.osc.time_of_tick(slot), self._transmit_now, mtype, payload_builder
+            self.osc.time_of_tick(slot),
+            self._transmit_now, mtype, payload_builder, slot,
         )
 
     def _transmit_now(
-        self, mtype: dtpmsg.MessageType, payload_builder: Callable[[int], int]
+        self,
+        mtype: dtpmsg.MessageType,
+        payload_builder: Callable[[int], int],
+        slot: int,
     ) -> None:
         if self.state is PortState.DOWN or self.peer is None:
             return
@@ -421,15 +426,16 @@ class DtpPort:
             return
         payload = payload_builder(now)
         bits56 = dtpmsg.SHIFTED_TYPE[mtype] | payload
-        self.stats.count_sent(mtype)
+        self.stats._sent[_MTYPE_NAME[mtype]].value += 1
         if self._tracer is not None:
             self._tracer.record(now, EV_TX, self._sid, mtype, payload)
         # Inlined tx_exit_time/advance_ticks (hot path: one call per
-        # message sent).
-        osc = self.osc
-        n = osc.ticks_at(now) + self._tx_pipeline_ticks
-        exit_fs = osc.time_of_tick(n) if n >= 1 else now
-        arrival_fs = exit_fs + self.wire_delay_fs
+        # message sent), from the slot this event fires on: ``now`` is
+        # its edge, so ``ticks_at(now)`` would read the same index.  A
+        # slot is >= 1 and pipeline depths are non-negative.
+        arrival_fs = (
+            self.osc.time_of_tick(slot + self._tx_pipeline_ticks) + self.wire_delay_fs
+        )
         # The message crosses the wire as a genuine /E/ control block; bit
         # errors strike the full 66 bits, so a flip in the sync header or
         # block-type octet destroys the block (the receiver sees a code
@@ -496,7 +502,7 @@ class DtpPort:
                     self.sim._now, EV_REJECT, self._sid, REJECT_UNDECODABLE
                 )
             return
-        self.stats.count_received(mtype)
+        self.stats._received[_MTYPE_NAME[mtype]].value += 1
         if self._tracer is not None:
             self._tracer.record(self.sim._now, EV_RX, self._sid, mtype, payload)
         self._handlers[mtype](payload, self.sim._now)
@@ -506,7 +512,9 @@ class DtpPort:
     # ------------------------------------------------------------------
     def _on_init(self, payload: int, now: int) -> None:
         """T1: echo the peer's counter back in an INIT_ACK."""
-        self._schedule_transmit(dtpmsg.MessageType.INIT_ACK, lambda t: payload)
+        self._schedule_transmit(
+            dtpmsg.MessageType.INIT_ACK, lambda t: payload, self.osc.ticks_at(now)
+        )
 
     def _on_init_ack(self, payload: int, now: int) -> None:
         """T2: measure the one-way delay and enter the BEACON phase."""
@@ -524,31 +532,35 @@ class DtpPort:
         self._init_retry_event = None
         # Network dynamics: agree on the maximum counter across the link.
         self.send_join()
-        self._schedule_beacon_timeout()
+        self._schedule_beacon_timeout(self.osc.ticks_at(now))
         if self._linkhealth is not None:
             self._linkhealth.on_synchronized(self)
 
-    def _schedule_beacon_timeout(self) -> None:
-        tick = self.osc.ticks_at(self.sim.now)
-        when = self.osc.time_of_tick(tick + self.config.beacon_interval_ticks)
-        self._beacon_event = self.sim.schedule_at(when, self._beacon_timeout)
+    def _schedule_beacon_timeout(self, tick: int) -> None:
+        """Schedule the beacon timeout one interval after ``tick``; the
+        timeout fires on that tick's edge and carries its index."""
+        n = tick + self.config.beacon_interval_ticks
+        self._beacon_event = self.sim.schedule_at(
+            self.osc.time_of_tick(n), self._beacon_timeout, n
+        )
 
-    def _beacon_timeout(self) -> None:
-        """T3: send (BEACON, gc); occasionally a BEACON_MSB too."""
+    def _beacon_timeout(self, tick: int) -> None:
+        """T3 at ``tick``: send (BEACON, gc); occasionally a BEACON_MSB too."""
         if self.state is not PortState.SYNCHRONIZED:
             return
         fastpath = self._fastpath
-        if fastpath is not None and fastpath.on_beacon_timeout(self):
+        if fastpath is not None and fastpath.on_beacon_timeout(self, tick):
             return  # direction promoted: the coordinator owns this beacon
-        self._schedule_transmit(dtpmsg.MessageType.BEACON, self._beacon_payload)
+        self._schedule_transmit(dtpmsg.MessageType.BEACON, self._beacon_payload, tick)
         self._beacons_since_msb += 1
         if self._beacons_since_msb >= self.config.msb_interval_beacons:
             self._beacons_since_msb = 0
             self._schedule_transmit(
                 dtpmsg.MessageType.BEACON_MSB,
                 lambda t: dtpmsg.counter_high(self._tx_counter(t)),
+                tick,
             )
-        self._schedule_beacon_timeout()
+        self._schedule_beacon_timeout(tick)
 
     def _tx_counter(self, t_fs: int) -> int:
         """The counter value beacons carry: the device's global counter."""
@@ -566,7 +578,12 @@ class DtpPort:
             return
         if self.peer_faulty:
             return
-        lc_now = self.lc.counter_at(now)
+        lc = self.lc
+        lc_now = lc.counter_at(now)
+        # Only a subclass (a spanning-tree follower that can stall, a
+        # child-facing inert clock) reads a second counter or decides a
+        # jump its own way; a plain clock jumps iff candidate > lc_now.
+        plain = type(lc) is TickClock
         if self.config.parity:
             if not dtpmsg.check_parity(payload):
                 self.stats._rejected["parity"].value += 1
@@ -583,29 +600,29 @@ class DtpPort:
         # Plausibility is judged against the free-running counter: a
         # stalled follower (spanning-tree mode) legitimately lags its
         # beacons, and must not reject its own catch-up.
-        delta = candidate - self.lc.reference_counter_at(now)
-        self.stats.beacons_in_window += 1
-        if abs(delta) > self._reject_threshold:
-            self.stats._rejected["out_of_range"].value += 1
-            self.stats.rejects_in_window += 1
+        delta = candidate - (lc_now if plain else lc.reference_counter_at(now))
+        stats = self.stats
+        stats.beacons_in_window += 1
+        if delta > self._reject_threshold or delta < -self._reject_threshold:
+            stats._rejected["out_of_range"].value += 1
+            stats.rejects_in_window += 1
             if self._tracer is not None:
                 self._tracer.record(now, EV_REJECT, self._sid, REJECT_RANGE, delta)
-            self._fault_window_tick()
-            return
-        if self.lc.adjust_to_max(now, candidate):
-            self.stats._jumps.value += 1
-            self.stats.jumps_in_window += 1
+        elif (candidate > lc_now or not plain) and lc.adjust_to_max(now, candidate):
+            stats._jumps.value += 1
+            stats.jumps_in_window += 1
             if self._tracer is not None:
                 self._tracer.record(
                     now, EV_JUMP, self._sid, delta, candidate - lc_now
                 )
             self.device.on_local_jump(self, now)
-        self._fault_window_tick()
+        if stats.beacons_in_window >= self.config.fault_window_beacons:
+            self._roll_fault_window()
 
-    def _fault_window_tick(self) -> None:
+    def _roll_fault_window(self) -> None:
+        """End a full Section 3.2 fault window: too many jumps or rejects
+        in it marks the peer faulty."""
         cfg = self.config
-        if self.stats.beacons_in_window < cfg.fault_window_beacons:
-            return
         jumps = self.stats.jumps_in_window
         rejects = self.stats.rejects_in_window
         self.stats.beacons_in_window = 0
@@ -634,6 +651,7 @@ class DtpPort:
         self._schedule_transmit(
             dtpmsg.MessageType.BEACON_JOIN,
             lambda t: dtpmsg.counter_low(self._tx_counter(t)),
+            self.osc.ticks_at(self.sim._now),
         )
 
     def _on_join(self, payload: int, now: int) -> None:
@@ -666,6 +684,7 @@ class DtpPort:
         self._schedule_transmit(
             dtpmsg.MessageType.LOG,
             lambda t: dtpmsg.counter_low(self._tx_counter(t)),
+            self.osc.ticks_at(self.sim._now),
         )
 
     def _on_log_message(self, payload: int, now: int) -> None:

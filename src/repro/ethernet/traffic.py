@@ -4,80 +4,46 @@ DTP messages occupy idle (/E/) blocks, so the only thing load changes is
 *which tick indices are available*.  A traffic model answers
 ``next_idle_tick(tick)``: the first tick index at or after ``tick`` whose
 block is idle.  Queries must be non-decreasing (the simulation only moves
-forward), which lets the stochastic models keep O(1) state.
+forward), which lets the stochastic models keep O(1) state.  A port with
+no model is on an idle link: every block is idle.
 """
 
 from __future__ import annotations
 
-import math
-import random
 from abc import ABC, abstractmethod
 
 from .frames import FrameSpec
 
 
-class TrafficError(RuntimeError):
-    """Raised on invalid traffic-model usage (e.g. non-monotonic queries)."""
-
-
 class TrafficModel(ABC):
-    """Occupancy of TX tick slots on one link direction."""
+    """Occupancy of TX tick slots on one link direction.
+
+    Physically a link carries no frames before it comes up, so DTP's INIT
+    exchange always runs on an idle link: every tick before
+    ``start_tick`` is idle, and from it on the model runs as it would
+    from tick 0.
+    """
+
+    start_tick = 0
+
+    def start_at(self, start_tick: int) -> None:
+        """Begin the load at ``start_tick``; the link is idle before it."""
+        if start_tick < 0:
+            raise ValueError("start_tick must be non-negative")
+        self.start_tick = start_tick
 
     @abstractmethod
     def next_idle_tick(self, tick: int) -> int:
         """First tick index >= ``tick`` whose block is an idle slot."""
-
-    @abstractmethod
-    def utilization(self) -> float:
-        """Long-run fraction of slots carrying frame data."""
-
-
-class IdleLink(TrafficModel):
-    """No Ethernet frames at all: every block is idle."""
-
-    def next_idle_tick(self, tick: int) -> int:
-        return tick
-
-    def utilization(self) -> float:
-        return 0.0
-
-    def __repr__(self) -> str:
-        return "IdleLink()"
-
-
-class DelayedTraffic(TrafficModel):
-    """Traffic that only begins after ``start_tick``; idle before.
-
-    Physically a link carries no frames before it comes up, so DTP's INIT
-    exchange always runs on an idle link.  Wrapping a load model in
-    DelayedTraffic reproduces that: ticks before ``start_tick`` are all
-    idle, after it the inner model (queried with shifted indices) decides.
-    """
-
-    def __init__(self, inner: TrafficModel, start_tick: int) -> None:
-        if start_tick < 0:
-            raise ValueError("start_tick must be non-negative")
-        self.inner = inner
-        self.start_tick = start_tick
-
-    def next_idle_tick(self, tick: int) -> int:
-        if tick < self.start_tick:
-            return tick
-        return self.start_tick + self.inner.next_idle_tick(tick - self.start_tick)
-
-    def utilization(self) -> float:
-        return self.inner.utilization()
-
-    def __repr__(self) -> str:
-        return f"DelayedTraffic({self.inner!r}, start_tick={self.start_tick})"
 
 
 class SaturatedTraffic(TrafficModel):
     """Back-to-back frames with the single mandatory idle block between.
 
     With frames of ``B`` blocks the pattern has period ``B + 1`` and the
-    idle slot sits at ``tick % (B + 1) == phase``.  This is the paper's
-    "heavily loaded" condition (Figures 6a/6b).
+    idle slot sits ``phase`` ticks into each period, counted from
+    ``start_tick``.  This is the paper's "heavily loaded" condition
+    (Figures 6a/6b).
     """
 
     def __init__(self, frame: FrameSpec, phase: int = 0) -> None:
@@ -86,122 +52,13 @@ class SaturatedTraffic(TrafficModel):
         self.phase = phase % self.period
 
     def next_idle_tick(self, tick: int) -> int:
-        remainder = (tick - self.phase) % self.period
+        start = self.start_tick
+        if tick < start:
+            return tick
+        remainder = (tick - start - self.phase) % self.period
         if remainder == 0:
             return tick
         return tick + (self.period - remainder)
 
-    def utilization(self) -> float:
-        return (self.period - 1) / self.period
-
     def __repr__(self) -> str:
         return f"SaturatedTraffic(frame={self.frame.frame_bytes}B, period={self.period})"
-
-
-class PartialLoadTraffic(TrafficModel):
-    """Random frame arrivals at a target utilization.
-
-    Busy runs of one frame alternate with geometric idle runs whose mean
-    produces the requested load.  State is a single current interval; the
-    model therefore requires non-decreasing queries.
-    """
-
-    def __init__(
-        self,
-        frame: FrameSpec,
-        load: float,
-        rng: random.Random,
-        start_tick: int = 0,
-    ) -> None:
-        if not 0.0 <= load < 1.0:
-            raise ValueError("load must be in [0, 1)")
-        self.frame = frame
-        self.load = load
-        self.rng = rng
-        # Mean idle gap G solving  B / (B + G) = load, with G >= 1.
-        blocks = frame.blocks
-        if load == 0.0:
-            self._mean_gap = None
-        else:
-            self._mean_gap = max(1.0, blocks * (1.0 - load) / load)
-        self._idle_start = start_tick
-        self._idle_end = start_tick + self._draw_gap()  # exclusive
-        self._last_query = start_tick
-
-    def _draw_gap(self) -> int:
-        if self._mean_gap is None:
-            return 1 << 62
-        # Geometric with mean _mean_gap, support >= 1.
-        u = self.rng.random()
-        p = 1.0 / self._mean_gap
-        gap = 1 + int(math.log(max(u, 1e-300)) / math.log1p(-min(p, 0.999999)))
-        return max(1, gap)
-
-    def next_idle_tick(self, tick: int) -> int:
-        if tick < self._last_query:
-            raise TrafficError(
-                f"traffic queries must be monotonic (got {tick} after {self._last_query})"
-            )
-        self._last_query = tick
-        while True:
-            if tick < self._idle_end:
-                return max(tick, self._idle_start)
-            # Busy run: one frame, then a fresh idle window.
-            self._idle_start = self._idle_end + self.frame.blocks
-            self._idle_end = self._idle_start + self._draw_gap()
-
-    def utilization(self) -> float:
-        return self.load
-
-    def __repr__(self) -> str:
-        return (
-            f"PartialLoadTraffic(frame={self.frame.frame_bytes}B, load={self.load:.2f})"
-        )
-
-
-class BurstyTraffic(TrafficModel):
-    """On/off traffic: saturated bursts separated by idle periods.
-
-    Exercises DTP's behaviour when the idle cadence switches abruptly
-    between 'every tick' and 'once per frame slot'.
-    """
-
-    def __init__(
-        self,
-        frame: FrameSpec,
-        burst_frames: int,
-        idle_ticks: int,
-        phase: int = 0,
-    ) -> None:
-        if burst_frames < 1 or idle_ticks < 1:
-            raise ValueError("burst_frames and idle_ticks must be >= 1")
-        self.frame = frame
-        self.burst_frames = burst_frames
-        self.idle_ticks = idle_ticks
-        self.burst_ticks = burst_frames * frame.slot_blocks
-        self.period = self.burst_ticks + idle_ticks
-        self.phase = phase % self.period
-
-    def next_idle_tick(self, tick: int) -> int:
-        position = (tick - self.phase) % self.period
-        if position >= self.burst_ticks:
-            return tick  # inside the off period: everything is idle
-        # Inside the burst: idle slots appear once per frame slot.
-        slot = self.frame.slot_blocks
-        remainder = position % slot
-        idle_offset = slot - 1  # last block of each frame slot is the /E/
-        if remainder == idle_offset:
-            return tick
-        if remainder < idle_offset:
-            return tick + (idle_offset - remainder)
-        return tick + (slot - remainder) + idle_offset
-
-    def utilization(self) -> float:
-        frame_blocks = self.burst_frames * self.frame.blocks
-        return frame_blocks / self.period
-
-    def __repr__(self) -> str:
-        return (
-            f"BurstyTraffic(frame={self.frame.frame_bytes}B, "
-            f"burst={self.burst_frames}, idle={self.idle_ticks})"
-        )

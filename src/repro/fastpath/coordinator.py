@@ -32,8 +32,9 @@ four engine dispatches through the full port machinery.
   read mid-chain in a scalar run.
 * PLAN, CAPTURE and APPLY fire on a tick edge whose index was known when
   the stage was scheduled, and carry it in their entry (layout below the
-  imports).  The scalar handler maps its time back to a tick with
-  ``ticks_at``; the oscillator guarantees
+  imports).  The scalar ``_beacon_timeout`` and ``_transmit_now`` carry
+  the same index as an argument; ``_on_beacon`` reads its counter with
+  ``ticks_at``, and the oscillator guarantees
   ``ticks_at(time_of_tick(n)) == n``, so the carried index is the one it
   reads.  Only ARRIVE, which lands between receiver edges, divides.
 * With telemetry tracing on, each stage appends the records the scalar
@@ -52,21 +53,22 @@ four engine dispatches through the full port machinery.
   sift dearer.
 * Anything irregular demotes the direction: its heap entries are taken
   out and, with its queued captures, re-materialized as real heap events
-  at their original times and sequence numbers, and the scalar path
-  finishes the chain (``link_down``, a tripped fault window,
-  ``DtpPort.leave_fastpath`` before a fault or ``signal_loss`` patches
-  the port, ``DtpNetwork.pin_scalar`` on a shard worker's ghost links).
+  at their original times and sequence numbers (a PLAN as the beacon
+  timeout of the tick it carries, a CAPTURE as the transmission of its
+  slot), and the scalar path finishes the chain (``link_down``, a
+  tripped fault window, ``DtpPort.leave_fastpath`` before a fault or
+  ``signal_loss`` patches the port, ``DtpNetwork.pin_scalar`` on a shard
+  worker's ghost links).
 
 The stage bodies exist once, inlined in :meth:`run_merged`; promotion
 reaches them through the queue.  A direction promotes from inside its own
 scalar ``_beacon_timeout`` dispatch at ``(now, s)``; rather than planning
-that beacon itself, :meth:`on_beacon_timeout` reads the sender's tick
-once and pushes a PLAN entry keyed ``(now, -1)`` carrying it, and the
-timeout returns at once.  Everything with a key
-below ``(now, s)`` has already run, and real sequence numbers are never
-negative, so ``(now, -1)`` is the minimum of both queues: the loop's very
-next pick is that PLAN, before any other event can move the slot arbiter
-or the counter.  The sentinel draws nothing from the engine counter, so
+that beacon itself, :meth:`on_beacon_timeout` pushes a PLAN entry keyed
+``(now, -1)`` carrying the tick the timeout carries, and the timeout
+returns at once.  Everything with a key below ``(now, s)`` has already
+run, and real sequence numbers are never negative, so ``(now, -1)`` is
+the minimum of both queues: the loop's very next pick is that PLAN,
+before any other event can move the slot arbiter or the counter.  The sentinel draws nothing from the engine counter, so
 the PLAN body allocates exactly the sequence numbers the scalar timeout
 would have allocated in its place — same ``(time, seq)`` total order,
 same final ``sim._seq``.  (One promotion per dispatch means at most one
@@ -245,8 +247,9 @@ class FastpathCoordinator:
     # ------------------------------------------------------------------
     # Promotion / demotion
     # ------------------------------------------------------------------
-    def on_beacon_timeout(self, port: DtpPort) -> bool:
-        """Called by ``DtpPort._beacon_timeout``; True = direction batched.
+    def on_beacon_timeout(self, port: DtpPort, tick: int) -> bool:
+        """Called by ``DtpPort._beacon_timeout`` at ``tick``; True =
+        direction batched.
 
         Runs at the port's own beacon instant, so taking over is seamless:
         this very beacon becomes a virtual PLAN keyed ``(now, -1)`` — the
@@ -259,11 +262,10 @@ class FastpathCoordinator:
         self._dirs[port] = ds
         port._beacon_event = None
         self.promotions += 1
-        now = self.sim._now
-        osc = ds.posc
-        tick = osc.ticks_at(now)
-        ds.pseg = osc._last_hit
-        heappush(self._heap, (now, -1, PLAN, ds, tick))
+        # Any segment seeds the cache (a miss refreshes it); the timeout
+        # was scheduled through ``time_of_tick``, so there is one.
+        ds.pseg = ds.posc._last_hit
+        heappush(self._heap, (self.sim._now, -1, PLAN, ds, tick))
         return True
 
     def demote_port(self, port: DtpPort) -> None:
@@ -284,11 +286,13 @@ class FastpathCoordinator:
         The direction's entries leave the virtual heap (re-heapified in
         place: :meth:`run_merged` holds it) and its queued captures leave
         ``txq``; each pending virtual event is re-materialized as a real
-        heap event at its original firing time *and sequence number*.  The
-        scalar handlers then run their full checks (link state, TX gate,
-        BER, parity) against whatever triggered the demotion.  Keeping
-        the sequence numbers keeps every same-instant tie — against each
-        other and against directions that stay batched — in scalar order.
+        heap event at its original firing time *and sequence number*, a
+        PLAN as the beacon timeout of the tick it carries and a CAPTURE as
+        the transmission of its slot.  The scalar handlers then run their
+        full checks (link state, TX gate, BER, parity) against whatever
+        triggered the demotion.  Keeping the sequence numbers keeps every
+        same-instant tie — against each other and against directions that
+        stay batched — in scalar order.
         """
         adopt = self.sim.adopt
         p = ds.sender
@@ -303,17 +307,18 @@ class FastpathCoordinator:
         for when, seq, stage, _, payload, *_ in pending:
             shifted = _SHIFTED_BEACON if stage & 1 else _SHIFTED_MSB
             if stage == PLAN:
-                p._beacon_event = adopt(when, seq, p._beacon_timeout)
+                p._beacon_event = adopt(when, seq, p._beacon_timeout, payload)
             elif stage == CAP_B:
                 adopt(
                     when, seq, p._transmit_now,
-                    dtpmsg.MessageType.BEACON, p._beacon_payload,
+                    dtpmsg.MessageType.BEACON, p._beacon_payload, payload,
                 )
             elif stage == CAP_M:
                 adopt(
                     when, seq, p._transmit_now,
                     dtpmsg.MessageType.BEACON_MSB,
                     lambda t, _p=p: dtpmsg.counter_high(_p._tx_counter(t)),
+                    payload,
                 )
             elif stage <= ARR_M:
                 adopt(when, seq, q._arrive, IDLE_WIRE_BASE | shifted | payload)
@@ -398,7 +403,7 @@ class FastpathCoordinator:
                 # Stage tests run in frequency order: each BEACON stage
                 # before its BEACON_MSB twin (one beacon in msb_every).
                 # --- APPLY (BEACON): T4 with Section 3.2 filtering -----
-                # Mirrors _process + _on_beacon + _fault_window_tick.
+                # Mirrors _process + _on_beacon + _roll_fault_window.
                 if stage == APP_B:
                     pop(vheap)
                     ds.recv_b.value += 1
@@ -532,8 +537,10 @@ class FastpathCoordinator:
                     tick = vtop[4]
                     p = ds.sender
                     last = p._last_tx_slot
-                    want = tick + 1 if tick > last else last + 1
-                    slot = p.traffic.next_idle_tick(want)
+                    slot = tick + 1 if tick > last else last + 1
+                    traffic = p.traffic
+                    if traffic is not None:
+                        slot = traffic.next_idle_tick(slot)
                     p._last_tx_slot = slot
                     seg = ds.pseg
                     sc = seg.start_count
@@ -557,7 +564,9 @@ class FastpathCoordinator:
                     b = p._beacons_since_msb + 1
                     if b >= ds.msb_every:
                         p._beacons_since_msb = 0
-                        slot = p.traffic.next_idle_tick(slot + 1)
+                        slot += 1
+                        if traffic is not None:
+                            slot = traffic.next_idle_tick(slot)
                         p._last_tx_slot = slot
                         txq = ds.txq
                         if txq is None:
@@ -622,7 +631,7 @@ class FastpathCoordinator:
         return when
 
     def _roll_fault_window(self, ds: _Direction) -> bool:
-        """Mirror ``_fault_window_tick``'s window roll; demote on a trip.
+        """Mirror ``DtpPort._roll_fault_window``; demote on a trip.
         True = tripped (the engine heap may have changed)."""
         q = ds.receiver
         stats = ds.stats_q

@@ -93,16 +93,6 @@ class LinkGate:
         if self.manager is not None:
             self.manager.on_gate_release(a, b, claim, raised=True)
 
-    def link_is_up(self, a: str, b: str) -> bool:
-        """True when neither direction of the a-b cable is DOWN."""
-        from ..dtp.port import PortState
-
-        network = self.network
-        return (
-            network.ports[(a, b)].state is not PortState.DOWN
-            and network.ports[(b, a)].state is not PortState.DOWN
-        )
-
     def holds(self, a: str, b: str) -> FrozenSet[str]:
         """The claims currently holding the a-b link down."""
         return frozenset(self._claims.get(link_key(a, b), ()))

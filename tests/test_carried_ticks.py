@@ -1,0 +1,119 @@
+"""A scalar event's carried tick is the tick of the instant it fires at.
+
+``DtpPort._beacon_timeout`` fires with the tick index it was scheduled on
+and ``_transmit_now`` with its slot; neither maps its time back with
+``ticks_at``.  That is exact because every such event is scheduled at
+``time_of_tick(n)`` and the oscillator guarantees
+``ticks_at(time_of_tick(n)) == n``.  These tests wrap both handlers on the
+class, before any network is built, and compare the carried index with
+``port.osc.ticks_at(sim.now)`` at every dispatch: the scalar chain, the
+events the batched coordinator's ``demote`` rebuilds (link-flap, a tripped
+fault window, two-faced's ``leave_fastpath``; and on saturated links, the
+captures queued behind a direction's beacons), oscillator faults that move
+the tick grid mid-run, and a spanning-tree network's stalling clocks.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.clocks.oscillator import ConstantSkew
+from repro.dtp.network import DtpNetwork
+from repro.dtp.port import DtpPort, DtpPortConfig
+from repro.dtp.spanning_tree import configure_spanning_tree
+from repro.ethernet.frames import MTU_FRAME, beacon_interval_ticks_for
+from repro.experiments.fig6_dtp import Fig6DtpConfig, run_fig6_dtp
+from repro.experiments.workloads import saturated_traffic
+from repro.faultlab.campaign import run_scenario
+from repro.faultlab.scenarios import builtin_specs
+from repro.network.topology import chain
+from repro.sim import units
+
+
+@pytest.fixture
+def carried(monkeypatch):
+    """Counts of checked dispatches, and every mismatch seen (which an
+    engine or campaign could swallow if the wrapper raised instead)."""
+    seen, wrong = Counter(), []
+    beacon_timeout = DtpPort._beacon_timeout
+    transmit_now = DtpPort._transmit_now
+
+    def check(kind, port, carried_tick):
+        seen[kind] += 1
+        actual = port.osc.ticks_at(port.sim._now)
+        if carried_tick != actual:
+            wrong.append((kind, port.name, port.sim._now, carried_tick, actual))
+
+    def checked_timeout(port, tick):
+        check("timeout", port, tick)
+        beacon_timeout(port, tick)
+
+    def checked_transmit(port, mtype, payload_builder, slot):
+        check("transmit", port, slot)
+        transmit_now(port, mtype, payload_builder, slot)
+
+    monkeypatch.setattr(DtpPort, "_beacon_timeout", checked_timeout)
+    monkeypatch.setattr(DtpPort, "_transmit_now", checked_transmit)
+    return seen, wrong
+
+
+def test_scalar_fig6a(carried):
+    seen, wrong = carried
+    config = Fig6DtpConfig(duration_fs=units.MS, warmup_fs=250 * units.US, seed=1)
+    run_fig6_dtp(config, backend="scalar")
+    assert wrong == []
+    assert seen["timeout"] > 10_000 and seen["transmit"] > 10_000
+
+
+@pytest.mark.parametrize("backend", ["scalar", "batched"])
+def test_builtin_scenarios(carried, backend):
+    seen, wrong = carried
+    for spec in builtin_specs(quick=True):
+        run_scenario(dict(spec), seed=1, backend=backend)
+        assert wrong == [], spec["name"]
+    assert seen["timeout"] > 0 and seen["transmit"] > 0
+
+
+def test_spanning_tree(carried, sim, streams):
+    seen, wrong = carried
+    net = DtpNetwork(
+        sim, chain(4), streams,
+        skews={"n2": ConstantSkew(90.0), "n3": ConstantSkew(-60.0)},
+    )
+    configure_spanning_tree(net, master="n0")
+    net.start()
+    sim.run_until(units.MS)
+    assert net.devices["n2"].gc.stalls > 0
+    assert wrong == []
+    assert seen["timeout"] > 100 and seen["transmit"] > 100
+
+
+def test_demoted_backlog(carried, sim, streams):
+    # Fig. 6a's regime: MTU-saturated links beaconing once per slot, so
+    # every LOG and BEACON_MSB queues a batched direction's later captures
+    # behind it.  Handing every direction back re-materializes its PLAN
+    # and queued CAPTUREs as scalar events with the tick and slots they
+    # carry.
+    seen, wrong = carried
+    net = DtpNetwork(
+        sim, chain(4), streams,
+        config=DtpPortConfig(
+            beacon_interval_ticks=beacon_interval_ticks_for(MTU_FRAME),
+            msb_interval_beacons=50,
+        ),
+        backend="batched",
+    )
+    net.install_traffic(saturated_traffic("mtu"))
+    net.start()
+    for step in range(1, 51):
+        sim.run_until(step * 20 * units.US)
+        if step >= 10:
+            for port in net.ports.values():
+                port.send_log()
+    assert sum(len(ds.txq or ()) for ds in net.fastpath._dirs.values()) > 0
+    before = seen["transmit"]
+    for port in net.ports.values():
+        port.leave_fastpath()
+    sim.run_until(1200 * units.US)
+    assert wrong == []
+    assert net.fastpath.demotions == 6 and seen["transmit"] - before > 6

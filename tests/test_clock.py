@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clocks.clock import AdjustableFrequencyClock, FreeRunningClock, TickClock
+from repro.clocks.clock import AdjustableFrequencyClock, TickClock
 from repro.clocks.oscillator import ConstantSkew, Oscillator
 from repro.sim import units
 
@@ -58,18 +58,6 @@ class TestTickClock:
         clock = make_clock()
         clock.adjust_to_max(10 * TICK, 1_000)
         assert clock.counter_at(11 * TICK) == 1_001
-
-
-class TestFreeRunningClock:
-    def test_never_adjusts(self):
-        clock = FreeRunningClock(Oscillator(TICK, ConstantSkew(0.0)))
-        assert clock.adjust_to_max(TICK * 10, 10**9) is False
-        assert clock.counter_at(TICK * 10) == 10
-
-    def test_cannot_be_set(self):
-        clock = FreeRunningClock(Oscillator(TICK, ConstantSkew(0.0)))
-        with pytest.raises(TypeError):
-            clock.set_counter(0, 5)
 
 
 class TestAdjustableFrequencyClock:

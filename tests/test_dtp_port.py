@@ -150,11 +150,11 @@ class TestLoadedLinks:
         a.link_up()
         b.link_up()
         sim.run_until(200 * units.US)
-        from repro.ethernet.traffic import DelayedTraffic
-
         start_tick = a.osc.ticks_at(sim.now) + 100
-        a.traffic = DelayedTraffic(SaturatedTraffic(MTU_FRAME), start_tick)
-        b.traffic = DelayedTraffic(SaturatedTraffic(MTU_FRAME, phase=50), start_tick)
+        a.traffic = SaturatedTraffic(MTU_FRAME)
+        b.traffic = SaturatedTraffic(MTU_FRAME, phase=50)
+        a.traffic.start_at(start_tick)
+        b.traffic.start_at(start_tick)
         sim.run_until(3 * units.MS)
         offset = abs(
             a.device.global_counter(sim.now) - b.device.global_counter(sim.now)

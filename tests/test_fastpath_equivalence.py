@@ -16,11 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clocks.oscillator import ConstantSkew, Oscillator, RandomWalkSkew, SinusoidalSkew
+from repro.clocks.oscillator import ConstantSkew, Oscillator, RandomWalkSkew
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.ethernet.frames import MTU_FRAME, beacon_interval_ticks_for
-from repro.ethernet.traffic import PartialLoadTraffic
 from repro.experiments.workloads import saturated_traffic
 from repro.fastpath import FastpathCoordinator, direction_ineligible_reason
 from repro.faultlab.campaign import (
@@ -43,6 +42,7 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.randomness import RandomStreams
 from repro.telemetry import Telemetry
 from repro.telemetry.events import EV_PEER_FAULT
+from tests.equivalence_models import PartialLoadTraffic, SinusoidalSkew
 
 
 def _digests(spec, seed, traced=False):
@@ -174,8 +174,8 @@ def _direction_log(coordinator, sim):
     log = []
     promote, demote = coordinator.on_beacon_timeout, coordinator.demote
 
-    def on_beacon_timeout(port):
-        promoted = promote(port)
+    def on_beacon_timeout(port, tick):
+        promoted = promote(port, tick)
         if promoted:
             log.append((sim.now, tuple(port.name.split("->")), "promote"))
         return promoted
@@ -871,8 +871,8 @@ def test_segment_boundaries_keep_scalar_identity(topology, device_specs):
 
 
 def test_batched_stages_never_map_a_time_back_to_a_tick(monkeypatch):
-    # PLAN, CAPTURE and APPLY carry the tick they fire on; only promotion
-    # reads one, once, from the port's own beacon instant.
+    # PLAN, CAPTURE and APPLY carry the tick they fire on, and promotion
+    # takes the one its scalar beacon timeout carries.
     callers = Counter()
     ticks_at = Oscillator.ticks_at
 
@@ -886,7 +886,7 @@ def test_batched_stages_never_map_a_time_back_to_a_tick(monkeypatch):
     fastpath = net.fastpath
     assert fastpath.promotions == 14 and fastpath.virtual_events > 30_000
     assert callers["run_merged"] == 0
-    assert callers["on_beacon_timeout"] == fastpath.promotions
+    assert callers["on_beacon_timeout"] == 0
 
 
 def _backlogged(topology, backend, telemetry=None):

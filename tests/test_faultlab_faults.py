@@ -234,13 +234,3 @@ def test_runaway_quarantines_but_network_follows(sim, streams):
     # stays in bound even while tracking the runaway rate.
     assert checker.total_violations == 0
     assert net.all_synchronized()
-
-
-def test_network_link_is_up_reflects_state(sim, streams):
-    net = _net(sim, streams)
-    assert not net.link_is_up("n0", "n1")  # ports start DOWN
-    net.start()
-    sim.run_until(100 * units.US)
-    assert net.link_is_up("n0", "n1")
-    net.down_link("n0", "n1")
-    assert not net.link_is_up("n0", "n1")

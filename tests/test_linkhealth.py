@@ -317,6 +317,14 @@ def test_builtins_supervised_but_idle_identical(name, tmp_path):
 # ----------------------------------------------------------------------
 # The unified link gate (satellite: one API for all link-state writers)
 # ----------------------------------------------------------------------
+def _link_is_up(network, a, b):
+    """True when neither direction of the a-b cable is DOWN."""
+    return (
+        network.ports[(a, b)].state is not PortState.DOWN
+        and network.ports[(b, a)].state is not PortState.DOWN
+    )
+
+
 class TestLinkGate:
     def net(self, sim, streams, hosts=3):
         network = DtpNetwork(sim, chain(hosts), streams)
@@ -329,10 +337,10 @@ class TestLinkGate:
         assert isinstance(network.gate, LinkGate)
         network.down_link("n0", "n1")
         assert network.gate.holds("n0", "n1") == frozenset({ADMIN_CLAIM})
-        assert not network.link_is_up("n0", "n1")
+        assert not _link_is_up(network, "n0", "n1")
         network.up_link("n0", "n1")
         assert network.gate.holds("n0", "n1") == frozenset()
-        assert network.link_is_up("n0", "n1")
+        assert _link_is_up(network, "n0", "n1")
 
     def test_overlapping_claims_keep_link_down(self, sim, streams):
         network = self.net(sim, streams)
@@ -360,7 +368,7 @@ class TestLinkGate:
         network.down_link("n0", "n1")
         network.down_link("n0", "n1")  # second fault, same shared claim
         network.up_link("n0", "n1")
-        assert network.link_is_up("n0", "n1")
+        assert _link_is_up(network, "n0", "n1")
 
     def test_signal_loss_is_directional(self, sim, streams):
         network = self.net(sim, streams)

@@ -9,10 +9,12 @@ belongs in ``tests/`` (as the wire model does) or nowhere.
 
 Names: every public module-level function and class, and every public
 method of such a class, needs a word reference in ``src/repro``,
-``examples/`` or ``e2e_bench/`` that is not a ``def`` / ``class`` of that
-name and not a package ``__init__``'s ``_LAZY`` / ``__all__`` re-export.
-Otherwise :data:`NO_CALLER_REASONS` names it with one of three reasons.
-A test calling it is not one.  The scan reads words, not bindings, so:
+``examples/`` or ``e2e_bench/`` that is not inside a definition of that
+name (its ``def`` / ``class`` line and its own body: a ``__repr__``
+f-string, an error message, a call to a same-named method) and not a
+package ``__init__``'s ``_LAZY`` / ``__all__`` re-export.  Otherwise
+:data:`NO_CALLER_REASONS` names it with one of three reasons.  A test
+calling it is not one.  The scan reads words, not bindings, so:
 
 * it passes a dead name that shares its word with a live one (two classes'
   ``render``), or that only a comment or docstring mentions;
@@ -203,19 +205,21 @@ def _caller_text(path):
 
 
 def _references():
-    """Word counts over :data:`CALLER_DIRS`, less one per ``def`` / ``class``
-    (hidden directories, such as a benchmark's scratch copies, are skipped)."""
-    words, defined = Counter(), Counter()
+    """Word counts over :data:`CALLER_DIRS`, less each definition's uses of
+    its own name inside its own lines (hidden directories, such as a
+    benchmark's scratch copies, are skipped)."""
+    words = Counter()
     for directory in CALLER_DIRS:
         for path in sorted((SRC.parent / directory).rglob("*.py")):
             if any(part.startswith(".") for part in path.relative_to(SRC.parent).parts):
                 continue
             text = _caller_text(path)
             words.update(_WORD.findall(text))
-            defined.update(
-                node.name for node in ast.walk(ast.parse(text)) if isinstance(node, _DEFS)
-            )
-    words.subtract(defined)
+            lines = text.splitlines()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, _DEFS):
+                    own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+                    words[node.name] -= _WORD.findall(own).count(node.name)
     return words
 
 

@@ -10,10 +10,10 @@ from repro.clocks.oscillator import (
     ConstantSkew,
     Oscillator,
     RandomWalkSkew,
-    SinusoidalSkew,
     SkewModel,
 )
 from repro.sim import units
+from tests.equivalence_models import SinusoidalSkew
 
 TICK = units.TICK_10G_FS
 
@@ -125,7 +125,7 @@ class TestOscillator:
 
     def test_period_at_reflects_skew(self):
         fast = make_osc(IEEE_8023_PPM_LIMIT)
-        assert fast.period_at(0) < TICK
+        assert fast.time_of_tick(2) - fast.time_of_tick(1) < TICK
 
     def test_update_interval_must_cover_period(self):
         with pytest.raises(ValueError):
@@ -148,6 +148,33 @@ class TestOscillator:
             t = osc.next_edge_after(t)
             walked += 1
         assert osc.ticks_at(t) == walked
+
+
+class TestTimeAfterTicks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        t=st.integers(min_value=0, max_value=5 * units.MS),
+        ticks=st.integers(min_value=1, max_value=400),
+        ppm=st.floats(min_value=-100.0, max_value=100.0),
+    )
+    def test_matches_iterated_next_edge(self, t, ticks, ppm):
+        # The O(log segments) closed form must agree with the definition:
+        # iterating next_edge_after `ticks` times.
+        osc = Oscillator(TICK, ConstantSkew(ppm))
+        fast = osc.time_of_tick(osc.ticks_at(t) + ticks)
+        reference = t
+        for _ in range(ticks):
+            reference = osc.next_edge_after(reference)
+        assert fast == reference
+
+    def test_crosses_segment_boundaries(self):
+        osc = Oscillator(TICK, RandomWalkSkew(0.0, seed=7))
+        # One update interval is 1 ms => ~156k ticks; stepping 400k ticks
+        # spans several segments with different periods.
+        t = osc.time_of_tick(osc.ticks_at(123) + 400_000)
+        assert osc.ticks_at(t) == osc.ticks_at(123) + 400_000
+        # An edge time: the previous femtosecond holds one fewer tick.
+        assert osc.ticks_at(t - 1) == osc.ticks_at(t) - 1
 
 
 @given(
@@ -226,4 +253,4 @@ def test_faster_period_puts_the_first_edge_on_the_update_instant():
     assert osc.time_of_tick(4) == 4 * TICK - 100
     assert osc.ticks_at(4 * TICK - 101) == 3
     assert osc.ticks_at(4 * TICK - 100) == 4
-    assert osc.time_of_tick(5) - osc.time_of_tick(4) == osc.period_at(4 * TICK)
+    assert osc.time_of_tick(5) - osc.time_of_tick(4) == units.period_fs_for_ppm(TICK, 100.0)

@@ -41,7 +41,8 @@ class TestSyncE:
     def test_syntonized_network_shares_frequency(self, sim, streams):
         net = DtpNetwork(sim, chain(3), streams, syntonized=True)
         periods = {
-            dev.oscillator.period_at(0) for dev in net.devices.values()
+            dev.oscillator.time_of_tick(2) - dev.oscillator.time_of_tick(1)
+            for dev in net.devices.values()
         }
         assert len(periods) == 1
 

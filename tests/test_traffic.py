@@ -6,25 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.clocks.oscillator import ConstantSkew, Oscillator
+from repro.dtp.device import DtpDevice
+from repro.dtp.messages import MessageType
+from repro.dtp.port import DtpPort
 from repro.ethernet.frames import MTU_FRAME, JUMBO_FRAME
-from repro.ethernet.traffic import (
-    BurstyTraffic,
-    DelayedTraffic,
-    IdleLink,
-    PartialLoadTraffic,
-    SaturatedTraffic,
-    TrafficError,
-)
+from repro.ethernet.traffic import SaturatedTraffic
+from repro.sim import units
+from tests.equivalence_models import PartialLoadTraffic, TrafficError
 
 
 class TestIdleLink:
-    def test_every_tick_is_idle(self):
-        model = IdleLink()
+    def test_every_tick_is_idle(self, sim, streams):
+        """A port with no traffic model is on an idle link: each message
+        takes the tick after the one it is queued on."""
+        oscillator = Oscillator(units.TICK_10G_FS, ConstantSkew(0.0))
+        port = DtpPort(DtpDevice(sim, "a", oscillator, streams.fork("a")), "a->b")
+        assert port.traffic is None
         for tick in (0, 1, 7, 1000):
-            assert model.next_idle_tick(tick) == tick
-
-    def test_zero_utilization(self):
-        assert IdleLink().utilization() == 0.0
+            port._schedule_transmit(MessageType.LOG, lambda t: 0, tick)
+            assert port._last_tx_slot == tick + 1
 
 
 class TestSaturatedTraffic:
@@ -45,7 +46,10 @@ class TestSaturatedTraffic:
         assert model.next_idle_tick(slot) == slot
 
     def test_utilization_close_to_one(self):
-        assert SaturatedTraffic(JUMBO_FRAME).utilization() > 0.999
+        model = SaturatedTraffic(JUMBO_FRAME)
+        ticks = 10 * model.period
+        idle = sum(1 for tick in range(ticks) if model.next_idle_tick(tick) == tick)
+        assert 1 - idle / ticks > 0.999
 
     def test_result_never_before_query(self):
         model = SaturatedTraffic(MTU_FRAME, phase=11)
@@ -96,43 +100,26 @@ class TestPartialLoadTraffic:
             tick = slot + 17
 
 
-class TestBurstyTraffic:
-    def test_off_period_all_idle(self):
-        model = BurstyTraffic(MTU_FRAME, burst_frames=2, idle_ticks=100)
-        burst_ticks = 2 * MTU_FRAME.slot_blocks
-        inside_off = burst_ticks + 10
-        assert model.next_idle_tick(inside_off) == inside_off
-
-    def test_burst_period_one_slot_per_frame(self):
-        model = BurstyTraffic(MTU_FRAME, burst_frames=3, idle_ticks=50)
-        slot = model.next_idle_tick(0)
-        assert slot == MTU_FRAME.slot_blocks - 1
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            BurstyTraffic(MTU_FRAME, burst_frames=0, idle_ticks=10)
-        with pytest.raises(ValueError):
-            BurstyTraffic(MTU_FRAME, burst_frames=1, idle_ticks=0)
-
-    def test_utilization_between_zero_and_one(self):
-        model = BurstyTraffic(MTU_FRAME, burst_frames=5, idle_ticks=500)
-        assert 0.0 < model.utilization() < 1.0
-
-
 class TestDelayedTraffic:
+    """A model given a start tick, as ``install_traffic`` gives each one:
+    idle before it, the model shifted to begin there after it."""
+
     def test_idle_before_start(self):
-        model = DelayedTraffic(SaturatedTraffic(MTU_FRAME), start_tick=1000)
+        model = SaturatedTraffic(MTU_FRAME)
+        model.start_at(1000)
         assert model.next_idle_tick(5) == 5
         assert model.next_idle_tick(999) == 999
 
     def test_inner_model_after_start(self):
-        inner = SaturatedTraffic(MTU_FRAME)
-        model = DelayedTraffic(SaturatedTraffic(MTU_FRAME), start_tick=1000)
-        assert model.next_idle_tick(1000) == 1000 + inner.next_idle_tick(0)
+        inner = SaturatedTraffic(MTU_FRAME, phase=7)
+        model = SaturatedTraffic(MTU_FRAME, phase=7)
+        model.start_at(1000)
+        for tick in range(0, 5000, 37):
+            assert model.next_idle_tick(1000 + tick) == 1000 + inner.next_idle_tick(tick)
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
-            DelayedTraffic(IdleLink(), start_tick=-1)
+            SaturatedTraffic(MTU_FRAME).start_at(-1)
 
 
 @given(
