@@ -97,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--dump-trace", metavar="DIR", default=None,
         help="write a flight-recorder artifact <DIR>/<name>.flight.jsonl "
-        "for every scenario that records or raises an invariant violation",
+        "for every scenario that records an invariant violation",
     )
     parser.add_argument(
         "--profile", action="store_true",

@@ -751,35 +751,10 @@ class _GlitchSkew(SkewModel):
         return ppm
 
 
-class OscillatorStep(_NodeFault):
-    """Permanent frequency step (thermal shock) on one device at ``at_fs``.
-
-    The piecewise-segment machinery picks the new rate up at the next
-    segment boundary (within one oscillator update interval).
-    """
-
-    kind = "oscillator-step"
-
-    def __init__(
-        self, node: str, at_fs: int, new_ppm: float, name: Optional[str] = None
-    ) -> None:
-        super().__init__(name)
-        self.node = node
-        self.at_fs = at_fs
-        self.new_ppm = new_ppm
-
-    def _arm(self, ctx: FaultContext) -> None:
-        oscillator = ctx.network.devices[self.node].oscillator
-        oscillator.skew = SteppedSkew(oscillator.skew, self.at_fs, self.new_ppm)
-
-    def summary(self) -> Dict[str, object]:
-        return {"new_ppm_x1000": int(self.new_ppm * 1000)}
-
-
 class OscillatorGlitch(_NodeFault):
     """Transient additive ppm excursion on one device.
 
-    Unlike :class:`OscillatorStep` the deviation reverts after
+    Unlike :class:`RunawayQuarantine`'s step the deviation reverts after
     ``duration_fs``.  The excursion should span at least one oscillator
     update interval (default 1 ms segment boundaries) to take effect.
     """
@@ -867,7 +842,6 @@ FAULT_KINDS: Dict[str, type] = {
         NodeCrash,
         BeaconSuppression,
         TwoFacedNode,
-        OscillatorStep,
         OscillatorGlitch,
         RunawayQuarantine,
     )

@@ -3,10 +3,10 @@
 :func:`drive_sharded` takes the same
 :func:`~repro.faultlab.campaign.prepare` output as the serial driver,
 rejects the features the sharded backend cannot honor (dispatch
-profiling, observers, custom engines, ``raise_on_violation`` — all of
-which need one live process to mean anything), partitions the topology,
-and drives the coordinator over the chosen transport.  The result dict and every telemetry artifact are
-byte-identical to the serial run.
+profiling, observers, custom engines — all of which need one live
+process to mean anything), partitions the topology, and drives the
+coordinator over the chosen transport.  The result dict and every
+telemetry artifact are byte-identical to the serial run.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ def drive_sharded(
         raise CampaignError(
             "profile_dispatch is per-engine and cannot compose across "
             "shards; use --backend scalar to profile"
-        )
-    if dict(prepared.spec.get("checker", {})).get("raise_on_violation"):
-        raise CampaignError(
-            "checker.raise_on_violation needs the live single-process "
-            "checker; the sharded backend replays checks after the fact"
         )
 
     if telemetry is None and options.wants_telemetry:

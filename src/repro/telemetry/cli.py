@@ -82,9 +82,6 @@ def _summarize(args: argparse.Namespace) -> int:
 
 
 def _export(args: argparse.Namespace) -> int:
-    if args.format != "chrome":
-        print(f"unknown export format {args.format!r}", file=sys.stderr)
-        return 2
     header, records = read_trace_jsonl(args.file)
     subjects = [str(name) for name in header.get("subjects", [])]
     write_chrome_trace(args.out, records, subjects)
@@ -120,14 +117,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     summarize.add_argument("file", help="a .trace.jsonl (or flight) artifact")
     summarize.set_defaults(fn=_summarize)
 
-    export = sub.add_parser("export", help="convert a JSONL trace to other formats")
+    export = sub.add_parser(
+        "export", help="convert a JSONL trace to Chrome trace-event JSON"
+    )
     export.add_argument("file", help="a .trace.jsonl artifact")
     export.add_argument(
         "-o", "--out", required=True, metavar="FILE", help="output path"
-    )
-    export.add_argument(
-        "--format", default="chrome", choices=("chrome",),
-        help="output format (default: chrome trace-event JSON)",
     )
     export.set_defaults(fn=_export)
 

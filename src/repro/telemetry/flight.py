@@ -1,8 +1,8 @@
 """The flight recorder: post-mortem artifacts for invariant violations.
 
-When a :class:`repro.faultlab.invariants.InvariantViolation` fires (or a
-campaign records a violation without raising), the flight recorder dumps a
-single JSONL artifact holding everything a post-mortem needs:
+When a campaign's invariant checker records a violation (or the
+supervisor quarantines a scenario), the flight recorder dumps a single
+JSONL artifact holding everything a post-mortem needs:
 
 * a header (scenario, seed, sim time, trace accounting),
 * the last N trace records with their subject table,

@@ -9,28 +9,25 @@ standard library so that the CLI can load it by path).
 """
 
 LOW_BITS = 53
-
-
-class ReferenceRaise(Exception):
-    pass
+#: PAPER.md §3.3: 4 ticks a hop.
+PER_HOP = 4
 
 
 class Reference:
     """The checker's contract, recomputed from scratch every tick."""
 
-    def __init__(self, net, per_hop, slack, grace, allowance, raising):
+    def __init__(self, net, grace):
         self.nodes = list(net.devices)
         self.inc = {n: d.counter_increment for n, d in net.devices.items()}
-        self.per_hop, self.slack, self.grace = per_hop, slack, grace
-        self.allowance, self.raising = allowance, raising
+        self.grace = grace
         self.violations, self.counts = [], {}
-        self.pairs_checked = self.ticks_above = self.forgiven = self.reconnects = 0
-        self.streak, self.recovery, self.last = {}, {}, {}
+        self.pairs_checked = self.ticks_above = self.reconnects = 0
+        self.recovery, self.last = {}, {}
         self.since, self.awaiting = {}, {}
         self.quarantined, self.healing, self.held_edges = set(), {}, set()
 
     def bound(self, a, b, hops):
-        return (self.per_hop * hops + self.slack) * max(self.inc[a], self.inc[b])
+        return PER_HOP * hops * max(self.inc[a], self.inc[b])
 
     def distances(self, up):
         adjacency = {n: [] for n in self.nodes}
@@ -66,14 +63,9 @@ class Reference:
     def worst(self, now, gc, up):
         return max((abs(gc[a] - gc[b]) for a, b, _ in self.pairs(now, up)), default=None)
 
-    def record(self, now, invariant, subject, detail, gc):
+    def record(self, now, invariant, subject, detail):
         self.counts[invariant] = self.counts.get(invariant, 0) + 1
         self.violations.append((now, invariant, subject, detail))
-        if self.raising:
-            raise ReferenceRaise(
-                (now, invariant, subject, detail),
-                dict(gc), set(self.quarantined), sorted(self.healing),
-            )
 
     def step(self, now, gc, up):
         skip = self.quarantined | set(self.healing)
@@ -81,29 +73,24 @@ class Reference:
             previous = self.last.get(node)
             if previous is not None and gc[node] <= previous and node not in skip:
                 self.record(now, "gc-monotonic", node,
-                            {"previous": previous, "current": gc[node]}, gc)
+                            {"previous": previous, "current": gc[node]})
             self.last[node] = gc[node]
         above = False
         for a, b, bound in self.pairs(now, up):
             offset = gc[a] - gc[b]
             self.pairs_checked += 1
             if abs(offset) > bound:
-                self.streak[(a, b)] = self.streak.get((a, b), 0) + 1
-                if self.streak[(a, b)] <= self.allowance:
-                    self.forgiven += 1
-                    continue
                 above = True
                 self.record(now, "pair-bound", f"{a}-{b}",
-                            {"offset": offset, "bound": bound}, gc)
+                            {"offset": offset, "bound": bound})
             else:
-                self.streak.pop((a, b), None)
                 # 53 LSBs of a, re-expanded around b, must give a back.
                 low = gc[a] % (1 << LOW_BITS)
                 near = gc[b] - (1 << (LOW_BITS - 1))
                 if near + (low - near) % (1 << LOW_BITS) != gc[a]:
                     self.record(now, "wrap-codec", f"{a}-{b}",
                                 {"low": low, "gc_a": gc[a], "gc_b": gc[b],
-                                 "kind": "cross-node"}, gc)
+                                 "kind": "cross-node"})
         self.ticks_above += above
         dist = self.distances(up)
         for i, a in enumerate(self.nodes):
@@ -137,10 +124,7 @@ def brute_force_tick(checker):
     """``(reference, tick)`` over ``checker``'s own live network: what
     ``repro bench`` times (and cross-checks) against the real tick."""
     net = checker.network
-    reference = Reference(
-        net, checker.bound_ticks_per_hop, checker.slack_ticks, checker.grace_fs,
-        checker.transient_allowance_intervals, raising=False,
-    )
+    reference = Reference(net, checker.grace_fs)
 
     def tick():
         now = net.sim.now

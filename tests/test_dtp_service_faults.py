@@ -6,7 +6,7 @@ from repro.clocks.oscillator import ConstantSkew
 from repro.dtp.network import DtpNetwork
 from repro.dtp.port import DtpPortConfig
 from repro.dtp.service import DtpClockService
-from repro.faultlab.faults import FaultContext, LinkFlap, OscillatorStep
+from repro.faultlab.faults import FaultContext, LinkFlap, SteppedSkew
 from repro.network.topology import chain, paper_testbed
 from repro.sim import units
 
@@ -114,6 +114,13 @@ class TestFlappingLink:
             LinkFlap("n0", "n1", down_every_fs=100, down_for_fs=100)
 
 
+def _step_rate(net, node, at_fs, new_ppm):
+    """A permanent frequency step (thermal shock) on ``node`` at ``at_fs``:
+    the oscillator picks the new rate up at its next segment boundary."""
+    oscillator = net.devices[node].oscillator
+    oscillator.skew = SteppedSkew(oscillator.skew, at_fs, new_ppm)
+
+
 class TestOscillatorStep:
     def test_step_changes_rate(self, sim, streams):
         net = DtpNetwork(
@@ -121,9 +128,7 @@ class TestOscillatorStep:
             skews={"n0": ConstantSkew(0.0), "n1": ConstantSkew(0.0)},
         )
         net.start()
-        OscillatorStep("n1", at_fs=2 * units.MS, new_ppm=80.0).arm(
-            FaultContext(network=net, streams=net.streams)
-        )
+        _step_rate(net, "n1", 2 * units.MS, 80.0)
         sim.run_until(10 * units.MS)
         osc = net.devices["n1"].oscillator
         after = osc.ticks_at(9 * units.MS) + 1
@@ -138,9 +143,7 @@ class TestOscillatorStep:
             skews={"n0": ConstantSkew(0.0), "n1": ConstantSkew(-50.0)},
         )
         net.start()
-        OscillatorStep("n1", at_fs=3 * units.MS, new_ppm=95.0).arm(
-            FaultContext(network=net, streams=net.streams)
-        )
+        _step_rate(net, "n1", 3 * units.MS, 95.0)
         sim.run_until(4 * units.MS)
         worst = 0
         t = sim.now

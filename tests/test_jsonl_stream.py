@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from repro.faultlab import campaign
-from repro.faultlab.campaign import InvariantViolation, run_campaign, run_scenario
+from repro.faultlab.campaign import run_campaign, run_scenario
 from repro.faultlab.scenarios import builtin_specs
 from repro.ioutil import JsonlAppender
 from repro.observe.snapshots import SnapshotTap, read_snapshots, snapshot_path
@@ -278,15 +278,6 @@ def _assert_kept_and_closed(tap, emitted_at_least: int) -> None:
     assert [s["index"] for s in stream["snapshots"]] == list(range(tap.emitted))
     # Not a multiple of the batch size: the tail was still pending at the raise.
     assert tap.emitted >= emitted_at_least and (tap.emitted + 1) % 16
-
-
-def test_invariant_violation_keeps_every_snapshot(tmp_path, taps):
-    spec = builtin_specs(["two-faced"], quick=True)[0]
-    spec["checker"] = {"raise_on_violation": True}
-    with pytest.raises(InvariantViolation):
-        run_scenario(spec, seed=0, snapshot_dir=str(tmp_path))
-    (tap,) = taps
-    _assert_kept_and_closed(tap, 17)
 
 
 def test_any_other_exception_keeps_every_snapshot(tmp_path, taps):

@@ -25,6 +25,12 @@ calling it is not one.  The scan reads words, not bindings, so:
 * it would flag a name reached only through a *computed* string
   (``getattr(obj, "on_" + kind)``).  None exists today; such a name
   needs a literal reference.
+
+Options: every key a scenario spec may carry (``campaign._SPEC_KEYS``)
+must be set, and every fault kind (``FAULT_KINDS``) named, by a spec that
+something outside ``tests/`` builds — a registered scenario at either size,
+or the benchmark's checker fabric.  This pass evaluates those specs; it
+reads no words.
 """
 
 import ast
@@ -246,3 +252,35 @@ def test_every_reason_is_allowed_and_still_needed():
     for key, reason in NO_CALLER_REASONS.items():
         assert reason.startswith(ALLOWED_REASONS), key
         assert key in callerless, f"{key} has a caller now (or is gone): drop its entry"
+
+
+def _specs_with_a_caller():
+    """Every scenario spec a run outside ``tests/`` builds: each registered
+    scenario at both sizes, and the benchmark's checker fabric."""
+    from repro import bench
+    from repro.faultlab import scenarios
+
+    names = [
+        *scenarios.BUILTIN_SCENARIOS,
+        *scenarios.FABRIC_SCENARIOS,
+        *scenarios.LINKHEALTH_SCENARIOS,
+    ]
+    return [
+        *scenarios.builtin_specs(names, quick=True),
+        *scenarios.builtin_specs(names, quick=False),
+        bench.CHECKER_SPEC,
+    ]
+
+
+def test_every_spec_key_and_fault_kind_has_a_setter():
+    """Options, not words: a spec key no such spec sets, or a fault kind
+    none names, is an option only tests exercise."""
+    from repro.faultlab.campaign import _SPEC_KEYS
+    from repro.faultlab.faults import FAULT_KINDS
+
+    specs = _specs_with_a_caller()
+    set_keys = {key for spec in specs for key in spec}
+    named_kinds = {fault["kind"] for spec in specs for fault in spec.get("faults", ())}
+    unset = sorted(_SPEC_KEYS - set_keys)
+    unnamed = sorted(set(FAULT_KINDS) - named_kinds)
+    assert (unset, unnamed) == ([], [])

@@ -149,6 +149,11 @@ class TestFlight:
         assert dump.header["trace_tail"] == len(dump.records)
         assert dump.header["metrics_digest"] == result["telemetry"]["metrics_digest"]
         assert dump.context["violation"]["invariant"]
+        # The checker's full context at the end of the run, every node in it.
+        assert set(dump.context) >= {
+            "time_fs", "counters", "port_states", "quarantined", "healing",
+        }
+        assert len(dump.context["counters"]) == result["nodes"]
         assert "dtp_messages_sent_total" in dump.metrics
 
     def test_flight_roundtrip_is_byte_identical(self, tmp_path):
