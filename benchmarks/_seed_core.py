@@ -11,10 +11,12 @@ host.  Everything here is a faithful copy of the seed revision:
   last-hit cache or the ``ticks_at`` memo;
 * ``seed_schedule_beacon_timeout`` / ``seed_beacon_timeout`` — the beacon
   cycle that reads its tick back with ``ticks_at(now)``;
-* ``seed_transmit_now`` / ``seed_arrive`` / ``seed_process`` — the DTP port
-  fast path with per-message ``SeedBlock66`` / ``DtpMessage`` object
-  round-trips and a dispatch dict rebuilt per received message, counting
-  its messages through ``seed_count_sent`` / ``seed_count_received``;
+* ``seed_schedule_transmit`` / ``seed_transmit_now`` / ``seed_arrive`` /
+  ``seed_process`` — the DTP port fast path with a payload closure per
+  message (``seed_payload_builder``, read from the time of the send),
+  per-message ``SeedBlock66`` / ``DtpMessage`` object round-trips and a
+  dispatch dict rebuilt per received message, counting its messages
+  through ``seed_count_sent`` / ``seed_count_received``;
 * ``seed_reconstruct_counter`` — the ``min(key=lambda...)`` form.
 
 ``seed_implementation()`` patches them all in, so a whole experiment can
@@ -27,6 +29,7 @@ import bisect
 import heapq
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MethodType
 from typing import Any, Callable, List, Optional
 
 from repro.clocks.oscillator import Oscillator
@@ -252,10 +255,33 @@ def seed_count_received(stats, mtype):
     stats._received[mtype.name].value += 1
 
 
-def seed_schedule_transmit(self, mtype, payload_builder, _tick=None):
+def seed_beacon_payload(self, t_fs):
+    counter = self._tx_counter(t_fs)
+    if self.config.parity:
+        return dtpmsg.payload_with_parity(counter)
+    return counter & dtpmsg.COUNTER_LOW_MASK
+
+
+def seed_payload_builder(self, mtype, echo):
+    """The closure the seed's caller built for ``mtype``: it reads the
+    counter from the time of the send."""
+    if mtype is dtpmsg.MessageType.INIT:
+        return lambda t: dtpmsg.counter_low(self.lc.counter_at(t))
+    if mtype is dtpmsg.MessageType.INIT_ACK:
+        return lambda t: echo
+    if mtype is dtpmsg.MessageType.BEACON:
+        return MethodType(seed_beacon_payload, self)  # the seed's bound method
+    if mtype is dtpmsg.MessageType.BEACON_MSB:
+        return lambda t: dtpmsg.counter_high(self._tx_counter(t))
+    return lambda t: dtpmsg.counter_low(self._tx_counter(t))
+
+
+def seed_schedule_transmit(self, mtype, _tick=None, echo=0):
     # ``_tick``: the current code's callers pass the tick they read; the
-    # seed reads it again.  An idle link has no model now (the seed's
-    # ``IdleLink`` answered the query itself).
+    # seed reads it again, and builds the payload closure its caller did.
+    # An idle link has no model now (the seed's ``IdleLink`` answered the
+    # query itself).
+    payload_builder = seed_payload_builder(self, mtype, echo)
     tick = self.osc.ticks_at(self.sim.now)
     slot = max(tick + 1, self._last_tx_slot + 1)
     if self.traffic is not None:
@@ -325,7 +351,8 @@ def seed_process(self, bits56):
         dtpmsg.MessageType.BEACON_MSB: self._on_msb,
         dtpmsg.MessageType.LOG: self._on_log_message,
     }[message.mtype]
-    handler(message.payload, now)
+    # The current handlers take the RX edge; the seed's read it from ``now``.
+    handler(message.payload, now, self.osc.ticks_at(now))
 
 
 def seed_schedule_beacon_timeout(self, _tick=None):
@@ -340,14 +367,11 @@ def seed_beacon_timeout(self):
 
     if self.state is not PortState.SYNCHRONIZED:
         return
-    self._schedule_transmit(dtpmsg.MessageType.BEACON, self._beacon_payload)
+    self._schedule_transmit(dtpmsg.MessageType.BEACON)
     self._beacons_since_msb += 1
     if self._beacons_since_msb >= self.config.msb_interval_beacons:
         self._beacons_since_msb = 0
-        self._schedule_transmit(
-            dtpmsg.MessageType.BEACON_MSB,
-            lambda t: dtpmsg.counter_high(self._tx_counter(t)),
-        )
+        self._schedule_transmit(dtpmsg.MessageType.BEACON_MSB)
     self._schedule_beacon_timeout()
 
 

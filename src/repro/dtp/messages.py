@@ -86,24 +86,15 @@ def decode(bits56: int) -> DtpMessage:
     """Unpack 56 idle bits into a message.
 
     Raises :class:`MessageError` for unknown type codes, which is how a
-    corrupted type field surfaces to the port logic (the message is
-    dropped, exactly like a corrupted Ethernet frame would be).
-    """
-    mtype, payload = decode_type_payload(bits56)
-    return DtpMessage(mtype=mtype, payload=payload)
-
-
-def decode_type_payload(bits56: int) -> "tuple[MessageType, int]":
-    """Hot-path decode: ``(mtype, payload)`` without a DtpMessage object.
-
-    Same validation and failure modes as :func:`decode`.
+    corrupted type field surfaces (the port's inlined decode drops the
+    message, exactly like a corrupted Ethernet frame would be).
     """
     if not 0 <= bits56 < (1 << MESSAGE_BITS):
         raise MessageError("DTP message must fit in 56 bits")
     mtype = TYPE_TABLE[bits56 >> PAYLOAD_BITS]
     if mtype is None:
         raise MessageError(f"unknown message type code {bits56 >> PAYLOAD_BITS}")
-    return mtype, bits56 & PAYLOAD_MASK
+    return DtpMessage(mtype=mtype, payload=bits56 & PAYLOAD_MASK)
 
 
 # ----------------------------------------------------------------------

@@ -81,6 +81,9 @@ class PortState(enum.Enum):
 #: message, so the names are precomputed.
 _MTYPE_NAME = {mtype: mtype.name for mtype in dtpmsg.MessageType}
 _MTYPE_NAMES = frozenset(_MTYPE_NAME.values())
+_INIT, _INIT_ACK, _BEACON, _JOIN, _MSB, _LOG = dtpmsg.MessageType
+_LOW_MASK = dtpmsg.COUNTER_LOW_MASK
+_HALF = 1 << (dtpmsg.COUNTER_LOW_BITS - 1)
 
 
 @dataclass
@@ -306,15 +309,14 @@ class DtpPort:
         self._reject_threshold = (
             self.config.reject_threshold_ticks * device.counter_increment
         )
-        #: Per-message dispatch table, built once (the old code rebuilt a
-        #: dict literal of bound methods on every received message).
+        #: Per-message dispatch table; a handler takes (payload, now, tick).
         self._handlers = {
-            dtpmsg.MessageType.INIT: self._on_init,
-            dtpmsg.MessageType.INIT_ACK: self._on_init_ack,
-            dtpmsg.MessageType.BEACON: self._on_beacon,
-            dtpmsg.MessageType.BEACON_JOIN: self._on_join,
-            dtpmsg.MessageType.BEACON_MSB: self._on_msb,
-            dtpmsg.MessageType.LOG: self._on_log_message,
+            _INIT: self._on_init,
+            _INIT_ACK: self._on_init_ack,
+            _BEACON: self._on_beacon,
+            _JOIN: self._on_join,
+            _MSB: self._on_msb,
+            _LOG: self._on_log_message,
         }
         device.add_port(self)
 
@@ -377,11 +379,7 @@ class DtpPort:
     def _send_init(self) -> None:
         if self.state is not PortState.INIT:
             return
-        self._schedule_transmit(
-            dtpmsg.MessageType.INIT,
-            lambda t: dtpmsg.counter_low(self.lc.counter_at(t)),
-            self.osc.ticks_at(self.sim._now),
-        )
+        self._schedule_transmit(_INIT, self.osc.ticks_at(self.sim._now))
         retry_fs = self.config.init_retry_ticks * self.osc.nominal_period_fs
         self.sim.cancel(self._init_retry_event)
         self._init_retry_event = self.sim.schedule(retry_fs, self._send_init)
@@ -390,14 +388,12 @@ class DtpPort:
     # Transmission machinery
     # ------------------------------------------------------------------
     def _schedule_transmit(
-        self,
-        mtype: dtpmsg.MessageType,
-        payload_builder: Callable[[int], int],
-        tick: int,
+        self, mtype: dtpmsg.MessageType, tick: int, echo: int = 0
     ) -> None:
         """Queue a message for the first idle block after ``tick`` (the
         current tick) and after the last one queued: a monotonic slot
-        arbiter.  The transmission fires on its slot and carries it."""
+        arbiter.  The transmission fires on its slot and carries it (and
+        ``echo``, an INIT_ACK's payload)."""
         last = self._last_tx_slot
         slot = tick + 1 if tick > last else last + 1
         if self.traffic is not None:
@@ -405,34 +401,27 @@ class DtpPort:
         self._last_tx_slot = slot
         self.sim.post_at(
             self.osc.time_of_tick(slot),
-            self._transmit_now, mtype, payload_builder, slot,
+            self._transmit_now, mtype, slot, echo,
         )
 
-    def _transmit_now(
-        self,
-        mtype: dtpmsg.MessageType,
-        payload_builder: Callable[[int], int],
-        slot: int,
-    ) -> None:
+    def _transmit_now(self, mtype: dtpmsg.MessageType, slot: int, echo: int) -> None:
         if self.state is PortState.DOWN or self.peer is None:
             return
-        # ``sim._now`` (not the ``now`` property): this method and
-        # ``_arrive``/``_process`` run once per message, and the property
-        # descriptor shows up in profiles at that call rate.
+        # ``sim._now``, not the ``now`` property, whose descriptor shows in
+        # profiles at one call per message (here, in ``_arrive``, ``_process``).
         now = self.sim._now
         if self.tx_allow is not None and not self.tx_allow(mtype, now):
             if self._tracer is not None:
                 self._tracer.record(now, EV_TX_BLOCKED, self._sid, mtype)
             return
-        payload = payload_builder(now)
+        payload = self._payload_at(mtype, now, slot, echo)
         bits56 = dtpmsg.SHIFTED_TYPE[mtype] | payload
         self.stats._sent[_MTYPE_NAME[mtype]].value += 1
         if self._tracer is not None:
             self._tracer.record(now, EV_TX, self._sid, mtype, payload)
         # Inlined tx_exit_time/advance_ticks (hot path: one call per
-        # message sent), from the slot this event fires on: ``now`` is
-        # its edge, so ``ticks_at(now)`` would read the same index.  A
-        # slot is >= 1 and pipeline depths are non-negative.
+        # message sent), from the slot this event fires on.  A slot is
+        # >= 1 and pipeline depths are non-negative.
         arrival_fs = (
             self.osc.time_of_tick(slot + self._tx_pipeline_ticks) + self.wire_delay_fs
         )
@@ -445,6 +434,31 @@ class DtpPort:
         if self.ber is not None:
             wire_bits = self.ber.corrupt(wire_bits, 66)
         self.sim.post_at(arrival_fs, self.peer._arrive, wire_bits)
+
+    def _payload_at(self, mtype, now: int, slot: int, echo: int) -> int:
+        """What ``mtype`` carries on ``slot``: a plain clock is read there,
+        anything else (as ``fastpath.eligibility`` sorts them) at ``now``."""
+        if mtype is _INIT_ACK:
+            return echo
+        if mtype is _INIT:
+            lc = self.lc
+            if type(lc) is TickClock:
+                return (lc.increment * slot + lc.offset) & _LOW_MASK
+            return lc.counter_at(now) & _LOW_MASK
+        gc = self.device.gc
+        if (  # two-faced patches ``_tx_counter`` per instance
+            type(gc) is TickClock
+            and type(self.device) is DtpDevice
+            and "_tx_counter" not in self.__dict__
+        ):
+            counter = gc.increment * slot + gc.offset
+        else:
+            counter = self._tx_counter(now)
+        if mtype is _MSB:
+            return dtpmsg.counter_high(counter)
+        if mtype is _BEACON and self.config.parity:
+            return dtpmsg.payload_with_parity(counter)
+        return counter & _LOW_MASK
 
     # ------------------------------------------------------------------
     # Reception machinery
@@ -486,37 +500,35 @@ class DtpPort:
             while r >= bound:
                 r = getrandbits(k)
             n += r
-        self.sim.post_at(
-            osc.time_of_tick(n + self._rx_pipeline_ticks), self._process, bits56
-        )
+        n += self._rx_pipeline_ticks
+        self.sim.post_at(osc.time_of_tick(n), self._process, bits56, n)
 
-    def _process(self, bits56: int) -> None:
+    def _process(self, bits56: int, tick: int) -> None:
         if self.state is PortState.DOWN:
             return
-        try:
-            mtype, payload = dtpmsg.decode_type_payload(bits56)
-        except dtpmsg.MessageError:
+        # dtpmsg.decode, inlined: 56 bits always index the table.
+        mtype = dtpmsg.TYPE_TABLE[bits56 >> dtpmsg.PAYLOAD_BITS]
+        if mtype is None:
             self.stats._rejected["undecodable"].value += 1
             if self._tracer is not None:
                 self._tracer.record(
                     self.sim._now, EV_REJECT, self._sid, REJECT_UNDECODABLE
                 )
             return
+        payload = bits56 & dtpmsg.PAYLOAD_MASK
         self.stats._received[_MTYPE_NAME[mtype]].value += 1
         if self._tracer is not None:
             self._tracer.record(self.sim._now, EV_RX, self._sid, mtype, payload)
-        self._handlers[mtype](payload, self.sim._now)
+        self._handlers[mtype](payload, self.sim._now, tick)
 
     # ------------------------------------------------------------------
     # Protocol transitions
     # ------------------------------------------------------------------
-    def _on_init(self, payload: int, now: int) -> None:
+    def _on_init(self, payload: int, now: int, tick: int) -> None:
         """T1: echo the peer's counter back in an INIT_ACK."""
-        self._schedule_transmit(
-            dtpmsg.MessageType.INIT_ACK, lambda t: payload, self.osc.ticks_at(now)
-        )
+        self._schedule_transmit(_INIT_ACK, tick, payload)
 
-    def _on_init_ack(self, payload: int, now: int) -> None:
+    def _on_init_ack(self, payload: int, now: int, tick: int) -> None:
         """T2: measure the one-way delay and enter the BEACON phase."""
         if self.state is not PortState.INIT:
             return  # duplicate ACK after a retry
@@ -532,7 +544,7 @@ class DtpPort:
         self._init_retry_event = None
         # Network dynamics: agree on the maximum counter across the link.
         self.send_join()
-        self._schedule_beacon_timeout(self.osc.ticks_at(now))
+        self._schedule_beacon_timeout(tick)
         if self._linkhealth is not None:
             self._linkhealth.on_synchronized(self)
 
@@ -551,39 +563,30 @@ class DtpPort:
         fastpath = self._fastpath
         if fastpath is not None and fastpath.on_beacon_timeout(self, tick):
             return  # direction promoted: the coordinator owns this beacon
-        self._schedule_transmit(dtpmsg.MessageType.BEACON, self._beacon_payload, tick)
+        self._schedule_transmit(_BEACON, tick)
         self._beacons_since_msb += 1
         if self._beacons_since_msb >= self.config.msb_interval_beacons:
             self._beacons_since_msb = 0
-            self._schedule_transmit(
-                dtpmsg.MessageType.BEACON_MSB,
-                lambda t: dtpmsg.counter_high(self._tx_counter(t)),
-                tick,
-            )
+            self._schedule_transmit(_MSB, tick)
         self._schedule_beacon_timeout(tick)
 
     def _tx_counter(self, t_fs: int) -> int:
         """The counter value beacons carry: the device's global counter."""
         return self.device.global_counter(t_fs)
 
-    def _beacon_payload(self, t_fs: int) -> int:
-        counter = self._tx_counter(t_fs)
-        if self.config.parity:
-            return dtpmsg.payload_with_parity(counter)
-        return counter & dtpmsg.COUNTER_LOW_MASK
-
-    def _on_beacon(self, payload: int, now: int) -> None:
+    def _on_beacon(self, payload: int, now: int, tick: int) -> None:
         """T4: ``lc <- max(lc, c + d)`` with Section 3.2 fault filtering."""
         if self.state is not PortState.SYNCHRONIZED or self.d is None:
             return
         if self.peer_faulty:
             return
         lc = self.lc
-        lc_now = lc.counter_at(now)
         # Only a subclass (a spanning-tree follower that can stall, a
         # child-facing inert clock) reads a second counter or decides a
-        # jump its own way; a plain clock jumps iff candidate > lc_now.
+        # jump its own way; a plain clock reads the RX edge and jumps iff
+        # candidate > lc_now.
         plain = type(lc) is TickClock
+        lc_now = lc.increment * tick + lc.offset if plain else lc.counter_at(now)
         if self.config.parity:
             if not dtpmsg.check_parity(payload):
                 self.stats._rejected["parity"].value += 1
@@ -595,7 +598,8 @@ class DtpPort:
                 low, lc_now, bits=dtpmsg.PARITY_PAYLOAD_BITS
             )
         else:
-            remote = dtpmsg.reconstruct_counter(payload, lc_now)
+            # reconstruct_counter, inlined
+            remote = lc_now + ((payload - lc_now + _HALF) & _LOW_MASK) - _HALF
         candidate = remote + self.d
         # Plausibility is judged against the free-running counter: a
         # stalled follower (spanning-tree mode) legitimately lags its
@@ -648,13 +652,9 @@ class DtpPort:
         """Send a BEACON_JOIN carrying our global counter."""
         if not self.can_transmit():
             return
-        self._schedule_transmit(
-            dtpmsg.MessageType.BEACON_JOIN,
-            lambda t: dtpmsg.counter_low(self._tx_counter(t)),
-            self.osc.ticks_at(self.sim._now),
-        )
+        self._schedule_transmit(_JOIN, self.osc.ticks_at(self.sim._now))
 
-    def _on_join(self, payload: int, now: int) -> None:
+    def _on_join(self, payload: int, now: int, tick: int) -> None:
         """BEACON_JOIN: allow an arbitrarily large forward adjustment."""
         if self.d is None:
             return  # our own INIT exchange will reconcile counters shortly
@@ -673,7 +673,7 @@ class DtpPort:
                 )
             self.device.on_join(self, now)
 
-    def _on_msb(self, payload: int, now: int) -> None:
+    def _on_msb(self, payload: int, now: int, tick: int) -> None:
         self.remote_msb = payload
 
     # ------------------------------------------------------------------
@@ -681,13 +681,9 @@ class DtpPort:
     # ------------------------------------------------------------------
     def send_log(self) -> None:
         """Inject a log record stamped with our current global counter."""
-        self._schedule_transmit(
-            dtpmsg.MessageType.LOG,
-            lambda t: dtpmsg.counter_low(self._tx_counter(t)),
-            self.osc.ticks_at(self.sim._now),
-        )
+        self._schedule_transmit(_LOG, self.osc.ticks_at(self.sim._now))
 
-    def _on_log_message(self, payload: int, now: int) -> None:
+    def _on_log_message(self, payload: int, now: int, tick: int) -> None:
         """Compute offset_hw = t2 - t1 - OWD, as the paper's logger does."""
         if self.on_log is None or self.d is None:
             return

@@ -32,11 +32,12 @@ four engine dispatches through the full port machinery.
   read mid-chain in a scalar run.
 * PLAN, CAPTURE and APPLY fire on a tick edge whose index was known when
   the stage was scheduled, and carry it in their entry (layout below the
-  imports).  The scalar ``_beacon_timeout`` and ``_transmit_now`` carry
-  the same index as an argument; ``_on_beacon`` reads its counter with
-  ``ticks_at``, and the oscillator guarantees
-  ``ticks_at(time_of_tick(n)) == n``, so the carried index is the one it
-  reads.  Only ARRIVE, which lands between receiver edges, divides.
+  imports).  The scalar ``_beacon_timeout``, ``_transmit_now`` and
+  ``_process`` carry the same index as an argument and read a plain
+  clock as ``increment * n + offset`` too; the oscillator guarantees
+  ``ticks_at(time_of_tick(n)) == n``, so the carried index is the one a
+  time-based read would map back.  Only ARRIVE, which lands between
+  receiver edges, divides.
 * With telemetry tracing on, each stage appends the records the scalar
   handler it stands for would have appended — ``EV_TX`` in CAPTURE,
   ``EV_RX`` then ``EV_REJECT`` / ``EV_JUMP`` in APPLY, ``EV_PEER_FAULT``
@@ -55,7 +56,8 @@ four engine dispatches through the full port machinery.
   out and, with its queued captures, re-materialized as real heap events
   at their original times and sequence numbers (a PLAN as the beacon
   timeout of the tick it carries, a CAPTURE as the transmission of its
-  slot), and the scalar path finishes the chain (``link_down``, a
+  slot, an APPLY as the ``_process`` of its receiver tick), and the
+  scalar path finishes the chain (``link_down``, a
   tripped fault window, ``DtpPort.leave_fastpath`` before a fault or
   ``signal_loss`` patches the port, ``DtpNetwork.pin_scalar`` on a shard
   worker's ghost links).
@@ -287,8 +289,9 @@ class FastpathCoordinator:
         place: :meth:`run_merged` holds it) and its queued captures leave
         ``txq``; each pending virtual event is re-materialized as a real
         heap event at its original firing time *and sequence number*, a
-        PLAN as the beacon timeout of the tick it carries and a CAPTURE as
-        the transmission of its slot.  The scalar handlers then run their
+        PLAN as the beacon timeout of the tick it carries, a CAPTURE as the
+        transmission of its slot and an APPLY as the ``_process`` of its
+        receiver tick ``n``.  The scalar handlers then run their
         full checks (link state, TX gate, BER, parity) against whatever
         triggered the demotion.  Keeping the sequence numbers keeps every
         same-instant tie — against each other and against directions that
@@ -304,26 +307,18 @@ class FastpathCoordinator:
         if ds.txq:
             pending.extend(ds.txq)
             ds.txq.clear()
-        for when, seq, stage, _, payload, *_ in pending:
+        # ``n`` is empty but for an APPLY, where it holds the receiver tick.
+        for when, seq, stage, _, payload, *n in pending:
             shifted = _SHIFTED_BEACON if stage & 1 else _SHIFTED_MSB
             if stage == PLAN:
                 p._beacon_event = adopt(when, seq, p._beacon_timeout, payload)
-            elif stage == CAP_B:
-                adopt(
-                    when, seq, p._transmit_now,
-                    dtpmsg.MessageType.BEACON, p._beacon_payload, payload,
-                )
-            elif stage == CAP_M:
-                adopt(
-                    when, seq, p._transmit_now,
-                    dtpmsg.MessageType.BEACON_MSB,
-                    lambda t, _p=p: dtpmsg.counter_high(_p._tx_counter(t)),
-                    payload,
-                )
+            elif stage <= CAP_M:
+                mtype = dtpmsg.MessageType(_BEACON if stage & 1 else _MSB)
+                adopt(when, seq, p._transmit_now, mtype, payload, 0)
             elif stage <= ARR_M:
                 adopt(when, seq, q._arrive, IDLE_WIRE_BASE | shifted | payload)
             else:
-                adopt(when, seq, q._process, shifted | payload)
+                adopt(when, seq, q._process, shifted | payload, *n)
         del self._dirs[p]
         self.demotions += 1
 

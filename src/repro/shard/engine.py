@@ -112,11 +112,7 @@ class BoundaryOutbox:
 
 def payload_unsafe(bits56: int) -> bool:
     """Would processing these 56 payload bits enter the INIT family?"""
-    try:
-        mtype, _ = dtpmsg.decode_type_payload(bits56)
-    except dtpmsg.MessageError:
-        return False
-    return mtype in UNSAFE_MESSAGE_TYPES
+    return dtpmsg.TYPE_TABLE[bits56 >> dtpmsg.PAYLOAD_BITS] in UNSAFE_MESSAGE_TYPES
 
 
 def wire_bits_unsafe(wire_bits: Optional[int]) -> bool:

@@ -174,7 +174,7 @@ class TestFaultHandling:
         bogus_counter = b.lc.counter_at(sim.now) + 1_000_000
         bits = m.encode(m.DtpMessage(m.MessageType.BEACON, m.counter_low(bogus_counter)))
         before = b.lc.counter_at(sim.now)
-        b._process(bits)
+        b._process(bits, b.osc.ticks_at(sim.now))
         assert b.stats.rejected_out_of_range == 1
         assert b.lc.counter_at(sim.now) - before <= 1
 
@@ -219,7 +219,7 @@ class TestFaultHandling:
         good = m.payload_with_parity(b.lc.counter_at(sim.now))
         corrupted = good ^ 0b1  # flip an LSB: parity now wrong
         bits = m.encode(m.DtpMessage(m.MessageType.BEACON, corrupted))
-        b._process(bits)
+        b._process(bits, b.osc.ticks_at(sim.now))
         assert b.stats._rejected["parity"].value == 1
 
     def test_undecodable_message_dropped(self, sim, streams):
@@ -228,7 +228,7 @@ class TestFaultHandling:
         b.link_up()
         sim.run_until(500 * units.US)
         bits = (0b111 << 53) | 42  # invalid type code
-        b._process(bits)
+        b._process(bits, b.osc.ticks_at(sim.now))
         assert b.stats._rejected["undecodable"].value == 1
 
 

@@ -48,12 +48,12 @@ def _record_true_offsets_at_logs(monkeypatch):
     offsets = []
     original = DtpPort._on_log_message
 
-    def on_log_message(port, payload, now):
+    def on_log_message(port, payload, now, tick):
         if port.on_log is not None and port.d is not None:
             peer_gc = port.peer.device.global_counter(now)
             offset = port.device.global_counter(now) - peer_gc
             offsets.append(abs(offset) / port.device.counter_increment)
-        original(port, payload, now)
+        original(port, payload, now, tick)
 
     monkeypatch.setattr(DtpPort, "_on_log_message", on_log_message)
     return offsets

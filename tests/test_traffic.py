@@ -24,7 +24,7 @@ class TestIdleLink:
         port = DtpPort(DtpDevice(sim, "a", oscillator, streams.fork("a")), "a->b")
         assert port.traffic is None
         for tick in (0, 1, 7, 1000):
-            port._schedule_transmit(MessageType.LOG, lambda t: 0, tick)
+            port._schedule_transmit(MessageType.LOG, tick)
             assert port._last_tx_slot == tick + 1
 
 
