@@ -14,7 +14,7 @@ host.  Everything here is a faithful copy of the seed revision:
 * ``seed_schedule_transmit`` / ``seed_transmit_now`` / ``seed_arrive`` /
   ``seed_process`` — the DTP port fast path with a payload closure per
   message (``seed_payload_builder``, read from the time of the send),
-  per-message ``SeedBlock66`` / ``DtpMessage`` object round-trips and a
+  per-message ``SeedBlock66`` / ``SeedDtpMessage`` object round-trips and a
   dispatch dict rebuilt per received message, counting its messages
   through ``seed_count_sent`` / ``seed_count_received``;
 * ``seed_reconstruct_counter`` — the ``min(key=lambda...)`` form.
@@ -240,6 +240,37 @@ def seed_extract_bits_from_idle(block):
 # ----------------------------------------------------------------------
 # Seed DTP port hot path
 # ----------------------------------------------------------------------
+class SeedMessageError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class SeedDtpMessage:
+    """The seed's decoded-message object, one built per message each way."""
+
+    mtype: Any
+    payload: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.payload <= dtpmsg.PAYLOAD_MASK:
+            raise SeedMessageError(f"payload {self.payload:#x} exceeds 53 bits")
+
+
+def seed_encode(message):
+    return (int(message.mtype) << dtpmsg.PAYLOAD_BITS) | message.payload
+
+
+def seed_decode(bits56):
+    # The type lookup reads the precomputed table, as the package codec did
+    # for as long as it existed, so the seed side times the object round trip.
+    if not 0 <= bits56 < (1 << 56):
+        raise SeedMessageError("DTP message must fit in 56 bits")
+    mtype = dtpmsg.TYPE_TABLE[bits56 >> dtpmsg.PAYLOAD_BITS]
+    if mtype is None:
+        raise SeedMessageError(f"unknown message type code {bits56 >> dtpmsg.PAYLOAD_BITS}")
+    return SeedDtpMessage(mtype=mtype, payload=bits56 & dtpmsg.PAYLOAD_MASK)
+
+
 def seed_reconstruct_counter(low, reference, bits=dtpmsg.COUNTER_LOW_BITS):
     modulus = 1 << bits
     base = (reference >> bits) << bits
@@ -299,7 +330,7 @@ def seed_transmit_now(self, mtype, payload_builder):
         return
     now = self.sim.now
     payload = payload_builder(now)
-    bits56 = dtpmsg.encode(dtpmsg.DtpMessage(mtype, payload))
+    bits56 = seed_encode(SeedDtpMessage(mtype, payload))
     seed_count_sent(self.stats, mtype)
     exit_fs = tx_exit_time(self.osc, now, self.config.latency)
     arrival_fs = exit_fs + self.wire_delay_fs
@@ -337,8 +368,8 @@ def seed_process(self, bits56):
     if self.state is PortState.DOWN:
         return
     try:
-        message = dtpmsg.decode(bits56)
-    except dtpmsg.MessageError:
+        message = seed_decode(bits56)
+    except SeedMessageError:
         self.stats._rejected["undecodable"].value += 1
         return
     seed_count_received(self.stats, message.mtype)

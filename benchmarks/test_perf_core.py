@@ -7,8 +7,8 @@ One module-scoped ``collect()`` feeds two tests:
 * ``test_bench_identities`` — everything in the record that is not a timing
   ratio (digests, counts, ``bit_identical_*`` flags) repeats exactly on any
   host, so it must equal the committed ``BENCH_core.json``, except the
-  :data:`CEILINGS`, which may fall but not rise; the two 5% budgets (idle
-  supervision, snapshot taps) are held here, on event and write counts.
+  :data:`CEILINGS`, which may fall but not rise; the snapshot taps' 5%
+  budget is held here, on write counts.
   Blocking in CI.  Only after it holds is the record rewritten: a run that
   changed an experiment byte cannot overwrite it (``repro bench`` is the
   deliberate way).
@@ -68,8 +68,6 @@ GUARDS = [
      "a scenario in which no direction may batch builds no coordinator and runs the inherited "
      "loops: an A/A pair but for the engine class, reads 0.99-1.03; 1.07-1.17 when every "
      "beacon of every refused port re-walked the eligibility checks"),
-    ("linkhealth", "supervised_over_unsupervised", "<=", 1.05,
-     "the budget docs/LINKHEALTH.md states; reads 1.01-1.20 over thirteen fresh processes, same code"),
     ("observe", "tapped_over_traced", "<=", 1.05,
      "the budget docs/OBSERVABILITY.md states; reads 0.91-1.12 in ten fresh processes, "
      "all but an A/A control: the tap's work is 20 events in 142,601"),
@@ -97,12 +95,11 @@ CEILINGS = {
 }
 
 #: Rows whose budget is tighter than the A/A control resolves.  That budget is
-#: held exactly in ``test_bench_identities`` (4,444 watchdog events on 142,581;
-#: 20 snapshots in 2 flushes; no coordinator built); a wall-clock reading over
+#: held exactly in ``test_bench_identities`` (20 snapshots in 2 flushes; no
+#: coordinator built); a wall-clock reading over
 #: it warns, so a per-event cost that grew still shows, without failing one run
 #: in two on noise.
 ADVISORY = {
-    ("linkhealth", "supervised_over_unsupervised"),
     ("observe", "tapped_over_traced"),
     ("fastpath", "refused_over_scalar"),
     ("startup", "fig6_dtp_import_over_interpreter"),
@@ -125,7 +122,7 @@ def _deterministic(bench: dict) -> dict:
 @pytest.fixture(scope="module")
 def bench() -> dict:
     # collect() raises if two sides of any comparison disagree on their
-    # output (seed core, traced, batched, supervised, tapped, brute force).
+    # output (seed core, traced, batched, tapped, brute force).
     measured = collect(seed_core=_seed_core)
     print()
     print(json.dumps(measured, indent=2))
@@ -139,7 +136,7 @@ def test_bench_identities(bench):
         for key, value in values.items()
         if "bit_identical" in key
     }
-    assert len(flags) == 5 and all(flags.values()), flags
+    assert len(flags) == 4 and all(flags.values()), flags
     assert bench["checker"]["pairs_checked"] == 19 * 56_280
     fastpath = bench["fastpath"]
     assert fastpath["chain_directions_promoted"] > 0
@@ -155,10 +152,7 @@ def test_bench_identities(bench):
     assert fastpath["fig6a_peak_virtual_heap"] <= 5 * fastpath["fig6a_directions_promoted"], (
         "Fig. 6a's virtual heap holds a direction's backlog: every sift pays for it"
     )
-    supervision, tap = bench["linkhealth"], bench["observe"]
-    assert supervision["events_supervised"] <= 1.05 * supervision["events_unsupervised"], (
-        "idle watchdogs dispatch more than 5% of the run's events"
-    )
+    tap = bench["observe"]
     assert 0 < tap["tap_flushes"] <= tap["snapshots_emitted"] // DEFAULT_FLUSH_EVERY + 1, (
         "the tap writes more often than once per flush batch"
     )

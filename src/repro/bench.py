@@ -146,7 +146,7 @@ def result_digest(result) -> str:
 
 
 def run_fig6a(
-    telemetry=None, backend: str = "scalar", linkhealth=None, observe=None
+    telemetry=None, backend: str = "scalar", observe=None
 ) -> Tuple[str, float]:
     """One timed Fig. 6a run; returns (output digest, wall seconds).
     Scalar unless asked: the base side of every recorded ratio."""
@@ -154,7 +154,7 @@ def run_fig6a(
     start = time.perf_counter()
     result = run_fig6_dtp(
         Fig6DtpConfig(**FIG6A_CONFIG), telemetry=telemetry, backend=backend,
-        linkhealth=linkhealth, observe=observe,
+        observe=observe,
     )
     wall = time.perf_counter() - start
     return result_digest(result), wall
@@ -287,14 +287,6 @@ def fresh_import(statement: str = "pass") -> Tuple[int, float, Dict[str, str]]:
     return done.returncode, wall, dict(line.split(" ", 1) for line in done.stderr.splitlines())
 
 
-def fig6a_dispatched(**options) -> int:
-    """Events one Fig. 6a run dispatches (the engine's dispatch profile): a
-    cost that repeats exactly, where a 5% wall-clock budget cannot be resolved."""
-    telemetry = Telemetry(trace=False, profile_dispatch=True)
-    run_fig6a(telemetry=telemetry, **options)
-    return telemetry.profile.total()
-
-
 def interleaved(base, variant, repeats: int, what: str):
     """Time ``variant`` against ``base``; each returns ``(output, wall, ...)``.
 
@@ -402,19 +394,6 @@ def _fastpath(repeats: int, seed_core) -> dict:
     }
 
 
-def _linkhealth(repeats: int, seed_core) -> dict:
-    """``repro.linkhealth`` on fault-free Fig. 6a arms one watchdog per link
-    and never fires a transition: the supervision floor, in wall-clock and in
-    the events the watchdogs add (the 5% budget is held on the latter)."""
-    ratio, _, _ = interleaved(
-        run_fig6a, lambda: run_fig6a(linkhealth=True), repeats, "idle link supervision"
-    )
-    return {"supervised_over_unsupervised": round(ratio, 3),
-            "events_unsupervised": fig6a_dispatched(),
-            "events_supervised": fig6a_dispatched(linkhealth=True),
-            "bit_identical_to_unsupervised": True}
-
-
 def _observe(repeats: int, seed_core) -> dict:
     """Snapshot taps ride the traced run (the probe and its flush batching
     only make sense with telemetry on), so the base is traced, not plain."""
@@ -504,7 +483,6 @@ SECTIONS = {
     "fig6a": _fig6a,
     "telemetry": _telemetry,
     "fastpath": _fastpath,
-    "linkhealth": _linkhealth,
     "observe": _observe,
     "checker": _checker,
     "startup": _startup,

@@ -65,19 +65,21 @@ class DtpDevice:
         """T5 collapsed to jump events: fold a port's new ``lc`` into ``gc``."""
         return self.gc.adjust_to_max(t_fs, port.lc.counter_at(t_fs))
 
-    def on_join(self, source_port: "DtpPort", t_fs: int) -> None:
+    def on_join(self, source_port: "DtpPort", t_fs: int, tick: int) -> None:
         """Propagate a BEACON_JOIN to all other synchronized ports.
 
         Paper Section 3.2 (network dynamics): when one port learns a much
         larger counter, the device adjusts ``gc`` and announces the new
         value out of every other port so the whole subnet converges.
+        ``tick`` is the tick at ``t_fs``; every port of the device counts
+        the one oscillator, so it is each port's current tick too.
         """
         jumped = self.gc.adjust_to_max(t_fs, source_port.lc.counter_at(t_fs))
         if not jumped:
             return
         for port in self.ports:
             if port is not source_port and port.can_transmit():
-                port.send_join()
+                port.send_join(tick)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "switch" if self.is_switch else "nic"

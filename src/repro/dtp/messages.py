@@ -15,18 +15,16 @@ matter most.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from ..phy.ber import parity_of_lsbs
 
-#: Bits in a DTP message (one idle block's worth of control characters).
-MESSAGE_BITS = 56
+#: A DTP message is one idle block's worth of control characters: a
+#: 3-bit type above a 53-bit payload, 56 bits in all.
 TYPE_BITS = 3
 PAYLOAD_BITS = 53
 PAYLOAD_MASK = (1 << PAYLOAD_BITS) - 1
 
-#: Counter width (paper Section 4.2: a 106-bit integer, 2 x 53 bits).
-COUNTER_BITS = 106
+#: The counter is a 106-bit integer (paper Section 4.2), sent as 2 x 53 bits.
 COUNTER_LOW_BITS = 53
 COUNTER_LOW_MASK = (1 << COUNTER_LOW_BITS) - 1
 
@@ -48,53 +46,16 @@ class MessageType(enum.IntEnum):
     LOG = 5
 
 
-class MessageError(ValueError):
-    """Raised on undecodable DTP messages."""
-
-
-#: Precomputed decode table: 3-bit type code -> MessageType (or None for the
-#: two unassigned codes).  Avoids the enum-constructor try/except on the
-#: per-message hot path.
+#: Decode table: 3-bit type code -> MessageType (or None for the two
+#: unassigned codes, which the port drops as undecodable).
 TYPE_TABLE = tuple(
     MessageType(code) if code in MessageType._value2member_map_ else None
     for code in range(1 << TYPE_BITS)
 )
 
-#: Precomputed encode table: MessageType -> type code already shifted into
-#: position, so encoding is a single OR.
+#: Encode table: MessageType -> type code already shifted into position, so
+#: a message's 56 bits are ``SHIFTED_TYPE[mtype] | payload``.
 SHIFTED_TYPE = {mtype: int(mtype) << PAYLOAD_BITS for mtype in MessageType}
-
-
-@dataclass(frozen=True)
-class DtpMessage:
-    """A decoded DTP message."""
-
-    mtype: MessageType
-    payload: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.payload <= PAYLOAD_MASK:
-            raise MessageError(f"payload {self.payload:#x} exceeds 53 bits")
-
-
-def encode(message: DtpMessage) -> int:
-    """Pack a message into the 56 idle bits of one control block."""
-    return (int(message.mtype) << PAYLOAD_BITS) | message.payload
-
-
-def decode(bits56: int) -> DtpMessage:
-    """Unpack 56 idle bits into a message.
-
-    Raises :class:`MessageError` for unknown type codes, which is how a
-    corrupted type field surfaces (the port's inlined decode drops the
-    message, exactly like a corrupted Ethernet frame would be).
-    """
-    if not 0 <= bits56 < (1 << MESSAGE_BITS):
-        raise MessageError("DTP message must fit in 56 bits")
-    mtype = TYPE_TABLE[bits56 >> PAYLOAD_BITS]
-    if mtype is None:
-        raise MessageError(f"unknown message type code {bits56 >> PAYLOAD_BITS}")
-    return DtpMessage(mtype=mtype, payload=bits56 & PAYLOAD_MASK)
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,6 @@ class DtpNetwork:
         device_specs: Optional[Dict[str, PhySpec]] = None,
         telemetry=None,
         backend: Optional[str] = None,
-        linkhealth=None,
     ) -> None:
         if backend is None:
             backend = DEFAULT_BACKEND
@@ -181,25 +180,6 @@ class DtpNetwork:
                 for port in promotable:
                     port._fastpath = self.fastpath
 
-        #: Single link-state authority: faults and the recovery FSM all
-        #: change link state through this gate.
-        from ..linkhealth.gate import LinkGate
-
-        self.gate = LinkGate(self)
-        #: Link supervision (``repro.linkhealth``), strictly opt-in: the
-        #: default ``linkhealth=None`` constructs nothing and costs
-        #: nothing.  Pass True or a config/override dict to supervise.
-        self.linkhealth = None
-        if linkhealth:
-            from ..linkhealth.fsm import (
-                LinkHealthManager,
-                linkhealth_config_from_value,
-            )
-
-            self.linkhealth = LinkHealthManager(
-                self, linkhealth_config_from_value(linkhealth)
-            )
-
     def pin_scalar(self, nodes) -> None:
         """Keep every link touching ``nodes`` on the scalar port path.
 
@@ -259,21 +239,14 @@ class DtpNetwork:
         return all(port.synchronized for port in self.ports.values())
 
     def down_link(self, a: str, b: str) -> None:
-        """Take the a-b cable down (both directions), via the gate."""
-        self.gate.claim_down(a, b)
+        """Take the a-b cable down (both directions)."""
+        self.ports[(a, b)].link_down()
+        self.ports[(b, a)].link_down()
 
     def up_link(self, a: str, b: str) -> None:
-        """Heal the a-b cable (via the gate; both ports rerun INIT and
-        JOIN unless the recovery FSM still holds the link down)."""
-        self.gate.release_up(a, b)
-
-    def signal_loss(self, a: str, b: str) -> None:
-        """Asymmetric fault: the a->b direction goes dark (ports stay up)."""
-        self.gate.signal_loss(a, b)
-
-    def signal_restore(self, a: str, b: str) -> None:
-        """Heal an asymmetric loss of signal on the a->b direction."""
-        self.gate.signal_restore(a, b)
+        """Heal the a-b cable: both ports rerun INIT and JOIN."""
+        self.ports[(a, b)].link_up()
+        self.ports[(b, a)].link_up()
 
     # ------------------------------------------------------------------
     # True-offset measurement

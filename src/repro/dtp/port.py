@@ -293,10 +293,6 @@ class DtpPort:
         #: None).  Scalar runs pay one ``is not None`` test per beacon
         #: interval and per link_down, nothing else.
         self._fastpath = None
-        #: Link-supervision hook (``repro.linkhealth.LinkSupervisor`` or
-        #: None).  Unsupervised runs pay one ``is not None`` test at T2,
-        #: nothing else.
-        self._linkhealth = None
         self._beacon_event: Optional[Event] = None
         self._init_retry_event: Optional[Event] = None
         #: Pipeline depths, read once: the latency config is immutable
@@ -506,7 +502,7 @@ class DtpPort:
     def _process(self, bits56: int, tick: int) -> None:
         if self.state is PortState.DOWN:
             return
-        # dtpmsg.decode, inlined: 56 bits always index the table.
+        # Decode: 56 bits always index the type table.
         mtype = dtpmsg.TYPE_TABLE[bits56 >> dtpmsg.PAYLOAD_BITS]
         if mtype is None:
             self.stats._rejected["undecodable"].value += 1
@@ -543,10 +539,8 @@ class DtpPort:
         self.sim.cancel(self._init_retry_event)
         self._init_retry_event = None
         # Network dynamics: agree on the maximum counter across the link.
-        self.send_join()
+        self.send_join(tick)
         self._schedule_beacon_timeout(tick)
-        if self._linkhealth is not None:
-            self._linkhealth.on_synchronized(self)
 
     def _schedule_beacon_timeout(self, tick: int) -> None:
         """Schedule the beacon timeout one interval after ``tick``; the
@@ -648,11 +642,12 @@ class DtpPort:
             if self.on_fault is not None:
                 self.on_fault(self)
 
-    def send_join(self) -> None:
-        """Send a BEACON_JOIN carrying our global counter."""
+    def send_join(self, tick: int) -> None:
+        """Send a BEACON_JOIN carrying our global counter; ``tick`` is the
+        current tick, which the caller holds."""
         if not self.can_transmit():
             return
-        self._schedule_transmit(_JOIN, self.osc.ticks_at(self.sim._now))
+        self._schedule_transmit(_JOIN, tick)
 
     def _on_join(self, payload: int, now: int, tick: int) -> None:
         """BEACON_JOIN: allow an arbitrarily large forward adjustment."""
@@ -671,7 +666,7 @@ class DtpPort:
                     candidate - self.lc.reference_counter_at(now),
                     candidate - lc_now,
                 )
-            self.device.on_join(self, now)
+            self.device.on_join(self, now, tick)
 
     def _on_msb(self, payload: int, now: int, tick: int) -> None:
         self.remote_msb = payload

@@ -84,7 +84,6 @@ def run_fig6_dtp(
     pairs: List[Tuple[str, str]] = None,
     telemetry=None,
     backend: Optional[str] = None,
-    linkhealth=None,
     observe=None,
 ) -> ExperimentResult:
     """Run one heavily-loaded DTP precision experiment.
@@ -93,15 +92,12 @@ def run_fig6_dtp(
     default ``None`` keeps the run on the exact untraced code paths, so
     the published experiment digests are unchanged.  ``backend`` is
     :class:`DtpNetwork`'s (default: its ``DEFAULT_BACKEND``); the result
-    (and its digest) is byte-identical on both.  ``linkhealth`` enables
-    :mod:`repro.linkhealth` supervision (True or a knob dict); on this
-    fault-free run the supervisors stay idle and the output digest is
-    unchanged — the property the ``"linkhealth"`` bench section guards.
-    ``observe`` (a :class:`repro.observe.ObserveProbe`) rides the
-    true-offset watcher's cadence, feeding per-link counter offsets to
-    the probe (and its snapshot tap, when attached); it only reads
-    network state, so the experiment output digest stays unchanged — the
-    property the ``"observe"`` bench section guards.
+    (and its digest) is byte-identical on both.  ``observe`` (a
+    :class:`repro.observe.ObserveProbe`) rides the true-offset watcher's
+    cadence, feeding per-link counter offsets to the probe (and its
+    snapshot tap, when attached); it only reads network state, so the
+    experiment output digest stays unchanged — the property the
+    ``"observe"`` bench section guards.
     """
     pairs = pairs if pairs is not None else FIG6AB_PAIRS
     frame = frame_for(config.frame_name)
@@ -124,7 +120,7 @@ def run_fig6_dtp(
     port_config = DtpPortConfig(beacon_interval_ticks=beacon_interval)
     net = DtpNetwork(
         sim, topology, streams, config=port_config, telemetry=telemetry,
-        backend=backend, linkhealth=linkhealth,
+        backend=backend,
     )
     net.start()
     net.install_traffic(saturated_traffic(config.frame_name), start_tick=20_000)

@@ -58,9 +58,8 @@ four engine dispatches through the full port machinery.
   timeout of the tick it carries, a CAPTURE as the transmission of its
   slot, an APPLY as the ``_process`` of its receiver tick), and the
   scalar path finishes the chain (``link_down``, a
-  tripped fault window, ``DtpPort.leave_fastpath`` before a fault or
-  ``signal_loss`` patches the port, ``DtpNetwork.pin_scalar`` on a shard
-  worker's ghost links).
+  tripped fault window, ``DtpPort.leave_fastpath`` before a fault patches
+  the port, ``DtpNetwork.pin_scalar`` on a shard worker's ghost links).
 
 The stage bodies exist once, inlined in :meth:`run_merged`; promotion
 reaches them through the queue.  A direction promotes from inside its own

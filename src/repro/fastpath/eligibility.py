@@ -21,8 +21,8 @@ The checks come in two tiers:
   hook never asks.
 * the rest of :func:`direction_ineligible_reason` — protocol and fault
   state that comes and goes (synchronization, a TX gate, BER, a patched
-  TX counter, link supervision).  A fault that patches one of those hands
-  the direction back first (:meth:`~repro.dtp.port.DtpPort.leave_fastpath`);
+  TX counter).  A fault that patches one of those hands the direction
+  back first (:meth:`~repro.dtp.port.DtpPort.leave_fastpath`);
   a hooked port asks at each of its beacon timeouts until it promotes, and
   again after a demotion, so it re-promotes once the patch is undone.
 
@@ -94,8 +94,6 @@ def direction_ineligible_reason(port: DtpPort) -> Optional[str]:
         return "receiver marked sender faulty"
     if port.tx_allow is not None:
         return "TX gate installed"
-    if port._linkhealth is not None and not port._linkhealth.allows_fastpath():
-        return "link supervision holding direction"
     if port.ber is not None:
         return "bit-error injection active"
     if getattr(port._tx_counter, "__func__", None) is not DtpPort._tx_counter:

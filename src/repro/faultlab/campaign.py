@@ -13,7 +13,7 @@ A **scenario spec** is a plain dict (JSON-serializable) describing one run:
              "start_fs": 300 * units.US, "down_every_fs": 400 * units.US,
              "down_for_fs": 80 * units.US, "flaps": 3},
         ],
-        # optional: "config", "skew_ppm", "linkhealth"
+        # optional: "config", "skew_ppm"
     }
 
 :func:`run_scenario` executes one spec with an always-on
@@ -65,7 +65,6 @@ _SPEC_KEYS = frozenset(
         "faults",
         "config",
         "skew_ppm",
-        "linkhealth",
     }
 )
 
@@ -193,20 +192,13 @@ class Prepared:
 
 
 def _validate_network(spec: Dict[str, object], topology: topo.Topology) -> None:
-    """What :func:`assemble` hands the network: the port config, the
-    ``linkhealth`` value and per-node skews, refused here by name rather
-    than as a bare exception from deep inside the build."""
+    """What :func:`assemble` hands the network: the port config and
+    per-node skews, refused here by name rather than as a bare exception
+    from deep inside the build."""
     try:
         DtpPortConfig(**spec.get("config", {}))
     except TypeError as exc:
         raise CampaignError(f"bad config: {exc}") from exc
-    if spec.get("linkhealth"):
-        from ..linkhealth.fsm import linkhealth_config_from_value
-
-        try:
-            linkhealth_config_from_value(spec["linkhealth"])
-        except TypeError as exc:
-            raise CampaignError(f"bad linkhealth: {exc}") from exc
     skew_ppm = spec.get("skew_ppm") or {}
     if not isinstance(skew_ppm, dict):
         raise CampaignError(f"skew_ppm must be a dict, got {skew_ppm!r}")
@@ -235,10 +227,6 @@ def _validate_fault_nodes(fault: FaultModel, index: int, topology: topo.Topology
         node("a", fault.a)
         node("b", fault.b)
         link("a-b", fault.a, fault.b)
-    for i, (a, b) in enumerate(getattr(fault, "links", ())):
-        node(f"links[{i}]", a)
-        node(f"links[{i}]", b)
-        link(f"links[{i}]", a, b)
     if hasattr(fault, "node"):
         node("node", fault.node)
     for key in ("peer", "victim"):
@@ -298,7 +286,6 @@ def assemble(
     network = DtpNetwork(
         sim, prepared.topology, streams, config=DtpPortConfig(**spec.get("config", {})),
         skews=skews, telemetry=telemetry, backend=backend,
-        linkhealth=spec.get("linkhealth"),
     )
     return streams, network
 
@@ -383,7 +370,7 @@ def write_telemetry(
 def finish(
     prepared: Prepared, seed: int, options: RunOptions, telemetry: Optional[Telemetry],
     checker: InvariantChecker, sample_values: List[int], fault_summaries: Dict[str, dict],
-    all_synchronized: bool, linkhealth: Optional[dict], probe: Optional[ObserveProbe],
+    all_synchronized: bool, probe: Optional[ObserveProbe],
 ) -> Dict[str, object]:
     """Write a completed run's artifacts and build its result dict.
 
@@ -443,10 +430,6 @@ def finish(
             violation.as_dict() for violation in checker.violations[:5]
         ],
     })
-    if linkhealth is not None:
-        # Only present on supervised runs so unsupervised results (and
-        # their digests) stay byte-identical to the pre-linkhealth code.
-        result["linkhealth"] = linkhealth
     if probe is not None:
         # Only present on observed runs so observe-off results (and their
         # digests) stay byte-identical to the pre-observe code.  The
@@ -474,10 +457,6 @@ def _drive_inline(
     streams, network = assemble(prepared, seed, sim, telemetry, options.backend)
     name, duration_fs = prepared.name, prepared.duration_fs
     checker = InvariantChecker(network)
-    if network.linkhealth is not None:
-        # Quarantine-release handshake: rejoining links are excluded from
-        # the checker's sync subgraph until the FSM releases them.
-        network.linkhealth.bind_checker(checker)
 
     context = FaultContext(network=network, streams=streams, checker=checker)
     for fault in prepared.faults:
@@ -511,10 +490,9 @@ def _drive_inline(
             )
 
         summaries = {f.name: {"kind": f.kind, **f.summary()} for f in prepared.faults}
-        linkhealth = network.linkhealth.summary() if network.linkhealth is not None else None
         return finish(
             prepared, seed, options, telemetry, checker, sample_values, summaries,
-            network.all_synchronized(), linkhealth, probe,
+            network.all_synchronized(), probe,
         )
     finally:
         if probe is not None:

@@ -47,12 +47,7 @@ from .campaign import (
     render_campaign,
     run_campaign,
 )
-from .scenarios import (
-    BUILTIN_SCENARIOS,
-    FABRIC_SCENARIOS,
-    LINKHEALTH_SCENARIOS,
-    builtin_specs,
-)
+from .scenarios import BUILTIN_SCENARIOS, FABRIC_SCENARIOS, builtin_specs
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -131,8 +126,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(name)
         for name in FABRIC_SCENARIOS:
             print(f"{name}  (fabric-scale; by explicit name only)")
-        for name in LINKHEALTH_SCENARIOS:
-            print(f"{name}  (link supervision; by explicit name only)")
         return 0
 
     try:

@@ -298,237 +298,6 @@ class BerBurst(_LinkFault):
         return {"errors_injected": self.errors_injected}
 
 
-class FlapStorm(FaultModel):
-    """Correlated flap storms across several links at once.
-
-    Each storm round takes *every* listed link down within a ``jitter_fs``
-    spread (drawn per link per round from the fault's own stream at arm
-    time) and heals them ``down_for_fs`` later; rounds repeat every
-    ``down_for_fs + gap_fs``.  This is the regression scenario for the
-    ``repro.linkhealth`` recovery FSM: under supervision each heal only
-    releases the fault's gate claim — the supervisor still holds the link
-    and walks it DOWN -> RECONNECTING -> RESYNC -> UP on its own schedule.
-    """
-
-    kind = "flap-storm"
-
-    def __init__(
-        self,
-        links: List[List[str]],
-        down_for_fs: int,
-        gap_fs: int,
-        start_fs: int = 0,
-        flaps: int = 3,
-        jitter_fs: int = 0,
-        name: Optional[str] = None,
-    ) -> None:
-        if not links:
-            raise ValueError("flap-storm needs at least one link")
-        if down_for_fs <= 0:
-            raise ValueError("down_for_fs must be positive")
-        if gap_fs <= 0:
-            raise ValueError("gap_fs must be positive")
-        if flaps <= 0:
-            raise ValueError("flaps must be positive")
-        if not 0 <= jitter_fs < gap_fs:
-            raise ValueError("jitter_fs must be in [0, gap_fs)")
-        super().__init__(name)
-        self.links = [tuple(link) for link in links]
-        for link in self.links:
-            if len(link) != 2:
-                raise ValueError(f"bad link {link!r}: need [a, b]")
-        self.down_for_fs = down_for_fs
-        self.gap_fs = gap_fs
-        self.start_fs = start_fs
-        self.flaps = flaps
-        self.jitter_fs = jitter_fs
-        self.flap_count = 0
-
-    def _arm(self, ctx: FaultContext) -> None:
-        rng = ctx.rng(self.name)
-        sim = ctx.network.sim
-        period = self.down_for_fs + self.gap_fs
-        for index in range(self.flaps):
-            for a, b in self.links:
-                jitter = rng.randint(0, self.jitter_fs) if self.jitter_fs else 0
-                down_at = self.start_fs + index * period + jitter
-                up_at = down_at + self.down_for_fs
-
-                def _down(a=a, b=b) -> None:
-                    self._ctx.network.down_link(a, b)
-                    self.flap_count += 1
-
-                def _up(a=a, b=b) -> None:
-                    self._ctx.network.up_link(a, b)
-                    self._release(a, wait_for=[b])
-                    self._release(b, wait_for=[a])
-
-                sim.schedule_at(max(down_at, sim.now), _down)
-                sim.schedule_at(max(up_at, sim.now), _up)
-
-    def summary(self) -> Dict[str, object]:
-        return {"flaps": self.flap_count, "links": len(self.links)}
-
-    def pins(self, topology: "Topology") -> Tuple[str, ...]:
-        # The union of every listed link keeps each supervised recovery
-        # (and its gate claims) on one shard.
-        return tuple(dict.fromkeys(node for link in self.links for node in link))
-
-
-class SignalLoss(_LinkFault):
-    """Asymmetric loss of signal: the a->b direction goes dark.
-
-    Unlike a link cut, both ports stay administratively up — b simply
-    stops hearing a (a dark TX fiber), while the b->a direction keeps
-    carrying beacons.  Without supervision the pair drifts until the
-    restore; with ``repro.linkhealth`` the b-side silence trips the
-    watchdog and the link is recovered through the full FSM (including
-    the resync-timeout path while the fiber stays dark).
-    """
-
-    kind = "signal-loss"
-
-    def __init__(
-        self,
-        a: str,
-        b: str,
-        start_fs: int,
-        duration_fs: int,
-        quarantine: bool = True,
-        name: Optional[str] = None,
-    ) -> None:
-        if duration_fs <= 0:
-            raise ValueError("duration_fs must be positive")
-        super().__init__(name)
-        self.a = a
-        self.b = b
-        self.start_fs = start_fs
-        self.duration_fs = duration_fs
-        self.quarantine = quarantine
-        self.losses = 0
-
-    def _arm(self, ctx: FaultContext) -> None:
-        sim = ctx.network.sim
-        sim.schedule_at(max(self.start_fs, sim.now), self._start)
-        sim.schedule_at(
-            max(self.start_fs + self.duration_fs, sim.now), self._stop
-        )
-
-    def _start(self) -> None:
-        self.losses += 1
-        self._ctx.network.signal_loss(self.a, self.b)
-        if self.quarantine:
-            self._quarantine([self.a, self.b])
-
-    def _stop(self) -> None:
-        self._ctx.network.signal_restore(self.a, self.b)
-        if self.quarantine:
-            self._release(self.a, wait_for=[self.b])
-            self._release(self.b, wait_for=[self.a])
-
-    def summary(self) -> Dict[str, object]:
-        return {"losses": self.losses, "dark_fs": self.duration_fs}
-
-
-class BerRamp(_LinkFault):
-    """Slow transceiver degrade: BER rises through ``bers`` step by step.
-
-    Every ``step_fs`` the link's (both directions') injectors are swapped
-    for fresh ones at the next rate, modelling a laser dying gradually
-    rather than failing outright.  The supervision FSM should demote the
-    link to DEGRADED once errors cross its window threshold and take it
-    DOWN (cause ber) when the degrade persists.
-    """
-
-    kind = "ber-ramp"
-
-    def __init__(
-        self,
-        a: str,
-        b: str,
-        start_fs: int,
-        step_fs: int,
-        bers: List[float],
-        quarantine: bool = True,
-        name: Optional[str] = None,
-    ) -> None:
-        if step_fs <= 0:
-            raise ValueError("step_fs must be positive")
-        if not bers:
-            raise ValueError("ber-ramp needs at least one step")
-        for ber in bers:
-            if not 0.0 < float(ber) < 1.0:
-                raise ValueError(f"ber {ber!r} must be in (0, 1)")
-        super().__init__(name)
-        self.a = a
-        self.b = b
-        self.start_fs = start_fs
-        self.step_fs = step_fs
-        self.bers = [float(ber) for ber in bers]
-        self.quarantine = quarantine
-        self.errors_injected = 0
-        self.steps_taken = 0
-        self._saved: Dict[tuple, Optional[BitErrorInjector]] = {}
-        self._injectors: List[BitErrorInjector] = []
-
-    def _arm(self, ctx: FaultContext) -> None:
-        sim = ctx.network.sim
-        for index in range(len(self.bers)):
-            def _step(index=index) -> None:
-                self._step(index)
-
-            sim.schedule_at(
-                max(self.start_fs + index * self.step_fs, sim.now), _step
-            )
-        sim.schedule_at(
-            max(self.start_fs + len(self.bers) * self.step_fs, sim.now),
-            self._stop,
-        )
-
-    def _step(self, index: int) -> None:
-        network = self._ctx.network
-        self.steps_taken += 1
-        for key, tag in (((self.a, self.b), "fwd"), ((self.b, self.a), "rev")):
-            port = network.ports[key]
-            port.leave_fastpath()
-            if key not in self._saved:
-                self._saved[key] = port.ber
-            injector = BitErrorInjector(
-                self.bers[index],
-                self._ctx.streams.stream(
-                    f"faultlab/{self.name}/{index}/{tag}"
-                ),
-            )
-            self._injectors.append(injector)
-            port.ber = injector
-        if index == 0 and self.quarantine:
-            self._quarantine([self.a, self.b])
-
-    def _stop(self) -> None:
-        network = self._ctx.network
-        for key, saved in self._saved.items():
-            network.ports[key].ber = saved
-        self.errors_injected = sum(i.errors_injected for i in self._injectors)
-        if self.quarantine:
-            self._release(self.a, wait_for=[self.b])
-            self._release(self.b, wait_for=[self.a])
-
-    def summary(self) -> Dict[str, object]:
-        self.errors_injected = sum(i.errors_injected for i in self._injectors)
-        return {
-            "errors_injected": self.errors_injected,
-            "steps_taken": self.steps_taken,
-        }
-
-    def pins(self, topology: "Topology") -> Tuple[str, ...]:
-        # The high-BER steps make the endpoints' *other* supervised links
-        # dip and recover (n1-n2 in the builtin): an incident nobody
-        # scheduled, which still needs both of its ports on one shard.
-        ends = (self.a, self.b)
-        reach = [*ends, *(peer for end in ends for peer in topology.neighbors(end))]
-        return tuple(dict.fromkeys(reach))
-
-
 class NodeCrash(FaultModel):
     """Crash-and-restart with counter reset.
 
@@ -834,11 +603,8 @@ FAULT_KINDS: Dict[str, type] = {
     cls.kind: cls
     for cls in (
         LinkFlap,
-        FlapStorm,
         Partition,
         BerBurst,
-        BerRamp,
-        SignalLoss,
         NodeCrash,
         BeaconSuppression,
         TwoFacedNode,

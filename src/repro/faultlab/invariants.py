@@ -228,15 +228,10 @@ class InvariantChecker:
         #: their connect time: the part of the convergence log still open.
         self._late: Dict[Tuple[str, str], int] = {}
         self._quarantined: Dict[str, str] = {}
-        #: Edges (sorted endpoint pairs) excluded from the synchronized
-        #: subgraph while link supervision holds them in recovery.  Unlike
-        #: node quarantine, an edge quarantine leaves both endpoint nodes
-        #: checkable over whatever other paths connect them.
-        self._edge_quarantined: Dict[Tuple[str, str], str] = {}
         # Per-epoch state, holding exactly what a per-tick recomputation
         # would produce.  Adjacency and single-source distances follow the
-        # connectivity signature (synchronized edges, quarantined nodes and
-        # edges); the components' pair structures also follow the healing
+        # connectivity signature (synchronized edges and quarantined
+        # nodes); the components' pair structures also follow the healing
         # set and the increments.
         self._conn_sig: Optional[tuple] = None
         self._pairs_sig: Optional[tuple] = None
@@ -335,28 +330,6 @@ class InvariantChecker:
         if self._m_quarantined is not None:
             self._m_quarantined.value = len(self._quarantined)
 
-    def quarantine_edge(self, a: str, b: str, reason: str) -> None:
-        """Exclude the a-b link from the synchronized subgraph.
-
-        Used by :mod:`repro.linkhealth` to hold a recovering link out of
-        the 4TD pair graph until its rejoin handshake completes.  Edge
-        quarantine is deliberately trace-silent: the supervisor already
-        emits ``EV_LINK_*`` records for the same transitions, and a second
-        event stream would double-count the incident.
-        """
-        self._check_node(a)
-        self._check_node(b)
-        self._dirty = True
-        self._edge_quarantined[(a, b) if a < b else (b, a)] = reason
-
-    def release_edge(self, a: str, b: str, reason: str) -> None:
-        """Re-admit the a-b link to the synchronized subgraph."""
-        del reason
-        self._check_node(a)
-        self._check_node(b)
-        self._dirty = True
-        self._edge_quarantined.pop((a, b) if a < b else (b, a), None)
-
     def notify_counter_reset(self, node: str) -> None:
         """A device's counter was legitimately reset (crash-and-restart)."""
         self._check_node(node)
@@ -377,15 +350,10 @@ class InvariantChecker:
         """Adjacency over links whose both ports are SYNCHRONIZED, skipping
         quarantined endpoints (their links carry deliberately bad data)."""
         adjacency: Dict[str, List[str]] = {name: [] for name in self._nodes}
-        quarantined_edges = self._edge_quarantined
         for edge, (port_a, port_b) in zip(
             self.network.topology.edges, self._edge_ports
         ):
             if edge.a in self._quarantined or edge.b in self._quarantined:
-                continue
-            if quarantined_edges and (
-                (edge.a, edge.b) if edge.a < edge.b else (edge.b, edge.a)
-            ) in quarantined_edges:
                 continue
             if port_a.synchronized and port_b.synchronized:
                 adjacency[edge.a].append(edge.b)
@@ -429,8 +397,7 @@ class InvariantChecker:
             for idx, (port_a, port_b) in enumerate(self._edge_ports)
             if port_a.synchronized and port_b.synchronized
         )
-        held = frozenset(self._edge_quarantined)
-        return (sync_edges, frozenset(self._quarantined), held), (
+        return (sync_edges, frozenset(self._quarantined)), (
             frozenset(self._healing),
             tuple(devices[name].counter_increment for name in self._nodes),
         )

@@ -205,86 +205,6 @@ def _fat_tree_k8(quick: bool) -> Dict[str, object]:
     }
 
 
-def _flap_storm(quick: bool) -> Dict[str, object]:
-    # Two inner links of a 6-chain flap in correlated storms, cutting the
-    # chain into three drifting fragments per storm; the n0/n5 tail links
-    # stay healthy (on a 2-shard run the cut lands on one of them — the
-    # dormant-supervisor case).  down_for (15 us) comfortably exceeds the
-    # 4-beacon watchdog window (5.12 us at 10G defaults) so every storm
-    # is detected as a disconnect, and the 100 us gap exceeds the full
-    # recovery arc (detect + backoff + INIT + 3 clean resync windows,
-    # ~40 us), so each flapped link deterministically walks DOWN ->
-    # RECONNECTING -> RESYNC -> UP before the next storm hits.
-    return {
-        "name": "flap-storm",
-        "topology": {"kind": "chain", "hosts": 6},
-        "duration_fs": (1000 if quick else 1500) * units.US,
-        "linkhealth": True,
-        "faults": [
-            {
-                "kind": "flap-storm",
-                "links": [["n1", "n2"], ["n3", "n4"]],
-                "start_fs": 300 * units.US,
-                "down_for_fs": 15 * units.US,
-                "gap_fs": 100 * units.US,
-                "flaps": 2 if quick else 3,
-                "jitter_fs": 5 * units.US,
-            }
-        ],
-    }
-
-
-def _signal_loss(quick: bool) -> Dict[str, object]:
-    # Asymmetric loss of signal: n0's TX fiber toward n1 goes dark while
-    # n1->n0 keeps carrying beacons.  The n1-side silence trips the
-    # watchdog; reconnect attempts then cycle through the resync-timeout
-    # path (INIT cannot complete over a dark fiber) with doubling backoff
-    # until the restore, after which one attempt completes the rejoin.
-    return {
-        "name": "signal-loss",
-        "topology": {"kind": "chain", "hosts": 3},
-        "duration_fs": (1000 if quick else 1500) * units.US,
-        "linkhealth": True,
-        "faults": [
-            {
-                "kind": "signal-loss",
-                "a": "n0",
-                "b": "n1",
-                "start_fs": 300 * units.US,
-                "duration_fs": 200 * units.US,
-            }
-        ],
-    }
-
-
-def _ber_ramp(quick: bool) -> Dict[str, object]:
-    # Slow transceiver degrade: the error rate steps up every 60 us.  The
-    # widened 8-beacon window and lowered degrade threshold let the FSM
-    # see the middle of the ramp as DEGRADED (demoting any batched
-    # directions) before the final step pushes it over degraded_windows
-    # consecutive bad windows and DOWN with cause ber.
-    return {
-        "name": "ber-ramp",
-        "topology": {"kind": "chain", "hosts": 3},
-        "duration_fs": (1000 if quick else 1500) * units.US,
-        "linkhealth": {
-            "watchdog_beacons": 8,
-            "degrade_threshold": 3,
-            "degraded_windows": 2,
-        },
-        "faults": [
-            {
-                "kind": "ber-ramp",
-                "a": "n0",
-                "b": "n1",
-                "start_fs": 300 * units.US,
-                "step_fs": 60 * units.US,
-                "bers": [0.0005, 0.004, 0.02],
-            }
-        ],
-    }
-
-
 #: Ordered scenario name -> builder(quick) -> spec.
 BUILTIN_SCENARIOS: Dict[str, Callable[[bool], Dict[str, object]]] = {
     "baseline": _baseline,
@@ -307,41 +227,22 @@ FABRIC_SCENARIOS: Dict[str, Callable[[bool], Dict[str, object]]] = {
     "fat-tree-k8": _fat_tree_k8,
 }
 
-#: Link-supervision scenarios (``repro.linkhealth`` enabled).  Like the
-#: fabric set, kept out of ``BUILTIN_SCENARIOS`` (the no-argument
-#: campaign stays the nine-builtin matrix) but resolvable by explicit
-#: name everywhere specs are; ``docs/LINKHEALTH.md`` walks through them.
-LINKHEALTH_SCENARIOS: Dict[str, Callable[[bool], Dict[str, object]]] = {
-    "flap-storm": _flap_storm,
-    "signal-loss": _signal_loss,
-    "ber-ramp": _ber_ramp,
-}
-
 
 def builtin_specs(
     names: Optional[Iterable[str]] = None, quick: bool = False
 ) -> List[Dict[str, object]]:
     """Specs for the named built-in scenarios (all of them by default).
 
-    Fabric-scale (:data:`FABRIC_SCENARIOS`) and link-supervision
-    (:data:`LINKHEALTH_SCENARIOS`) scenarios resolve by explicit name
-    only — the no-argument campaign stays the nine-builtin matrix.
+    Fabric-scale (:data:`FABRIC_SCENARIOS`) scenarios resolve by explicit
+    name only — the no-argument campaign stays the nine-builtin matrix.
     """
     if names is None:
         names = list(BUILTIN_SCENARIOS)
     specs = []
     for name in names:
-        builder = (
-            BUILTIN_SCENARIOS.get(name)
-            or FABRIC_SCENARIOS.get(name)
-            or LINKHEALTH_SCENARIOS.get(name)
-        )
+        builder = BUILTIN_SCENARIOS.get(name) or FABRIC_SCENARIOS.get(name)
         if builder is None:
-            known = (
-                sorted(BUILTIN_SCENARIOS)
-                + sorted(FABRIC_SCENARIOS)
-                + sorted(LINKHEALTH_SCENARIOS)
-            )
+            known = sorted(BUILTIN_SCENARIOS) + sorted(FABRIC_SCENARIOS)
             raise CampaignError(
                 f"unknown scenario {name!r}; known: {known}"
             )

@@ -224,10 +224,6 @@ def run_sharded(
                 checker.release(payload[1], payload[2], wait_for=payload[3])
             elif op == "notify_counter_reset":
                 checker.notify_counter_reset(payload[1])
-            elif op == "quarantine_edge":
-                checker.quarantine_edge(payload[1], payload[2], payload[3])
-            elif op == "release_edge":
-                checker.release_edge(payload[1], payload[2], payload[3])
             else:  # pragma: no cover - worker/coordinator version skew
                 raise CampaignError(f"unknown checker call {op!r}")
 
@@ -383,26 +379,10 @@ def run_sharded(
             fault_summaries.update(final["fault_summaries"])
         all_synchronized = all(final["all_synchronized"] for final in finals)
 
-        linkhealth = None
-        if network.linkhealth is not None:
-            # The replicated manager holds every link at its dormant default;
-            # overlay what the owning shards actually observed, keeping the
-            # serial summary()'s key iteration order.
-            reported: Dict[str, dict] = {}
-            for final in finals:
-                reported.update(final["linkhealth"])
-            manager = network.linkhealth
-            links = {}
-            for key in sorted(manager.supervisors):
-                supervisor = manager.supervisors[key]
-                links[supervisor.link] = reported.get(
-                    supervisor.link, supervisor.summary()
-                )
-            linkhealth = {"links": links}
         ordered = {fault.name: fault_summaries[fault.name] for fault in prepared.faults}
         result = finish(
             prepared, seed, options, telemetry, checker, sample_values, ordered,
-            all_synchronized, linkhealth, probe,
+            all_synchronized, probe,
         )
         if stats_out is not None:
             stats_out.update(

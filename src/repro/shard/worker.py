@@ -109,12 +109,6 @@ class _StubChecker:
     def notify_counter_reset(self, node: str) -> None:
         self._log(("notify_counter_reset", node))
 
-    def quarantine_edge(self, a: str, b: str, reason: str) -> None:
-        self._log(("quarantine_edge", a, b, str(reason)))
-
-    def release_edge(self, a: str, b: str, reason: str) -> None:
-        self._log(("release_edge", a, b, str(reason)))
-
     def drain(self) -> List[tuple]:
         calls = self.round_calls
         self.round_calls = []
@@ -141,12 +135,6 @@ class GhostNetworkProxy:
         pass
 
     def up_link(self, a: str, b: str) -> None:
-        pass
-
-    def signal_loss(self, a: str, b: str) -> None:
-        pass
-
-    def signal_restore(self, a: str, b: str) -> None:
         pass
 
 
@@ -200,12 +188,6 @@ class ShardWorker:
         # schedule_at.
         self.interval_fs = default_interval_fs(network)
         self.stub_checker = _StubChecker(engine)
-        if network.linkhealth is not None:
-            # Supervise only links fully inside this shard (fault pinning
-            # co-locates every faulted link); edge quarantine/release go
-            # through the stub and replay against the real checker.
-            network.linkhealth.restrict(self._owned)
-            network.linkhealth.bind_checker(self.stub_checker)
         self._checker_bundles: Dict[int, dict] = {}
         self._sampler_bundles: Dict[int, dict] = {}
         self._checker_idx = 0
@@ -334,17 +316,6 @@ class ShardWorker:
         owned_ports = [
             key for key in self.network.ports if key[0] in self._owned
         ]
-        linkhealth = {}
-        manager = self.network.linkhealth
-        if manager is not None:
-            # Only live (non-dormant) supervisors report; the coordinator
-            # overlays these onto its replicated manager's dormant
-            # defaults to rebuild the serial summary.
-            linkhealth = {
-                supervisor.link: supervisor.summary()
-                for supervisor in manager.supervisors.values()
-                if not supervisor.dormant
-            }
         return {
             "final": self._capture(duration_fs),
             "all_synchronized": all(
@@ -357,5 +328,4 @@ class ShardWorker:
             "metric_counters": counters,
             "events": self.engine.events,
             "virtual_events": self.engine.virtual_events,
-            "linkhealth": linkhealth,
         }

@@ -54,24 +54,15 @@ EV_QUARANTINE = 12
 EV_RELEASE = 13
 #: BoundMonitor alarm.  subject = link, a = offset ticks, b = bound ticks.
 EV_ALARM = 14
-#: Codes 15 and 16 are retired: nothing emits them.  They stay, with their
+#: Codes 15 to 20 are retired: nothing emits them.  They stay, with their
 #: names in :data:`KIND_NAMES`, because every trace header lists all of
 #: ``KIND_NAMES``; dropping them would change the bytes (and the pinned
-#: digests) of every ``.trace.jsonl``.  Codes 17 and up keep their numbers.
+#: digests) of every ``.trace.jsonl``.  Codes 21 and up keep their numbers.
 EV_DISC_OBSERVE = 15
 EV_DISC_ACTION = 16
-#: Link recovery FSM entered a new state (``repro.linkhealth``).
-#: subject = ``link/<a>-<b>``, a = state code (:data:`LINK_STATE_CODES`),
-#: b = cause code (:data:`LINK_CAUSE_CODES`).
 EV_LINK_STATE = 17
-#: Recovery FSM scheduled a reconnect attempt.  a = attempt number
-#: (1-based within the incident), b = backoff delay in femtoseconds.
 EV_LINK_RECONNECT = 18
-#: One clean beacon interval counted while rejoining (RESYNC).
-#: a = consecutive clean intervals so far, b = intervals required.
 EV_LINK_RESYNC = 19
-#: Quarantine-release handshake with the invariant checker completed.
-#: a = reconnect attempts the incident took, b = resync windows used.
 EV_LINK_RELEASE = 20
 #: Shard coordinator issued a window grant (``repro.observe`` health
 #: channel).  subject = ``coordinator``, a = round number (1-based),
@@ -141,27 +132,6 @@ LOST_HEADER = 2
 REJECT_RANGE = 1
 REJECT_PARITY = 2
 REJECT_UNDECODABLE = 3
-
-#: ``EV_LINK_STATE`` argument ``a``: the recovery FSM state (mirrors
-#: ``repro.linkhealth.fsm``; duplicated here so the schema table has no
-#: import cycle into the supervision package).
-LINK_STATE_CODES: Dict[int, str] = {
-    0: "up",
-    1: "degraded",
-    2: "down",
-    3: "reconnecting",
-    4: "resync",
-}
-
-#: ``EV_LINK_STATE`` argument ``b``: what drove the transition.
-LINK_CAUSE_CODES: Dict[int, str] = {
-    0: "none",
-    1: "silence",
-    2: "ber",
-    3: "signal-loss",
-    4: "admin",
-    5: "peer",
-}
 
 #: ``EV_SUPERVISOR_TASK`` argument ``a``: the supervised task's state
 #: (mirrors ``repro.resilience``; duplicated here so the schema table has
@@ -261,25 +231,24 @@ EVENT_SCHEMA: Dict[int, Tuple[str, str, str]] = {
         "unused (0)",
     ),
     EV_LINK_STATE: (
-        "supervised link (link/<a>-<b>)",
-        "state: up=0 / degraded=1 / down=2 / reconnecting=3 / resync=4",
-        "cause: none=0 / silence=1 / ber=2 / signal-loss=3 / admin=4 / "
-        "peer=5",
+        "retired: emitted by nothing",
+        "unused (0)",
+        "unused (0)",
     ),
     EV_LINK_RECONNECT: (
-        "supervised link (link/<a>-<b>)",
-        "attempt number within the incident (1-based)",
-        "backoff delay, fs",
+        "retired: emitted by nothing",
+        "unused (0)",
+        "unused (0)",
     ),
     EV_LINK_RESYNC: (
-        "supervised link (link/<a>-<b>)",
-        "consecutive clean beacon intervals counted",
-        "clean intervals required for release",
+        "retired: emitted by nothing",
+        "unused (0)",
+        "unused (0)",
     ),
     EV_LINK_RELEASE: (
-        "supervised link (link/<a>-<b>)",
-        "reconnect attempts the incident took",
-        "resync windows used before release",
+        "retired: emitted by nothing",
+        "unused (0)",
+        "unused (0)",
     ),
     EV_SHARD_GRANT: (
         "coordinator",

@@ -24,7 +24,7 @@ class Reference:
         self.pairs_checked = self.ticks_above = self.reconnects = 0
         self.recovery, self.last = {}, {}
         self.since, self.awaiting = {}, {}
-        self.quarantined, self.healing, self.held_edges = set(), {}, set()
+        self.quarantined, self.healing = set(), {}
 
     def bound(self, a, b, hops):
         return PER_HOP * hops * max(self.inc[a], self.inc[b])
@@ -32,7 +32,7 @@ class Reference:
     def distances(self, up):
         adjacency = {n: [] for n in self.nodes}
         for a, b in up:
-            if not {a, b} & self.quarantined and frozenset((a, b)) not in self.held_edges:
+            if not {a, b} & self.quarantined:
                 adjacency[a].append(b)
                 adjacency[b].append(a)
         out = {}

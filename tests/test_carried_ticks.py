@@ -2,17 +2,20 @@
 
 ``DtpPort._beacon_timeout`` fires with the tick index it was scheduled on,
 ``_transmit_now`` with its slot and ``_process`` with its RX edge; none
-maps its time back with ``ticks_at``.  That is exact because every such
-event is scheduled at ``time_of_tick(n)`` and the oscillator guarantees
-``ticks_at(time_of_tick(n)) == n``.  These tests wrap the three handlers
-on the class, before any network is built, and compare the carried index
-with ``port.osc.ticks_at(sim.now)`` at every dispatch: the scalar chain,
-the events the batched coordinator's ``demote`` rebuilds (link-flap, a
-tripped fault window, two-faced's ``leave_fastpath``; and on saturated
-links, the captures queued behind a direction's beacons and the APPLYs in
-flight), oscillator faults that move the tick grid mid-run, and a
-spanning-tree network's stalling clocks.  A last test counts what the
-steady beacon chain asks the oscillator: no ``ticks_at`` at all.
+maps its time back with ``ticks_at``.  ``send_join`` takes the tick its
+caller holds: T2's RX edge, or a JOIN's RX edge handed through
+``DtpDevice.on_join`` to the device's other ports, which count the same
+oscillator.  That is exact because every such event is scheduled at
+``time_of_tick(n)`` and the oscillator guarantees ``ticks_at(time_of_tick(n))
+== n``.  These tests wrap the four methods on the class, before any network
+is built, and compare the carried index with ``port.osc.ticks_at(sim.now)``
+at every call: the scalar chain, the events the batched coordinator's
+``demote`` rebuilds (link-flap, a tripped fault window, two-faced's
+``leave_fastpath``; and on saturated links, the captures queued behind a
+direction's beacons and the APPLYs in flight), oscillator faults that move
+the tick grid mid-run, and a spanning-tree network's stalling clocks.  A
+last test counts what the steady beacon chain asks the oscillator: no
+``ticks_at`` at all.
 """
 
 from collections import Counter
@@ -41,6 +44,7 @@ def carried(monkeypatch):
     beacon_timeout = DtpPort._beacon_timeout
     transmit_now = DtpPort._transmit_now
     process = DtpPort._process
+    send_join = DtpPort.send_join
 
     def check(kind, port, carried_tick):
         seen[kind] += 1
@@ -60,9 +64,14 @@ def carried(monkeypatch):
         check("process", port, tick)
         process(port, bits56, tick)
 
+    def checked_join(port, tick):
+        check("join", port, tick)
+        send_join(port, tick)
+
     monkeypatch.setattr(DtpPort, "_beacon_timeout", checked_timeout)
     monkeypatch.setattr(DtpPort, "_transmit_now", checked_transmit)
     monkeypatch.setattr(DtpPort, "_process", checked_process)
+    monkeypatch.setattr(DtpPort, "send_join", checked_join)
     return seen, wrong
 
 
@@ -89,6 +98,7 @@ def test_scalar_fig6a(carried):
     run_fig6_dtp(config, backend="scalar")
     assert wrong == []
     assert min(seen["timeout"], seen["transmit"], seen["process"]) > 10_000
+    assert seen["join"] > 0
 
 
 @pytest.mark.parametrize("backend", ["scalar", "batched"])
@@ -97,7 +107,7 @@ def test_builtin_scenarios(carried, backend):
     for spec in builtin_specs(quick=True):
         run_scenario(dict(spec), seed=1, backend=backend)
         assert wrong == [], spec["name"]
-    assert min(seen["timeout"], seen["transmit"], seen["process"]) > 0
+    assert min(seen["timeout"], seen["transmit"], seen["process"], seen["join"]) > 0
 
 
 def test_spanning_tree(carried, sim, streams):
@@ -112,6 +122,7 @@ def test_spanning_tree(carried, sim, streams):
     assert net.devices["n2"].gc.stalls > 0
     assert wrong == []
     assert min(seen["timeout"], seen["transmit"], seen["process"]) > 100
+    assert seen["join"] > 0
 
 
 def test_demoted_backlog(carried, sim, streams):

@@ -114,8 +114,6 @@ def schedules(draw, deep=False):
         link,
         st.tuples(st.just("quarantine"), node),
         st.tuples(st.just("release"), node, st.lists(node, max_size=2)),
-        st.tuples(st.just("hold"), edge),
-        st.tuples(st.just("unhold"), edge),
         st.tuples(st.just("reset"), node),
     )
     # Mostly within the hop-1 bound of 4, so classes clear, with excursions.
@@ -171,13 +169,6 @@ def _apply(op, net, checkers, ref):
             checker.release([names[op[1]]], "fault", wait_for=wait_for)
         ref.quarantined.discard(names[op[1]])
         ref.healing[names[op[1]]] = ("fault", net.sim.now, frozenset(wait_for))
-    elif op[0] in ("hold", "unhold"):
-        e = net.topology.edges[op[1]]
-        for checker in checkers:
-            (checker.quarantine_edge if op[0] == "hold" else checker.release_edge)(
-                e.a, e.b, "rejoin"
-            )
-        (ref.held_edges.add if op[0] == "hold" else ref.held_edges.discard)(frozenset((e.a, e.b)))
     else:
         for checker in checkers:
             checker.notify_counter_reset(names[op[1]])

@@ -345,7 +345,7 @@ def test_link_flap_costs_one_signature_per_poll_a_flag_moved_on(sim, fabric):
 
 def test_each_checker_call_and_a_healing_completion_cost_one_signature(sim, fabric):
     net, checker, _walked = fabric
-    host, switch = _host_uplink(net)
+    host, _switch = _host_uplink(net)
     calls = count_calls(checker, "_cache_key")
 
     def cost(act):
@@ -359,9 +359,5 @@ def test_each_checker_call_and_a_healing_completion_cost_one_signature(sim, fabr
     # The release, then the tick after the one that saw the node back in bound.
     assert cost(lambda: checker.release([host], "drill")) == 2
     assert checker.recovery_fs["drill"] and not checker._healing
-    assert len(checker.checkable_pairs(False)) == PAIRS
-    assert cost(lambda: checker.quarantine_edge(host, switch, "rejoin")) == 1
-    assert len(checker.checkable_pairs(False)) == PAIRS - 35
-    assert cost(lambda: checker.release_edge(host, switch, "rejoin")) == 1
     assert len(checker.checkable_pairs(False)) == PAIRS
     assert cost(lambda: None) == 0

@@ -1,8 +1,10 @@
 """Integration tests for DTP networks: multi-hop, dynamics, failures."""
 
+import pytest
 
 from repro.clocks.oscillator import ConstantSkew
 from repro.dtp.network import DtpNetwork
+from repro.dtp.port import PortState
 from repro.faultlab.faults import FaultContext, Partition
 from repro.network.topology import chain, paper_testbed, star, two_level_tree
 from repro.sim import units
@@ -108,6 +110,29 @@ class TestNetworkDynamics:
         # After healing, BEACON_JOIN pulls the slow side forward again.
         sim.run_until(8 * units.MS)
         assert worst_offset_over(net, sim, 8 * units.MS, 9 * units.MS) <= 8
+
+    @pytest.mark.parametrize(
+        "downs", [0, 2], ids=["up-without-down", "two-downs"]
+    )
+    def test_the_first_up_link_raises_the_link(self, sim, streams, downs):
+        # An up_link raises the link whatever came before it: ports that
+        # went down without a down_link (a NodeCrash restart raises links
+        # it never took down itself), or two faults whose downs overlap.
+        net = DtpNetwork(sim, chain(3), streams)
+        net.start()
+        sim.run_until(200 * units.US)
+        ports = (net.ports[("n0", "n1")], net.ports[("n1", "n0")])
+        if downs:
+            for _ in range(downs):
+                net.down_link("n0", "n1")
+        else:
+            for port in ports:
+                port.link_down()
+        assert all(port.state is PortState.DOWN for port in ports)
+        net.up_link("n0", "n1")
+        assert all(port.state is not PortState.DOWN for port in ports)
+        sim.run_until(400 * units.US)
+        assert all(port.synchronized for port in ports)
 
     def test_late_joiner_with_zero_counter(self, sim, streams):
         net = DtpNetwork(sim, chain(3), streams)

@@ -172,7 +172,7 @@ class TestFaultHandling:
         from repro.dtp import messages as m
 
         bogus_counter = b.lc.counter_at(sim.now) + 1_000_000
-        bits = m.encode(m.DtpMessage(m.MessageType.BEACON, m.counter_low(bogus_counter)))
+        bits = m.SHIFTED_TYPE[m.MessageType.BEACON] | m.counter_low(bogus_counter)
         before = b.lc.counter_at(sim.now)
         b._process(bits, b.osc.ticks_at(sim.now))
         assert b.stats.rejected_out_of_range == 1
@@ -218,7 +218,7 @@ class TestFaultHandling:
 
         good = m.payload_with_parity(b.lc.counter_at(sim.now))
         corrupted = good ^ 0b1  # flip an LSB: parity now wrong
-        bits = m.encode(m.DtpMessage(m.MessageType.BEACON, corrupted))
+        bits = m.SHIFTED_TYPE[m.MessageType.BEACON] | corrupted
         b._process(bits, b.osc.ticks_at(sim.now))
         assert b.stats._rejected["parity"].value == 1
 

@@ -34,25 +34,21 @@ class TestPortEdgeCases:
         assert a.state is PortState.SYNCHRONIZED
         d_before = a.d
         # Replay an old INIT_ACK: must not re-measure.
-        bits = dtpmsg.encode(
-            dtpmsg.DtpMessage(dtpmsg.MessageType.INIT_ACK, 12345)
-        )
+        bits = dtpmsg.SHIFTED_TYPE[dtpmsg.MessageType.INIT_ACK] | 12345
         a._process(bits, a.osc.ticks_at(sim.now))
         assert a.d == d_before
 
     def test_beacon_before_init_ignored(self, sim, streams):
         a, b = self.make_pair(sim, streams)
         a.link_up()  # INIT state; d is None
-        bits = dtpmsg.encode(dtpmsg.DtpMessage(dtpmsg.MessageType.BEACON, 500))
+        bits = dtpmsg.SHIFTED_TYPE[dtpmsg.MessageType.BEACON] | 500
         a._process(bits, a.osc.ticks_at(sim.now))  # must not crash nor adjust
         assert a.stats.jumps == 0
 
     def test_join_before_init_ignored(self, sim, streams):
         a, b = self.make_pair(sim, streams)
         a.link_up()
-        bits = dtpmsg.encode(
-            dtpmsg.DtpMessage(dtpmsg.MessageType.BEACON_JOIN, 999_999)
-        )
+        bits = dtpmsg.SHIFTED_TYPE[dtpmsg.MessageType.BEACON_JOIN] | 999_999
         before = a.lc.counter_at(sim.now)
         a._process(bits, a.osc.ticks_at(sim.now))
         assert a.lc.counter_at(sim.now) - before <= 1

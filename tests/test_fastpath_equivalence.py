@@ -344,17 +344,14 @@ def test_builtins_that_patch_a_port_still_batch(name, promotions, demotions):
     assert result == run_scenario(dict(spec), seed=1, backend="scalar")
 
 
-def _six_chain(fault, supervised=False):
+def _six_chain(fault):
     """``fault`` on n1-n2 of chain(6): two shards cut it n0-n2 | n3-n5."""
-    spec = {
+    return {
         "name": "sharded-arm",
         "topology": {"kind": "chain", "hosts": 6},
         "duration_fs": 1 * units.MS,
         "faults": [_placed(fault, "n1", "n2")],
     }
-    if supervised:
-        spec["linkhealth"] = True
-    return spec
 
 
 def _on_two_inline_shards(spec, seed, telemetry):
@@ -368,14 +365,13 @@ def _on_two_inline_shards(spec, seed, telemetry):
     return result, [worker.engine.fastpath for worker in transport._workers]
 
 
-@pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
 @pytest.mark.parametrize("fault", _HAND_FAULTS, ids=lambda f: f["kind"])
-def test_every_fault_keeps_its_identity_on_two_batching_shards(fault, supervised):
+def test_every_fault_keeps_its_identity_on_two_batching_shards(fault):
     # The sharded arm of the sweep: a shard builds and arms its own faults,
     # so the same six kinds come in through the spec.  Result bytes — the
     # trace and metrics digests are in them — equal the scalar oracle's
     # while every owned-owned direction batches outside a patch.
-    spec = _six_chain(fault, supervised)
+    spec = _six_chain(fault)
     stats = {}
     scalar = run_scenario(dict(spec), seed=7, backend="scalar", telemetry=Telemetry())
     sharded = run_sharded_scenario(
@@ -413,52 +409,6 @@ def test_hand_armed_ber_burst_injects_what_scalar_injects():
         return burst.summary()["errors_injected"], sim._seq
 
     assert run(None) == run("scalar") == (24, 6260)
-
-
-def test_signal_loss_demotes_the_dark_direction(tmp_path):
-    # The TX gate is a scalar check: a promoted n3->n4 has to come back to
-    # the scalar path to be dropped at it, and re-promotes after the restore.
-    def drive(sim, net):
-        sim.run_until(700 * units.US)
-        net.signal_loss("n3", "n4")
-        sim.run_until(900 * units.US)
-        net.signal_restore("n3", "n4")
-        sim.run_until(1500 * units.US)
-
-    def run(backend):
-        telemetry, sim = Telemetry(), Simulator()
-        net = DtpNetwork(
-            sim, chain(5), RandomStreams(root_seed=5), telemetry=telemetry,
-            backend=backend,
-        )
-        net.start()
-        drive(sim, net)
-        heard = net.ports[("n4", "n3")].stats.received["BEACON"]
-        path = tmp_path / f"{backend}.trace.jsonl"
-        return (_trace_file_bytes(telemetry, path), sim._seq, heard), telemetry, net
-
-    scalar, telemetry, _ = run("scalar")
-    batched, _, net = run("batched")
-    assert batched == scalar
-    assert telemetry.tracer.recorded == 18_807 and scalar[1:] == (37_280, 1_015)
-    # Eight directions, then n3->n4 again after the restore.
-    assert net.fastpath.promotions == 9 and net.fastpath.demotions == 1
-
-
-def test_signal_loss_on_a_default_network_goes_dark_at_once():
-    def run(backend):
-        sim = Simulator()
-        net = DtpNetwork(sim, chain(2), RandomStreams(root_seed=1), backend=backend)
-        net.start()
-        sim.run_until(1 * units.MS)
-        heard = net.ports[("n1", "n0")].stats.received["BEACON"]
-        net.signal_loss("n0", "n1")
-        net.signal_loss("n0", "n1")  # idempotent
-        sim.run_until(2 * units.MS)
-        return net.ports[("n1", "n0")].stats.received["BEACON"] - heard, sim._seq
-
-    assert run(None) == run("scalar")
-    assert run(None)[0] == 0  # the parent delivered 781 through the dark fibre
 
 
 def test_all_builtin_scenarios_bit_identical_quick():
@@ -619,12 +569,10 @@ def test_traced_fault_window_trip_lands_at_the_same_record():
     assert runs["batched"] == runs["scalar"]
 
 
-@pytest.mark.parametrize("supervised", [False, True], ids=["plain", "supervised"])
-def test_fault_window_trips_inside_batching_shards_match_scalar(supervised):
+def test_fault_window_trips_inside_batching_shards_match_scalar():
     # The trip is a call-out from a *virtual* APPLY (``_roll_fault_window``):
-    # its EV_PEER_FAULT record and, supervised, the ``on_fault`` ->
-    # quarantine/release checker calls must carry that virtual event's key to
-    # merge where the scalar run has them.  The cut link n2-n3 stays calm.
+    # its EV_PEER_FAULT record must carry that virtual event's key to merge
+    # where the scalar run has it.  The cut link n2-n3 stays calm.
     spec = {
         "name": "shard-trip",
         "topology": {"kind": "chain", "hosts": 6},
@@ -633,8 +581,6 @@ def test_fault_window_trips_inside_batching_shards_match_scalar(supervised):
                      "n4": 75.0, "n5": -85.0},
         "config": {"fault_window_beacons": 100, "max_jumps_per_window": 1},
     }
-    if supervised:
-        spec["linkhealth"] = True
     scalar_telemetry, telemetry = Telemetry(), Telemetry()
     scalar = run_scenario(dict(spec), seed=3, backend="scalar", telemetry=scalar_telemetry)
     sharded, coordinators = _on_two_inline_shards(spec, 3, telemetry)
@@ -643,8 +589,6 @@ def test_fault_window_trips_inside_batching_shards_match_scalar(supervised):
     assert records == list(scalar_telemetry.tracer.records)
     trips = sum(1 for record in records if record[1] == EV_PEER_FAULT)
     assert trips == 10 and min(c.demotions for c in coordinators) >= 4
-    if supervised:
-        assert sharded["linkhealth"]["links"]["n0-n1"]["downs"] == 1
 
 
 def test_dispatch_profile_refuses_every_direction():

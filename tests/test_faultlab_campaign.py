@@ -17,7 +17,7 @@ from repro.faultlab import (
 )
 from repro.faultlab.campaign import prepare
 from repro.faultlab.cli import main as faultlab_main
-from repro.faultlab.scenarios import FABRIC_SCENARIOS, LINKHEALTH_SCENARIOS
+from repro.faultlab.scenarios import FABRIC_SCENARIOS
 from repro.sim import units
 
 
@@ -106,7 +106,6 @@ def test_scenario_spec_errors():
         ({"faults": {"kind": "partition"}}, "faults must be a list"),
         ({"faults": [3]}, "fault 0 must be a dict, got 3"),
         ({"config": {"beacon_intervall": 5}}, "bad config: .*beacon_intervall"),
-        ({"linkhealth": {"watchdog": 4}}, "bad linkhealth: .*watchdog"),
         ({"skew_ppm": {"n0": "fast"}}, r"skew_ppm\['n0'\] must be a number, got 'fast'"),
         ({"skew_ppm": {"n9": 20.0}}, "skew_ppm names 'n9', which is not in the topology"),
         # Every fault that names a node or a link: before, each passed
@@ -119,8 +118,6 @@ def test_scenario_spec_errors():
          "fault 0: b names 'zz', which is not in the topology"),
         (_fault("partition", a="zz", b="n1", down_at_fs=US, up_at_fs=2 * US),
          "fault 0: a names 'zz', which is not in the topology"),
-        (_fault("flap-storm", links=[["n0", "n1"], ["n0", "n2"]], down_for_fs=US, gap_fs=US),
-         r"fault 0: links\[1\] 'n0'-'n2' is not a link"),
         (_fault("node-crash", node="zz", at_fs=US, restart_after_fs=US),
          "fault 0: node names 'zz', which is not in the topology"),
         (_fault("beacon-suppression", node="n0", peer="zz", start_fs=US, duration_fs=US),
@@ -136,10 +133,10 @@ def test_scenario_spec_errors():
     ],
     ids=[
         "duration-str", "duration-none", "duration-float", "topology-list",
-        "hosts-str", "faults-dict", "fault-int", "config-key", "linkhealth-key",
+        "hosts-str", "faults-dict", "fault-int", "config-key",
         "skew-str", "skew-unknown-node", "link-flap-unknown-node",
         "link-flap-not-a-link", "ber-burst-unknown-node", "partition-unknown-node",
-        "flap-storm-not-a-link", "node-crash-unknown-node",
+        "node-crash-unknown-node",
         "beacon-suppression-unknown-peer", "beacon-suppression-not-a-link",
         "two-faced-unknown-victim", "oscillator-glitch-unknown-node",
         "runaway-unknown-node",
@@ -151,7 +148,7 @@ def test_bad_spec_values_are_named_campaign_errors(overrides, message):
 
 
 def test_every_builtin_spec_prepares():
-    names = list(BUILTIN_SCENARIOS) + list(FABRIC_SCENARIOS) + list(LINKHEALTH_SCENARIOS)
+    names = list(BUILTIN_SCENARIOS) + list(FABRIC_SCENARIOS)
     for quick in (True, False):
         for spec in builtin_specs(names, quick=quick):
             assert prepare(spec).name == spec["name"]
@@ -301,19 +298,12 @@ def test_render_ends_with_campaign_digest():
 
 
 def test_cli_list(capsys):
-    from repro.faultlab.scenarios import FABRIC_SCENARIOS, LINKHEALTH_SCENARIOS
-
     assert faultlab_main(["--list"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[: len(BUILTIN_SCENARIOS)] == list(BUILTIN_SCENARIOS)
-    fabric_end = len(BUILTIN_SCENARIOS) + len(FABRIC_SCENARIOS)
-    assert out[len(BUILTIN_SCENARIOS) : fabric_end] == [
+    assert out[len(BUILTIN_SCENARIOS) :] == [
         f"{name}  (fabric-scale; by explicit name only)"
         for name in FABRIC_SCENARIOS
-    ]
-    assert out[fabric_end:] == [
-        f"{name}  (link supervision; by explicit name only)"
-        for name in LINKHEALTH_SCENARIOS
     ]
 
 

@@ -73,7 +73,10 @@ def test_double_arm_raises(sim, streams):
 def test_fault_kinds_registry_is_consistent():
     for kind, cls in FAULT_KINDS.items():
         assert cls.kind == kind
-    assert len(FAULT_KINDS) >= 9
+    assert set(FAULT_KINDS) == {
+        "link-flap", "partition", "ber-burst", "node-crash",
+        "beacon-suppression", "two-faced", "oscillator-glitch", "runaway",
+    }
 
 
 # ----------------------------------------------------------------------

@@ -263,7 +263,6 @@ def _specs_with_a_caller():
     names = [
         *scenarios.BUILTIN_SCENARIOS,
         *scenarios.FABRIC_SCENARIOS,
-        *scenarios.LINKHEALTH_SCENARIOS,
     ]
     return [
         *scenarios.builtin_specs(names, quick=True),

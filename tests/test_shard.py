@@ -224,16 +224,6 @@ class TestPartitioner:
                 ("n1", "n2"),
             ),
             (
-                {"kind": "flap-storm", "links": [["n0", "n1"], ["n1", "n2"]],
-                 "down_for_fs": 1, "gap_fs": 1},
-                ("n0", "n1", "n2"),
-            ),
-            (
-                {"kind": "ber-ramp", "a": "n1", "b": "n2", "start_fs": 1,
-                 "step_fs": 1, "bers": [0.01]},
-                ("n1", "n2", "n0", "n3"),
-            ),
-            (
                 {"kind": "beacon-suppression", "node": "n1", "peer": "n2",
                  "start_fs": 1, "duration_fs": 1},
                 ("n1",),

@@ -14,7 +14,7 @@ channel, block-locked, deserialized, descrambled and decoded.  The checks:
 import random
 
 
-from repro.dtp.messages import DtpMessage, MessageType, encode
+from repro.dtp.messages import SHIFTED_TYPE, MessageType
 from tests.wire.block_sync import BlockSync, blocks_to_bitstream
 from tests.wire.mac import MacFrame, address
 from tests.wire.blocks import Block66, extract_bits_from_idle
@@ -28,9 +28,7 @@ def build_tx_stream(num_frames: int, rng: random.Random):
     frames = []
     messages = []
     for index in range(num_frames):
-        message = encode(
-            DtpMessage(MessageType.BEACON, rng.getrandbits(53))
-        )
+        message = SHIFTED_TYPE[MessageType.BEACON] | rng.getrandbits(53)
         tx.queue_dtp(message)
         messages.append(message)
         frame = MacFrame(
