@@ -17,7 +17,12 @@ host.  Everything here is a faithful copy of the seed revision:
   per-message ``SeedBlock66`` / ``SeedDtpMessage`` object round-trips and a
   dispatch dict rebuilt per received message, counting its messages
   through ``seed_count_sent`` / ``seed_count_received``;
-* ``seed_reconstruct_counter`` — the ``min(key=lambda...)`` form.
+* ``seed_reconstruct_counter`` — the ``min(key=lambda...)`` form;
+* ``seed_tx_exit_time`` / ``seed_rx_process_time`` — the seed's PHY
+  pipeline helpers, each reading its tick back with ``ticks_at`` and
+  settling the CDC FIFO through ``randint`` and one ``next_edge_after``
+  per edge (the simulator computes both paths from carried tick indices
+  now, through ``SyncFifo.settle``).
 
 ``seed_implementation()`` patches them all in, so a whole experiment can
 be replayed on the seed core.
@@ -37,7 +42,6 @@ from repro.dtp import messages as dtpmsg
 from repro.dtp.port import DtpPort
 from repro.experiments import fig6_dtp
 from repro.phy.blocks import BLOCK_TYPE_IDLE, IDLE_PAYLOAD_BITS, SYNC_CONTROL, SYNC_DATA
-from repro.phy.pipeline import rx_process_time, tx_exit_time
 from repro.sim.engine import SimulationError
 
 
@@ -323,6 +327,31 @@ def seed_schedule_transmit(self, mtype, _tick=None, echo=0):
     )
 
 
+def seed_advance_ticks(oscillator, t_fs, ticks):
+    n = oscillator.ticks_at(t_fs) + ticks
+    if n < 1:
+        return t_fs
+    return oscillator.time_of_tick(n)
+
+
+def seed_tx_exit_time(tx_oscillator, send_edge_fs, config):
+    return seed_advance_ticks(tx_oscillator, send_edge_fs, config.tx_pipeline_ticks)
+
+
+def seed_delivery_time(fifo, local_oscillator, arrival_fs):
+    fifo.crossings += 1
+    t = local_oscillator.next_edge_after(arrival_fs)
+    extra = fifo.rng.randint(0, fifo.max_extra_cycles) if fifo.enabled else 0
+    for _ in range(extra):
+        t = local_oscillator.next_edge_after(t)
+    return t
+
+
+def seed_rx_process_time(arrival_fs, rx_fifo, rx_oscillator, config):
+    crossed_fs = seed_delivery_time(rx_fifo, rx_oscillator, arrival_fs)
+    return seed_advance_ticks(rx_oscillator, crossed_fs, config.rx_pipeline_ticks)
+
+
 def seed_transmit_now(self, mtype, payload_builder):
     from repro.dtp.port import PortState
 
@@ -332,7 +361,7 @@ def seed_transmit_now(self, mtype, payload_builder):
     payload = payload_builder(now)
     bits56 = seed_encode(SeedDtpMessage(mtype, payload))
     seed_count_sent(self.stats, mtype)
-    exit_fs = tx_exit_time(self.osc, now, self.config.latency)
+    exit_fs = seed_tx_exit_time(self.osc, now, self.config.latency)
     arrival_fs = exit_fs + self.wire_delay_fs
     wire_bits = seed_embed_bits_in_idle(bits56).to_int()
     if self.ber is not None:
@@ -356,7 +385,7 @@ def seed_arrive(self, wire_bits):
     except SeedBlockError:
         self.stats._lost_on_wire.value += 1
         return
-    process_fs = rx_process_time(
+    process_fs = seed_rx_process_time(
         self.sim.now, self.fifo, self.osc, self.config.latency
     )
     self.sim.schedule_at(process_fs, self._process, bits56)

@@ -6,8 +6,8 @@ commodity switch drives all its ports from a single clock chip — and one
 tick the device computes ``gc <- max(gc + 1, {lc_i})``.  Because all local
 counters tick from the same oscillator between adjustments, the continuous
 rule collapses to: bump ``gc`` whenever any local counter jumps above it.
-That is exactly what :meth:`DtpDevice.on_local_jump` implements, so the
-simulation realizes Algorithm 2 without per-tick events.
+That is what ``DtpPort._apply_beacon`` (or :meth:`DtpDevice.on_local_jump`)
+does, so the simulation realizes Algorithm 2 without per-tick events.
 """
 
 from __future__ import annotations

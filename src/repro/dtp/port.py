@@ -256,9 +256,7 @@ class DtpPort:
         #: Slot source; None is an idle link (every block is idle).
         self.traffic = traffic
         self.ber = ber
-        self.fifo = SyncFifo(
-            self.osc, device.streams.stream(f"cdc/{name}")
-        )
+        self.fifo = SyncFifo(device.streams.stream(f"cdc/{name}"))
         self.state = PortState.DOWN
         self.peer: Optional["DtpPort"] = None
         #: One-way wire propagation delay from this port's TX to the peer.
@@ -279,7 +277,6 @@ class DtpPort:
         #: Remote counter high bits learned from BEACON_MSB.
         self.remote_msb: Optional[int] = None
         self.on_log: Optional[Callable[[int, int, int], None]] = None
-        self.on_fault: Optional[Callable[["DtpPort"], None]] = None
         #: Fault-injection gate: called with (message type, now) at the TX
         #: instant; returning False drops the message before it hits the
         #: wire (see ``repro.faultlab``).  None (the default) transmits
@@ -300,11 +297,13 @@ class DtpPort:
         #: that nothing mutates post-init).
         self._tx_pipeline_ticks = self.config.latency.tx_pipeline_ticks
         self._rx_pipeline_ticks = self.config.latency.rx_pipeline_ticks
-        #: Section 3.2 rejection threshold in counter units, likewise
-        #: fixed at construction.
+        #: Section 3.2 reject threshold (counter units), fault window and
+        #: MSB cadence, likewise fixed at construction.
         self._reject_threshold = (
             self.config.reject_threshold_ticks * device.counter_increment
         )
+        self._fault_window = self.config.fault_window_beacons
+        self._msb_every = self.config.msb_interval_beacons
         #: Per-message dispatch table; a handler takes (payload, now, tick).
         self._handlers = {
             _INIT: self._on_init,
@@ -383,21 +382,37 @@ class DtpPort:
     # ------------------------------------------------------------------
     # Transmission machinery
     # ------------------------------------------------------------------
+    def _tx_slot(self, tick: int, beacon: bool = False) -> int:
+        """The ``/E/`` slot arbiter: the first idle block after ``tick``
+        and the last slot handed out.  A T3 ``beacon`` also counts the
+        BEACON_MSB cadence: when one is due the slot comes back negated
+        (no tuple on the hot path), and the MSB asks next."""
+        last = self._last_tx_slot
+        slot = tick + 1 if tick > last else last + 1
+        traffic = self.traffic
+        if traffic is not None:
+            slot = traffic.next_idle_tick(slot)
+        self._last_tx_slot = slot
+        if beacon:
+            b = self._beacons_since_msb + 1
+            if b >= self._msb_every:
+                self._beacons_since_msb = 0
+                return -slot
+            self._beacons_since_msb = b
+        return slot
+
     def _schedule_transmit(
         self, mtype: dtpmsg.MessageType, tick: int, echo: int = 0
     ) -> None:
-        """Queue a message for the first idle block after ``tick`` (the
-        current tick) and after the last one queued: a monotonic slot
-        arbiter.  The transmission fires on its slot and carries it (and
-        ``echo``, an INIT_ACK's payload)."""
-        last = self._last_tx_slot
-        slot = tick + 1 if tick > last else last + 1
-        if self.traffic is not None:
-            slot = self.traffic.next_idle_tick(slot)
-        self._last_tx_slot = slot
+        """Queue a message on the slot the arbiter hands out at ``tick``."""
+        self._post_transmit(mtype, self._tx_slot(tick), echo)
+
+    def _post_transmit(
+        self, mtype: dtpmsg.MessageType, slot: int, echo: int = 0
+    ) -> None:
+        """Fire on ``slot``, carrying it (and ``echo``, an INIT_ACK's)."""
         self.sim.post_at(
-            self.osc.time_of_tick(slot),
-            self._transmit_now, mtype, slot, echo,
+            self.osc.time_of_tick(slot), self._transmit_now, mtype, slot, echo
         )
 
     def _transmit_now(self, mtype: dtpmsg.MessageType, slot: int, echo: int) -> None:
@@ -415,8 +430,7 @@ class DtpPort:
         self.stats._sent[_MTYPE_NAME[mtype]].value += 1
         if self._tracer is not None:
             self._tracer.record(now, EV_TX, self._sid, mtype, payload)
-        # Inlined tx_exit_time/advance_ticks (hot path: one call per
-        # message sent), from the slot this event fires on.  A slot is
+        # The TX pipeline from the slot this event fires on.  A slot is
         # >= 1 and pipeline depths are non-negative.
         arrival_fs = (
             self.osc.time_of_tick(slot + self._tx_pipeline_ticks) + self.wire_delay_fs
@@ -475,28 +489,13 @@ class DtpPort:
                 self._tracer.record(self.sim._now, EV_LOST, self._sid, LOST_HEADER)
             return
         bits56 = wire_bits & IDLE_PAYLOAD_MASK
-        # Inlined rx_process_time: CDC quantization + random settling
-        # cycle (same single RNG draw as SyncFifo.delivery_time), then the
-        # deterministic RX pipeline (advance_ticks).  Advancing an edge is
-        # ``index + 1``, so the whole chain is one index computation.
+        # The next local edge, the CDC settling, the RX pipeline: advancing
+        # an edge is ``index + 1``, so the chain is one index computation.
         osc = self.osc
-        fifo = self.fifo
-        fifo.crossings += 1
-        n = osc.edge_index_after(self.sim._now)
-        if fifo.enabled:
-            # Exact inline of ``rng.randint(0, max_extra_cycles)``:
-            # CPython's Random._randbelow_with_getrandbits accept-reject
-            # loop, consuming the identical generator state per draw (the
-            # benchmark's bit-identical check would catch any divergence).
-            # randint itself spends most of its time on argument handling.
-            bound = fifo.max_extra_cycles + 1
-            getrandbits = fifo.rng.getrandbits
-            k = bound.bit_length()
-            r = getrandbits(k)
-            while r >= bound:
-                r = getrandbits(k)
-            n += r
-        n += self._rx_pipeline_ticks
+        n = (
+            self.fifo.settle(osc.edge_index_after(self.sim._now))
+            + self._rx_pipeline_ticks
+        )
         self.sim.post_at(osc.time_of_tick(n), self._process, bits56, n)
 
     def _process(self, bits56: int, tick: int) -> None:
@@ -557,10 +556,11 @@ class DtpPort:
         fastpath = self._fastpath
         if fastpath is not None and fastpath.on_beacon_timeout(self, tick):
             return  # direction promoted: the coordinator owns this beacon
-        self._schedule_transmit(_BEACON, tick)
-        self._beacons_since_msb += 1
-        if self._beacons_since_msb >= self.config.msb_interval_beacons:
-            self._beacons_since_msb = 0
+        slot = self._tx_slot(tick, True)
+        if slot > 0:
+            self._post_transmit(_BEACON, slot)
+        else:
+            self._post_transmit(_BEACON, -slot)
             self._schedule_transmit(_MSB, tick)
         self._schedule_beacon_timeout(tick)
 
@@ -575,12 +575,14 @@ class DtpPort:
         if self.peer_faulty:
             return
         lc = self.lc
-        # Only a subclass (a spanning-tree follower that can stall, a
-        # child-facing inert clock) reads a second counter or decides a
-        # jump its own way; a plain clock reads the RX edge and jumps iff
-        # candidate > lc_now.
-        plain = type(lc) is TickClock
-        lc_now = lc.increment * tick + lc.offset if plain else lc.counter_at(now)
+        plain = type(lc) is TickClock and type(self.device.gc) is TickClock
+        if plain and not self.config.parity:
+            self._apply_beacon(payload, now, tick)
+            return
+        # Parity narrows the counter field; a subclass (a spanning-tree
+        # follower that can stall, an inert clock) reads a second counter
+        # or decides a jump its own way.
+        lc_now = lc.counter_at(now)
         if self.config.parity:
             if not dtpmsg.check_parity(payload):
                 self.stats._rejected["parity"].value += 1
@@ -592,21 +594,17 @@ class DtpPort:
                 low, lc_now, bits=dtpmsg.PARITY_PAYLOAD_BITS
             )
         else:
-            # reconstruct_counter, inlined
-            remote = lc_now + ((payload - lc_now + _HALF) & _LOW_MASK) - _HALF
+            remote = dtpmsg.reconstruct_counter(payload, lc_now)
         candidate = remote + self.d
         # Plausibility is judged against the free-running counter: a
         # stalled follower (spanning-tree mode) legitimately lags its
         # beacons, and must not reject its own catch-up.
-        delta = candidate - (lc_now if plain else lc.reference_counter_at(now))
+        delta = candidate - lc.reference_counter_at(now)
         stats = self.stats
         stats.beacons_in_window += 1
         if delta > self._reject_threshold or delta < -self._reject_threshold:
-            stats._rejected["out_of_range"].value += 1
-            stats.rejects_in_window += 1
-            if self._tracer is not None:
-                self._tracer.record(now, EV_REJECT, self._sid, REJECT_RANGE, delta)
-        elif (candidate > lc_now or not plain) and lc.adjust_to_max(now, candidate):
+            self._reject_range(now, delta)
+        elif lc.adjust_to_max(now, candidate):
             stats._jumps.value += 1
             stats.jumps_in_window += 1
             if self._tracer is not None:
@@ -614,18 +612,63 @@ class DtpPort:
                     now, EV_JUMP, self._sid, delta, candidate - lc_now
                 )
             self.device.on_local_jump(self, now)
-        if stats.beacons_in_window >= self.config.fault_window_beacons:
-            self._roll_fault_window()
+        if stats.beacons_in_window >= self._fault_window:
+            self._roll_fault_window(now)
 
-    def _roll_fault_window(self) -> None:
+    def _apply_beacon(self, payload: int, now: int, tick: int) -> bool:
+        """T4 and Algorithm 2 on plain clocks at RX edge ``tick``, for both
+        backends (the callers guard): unless Section 3.2 rejects ``c``,
+        ``lc <- max(lc, c + d)``, ``gc <- max(gc, lc)``.  True = the fault
+        window tripped."""
+        lc = self.lc
+        lc_now = lc.increment * tick + lc.offset
+        # reconstruct_counter, inlined; delta = candidate - lc_now.
+        delta = ((payload - lc_now + _HALF) & _LOW_MASK) - _HALF + self.d
+        stats = self.stats
+        beacons = stats.beacons_in_window + 1
+        stats.beacons_in_window = beacons
+        # Most beacons move nothing: test that first.
+        if delta <= 0:
+            if delta < -self._reject_threshold:
+                self._reject_range(now, delta)
+        elif delta > self._reject_threshold:
+            self._reject_range(now, delta)
+        else:
+            lc.offset += delta
+            lc.adjustments += 1
+            stats._jumps.value += 1
+            stats.jumps_in_window += 1
+            if self._tracer is not None:
+                self._tracer.record(now, EV_JUMP, self._sid, delta, delta)
+            candidate = lc_now + delta
+            gc = self.device.gc
+            gc_now = gc.increment * tick + gc.offset
+            if candidate > gc_now:
+                gc.offset += candidate - gc_now
+                gc.adjustments += 1
+        if beacons >= self._fault_window:
+            return self._roll_fault_window(now)
+        return False
+
+    def _reject_range(self, now: int, delta: int) -> None:
+        """Section 3.2: a counter off by more than the threshold is dropped."""
+        stats = self.stats
+        stats._rejected["out_of_range"].value += 1
+        stats.rejects_in_window += 1
+        if self._tracer is not None:
+            self._tracer.record(now, EV_REJECT, self._sid, REJECT_RANGE, delta)
+
+    def _roll_fault_window(self, now: int) -> bool:
         """End a full Section 3.2 fault window: too many jumps or rejects
-        in it marks the peer faulty."""
+        mark the peer faulty (and demote its batched direction to the
+        scalar path, which ignores it).  True = tripped."""
         cfg = self.config
-        jumps = self.stats.jumps_in_window
-        rejects = self.stats.rejects_in_window
-        self.stats.beacons_in_window = 0
-        self.stats.jumps_in_window = 0
-        self.stats.rejects_in_window = 0
+        stats = self.stats
+        jumps = stats.jumps_in_window
+        rejects = stats.rejects_in_window
+        stats.beacons_in_window = 0
+        stats.jumps_in_window = 0
+        stats.rejects_in_window = 0
         too_many_jumps = (
             cfg.max_jumps_per_window is not None and jumps > cfg.max_jumps_per_window
         )
@@ -633,14 +676,14 @@ class DtpPort:
             cfg.max_rejects_per_window is not None
             and rejects > cfg.max_rejects_per_window
         )
-        if too_many_jumps or too_many_rejects:
-            self.peer_faulty = True
-            if self._tracer is not None:
-                self._tracer.record(
-                    self.sim._now, EV_PEER_FAULT, self._sid, jumps, rejects
-                )
-            if self.on_fault is not None:
-                self.on_fault(self)
+        if not (too_many_jumps or too_many_rejects):
+            return False
+        self.peer_faulty = True
+        if self._fastpath is not None:
+            self._fastpath.demote_port(self.peer)
+        if self._tracer is not None:
+            self._tracer.record(now, EV_PEER_FAULT, self._sid, jumps, rejects)
+        return True
 
     def send_join(self, tick: int) -> None:
         """Send a BEACON_JOIN carrying our global counter; ``tick`` is the

@@ -7,7 +7,6 @@ time.  :class:`DtpClockService` packages all three behind the calls an
 application wants:
 
 * ``get_counter()`` — the synchronized network-wide counter (monotonic);
-* ``get_time_ns()`` — counter scaled to nanoseconds since network epoch;
 * ``get_utc_fs()`` — wall time, once a UTC master is attached;
 * ``precision_bound_ns()`` — the guaranteed end-to-end bound (4TD + 8T)
   for this network's diameter.
@@ -66,12 +65,6 @@ class DtpClockService:
     def get_counter(self) -> int:
         """The synchronized DTP counter, via the daemon's interpolation."""
         return self.daemon.get_dtp_counter(self.sim.now)
-
-    def get_time_ns(self) -> float:
-        """Counter scaled to nanoseconds since the network epoch."""
-        period_ns = self.network.spec.period_fs / units.NS
-        increment = self.network.devices[self.host].counter_increment
-        return self.get_counter() * period_ns / increment
 
     def get_utc_fs(self) -> Optional[int]:
         """Wall-clock estimate; None until external sync is attached."""

@@ -8,10 +8,18 @@ beacon cycle without touching the engine heap.  Each scalar beacon chain
 becomes four *virtual* events (PLAN, CAPTURE, ARRIVE, APPLY) held in the
 coordinator's own queue.  :meth:`FastpathCoordinator.run_merged` — the
 loop :meth:`Simulator.run_until <repro.sim.engine.Simulator.run_until>`
-hands over to — merges that queue with the engine heap by ``(time, seq)``
-with all four stage bodies inlined, so a steady-state beacon interval
-costs a handful of integer operations and two small-heap pushes instead of
-four engine dispatches through the full port machinery.
+hands over to — merges that queue with the engine heap by ``(time, seq)``,
+so a steady-state beacon interval costs three port-kernel calls, a handful
+of integer operations and two small-heap pushes instead of four engine
+dispatches through the full port machinery.
+
+The port's rules are the port's methods, and both backends call them: PLAN
+asks the sender's ``_tx_slot`` (the ``/E/`` slot arbiter and the
+BEACON_MSB cadence), ARRIVE the receiver's ``SyncFifo.settle`` (the CDC
+draw) and APPLY the receiver's ``_apply_beacon`` (T4, Algorithm 2 and the
+Section 3.2 window, on the carried tick).  What stays here is scheduling:
+the virtual heap, sequence numbers, segment-cached tick times, the
+pipelines and the stats and trace records of the dispatch itself.
 
 **Why this is bit-identical, not approximately identical:**
 
@@ -22,9 +30,9 @@ four engine dispatches through the full port machinery.
   order is therefore the same total order a scalar run produces —
   including same-femtosecond ties, which are common on a shared device
   oscillator and *do* change payloads when a capture and a jump collide.
-* The slot arbiter (``_last_tx_slot``) and MSB cadence counter stay on the
-  port object itself, so scalar transmissions (LOG records, JOINs, INIT
-  retries) interleave with batched beacons through the very same state.
+* The slot arbiter and MSB cadence are the sender port's, so scalar
+  transmissions (LOG records, JOINs, INIT retries) interleave with
+  batched beacons through the very same state.
 * All clock state (``lc``/``gc`` offsets, adjustment counts, stats cells,
   fault-window counters, CDC crossing counts and RNG streams) is mutated
   in place at virtual-event time, so any scalar event — an invariant
@@ -40,8 +48,8 @@ four engine dispatches through the full port machinery.
   receiver edges, divides.
 * With telemetry tracing on, each stage appends the records the scalar
   handler it stands for would have appended — ``EV_TX`` in CAPTURE,
-  ``EV_RX`` then ``EV_REJECT`` / ``EV_JUMP`` in APPLY, ``EV_PEER_FAULT``
-  on a tripped fault window — with the same five ints.  Dispatch order
+  ``EV_RX`` in APPLY, then the kernel's ``EV_REJECT`` / ``EV_JUMP`` /
+  ``EV_PEER_FAULT`` — with the same five ints.  Dispatch order
   is the scalar order, so the trace ring (and every artifact cut from
   it) is byte-identical too.
 * Only a direction's oldest pending capture sits in the heap; the rest
@@ -61,18 +69,19 @@ four engine dispatches through the full port machinery.
   tripped fault window, ``DtpPort.leave_fastpath`` before a fault patches
   the port, ``DtpNetwork.pin_scalar`` on a shard worker's ghost links).
 
-The stage bodies exist once, inlined in :meth:`run_merged`; promotion
-reaches them through the queue.  A direction promotes from inside its own
+The stages exist once, in :meth:`run_merged`; promotion reaches them
+through the queue.  A direction promotes from inside its own
 scalar ``_beacon_timeout`` dispatch at ``(now, s)``; rather than planning
 that beacon itself, :meth:`on_beacon_timeout` pushes a PLAN entry keyed
 ``(now, -1)`` carrying the tick the timeout carries, and the timeout
 returns at once.  Everything with a key below ``(now, s)`` has already
 run, and real sequence numbers are never negative, so ``(now, -1)`` is
 the minimum of both queues: the loop's very next pick is that PLAN,
-before any other event can move the slot arbiter or the counter.  The sentinel draws nothing from the engine counter, so
-the PLAN body allocates exactly the sequence numbers the scalar timeout
-would have allocated in its place — same ``(time, seq)`` total order,
-same final ``sim._seq``.  (One promotion per dispatch means at most one
+before any other event can move the slot arbiter or the counter.  The
+sentinel draws nothing from the engine counter, so the PLAN body
+allocates exactly the sequence numbers the scalar timeout would have
+allocated in its place — same ``(time, seq)`` total order, same final
+``sim._seq``.  (One promotion per dispatch means at most one
 ``-1`` entry is ever pending.)
 """
 
@@ -86,14 +95,7 @@ from ..dtp import messages as dtpmsg
 from ..dtp.port import DtpPort
 from ..phy.blocks import IDLE_WIRE_BASE
 from ..sim.engine import SimulationError, Simulator
-from ..telemetry.events import (
-    EV_JUMP,
-    EV_PEER_FAULT,
-    EV_REJECT,
-    EV_RX,
-    EV_TX,
-    REJECT_RANGE,
-)
+from ..telemetry.events import EV_RX, EV_TX
 from .eligibility import direction_ineligible_reason
 
 #: Virtual-event stages.  BEACON and BEACON_MSB flavors are distinct so
@@ -114,8 +116,6 @@ _SHIFTED_BEACON = dtpmsg.SHIFTED_TYPE[dtpmsg.MessageType.BEACON]
 _SHIFTED_MSB = dtpmsg.SHIFTED_TYPE[dtpmsg.MessageType.BEACON_MSB]
 _LOW_BITS = dtpmsg.COUNTER_LOW_BITS
 _LOW_MASK = dtpmsg.COUNTER_LOW_MASK
-_MOD = 1 << _LOW_BITS
-_HALF = _MOD >> 1
 
 # Virtual heap entries are plain tuples:
 #   (time_fs, seq, stage, direction, payload)       PLAN, CAP_*, ARR_*
@@ -129,7 +129,10 @@ _HALF = _MOD >> 1
 
 class _Direction:
     """One batched link direction (``sender`` beacons into ``receiver``),
-    with every per-chain constant resolved once at promotion time."""
+    with every per-chain constant resolved once at promotion time.  The
+    port's own rules run as its bound methods: ``slot`` (the sender's
+    ``/E/`` arbiter and MSB cadence), ``settle`` (the receiver's CDC draw)
+    and ``apply`` (the receiver's T4, Algorithm 2 and fault window)."""
 
     __slots__ = (
         "sender",
@@ -145,36 +148,23 @@ class _Direction:
         "qosc",
         "pseg",
         "qseg",
-        # Clocks.
+        # The sender's global clock, read at each capture.
         "gc_p",
-        "lc_q",
-        "gc_q",
         # Protocol constants.
-        "d",
-        "thresh",
         "interval",
-        "msb_every",
         "txpipe",
         "wire",
         "rxpipe",
-        # Receiver CDC.
-        "fifo",
-        "rand",
-        "bound",
-        "kbits",
+        # The port kernels.
+        "slot",
+        "settle",
+        "apply",
         # Stats cells (cached after any registry binding; ``Counter`` cells
         # are stable for the lifetime of the port).
         "sent_b",
         "sent_m",
         "recv_b",
         "recv_m",
-        "jumps_cell",
-        "rej_cell",
-        "stats_q",
-        # Fault-window config.
-        "fw",
-        "maxj",
-        "maxr",
         # Interned trace subject ids of both endpoints (-1 = tracing off).
         "sid_p",
         "sid_q",
@@ -191,32 +181,17 @@ class _Direction:
         self.pseg = None
         self.qseg = None
         self.gc_p = sender.device.gc
-        self.lc_q = receiver.lc
-        self.gc_q = receiver.device.gc
-        self.d = receiver.d
-        self.thresh = receiver._reject_threshold
-        cfg = sender.config
-        self.interval = cfg.beacon_interval_ticks
-        self.msb_every = cfg.msb_interval_beacons
+        self.interval = sender.config.beacon_interval_ticks
         self.txpipe = sender._tx_pipeline_ticks
         self.wire = sender.wire_delay_fs
         self.rxpipe = receiver._rx_pipeline_ticks
-        fifo = receiver.fifo
-        self.fifo = fifo
-        self.rand = fifo.rng.getrandbits
-        self.bound = fifo.max_extra_cycles + 1
-        self.kbits = self.bound.bit_length()
+        self.slot = sender._tx_slot
+        self.settle = receiver.fifo.settle
+        self.apply = receiver._apply_beacon
         self.sent_b = sender.stats._sent["BEACON"]
         self.sent_m = sender.stats._sent["BEACON_MSB"]
         self.recv_b = receiver.stats._received["BEACON"]
         self.recv_m = receiver.stats._received["BEACON_MSB"]
-        self.jumps_cell = receiver.stats._jumps
-        self.rej_cell = receiver.stats._rejected["out_of_range"]
-        self.stats_q = receiver.stats
-        qcfg = receiver.config
-        self.fw = qcfg.fault_window_beacons
-        self.maxj = qcfg.max_jumps_per_window
-        self.maxr = qcfg.max_rejects_per_window
         self.sid_p = sender._sid
         self.sid_q = receiver._sid
 
@@ -322,7 +297,7 @@ class FastpathCoordinator:
         self.demotions += 1
 
     # ------------------------------------------------------------------
-    # The merged run loop (hot path — stage bodies inlined)
+    # The merged run loop (hot path)
     # ------------------------------------------------------------------
     def run_merged(self, time_fs: int) -> None:
         """Run engine + virtual events with ``time <= time_fs``, merged.
@@ -345,7 +320,7 @@ class FastpathCoordinator:
         record = self._record
         dispatched = 0
         # The engine seq counter lives in a local, published back only
-        # around call-outs (scalar dispatch, fault-window rolls).
+        # around scalar dispatches (a kernel call allocates no seq).
         seqc = sim._seq
         # A keyed engine (``Simulator.key_layout``; the shard engine) packs
         # the allocating instant into seq: every dispatch, real or virtual,
@@ -360,28 +335,33 @@ class FastpathCoordinator:
         else:
             stride = 1
             instant = base = atime = 0
-        # Above every virtual key the run may fire: times <= time_fs, and
-        # no seq is below the promotion sentinel -1.
-        horizon = (time_fs + 1, -2)
         while True:
             while queue and queue[0][4].cancelled:
                 pop(queue)
                 sim._cancelled_in_queue -= 1
             if queue and queue[0][0] <= time_fs:
-                limit = entry = queue[0]
+                entry = queue[0]
+                ltime = entry[0]
+                lseq = entry[1]
             else:
-                entry, limit = None, horizon
-            # Virtual events below ``limit`` — the engine head, or the
-            # horizon — run in this inner loop.  The engine heap cannot
+                # The horizon, above every virtual key the run may fire:
+                # times <= time_fs, and no seq is below the promotion
+                # sentinel -1.
+                entry = None
+                ltime = time_fs + 1
+                lseq = -2
+            # Virtual events below ``(ltime, lseq)`` — the engine head, or
+            # the horizon — run in this inner loop.  The engine heap cannot
             # change while only virtual events dispatch (a fault-window trip
             # aside, which re-reads it), so one peek covers a whole stretch
-            # and the merge is one tuple comparison per event: seqs are
-            # unique, so it never reaches a third field.
+            # and the merge is one integer comparison per event (seqs are
+            # unique, so a time tie is settled by seq alone).
+            tripped = False
             while vheap:
                 vtop = vheap[0]
-                if not vtop < limit:
-                    break
                 now = vtop[0]
+                if now >= ltime and (now > ltime or vtop[1] > lseq):
+                    break
                 # An APPLY ends its chain and pops; every other stage
                 # replaces its own heap entry with the next one (one sift,
                 # not two).
@@ -394,66 +374,32 @@ class FastpathCoordinator:
                 stage = vtop[2]
                 ds = vtop[3]
 
-                # Stage tests run in frequency order: each BEACON stage
-                # before its BEACON_MSB twin (one beacon in msb_every).
-                # --- APPLY (BEACON): T4 with Section 3.2 filtering -----
-                # Mirrors _process + _on_beacon + _roll_fault_window.
-                if stage == APP_B:
+                # Stage tests by range, most frequent (APPLY) first: two
+                # or three tests a stage.
+                if stage >= APP_B:
                     pop(vheap)
-                    ds.recv_b.value += 1
                     payload = vtop[4]
-                    if record is not None:
-                        record(now, EV_RX, ds.sid_q, _BEACON, payload)
-                    if ds.receiver.peer_faulty:
-                        continue
-                    ticks = vtop[5]
-                    lc = ds.lc_q
-                    lc_now = lc.increment * ticks + lc.offset
-                    # reconstruct_counter, inlined: the remote counter is
-                    # lc_now + d, the wrapped difference in [-half, half).
-                    d = (payload - lc_now) & _LOW_MASK
-                    if d >= _HALF:
-                        d -= _MOD
-                    delta = d + ds.d
-                    stats = ds.stats_q
-                    stats.beacons_in_window += 1
-                    thresh = ds.thresh
-                    if delta > thresh or delta < -thresh:
-                        ds.rej_cell.value += 1
-                        stats.rejects_in_window += 1
+                    if stage == APP_B:
+                        # --- APPLY (BEACON): the receiver's T4 -----------
+                        ds.recv_b.value += 1
                         if record is not None:
-                            record(now, EV_REJECT, ds.sid_q, REJECT_RANGE, delta)
-                    elif delta > 0:
-                        # lc.adjust_to_max + device.on_local_jump, inlined.
-                        lc.offset += delta
-                        lc.adjustments += 1
-                        ds.jumps_cell.value += 1
-                        stats.jumps_in_window += 1
-                        if record is not None:
-                            # a == b: reference_counter_at is counter_at
-                            # on the plain TickClocks eligibility admits.
-                            record(now, EV_JUMP, ds.sid_q, delta, delta)
-                        candidate = lc_now + delta
-                        gc = ds.gc_q
-                        gc_now = gc.increment * ticks + gc.offset
-                        if candidate > gc_now:
-                            gc.offset += candidate - gc_now
-                            gc.adjustments += 1
-                    if stats.beacons_in_window >= ds.fw:
-                        sim._now = now
-                        sim._seq = seqc
-                        if self._roll_fault_window(ds):
-                            # The trip demoted ``ds`` onto the engine heap
-                            # and ran ``on_fault``: re-read its head.
-                            seqc = sim._seq
-                            limit = None
+                            record(now, EV_RX, ds.sid_q, _BEACON, payload)
+                        if ds.apply(payload, now, vtop[5]):
+                            # The fault window tripped and demoted ``ds``
+                            # onto the engine heap: re-read its head.
+                            tripped = True
                             break
+                    else:
+                        # --- APPLY (BEACON_MSB): learn the high half -----
+                        ds.recv_m.value += 1
+                        if record is not None:
+                            record(now, EV_RX, ds.sid_q, _MSB, payload)
+                        ds.receiver.remote_msb = payload
                     continue
 
-                # --- ARRIVE: CDC quantize + the one random settling cycle
-                # Mirrors _arrive.
-                if stage == ARR_B or stage == ARR_M:
-                    ds.fifo.crossings += 1
+                if stage >= ARR_B:
+                    # --- ARRIVE: sample on the next edge, settle, RX
+                    # pipeline.
                     seg = ds.qseg
                     n = -1
                     if seg is not None and seg.start_fs <= now < seg.end_fs:
@@ -469,15 +415,7 @@ class FastpathCoordinator:
                     if n < 0:
                         n = osc.edge_index_after(now)
                         ds.qseg = osc._last_hit
-                    # Exact inline of rng.randint(0, max_extra_cycles): the
-                    # same accept-reject loop, on the same stream.
-                    bound = ds.bound
-                    rand = ds.rand
-                    kb = ds.kbits
-                    r = rand(kb)
-                    while r >= bound:
-                        r = rand(kb)
-                    n += r + ds.rxpipe
+                    n = ds.settle(n) + ds.rxpipe
                     seg = ds.qseg
                     sc = seg.start_count
                     if sc < n <= sc + seg.edge_count:
@@ -489,11 +427,11 @@ class FastpathCoordinator:
                     seqc += stride
                     continue
 
-                # --- CAPTURE: read gc, stamp the payload, fly ----------
-                # Mirrors _transmit_now; fires on its TX slot, then hands
-                # the heap the direction's next queued capture.
-                if stage == CAP_B or stage == CAP_M:
-                    tick = vtop[4]
+                tick = vtop[4]
+                if stage:
+                    # --- CAPTURE: read gc on the TX slot, stamp the
+                    # payload, fly; then hand the heap the direction's next
+                    # queued capture.
                     gc = ds.gc_p
                     counter = gc.increment * tick + gc.offset
                     if stage == CAP_B:
@@ -524,71 +462,50 @@ class FastpathCoordinator:
                         push(vheap, txq.popleft())
                     continue
 
-                # --- PLAN: beacon timeout — arbitrate slots, chain the next
-                # Mirrors _beacon_timeout + _schedule_transmit; fires on
-                # tick n.
-                if stage == PLAN:
-                    tick = vtop[4]
-                    p = ds.sender
-                    last = p._last_tx_slot
-                    slot = tick + 1 if tick > last else last + 1
-                    traffic = p.traffic
-                    if traffic is not None:
-                        slot = traffic.next_idle_tick(slot)
-                    p._last_tx_slot = slot
-                    seg = ds.pseg
-                    sc = seg.start_count
-                    if sc < slot <= sc + seg.edge_count:
-                        when = seg.first_edge_fs + (slot - sc - 1) * seg.period_fs
-                    else:
-                        when = self._tot_p(ds, slot)
-                    capture = (when, seqc, CAP_B, ds, slot)
+                # --- PLAN: the beacon timeout on its tick — the sender's
+                # slots, then the next timeout.
+                slot = ds.slot(tick, True)
+                msb = slot < 0
+                if msb:
+                    slot = -slot
+                seg = ds.pseg
+                sc = seg.start_count
+                if sc < slot <= sc + seg.edge_count:
+                    when = seg.first_edge_fs + (slot - sc - 1) * seg.period_fs
+                else:
+                    when = self._tot_p(ds, slot)
+                capture = (when, seqc, CAP_B, ds, slot)
+                seqc += stride
+                # A capture planned on an earlier tick whose slot is still
+                # ahead has not fired: queue behind it.  Else this one is
+                # next; it fires after this PLAN, which therefore stays on
+                # top for the heapreplace below.
+                if ds.cap_slot > tick:
+                    txq = ds.txq
+                    if txq is None:
+                        txq = ds.txq = deque()
+                    txq.append(capture)
+                else:
+                    push(vheap, capture)
+                if msb:
+                    slot = ds.slot(tick)
+                    txq = ds.txq
+                    if txq is None:
+                        txq = ds.txq = deque()
+                    txq.append((self._tot_p(ds, slot), seqc, CAP_M, ds, slot))
                     seqc += stride
-                    # A capture planned on an earlier tick whose slot is
-                    # still ahead has not fired: queue behind it.  Else
-                    # this one is next; it fires after this PLAN, which
-                    # therefore stays on top for the heapreplace below.
-                    if ds.cap_slot > tick:
-                        txq = ds.txq
-                        if txq is None:
-                            txq = ds.txq = deque()
-                        txq.append(capture)
-                    else:
-                        push(vheap, capture)
-                    b = p._beacons_since_msb + 1
-                    if b >= ds.msb_every:
-                        p._beacons_since_msb = 0
-                        slot += 1
-                        if traffic is not None:
-                            slot = traffic.next_idle_tick(slot)
-                        p._last_tx_slot = slot
-                        txq = ds.txq
-                        if txq is None:
-                            txq = ds.txq = deque()
-                        txq.append((self._tot_p(ds, slot), seqc, CAP_M, ds, slot))
-                        seqc += stride
-                    else:
-                        p._beacons_since_msb = b
-                    ds.cap_slot = slot
-                    n = tick + ds.interval
-                    seg = ds.pseg
-                    sc = seg.start_count
-                    if sc < n <= sc + seg.edge_count:
-                        when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
-                    else:
-                        when = self._tot_p(ds, n)
-                    replace(vheap, (when, seqc, PLAN, ds, n))
-                    seqc += stride
-                    continue
+                ds.cap_slot = slot
+                n = tick + ds.interval
+                seg = ds.pseg
+                sc = seg.start_count
+                if sc < n <= sc + seg.edge_count:
+                    when = seg.first_edge_fs + (n - sc - 1) * seg.period_fs
+                else:
+                    when = self._tot_p(ds, n)
+                replace(vheap, (when, seqc, PLAN, ds, n))
+                seqc += stride
 
-                # --- APPLY (BEACON_MSB): learn the counter's high half --
-                pop(vheap)
-                ds.recv_m.value += 1
-                if record is not None:
-                    record(now, EV_RX, ds.sid_q, _MSB, vtop[4])
-                ds.receiver.remote_msb = vtop[4]
-
-            if limit is None:
+            if tripped:
                 continue
             if entry is None:
                 break
@@ -623,26 +540,3 @@ class FastpathCoordinator:
         when = osc.time_of_tick(n)
         ds.pseg = osc._last_hit
         return when
-
-    def _roll_fault_window(self, ds: _Direction) -> bool:
-        """Mirror ``DtpPort._roll_fault_window``; demote on a trip.
-        True = tripped (the engine heap may have changed)."""
-        q = ds.receiver
-        stats = ds.stats_q
-        jumps = stats.jumps_in_window
-        rejects = stats.rejects_in_window
-        stats.beacons_in_window = 0
-        stats.jumps_in_window = 0
-        stats.rejects_in_window = 0
-        too_many_jumps = ds.maxj is not None and jumps > ds.maxj
-        too_many_rejects = ds.maxr is not None and rejects > ds.maxr
-        if not (too_many_jumps or too_many_rejects):
-            return False
-        q.peer_faulty = True
-        self.demote(ds)
-        record = self._record
-        if record is not None:
-            record(self.sim._now, EV_PEER_FAULT, ds.sid_q, jumps, rejects)
-        if q.on_fault is not None:
-            q.on_fault(q)
-        return True

@@ -652,9 +652,9 @@ class InvariantChecker:
     def sample(
         self, want_links: bool
     ) -> Tuple[Optional[int], Optional[List[Tuple[str, str, int, int]]]]:
-        """One sampler-grid instant: ``(worst_checkable_offset(),
-        link_offsets() if want_links else None)`` from one epoch poll and one
-        counter read."""
+        """One sampler-grid instant: ``(worst_checkable_offset(), the
+        adjacent-link offsets if want_links else None)`` from one epoch poll
+        and one counter read."""
         self._epoch_state()
         now = self.network.sim.now
         counters = self._counters(now)
@@ -672,8 +672,8 @@ class InvariantChecker:
         """Largest |offset| among currently checkable pairs (None if none)."""
         return self.sample(False)[0]
 
-    def link_offsets(
-        self, enforce_grace: bool = True
+    def _link_offsets(
+        self, counters: Dict[str, int], state: _Grace
     ) -> List[Tuple[str, str, int, int]]:
         """Offsets on currently checkable *adjacent* links.
 
@@ -685,15 +685,6 @@ class InvariantChecker:
         deterministic i<j node order, so serial and sharded-replay
         checkers produce identical link streams.
         """
-        self._epoch_state()
-        now = self.network.sim.now
-        return self._link_offsets(
-            self._counters(now), self._past_grace(now) if enforce_grace else True
-        )
-
-    def _link_offsets(
-        self, counters: Dict[str, int], state: _Grace
-    ) -> List[Tuple[str, str, int, int]]:
         if state is None:
             return []
         return [

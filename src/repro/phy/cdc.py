@@ -13,40 +13,38 @@ from __future__ import annotations
 
 import random
 
-from ..clocks.oscillator import Oscillator
-
 
 class SyncFifo:
-    """Models sampling an asynchronous arrival into a local clock domain."""
+    """Models sampling an asynchronous arrival into a local clock domain
+    (the caller finds the first edge; the FIFO adds the settling)."""
 
     def __init__(
-        self,
-        local_oscillator: Oscillator,
-        rng: random.Random,
-        max_extra_cycles: int = 1,
-        enabled: bool = True,
+        self, rng: random.Random, max_extra_cycles: int = 1, enabled: bool = True
     ) -> None:
-        self.local_oscillator = local_oscillator
         self.rng = rng
         self.max_extra_cycles = max_extra_cycles
+        # ``rng.randint(0, max_extra_cycles)`` exactly (both fixed here):
+        # CPython's accept-reject loop over ``bound``, the same generator
+        # state per draw, without randint's argument handling.
+        self._bound = max_extra_cycles + 1
+        self._bits = self._bound.bit_length()
+        self._getrandbits = rng.getrandbits
         #: Ablation hook: with the FIFO "disabled" the arrival is sampled at
         #: the next local edge with no metastability guard cycle.
         self.enabled = enabled
         self.crossings = 0
 
-    def delivery_time(self, arrival_fs: int) -> int:
-        """Time at which an arrival becomes visible in the local domain.
-
-        The arrival is first quantized to the next local clock edge (a
-        signal cannot be sampled mid-cycle), then delayed by 0..max_extra
-        random cycles of metastability settling.
-        """
+    def settle(self, n: int) -> int:
+        """The edge an arrival sampled on edge ``n`` is visible on: ``n``
+        plus 0..max_extra_cycles random settling cycles (none when
+        disabled)."""
         self.crossings += 1
-        t = self.local_oscillator.next_edge_after(arrival_fs)
-        extra = self.rng.randint(0, self.max_extra_cycles) if self.enabled else 0
-        for _ in range(extra):
-            t = self.local_oscillator.next_edge_after(t)
-        return t
+        if not self.enabled:
+            return n
+        r = self._getrandbits(self._bits)
+        while r >= self._bound:
+            r = self._getrandbits(self._bits)
+        return n + r
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SyncFifo(enabled={self.enabled}, crossings={self.crossings})"

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..clocks.oscillator import Oscillator
-from .cdc import SyncFifo
-
 
 @dataclass
 class PhyLatencyConfig:
@@ -34,32 +31,3 @@ class PhyLatencyConfig:
         if self.tx_pipeline_ticks < 0 or self.rx_pipeline_ticks < 0:
             raise ValueError("pipeline depths must be non-negative")
 
-
-def advance_ticks(oscillator: Oscillator, t_fs: int, ticks: int) -> int:
-    """Time after ``ticks`` further edges of ``oscillator`` past ``t_fs``."""
-    n = oscillator.ticks_at(t_fs) + ticks
-    if n < 1:
-        return t_fs
-    return oscillator.time_of_tick(n)
-
-
-def tx_exit_time(
-    tx_oscillator: Oscillator, send_edge_fs: int, config: PhyLatencyConfig
-) -> int:
-    """Time the first bit of a block leaves the transmitter."""
-    return advance_ticks(tx_oscillator, send_edge_fs, config.tx_pipeline_ticks)
-
-
-def rx_process_time(
-    arrival_fs: int,
-    rx_fifo: SyncFifo,
-    rx_oscillator: Oscillator,
-    config: PhyLatencyConfig,
-) -> int:
-    """Time the receiver's control logic processes an arrival.
-
-    ``rx_fifo.delivery_time`` performs edge quantization plus the random
-    CDC cycle; the deterministic RX pipeline is appended after that.
-    """
-    crossed_fs = rx_fifo.delivery_time(arrival_fs)
-    return advance_ticks(rx_oscillator, crossed_fs, config.rx_pipeline_ticks)

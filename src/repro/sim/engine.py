@@ -202,7 +202,7 @@ class Simulator:
         """
         if self.fastpath is not None:
             # The merged loop lives on the source, which owns the virtual
-            # heap and inlines the batched stage bodies around it.
+            # heap and runs the batched stages around it.
             return self.fastpath.run_merged(time_fs)
         if time_fs < self._now:
             raise SimulationError(

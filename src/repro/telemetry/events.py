@@ -146,8 +146,8 @@ SUPERVISOR_STATE_CODES: Dict[int, str] = {
 
 #: The reference schema: ``{code: (subject, a, b)}`` — what each field of
 #: a record of that kind means.  ``docs/OBSERVABILITY.md``'s event table is
-#: generated from this dict (see :func:`schema_markdown_lines`) and a test
-#: asserts the doc, this dict, and the ``EV_*`` constants stay in lockstep.
+#: generated from this dict (``tests/test_events_schema_doc.py``, which also
+#: asserts the doc, this dict, and the ``EV_*`` constants stay in lockstep).
 EVENT_SCHEMA: Dict[int, Tuple[str, str, str]] = {
     EV_PORT_STATE: (
         "port",
@@ -281,25 +281,6 @@ EVENT_SCHEMA: Dict[int, Tuple[str, str, str]] = {
         "attempts consumed",
     ),
 }
-
-
-def schema_markdown_lines() -> list:
-    """The generated event-schema table for ``docs/OBSERVABILITY.md``.
-
-    One row per ``EV_*`` code, in code order, from :data:`EVENT_SCHEMA` and
-    :data:`KIND_NAMES`; the doc embeds these lines verbatim between
-    generation markers and a test diffs them.
-    """
-    lines = [
-        "| code | name | subject | `a` | `b` |",
-        "|---|---|---|---|---|",
-    ]
-    for code in sorted(EVENT_SCHEMA):
-        subject, a, b = EVENT_SCHEMA[code]
-        lines.append(
-            f"| {code} | `{KIND_NAMES[code]}` | {subject} | {a} | {b} |"
-        )
-    return lines
 
 
 def kind_name(kind: int) -> str:

@@ -13,9 +13,10 @@ at every call: the scalar chain, the events the batched coordinator's
 ``demote`` rebuilds (link-flap, a tripped fault window, two-faced's
 ``leave_fastpath``; and on saturated links, the captures queued behind a
 direction's beacons and the APPLYs in flight), oscillator faults that move
-the tick grid mid-run, and a spanning-tree network's stalling clocks.  A
-last test counts what the steady beacon chain asks the oscillator: no
-``ticks_at`` at all.
+the tick grid mid-run, and a spanning-tree network's stalling clocks.  The
+last two tests count what the beacon chain asks the oscillator: no
+``ticks_at`` at all in the steady state, and none inside ``_on_beacon``
+while counters jump.
 """
 
 from collections import Counter
@@ -175,4 +176,34 @@ def test_steady_beacon_chain_reads_no_tick(sim, streams, monkeypatch):
     sim.run_until(1500 * units.US)
     beacons = sum(port.stats.sent["BEACON"] for port in ports) - beacons
     assert beacons > 4000 and sum(port.stats.jumps for port in ports) == jumps
+    assert calls["ticks_at"] == 0
+
+
+def test_counter_jumps_read_no_tick(sim, streams, monkeypatch):
+    # Random skews, so beacons jump counters all along: T4 and Algorithm
+    # 2's ``gc <- max(gc, lc)`` move the plain clocks on the RX edge the
+    # beacon carries, and read no time.  (A port binds its handlers when
+    # it is built, so the wrapper goes in first.)
+    on_beacon = DtpPort._on_beacon
+    ticks_at = Oscillator.ticks_at
+    calls = Counter()
+
+    def counted_beacon(port, payload, now, tick):
+        calls["beacons"] += 1
+        calls["inside"] = 1
+        try:
+            on_beacon(port, payload, now, tick)
+        finally:
+            calls["inside"] = 0
+
+    def counted_ticks_at(osc, t_fs):
+        calls["ticks_at"] += calls["inside"]
+        return ticks_at(osc, t_fs)
+
+    monkeypatch.setattr(DtpPort, "_on_beacon", counted_beacon)
+    monkeypatch.setattr(Oscillator, "ticks_at", counted_ticks_at)
+    net = _mtu_chain(sim, streams, "scalar")
+    sim.run_until(2 * units.MS)
+    jumps = sum(port.stats.jumps for port in net.ports.values())
+    assert calls["beacons"] > 8000 and jumps > 50
     assert calls["ticks_at"] == 0

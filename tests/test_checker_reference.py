@@ -190,10 +190,19 @@ def _assert_same(checker, ref, net, gc, full_build):
     for enforce in (True, False):
         if full_build:
             assert checker.checkable_pairs(enforce) == ref.pairs(now, up, enforce)
-        assert checker.link_offsets(enforce) == [
+        assert _link_offsets(checker, enforce) == [
             (a, b, abs(gc[a] - gc[b]), bound)
             for a, b, bound in ref.pairs(now, up, enforce, hops_only=1)
         ]
+
+
+def _link_offsets(checker, enforce_grace=True):
+    """The adjacent-link offsets ``checker.sample(True)`` returns second,
+    or the same links with the grace filter off."""
+    checker._epoch_state()
+    now = checker.network.sim.now
+    state = checker._past_grace(now) if enforce_grace else True
+    return checker._link_offsets(checker._counters(now), state)
 
 
 def _assert_same_sample(checker, ref, net, gc):
@@ -205,7 +214,7 @@ def _assert_same_sample(checker, ref, net, gc):
     ]
     assert (
         checker.sample(True)
-        == (checker.worst_checkable_offset(), checker.link_offsets())
+        == (checker.worst_checkable_offset(), _link_offsets(checker))
         == (ref.worst(now, gc, up), links)
     )
     assert checker.sample(False) == (ref.worst(now, gc, up), None)

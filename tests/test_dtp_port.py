@@ -9,6 +9,8 @@ from repro.dtp.port import DtpPort, DtpPortConfig, PortState
 from repro.ethernet.frames import MTU_FRAME
 from repro.ethernet.traffic import SaturatedTraffic
 from repro.sim import units
+from repro.telemetry import Telemetry
+from repro.telemetry.events import EV_PEER_FAULT
 
 TICK = units.TICK_10G_FS
 CABLE_FS = 8 * TICK  # default 10.24 m
@@ -21,11 +23,16 @@ def make_pair(
     ppm_b=-100.0,
     config_a=None,
     config_b=None,
+    telemetry=None,
 ):
     dev_a = DtpDevice(sim, "a", Oscillator(TICK, ConstantSkew(ppm_a)), streams.fork("a"))
     dev_b = DtpDevice(sim, "b", Oscillator(TICK, ConstantSkew(ppm_b)), streams.fork("b"))
-    port_a = DtpPort(dev_a, "a->b", config=config_a or DtpPortConfig())
-    port_b = DtpPort(dev_b, "b->a", config=config_b or DtpPortConfig())
+    port_a = DtpPort(
+        dev_a, "a->b", config=config_a or DtpPortConfig(), telemetry=telemetry
+    )
+    port_b = DtpPort(
+        dev_b, "b->a", config=config_b or DtpPortConfig(), telemetry=telemetry
+    )
     port_a.connect(port_b, CABLE_FS, CABLE_FS)
     return port_a, port_b
 
@@ -183,17 +190,24 @@ class TestFaultHandling:
             fault_window_beacons=100, max_jumps_per_window=5
         )
         # A wildly fast peer (out of IEEE spec) forces constant jumps.
+        telemetry = Telemetry()
         a, b = make_pair(
             sim, streams, ppm_a=5000.0, ppm_b=0.0,
-            config_a=config, config_b=config,
+            config_a=config, config_b=config, telemetry=telemetry,
         )
-        faults = []
-        b.on_fault = faults.append
         a.link_up()
         b.link_up()
         sim.run_until(5 * units.MS)
         assert b.peer_faulty
-        assert faults == [b]
+        # b's trip is traced first, with the window's jump count; b then
+        # ignores a's beacons, so its window never rolls again.
+        trips = [
+            (sid, jumps)
+            for _, kind, sid, jumps, _ in telemetry.tracer.records
+            if kind == EV_PEER_FAULT
+        ]
+        assert trips[0][0] == b._sid and trips[0][1] > 5
+        assert [sid for sid, _ in trips].count(b._sid) == 1
 
     def test_parity_mode_roundtrip(self, sim, streams):
         config_a = DtpPortConfig(parity=True)

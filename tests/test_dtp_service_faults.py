@@ -30,13 +30,6 @@ class TestClockService:
         truth = synced_pair.devices["n0"].global_counter(sim.now)
         assert abs(estimate - truth) <= 100  # spikes included
 
-    def test_time_ns_scales_counter(self, sim, streams, synced_pair):
-        service = DtpClockService(synced_pair, "n0")
-        sim.run_until(8 * units.MS)
-        assert service.get_time_ns() == pytest.approx(
-            service.get_counter() * 6.4, rel=1e-9
-        )
-
     def test_precision_bound(self, sim, streams):
         net = DtpNetwork(sim, paper_testbed(), streams)
         net.start()

@@ -11,7 +11,6 @@ from repro.dtp.port import DtpPort, PortState
 from repro.ethernet.frames import MTU_FRAME
 from repro.ethernet.traffic import SaturatedTraffic
 from repro.network.topology import chain, star
-from repro.phy.pipeline import advance_ticks
 from repro.sim import units
 
 TICK = units.TICK_10G_FS
@@ -136,17 +135,6 @@ class TestUtcSlaveEdges:
         slave.on_broadcast(UtcBroadcast(counter=100, utc_fs=0))
         slave.on_broadcast(UtcBroadcast(counter=100, utc_fs=units.MS))
         assert slave._fs_per_count == before
-
-
-class TestPipelineEdges:
-    def test_advance_zero_ticks_is_identity_at_origin(self):
-        osc = Oscillator(TICK, ConstantSkew(0.0))
-        assert advance_ticks(osc, 0, 0) == 0
-
-    def test_advance_from_mid_tick(self):
-        osc = Oscillator(TICK, ConstantSkew(0.0))
-        t = advance_ticks(osc, TICK + 5, 2)
-        assert osc.ticks_at(t) == 3
 
 
 class TestNetworkApiEdges:

@@ -1,20 +1,37 @@
-"""The EV_* schema, its generated doc table, and the doc stay in lockstep."""
+"""The EV_* schema, its generated doc table, and the doc stay in lockstep
+(docs/OBSERVABILITY.md says how to regenerate the table)."""
 
 import os
 import re
 
 from repro.telemetry import events
-from repro.telemetry.events import (
-    EVENT_SCHEMA,
-    KIND_NAMES,
-    schema_markdown_lines,
-)
+from repro.telemetry.events import EVENT_SCHEMA, KIND_NAMES
 
 DOC_PATH = os.path.join(
     os.path.dirname(__file__), os.pardir, "docs", "OBSERVABILITY.md"
 )
 BEGIN = "<!-- BEGIN GENERATED EVENT SCHEMA (do not edit by hand) -->"
 END = "<!-- END GENERATED EVENT SCHEMA -->"
+
+
+def schema_markdown_lines() -> list:
+    """The generated event-schema table for ``docs/OBSERVABILITY.md``.
+
+    One row per ``EV_*`` code, in code order, from :data:`EVENT_SCHEMA` and
+    :data:`KIND_NAMES`; the doc embeds these lines verbatim between
+    generation markers and :func:`test_doc_block_matches_generator` diffs
+    them.
+    """
+    lines = [
+        "| code | name | subject | `a` | `b` |",
+        "|---|---|---|---|---|",
+    ]
+    for code in sorted(EVENT_SCHEMA):
+        subject, a, b = EVENT_SCHEMA[code]
+        lines.append(
+            f"| {code} | `{KIND_NAMES[code]}` | {subject} | {a} | {b} |"
+        )
+    return lines
 
 
 def test_schema_covers_every_event_constant():
@@ -52,5 +69,5 @@ def test_doc_block_matches_generator():
     doc_lines = match.group(1).splitlines()
     assert doc_lines == schema_markdown_lines(), (
         "docs/OBSERVABILITY.md event table is stale; regenerate it from "
-        "repro.telemetry.events.schema_markdown_lines()"
+        "tests.test_events_schema_doc.schema_markdown_lines()"
     )

@@ -8,16 +8,18 @@ closure reaches must say who calls it in :data:`EXTERNAL_CALLERS`, or it
 belongs in ``tests/`` (as the wire model does) or nowhere.
 
 Names: every public module-level function and class, and every public
-method of such a class, needs a word reference in ``src/repro``,
-``examples/`` or ``e2e_bench/`` that is not inside a definition of that
-name (its ``def`` / ``class`` line and its own body: a ``__repr__``
-f-string, an error message, a call to a same-named method) and not a
-package ``__init__``'s ``_LAZY`` / ``__all__`` re-export.  Otherwise
-:data:`NO_CALLER_REASONS` names it with one of three reasons.  A test
-calling it is not one.  The scan reads words, not bindings, so:
+method of such a class, needs a word reference in the code of
+``src/repro``, ``examples/`` or ``e2e_bench/`` — an identifier or a word
+of a string literal; comments and docstrings do not count — that is not
+inside a definition of that name (its ``def`` / ``class`` line and its
+own body: a ``__repr__`` f-string, an error message, a call to a
+same-named method) and not a package ``__init__``'s ``_LAZY`` /
+``__all__`` re-export.  Otherwise :data:`NO_CALLER_REASONS` names it with
+one of three reasons.  A test calling it is not one.  The scan reads
+words, not bindings, so:
 
 * it passes a dead name that shares its word with a live one (two classes'
-  ``render``), or that only a comment or docstring mentions;
+  ``render``), or that an error message or other string mentions;
 * it counts a name reached through a registry or ``getattr`` dispatch
   when the key is a literal, since the string is a word too
   (``cli.COMMANDS``'s ``"module:function"`` targets, which
@@ -34,7 +36,9 @@ reads no words.
 """
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -210,22 +214,53 @@ def _caller_text(path):
     return "\n".join(lines)
 
 
+#: String-literal tokens; Python 3.12 splits an f-string into pieces,
+#: whose literal text is the ``FSTRING_MIDDLE`` token.
+_STRINGS = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+
+
+def _code_words(text, tree):
+    """``(word, line)`` for every identifier and every word of a string
+    literal in ``text``, skipping comments and docstrings."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, *_DEFS)) and node.body:
+            first = node.body[0]
+            if (
+                isinstance(first, ast.Expr)
+                and isinstance(first.value, ast.Constant)
+                and isinstance(first.value.value, str)
+            ):
+                docstrings.add((first.lineno, first.col_offset))
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type == tokenize.NAME:
+            yield token.string, token.start[0]
+        elif token.type in _STRINGS and token.start not in docstrings:
+            for word in _WORD.findall(token.string):
+                yield word, token.start[0]
+
+
 def _references():
-    """Word counts over :data:`CALLER_DIRS`, less each definition's uses of
-    its own name inside its own lines (hidden directories, such as a
-    benchmark's scratch copies, are skipped)."""
+    """Word counts over the code of :data:`CALLER_DIRS`, less each
+    definition's uses of its own name inside its own lines (hidden
+    directories, such as a benchmark's scratch copies, are skipped)."""
     words = Counter()
     for directory in CALLER_DIRS:
         for path in sorted((SRC.parent / directory).rglob("*.py")):
             if any(part.startswith(".") for part in path.relative_to(SRC.parent).parts):
                 continue
             text = _caller_text(path)
-            words.update(_WORD.findall(text))
-            lines = text.splitlines()
-            for node in ast.walk(ast.parse(text)):
+            tree = ast.parse(text)
+            lines = {}
+            for word, line in _code_words(text, tree):
+                words[word] += 1
+                lines.setdefault(line, []).append(word)
+            for node in ast.walk(tree):
                 if isinstance(node, _DEFS):
-                    own = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-                    words[node.name] -= _WORD.findall(own).count(node.name)
+                    words[node.name] -= sum(
+                        lines.get(line, []).count(node.name)
+                        for line in range(node.lineno, node.end_lineno + 1)
+                    )
     return words
 
 

@@ -7,12 +7,11 @@ import pytest
 from repro.clocks.oscillator import ConstantSkew, Oscillator
 from repro.phy.ber import BitErrorInjector, parity_of_lsbs
 from repro.phy.cdc import SyncFifo
-from repro.phy.pipeline import (
-    PhyLatencyConfig,
-    advance_ticks,
-    rx_process_time,
-    tx_exit_time,
-)
+from repro.dtp.device import DtpDevice
+from repro.dtp.messages import MessageType
+from repro.dtp.port import DtpPort, DtpPortConfig, PortState
+from repro.phy.blocks import IDLE_WIRE_BASE
+from repro.phy.pipeline import PhyLatencyConfig
 from repro.sim import units
 
 TICK = units.TICK_10G_FS
@@ -22,36 +21,46 @@ def make_osc(ppm=0.0):
     return Oscillator(TICK, ConstantSkew(ppm))
 
 
+def settled_time(osc, fifo, arrival_fs):
+    """When an arrival is visible locally: sampled on the next edge, then
+    settled through the FIFO."""
+    return osc.time_of_tick(fifo.settle(osc.edge_index_after(arrival_fs)))
+
+
 class TestSyncFifo:
     def test_delivery_is_after_arrival(self):
-        fifo = SyncFifo(make_osc(), random.Random(1))
+        osc = make_osc()
+        fifo = SyncFifo(random.Random(1))
         for t in range(0, 50 * TICK, 7 * TICK // 3):
-            assert fifo.delivery_time(t) > t
+            assert settled_time(osc, fifo, t) > t
 
     def test_delivery_on_clock_edge(self):
         osc = make_osc()
-        fifo = SyncFifo(osc, random.Random(2))
+        fifo = SyncFifo(random.Random(2))
         t = 13 * TICK + 1234
-        delivered = fifo.delivery_time(t)
+        delivered = settled_time(osc, fifo, t)
         assert osc.ticks_at(delivered) == osc.ticks_at(delivered - 1) + 1
 
     def test_delay_spread_at_most_two_ticks(self):
         """Quantization (<1 tick) + metastability (0-1 tick)."""
-        fifo = SyncFifo(make_osc(), random.Random(3))
+        osc = make_osc()
+        fifo = SyncFifo(random.Random(3))
         arrival = 10 * TICK + 17
-        delays = {fifo.delivery_time(arrival) - arrival for _ in range(200)}
+        delays = {settled_time(osc, fifo, arrival) - arrival for _ in range(200)}
         assert max(delays) - min(delays) <= TICK
         assert max(delays) <= 2 * TICK
+        assert {fifo.settle(7) for _ in range(50)} == {7, 8}
 
     def test_disabled_fifo_is_deterministic(self):
-        fifo = SyncFifo(make_osc(), random.Random(4), enabled=False)
-        arrival = 5 * TICK + 99
-        assert len({fifo.delivery_time(arrival) for _ in range(50)}) == 1
+        rng = random.Random(4)
+        fifo = SyncFifo(rng, enabled=False)
+        assert {fifo.settle(7) for _ in range(50)} == {7}
+        assert rng.random() == random.Random(4).random()  # no draw
 
     def test_crossing_counter(self):
-        fifo = SyncFifo(make_osc(), random.Random(5))
-        fifo.delivery_time(0)
-        fifo.delivery_time(TICK)
+        fifo = SyncFifo(random.Random(5))
+        fifo.settle(0)
+        fifo.settle(1)
         assert fifo.crossings == 2
 
 
@@ -98,26 +107,44 @@ class TestBitErrorInjector:
         assert parity_of_lsbs(0b1000) == 0  # only three LSBs count
 
 
+def make_pair(sim, streams, latency):
+    """Two synchronized ports on zero-skew oscillators over a 0 fs cable."""
+    config = DtpPortConfig(latency=latency)
+    ports = [
+        DtpPort(DtpDevice(sim, n, make_osc(), streams.fork(n)), n, config=config)
+        for n in ("a", "b")
+    ]
+    ports[0].connect(ports[1], 0, 0)
+    for port in ports:
+        port.state = PortState.SYNCHRONIZED
+    return ports
+
+
 class TestPipeline:
-    def test_advance_ticks(self):
-        osc = make_osc()
-        t = advance_ticks(osc, 0, 5)
-        assert osc.ticks_at(t) == 5
+    def test_tx_exit_after_pipeline(self, sim, streams):
+        a, b = make_pair(sim, streams, PhyLatencyConfig(tx_pipeline_ticks=18))
+        arrivals = []
+        b._arrive = lambda wire_bits: arrivals.append(sim.now)
+        sim.run_until(10 * TICK)
+        a._transmit_now(MessageType.LOG, 10, 0)
+        sim.run_until(100 * TICK)
+        assert [a.osc.ticks_at(t) for t in arrivals] == [28]
 
-    def test_tx_exit_after_pipeline(self):
-        osc = make_osc()
-        config = PhyLatencyConfig(tx_pipeline_ticks=18)
-        exit_fs = tx_exit_time(osc, 10 * TICK, config)
-        assert osc.ticks_at(exit_fs) == 28
-
-    def test_rx_process_includes_pipeline_and_cdc(self):
-        osc = make_osc()
-        fifo = SyncFifo(osc, random.Random(6))
-        config = PhyLatencyConfig(rx_pipeline_ticks=18)
+    def test_rx_process_includes_pipeline_and_cdc(self, sim, streams):
+        a, b = make_pair(sim, streams, PhyLatencyConfig(rx_pipeline_ticks=18))
+        processed = []
+        b._process = lambda bits56, tick: processed.append((sim.now, tick))
         arrival = 100 * TICK + 5
-        processed = rx_process_time(arrival, fifo, osc, config)
-        elapsed_ticks = osc.ticks_at(processed) - osc.ticks_at(arrival)
-        assert 19 <= elapsed_ticks <= 20  # quantize(1) + cdc(0..1) + 18
+        for k in range(20):
+            sim.run_until(arrival + k * 50 * TICK)
+            b._arrive(IDLE_WIRE_BASE)
+        sim.run_until(arrival + 1000 * TICK)
+        elapsed = {
+            b.osc.ticks_at(t) - b.osc.ticks_at(arrival + k * 50 * TICK)
+            for k, (t, _) in enumerate(processed)
+        }
+        assert elapsed == {19, 20}  # quantize(1) + cdc(0..1) + 18
+        assert all(tick == b.osc.ticks_at(t) for t, tick in processed)
 
     def test_negative_pipeline_rejected(self):
         with pytest.raises(ValueError):
