@@ -248,7 +248,6 @@ def checker_run(brute_force=None, spec=CHECKER_SPEC) -> dict:
     run = {"ticks": [], "brute_ticks": []}
 
     def observer(checker, **_):
-        run["checker"] = checker
         tick = checker._tick
         run["reference"], brute_tick = brute_force(checker) if brute_force else (None, None)
 
@@ -442,8 +441,6 @@ def _checker(repeats: int, seed_core) -> dict:
         "nodes": result["nodes"],
         "checks_run": result["checks_run"],
         "pairs_checked": result["pairs_checked"],
-        # What the run ever built as pairs: the fabric's 512 links.
-        "pairs_materialised": run["checker"].pairs_materialised,
         "result_digest": hashlib.sha256(canonical_json(result).encode()).hexdigest(),
     }
     reference_path = seed_core and (

@@ -121,17 +121,9 @@ class ReconnectLog:
 
 
 class _Component:
-    """One component (two nodes or more) of the synchronized subgraph.
+    """One component (two nodes or more) of the synchronized subgraph."""
 
-    Its checkable pairs -- any two of ``members`` -- are filed by hop class
-    only as far as a tick's counter spread has asked for: ``buckets`` holds
-    the classes up to ``depth`` hops, ``remainder`` counts the deeper ones.
-    """
-
-    __slots__ = (
-        "nodes", "members", "pairs", "min_increment", "depth", "buckets",
-        "remainder", "clears",
-    )
+    __slots__ = ("nodes", "members", "pairs", "min_increment", "links")
 
     def __init__(self) -> None:
         #: Every node of the component / the checkable ones (neither
@@ -141,13 +133,9 @@ class _Component:
         #: C(len(members), 2).
         self.pairs = 0
         self.min_increment = 1
-        self.depth = 0
-        #: ``(hops, bound, [(a, b, bound), ...])`` per filed (hops, increment).
-        self.buckets: List[Tuple[int, int, list]] = []
-        self.remainder = 0
-        #: Largest member spread that still proves every unfiled pair in
-        #: bound and clear of the wrap half-window.
-        self.clears: float = 0
+        #: The checkable hop-1 pairs as ``(a, b, bound)``: the synchronized
+        #: edges between two members.
+        self.links: List[Tuple[str, str, int]] = []
 
 
 class InvariantChecker:
@@ -192,8 +180,6 @@ class InvariantChecker:
         #: Convergence log of pair (re)connections that came within bound;
         #: ``len()`` is the number of pairs.
         self.reconnect_recoveries = ReconnectLog()
-        #: Pairs filed into hop classes so far, over every epoch.
-        self.pairs_materialised = 0
 
         self._nodes = list(network.devices)
         self._node_order = {name: i for i, name in enumerate(self._nodes)}
@@ -212,11 +198,11 @@ class InvariantChecker:
             for edge in network.topology.edges
         ]
         #: Per edge, whether both ports were synchronized at the last poll;
-        #: with ``_dirty`` (set by whatever else moves a signature input:
-        #: the quarantine sets and the healing set) it tells ``_epoch_state``
-        #: when ``_cache_key`` has to be recomputed at all.
+        #: with ``_dirty`` (set when the quarantine or the healing set
+        #: moves) it tells ``_epoch_state`` when a new epoch starts.
         self._edge_synced = [False] * len(self._edge_ports)
         self._dirty = True
+        self._epoch = 0
         self._last_counter: Dict[str, int] = {}
         #: Connect times, as the sweeps' merges: ``(time, group of each node
         #: then connected, pairs sharing a group)``, oldest first, each level
@@ -229,12 +215,7 @@ class InvariantChecker:
         self._late: Dict[Tuple[str, str], int] = {}
         self._quarantined: Dict[str, str] = {}
         # Per-epoch state, holding exactly what a per-tick recomputation
-        # would produce.  Adjacency and single-source distances follow the
-        # connectivity signature (synchronized edges and quarantined
-        # nodes); the components' pair structures also follow the healing
-        # set and the increments.
-        self._conn_sig: Optional[tuple] = None
-        self._pairs_sig: Optional[tuple] = None
+        # would produce.
         self._adjacency: Dict[str, List[str]] = {}
         #: Full BFS per source, filled on demand (late pairs, healing
         #: nodes).
@@ -243,13 +224,11 @@ class InvariantChecker:
         self._components: List[_Component] = []
         #: Those with two checkable members or more.
         self._groups: List[_Component] = []
-        #: Every checkable pair / the hop-1 ones as ``(a, b, bound)`` in i<j
-        #: node order; None until something asks for the list.
-        self._cache_pairs: Optional[List[Tuple[str, str, int]]] = None
-        self._cache_links: Optional[List[Tuple[str, str, int]]] = None
-        #: Connectivity signature of the last sweep: while it equals
-        #: ``_conn_sig`` every connected pair is in ``_merges``.
-        self._swept_sig: Optional[tuple] = None
+        #: Every component's ``links``, in i<j node order.
+        self._links: List[Tuple[str, str, int]] = []
+        #: The epoch of the last sweep: while it is ``_epoch`` every
+        #: connected pair is in ``_merges``.
+        self._swept_epoch = 0
         #: node -> (fault reason, healing since, peers that must be back
         #: in bound before the node counts as recovered).
         self._healing: Dict[str, Tuple[str, int, FrozenSet[str]]] = {}
@@ -347,15 +326,11 @@ class InvariantChecker:
     # Topology helpers (synchronized subgraph)
     # ------------------------------------------------------------------
     def _sync_adjacency(self) -> Dict[str, List[str]]:
-        """Adjacency over links whose both ports are SYNCHRONIZED, skipping
+        """Adjacency over the links ``_edge_synced`` has up, skipping
         quarantined endpoints (their links carry deliberately bad data)."""
         adjacency: Dict[str, List[str]] = {name: [] for name in self._nodes}
-        for edge, (port_a, port_b) in zip(
-            self.network.topology.edges, self._edge_ports
-        ):
-            if edge.a in self._quarantined or edge.b in self._quarantined:
-                continue
-            if port_a.synchronized and port_b.synchronized:
+        for edge, up in zip(self.network.topology.edges, self._edge_synced):
+            if up and edge.a not in self._quarantined and edge.b not in self._quarantined:
                 adjacency[edge.a].append(edge.b)
                 adjacency[edge.b].append(edge.a)
         return adjacency
@@ -381,7 +356,7 @@ class InvariantChecker:
 
     def _distances(self, node: str) -> Dict[str, int]:
         """Everything ``node`` reaches, with hop distances: one BFS per
-        source and connectivity epoch, run when something asks."""
+        source and epoch, run when something asks."""
         reach = self._reach.get(node)
         if reach is None:
             reach = self._reach[node] = self._distances_from(
@@ -389,29 +364,14 @@ class InvariantChecker:
             )
         return reach
 
-    def _cache_key(self) -> Tuple[tuple, tuple]:
-        """``(connectivity, pair-set)`` signatures, O(nodes + edges)."""
-        devices = self.network.devices
-        sync_edges = tuple(
-            idx
-            for idx, (port_a, port_b) in enumerate(self._edge_ports)
-            if port_a.synchronized and port_b.synchronized
-        )
-        return (sync_edges, frozenset(self._quarantined)), (
-            frozenset(self._healing),
-            tuple(devices[name].counter_increment for name in self._nodes),
-        )
-
     def _epoch_state(self) -> None:
         """Bring the per-epoch state up to date.
 
-        A change of either signature costs one traversal of the
-        synchronized subgraph: components, their checkable members and
-        hence their pair counts.  No pair and no distance is computed here
-        (``_file`` does that, when a spread or a reader asks).  The
-        signatures are only recomputed when one of their inputs moved: an
-        edge's synchronized flag since the last poll, or whatever sets
-        ``_dirty``.
+        A new epoch starts when an edge's synchronized flag moved since the
+        last poll, or whatever sets ``_dirty`` did (a quarantine, a release,
+        a healing completion); it costs one traversal of the synchronized
+        subgraph and nothing else does.  Increments are fixed when the
+        network is built, so they start none.
         """
         synced = self._edge_synced
         moved = self._dirty
@@ -420,22 +380,16 @@ class InvariantChecker:
             if up != synced[index]:
                 synced[index] = up
                 moved = True
-        if not moved:
-            return
-        self._dirty = False
-        conn_sig, pairs_sig = self._cache_key()
-        if conn_sig != self._conn_sig:
+        if moved:
+            self._dirty = False
+            self._epoch += 1
             self._adjacency = self._sync_adjacency()
             self._reach = {}
-            self._conn_sig = conn_sig
-            self._pairs_sig = None
-        if pairs_sig != self._pairs_sig:
             self._find_components()
-            self._pairs_sig = pairs_sig
 
     def _find_components(self) -> None:
         """One traversal of the synchronized subgraph: its components, the
-        checkable members of each and so the number of checkable pairs."""
+        checkable members of each, their pair count and their links."""
         adjacency = self._adjacency
         component_of: Dict[str, int] = {}
         components: List[_Component] = []
@@ -458,103 +412,58 @@ class InvariantChecker:
                 components[index].nodes.append(name)
                 if name not in skip:
                     components[index].members.append(name)
-        for component in components:
-            members = component.members
-            if len(members) > 1:
-                component.pairs = len(members) * (len(members) - 1) // 2
-                component.remainder = component.pairs
-                component.min_increment = min(
-                    devices[name].counter_increment for name in members
-                )
-                self._set_clears(component)
         self._component_of = component_of
         self._components = components
         self._groups = [c for c in components if len(c.members) > 1]
-        self._cache_pairs = self._cache_links = None
-
-    def _set_clears(self, component: _Component) -> None:
-        if component.remainder:
-            component.clears = min(
-                DIRECT_BOUND_TICKS * (component.depth + 1) * component.min_increment,
-                _WRAP_HALF - 1,
+        for component in self._groups:
+            members = component.members
+            component.pairs = len(members) * (len(members) - 1) // 2
+            component.min_increment = min(
+                devices[name].counter_increment for name in members
             )
-        else:
-            component.clears = float("inf")
+            component.links = self._near(component, 1)
+        self._links = self._in_order(
+            link for component in self._groups for link in component.links
+        )
 
-    def _deepen(self, component: _Component, spread: int) -> None:
-        """File hop classes until ``spread`` clears those left unfiled (all
-        of them once it reaches the wrap half-window)."""
-        everything = len(component.nodes) - 1
-        if spread >= _WRAP_HALF:
-            depth = everything
-        else:
-            # The shallowest unfiled class must reach this many ticks a hop.
-            ticks = -(-spread // component.min_increment)
-            depth = min(everything, -(-ticks // DIRECT_BOUND_TICKS) - 1)
-        self._file(component, depth)
-
-    def _file(self, component: _Component, depth: int) -> None:
-        """File ``component``'s checkable pairs of ``component.depth`` <
-        hops <= ``depth``, by a BFS of that depth from each member."""
-        if depth <= component.depth or not component.remainder:
-            return
-        adjacency = self._adjacency
-        devices = self.network.devices
+    def _near(self, component: _Component, depth: int) -> List[Tuple[str, str, int]]:
+        """``component``'s checkable pairs at most ``depth`` hops apart, as
+        ``(a, b, bound)``: a BFS of that depth from every member."""
         order = self._node_order
         rank = {name: order[name] for name in component.members}
-        filed_to = component.depth
-        buckets: Dict[Tuple[int, int], Tuple[int, int, list]] = {}
-        filed = 0
-        for a in component.members:
-            rank_a = rank[a]
-            inc_a = devices[a].counter_increment
-            for b, hops in self._distances_from(a, adjacency, depth).items():
-                if hops > filed_to and rank.get(b, -1) > rank_a:
-                    inc_b = devices[b].counter_increment
-                    key = (hops, inc_a if inc_a >= inc_b else inc_b)
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        bound = DIRECT_BOUND_TICKS * hops * key[1]
-                        bucket = buckets[key] = (hops, bound, [])
-                    bucket[2].append((a, b, bucket[1]))
-                    filed += 1
-        component.buckets.extend(buckets.values())
-        component.depth = depth
-        component.remainder -= filed
-        self.pairs_materialised += filed
-        self._set_clears(component)
+        return [
+            (a, b, self._pair_bound(a, b, hops))
+            for a in component.members
+            for b, hops in self._distances_from(a, self._adjacency, depth).items()
+            if rank.get(b, -1) > rank[a]
+        ]
+
+    def _unproven(
+        self, component: _Component, spread: int
+    ) -> List[Tuple[str, str, int]]:
+        """The checkable pairs of ``component`` that a counter spread of
+        ``spread`` over its members does not prove in bound.
+
+        The bound composes per hop (4T a hop, so 4TD at D hops; Section
+        3.3), and a pair D hops apart has a bound of at least ``4 D`` times
+        the component's smallest increment: ``spread`` proves it unless D <
+        spread / (4 x min increment).  The wrap check is vacuous below the
+        wrap half-window, so a spread that reaches it proves nothing.  Hop 1
+        is ``links``, built once an epoch; a deeper spread runs a BFS of its
+        depth now, and keeps nothing.
+        """
+        if spread >= _WRAP_HALF:
+            return self._near(component, len(component.nodes))
+        ticks = -(-spread // component.min_increment)
+        depth = -(-ticks // DIRECT_BOUND_TICKS) - 1
+        if depth < 2:
+            return component.links if depth == 1 else []
+        return self._near(component, depth)
 
     def _in_order(self, pairs: Iterable[tuple]) -> List[tuple]:
         """``pairs`` (or whatever starts with one) in i<j node order."""
         order = self._node_order
         return sorted(pairs, key=lambda item: (order[item[0]], order[item[1]]))
-
-    def _filed(self, depth: int) -> List[Tuple[str, str, int]]:
-        """Every checkable pair of at most ``depth`` hops, filed now if it
-        was not yet, in i<j node order."""
-        for component in self._groups:
-            self._file(component, min(depth, len(component.nodes) - 1))
-        return self._in_order(
-            pair
-            for component in self._groups
-            for hops, _bound, pairs in component.buckets
-            if hops <= depth
-            for pair in pairs
-        )
-
-    def _links(self) -> List[Tuple[str, str, int]]:
-        """The checkable hop-1 pairs: the synchronized edges between
-        checkable nodes."""
-        if self._cache_links is None:
-            self._cache_links = self._filed(1)
-        return self._cache_links
-
-    def _all_pairs(self) -> List[Tuple[str, str, int]]:
-        """The full per-pair build: every checkable pair (neither node
-        quarantined or healing, same component)."""
-        if self._cache_pairs is None:
-            self._cache_pairs = self._filed(len(self._nodes))
-        return self._cache_pairs
 
     def _pair_bound(self, a: str, b: str, hops: int) -> int:
         increment = max(
@@ -575,7 +484,7 @@ class InvariantChecker:
         horizon = now - self.grace_fs
         if not merges or merges[0][0] > horizon:
             return None
-        if merges[-1][0] <= horizon and self._swept_sig == self._conn_sig:
+        if merges[-1][0] <= horizon and self._swept_epoch == self._epoch:
             return True
         return next(groups for time, groups, _ in reversed(merges) if time <= horizon)
 
@@ -647,7 +556,14 @@ class InvariantChecker:
         state = self._past_grace(self.network.sim.now) if enforce_grace else True
         if state is None:
             return []
-        return list(self._due(self._all_pairs(), state))
+        return self._due(
+            self._in_order(
+                pair
+                for component in self._groups
+                for pair in self._near(component, len(component.nodes))
+            ),
+            state,
+        )
 
     def sample(
         self, want_links: bool
@@ -689,7 +605,7 @@ class InvariantChecker:
             return []
         return [
             (a, b, abs(counters[a] - counters[b]), bound)
-            for a, b, bound in self._due(self._links(), state)
+            for a, b, bound in self._due(self._links, state)
         ]
 
     # ------------------------------------------------------------------
@@ -759,20 +675,14 @@ class InvariantChecker:
         found: List[tuple] = []
         state = self._past_grace(now)
         if state is not None:
-            # The 4TD bound composes per hop, so inside one component a
-            # counter spread that is already within a hop class's bound (and
-            # below the wrap half-window) proves every pair of the class in
-            # bound.  Only the classes the spread exceeds are walked, and
-            # only those have to exist as pairs: whatever lies deeper than
-            # the component was ever asked about stays a count.
+            # Every checkable pair of a component counts; only those its
+            # spread does not prove in bound are walked.
             for component in self._groups:
                 spread, due = self._spread(component, counters, state)
                 self.pairs_checked += due
-                if spread > component.clears:
-                    self._deepen(component, spread)
-                for _hops, bound, pairs in component.buckets:
-                    if spread > bound or spread >= _WRAP_HALF:
-                        self._walk(counters, self._due(pairs, state), found)
+                pairs = self._unproven(component, spread)
+                if pairs:
+                    self._walk(counters, self._due(pairs, state), found)
             if len(found) > 1:
                 found = self._in_order(found)
         for a, b, invariant, detail in found:
@@ -815,19 +725,18 @@ class InvariantChecker:
         self, now: int, counters: Dict[str, int]
     ) -> None:
         late = self._late
-        if not late and self._swept_sig == self._conn_sig:
+        if not late and self._swept_epoch == self._epoch:
             return
         joined = False
-        if self._swept_sig != self._conn_sig:
-            # The connected-pair set is a function of the connectivity
-            # signature alone, so epochs start and end only when it moves.
+        if self._swept_epoch != self._epoch:
+            # The connected-pair set only moves with the epoch.
             component_of = self._component_of.get
             for pair in [
                 p for p in late if component_of(p[0], -1) != component_of(p[1], -2)
             ]:
                 del late[pair]
             joined = self._sweep(now)
-            self._swept_sig = self._conn_sig
+            self._swept_epoch = self._epoch
         for pair, since in list(late.items()):
             a, b = pair
             if abs(counters[a] - counters[b]) <= self._pair_bound(
@@ -880,8 +789,8 @@ class InvariantChecker:
     def _log_joined(self, now: int, counters: Dict[str, int]) -> None:
         """Log the pairs this tick's sweep connected that are already within
         bound; the others wait in ``_late``.  Checkable pairs are cleared by
-        their component's spread like any other class; a healing node's
-        pairs are looked at one by one."""
+        their component's spread as on a tick; a healing node's pairs are
+        looked at one by one."""
         below = self._merges[-2][1].get if len(self._merges) > 1 else None
         healing = self._healing
         order = self._node_order
@@ -904,15 +813,11 @@ class InvariantChecker:
             beyond: List[Tuple[str, str]] = []
             if component.pairs:
                 spread = self._spread(component, counters, True)[0]
-                if spread > component.clears:
-                    self._deepen(component, spread)
-                for _hops, bound, pairs in component.buckets:
-                    if spread > bound:
-                        beyond.extend(
-                            (a, b)
-                            for a, b, _ in pairs
-                            if abs(counters[a] - counters[b]) > bound
-                        )
+                beyond.extend(
+                    (a, b)
+                    for a, b, bound in self._unproven(component, spread)
+                    if abs(counters[a] - counters[b]) > bound
+                )
             if len(component.members) < len(nodes):
                 for node in nodes:
                     if node not in healing:

@@ -1,14 +1,16 @@
 """InvariantChecker against a brute-force oracle that shares none of its caches.
 
 ``tests/checker_reference.py`` re-derives everything on every tick — a fresh
-BFS per node, a full i<j pair walk, no epochs, no buckets, no spread screen —
-so any shortcut the checker takes (component spread vs hop-class bound, hop
-classes filed only when a spread asks, pair counts without pairs, connect
-times kept as merge levels) has to reproduce it exactly, tick by tick.
+BFS per node, a full i<j pair walk, no epochs, no spread screen — so any
+shortcut the checker takes (a component's spread proving the pairs it can,
+only the pairs it leaves unproven walked, pair counts without pairs,
+connect times kept as merge levels) has to reproduce it exactly, tick by
+tick.  No benchmark tick leaves a pair two hops apart or more unproven, so
+the deep schedules and the three-hop case below are what cover that path.
 
 Every schedule drives two checkers over the one network: one is asked for
 ``checkable_pairs()`` (the full per-pair build) after every tick, the other
-never is, so whatever it answers comes from the demand-driven structures.
+never is, so whatever it answers comes from the per-tick structures.
 """
 
 from types import SimpleNamespace
@@ -79,7 +81,7 @@ class _Net:
 
 def _tree_plus_chords(draw, n):
     """A spanning tree that tends to be deep (each node hangs off one of the
-    two before it), so hop classes of 3 and more exist, plus a few chords."""
+    two before it), so pairs 3 hops apart and more exist, plus a few chords."""
     tree = [(draw(st.integers(max(0, i - 2), i - 1)), i) for i in range(1, n)]
     far = [(a, b) for a in range(n) for b in range(a + 3, n)]
     chords = draw(st.lists(st.sampled_from(far), max_size=3, unique=True)) if far else []
@@ -116,11 +118,11 @@ def schedules(draw, deep=False):
         st.tuples(st.just("release"), node, st.lists(node, max_size=2)),
         st.tuples(st.just("reset"), node),
     )
-    # Mostly within the hop-1 bound of 4, so classes clear, with excursions.
+    # Mostly within the hop-1 bound of 4, so spreads prove ticks, with excursions.
     jitter = st.sampled_from([0, 1, 2, 3, 4, 4, 5, 7, 14])
     if deep:
-        # Settled but for one node a tick, which steps past the bound of hop
-        # class 1, 2, 3 or all of them: deeper classes are first filed then.
+        # Settled but for one node a tick, which steps past the bound of 1,
+        # 2 or 3 hops or all of them: the spread leaves that deep unproven.
         calm = st.sampled_from([0, 0, 1, 1, 2, 3])
         jitter_rows = st.builds(
             lambda row, at, by: row[:at] + [by] + row[at + 1:],
@@ -251,7 +253,6 @@ def run_schedule(plan):
         for checker in checkers:
             checker._tick()
             _assert_same(checker, ref, net, gc, full_build=checker is checkers[0])
-        assert checkers[1]._cache_pairs is None
         # A link moves between the tick and the sampler at the same instant:
         # the sample must poll the ports itself, not trust the tick's epoch.
         # And back, sampled again, so that the next tick's poll finds no flag
@@ -346,6 +347,22 @@ def test_cross_node_wrap_branch_is_reached(mixed):
     net.devices["n0"].value = 1 << 52
     checker._tick()
     assert checker.counts == {"wrap-codec": 1}
+
+
+
+def test_a_spread_three_hops_deep_walks_three_hops():
+    """Only n0-n3 is out of bound: 3 hops apart, bound 12, offset 13.  The
+    chain's middle has increment 2, so every closer pair's bound is 8 per
+    hop and holds.  The spread is 13 smallest increments, which leaves
+    pairs of up to 3 hops unproven; a depth taken from the larger increment
+    (13 / 2 ticks) would stop at hop 1 and miss the violation."""
+    checker = run_schedule(_plan(
+        edges=[(0, 1), (1, 2), (2, 3)], increments=[1, 2, 2, 1], group=[0] * 4,
+        gap=0, links_up=[True] * 3, ticks=[([], [0, 6, 7, 13], False)] * 3,
+    ))
+    assert [(v.subject, v.detail) for v in checker.violations] == [
+        ("n0-n3", {"offset": -13, "bound": 12})
+    ] * 3
 
 
 CALM = ([], [0, 0, 0], False)

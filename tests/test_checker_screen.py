@@ -1,13 +1,18 @@
-"""The checker's saving is structural: what exists as pairs, and when.
+"""The checker's saving is structural: what a tick builds, and when.
 
-An epoch change computes components and pair *counts*; a hop class becomes
-pairs the first time a tick's component spread exceeds its bound, and what
-lies deeper stays a count.  Pinned here by what the checker holds afterwards
-(``pairs_materialised``, each component's ``depth`` / ``buckets`` /
-``remainder``, the single-source BFS memo ``_reach``) on a fat-tree k=4 run
-(36 nodes, 48 links, 630 checkable pairs) and on the benchmark's 336-node
-fabric; ``_walk`` is the one method wrapped, to see what a tick enumerates.
+A new epoch (an edge's synchronized flag moved, or a quarantine, release or
+healing completion) finds the components, their pair *counts* and their
+hop-1 links; that counter is the one signature of the per-epoch state.  A
+tick whose component spread S proves every pair in bound walks nothing; one
+that does not walks the pairs fewer than S / 4 hops apart (increment 1) --
+the links at hop 1, a BFS of that depth built on the tick and dropped
+deeper.  Pinned here by what the checker calls (``_walk``, the truncated
+BFS ``_distances_from``, ``_find_components``) on a fat-tree k=4 run (36
+nodes, 48 links, 94 two-hop pairs, 630 checkable pairs) and on the
+benchmark's 336-node fabric.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -27,6 +32,7 @@ from tests.test_shard import BENCH_FABRIC
 
 PAIRS = 36 * 35 // 2
 LINKS = 48
+TWO_HOP = 94
 
 
 def count_calls(checker, *names):
@@ -46,26 +52,30 @@ def count_calls(checker, *names):
 
 
 def walks(checker):
-    """The live list of ``(bound, pairs)`` per non-empty ``_walk`` call."""
+    """The live list of ``[(bound, pairs), ...]`` per non-empty ``_walk``."""
     walked = []
     inner = checker._walk
 
     def walk(counters, pairs, found):
         if pairs:
-            walked.append((pairs[0][2], len(pairs)))
+            walked.append(sorted(Counter(bound for _a, _b, bound in pairs).items()))
         return inner(counters, pairs, found)
 
     checker._walk = walk
     return walked
 
 
-def filed(checker):
-    """``{hops: pairs}`` over every component's filed hop classes."""
-    classes = {}
-    for component in checker._components:
-        for hops, _bound, pairs in component.buckets:
-            classes[hops] = classes.get(hops, 0) + len(pairs)
-    return classes
+def bfs_depths(checker):
+    """The live list of the depth each ``_distances_from`` call was given."""
+    depths = []
+    inner = checker._distances_from
+
+    def distances_from(start, adjacency, limit):
+        depths.append(limit)
+        return inner(start, adjacency, limit)
+
+    checker._distances_from = distances_from
+    return depths
 
 
 @pytest.fixture
@@ -93,71 +103,85 @@ def _host_uplink(net):
 
 def test_settled_clean_ticks_enumerate_no_pair(sim, fabric):
     _net, checker, walked = fabric
+    depths = bfs_depths(checker)
     checks, pairs = checker.checks_run, checker.pairs_checked
     sim.run_until(300 * units.US)
     ticks = checker.checks_run - checks
     assert ticks >= 20
     assert checker.pairs_checked - pairs == ticks * PAIRS  # all still counted
     assert checker.total_violations == 0
-    assert walked == []
+    assert walked == [] and depths == []
     # Every one of the 630 connected at one tick and was logged within bound
-    # there; not one of them was ever built.
+    # there, by the component's spread alone.
     assert checker.reconnect_recoveries.rows == [(7_680_000_000, 0, PAIRS)]
     assert len(checker.reconnect_recoveries) == PAIRS
-    assert checker.pairs_materialised == 0 and checker._reach == {}
+    assert checker._reach == {}
 
 
-def test_excursion_enumerates_only_buckets_the_spread_exceeds(sim, fabric):
-    net, checker, walked = fabric
+def _excursion(sim, net, checker, ticks):
+    """Move one host ``ticks`` ahead just before the next check tick and run
+    to it; returns that tick's counters and the live list of BFS depths."""
     host, _switch = _host_uplink(net)
     tick_fs = (sim.now // checker.interval_fs + 1) * checker.interval_fs
     sim.run_until(tick_fs - units.NS)
     device = net.devices[host]
-    device.gc.set_counter(sim.now, device.global_counter(sim.now) + 6)
+    device.gc.set_counter(sim.now, device.global_counter(sim.now) + ticks)
     counters = {}
     inner = checker._check_pair_bounds
     checker._check_pair_bounds = lambda now, gc: (counters.update(gc), inner(now, gc))
+    depths = bfs_depths(checker)
     pairs = checker.pairs_checked
-    assert filed(checker) == {}
     sim.run_until(tick_fs)
     assert checker.pairs_checked - pairs == PAIRS
-    spread = max(counters.values()) - min(counters.values())
-    assert 4 < spread <= 12  # past the hop-1 bound, within the deepest
-    # Exactly the classes whose bound (4 ticks a hop) the spread exceeds
-    # became pairs, and were walked; the deeper ones are still one count.
-    depth = (spread - 1) // 4
-    (component,) = checker._components
-    classes = filed(checker)
-    assert sorted(classes) == list(range(1, depth + 1)) and classes[1] == LINKS
-    assert component.depth == depth
-    assert component.remainder == PAIRS - sum(classes.values()) > 0
-    assert checker.pairs_materialised == sum(classes.values())
-    assert sorted(walked) == [(4 * hops, size) for hops, size in sorted(classes.items())]
     assert checker.counts[INVARIANT_PAIR_BOUND] >= 1
     assert all(host in v.subject.split("-") for v in checker.violations)
-    # The classes stay filed while the epoch lasts: settled ticks add none.
-    walked.clear()
-    sim.run_until(tick_fs + 40 * units.US)
-    assert checker.pairs_materialised == sum(classes.values())
+    return counters, depths
+
+
+def test_six_tick_excursion_walks_its_components_hop_1_links(sim, fabric):
+    net, checker, walked = fabric
+    counters, depths = _excursion(sim, net, checker, 6)
+    spread = max(counters.values()) - min(counters.values())
+    assert 4 < spread <= 8  # past the hop-1 bound, within the hop-2 bound
+    (component,) = checker._components
+    assert len(component.links) == LINKS
+    assert walked == [[(4, LINKS)]] and depths == []
+
+
+def test_ten_tick_excursion_walks_two_hops_built_that_tick(sim, fabric):
+    net, checker, walked = fabric
+    counters, depths = _excursion(sim, net, checker, 10)
+    spread = max(counters.values()) - min(counters.values())
+    assert 8 < spread <= 12  # past the hop-2 bound, within the hop-3 bound
+    # One BFS of depth 2 from each of the 36 members, and nothing deeper.
+    assert walked == [[(4, LINKS), (8, TWO_HOP)]] and depths == [2] * 36
+    # Nothing of it stays: the next tick the spread leaves unproven builds
+    # its own.
+    (component,) = checker._components
+    assert len(component.links) == LINKS and checker._reach == {}
+    sim.run_until(sim.now + checker.interval_fs)
+    assert walked[1] == walked[0] and depths == [2] * 72
 
 
 def test_link_flap_costs_one_component_traversal_and_no_all_pairs_bfs(sim, fabric):
     net, checker, _walked = fabric
     host, switch = _host_uplink(net)
-    calls = count_calls(checker, "_find_components", "_distances_from")
+    calls = count_calls(checker, "_find_components")
+    depths = bfs_depths(checker)
     ticks, pairs = checker.checks_run, checker.pairs_checked
     net.down_link(host, switch)
     sim.run_until(sim.now + 50 * units.US)
-    assert calls == {"_find_components": 1, "_distances_from": 0}
+    # The links are found again, one hop from each checkable node.
+    assert calls == {"_find_components": 1} and depths == [1] * 35
     went = checker.checks_run - ticks
     assert checker.pairs_checked - pairs == went * (PAIRS - 35)
     ticks, pairs = checker.checks_run, checker.pairs_checked
     net.up_link(host, switch)
     sim.run_until(sim.now + 200 * units.US)
     # The host's 35 pairs sat out their grace window beside 595 that were
-    # past theirs: still no pair, no distance, and one more traversal.
-    assert calls == {"_find_components": 2, "_distances_from": 0}
-    assert checker.pairs_materialised == 0 and checker._reach == {}
+    # past theirs: still no pair walked, and one more traversal.
+    assert calls == {"_find_components": 2} and depths == [1] * (35 + 36)
+    assert checker._reach == {}
     rows = checker.reconnect_recoveries.rows
     assert len(rows) == 2 and rows[1][1:] == (0, 35)
     assert len(checker.reconnect_recoveries) == PAIRS + 35
@@ -165,30 +189,21 @@ def test_link_flap_costs_one_component_traversal_and_no_all_pairs_bfs(sim, fabri
     went = checker.checks_run - ticks
     assert 0 < checker.pairs_checked - pairs - went * (PAIRS - 35) < went * 35
     # Asking for the pairs is what builds them (and changes no count).
+    pairs = checker.pairs_checked
     assert len(checker.checkable_pairs()) == PAIRS
-    assert checker.pairs_materialised == PAIRS
-
-
-def test_healing_set_change_rebuilds_pairs_without_a_bfs(sim, fabric):
-    net, checker, _walked = fabric
-    host, _switch = _host_uplink(net)
-    calls = count_calls(checker, "_find_components", "_sync_adjacency")
-    checker.release([host], "drill")
-    sim.run_until(sim.now + 50 * units.US)
-    assert checker.recovery_fs["drill"]  # healed: the set changed twice
-    assert calls == {"_find_components": 2, "_sync_adjacency": 0}
-    # The healing node's own BFS is the only distance anything asked for.
-    assert list(checker._reach) == [host] and checker.pairs_materialised == 0
-    assert len(checker.checkable_pairs()) == PAIRS
+    assert checker.pairs_checked == pairs
 
 
 def test_benchmark_fabric_files_its_links_and_counts_the_rest(sim):
     """The benchmark's 336-node fat-tree: 56,280 checkable pairs counted
-    every tick past grace, 512 of them (hop 1, the synchronized links) ever
-    built -- by the first tick whose spread exceeds the 4-tick hop-1 bound."""
+    every tick past grace; the 512 synchronized links are the only pairs
+    ever built (one hop from each node, once an epoch), and the only ones
+    walked."""
     prepared = prepare(dict(BENCH_FABRIC))
     _streams, net = assemble(prepared, 1, sim, None, "scalar")
     checker = InvariantChecker(net)
+    walked = walks(checker)
+    depths = bfs_depths(checker)
     net.start()
     per_tick = []
     for index in range(27):  # one check every 7.68 us, the first at t = 0
@@ -200,9 +215,12 @@ def test_benchmark_fabric_files_its_links_and_counts_the_rest(sim):
     sim.run_until(prepared.duration_fs)
     assert (checker.checks_run, checker.pairs_checked) == (27, 1_069_320)
     assert sorted(set(per_tick)) == [0, 56_280]
-    assert checker.pairs_materialised == 512 and filed(checker) == {1: 512}
     (component,) = checker._components
-    assert (component.depth, component.remainder) == (1, 56_280 - 512)
+    assert len(component.links) == 512 and set(depths) == {1}
+    # Of the 19 ticks past grace, the spread proves all in bound on one;
+    # the other 18 walk the links.
+    assert per_tick.count(56_280) == 19
+    assert walked == [[(4, 512)]] * 18
     assert len(checker.reconnect_recoveries) == 56_280
 
 
@@ -224,12 +242,13 @@ def test_settled_ticks_skip_the_signature_and_the_recording_checks(
     sim, request, topology
 ):
     _net, checker = request.getfixturevalue(topology)[:2]
-    calls = count_calls(checker, "_cache_key", "_check_monotonic", "_counters")
-    checks = checker.checks_run
+    calls = count_calls(checker, "_find_components", "_check_monotonic", "_counters")
+    checks, epoch = checker.checks_run, checker._epoch
     sim.run_until(sim.now + 30 * checker.interval_fs)
     ticks = checker.checks_run - checks
     assert ticks >= 20 and checker.total_violations == 0
-    assert calls == {"_cache_key": 0, "_check_monotonic": 0, "_counters": ticks}
+    assert calls == {"_find_components": 0, "_check_monotonic": 0, "_counters": ticks}
+    assert checker._epoch == epoch
 
 
 class _AheadDevice(DtpDevice):
@@ -312,18 +331,18 @@ def test_shard_replay_shims_equal_the_method_path(monkeypatch):
 @pytest.mark.parametrize("topology", ["fabric", "chain3"])
 def test_sampler_instant_costs_one_poll_and_one_counter_read(sim, request, topology):
     _net, checker = request.getfixturevalue(topology)[:2]
-    calls = count_calls(checker, "_epoch_state", "_counters", "_cache_key")
+    calls = count_calls(checker, "_epoch_state", "_counters", "_find_components")
     worst, links = checker.sample(True)
-    assert calls == {"_epoch_state": 1, "_counters": 1, "_cache_key": 0}
+    assert calls == {"_epoch_state": 1, "_counters": 1, "_find_components": 0}
     assert worst is not None and links
     assert checker.sample(False) == (worst, None)
-    assert calls == {"_epoch_state": 2, "_counters": 2, "_cache_key": 0}
+    assert calls == {"_epoch_state": 2, "_counters": 2, "_find_components": 0}
 
 
 def test_link_flap_costs_one_signature_per_poll_a_flag_moved_on(sim, fabric):
     net, checker, _walked = fabric
     host, switch = _host_uplink(net)
-    calls = count_calls(checker, "_cache_key", "_find_components")
+    calls = count_calls(checker, "_find_components")
     moved_on = []  # per poll: did it find an edge's synchronized flag changed?
     poll = checker._epoch_state
 
@@ -333,26 +352,29 @@ def test_link_flap_costs_one_signature_per_poll_a_flag_moved_on(sim, fabric):
         moved_on.append(before != checker._edge_synced)
 
     checker._epoch_state = epoch_state
+    epoch = checker._epoch
     net.down_link(host, switch)
     sim.run_until(sim.now + 50 * units.US)
-    assert (calls["_cache_key"], sum(moved_on)) == (1, 1)
+    assert (calls["_find_components"], checker._epoch - epoch, sum(moved_on)) == (1, 1, 1)
     net.up_link(host, switch)
     sim.run_until(sim.now + 200 * units.US)
-    assert (calls["_cache_key"], sum(moved_on)) == (2, 2)
+    assert (calls["_find_components"], checker._epoch - epoch, sum(moved_on)) == (2, 2, 2)
     assert len(moved_on) >= 20
-    assert calls["_find_components"] == 2
 
 
 def test_each_checker_call_and_a_healing_completion_cost_one_signature(sim, fabric):
     net, checker, _walked = fabric
     host, _switch = _host_uplink(net)
-    calls = count_calls(checker, "_cache_key")
+    calls = count_calls(checker, "_find_components")
+    asked = []
+    distances = checker._distances
+    checker._distances = lambda node: (asked.append(node), distances(node))[1]
 
     def cost(act):
-        before = calls["_cache_key"]
+        before = calls["_find_components"]
         act()
         sim.run_until(sim.now + 5 * checker.interval_fs)
-        return calls["_cache_key"] - before
+        return calls["_find_components"] - before
 
     assert cost(lambda: checker.quarantine([host], "drill")) == 1
     assert len(checker.checkable_pairs(False)) == PAIRS - 35
@@ -361,3 +383,9 @@ def test_each_checker_call_and_a_healing_completion_cost_one_signature(sim, fabr
     assert checker.recovery_fs["drill"] and not checker._healing
     assert len(checker.checkable_pairs(False)) == PAIRS
     assert cost(lambda: None) == 0
+    # A node healing in place: the same two epochs, and its own full BFS is
+    # the only distance anything asked for.
+    asked.clear()
+    assert cost(lambda: checker.release([host], "in-place")) == 2
+    assert checker.recovery_fs["in-place"] and set(asked) == {host}
+    assert len(checker.checkable_pairs()) == PAIRS
