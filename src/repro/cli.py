@@ -16,6 +16,7 @@ group lives beside the supervisor in :mod:`repro.resilience.cli`.
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 from typing import List, Optional
 
@@ -26,13 +27,9 @@ COMMANDS = {
         "repro.faultlab.cli:main",
         "run deterministic fault-injection campaigns",
     ),
-    "trace": (
-        "repro.telemetry.cli:main",
-        "record, summarize and export deterministic traces",
-    ),
     "insight": (
         "repro.insight.cli:main",
-        "explain, timeline and report over trace artifacts",
+        "explain, timeline, report and export trace artifacts",
     ),
     "resilience": (
         "repro.resilience.cli:main",
@@ -121,4 +118,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         target, rest = EXPERIMENTS, argv
     module, _, function = target.partition(":")
-    return getattr(importlib.import_module(module), function)(rest)
+    try:
+        code = getattr(importlib.import_module(module), function)(rest)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro status DIR | head``).  Point stdout
+        # at /dev/null so the exit flush cannot fail again, and exit as a
+        # SIGPIPE death would (128 + 13): never 0, so a cut-off
+        # ``slo evaluate`` never reads as a pass.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

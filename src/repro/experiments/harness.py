@@ -151,14 +151,14 @@ def write_telemetry_artifacts(
         return []
     written = write_telemetry(name, telemetry, trace_dir, metrics_dir)
     lines: List[str] = []
-    if "trace.jsonl" in written:
+    if "trace" in written:
         lines.append(
-            f"wrote {written['trace.jsonl']} ({len(telemetry.tracer)} records,"
+            f"wrote {written['trace']} ({len(telemetry.tracer)} records,"
             f" {telemetry.tracer.dropped} dropped)"
         )
-    if "metrics.json" in written:
+    if "metrics" in written:
         lines.append(
-            f"wrote {written['metrics.json']}"
+            f"wrote {written['metrics']}"
             f" (digest {telemetry.metrics_digest()[:12]})"
         )
         lines.append(f"wrote {written['prom']}")

@@ -29,13 +29,12 @@ position), so reordering scenarios never changes any result.
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import metrics
-from ..ioutil import atomic_write_text, canonical_json
+from ..ioutil import artifact_path, atomic_write_text, canonical_json
 from ..clocks.oscillator import ConstantSkew
 from ..dtp.network import BACKENDS, DEFAULT_BACKEND, DtpNetwork
 from ..dtp.port import DtpPortConfig
@@ -132,12 +131,6 @@ def build_fault(spec: Dict[str, object], index: int = 0) -> FaultModel:
         return cls(name=name, **params)
     except TypeError as exc:
         raise CampaignError(f"bad parameters for fault {name!r}: {exc}") from exc
-
-
-def _artifact(directory: str, scenario: str, suffix: str) -> str:
-    """``<directory>/<scenario>.<suffix>``, creating the directory."""
-    os.makedirs(directory, exist_ok=True)
-    return os.path.join(directory, f"{scenario}.{suffix}")
 
 
 @dataclass(frozen=True)
@@ -322,10 +315,10 @@ def sample_grid(
 
 
 def _write_flight(
-    flight_dir: str, name: str, kind: str, telemetry: Telemetry, seed: int,
+    flight_dir: str, name: str, prefix: str, telemetry: Telemetry, seed: int,
     now_fs: int, context: Dict[str, object],
 ) -> None:
-    """Write ``<name>.<kind>flight.jsonl`` and its insight summary.
+    """Write the ``<prefix>flight`` artifact and its ``<prefix>insight`` summary.
 
     Insight is imported lazily (it pulls in the experiment harness) and
     derived only from the dump itself, so the summary is as deterministic
@@ -335,11 +328,11 @@ def _write_flight(
     from ..telemetry.flight import dump_flight
 
     dump = dump_flight(
-        _artifact(flight_dir, name, f"{kind}flight.jsonl"),
+        artifact_path(flight_dir, name, f"{prefix}flight"),
         telemetry, name, seed, now_fs, context=context,
     )
     atomic_write_text(
-        _artifact(flight_dir, name, f"{kind}insight.md"),
+        artifact_path(flight_dir, name, f"{prefix}insight"),
         flight_summary_markdown(dump),
     )
 
@@ -349,7 +342,7 @@ def write_telemetry(
 ) -> Dict[str, str]:
     """Write ``<name>.trace.jsonl`` / ``.metrics.json`` / ``.prom``.
 
-    Returns ``{suffix: path}`` for the files written.  All content is
+    Returns ``{artifact kind: path}`` for the files written.  All content is
     derived from sim time and seeds, so two same-seed runs write
     byte-identical files.
     """
@@ -357,12 +350,12 @@ def write_telemetry(
 
     written: Dict[str, str] = {}
     if trace_dir is not None and telemetry.tracer is not None:
-        written["trace.jsonl"] = _artifact(trace_dir, name, "trace.jsonl")
-        write_trace_jsonl(written["trace.jsonl"], telemetry.tracer)
+        written["trace"] = artifact_path(trace_dir, name, "trace")
+        write_trace_jsonl(written["trace"], telemetry.tracer)
     if metrics_dir is not None:
-        written["metrics.json"] = _artifact(metrics_dir, name, "metrics.json")
-        write_metrics_json(written["metrics.json"], telemetry)
-        written["prom"] = _artifact(metrics_dir, name, "prom")
+        written["metrics"] = artifact_path(metrics_dir, name, "metrics")
+        write_metrics_json(written["metrics"], telemetry)
+        written["prom"] = artifact_path(metrics_dir, name, "prom")
         atomic_write_text(written["prom"], telemetry.render_prometheus())
     return written
 
@@ -639,7 +632,7 @@ def run_campaign(
         return {task.name: result for task, result in zip(tasks, results)}
     if supervised_health:
         supervision.health.write(
-            _artifact(run_options.health_dir, "campaign", "health.jsonl")
+            artifact_path(run_options.health_dir, "campaign", "health")
         )
     run = supervision.run
     if run_options.flight_dir is not None:
@@ -649,7 +642,7 @@ def run_campaign(
                 "failures": [f.as_dict() for f in run.failures if f.task == name],
             }
             _write_flight(
-                run_options.flight_dir, name, "failure.", Telemetry(trace=False),
+                run_options.flight_dir, name, "failure_", Telemetry(trace=False),
                 derive_seed(base_seed, name), 0, context,
             )
     return run.named_results()

@@ -30,7 +30,6 @@ _LAZY = {
     "scorecard_rows": "decompose",
     "flight_summary_markdown": "report",
     "generate_insight_report": "report",
-    "scan_campaign_dir": "report",
     "CAUSE_BEACON": "timeline",
     "CAUSE_JOIN": "timeline",
     "reconstruct_timeline": "timeline",

@@ -1,27 +1,31 @@
 """``repro insight`` — trace analytics from the command line.
 
-Three subcommands over PR-3 telemetry artifacts:
+Four subcommands over telemetry artifacts:
 
 * ``explain``  — causal jump explanation for a flight dump or trace
   (names the hop-by-hop beacon chain behind a violation or jump),
-* ``timeline`` — per-port/per-node reconstruction summary with an ASCII
-  offset plot,
+* ``timeline`` — the trace's census, then a per-port/per-node
+  reconstruction summary with an ASCII offset plot,
 * ``report``   — the full campaign run report (markdown), byte-identical
-  for same-seed campaign directories.
+  for same-seed campaign directories,
+* ``export``   — a trace or flight dump as Chrome trace-event JSON.
 
-All output is deterministic unless ``--wallclock`` is given.
+All output is deterministic unless ``--wallclock`` is given.  The
+artifacts come from a traced run: ``repro faultlab S --trace DIR
+--metrics-out DIR`` or ``repro fig6a --trace DIR``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import List, Optional
 
-from ..phy.specs import PHY_10G
+from ..ioutil import atomic_write_text
 from ..telemetry.events import EV_JUMP, EV_VIOLATION
-from ..telemetry.flight import FLIGHT_HEADER, load_flight
+from ..telemetry.export import write_chrome_trace
+from ..telemetry.flight import is_flight, load_flight
 from ..telemetry.index import TraceIndex
 from .causal import (
     explain_flight,
@@ -32,103 +36,54 @@ from .causal import (
 from .report import describe_timeline, generate_insight_report
 
 
-def _add_units(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--increment",
-        type=int,
-        default=1,
-        help="counter increment per tick used by the run (default 1)",
-    )
-    parser.add_argument(
-        "--period-fs",
-        type=int,
-        default=PHY_10G.period_fs,
-        help="tick period in femtoseconds (default: 10GbE)",
-    )
-
-
-def _is_flight(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-    if not first.strip():
-        return False
-    try:
-        return json.loads(first).get("record") == FLIGHT_HEADER
-    except ValueError:
-        return False
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
-    if _is_flight(args.artifact):
-        lines = explain_flight(
-            load_flight(args.artifact),
-            increment=args.increment,
-            period_fs=args.period_fs,
-            max_hops=args.max_hops,
-        )
-        print("\n".join(lines))
+    if is_flight(args.artifact):
+        print("\n".join(explain_flight(load_flight(args.artifact))))
         return 0
     index = TraceIndex.load(args.artifact)
     violations = index.of_kind(EV_VIOLATION)
+    candidates = violations or index.of_kind(EV_JUMP)
+    if not candidates:
+        print("no EV_VIOLATION or EV_JUMP records in the trace")
+        return 1
+    position = -1 if args.index is None else args.index
+    if not -len(candidates) <= position < len(candidates):
+        what = "violations" if violations else "jumps"
+        print(
+            f"insight explain: --index {position} is out of range:"
+            f" the trace holds {len(candidates)} {what}",
+            file=sys.stderr,
+        )
+        return 2
+    pick = candidates[position]
     if violations:
-        pick = violations[args.index if args.index is not None else -1]
         # EV_VIOLATION: subject = violated subject, a = interned invariant id.
         violation = {
             "time_fs": pick[0],
             "subject": index.subject_name(pick[2]),
             "invariant": index.subject_name(pick[3]),
         }
-        explanation = explain_violation(
-            index,
-            violation,
-            increment=args.increment,
-            period_fs=args.period_fs,
-            max_hops=args.max_hops,
-        )
-        print("\n".join(render_explanation(explanation, increment=args.increment)))
+        print("\n".join(render_explanation(explain_violation(index, violation))))
         return 0
-    jumps = index.of_kind(EV_JUMP)
-    if not jumps:
-        print("no EV_VIOLATION or EV_JUMP records in the trace")
-        return 1
-    pick = jumps[args.index if args.index is not None else -1]
-    chain = explain_jump(
-        index,
-        pick,
-        increment=args.increment,
-        period_fs=args.period_fs,
-        max_hops=args.max_hops,
-    )
     print("causal beacon chain (newest first):")
-    for depth, hop in enumerate(chain):
-        print(f"  [{depth}] {hop.describe(args.increment)}")
+    for depth, hop in enumerate(explain_jump(index, pick)):
+        print(f"  [{depth}] {hop.describe()}")
     return 0
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
     index = TraceIndex.load(args.artifact)
     pair = tuple(args.pair) if args.pair else None
-    lines = describe_timeline(
-        index,
-        increment=args.increment,
-        period_fs=args.period_fs,
-        pair=pair,
-    )
-    print("\n".join(lines))
+    print("\n".join(index.describe() + describe_timeline(index, pair=pair)))
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    text = generate_insight_report(
-        args.directory,
-        increment=args.increment,
-        period_fs=args.period_fs,
-        top_k=args.top_k,
-        wallclock=args.wallclock,
-    )
+    if not os.path.isdir(args.directory):
+        print(f"insight report: no such directory: {args.directory}", file=sys.stderr)
+        return 2
+    text = generate_insight_report(args.directory, wallclock=args.wallclock)
     if args.output:
-        from ..ioutil import atomic_write_text
-
         atomic_write_text(args.output, text)
         print(f"wrote {args.output}")
     else:
@@ -136,10 +91,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_export(args: argparse.Namespace) -> int:
+    index = TraceIndex.load(args.artifact)
+    write_chrome_trace(args.output, index.records, index.subjects)
+    print(f"wrote {args.output} ({len(index)} events; open in Perfetto)")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro insight",
-        description="offline trace analytics: explain, timeline, report",
+        description="offline trace analytics: explain, timeline, report, export",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -152,20 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--index",
         type=int,
         default=None,
-        help="which violation/jump to explain (default: the last)",
+        help="which violation/jump of a trace to explain (default: the last)",
     )
-    explain.add_argument(
-        "--max-hops",
-        type=int,
-        default=8,
-        help="maximum causal chain depth (default 8)",
-    )
-    _add_units(explain)
     explain.set_defaults(func=_cmd_explain)
 
     timeline = sub.add_parser(
         "timeline",
-        help="reconstruction summary: ports, jumps, OWD, offset plot",
+        help="trace census, then ports, jumps, OWD and the offset plot",
     )
     timeline.add_argument("artifact", help="flight dump or trace JSONL path")
     timeline.add_argument(
@@ -174,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("A", "B"),
         help="plot only this node pair's offset",
     )
-    _add_units(timeline)
     timeline.set_defaults(func=_cmd_timeline)
 
     report = sub.add_parser(
@@ -189,28 +143,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report here instead of stdout",
     )
     report.add_argument(
-        "--top-k",
-        type=int,
-        default=8,
-        help="dispatch-profile rows to show (default 8)",
-    )
-    report.add_argument(
         "--wallclock",
         action="store_true",
         help="include wall-clock data (non-deterministic; breaks diffing)",
     )
-    _add_units(report)
     report.set_defaults(func=_cmd_report)
+
+    export = sub.add_parser(
+        "export",
+        help="convert a trace to Chrome trace-event JSON (open in Perfetto)",
+    )
+    export.add_argument("artifact", help="flight dump or trace JSONL path")
+    export.add_argument(
+        "-o", "--output", required=True, metavar="FILE", help="output path"
+    )
+    export.set_defaults(func=_cmd_export)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:
-        # Downstream (e.g. `| head`) closed the pipe; not an error.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+    return args.func(args)

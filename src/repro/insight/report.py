@@ -1,9 +1,8 @@
 """The insight run report: one markdown artifact per campaign directory.
 
-:func:`generate_insight_report` scans a directory of PR-3 telemetry
-artifacts — ``<scenario>.trace.jsonl``, ``<scenario>.metrics.json`` /
-``.prom``, ``<scenario>.flight.jsonl`` and
-``<scenario>.failure.flight.jsonl`` — and renders, per scenario:
+:func:`generate_insight_report` scans a run directory
+(:func:`repro.ioutil.scan_rundir`) and renders, per scenario with a trace,
+metrics, flight, snapshot or SLO artifact:
 
 * trace accounting and the event-kind census,
 * per-link bound-decomposition scorecards over the fault-free interval,
@@ -29,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..experiments.asciiplot import render_series
 from ..experiments.harness import TimeSeries
+from ..ioutil import scan_rundir
 from ..phy.specs import PHY_10G
 from ..telemetry import load_flight
 from ..telemetry.index import TraceIndex
@@ -40,40 +40,14 @@ from .decompose import (
 )
 from .timeline import reconstruct_timeline
 
-#: Default number of dispatch categories / event kinds shown.
-DEFAULT_TOP_K = 8
+#: Dispatch categories shown in the engine dispatch profile.
+TOP_K = 8
 
-#: Artifact suffixes scanned from a campaign directory.
-_SUFFIXES = {
-    "trace": ".trace.jsonl",
-    "metrics": ".metrics.json",
-    "prom": ".prom",
-    "failure_flight": ".failure.flight.jsonl",
-    "flight": ".flight.jsonl",
-    "snapshots": ".snapshots.jsonl",
-    "slo": ".slo.json",
-}
-
-
-def scan_campaign_dir(directory: str) -> Dict[str, Dict[str, str]]:
-    """``{scenario: {artifact kind: path}}``, scenarios sorted by name.
-
-    Suffix matching is longest-first so ``x.failure.flight.jsonl`` is not
-    misfiled as ``x.failure``'s flight dump.
-    """
-    found: Dict[str, Dict[str, str]] = {}
-    try:
-        entries = sorted(os.listdir(directory))
-    except FileNotFoundError:
-        return {}
-    ordered = sorted(_SUFFIXES.items(), key=lambda kv: -len(kv[1]))
-    for entry in entries:
-        for kind, suffix in ordered:
-            if entry.endswith(suffix):
-                scenario = entry[: -len(suffix)]
-                found.setdefault(scenario, {})[kind] = os.path.join(directory, entry)
-                break
-    return dict(sorted(found.items()))
+#: The artifact kinds a scenario section reads: a scenario with none of
+#: them (a health channel, an insight summary) gets no section.
+_REPORTED = (
+    "trace", "metrics", "prom", "flight", "failure_flight", "snapshots", "slo",
+)
 
 
 def _builtin_spec(scenario: str) -> Optional[Dict[str, object]]:
@@ -174,7 +148,6 @@ def _metrics_section(
 
 def _dispatch_section(
     metrics_doc: Dict[str, object],
-    top_k: int,
     prom_path: Optional[str] = None,
     wallclock: bool = False,
 ) -> List[str]:
@@ -207,9 +180,9 @@ def _dispatch_section(
                     wall[name] = value
     lines = [
         f"engine dispatches: {total} total,"
-        f" top {min(top_k, len(by_category))} categories by count:"
+        f" top {min(TOP_K, len(by_category))} categories by count:"
     ]
-    for category, count in by_category[:top_k]:
+    for category, count in by_category[:TOP_K]:
         share = 100.0 * count / total if total else 0.0
         lines.append(f"  {category:40s} {count:10d}  {share:5.1f}%")
     if wall:
@@ -265,7 +238,6 @@ def _scenario_section(
     artifacts: Dict[str, str],
     increment: int,
     period_fs: int,
-    top_k: int,
     wallclock: bool,
 ) -> List[str]:
     lines = [f"## {scenario}", ""]
@@ -397,7 +369,6 @@ def _scenario_section(
         lines.append("")
         dispatch_lines = _dispatch_section(
             metrics_doc,
-            top_k,
             prom_path=artifacts.get("prom"),
             wallclock=wallclock,
         )
@@ -415,11 +386,14 @@ def generate_insight_report(
     directory: str,
     increment: int = 1,
     period_fs: int = PHY_10G.period_fs,
-    top_k: int = DEFAULT_TOP_K,
     wallclock: bool = False,
 ) -> str:
     """Render the campaign directory as a deterministic markdown report."""
-    scenarios = scan_campaign_dir(directory)
+    scenarios = {
+        name: artifacts
+        for name, artifacts in scan_rundir(directory).items()
+        if any(kind in artifacts for kind in _REPORTED)
+    }
     lines = ["# repro.insight run report", ""]
     if not scenarios:
         lines.append("no telemetry artifacts found")
@@ -430,9 +404,7 @@ def generate_insight_report(
     lines.append("")
     for scenario, artifacts in scenarios.items():
         lines.extend(
-            _scenario_section(
-                scenario, artifacts, increment, period_fs, top_k, wallclock
-            )
+            _scenario_section(scenario, artifacts, increment, period_fs, wallclock)
         )
     return "\n".join(lines).rstrip("\n") + "\n"
 

@@ -17,6 +17,11 @@ death at any instant is a byte prefix of the uninterrupted file, so only
 the final line can be torn, and the stream's readers skip a torn final
 line.  ``close()`` fsyncs: a snapshot stream is durable once its scenario
 has finished, a journal record before ``record()`` returns.
+
+A *run directory* holds one file per scenario and artifact kind,
+``<dir>/<scenario><suffix>``: :data:`ARTIFACT_KINDS` is the one place a
+suffix is spelled, :func:`artifact_path` names a file for its writer and
+:func:`scan_rundir` finds them all for the readers.
 """
 
 from __future__ import annotations
@@ -25,7 +30,50 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
-from typing import IO, Iterator, Sequence
+from typing import IO, Dict, Iterator, Sequence
+
+#: ``kind -> suffix`` of every per-scenario artifact in a run directory.
+ARTIFACT_KINDS = {
+    "trace": ".trace.jsonl",
+    "metrics": ".metrics.json",
+    "prom": ".prom",
+    "flight": ".flight.jsonl",
+    "failure_flight": ".failure.flight.jsonl",
+    "insight": ".insight.md",
+    "failure_insight": ".failure.insight.md",
+    "snapshots": ".snapshots.jsonl",
+    "slo": ".slo.json",
+    "health": ".health.jsonl",
+}
+
+#: Longest suffix first, so ``x.failure.flight.jsonl`` is ``x``'s failure
+#: flight and not the flight dump of a scenario named ``x.failure``.
+_LONGEST_FIRST = sorted(ARTIFACT_KINDS.items(), key=lambda kv: -len(kv[1]))
+
+
+def artifact_path(directory: str, scenario: str, kind: str) -> str:
+    """``<directory>/<scenario><suffix of kind>``."""
+    return os.path.join(directory, scenario + ARTIFACT_KINDS[kind])
+
+
+def scan_rundir(directory: str) -> Dict[str, Dict[str, str]]:
+    """``{scenario: {kind: path}}`` for every artifact in ``directory``.
+
+    Scenarios come sorted by name; a path that is no directory (yet)
+    holds nothing.
+    """
+    try:
+        entries = sorted(os.listdir(directory))
+    except (FileNotFoundError, NotADirectoryError):
+        return {}
+    found: Dict[str, Dict[str, str]] = {}
+    for entry in entries:
+        for kind, suffix in _LONGEST_FIRST:
+            if entry.endswith(suffix):
+                scenario = entry[: -len(suffix)]
+                found.setdefault(scenario, {})[kind] = os.path.join(directory, entry)
+                break
+    return dict(sorted(found.items()))
 
 
 def canonical_json(obj: object) -> str:

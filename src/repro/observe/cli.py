@@ -3,25 +3,31 @@
 All three commands work from a run directory alone: they read the
 ``*.snapshots.jsonl`` streams the observe taps write during a campaign
 (plus ``*.slo.json`` verdicts and ``*.health.jsonl`` channels when
-present) and never touch the running processes.  ``status`` renders one
-screen and exits; ``watch`` refreshes it until every stream has a final
-record; ``slo evaluate`` turns streams (or a post-hoc results JSON) into
-verdicts — the same verdicts either way, because the streams' final
-records embed exactly the fields the results carry.
+present, all found by :func:`repro.ioutil.scan_rundir`) and never touch
+the running processes.  ``status`` renders one screen and exits;
+``watch`` refreshes it until every stream has a final record; ``slo
+evaluate`` turns streams (or a post-hoc results JSON) into verdicts — the
+same verdicts either way, because the streams' final records embed
+exactly the fields the results carry.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import sys
 import time
 from typing import Dict, List, Optional
 
-from ..ioutil import atomic_write_text, canonical_json
-from .health import HEALTH_SUFFIX, read_health
+from ..ioutil import (
+    ARTIFACT_KINDS,
+    artifact_path,
+    atomic_write_text,
+    canonical_json,
+    scan_rundir,
+)
+from .health import read_health
 from .slo import (
     SLOError,
     evaluate_slo,
@@ -30,19 +36,24 @@ from .slo import (
     slo_source_from_result,
     slo_source_from_snapshots,
 )
-from .snapshots import SNAPSHOT_SUFFIX, read_snapshots
+from .snapshots import read_snapshots
 
-VERDICT_SUFFIX = ".slo.json"
 SCORECARD_NAME = "slo_scorecard.md"
 
+#: Seconds between two ``watch`` frames.
+WATCH_INTERVAL_S = 2.0
 
-def _scan(rundir: str, suffix: str) -> Dict[str, str]:
-    """``{scenario: path}`` for every ``<scenario><suffix>`` in ``rundir``."""
-    out: Dict[str, str] = {}
-    for path in sorted(glob.glob(os.path.join(rundir, f"*{suffix}"))):
-        name = os.path.basename(path)[: -len(suffix)]
-        out[name] = path
-    return out
+_NO_STREAMS = f"no snapshot streams (*{ARTIFACT_KINDS['snapshots']})"
+_RUNDIR_HELP = f"directory holding *{ARTIFACT_KINDS['snapshots']}"
+
+
+def _streams(rundir: str) -> Dict[str, str]:
+    """``{scenario: snapshot stream path}`` in ``rundir``."""
+    return {
+        name: artifacts["snapshots"]
+        for name, artifacts in scan_rundir(rundir).items()
+        if "snapshots" in artifacts
+    }
 
 
 def _progress_cell(stream: Dict[str, object]) -> str:
@@ -59,21 +70,23 @@ def _progress_cell(stream: Dict[str, object]) -> str:
 
 def render_status(rundir: str) -> List[str]:
     """The one-screen view: per-scenario progress, precision, SLO, health."""
-    streams = _scan(rundir, SNAPSHOT_SUFFIX)
-    verdicts = _scan(rundir, VERDICT_SUFFIX)
-    healths = _scan(rundir, HEALTH_SUFFIX)
+    scanned = scan_rundir(rundir)
+    streams = {n: a for n, a in scanned.items() if "snapshots" in a}
     lines = [f"run directory: {rundir}"]
     if not streams:
-        lines.append("no snapshot streams (*.snapshots.jsonl) found")
+        lines.append(f"{_NO_STREAMS} found")
     else:
         lines.append(
             f"{'scenario':<20} {'prog':>5} {'samples':>8} {'worst':>7} "
             f"{'in-bound':>9} {'viol':>5} {'slo':>6}"
         )
-        for name in sorted(streams):
-            stream = read_snapshots(streams[name])
+        for name, artifacts in streams.items():
+            stream = read_snapshots(artifacts["snapshots"])
             snapshots = stream.get("snapshots") or []
             last = snapshots[-1] if snapshots else {}
+            # A finished stream's final record holds the result's count,
+            # which may still grow after the last sampler instant.
+            violations = (stream.get("final") or last).get("violations_total")
             observed = int(last.get("observed_total") or 0)
             in_bound = int(last.get("in_bound_total") or 0)
             in_bound_cell = (
@@ -81,9 +94,9 @@ def render_status(rundir: str) -> List[str]:
             )
             worst = last.get("worst_units")
             slo_cell = "--"
-            if name in verdicts:
+            if "slo" in artifacts:
                 try:
-                    with open(verdicts[name], "r", encoding="utf-8") as fh:
+                    with open(artifacts["slo"], "r", encoding="utf-8") as fh:
                         verdict = json.load(fh)
                     slo_cell = "PASS" if verdict.get("pass") else "FAIL"
                 except (OSError, ValueError):
@@ -93,11 +106,13 @@ def render_status(rundir: str) -> List[str]:
                 f"{len(snapshots):>8d} "
                 f"{'--' if worst is None else worst:>7} "
                 f"{in_bound_cell:>9} "
-                f"{int(last.get('violations_total') or 0):>5d} "
+                f"{int(violations or 0):>5d} "
                 f"{slo_cell:>6}"
             )
-    for name in sorted(healths):
-        health = read_health(healths[name])
+    for name, artifacts in scanned.items():
+        if "health" not in artifacts:
+            continue
+        health = read_health(artifacts["health"])
         metrics = (health.get("metrics") or {}).get("metrics", {})
 
         def total(family: str) -> int:
@@ -117,31 +132,33 @@ def render_status(rundir: str) -> List[str]:
 
 
 def _all_final(rundir: str) -> bool:
-    streams = _scan(rundir, SNAPSHOT_SUFFIX)
-    if not streams:
-        return False
-    return all(
+    streams = _streams(rundir)
+    return bool(streams) and all(
         read_snapshots(path).get("final") is not None
         for path in streams.values()
     )
 
 
 def cmd_status(args: argparse.Namespace) -> int:
+    if not os.path.isdir(args.rundir):
+        print(f"status: no such directory: {args.rundir}", file=sys.stderr)
+        return 2
     for line in render_status(args.rundir):
         print(line)
     return 0
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
+    clear = sys.stdout.isatty()
     while True:
         lines = render_status(args.rundir)
-        if not args.no_clear:
+        if clear:
             sys.stdout.write("\x1b[2J\x1b[H")
         print("\n".join(lines))
         sys.stdout.flush()
-        if args.once or _all_final(args.rundir):
+        if _all_final(args.rundir):
             return 0
-        time.sleep(args.interval)
+        time.sleep(WATCH_INTERVAL_S)
 
 
 def evaluate_rundir(
@@ -149,7 +166,7 @@ def evaluate_rundir(
 ) -> Dict[str, Dict[str, object]]:
     """Verdicts for every snapshot stream in ``rundir`` with a final record."""
     verdicts: Dict[str, Dict[str, object]] = {}
-    for name, path in _scan(rundir, SNAPSHOT_SUFFIX).items():
+    for name, path in _streams(rundir).items():
         source = slo_source_from_snapshots(read_snapshots(path))
         verdicts[name] = evaluate_slo(slo, source)
     return verdicts
@@ -169,10 +186,9 @@ def write_verdicts(
     out_dir: str, verdicts: Dict[str, Dict[str, object]]
 ) -> None:
     """``<scenario>.slo.json`` per verdict plus the markdown scorecard."""
-    os.makedirs(out_dir, exist_ok=True)
     for name, verdict in verdicts.items():
         atomic_write_text(
-            os.path.join(out_dir, f"{name}{VERDICT_SUFFIX}"),
+            artifact_path(out_dir, name, "slo"),
             canonical_json(verdict) + "\n",
         )
     atomic_write_text(
@@ -212,10 +228,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
             return 2
         verdicts = evaluate_rundir(args.rundir, slo)
         if not verdicts:
-            print(
-                f"no snapshot streams (*{SNAPSHOT_SUFFIX}) in {args.rundir}",
-                file=sys.stderr,
-            )
+            print(f"{_NO_STREAMS} in {args.rundir}", file=sys.stderr)
             return 2
     for line in render_verdicts(verdicts):
         print(line)
@@ -234,25 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
     status = sub.add_parser(
         "status", help="render one screen of run state from a rundir"
     )
-    status.add_argument("rundir", help="directory holding *.snapshots.jsonl")
+    status.add_argument("rundir", help=_RUNDIR_HELP)
     status.set_defaults(func=cmd_status)
 
     watch = sub.add_parser(
-        "watch", help="refresh the status screen until the run finishes"
+        "watch",
+        help="refresh the status screen until the run finishes",
+        description=f"Render the status screen every {WATCH_INTERVAL_S:g} s "
+        "(clearing it first when stdout is a terminal) until every snapshot "
+        "stream has its final record.  A run directory that does not exist "
+        "yet is waited for, so watch may start before the run.",
     )
-    watch.add_argument("rundir", help="directory holding *.snapshots.jsonl")
-    watch.add_argument(
-        "--interval", type=float, default=2.0,
-        help="seconds between refreshes (default 2)",
-    )
-    watch.add_argument(
-        "--once", action="store_true",
-        help="render a single frame and exit (for scripts/tests)",
-    )
-    watch.add_argument(
-        "--no-clear", action="store_true",
-        help="append frames instead of clearing the screen",
-    )
+    watch.add_argument("rundir", help=_RUNDIR_HELP)
     watch.set_defaults(func=cmd_watch)
 
     slo = sub.add_parser("slo", help="precision-SLO engine")
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "rundir", nargs="?", default=None,
-        help="directory holding *.snapshots.jsonl (live or finished)",
+        help=f"{_RUNDIR_HELP} (live or finished)",
     )
     evaluate.add_argument(
         "--slo", default="default",
@@ -275,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate.add_argument(
         "--out", default=None,
-        help="write <scenario>.slo.json verdicts + slo_scorecard.md here",
+        help=f"write <scenario>{ARTIFACT_KINDS['slo']} verdicts + "
+        f"{SCORECARD_NAME} here",
     )
     evaluate.set_defaults(func=cmd_slo)
 

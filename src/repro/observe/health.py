@@ -39,8 +39,6 @@ from ..telemetry.trace import TraceRecorder
 #: Reverse map: state name -> code (``SUPERVISOR_STATE_CODES`` is code -> name).
 _STATE_IDS = {name: code for code, name in SUPERVISOR_STATE_CODES.items()}
 
-HEALTH_SUFFIX = ".health.jsonl"
-
 
 class HealthRecorder:
     """Collects shard/supervisor health events and ``observe_*`` metrics."""

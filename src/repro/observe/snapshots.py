@@ -31,17 +31,14 @@ for one that raised.
 from __future__ import annotations
 
 import json
-import os
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ioutil import JsonlAppender, canonical_json
+from ..ioutil import JsonlAppender, artifact_path, canonical_json
 from .histograms import OffsetHistogram
 
 #: Flush the stream every N snapshot records (plus once at finalize).
 DEFAULT_FLUSH_EVERY = 16
-
-SNAPSHOT_SUFFIX = ".snapshots.jsonl"
 
 #: The probe's snapshot record.  Byte-equal to ``canonical_json`` of it when
 #: every value is exactly an ``int`` (``worst_units`` may be ``None``) -- and
@@ -235,7 +232,7 @@ class ObserveProbe:
 
 
 def snapshot_path(snapshot_dir: str, scenario: str) -> str:
-    return os.path.join(snapshot_dir, f"{scenario}{SNAPSHOT_SUFFIX}")
+    return artifact_path(snapshot_dir, scenario, "snapshots")
 
 
 def make_tap(

@@ -19,9 +19,9 @@ from ..faultlab.campaign import (
     CampaignError,
     Prepared,
     RunOptions,
-    _artifact,
     prepare,
 )
+from ..ioutil import artifact_path
 from ..phy.specs import PHY_10G
 from ..sim.engine import Simulator
 from ..telemetry import Telemetry
@@ -108,7 +108,7 @@ def drive_sharded(
         channel.close()
         if health is not None:
             health.write(
-                _artifact(options.health_dir, prepared.name, "health.jsonl")
+                artifact_path(options.health_dir, prepared.name, "health")
             )
 
 

@@ -17,7 +17,6 @@ arguments attached.
 from __future__ import annotations
 
 import hashlib
-import json
 from itertools import chain
 from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -116,34 +115,6 @@ def trace_digest(tracer: TraceRecorder) -> str:
     return _stream_trace(tracer, None)
 
 
-def read_trace_jsonl(
-    path: str,
-) -> Tuple[Dict[str, object], List[TraceRecord]]:
-    """Load a JSONL trace (or flight) file: ``(header, records)``.
-
-    Accepts any artifact whose first line is a ``"record"``-tagged header
-    and whose record lines carry ``t``/``k``/``s``/``a``/``b`` int fields;
-    non-record object lines (metrics, context) are ignored here — use
-    :func:`repro.telemetry.flight.load_flight` for the full structure.
-    """
-    header: Dict[str, object] = {}
-    records: List[TraceRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            obj = json.loads(line)
-            if lineno == 0:
-                if "record" not in obj:
-                    raise ValueError(f"{path}: first line is not a header")
-                header = obj
-                continue
-            if "record" in obj:
-                continue
-            records.append(
-                (obj["t"], obj["k"], obj["s"], obj["a"], obj["b"])
-            )
-    return header, records
-
-
 # ----------------------------------------------------------------------
 # Chrome trace-event JSON
 # ----------------------------------------------------------------------
@@ -212,52 +183,3 @@ def write_metrics_json(path: str, telemetry) -> None:
     snapshot = telemetry.metrics_snapshot()
     document = {"digest": telemetry.metrics_digest(), "metrics": snapshot["metrics"]}
     atomic_write_text(path, canonical_json(document) + "\n")
-
-
-# ----------------------------------------------------------------------
-# Summaries
-# ----------------------------------------------------------------------
-def summarize_records(
-    header: Dict[str, object],
-    records: List[TraceRecord],
-    top_subjects: int = 10,
-) -> List[str]:
-    """Human-readable summary lines for a loaded trace."""
-    subjects = list(header.get("subjects", []))
-
-    def subject_name(sid: int) -> str:
-        return subjects[sid] if 0 <= sid < len(subjects) else f"subject-{sid}"
-
-    lines = [
-        f"records: {len(records)} buffered"
-        f" ({header.get('recorded', len(records))} recorded,"
-        f" {header.get('dropped', 0)} dropped)",
-        f"subjects: {len(subjects)}",
-    ]
-    if records:
-        lines.append(
-            f"span: {records[0][0]} fs .. {records[-1][0]} fs"
-            f" ({(records[-1][0] - records[0][0]) / 1e12:.3f} ms)"
-        )
-    by_kind: Dict[int, int] = {}
-    by_subject: Dict[int, int] = {}
-    for _t, kind, subject, _a, _b in records:
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        by_subject[subject] = by_subject.get(subject, 0) + 1
-    lines.append("by kind:")
-    for kind in sorted(by_kind, key=lambda k: (-by_kind[k], k)):
-        lines.append(f"  {kind_name(kind):20s} {by_kind[kind]:8d}")
-    lines.append(f"busiest subjects (top {top_subjects}):")
-    ranked = sorted(by_subject, key=lambda s: (-by_subject[s], s))
-    for sid in ranked[:top_subjects]:
-        lines.append(f"  {subject_name(sid):24s} {by_subject[sid]:8d}")
-    return lines
-
-
-def file_sha256(path: str) -> str:
-    """sha256 of a file's bytes (the artifact determinism contract)."""
-    h = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -127,6 +127,13 @@ def dump_flight(
     return dump
 
 
+def is_flight(path: str) -> bool:
+    """Whether ``path`` starts with a flight header (else: a trace)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        first = handle.readline()
+    return bool(first.strip()) and json.loads(first).get("record") == FLIGHT_HEADER
+
+
 def load_flight(path: str) -> FlightDump:
     """Parse a flight artifact back into a :class:`FlightDump`.
 

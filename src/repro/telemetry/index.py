@@ -17,7 +17,7 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .events import kind_name
-from .flight import FLIGHT_HEADER, FlightDump, load_flight
+from .flight import FlightDump, is_flight, load_flight
 from .trace import TraceRecord, TraceRecorder
 
 
@@ -79,15 +79,23 @@ class TraceIndex:
 
     @classmethod
     def load(cls, path: str) -> "TraceIndex":
-        """Load a trace JSONL *or* flight artifact, sniffing the header."""
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-        tag = json.loads(first).get("record") if first.strip() else None
-        if tag == FLIGHT_HEADER:
-            return cls.from_flight(load_flight(path))
-        from .export import read_trace_jsonl
+        """Load a trace JSONL *or* flight artifact, sniffing the header.
 
-        header, records = read_trace_jsonl(path)
+        A trace starts with a ``"record"``-tagged header; every line after
+        it without a ``"record"`` tag is a ``t``/``k``/``s``/``a``/``b``
+        record, and tagged lines are skipped.
+        """
+        if is_flight(path):
+            return cls.from_flight(load_flight(path))
+        records: List[TraceRecord] = []
+        with open(path, "r", encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
+            if "record" not in header:
+                raise ValueError(f"{path}: first line is not a header")
+            for line in handle:
+                obj = json.loads(line)
+                if "record" not in obj:
+                    records.append((obj["t"], obj["k"], obj["s"], obj["a"], obj["b"]))
         return cls(records, list(header.get("subjects", [])), header=header)
 
     # ------------------------------------------------------------------
@@ -246,7 +254,9 @@ class TraceIndex:
         return int(self.header.get("dropped", 0))
 
     def describe(self) -> List[str]:
-        """Short accounting lines (used by the insight report header)."""
+        """The trace's census: record accounting, subjects, span and the
+        record count of every event kind (``repro insight timeline`` and
+        the run report print it first)."""
         first, last = self.span_fs
         lines = [
             f"records: {len(self.records)} indexed"

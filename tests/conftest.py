@@ -1,4 +1,6 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and helpers for the test suite."""
+
+import hashlib
 
 import pytest
 from hypothesis import settings
@@ -9,6 +11,15 @@ from repro.sim.randomness import RandomStreams
 #: CI's second passes (--hypothesis-profile=ci) over tests/test_checker_reference.py
 #: and the two backend-equivalence sweeps in tests/test_fastpath_equivalence.py.
 settings.register_profile("ci", max_examples=300, deadline=None)
+
+
+def file_sha256(path: str) -> str:
+    """sha256 of a file's bytes (the artifact determinism contract)."""
+    h = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 @pytest.fixture

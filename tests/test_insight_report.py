@@ -2,8 +2,11 @@
 
 from repro.cli import main as repro_main
 from repro.faultlab import builtin_specs, run_campaign
-from repro.insight import generate_insight_report, scan_campaign_dir
+from repro.insight import generate_insight_report
 from repro.insight.report import _metrics_section
+from repro.ioutil import ARTIFACT_KINDS, artifact_path, scan_rundir
+from repro.telemetry import TraceIndex
+from repro.telemetry.events import EV_JUMP
 
 SCENARIOS = ["baseline", "two-faced"]
 
@@ -20,19 +23,47 @@ def _run_campaign(directory, jobs=1, profile=False):
     )
 
 
-def test_scan_campaign_dir(tmp_path):
+def test_scan_rundir(tmp_path):
     _run_campaign(tmp_path)
-    scanned = scan_campaign_dir(str(tmp_path))
+    scanned = scan_rundir(str(tmp_path))
     assert sorted(scanned) == SCENARIOS
     assert set(scanned["baseline"]) == {"trace", "metrics", "prom"}
-    assert set(scanned["two-faced"]) == {"trace", "metrics", "prom", "flight"}
-    assert scan_campaign_dir(str(tmp_path / "missing")) == {}
+    assert set(scanned["two-faced"]) == {"trace", "metrics", "prom", "flight", "insight"}
+    assert scan_rundir(str(tmp_path / "missing")) == {}
+    # Every kind its writer names comes back under its scenario, dotted and
+    # glob-special names included.
+    every = tmp_path / "every"
+    every.mkdir()
+    expected = {}
+    for scenario in ("a", "b.prom", "c[1]"):
+        for kind in ARTIFACT_KINDS:
+            path = artifact_path(str(every), scenario, kind)
+            (every / path).write_text("{}\n")
+            expected.setdefault(scenario, {})[kind] = path
+    (every / "slo_scorecard.md").write_text("not an artifact\n")
+    assert scan_rundir(str(every)) == expected
 
 
 def test_failure_flight_suffix_not_misfiled(tmp_path):
     (tmp_path / "x.failure.flight.jsonl").write_text("{}\n")
-    scanned = scan_campaign_dir(str(tmp_path))
+    scanned = scan_rundir(str(tmp_path))
     assert scanned == {"x": {"failure_flight": str(tmp_path / "x.failure.flight.jsonl")}}
+
+
+def test_health_or_insight_alone_make_no_section(tmp_path):
+    _run_campaign(tmp_path)
+    report = generate_insight_report(str(tmp_path))
+    (tmp_path / "campaign.health.jsonl").write_text("{}\n")
+    (tmp_path / "lonely.insight.md").write_text("# insight\n")
+    assert generate_insight_report(str(tmp_path)) == report
+
+
+def test_report_on_a_missing_directory_exits_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert repro_main(["insight", "report", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"insight report: no such directory: {missing}\n"
 
 
 def test_report_sections(tmp_path, capsys):
@@ -57,7 +88,23 @@ def test_report_sections(tmp_path, capsys):
     assert "causal beacon chain" in capsys.readouterr().out
     trace = str(tmp_path / "baseline.trace.jsonl")
     assert repro_main(["insight", "timeline", trace]) == 0
-    assert capsys.readouterr().out
+    census = TraceIndex.load(trace).describe()
+    assert capsys.readouterr().out.splitlines()[: len(census)] == census
+
+
+def test_explain_index_out_of_range_exits_2(tmp_path, capsys):
+    _run_campaign(tmp_path)
+    trace = str(tmp_path / "baseline.trace.jsonl")
+    jumps = len(TraceIndex.load(trace).of_kind(EV_JUMP))
+    assert repro_main(["insight", "explain", trace, "--index", str(jumps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"insight explain: --index {jumps} is out of range:"
+        f" the trace holds {jumps} jumps\n"
+    )
+    assert repro_main(["insight", "explain", trace, "--index", str(-jumps)]) == 0
+    assert capsys.readouterr().out.startswith("causal beacon chain")
 
 
 def test_report_byte_identical_serial_vs_jobs(tmp_path):

@@ -15,6 +15,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,12 +41,17 @@ from repro.observe import (
 )
 from repro.observe import snapshots
 from repro.observe.snapshots import ObserveProbe, encode_snapshot
+from repro.observe import cli as observe_cli
 from repro.observe.cli import (
     evaluate_results,
     evaluate_rundir,
     main as observe_main,
     write_verdicts,
 )
+
+
+#: The ``src`` directory of the ``repro`` under test, for subprocesses.
+REPRO_SRC = str(Path(observe_cli.__file__).resolve().parents[2])
 
 
 def canon(result) -> str:
@@ -293,9 +301,68 @@ class TestObserveCLI:
         assert "baseline" in out and "two-faced" in out
         assert "done" in out
 
-    def test_watch_once(self, rundir, capsys):
-        assert observe_main(["watch", str(rundir), "--once", "--no-clear"]) == 0
+    def test_watch_once(self, rundir, capsys, monkeypatch):
+        def no_second_frame(seconds):
+            raise AssertionError("watch slept over a finished run")
+
+        monkeypatch.setattr(observe_cli.time, "sleep", no_second_frame)
+        assert observe_main(["watch", str(rundir)]) == 0
+        out = capsys.readouterr().out
+        # One frame, not cleared: stdout is not a terminal here.
+        assert out.count("run directory:") == 1
+        assert "\x1b" not in out
+        assert "baseline" in out
+
+    def test_status_reads_violations_from_the_final_record(self, rundir, capsys):
+        stream = read_snapshots(str(rundir / "two-faced.snapshots.jsonl"))
+        final = stream["final"]["violations_total"]
+        # The result counts violations after the last sampler instant.
+        assert stream["snapshots"][-1]["violations_total"] < final
+        assert observe_main(["status", str(rundir)]) == 0
+        (row,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("two-faced ")
+        ]
+        assert row.split()[5] == str(final)
+
+    def test_status_on_a_missing_directory_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert observe_main(["status", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"status: no such directory: {missing}\n"
+
+    def test_glob_special_rundir_name(self, tmp_path, capsys):
+        rundir = str(tmp_path / "run[1]")
+        run_campaign(
+            builtin_specs(["baseline"], quick=True),
+            base_seed=0,
+            jobs=1,
+            snapshot_dir=rundir,
+            observe=True,
+        )
+        assert observe_main(["status", rundir]) == 0
         assert "baseline" in capsys.readouterr().out
+        assert observe_main(["slo", "evaluate", rundir]) == 0
+        assert "baseline             PASS" in capsys.readouterr().out
+        assert observe_main(["watch", rundir]) == 0
+        assert "done" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["status"], ["slo", "evaluate"], ["watch"]], ids=" ".join
+    )
+    def test_closed_pipe_exits_141_quietly(self, rundir, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", *argv, str(rundir)],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=REPRO_SRC), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     def test_slo_evaluate_exit_codes_and_artifacts(self, rundir, tmp_path, capsys):
         out_dir = tmp_path / "verdicts"

@@ -27,7 +27,7 @@ from repro.observe.health import read_health
 from repro.resilience import CheckpointJournal, Supervision, SupervisorPolicy
 from repro.sim import units
 from repro.telemetry import load_flight
-from repro.telemetry.export import file_sha256
+from tests.conftest import file_sha256
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 

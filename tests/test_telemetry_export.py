@@ -1,4 +1,4 @@
-"""Exporters, flight recorder, trace CLI, and cross-process determinism."""
+"""Exporters, flight recorder, ``insight export``, and cross-process determinism."""
 
 import json
 
@@ -14,17 +14,16 @@ from repro.network.topology import star
 from repro.sim import units
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.telemetry import Telemetry, load_flight
+from repro.telemetry import Telemetry, TraceIndex, load_flight
+from repro.telemetry.events import EV_TX
 from repro.telemetry.export import (
     chrome_trace_events,
-    file_sha256,
-    read_trace_jsonl,
-    summarize_records,
     trace_digest,
     write_chrome_trace,
     write_metrics_json,
     write_trace_jsonl,
 )
+from tests.conftest import file_sha256
 
 
 def run_fig6a_traced_digests(duration_fs=1 * units.MS, seed=1):
@@ -68,12 +67,12 @@ class TestJsonl:
     def test_roundtrip(self, traced_run, tmp_path):
         path = tmp_path / "run.trace.jsonl"
         write_trace_jsonl(str(path), traced_run.tracer)
-        header, records = read_trace_jsonl(str(path))
-        assert header["record"] == "trace-header"
-        assert header["version"] == 1
-        assert header["subjects"] == traced_run.tracer.subjects
-        assert header["recorded"] == traced_run.tracer.recorded
-        assert records == list(traced_run.tracer.records)
+        index = TraceIndex.load(str(path))
+        assert index.header["record"] == "trace-header"
+        assert index.header["version"] == 1
+        assert index.subjects == traced_run.tracer.subjects
+        assert index.recorded == traced_run.tracer.recorded
+        assert index.records == list(traced_run.tracer.records)
 
     def test_digest_matches_file_bytes(self, traced_run, tmp_path):
         path = tmp_path / "run.trace.jsonl"
@@ -84,9 +83,13 @@ class TestJsonl:
     def test_summarize(self, traced_run, tmp_path):
         path = tmp_path / "run.trace.jsonl"
         write_trace_jsonl(str(path), traced_run.tracer)
-        lines = summarize_records(*read_trace_jsonl(str(path)))
-        assert any(line.startswith("records:") for line in lines)
-        assert any("tx" in line for line in lines)
+        lines = TraceIndex.load(str(path)).describe()
+        records = traced_run.tracer.records
+        assert lines[0] == (
+            f"records: {len(records)} indexed ({len(records)} recorded, 0 dropped)"
+        )
+        sent = sum(1 for record in records if record[1] == EV_TX)
+        assert ["tx", str(sent)] in [line.split() for line in lines]
 
 
 class TestChromeTrace:
@@ -173,54 +176,25 @@ class TestFlight:
         )
 
 
-class TestTraceCli:
-    def test_record_twice_is_byte_identical(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        for out in (out_a, out_b):
-            code = main(
-                ["trace", "record", "two-faced", "--quick", "-o", str(out),
-                 "--chrome"]
-            )
-            assert code == 0
-        capsys.readouterr()
-        for artifact in (
-            "two-faced.trace.jsonl",
-            "two-faced.metrics.json",
-            "two-faced.prom",
-            "two-faced.chrome.json",
-        ):
-            assert file_sha256(str(out_a / artifact)) == file_sha256(
-                str(out_b / artifact)
-            )
-
-    def test_summarize_and_export(self, tmp_path, capsys):
+class TestInsightExport:
+    def test_export_equals_write_chrome_trace(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "out"
-        assert main(["trace", "record", "two-faced", "--quick", "-o", str(out)]) == 0
-        capsys.readouterr()
-
+        assert main(
+            ["faultlab", "--quick", "two-faced", "--trace", str(out)]
+        ) == 0
         trace_file = str(out / "two-faced.trace.jsonl")
-        assert main(["trace", "summarize", trace_file]) == 0
-        summary = capsys.readouterr().out
-        assert "records:" in summary
-        assert "by kind:" in summary
-
-        chrome_out = str(tmp_path / "exported.chrome.json")
-        assert main(["trace", "export", trace_file, "-o", chrome_out]) == 0
+        exported = str(tmp_path / "exported.chrome.json")
         capsys.readouterr()
-        with open(chrome_out, "r", encoding="utf-8") as handle:
-            assert "traceEvents" in json.load(handle)
-
-    def test_record_rejects_unknown_scenario(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["trace", "record", "no-such", "-o", str(tmp_path)])
-        assert code == 2
-        assert "unknown scenario" in capsys.readouterr().err
+        assert main(["insight", "export", trace_file, "-o", exported]) == 0
+        index = TraceIndex.load(trace_file)
+        assert capsys.readouterr().out == (
+            f"wrote {exported} ({len(index)} events; open in Perfetto)\n"
+        )
+        direct = str(tmp_path / "direct.chrome.json")
+        write_chrome_trace(direct, index.records, index.subjects)
+        assert file_sha256(exported) == file_sha256(direct)
 
 
 class TestFaultlabCliArtifacts:

@@ -21,10 +21,10 @@ from repro.telemetry import Telemetry, TraceRecorder, export, flight, trace
 from repro.telemetry.export import (
     encode_block,
     encode_records,
-    file_sha256,
     trace_digest,
     write_trace_jsonl,
 )
+from tests.conftest import file_sha256
 
 
 def reference_lines(records) -> bytes:
