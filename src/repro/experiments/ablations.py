@@ -27,16 +27,13 @@ from ..network.topology import Topology, chain
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult
-from .parallel import ExperimentTask, run_tasks
+from .harness import ExperimentResult, steps, worst_offset
 
 
 def _two_node_net(
     sim: Simulator,
     seed: int,
     config: Optional[DtpPortConfig] = None,
-    fast_ppm: float = 100.0,
-    slow_ppm: float = -100.0,
     cable: Optional[Cable] = None,
 ) -> DtpNetwork:
     topology = Topology(name="pair")
@@ -48,7 +45,7 @@ def _two_node_net(
         topology,
         RandomStreams(seed),
         config=config,
-        skews={"fast": ConstantSkew(fast_ppm), "slow": ConstantSkew(slow_ppm)},
+        skews={"fast": ConstantSkew(100.0), "slow": ConstantSkew(-100.0)},
     )
 
 
@@ -66,22 +63,15 @@ def run_alpha_sweep(
         net = _two_node_net(sim, seed, config=DtpPortConfig(alpha=alpha))
         net.start()
         sim.run_until(duration_fs // 4)
-        start_fs = sim.now
         fast_device = net.devices["fast"]
-        gc_start = fast_device.global_counter(start_fs)
-        ticks_start = fast_device.oscillator.ticks_at(start_fs)
-        worst = 0
-        t = start_fs
-        while t < duration_fs:
-            t += 20 * units.US
-            sim.run_until(t)
-            worst = max(worst, net.max_abs_offset())
-        gc_gain = fast_device.global_counter(t) - gc_start
-        tick_gain = fast_device.oscillator.ticks_at(t) - ticks_start
+        gc_start = fast_device.global_counter(sim.now)
+        ticks_start = fast_device.oscillator.ticks_at(sim.now)
+        offsets[alpha] = worst_offset(net, duration_fs)
+        gc_gain = fast_device.global_counter(sim.now) - gc_start
+        tick_gain = fast_device.oscillator.ticks_at(sim.now) - ticks_start
         # Positive excess: the network counter ran faster than the fastest
         # oscillator — the failure mode alpha = 3 exists to prevent.
         excess[alpha] = gc_gain - tick_gain
-        offsets[alpha] = worst
     result.summary["counter_excess_ticks"] = excess
     result.summary["worst_offset_ticks"] = offsets
     result.summary["alpha3_no_excess"] = excess.get(3, 1) <= 0
@@ -104,13 +94,7 @@ def run_beacon_interval_sweep(
         )
         net.start()
         sim.run_until(duration_fs // 4)
-        worst = 0
-        t = sim.now
-        while t < duration_fs:
-            t += 20 * units.US
-            sim.run_until(t)
-            worst = max(worst, net.max_abs_offset())
-        worst_by_interval[interval] = worst
+        worst_by_interval[interval] = worst_offset(net, duration_fs)
     result.summary["worst_offset_ticks"] = worst_by_interval
     result.summary["within_4_up_to_4000"] = all(
         worst <= 4 for interval, worst in worst_by_interval.items() if interval <= 4000
@@ -143,10 +127,7 @@ def run_cdc_ablation(
         net.attach_logger("fast", "slow")
         sim.run_until(duration_fs // 4)
         worst_true = 0
-        t = sim.now
-        while t < duration_fs:
-            t += 20 * units.US
-            sim.run_until(t)
+        for _t in steps(sim, 20 * units.US, duration_fs):
             net.send_log("fast", "slow")
             worst_true = max(worst_true, net.max_abs_offset())
         samples = [s.offset_ticks for s in net.logged_for("fast", "slow")]
@@ -199,18 +180,11 @@ def run_bit_error_ablation(
         )
         net.start()
         sim.run_until(duration_fs // 4)
-        worst = 0
-        t = sim.now
-        while t < duration_fs:
-            t += 20 * units.US
-            sim.run_until(t)
-            worst = max(worst, net.max_abs_offset())
-        rejected = sum(
+        key = "filtered" if filtered else "unfiltered"
+        result.summary[f"worst_offset_ticks_{key}"] = worst_offset(net, duration_fs)
+        result.summary[f"rejected_{key}"] = sum(
             port.stats.rejected_out_of_range for port in net.ports.values()
         )
-        key = "filtered" if filtered else "unfiltered"
-        result.summary[f"worst_offset_ticks_{key}"] = worst
-        result.summary[f"rejected_{key}"] = rejected
     result.summary["filter_keeps_bound"] = (
         result.summary["worst_offset_ticks_filtered"] <= 8
     )
@@ -240,13 +214,7 @@ def run_asymmetry_ablation(
         net = _two_node_net(sim, seed, cable=cable)
         net.start()
         sim.run_until(duration_fs // 4)
-        worst = 0
-        t = sim.now
-        while t < duration_fs:
-            t += 20 * units.US
-            sim.run_until(t)
-            worst = max(worst, net.max_abs_offset())
-        result.summary[f"worst_offset_ticks_{label}"] = worst
+        result.summary[f"worst_offset_ticks_{label}"] = worst_offset(net, duration_fs)
     result.summary["asymmetry_costs_precision"] = (
         result.summary["worst_offset_ticks_asymmetric"]
         >= result.summary["worst_offset_ticks_symmetric"]
@@ -254,24 +222,12 @@ def run_asymmetry_ablation(
     return result
 
 
-def run_all_ablations(
-    seed: int = 15, jobs: Optional[int] = 1
-) -> List[ExperimentResult]:
-    """Run every ablation; ``jobs`` fans the independent arms across
-    worker processes (``None`` = one per CPU) with identical results."""
-    return run_tasks(
-        [
-            ExperimentTask("alpha", run_alpha_sweep, kwargs={"seed": seed}),
-            ExperimentTask(
-                "beacon-interval", run_beacon_interval_sweep, kwargs={"seed": seed + 1}
-            ),
-            ExperimentTask("cdc", run_cdc_ablation, kwargs={"seed": seed + 2}),
-            ExperimentTask(
-                "bit-errors", run_bit_error_ablation, kwargs={"seed": seed + 3}
-            ),
-            ExperimentTask(
-                "asymmetry", run_asymmetry_ablation, kwargs={"seed": seed + 4}
-            ),
-        ],
-        jobs=jobs,
-    )
+def run_all_ablations(seed: int = 15) -> List[ExperimentResult]:
+    """Run every ablation, each arm one seed after the last."""
+    return [
+        run_alpha_sweep(seed=seed),
+        run_beacon_interval_sweep(seed=seed + 1),
+        run_cdc_ablation(seed=seed + 2),
+        run_bit_error_ablation(seed=seed + 3),
+        run_asymmetry_ablation(seed=seed + 4),
+    ]

@@ -14,7 +14,6 @@ under one microsecond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..dtp.network import DtpNetwork
@@ -24,26 +23,25 @@ from ..ptp.network import PtpConfig, PtpDeployment
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult, TimeSeries
+from .harness import ExperimentResult, TimeSeries, steps
+
+#: The paper's default 200-tick BEACON interval, the unit of its claim
+#: ("within two BEACON intervals").
+BEACON_INTERVAL_TICKS = 200
+#: How far behind the joiner starts: a late power-on, far outside the
+#: 4-tick band.
+COUNTER_GAP_TICKS = 1_000_000
 
 
-@dataclass
-class ConvergenceConfig:
-    beacon_interval_ticks: int = 200
-    counter_gap_ticks: int = 1_000_000  # how far behind the joiner starts
-    seed: int = 6
-
-
-def run_dtp_convergence(config: ConvergenceConfig = None) -> ExperimentResult:
+def run_dtp_convergence(seed: int = 6) -> ExperimentResult:
     """Time for a late joiner to enter the 4-tick band."""
-    config = config or ConvergenceConfig()
     sim = Simulator()
-    streams = RandomStreams(config.seed)
+    streams = RandomStreams(seed)
     net = DtpNetwork(
         sim,
         chain(3),
         streams,
-        config=DtpPortConfig(beacon_interval_ticks=config.beacon_interval_ticks),
+        config=DtpPortConfig(beacon_interval_ticks=BEACON_INTERVAL_TICKS),
     )
     # Synchronize n0-n1 first.
     net.ports[("n0", "n1")].link_up()
@@ -52,32 +50,28 @@ def run_dtp_convergence(config: ConvergenceConfig = None) -> ExperimentResult:
 
     # n2 powers on late, with its counter far behind the network's.
     joiner = net.devices["n2"]
-    joiner.gc.set_counter(sim.now, joiner.global_counter(sim.now) - config.counter_gap_ticks)
+    joiner.gc.set_counter(sim.now, joiner.global_counter(sim.now) - COUNTER_GAP_TICKS)
     link_up_fs = sim.now
     net.ports[("n1", "n2")].link_up()
     net.ports[("n2", "n1")].link_up()
 
     series = TimeSeries(label="joiner_offset_ticks")
     converged_at: Optional[int] = None
-    t = sim.now
-    deadline = sim.now + 2 * units.MS
-    while t < deadline:
-        t += 2 * units.US
-        sim.run_until(t)
+    for t in steps(sim, 2 * units.US, sim.now + 2 * units.MS):
         offset = abs(net.pair_offset("n1", "n2", t))
         series.append(t, offset)
         if converged_at is None and offset <= 4:
             converged_at = t
         elif converged_at is not None and offset > 4:
             converged_at = None  # left the band; keep waiting
-    beacon_fs = config.beacon_interval_ticks * units.TICK_10G_FS
+    beacon_fs = BEACON_INTERVAL_TICKS * units.TICK_10G_FS
     elapsed = (converged_at - link_up_fs) if converged_at is not None else None
     return ExperimentResult(
         name="convergence-dtp",
         params={
-            "beacon_interval_ticks": config.beacon_interval_ticks,
-            "counter_gap_ticks": config.counter_gap_ticks,
-            "seed": config.seed,
+            "beacon_interval_ticks": BEACON_INTERVAL_TICKS,
+            "counter_gap_ticks": COUNTER_GAP_TICKS,
+            "seed": seed,
         },
         series=[series],
         summary={
@@ -110,10 +104,7 @@ def run_ptp_convergence(
 
     series = TimeSeries(label="worst_slave_offset_us")
     last_violation_fs = 0
-    t = 0
-    while t < duration_fs:
-        t += units.SEC
-        sim.run_until(t)
+    for t in steps(sim, units.SEC, duration_fs):
         worst = max(abs(deployment.true_offset_fs(n, t)) for n in deployment.slaves)
         series.append(t, worst / units.US)
         if worst > threshold_fs:

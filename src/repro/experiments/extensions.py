@@ -23,7 +23,7 @@ from ..ptp.slave import PtpSlave
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult
+from .harness import ExperimentResult, peak_after, steps, worst_offset
 
 
 def run_boundary_cascade(
@@ -81,18 +81,12 @@ def run_boundary_cascade(
         for bc in boundary_clocks:
             bc.start()
 
-        worst = 0.0
         warmup = duration_fs // 2
-        t = 0
-        while t < duration_fs:
-            t += units.SEC
-            sim.run_until(t)
-            if t > warmup:
-                worst = max(
-                    worst,
-                    abs(clocks["leaf"].time_at(t) - clocks["gm"].time_at(t)),
-                )
-        worst_by_depth[depth] = worst / units.NS
+        offsets = (
+            abs(clocks["leaf"].time_at(t) - clocks["gm"].time_at(t))
+            for t in steps(sim, units.SEC, duration_fs) if t > warmup
+        )
+        worst_by_depth[depth] = peak_after(offsets, warmup, duration_fs) / units.NS
     result.summary["worst_leaf_offset_ns_by_depth"] = {
         d: round(v, 1) for d, v in worst_by_depth.items()
     }
@@ -133,14 +127,8 @@ def run_synce_ablation(
         )
         net.start()
         sim.run_until(duration_fs // 4)
-        worst = 0
-        t = sim.now
-        while t < duration_fs:
-            t += 20 * units.US
-            sim.run_until(t)
-            worst = max(worst, net.max_abs_offset())
         key = "synce" if syntonized else "plain"
-        result.summary[f"worst_offset_ticks_{key}"] = worst
+        result.summary[f"worst_offset_ticks_{key}"] = worst_offset(net, duration_fs)
     result.summary["synce_no_worse"] = (
         result.summary["worst_offset_ticks_synce"]
         <= result.summary["worst_offset_ticks_plain"]
@@ -176,13 +164,10 @@ def run_spanning_tree_comparison(
         sim.run_until(duration_fs)
         excess = net.counter_of("n0") - nominal_ticks
         result.summary[f"master_counter_excess_{mode}"] = excess
-        worst = 0
-        t = sim.now
-        for _ in range(100):
-            t += 20 * units.US
-            sim.run_until(t)
-            worst = max(worst, net.max_abs_offset())
-        result.summary[f"worst_offset_ticks_{mode}"] = worst
+        # 100 samples, 20 us apart, past the end of the counted run.
+        result.summary[f"worst_offset_ticks_{mode}"] = worst_offset(
+            net, sim.now + 2 * units.MS
+        )
     result.summary["plain_follows_runaway"] = (
         result.summary["master_counter_excess_plain"] > 100
     )

@@ -9,29 +9,30 @@ DESIGN.md.  The heavy run spares one host's links (the paper spared S11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+import itertools
+from dataclasses import dataclass
 
 from ..ptp.network import PtpConfig, PtpDeployment
 from ..network.topology import star
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult, PeriodicSampler
+from .harness import ExperimentResult, TimeSeries, steps
 
 #: Host names mirroring the paper's servers: h0 is the timeserver, the
 #: rest are clients S4..S11 (we name them h1..h8 and map in labels).
 NUM_CLIENTS = 8
+#: Offsets are read once per Sync interval (one second), from two minutes
+#: in, once the servos have settled.
+WARMUP_FS = 120 * units.SEC
+SAMPLE_INTERVAL_FS = units.SEC
 
 
 @dataclass
 class Fig6PtpConfig:
     load: str = "idle"  # 'idle' (6d), 'medium' (6e), 'heavy' (6f)
     duration_fs: int = 600 * units.SEC
-    warmup_fs: int = 120 * units.SEC
-    sample_interval_fs: int = units.SEC
     seed: int = 2
-    exclude_hosts: List[str] = field(default_factory=list)
 
 
 def run_fig6_ptp(config: Fig6PtpConfig) -> ExperimentResult:
@@ -40,22 +41,16 @@ def run_fig6_ptp(config: Fig6PtpConfig) -> ExperimentResult:
     streams = RandomStreams(config.seed)
     topology = star(NUM_CLIENTS + 1)
     deployment = PtpDeployment(sim, topology, streams, master="h0", config=PtpConfig())
-    exclude = list(config.exclude_hosts)
-    if config.load == "heavy" and not exclude:
-        exclude = ["h8"]  # the paper spared S11's links
+    exclude = ["h8"] if config.load == "heavy" else []  # the paper spared S11's links
     deployment.apply_load(config.load, exclude_hosts=exclude)
     deployment.start()
 
-    def probe(now: int) -> dict:
-        return {
-            name: deployment.true_offset_fs(name, now)
-            for name in deployment.slaves
-        }
-
-    sampler = PeriodicSampler(
-        sim, config.sample_interval_fs, probe, start_fs=config.warmup_fs
-    )
-    sim.run_until(config.duration_fs)
+    series = {name: TimeSeries(label=name) for name in sorted(deployment.slaves)}
+    sim.run_until(WARMUP_FS)
+    grid = steps(sim, SAMPLE_INTERVAL_FS, config.duration_fs)
+    for t in itertools.chain([WARMUP_FS], grid):
+        for name, offsets in series.items():
+            offsets.append(t, deployment.true_offset_fs(name, t))
 
     result = ExperimentResult(
         name=f"fig6-ptp-{config.load}",
@@ -66,18 +61,13 @@ def run_fig6_ptp(config: Fig6PtpConfig) -> ExperimentResult:
             "seed": config.seed,
             "excluded": ",".join(exclude) or "-",
         },
-        series=sampler.all_series(),
+        series=list(series.values()),
     )
-    values = [
-        abs(v)
-        for series in result.series
-        if series.label not in exclude
-        for v in series.values
-    ]
-    if values:
-        ordered = sorted(values)
-        result.summary["worst_offset_us"] = ordered[-1] / units.US
-        result.summary["p50_offset_us"] = ordered[len(ordered) // 2] / units.US
-        result.summary["p99_offset_us"] = ordered[int(len(ordered) * 0.99)] / units.US
+    ordered = sorted(
+        abs(v) for s in result.series if s.label not in exclude for v in s.values
+    )
+    result.summary["worst_offset_us"] = ordered[-1] / units.US
+    result.summary["p50_offset_us"] = ordered[len(ordered) // 2] / units.US
+    result.summary["p99_offset_us"] = ordered[int(len(ordered) * 0.99)] / units.US
     result.summary["bounded"] = False  # PTP offers no bound — the point of Table 1
     return result

@@ -10,6 +10,7 @@ usually within 4 ticks (~25.6 ns).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -22,24 +23,28 @@ from ..network.topology import chain
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult, TimeSeries
+from .harness import ExperimentResult, TimeSeries, steps
+
+#: The daemon starts once DTP has settled.
+WARMUP_FS = 5 * units.MS
+#: Daemon PCIe read cadence; each read provides a fresh anchor.  offset_sw
+#: is sampled on the same cadence (the paper's logger ran at 2 Hz for days;
+#: we sample once per daemon read so anchors are independent).
+DAEMON_INTERVAL_FS = units.MS
+#: Figure 7b's moving-average window.
+SMOOTHING_WINDOW = 10
+#: The host TSC's skew; the daemon estimates the TSC-to-NIC rate from its
+#: reads, so any constant skew serves.
+TSC_SKEW_PPM = -7.0
+#: Longer beacon interval only to reduce event count; beacon cadence
+#: does not influence daemon precision (the daemon reads one NIC).
+BEACON_INTERVAL_TICKS = 1200
 
 
 @dataclass
 class Fig7Config:
     duration_fs: int = 400 * units.MS
-    warmup_fs: int = 5 * units.MS
-    #: Daemon PCIe read cadence; each read provides a fresh anchor.
-    daemon_interval_fs: int = units.MS
-    #: offset_sw sampling cadence (the paper's logger ran at 2 Hz for
-    #: days; we sample once per daemon read so anchors are independent).
-    sample_interval_fs: int = 1 * units.MS
-    smoothing_window: int = 10
-    tsc_skew_ppm: float = -7.0
     seed: int = 3
-    #: Longer beacon interval only to reduce event count; beacon cadence
-    #: does not influence daemon precision (the daemon reads one NIC).
-    beacon_interval_ticks: int = 1200
 
 
 def run_fig7(config: Fig7Config = None) -> Tuple[ExperimentResult, ExperimentResult]:
@@ -51,40 +56,33 @@ def run_fig7(config: Fig7Config = None) -> Tuple[ExperimentResult, ExperimentRes
         sim,
         chain(2),
         streams,
-        config=DtpPortConfig(beacon_interval_ticks=config.beacon_interval_ticks),
+        config=DtpPortConfig(beacon_interval_ticks=BEACON_INTERVAL_TICKS),
     )
     net.start()
-    sim.run_until(config.warmup_fs)
+    sim.run_until(WARMUP_FS)
 
     device = net.devices["n0"]
-    tsc = TscCounter(skew=ConstantSkew(config.tsc_skew_ppm))
+    tsc = TscCounter(skew=ConstantSkew(TSC_SKEW_PPM))
     daemon = DtpDaemon(
         sim,
         device,
         tsc,
         streams.stream("daemon"),
-        sample_interval_fs=config.daemon_interval_fs,
+        sample_interval_fs=DAEMON_INTERVAL_FS,
     )
     daemon.start()
-    sim.run_until(config.warmup_fs + 5 * config.daemon_interval_fs)
+    sim.run_until(WARMUP_FS + 5 * DAEMON_INTERVAL_FS)
 
     raw_series = TimeSeries(label="offset_sw_raw_ticks")
+    grid = steps(sim, DAEMON_INTERVAL_FS, config.duration_fs)
+    for t in itertools.chain([sim.now], grid):
+        estimate = daemon.get_dtp_counter(t)
+        raw_series.append(t, device.global_counter(t) - estimate)
 
-    def sample() -> None:
-        now = sim.now
-        estimate = daemon.get_dtp_counter(now)
-        truth = device.global_counter(now)
-        raw_series.append(now, truth - estimate)
-        if now < config.duration_fs:
-            sim.schedule(config.sample_interval_fs, sample)
-
-    sim.schedule(0, sample)
-    sim.run_until(config.duration_fs)
-
-    smoothed = TimeSeries(label=f"offset_sw_ma{config.smoothing_window}_ticks")
+    smoothed = TimeSeries(label=f"offset_sw_ma{SMOOTHING_WINDOW}_ticks")
     smoothed.times_fs = list(raw_series.times_fs)
     smoothed.values = moving_average(
-        [int(v) for v in raw_series.values], config.smoothing_window
+        [int(v) for v in raw_series.values], SMOOTHING_WINDOW
     )
 
     raw_result = ExperimentResult(
@@ -100,7 +98,7 @@ def run_fig7(config: Fig7Config = None) -> Tuple[ExperimentResult, ExperimentRes
     )
     smoothed_result = ExperimentResult(
         name="fig7b-daemon-smoothed",
-        params={"window": config.smoothing_window, "seed": config.seed},
+        params={"window": SMOOTHING_WINDOW, "seed": config.seed},
         series=[smoothed],
         summary={
             "p50_abs_ticks": smoothed.percentile_abs(0.50),

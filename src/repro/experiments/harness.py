@@ -8,8 +8,9 @@ the text table/rows the benchmark harness prints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence
 
+from ..sim import units
 
 
 @dataclass
@@ -83,38 +84,45 @@ class ExperimentResult:
         return "\n".join(lines)
 
 
-class PeriodicSampler:
-    """Calls a probe on a fixed simulated cadence and stores the values.
+def steps(sim, every_fs: int, until_fs: int) -> Iterator[int]:
+    """Advance ``sim`` on the grid ``now + k * every_fs`` and yield each time.
 
-    The probe runs as simulation events, so clocks are always sampled
-    *during* the run (disciplined clocks cannot be read retroactively).
+    This is every experiment's sample set: the caller reads state after each
+    ``run_until``, so sampling schedules no event.  The grid stops at the
+    first time that reaches ``until_fs``, which may pass it.  A window that
+    holds no grid time is an error, not an empty (and so passing) run.
     """
+    start = sim.now
+    count = -(-(until_fs - start) // every_fs)
+    if count <= 0:
+        raise ValueError(
+            f"no sample to take: now={start} fs is not before until_fs={until_fs} fs"
+        )
+    for k in range(1, count + 1):
+        t = start + k * every_fs
+        sim.run_until(t)
+        yield t
 
-    def __init__(
-        self,
-        sim,
-        interval_fs: int,
-        probe: Callable[[int], Dict[str, float]],
-        start_fs: int = 0,
-    ) -> None:
-        self.sim = sim
-        self.interval_fs = interval_fs
-        self.probe = probe
-        self.series: Dict[str, TimeSeries] = {}
-        sim.schedule_at(max(start_fs, sim.now), self._tick)
 
-    def _tick(self) -> None:
-        now = self.sim.now
-        for label, value in self.probe(now).items():
-            series = self.series.get(label)
-            if series is None:
-                series = TimeSeries(label=label)
-                self.series[label] = series
-            series.append(now, value)
-        self.sim.schedule(self.interval_fs, self._tick)
+def peak_after(values: Iterable[float], warmup_fs: int, until_fs: int) -> float:
+    """``max(values)`` over the samples a warmup filter let through.
 
-    def all_series(self) -> List[TimeSeries]:
-        return [self.series[key] for key in sorted(self.series)]
+    A warmup that leaves no sample is an error: a maximum over nothing
+    would read as a perfect run.
+    """
+    worst = max(values, default=None)
+    if worst is None:
+        raise ValueError(
+            f"no sample after the warmup: warmup_fs={warmup_fs} leaves none"
+            f" before until_fs={until_fs}"
+        )
+    return worst
+
+
+def worst_offset(net, until_fs: int) -> int:
+    """The largest ``net.max_abs_offset()`` over :func:`steps` to ``until_fs``,
+    every 20 us (about 16 BEACON intervals of the default 200 ticks)."""
+    return max(net.max_abs_offset() for _t in steps(net.sim, 20 * units.US, until_fs))
 
 
 def histogram(values: Sequence[float], bin_width: float = 1.0) -> Dict[float, float]:

@@ -23,7 +23,7 @@ from ..ptp.network import PtpConfig, PtpDeployment
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult
+from .harness import ExperimentResult, peak_after, steps
 
 
 def _measure_plain_ptp(duration_fs: int, seed: int) -> float:
@@ -34,15 +34,10 @@ def _measure_plain_ptp(duration_fs: int, seed: int) -> float:
     )
     deployment.apply_load("heavy")
     deployment.start()
-    worst = 0.0
     warmup = duration_fs // 2
-    t = 0
-    while t < duration_fs:
-        t += units.SEC
-        sim.run_until(t)
-        if t > warmup:
-            worst = max(worst, abs(deployment.true_offset_fs("h1", t)))
-    return worst
+    grid = steps(sim, units.SEC, duration_fs)
+    offsets = (abs(deployment.true_offset_fs("h1", t)) for t in grid if t > warmup)
+    return peak_after(offsets, warmup, duration_fs)
 
 
 def _measure_hybrid(duration_fs: int, seed: int) -> float:
@@ -79,17 +74,11 @@ def _measure_hybrid(duration_fs: int, seed: int) -> float:
     )
     slave = HybridTimeSlave(sim, packets, "h1", daemons["h1"])
     master.start()
-    worst = 0.0
     warmup = sim.now + duration_fs // 2
     deadline = sim.now + duration_fs
-    t = sim.now
-    while t < deadline:
-        t += 5 * units.MS
-        sim.run_until(t)
-        error = slave.utc_error_fs(t)
-        if error is not None and t > warmup:
-            worst = max(worst, abs(error))
-    return worst
+    grid = steps(sim, 5 * units.MS, deadline)
+    errors = (slave.utc_error_fs(t) for t in grid if t > warmup)
+    return peak_after((abs(e) for e in errors if e is not None), warmup, deadline)
 
 
 def run_hybrid_comparison(

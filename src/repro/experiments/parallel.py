@@ -3,7 +3,7 @@
 Every experiment in this repo is a pure function of its arguments — each
 run builds its own :class:`~repro.sim.engine.Simulator` and seeds its own
 :class:`~repro.sim.randomness.RandomStreams` — so independent configs
-(sweep cells, ablation arms, the six Fig. 6 panels) can execute in
+(the commands of ``repro all``, a campaign's scenarios) can execute in
 separate worker processes with **exactly** the results a serial run
 produces, in the submission order, regardless of worker count or
 completion order.

@@ -7,7 +7,7 @@ length (including non-integer-tick lengths), and BER.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..clocks.oscillator import ConstantSkew
 from ..dtp.network import DtpNetwork
@@ -17,8 +17,7 @@ from ..network.topology import Topology
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult
-from .parallel import ExperimentTask, run_tasks
+from .harness import ExperimentResult, worst_offset
 
 
 def _pair_topology(cable: Cable = None) -> Topology:
@@ -49,13 +48,7 @@ def _measure_pair(
     )
     net.start()
     sim.run_until(duration_fs // 4)
-    worst = 0
-    t = sim.now
-    while t < duration_fs:
-        t += 20 * units.US
-        sim.run_until(t)
-        worst = max(worst, net.max_abs_offset())
-    return worst
+    return worst_offset(net, duration_fs)
 
 
 def sweep_beacon_vs_skew(
@@ -63,30 +56,20 @@ def sweep_beacon_vs_skew(
     ppm_gaps: List[float] = (0.0, 50.0, 200.0),
     duration_fs: int = 4 * units.MS,
     seed: int = 51,
-    jobs: Optional[int] = 1,
 ) -> ExperimentResult:
     """Worst offset over (beacon interval x oscillator gap).
 
     The gap is split symmetrically (+g/2, -g/2).  Every in-budget cell
-    must stay within 4 ticks.  ``jobs`` fans the independent cells over
-    worker processes (``None`` = one per CPU); results are identical to
-    a serial run.
+    must stay within 4 ticks.
     """
     result = ExperimentResult(name="sweep-beacon-vs-skew", params={"seed": seed})
-    cells = [(interval, gap) for interval in intervals for gap in ppm_gaps]
-    worsts = run_tasks(
-        [
-            ExperimentTask(
-                name=f"beacon-vs-skew/interval={interval}/gap={gap}",
-                fn=_measure_pair,
-                args=(interval, gap / 2.0, -gap / 2.0),
-                kwargs={"duration_fs": duration_fs, "seed": seed},
-            )
-            for interval, gap in cells
-        ],
-        jobs=jobs,
-    )
-    matrix: Dict[Tuple[int, float], int] = dict(zip(cells, worsts))
+    matrix: Dict[Tuple[int, float], int] = {
+        (interval, gap): _measure_pair(
+            interval, gap / 2.0, -gap / 2.0, duration_fs=duration_fs, seed=seed
+        )
+        for interval in intervals
+        for gap in ppm_gaps
+    }
     result.summary["matrix"] = {
         f"interval={i},gap={g}ppm": worst for (i, g), worst in sorted(matrix.items())
     }
@@ -103,7 +86,6 @@ def sweep_cable_length(
     lengths_m: List[float] = (1.0, 5.0, 10.24, 33.3, 100.0, 333.3, 1000.0),
     duration_fs: int = 3 * units.MS,
     seed: int = 52,
-    jobs: Optional[int] = 1,
 ) -> ExperimentResult:
     """Worst offset vs cable length, including non-integer-tick lengths.
 
@@ -112,23 +94,13 @@ def sweep_cable_length(
     quantization (see Cable's docstring).
     """
     result = ExperimentResult(name="sweep-cable-length", params={"seed": seed})
-    worsts = run_tasks(
-        [
-            ExperimentTask(
-                name=f"cable-length/{length}m",
-                fn=_measure_pair,
-                args=(200, 100.0, -100.0),
-                kwargs={
-                    "cable": Cable(length_m=length),
-                    "duration_fs": duration_fs,
-                    "seed": seed,
-                },
-            )
-            for length in lengths_m
-        ],
-        jobs=jobs,
-    )
-    by_length: Dict[float, int] = dict(zip(lengths_m, worsts))
+    by_length: Dict[float, int] = {
+        length: _measure_pair(
+            200, 100.0, -100.0, cable=Cable(length_m=length),
+            duration_fs=duration_fs, seed=seed,
+        )
+        for length in lengths_m
+    }
     result.summary["worst_offset_by_length_m"] = by_length
     result.summary["all_within_five_ticks"] = all(v <= 5 for v in by_length.values())
     result.summary["integer_tick_lengths_within_four"] = all(
@@ -143,7 +115,6 @@ def sweep_ber(
     bers: List[float] = (0.0, 1e-12, 1e-9, 1e-6, 1e-4),
     duration_fs: int = 4 * units.MS,
     seed: int = 53,
-    jobs: Optional[int] = 1,
 ) -> ExperimentResult:
     """Worst offset vs bit error rate with the Section 3.2 filter on.
 
@@ -151,19 +122,12 @@ def sweep_ber(
     and the bound must still hold (corrupted messages are simply dropped).
     """
     result = ExperimentResult(name="sweep-ber", params={"seed": seed})
-    worsts = run_tasks(
-        [
-            ExperimentTask(
-                name=f"ber/{ber:.0e}",
-                fn=_measure_pair,
-                args=(200, 100.0, -100.0),
-                kwargs={"ber": ber, "duration_fs": duration_fs, "seed": seed},
-            )
-            for ber in bers
-        ],
-        jobs=jobs,
-    )
-    by_ber: Dict[float, int] = dict(zip(bers, worsts))
+    by_ber: Dict[float, int] = {
+        ber: _measure_pair(
+            200, 100.0, -100.0, ber=ber, duration_fs=duration_fs, seed=seed
+        )
+        for ber in bers
+    }
     result.summary["worst_offset_by_ber"] = {f"{b:.0e}": v for b, v in by_ber.items()}
     result.summary["all_within_bound"] = all(v <= 4 for v in by_ber.values())
     return result

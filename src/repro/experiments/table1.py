@@ -25,7 +25,7 @@ from ..ptp.network import PtpConfig, PtpDeployment
 from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
-from .harness import ExperimentResult
+from .harness import ExperimentResult, peak_after, steps, worst_offset
 
 
 @dataclass
@@ -94,14 +94,10 @@ def _measure_ntp(seed: int, duration_fs: int) -> Tuple[float, float]:
         poll_interval_fs=4 * units.SEC,
     )
     client.start()
-    worst = 0.0
     warmup = duration_fs // 3
-    t = 0
-    while t < duration_fs:
-        t += units.SEC
-        sim.run_until(t)
-        if t >= warmup:
-            worst = max(worst, abs(client.offset_to(server_clock, t)))
+    grid = steps(sim, units.SEC, duration_fs)
+    offsets = (abs(client.offset_to(server_clock, t)) for t in grid if t >= warmup)
+    worst = peak_after(offsets, warmup, duration_fs)
     return worst / units.NS, _packets_sent(network) * units.SEC / duration_fs
 
 
@@ -111,17 +107,12 @@ def _measure_ptp(seed: int, duration_fs: int) -> Tuple[float, float]:
     deployment = PtpDeployment(sim, star(4), streams, master="h0", config=PtpConfig())
     deployment.apply_load("idle")
     deployment.start()
-    worst = 0.0
     warmup = duration_fs // 3
-    t = 0
-    while t < duration_fs:
-        t += units.SEC
-        sim.run_until(t)
-        if t >= warmup:
-            worst = max(
-                worst,
-                max(abs(deployment.true_offset_fs(n, t)) for n in deployment.slaves),
-            )
+    offsets = (
+        max(abs(deployment.true_offset_fs(n, t)) for n in deployment.slaves)
+        for t in steps(sim, units.SEC, duration_fs) if t >= warmup
+    )
+    worst = peak_after(offsets, warmup, duration_fs)
     return worst / units.NS, _packets_sent(deployment.network) * units.SEC / duration_fs
 
 
@@ -148,12 +139,7 @@ def _measure_dtp(seed: int, duration_fs: int) -> Tuple[float, int, float]:
     plane = PacketNetwork(sim, topology)
     net.start()
     sim.run_until(duration_fs // 4)
-    worst = 0
-    t = sim.now
-    while t < duration_fs:
-        t += 20 * units.US
-        sim.run_until(t)
-        worst = max(worst, net.max_abs_offset())
+    worst = worst_offset(net, duration_fs)
     messages = sum(sum(port.stats.sent.values()) for port in net.ports.values())
     per_link_per_s = messages / len(topology.edges) * units.SEC / duration_fs
     return worst * PHY_10G.period_ns, _packets_sent(plane), per_link_per_s

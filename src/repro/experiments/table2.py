@@ -21,7 +21,7 @@ from ..sim import units
 from ..sim.engine import Simulator
 from ..sim.randomness import RandomStreams
 from ..telemetry import Telemetry
-from .harness import ExperimentResult
+from .harness import ExperimentResult, worst_offset
 
 
 def expected_dtp_message_rate(beacon_interval_ticks: int, period_fs: int) -> float:
@@ -67,12 +67,7 @@ def verify_speed(
     )
     net.start()
     sim.run_until(duration_fs // 4)
-    worst_units = 0
-    t = sim.now
-    while t < duration_fs:
-        t += 20 * units.US
-        sim.run_until(t)
-        worst_units = max(worst_units, net.max_abs_offset())
+    worst_units = worst_offset(net, duration_fs)
     bound_units = 4 * spec.counter_increment
     # Message accounting, read back from the metrics registry.
     sent_family = telemetry.registry.get("dtp_messages_sent_total")

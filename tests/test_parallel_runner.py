@@ -7,7 +7,6 @@ from repro.experiments.parallel import (
     derive_seed,
     run_tasks,
 )
-from repro.experiments.sweeps import sweep_ber
 
 
 def _square(x, offset=0):
@@ -52,16 +51,3 @@ class TestRunTasks:
                  ExperimentTask("a", _square, (2,))]
             )
 
-
-class TestSweepParallelEquivalence:
-    def test_ber_sweep_identical_serial_vs_parallel(self):
-        # A real experiment sweep through worker processes must reproduce
-        # the serial run exactly (same cells, same worst offsets).
-        kwargs = dict(
-            bers=(0.0, 1e-9),
-            duration_fs=200_000_000_000,  # 0.2 ms keeps this test quick
-            seed=3,
-        )
-        serial = sweep_ber(jobs=1, **kwargs)
-        parallel = sweep_ber(jobs=2, **kwargs)
-        assert serial == parallel
